@@ -7,20 +7,22 @@
  *   perfbench --workload NAME --seed N --seconds S --trace 0|1
  *             [--spans-out PATH]
  *
- * Untraced (--trace 0): repeats set-up + Runner::run for S wall seconds
- * (at least twice) and reports sim_req_per_s at the lower quartile of
- * the run wall times, the median set-up time and the process's peak
- * RSS. Other load on a shared host only ever slows a repeat down, so
- * the fast quartile is less disturbed by it than the median (see
- * README.md). Traced (--trace 1): alternates an
- * untraced Runner run with a run of the decorated stack
- * (traced_stack.h) and reports the per-layer split of the fastest
- * traced repeat. Every run is checked: all submitted requests finish,
- * every repeat of the workload+seed gives the same event hash, and the
- * traced stack's hash equals the Runner's. Each run prints an
- * `attempt` line before it starts and a `result` line after it ends;
- * the last stdout line is one JSON object {correct, attempted, failed,
- * metrics}; the exit code is nonzero when a check failed.
+ * Untraced (--trace 0): repeats set-up + Runner::run for about S wall
+ * seconds (at least three times; the first repeat only warms up). A
+ * reference kernel (calibrate.h) runs between repeats, and each
+ * repeat's wall times are scaled by the reference time over the
+ * kernel's mean time before and after it, so a shared host's drift in
+ * speed cancels. It reports sim_req_per_s from the fastest scaled run
+ * (other tenants only ever slow a repeat down), the median scaled
+ * set-up time and the process's peak RSS (see README.md).
+ * Traced (--trace 1): alternates an untraced Runner run with a run of
+ * the decorated stack (traced_stack.h) and reports the per-layer split
+ * of the fastest traced repeat. Every run is checked: all submitted
+ * requests finish, every repeat of the workload+seed gives the same
+ * event hash, and the traced stack's hash equals the Runner's. Each run
+ * prints an `attempt` line before it starts and a `result` line after
+ * it ends; the last stdout line is one JSON object {correct, attempted,
+ * failed, metrics}; the exit code is nonzero when a check failed.
  */
 
 #include <sys/resource.h>
@@ -33,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "calibrate.h"
 #include "traced_stack.h"
 #include "workloads.h"
 
@@ -147,72 +150,103 @@ main(int argc, char **argv)
     Phase traced{"traced"};
     std::vector<double> setupSeconds, poolSeconds, generateSeconds,
         buildSeconds, runSeconds;
+    // Timed repeats' wall times at the reference host speed.
+    std::vector<double> scaledSetupSeconds, scaledRunSeconds;
     std::int64_t finished = 0;
     std::uint64_t referenceHash = 0;
     TracedRun fastestTraced;
     bool haveTraced = false;
 
     const double start = wallSeconds();
+    double kernelBefore = referenceKernelSeconds();
+    double repeatSeconds = 0.0;
     int iteration = 0;
     do {
-        Setup s = setUp(*workload, args.seed);
-        const auto requests = static_cast<std::int64_t>(s.trace.size());
-        setup.finish(requests,
-                     check(requests > 0, "the generated trace is empty"));
-        setupSeconds.push_back(s.seconds());
-        poolSeconds.push_back(s.poolSeconds);
-        generateSeconds.push_back(s.generateSeconds);
-        buildSeconds.push_back(s.buildSeconds);
+        const double repeatStart = wallSeconds();
+        double setupWall = 0.0;
+        double wall = 0.0;
+        // The set-up and the report are gone before the next kernel runs,
+        // so the kernel's memory never adds to the simulator's peak RSS.
+        {
+            Setup s = setUp(*workload, args.seed);
+            const auto requests = static_cast<std::int64_t>(s.trace.size());
+            setup.finish(requests,
+                         check(requests > 0, "the generated trace is empty"));
+            setupWall = s.seconds();
+            setupSeconds.push_back(setupWall);
+            poolSeconds.push_back(s.poolSeconds);
+            generateSeconds.push_back(s.generateSeconds);
+            buildSeconds.push_back(s.buildSeconds);
 
-        untraced.begin(requests);
-        const double t0 = wallSeconds();
-        const auto report = s.runner->run(s.trace);
-        const double wall = wallSeconds() - t0;
-        runSeconds.push_back(wall);
-        finished = report.stats.finished;
-        std::printf("run %d setup_s %.6f run_s %.6f sim_req_per_s %.1f\n",
-                    iteration, s.seconds(), wall,
-                    static_cast<double>(finished) / wall);
-        if (iteration == 0) {
-            referenceHash = report.eventHash;
-            std::printf("output event_hash 0x%016" PRIx64 "\n",
-                        report.eventHash);
-            std::printf("output ttft_p50_s %.6f\n", report.stats.ttft.p50());
-            std::printf("output ttft_p99_s %.6f\n", report.stats.ttft.p99());
-            std::printf("output cache_hit_rate %.6f\n", report.cacheHitRate);
-            std::printf("output finished %" PRId64 " of %" PRId64 "\n",
-                        finished, requests);
-        }
-        bool ok = check(finished == requests,
-                        "untraced run finished " + std::to_string(finished) +
-                            " of " + std::to_string(requests) + " requests");
-        ok = check(report.eventHash == referenceHash,
-                   "repeat " + std::to_string(iteration) +
-                       " changed the event hash") &&
-             ok;
-        untraced.finish(requests, ok);
-
-        if (args.trace == 1) {
-            s.runner.reset();
-            traced.begin(requests);
-            TracedRun run =
-                runTraced(systemSpec(*workload), *s.pool, s.trace,
-                          iteration == 0 ? args.spansOut : std::string());
-            ok = check(run.finished == requests,
-                       "traced run finished " + std::to_string(run.finished) +
-                           " of " + std::to_string(requests) + " requests");
-            ok = check(run.eventHash == referenceHash,
-                       "traced stack hash differs from the Runner's: it "
-                       "did not build the same program") &&
+            untraced.begin(requests);
+            const double t0 = wallSeconds();
+            const auto report = s.runner->run(s.trace);
+            wall = wallSeconds() - t0;
+            runSeconds.push_back(wall);
+            finished = report.stats.finished;
+            if (iteration == 0) {
+                referenceHash = report.eventHash;
+                std::printf("output event_hash 0x%016" PRIx64 "\n",
+                            report.eventHash);
+                std::printf("output ttft_p50_s %.6f\n",
+                            report.stats.ttft.p50());
+                std::printf("output ttft_p99_s %.6f\n",
+                            report.stats.ttft.p99());
+                std::printf("output cache_hit_rate %.6f\n",
+                            report.cacheHitRate);
+                std::printf("output finished %" PRId64 " of %" PRId64 "\n",
+                            finished, requests);
+            }
+            bool ok = check(finished == requests,
+                            "untraced run finished " +
+                                std::to_string(finished) + " of " +
+                                std::to_string(requests) + " requests");
+            ok = check(report.eventHash == referenceHash,
+                       "repeat " + std::to_string(iteration) +
+                           " changed the event hash") &&
                  ok;
-            traced.finish(requests, ok);
-            if (!haveTraced || run.runSeconds < fastestTraced.runSeconds) {
-                fastestTraced = std::move(run);
-                haveTraced = true;
+            untraced.finish(requests, ok);
+
+            if (args.trace == 1) {
+                s.runner.reset();
+                traced.begin(requests);
+                TracedRun run = runTraced(
+                    systemSpec(*workload), *s.pool, s.trace,
+                    iteration == 0 ? args.spansOut : std::string());
+                ok = check(run.finished == requests,
+                           "traced run finished " +
+                               std::to_string(run.finished) + " of " +
+                               std::to_string(requests) + " requests");
+                ok = check(run.eventHash == referenceHash,
+                           "traced stack hash differs from the Runner's: it "
+                           "did not build the same program") &&
+                     ok;
+                traced.finish(requests, ok);
+                if (!haveTraced ||
+                    run.runSeconds < fastestTraced.runSeconds) {
+                    fastestTraced = std::move(run);
+                    haveTraced = true;
+                }
             }
         }
+
+        const double kernelAfter = referenceKernelSeconds();
+        const double scale =
+            kReferenceKernelSeconds / (0.5 * (kernelBefore + kernelAfter));
+        kernelBefore = kernelAfter;
+        std::printf("run %d setup_s %.6f run_s %.6f kernel_s %.6f "
+                    "sim_req_per_s %.1f\n",
+                    iteration, setupWall, wall, kReferenceKernelSeconds / scale,
+                    static_cast<double>(finished) / (wall * scale));
+        if (iteration > 0) {
+            scaledSetupSeconds.push_back(setupWall * scale);
+            scaledRunSeconds.push_back(wall * scale);
+        }
+        repeatSeconds = wallSeconds() - repeatStart;
         ++iteration;
-    } while (iteration < 2 || wallSeconds() - start < args.seconds);
+        // Stop before a repeat would run past the time given.
+    } while (iteration < 3 ||
+             wallSeconds() - start + repeatSeconds <= args.seconds);
 
     for (const Phase *phase : {&setup, &untraced, &traced}) {
         std::printf("phase %s attempted %" PRId64 " succeeded %" PRId64
@@ -228,9 +262,11 @@ main(int argc, char **argv)
         getrusage(RUSAGE_SELF, &usage);
         metrics.push_back({"sim_req_per_s",
                            static_cast<double>(finished) /
-                               quantile(runSeconds, 0.25),
+                               *std::min_element(scaledRunSeconds.begin(),
+                                                 scaledRunSeconds.end()),
                            "req/s"});
-        metrics.push_back({"setup_s", quantile(setupSeconds, 0.5), "s"});
+        metrics.push_back(
+            {"setup_s", quantile(scaledSetupSeconds, 0.5), "s"});
         metrics.push_back({"peak_rss_mb",
                            static_cast<double>(usage.ru_maxrss) / 1024.0,
                            "MiB"});

@@ -118,7 +118,7 @@ def main():
     parser.add_argument("--workload", default="all",
                         choices=WORKLOADS + ["all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true",
                         help="build and run the benchmark's own test")
