@@ -12,10 +12,12 @@
  * exercises the predictor-driven autoscaler on the same traces.
  *
  * The policy x replicas grid is a sweep::SweepRunner run per skew
- * setting (replicas and routers are sweep axes; the load scales per
- * replica via rps_per_replica). The autoscale on/off section is the
- * sweep `autoscale` axis over the same bursty workload — nothing is
- * hand-rolled any more. Emits BENCH_routing.json for trend tracking.
+ * setting (replicas and the cluster.router spec path are sweep axes;
+ * the load scales per replica via rps_per_replica). The autoscale
+ * on/off section is the cluster.autoscale axis over the same bursty
+ * workload, with the autoscaler knobs as single-valued axes — nothing
+ * is hand-rolled any more. Emits BENCH_routing.json for trend
+ * tracking.
  */
 
 #include <cstdio>
@@ -41,7 +43,8 @@ gridSpec(bool skewed)
     sw.loads = {kRpsPerReplica};
     sw.rpsPerReplica = true;
     sw.replicas = {2, 4};
-    sw.routers = {"rr", "jsq", "p2c", "affinity", "affinity-cache"};
+    sw.axes.push_back(sweep::SweepAxis::parse(
+        "cluster.router", {"rr", "jsq", "p2c", "affinity", "affinity-cache"}));
     sw.workload.durationSeconds = kTraceSeconds;
     sw.workload.adapters = 200;
     sw.workload.adapterPopularity = skewed ? "powerlaw" : "uniform";
@@ -75,7 +78,8 @@ main()
             const auto &report = result.report;
             std::printf(
                 "%-8s %9d %-15s %9lld %12.3f %12.3f %10lld %6.1f%%\n",
-                skewName, cell.replicaCount, cell.router.c_str(),
+                skewName, cell.replicaCount,
+                cell.axisValue("cluster.router").c_str(),
                 static_cast<long long>(report.stats.finished),
                 report.stats.ttft.p50(), report.stats.ttft.p99(),
                 static_cast<long long>(report.pcieTransfers),
@@ -85,7 +89,7 @@ main()
                 .field("skew", std::string(skewName))
                 .field("replicas",
                        static_cast<std::int64_t>(cell.replicaCount))
-                .field("router", cell.router)
+                .field("router", cell.axisValue("cluster.router"))
                 .field("rps", cell.rps)
                 .field("finished", report.stats.finished)
                 .field("p50_ttft_s", report.stats.ttft.p50())
@@ -105,11 +109,13 @@ main()
     autoscaleGrid.systems = {"chameleon"};
     autoscaleGrid.loads = {2.0 * kRpsPerReplica};
     autoscaleGrid.replicas = {2};
-    autoscaleGrid.routers = {"affinity"};
-    autoscaleGrid.autoscale = {false, true};
-    autoscaleGrid.autoscaler.minReplicas = 2;
-    autoscaleGrid.autoscaler.maxReplicas = 6;
-    autoscaleGrid.autoscaler.replicaServiceRps = kRpsPerReplica;
+    autoscaleGrid.axes = {
+        sweep::SweepAxis::parse("cluster.router", {"affinity"}),
+        sweep::SweepAxis::parse("cluster.autoscale", {"false", "true"}),
+        sweep::SweepAxis::parse("cluster.autoscaler.min_replicas", {"2"}),
+        sweep::SweepAxis::parse("cluster.autoscaler.max_replicas", {"6"}),
+        {"cluster.autoscaler.replica_service_rps",
+         {sim::JsonValue::makeNumber(kRpsPerReplica)}}};
     autoscaleGrid.workload.durationSeconds = kTraceSeconds;
     autoscaleGrid.workload.adapters = 200;
     autoscaleGrid.workload.adapterPopularity = "powerlaw";
@@ -125,16 +131,16 @@ main()
     for (const auto &result : autoscaleRunner.run()) {
         const auto &cell = result.cell;
         const auto &report = result.report;
-        std::printf("%-10s %9d %9zu %9lld %9lld %12.3f\n",
-                    cell.autoscale ? "autoscale" : "fixed",
+        const char *mode =
+            cell.spec.cluster.autoscale ? "autoscale" : "fixed";
+        std::printf("%-10s %9d %9zu %9lld %9lld %12.3f\n", mode,
                     cell.replicaCount, report.peakReplicas,
                     static_cast<long long>(report.scaleUps),
                     static_cast<long long>(report.scaleDowns),
                     report.stats.ttft.p99());
         json.row()
             .field("section", std::string("autoscale"))
-            .field("mode",
-                   std::string(cell.autoscale ? "autoscale" : "fixed"))
+            .field("mode", mode)
             .field("rps", cell.rps)
             .field("finished", report.stats.finished)
             .field("p99_ttft_s", report.stats.ttft.p99())

@@ -45,7 +45,8 @@ gridSpec()
     sw.systems = {"chameleon"};
     sw.loads = {kTotalRps};
     sw.fleets = {"a40x4", "a100-48x2+a40x2", "a100-48x4"};
-    sw.routers = {"rr", "jsq", "p2c", "affinity-cache"};
+    sw.axes.push_back(sweep::SweepAxis::parse(
+        "cluster.router", {"rr", "jsq", "p2c", "affinity-cache"}));
     sw.workload.durationSeconds = kTraceSeconds;
     sw.workload.adapters = 200;
     sw.workload.adapterPopularity = "powerlaw";
@@ -90,7 +91,8 @@ main()
         const auto &cell = result.cell;
         const auto &report = result.report;
         std::printf("%-16s %-15s %9lld %12.3f %12.3f %6.1f%%  %s\n",
-                    cell.fleet.c_str(), cell.router.c_str(),
+                    cell.fleet.c_str(),
+                    cell.axisValue("cluster.router").c_str(),
                     static_cast<long long>(report.stats.finished),
                     report.stats.ttft.p50(), report.stats.ttft.p99(),
                     100.0 * report.cacheHitRate,

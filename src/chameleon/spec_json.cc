@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "model/gpu_spec.h"
@@ -378,6 +379,9 @@ tenancyFromJson(const JsonValue &v, const std::string &path,
     return r.finish();
 }
 
+bool autoscalerFromJson(const JsonValue &obj, const std::string &path,
+                        routing::AutoscalerConfig *out, std::string *error);
+
 bool
 clusterFromJson(const JsonValue &v, const std::string &path,
                 const serving::EngineConfig &baseEngine, ClusterSpec *out,
@@ -548,6 +552,8 @@ predictorFromJson(const JsonValue &obj, const std::string &path,
     return r.finish();
 }
 
+namespace {
+
 bool
 fabricFromJson(const JsonValue &obj, const std::string &path,
                FabricSpec *out, std::string *error)
@@ -586,8 +592,6 @@ autoscalerFromJson(const JsonValue &obj, const std::string &path,
     r.getBool("boot_aware_horizon", &out->bootAwareHorizon);
     return r.finish();
 }
-
-namespace {
 
 /** Uniform "spec json: " prefix on whatever a nested reader wrote. */
 std::optional<SystemSpec>
@@ -676,6 +680,109 @@ specFromJson(const std::string &text, std::string *error)
         return std::nullopt;
     }
     return specFromJsonValue(*doc, error);
+}
+
+JsonValue
+overrideValue(const std::string &text)
+{
+    auto literal = sim::parseJson(text);
+    return literal ? std::move(*literal) : JsonValue::makeString(text);
+}
+
+namespace {
+
+/** Write `value` at dotted `path` in the dumped spec tree `root`. */
+bool
+setPath(JsonValue &root, const std::string &path, const JsonValue &value,
+        std::string *error)
+{
+    auto fail = [&](const std::string &problem) {
+        if (error != nullptr)
+            *error = "spec override \"" + path + "\": " + problem;
+        return false;
+    };
+    JsonValue *node = &root;
+    std::string walked; // the path above `node`
+    for (std::size_t start = 0;;) {
+        const std::size_t dot = path.find('.', start);
+        const std::string key = path.substr(start, dot - start);
+        const bool leaf = dot == std::string::npos;
+        if (!node->isObject())
+            return fail("\"" + walked + "\" is not an object");
+        if (leaf && walked == "cluster" &&
+            (key == "replicas" || key == "fleet")) {
+            // The deployment is one of the two: the parse-only fleet
+            // preset replaces the replica count or list, and back.
+            node->erase("replicas");
+            node->erase("fleet");
+            node->set(key, value);
+            return true;
+        }
+        JsonValue *child = node->find(key);
+        if (child == nullptr) {
+            std::string known;
+            for (const auto &member : node->members())
+                known += (known.empty() ? "" : ", ") + member.first;
+            if (walked == "cluster")
+                known += ", fleet"; // parse-only, so never dumped
+            return fail("no key \"" + key + "\" " +
+                        (walked.empty() ? "at the top level"
+                                        : "under \"" + walked + "\"") +
+                        "; known: " + known);
+        }
+        if (leaf) {
+            *child = value;
+            return true;
+        }
+        walked += (walked.empty() ? "" : ".") + key;
+        node = child;
+        start = dot + 1;
+    }
+}
+
+} // namespace
+
+std::optional<SystemSpec>
+applySpecOverrides(const SystemSpec &base, const SpecOverrides &overrides,
+                   std::string *error)
+{
+    JsonValue root = specToJsonValue(base);
+    for (const auto &[path, value] : overrides) {
+        if (!setPath(root, path, value, error))
+            return std::nullopt;
+    }
+    return specFromJsonValue(root, error);
+}
+
+bool
+checkOverridesTakeEffect(const SystemSpec &spec,
+                         const SpecOverrides &overrides, std::string *error)
+{
+    const std::string migrationOn =
+        std::string("fabric.migration other than off (known: ") +
+        fabric::migrationPolicyNames() + ")";
+    // {path prefix, does the resolved spec ignore it, what it needs}
+    const std::tuple<const char *, bool, std::string> guards[] = {
+        {"cluster.router",
+         spec.cluster.replicas <= 1 && !spec.cluster.autoscale,
+         "a cluster to route: cluster.replicas > 1 (--replicas, "
+         "--fleet) or cluster.autoscale=true"},
+        {"cluster.autoscaler.", !spec.cluster.autoscale,
+         "cluster.autoscale=true"},
+        {"fabric.topology", !spec.fabric.enabled(), migrationOn},
+        {"fabric.top_k", !spec.fabric.enabled(), migrationOn},
+    };
+    for (const auto &override : overrides) {
+        for (const auto &[prefix, ignored, needs] : guards) {
+            if (!ignored || override.first.rfind(prefix, 0) != 0)
+                continue;
+            if (error != nullptr)
+                *error = "spec override \"" + override.first +
+                         "\" has no effect: it needs " + needs;
+            return false;
+        }
+    }
+    return true;
 }
 
 } // namespace chameleon::core

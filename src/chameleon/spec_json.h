@@ -24,9 +24,10 @@
  * config that names a contradiction fails with the same actionable
  * messages the Runner would emit.
  *
- * chameleon_sim exposes this as --config file.json / --dump-config;
- * the sweep subsystem (src/sweep/) reuses the engine/predictor section
- * parsers for its per-cell templates.
+ * chameleon_sim exposes this as --config file.json / --dump-config and
+ * `--set path=value` (applySpecOverrides); the sweep subsystem
+ * (src/sweep/) applies its spec-path "axes" through the same path and
+ * reuses the engine/predictor section parsers for its templates.
  */
 
 #ifndef CHAMELEON_CHAMELEON_SPEC_JSON_H
@@ -34,6 +35,8 @@
 
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chameleon/system_spec.h"
 #include "simkit/json.h"
@@ -72,17 +75,37 @@ bool engineFromJson(const sim::JsonValue &obj, const std::string &path,
 bool predictorFromJson(const sim::JsonValue &obj, const std::string &path,
                        PredictorSpec *out, std::string *error);
 
-/** Apply an "autoscaler" JSON object onto *out; as engineFromJson.
- * Shared by the spec parser and the sweep "autoscaler" template. */
-bool autoscalerFromJson(const sim::JsonValue &obj, const std::string &path,
-                        routing::AutoscalerConfig *out,
-                        std::string *error);
+/** One `path=value` override: a dotted spec path and its value. */
+using SpecOverride = std::pair<std::string, sim::JsonValue>;
+using SpecOverrides = std::vector<SpecOverride>;
 
-/** Apply a "fabric" JSON object onto *out; as engineFromJson. Unknown
- * migration/topology names fail listing the valid options. Shared by
- * the spec parser and the sweep "fabric" template. */
-bool fabricFromJson(const sim::JsonValue &obj, const std::string &path,
-                    FabricSpec *out, std::string *error);
+/** Override value text: a JSON literal when it parses as one ("true",
+ * "8000", "[1,2]"), else the text as a bare string ("jsq", "a100-48"). */
+sim::JsonValue overrideValue(const std::string &text);
+
+/**
+ * The one override path behind `chameleon_sim --set` and sweep "axes":
+ * dump `base` (specToJsonValue), write each value at its path in
+ * order, and parse the tree once (specFromJsonValue), so strict keys,
+ * enum-name errors and validate() apply exactly as to a config file.
+ * A path names a key --dump-config prints; the parse-only
+ * "cluster.fleet" replaces "cluster.replicas" (and vice versa). An
+ * unknown path fails naming it and listing its sibling keys.
+ */
+std::optional<SystemSpec> applySpecOverrides(const SystemSpec &base,
+                                             const SpecOverrides &overrides,
+                                             std::string *error = nullptr);
+
+/**
+ * The CLI's no-effect guards: reject a "cluster.router*" override on a
+ * single fixed replica, a "cluster.autoscaler.*" one without
+ * autoscaling, and "fabric.topology"/"fabric.top_k" with migration
+ * off — runs that would misread as the overridden configuration.
+ * Sweeps skip this: a single-valued axis stamps every cell.
+ */
+bool checkOverridesTakeEffect(const SystemSpec &spec,
+                              const SpecOverrides &overrides,
+                              std::string *error = nullptr);
 
 } // namespace chameleon::core
 

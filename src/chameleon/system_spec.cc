@@ -355,6 +355,14 @@ SystemSpec::validate() const
            << "); it is the hot-adapter window per migration trigger";
         err(os);
     }
+    if (fabric.enabled() && cluster.replicas <= 1 && !cluster.autoscale) {
+        std::ostringstream os;
+        os << "fabric.migration '"
+           << fabric::migrationPolicyName(fabric.migration)
+           << "' needs peers: set cluster.replicas > 1 or "
+           << "cluster.autoscale = true (or keep migration 'off')";
+        err(os);
+    }
     if (cluster.autoscale) {
         if (cluster.autoscaler.minReplicas < 1) {
             errors.push_back(

@@ -69,6 +69,18 @@ FlagSet::addBool(const std::string &name, bool def, const std::string &help)
     return &flags_.emplace(name, std::move(flag)).first->second.boolValue;
 }
 
+std::vector<std::string> *
+FlagSet::addStringList(const std::string &name, const std::string &help)
+{
+    CHM_CHECK(!flags_.count(name), "duplicate flag --" << name);
+    Flag flag;
+    flag.type = Type::StringList;
+    flag.help = help;
+    flag.defaultText = "none; repeatable";
+    order_.push_back(name);
+    return &flags_.emplace(name, std::move(flag)).first->second.listValue;
+}
+
 bool
 FlagSet::setValue(Flag &flag, const std::string &text)
 {
@@ -76,6 +88,9 @@ FlagSet::setValue(Flag &flag, const std::string &text)
     switch (flag.type) {
       case Type::String:
         flag.stringValue = text;
+        return true;
+      case Type::StringList:
+        flag.listValue.push_back(text);
         return true;
       case Type::Double:
         flag.doubleValue = std::strtod(text.c_str(), &end);

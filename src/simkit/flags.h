@@ -32,6 +32,9 @@ class FlagSet
                          const std::string &help);
     bool *addBool(const std::string &name, bool def,
                   const std::string &help);
+    /** Repeatable: every occurrence appends its value, in order. */
+    std::vector<std::string> *addStringList(const std::string &name,
+                                            const std::string &help);
 
     /**
      * Parse argv. Returns false (after printing usage) on unknown flags,
@@ -43,7 +46,7 @@ class FlagSet
     std::string usage() const;
 
   private:
-    enum class Type { String, Double, Int, Bool };
+    enum class Type { String, Double, Int, Bool, StringList };
 
     struct Flag
     {
@@ -55,6 +58,7 @@ class FlagSet
         double doubleValue = 0.0;
         std::int64_t intValue = 0;
         bool boolValue = false;
+        std::vector<std::string> listValue;
     };
 
     bool setValue(Flag &flag, const std::string &text);

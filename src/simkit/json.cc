@@ -1,5 +1,6 @@
 #include "simkit/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -7,6 +8,7 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 namespace chameleon::sim {
 
@@ -92,6 +94,12 @@ JsonValue::find(const std::string &key) const
     return nullptr;
 }
 
+JsonValue *
+JsonValue::find(const std::string &key)
+{
+    return const_cast<JsonValue *>(std::as_const(*this).find(key));
+}
+
 void
 JsonValue::push(JsonValue value)
 {
@@ -102,6 +110,18 @@ void
 JsonValue::set(const std::string &key, JsonValue value)
 {
     members_.emplace_back(key, std::move(value));
+}
+
+bool
+JsonValue::erase(const std::string &key)
+{
+    const auto it = std::find_if(
+        members_.begin(), members_.end(),
+        [&key](const Member &member) { return member.first == key; });
+    if (it == members_.end())
+        return false;
+    members_.erase(it);
+    return true;
 }
 
 const char *

@@ -72,11 +72,14 @@ class JsonValue
 
     /** Member lookup; nullptr when absent (or not an object). */
     const JsonValue *find(const std::string &key) const;
+    JsonValue *find(const std::string &key);
 
     /** Append to an array. */
     void push(JsonValue value);
     /** Append a member to an object (no duplicate check). */
     void set(const std::string &key, JsonValue value);
+    /** Remove an object member; false when absent. */
+    bool erase(const std::string &key);
 
     /** Human-readable kind name for error messages. */
     static const char *kindName(Kind kind);

@@ -10,8 +10,10 @@
  * The comparison distinguishes three severities:
  *
  *   structural      row counts differ, a cell's identity fields
- *                   (system, rps, replicas, fleet, router, autoscale,
- *                   trace_seed) moved, or the column sets diverge.
+ *                   (system, rps, replicas, fleet, trace_seed, and
+ *                   every dotted spec-path axis column such as
+ *                   "cluster.router") moved, or the column sets
+ *                   diverge.
  *                   The documents are not the same sweep — fatal.
  *   hash mismatch   a cell's event_hash differs: the simulation
  *                   dispatched a different event stream for the same

@@ -69,6 +69,16 @@ BenchJson::field(const std::string &key, const std::string &value)
     return *this;
 }
 
+BenchJson &
+BenchJson::field(const std::string &key, const sim::JsonValue &value)
+{
+    CHM_CHECK(!rows_.empty(), "field() before row()");
+    std::string literal = value.dump();
+    literal.pop_back(); // dump()'s trailing newline
+    rows_.back().push_back(Field{key, std::move(literal)});
+    return *this;
+}
+
 std::string
 BenchJson::toString() const
 {

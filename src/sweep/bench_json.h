@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "simkit/json.h"
+
 namespace chameleon::sweep {
 
 /** Row-oriented benchmark result document. */
@@ -33,6 +35,8 @@ class BenchJson
     /** Full uint64 range (seeds print unsigned, not wrapped). */
     BenchJson &field(const std::string &key, std::uint64_t value);
     BenchJson &field(const std::string &key, const std::string &value);
+    /** Any JSON value, printed as its literal. */
+    BenchJson &field(const std::string &key, const sim::JsonValue &value);
     /** Literals stay strings (not bools) despite the bool overload. */
     BenchJson &field(const std::string &key, const char *value)
     {

@@ -118,18 +118,11 @@ SweepRunner::appendRows(BenchJson &json,
             .field("system", cell.system)
             .field("rps", cell.rps)
             .field("replicas", static_cast<std::int64_t>(cell.replicaCount))
-            .field("fleet", cell.fleet)
-            .field("router", cell.router)
-            .field("autoscale", cell.autoscale)
-            .field("demand_source",
-                   std::string(routing::demandSourceName(
-                       cell.spec.cluster.autoscaler.demandSource)))
-            .field("boot_aware_horizon",
-                   cell.spec.cluster.autoscaler.bootAwareHorizon)
-            .field("slo_admission", cell.sloAdmission)
-            .field("migration", cell.migration)
-            .field("topology", cell.topology)
-            .field("trace_seed", cell.traceSeed)
+            .field("fleet", cell.fleet);
+        // One column per spec-path axis, named by its path.
+        for (const auto &[path, value] : cell.overrides)
+            json.field(path, value);
+        json.field("trace_seed", cell.traceSeed)
             .field("submitted", s.submitted)
             .field("finished", s.finished)
             .field("preemptions", s.preemptions)

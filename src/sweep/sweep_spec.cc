@@ -5,9 +5,7 @@
 
 #include "chameleon/spec_json.h"
 #include "chameleon/system_registry.h"
-#include "model/gpu_spec.h"
 #include "model/llm.h"
-#include "routing/router.h"
 #include "simkit/json.h"
 
 namespace chameleon::sweep {
@@ -23,6 +21,15 @@ paperTestbedEngine()
     return engine;
 }
 
+SweepAxis
+SweepAxis::parse(std::string path, const std::vector<std::string> &texts)
+{
+    SweepAxis axis{std::move(path), {}};
+    for (const auto &text : texts)
+        axis.values.push_back(core::overrideValue(text));
+    return axis;
+}
+
 std::string
 SweepSpec::outputPath() const
 {
@@ -31,92 +38,56 @@ SweepSpec::outputPath() const
 
 namespace {
 
+/**
+ * An array under `key` whose items `convert` accepts (`what` names
+ * them in errors). Empty arrays fail unless `allowEmpty`: an empty
+ * axis silently replaced by its default would run a grid the author
+ * never wrote.
+ */
+template <typename T, typename Convert>
 bool
-stringList(sim::JsonObjectReader &r, const std::string &key,
-           std::vector<std::string> *out, bool allowEmpty = true)
+listOf(sim::JsonObjectReader &r, const std::string &key, const char *what,
+       std::vector<T> *out, Convert convert, bool allowEmpty = false)
 {
     const JsonValue *v = r.child(key);
     if (v == nullptr)
         return r.ok();
     if (!v->isArray())
-        return r.fail(key, "expects an array of strings");
+        return r.fail(key, std::string("expects an array of ") + what);
     if (!allowEmpty && v->items().empty())
         return r.fail(key, "must not be an empty array (omit the key "
                            "to use the default)");
     out->clear();
     for (const auto &item : v->items()) {
-        if (!item.isString())
-            return r.fail(key, "expects an array of strings");
-        out->push_back(item.asString());
+        T value{};
+        if (!convert(item, &value))
+            return r.fail(key, std::string("expects an array of ") + what);
+        out->push_back(std::move(value));
     }
     return true;
 }
 
 bool
-doubleList(sim::JsonObjectReader &r, const std::string &key,
-           std::vector<double> *out)
+toString(const JsonValue &item, std::string *out)
 {
-    const JsonValue *v = r.child(key);
-    if (v == nullptr)
-        return r.ok();
-    if (!v->isArray())
-        return r.fail(key, "expects an array of numbers");
-    if (v->items().empty())
-        return r.fail(key, "must not be an empty array (omit the key "
-                           "to use the default)");
-    out->clear();
-    for (const auto &item : v->items()) {
-        if (!item.isNumber())
-            return r.fail(key, "expects an array of numbers");
-        out->push_back(item.asNumber());
-    }
-    return true;
+    *out = item.asString();
+    return item.isString();
 }
 
 bool
-intList(sim::JsonObjectReader &r, const std::string &key,
-        std::vector<int> *out)
+toDouble(const JsonValue &item, double *out)
 {
-    const JsonValue *v = r.child(key);
-    if (v == nullptr)
-        return r.ok();
-    if (!v->isArray())
-        return r.fail(key, "expects an array of integers");
-    if (v->items().empty())
-        return r.fail(key, "must not be an empty array (omit the key "
-                           "to use the default)");
-    out->clear();
-    for (const auto &item : v->items()) {
-        if (!item.isNumber() || !item.isIntegral() ||
-            item.isUnsignedIntegral())
-            return r.fail(key, "expects an array of integers");
-        if (item.asInt() < std::numeric_limits<int>::min() ||
-            item.asInt() > std::numeric_limits<int>::max())
-            return r.fail(key, "has an entry out of 32-bit range");
-        out->push_back(static_cast<int>(item.asInt()));
-    }
-    return true;
+    *out = item.asNumber();
+    return item.isNumber();
 }
 
 bool
-boolList(sim::JsonObjectReader &r, const std::string &key,
-         std::vector<bool> *out)
+toInt(const JsonValue &item, int *out)
 {
-    const JsonValue *v = r.child(key);
-    if (v == nullptr)
-        return r.ok();
-    if (!v->isArray())
-        return r.fail(key, "expects an array of booleans");
-    if (v->items().empty())
-        return r.fail(key, "must not be an empty array (omit the key "
-                           "to use the default)");
-    out->clear();
-    for (const auto &item : v->items()) {
-        if (!item.isBool())
-            return r.fail(key, "expects an array of booleans");
-        out->push_back(item.asBool());
-    }
-    return true;
+    *out = static_cast<int>(item.asInt());
+    return item.isIntegral() && !item.isUnsignedIntegral() &&
+           item.asInt() >= std::numeric_limits<int>::min() &&
+           item.asInt() <= std::numeric_limits<int>::max();
 }
 
 bool
@@ -204,6 +175,52 @@ gridFromJson(const JsonValue &v, SweepSpec *out, std::string *error)
     return true;
 }
 
+bool
+axesFromJson(const JsonValue &v, std::vector<SweepAxis> *out,
+             std::string *error)
+{
+    auto fail = [error](const std::string &message) {
+        if (error != nullptr)
+            *error = "\"axes\" " + message;
+        return false;
+    };
+    if (!v.isObject())
+        return fail("expects an object of spec path -> value array");
+    for (const auto &[path, values] : v.members()) {
+        if (path == "cluster.replicas" || path == "cluster.fleet") {
+            return fail("key \"" + path + "\" is the deployment axis; "
+                        "use the top-level \"replicas\" or \"fleets\" "
+                        "key");
+        }
+        if (!values.isArray() || values.items().empty())
+            return fail("key \"" + path +
+                        "\" expects a non-empty array of values");
+        out->push_back(SweepAxis{path, values.items()});
+    }
+    return true;
+}
+
+/** A value as cell-label text: strings unquoted, the rest as JSON. */
+std::string
+valueText(const JsonValue &value)
+{
+    if (value.isString())
+        return value.asString();
+    std::string text = value.dump();
+    text.pop_back(); // dump()'s trailing newline
+    return text;
+}
+
+/** Overrides as "path=value, ..." for cell labels. */
+std::string
+label(const core::SpecOverrides &overrides)
+{
+    std::string text;
+    for (const auto &[path, value] : overrides)
+        text += (text.empty() ? "" : ", ") + path + "=" + valueText(value);
+    return text;
+}
+
 } // namespace
 
 std::optional<SweepSpec>
@@ -227,33 +244,18 @@ sweepFromJson(const std::string &text, std::string *error)
 
     sim::JsonObjectReader r(*doc, "", error);
     r.getString("name", &spec.name);
-    stringList(r, "systems", &spec.systems);
+    listOf(r, "systems", "strings", &spec.systems, toString,
+           /*allowEmpty=*/true);
     if (const JsonValue *g = r.child("grid")) {
         if (!gridFromJson(*g, &spec, error))
             return failure();
     }
-    doubleList(r, "loads", &spec.loads);
+    listOf(r, "loads", "numbers", &spec.loads, toDouble);
     r.getBool("rps_per_replica", &spec.rpsPerReplica);
-    intList(r, "replicas", &spec.replicas);
-    stringList(r, "fleets", &spec.fleets,
-               /*allowEmpty=*/false);
-    stringList(r, "routers", &spec.routers,
-               /*allowEmpty=*/false);
-    if (!boolList(r, "autoscale", &spec.autoscale))
-        return failure();
-    if (const JsonValue *a = r.child("autoscaler")) {
-        if (!core::autoscalerFromJson(*a, "autoscaler", &spec.autoscaler,
-                                      error))
-            return failure();
-    }
-    if (!boolList(r, "slo_admission", &spec.sloAdmission))
-        return failure();
-    stringList(r, "migrations", &spec.migrations,
-               /*allowEmpty=*/false);
-    stringList(r, "topologies", &spec.topologies,
-               /*allowEmpty=*/false);
-    if (const JsonValue *f = r.child("fabric")) {
-        if (!core::fabricFromJson(*f, "fabric", &spec.fabric, error))
+    listOf(r, "replicas", "32-bit integers", &spec.replicas, toInt);
+    listOf(r, "fleets", "strings", &spec.fleets, toString);
+    if (const JsonValue *a = r.child("axes")) {
+        if (!axesFromJson(*a, &spec.axes, error))
             return failure();
     }
     if (const JsonValue *w = r.child("workload")) {
@@ -352,6 +354,22 @@ cellTraceConfig(const SweepSpec &spec, double rps, std::uint64_t traceSeed)
     return wl;
 }
 
+std::string
+SweepCell::axisValue(const std::string &path) const
+{
+    for (const auto &[axisPath, value] : overrides) {
+        if (axisPath == path)
+            return valueText(value);
+    }
+    return "";
+}
+
+std::string
+SweepCell::axesLabel() const
+{
+    return label(overrides);
+}
+
 std::optional<std::vector<SweepCell>>
 expandSweep(const SweepSpec &spec, std::string *error)
 {
@@ -376,96 +394,38 @@ expandSweep(const SweepSpec &spec, std::string *error)
 
     const std::vector<double> loads =
         spec.loads.empty() ? std::vector<double>{8.0} : spec.loads;
-    const std::vector<std::string> routerAxis =
-        spec.routers.empty() ? std::vector<std::string>{"jsq"}
-                             : spec.routers;
-    const std::vector<bool> autoscaleAxis =
-        spec.autoscale.empty() ? std::vector<bool>{false}
-                               : spec.autoscale;
-    const std::vector<bool> sloAdmissionAxis =
-        spec.sloAdmission.empty() ? std::vector<bool>{false}
-                                  : spec.sloAdmission;
 
-    // The fabric axes: migration policies and peer topologies, each
-    // resolved through the fabric registries up front so an unknown
-    // name fails once with the valid options, not per cell.
-    struct MigrationAxisValue
-    {
-        std::string name;
-        fabric::MigrationPolicy policy = fabric::MigrationPolicy::Off;
-    };
-    std::vector<MigrationAxisValue> migrationAxis;
-    for (const auto &name :
-         spec.migrations.empty() ? std::vector<std::string>{"off"}
-                                 : spec.migrations) {
-        MigrationAxisValue value;
-        value.name = name;
-        if (!fabric::migrationPolicyByName(name, &value.policy)) {
-            if (error != nullptr)
-                *error = "sweep migrations: unknown policy \"" + name +
-                         "\"; known: " + fabric::migrationPolicyNames();
-            return std::nullopt;
-        }
-        migrationAxis.push_back(std::move(value));
+    // The deployment axis: homogeneous replica counts or heterogeneous
+    // fleet presets (mutually exclusive — a fleet already fixes each
+    // cell's replica count and GPU mix), as the overrides they stand for.
+    if (!spec.fleets.empty() && !spec.replicas.empty()) {
+        if (error != nullptr)
+            *error = "sweep fleets: conflicts with the \"replicas\" axis; "
+                     "a fleet preset already fixes each cell's replica "
+                     "count";
+        return std::nullopt;
     }
-    struct TopologyAxisValue
-    {
-        std::string name;
-        fabric::TopologyKind kind = fabric::TopologyKind::PciePeer;
-    };
-    std::vector<TopologyAxisValue> topologyAxis;
-    for (const auto &name :
-         spec.topologies.empty() ? std::vector<std::string>{"pcie"}
-                                 : spec.topologies) {
-        TopologyAxisValue value;
-        value.name = name;
-        if (!fabric::topologyByName(name, &value.kind)) {
-            if (error != nullptr)
-                *error = "sweep topologies: unknown topology \"" + name +
-                         "\"; known: " + fabric::topologyNames();
-            return std::nullopt;
-        }
-        topologyAxis.push_back(std::move(value));
-    }
+    core::SpecOverrides deployAxis;
+    for (const auto &name : spec.fleets)
+        deployAxis.emplace_back("cluster.fleet", JsonValue::makeString(name));
+    for (const int count : spec.fleets.empty() && spec.replicas.empty()
+                               ? std::vector<int>{1}
+                               : spec.replicas)
+        deployAxis.emplace_back("cluster.replicas", JsonValue::makeInt(count));
 
-    // The deployment axis: either homogeneous replica counts or
-    // heterogeneous fleet presets (mutually exclusive — a fleet
-    // already fixes each cell's replica count and GPU mix).
-    struct Deployment
-    {
-        int replicas = 1;
-        std::string fleet;
-        std::vector<serving::EngineConfig> engines;
-    };
-    std::vector<Deployment> deployAxis;
-    if (!spec.fleets.empty()) {
-        if (!spec.replicas.empty()) {
-            if (error != nullptr)
-                *error = "sweep fleets: conflicts with the \"replicas\" "
-                         "axis; a fleet preset already fixes each "
-                         "cell's replica count";
-            return std::nullopt;
-        }
-        for (const auto &name : spec.fleets) {
-            std::vector<model::GpuSpec> gpus;
-            if (!model::tryFleetByName(name, &gpus)) {
-                if (error != nullptr)
-                    *error = "sweep fleets: unknown fleet preset \"" +
-                             name + "\"; expected " +
-                             model::fleetGrammarHelp();
-                return std::nullopt;
+    // The spec-path axes' cross product in row-major order (later axes
+    // vary fastest), one override list per combination.
+    std::vector<core::SpecOverrides> axisCombos{{}};
+    for (const auto &axis : spec.axes) {
+        std::vector<core::SpecOverrides> next;
+        next.reserve(axisCombos.size() * axis.values.size());
+        for (const auto &prefix : axisCombos) {
+            for (const auto &value : axis.values) {
+                next.push_back(prefix);
+                next.back().emplace_back(axis.path, value);
             }
-            Deployment deployment;
-            deployment.replicas = static_cast<int>(gpus.size());
-            deployment.fleet = name;
-            deployment.engines = serving::fleetEngines(spec.engine, gpus);
-            deployAxis.push_back(std::move(deployment));
         }
-    } else {
-        const std::vector<int> replicaAxis =
-            spec.replicas.empty() ? std::vector<int>{1} : spec.replicas;
-        for (const int count : replicaAxis)
-            deployAxis.push_back(Deployment{count, "", {}});
+        axisCombos = std::move(next);
     }
 
     std::vector<SweepCell> cells;
@@ -475,84 +435,49 @@ expandSweep(const SweepSpec &spec, std::string *error)
     std::vector<std::pair<double, std::uint64_t>> traceKeys;
     for (const auto &system : systems) {
         std::string lookupError;
-        const auto base = registry.find(system, &lookupError);
+        auto base = registry.find(system, &lookupError);
         if (!base.has_value()) {
             if (error != nullptr)
                 *error = "sweep system \"" + system +
                          "\": " + lookupError;
             return std::nullopt;
         }
+        base->engine = spec.engine;
+        base->predictor = spec.predictor;
+        base->tenancy.tenants = spec.workload.tenants;
+        base->cluster.routerConfig.seed = spec.seed;
         for (std::size_t li = 0; li < loads.size(); ++li) {
-            for (const Deployment &deployment : deployAxis) {
-                const int replicaCount = deployment.replicas;
-                for (const auto &router : routerAxis) {
-                  for (const bool autoscale : autoscaleAxis) {
-                   for (const bool sloAdmission : sloAdmissionAxis) {
-                   for (const auto &migration : migrationAxis) {
-                    for (const auto &topology : topologyAxis) {
+            for (const auto &deployment : deployAxis) {
+                for (const auto &combo : axisCombos) {
                     SweepCell cell;
                     cell.system = system;
-                    cell.replicaCount = replicaCount;
-                    cell.fleet = deployment.fleet;
-                    cell.router = router;
-                    cell.autoscale = autoscale;
-                    cell.sloAdmission = sloAdmission;
-                    cell.migration = migration.name;
-                    cell.topology = topology.name;
-                    cell.rps = spec.rpsPerReplica
-                                   ? loads[li] * replicaCount
-                                   : loads[li];
+                    if (deployment.first == "cluster.fleet")
+                        cell.fleet = deployment.second.asString();
+                    cell.overrides = combo;
                     cell.traceSeed =
                         spec.seed + static_cast<std::uint64_t>(li);
 
-                    cell.spec = *base;
-                    cell.spec.engine = spec.engine;
-                    cell.spec.predictor = spec.predictor;
-                    cell.spec.tenancy.tenants = spec.workload.tenants;
-                    cell.spec.cluster.replicas = replicaCount;
-                    cell.spec.cluster.replicaEngines =
-                        deployment.engines;
-                    if (!routing::routerPolicyByName(
-                            router, &cell.spec.cluster.router)) {
-                        if (error != nullptr)
-                            *error = "sweep routers: unknown policy \"" +
-                                     router + "\"; known: " +
-                                     routing::routerPolicyNames();
-                        return std::nullopt;
-                    }
-                    cell.spec.cluster.routerConfig.seed = spec.seed;
-                    cell.spec.cluster.routerConfig.sloAdmission =
-                        sloAdmission;
-                    cell.spec.cluster.autoscale = autoscale;
-                    if (autoscale)
-                        cell.spec.cluster.autoscaler = spec.autoscaler;
-                    cell.spec.fabric = spec.fabric;
-                    cell.spec.fabric.migration = migration.policy;
-                    cell.spec.fabric.topology = topology.kind;
-
-                    const auto problems = cell.spec.validate();
-                    if (!problems.empty()) {
+                    core::SpecOverrides overrides{deployment};
+                    overrides.insert(overrides.end(), combo.begin(),
+                                     combo.end());
+                    std::string cellError;
+                    auto resolved = core::applySpecOverrides(
+                        *base, overrides, &cellError);
+                    if (!resolved.has_value()) {
                         if (error != nullptr) {
                             std::ostringstream os;
-                            os << "sweep cell \"" << system << "\" (rps "
-                               << cell.rps << ", replicas "
-                               << replicaCount;
-                            if (!cell.fleet.empty())
-                                os << ", fleet " << cell.fleet;
-                            os << ", router " << router;
-                            if (autoscale)
-                                os << ", autoscale";
-                            if (sloAdmission)
-                                os << ", slo-admission";
-                            if (cell.migration != "off")
-                                os << ", migration " << cell.migration;
-                            os << ") is invalid:";
-                            for (const auto &p : problems)
-                                os << "\n  - " << p;
+                            os << "sweep cell \"" << system << "\" (load "
+                               << loads[li] << ", " << label(overrides)
+                               << ") is invalid: " << cellError;
                             *error = os.str();
                         }
                         return std::nullopt;
                     }
+                    cell.spec = std::move(*resolved);
+                    cell.replicaCount = cell.spec.cluster.replicas;
+                    cell.rps = spec.rpsPerReplica
+                                   ? loads[li] * cell.replicaCount
+                                   : loads[li];
 
                     const std::pair<double, std::uint64_t> key{
                         cell.rps, cell.traceSeed};
@@ -567,10 +492,6 @@ expandSweep(const SweepSpec &spec, std::string *error)
                         traceKeys.push_back(key);
                     cell.traceIndex = index;
                     cells.push_back(std::move(cell));
-                    }
-                   }
-                   }
-                  }
                 }
             }
         }

@@ -7,8 +7,9 @@
  * registry system names, and/or a cross-product built from a base
  * system and axes of registry modifier tokens (the same `base+mod`
  * grammar the CLI accepts), crossed with load (rps), replica-count
- * (or heterogeneous fleet-preset), and router axes. expandSweep()
- * resolves it into concrete SweepCells
+ * (or heterogeneous fleet-preset), and spec-path axes over any key
+ * --dump-config prints ("axes": {"cluster.router": ["jsq", "p2c"]}).
+ * expandSweep() resolves it into concrete SweepCells
  * — one fully validated core::SystemSpec per grid cell — which the
  * SweepRunner (sweep_runner.h) executes into one consolidated
  * BenchJson.
@@ -46,7 +47,9 @@
 #include <utility>
 #include <vector>
 
+#include "chameleon/spec_json.h"
 #include "chameleon/system_spec.h"
+#include "simkit/json.h"
 #include "workload/trace_gen.h"
 
 namespace chameleon::sweep {
@@ -54,6 +57,19 @@ namespace chameleon::sweep {
 /** The paper testbed's hardware (Llama-7B on an A40): the default
  * engine template of a SweepSpec, for the C++ and JSON paths alike. */
 serving::EngineConfig paperTestbedEngine();
+
+/** One spec-path axis: a key --dump-config prints ("cluster.router")
+ * and its values, applied as `chameleon_sim --set` applies them. */
+struct SweepAxis
+{
+    std::string path;
+    std::vector<sim::JsonValue> values;
+
+    /** An axis from value texts, each read as a `--set` value is
+     * (core::overrideValue: "jsq", "true", "8000"). */
+    static SweepAxis parse(std::string path,
+                           const std::vector<std::string> &texts);
+};
 
 /** Workload template shared by every cell (rps comes per cell). */
 struct SweepWorkload
@@ -117,35 +133,9 @@ struct SweepSpec
      * fleet already fixes the count. Empty = homogeneous sweep.
      */
     std::vector<std::string> fleets;
-    /** Router axis (rr|jsq|p2c|affinity|affinity-cache); empty = jsq. */
-    std::vector<std::string> routers;
-    /**
-     * Autoscale axis: each entry is one axis value (cells with `true`
-     * enable predictor-driven autoscaling under the `autoscaler`
-     * template below). Empty = {false} — a fixed-size sweep. The
-     * fig26 autoscale on/off section is exactly `[false, true]`.
-     */
-    std::vector<bool> autoscale;
-    /** Autoscaler template stamped onto every autoscaling cell. */
-    routing::AutoscalerConfig autoscaler{};
-    /**
-     * SLO-admission axis: cells with `true` wrap the router so
-     * SLO-critical tenants (tenancy slo multiplier < 1) steer to the
-     * fastest effective-rate replica. Empty = {false}.
-     */
-    std::vector<bool> sloAdmission;
-    /**
-     * Cache-fabric migration axis (off|scale-up|drain|remap|all);
-     * empty = {"off"} — no fabric unless the router axis asks for
-     * affinity-dir. Each entry becomes one axis value stamped onto
-     * spec.fabric.migration.
-     */
-    std::vector<std::string> migrations;
-    /** Peer-topology axis (pcie|nvlink); empty = {"pcie"}. */
-    std::vector<std::string> topologies;
-    /** Fabric template stamped onto every cell (migration/topology
-     * come from the axes above). */
-    core::FabricSpec fabric{};
+    /** Spec-path axes, crossed after the deployment axis in order
+     * (later axes vary fastest); a single value is a template. */
+    std::vector<SweepAxis> axes;
 
     SweepWorkload workload;
     /** Hardware template stamped onto every cell. */
@@ -172,20 +162,20 @@ struct SweepCell
     int replicaCount = 1;
     /** Fleet-preset name of the cell ("" on homogeneous sweeps). */
     std::string fleet;
-    std::string router;
-    /** Autoscale-axis value of the cell. */
-    bool autoscale = false;
-    /** SLO-admission-axis value of the cell. */
-    bool sloAdmission = false;
-    /** Migration-axis value of the cell ("off" on non-fabric sweeps). */
-    std::string migration = "off";
-    /** Topology-axis value of the cell. */
-    std::string topology = "pcie";
+    /** The cell's value of each spec-path axis, in axis order; its
+     * spec is the system's with the deployment and these applied. */
+    core::SpecOverrides overrides;
     /** Index of the shared trace this cell runs (SweepRunner). */
     std::size_t traceIndex = 0;
     /** Seed the cell's trace is generated with. */
     std::uint64_t traceSeed = 0;
     core::SystemSpec spec;
+
+    /** The value of axis `path` as text (strings unquoted); "" when
+     * `path` is not an axis of the sweep. */
+    std::string axisValue(const std::string &path) const;
+    /** Every axis as "path=value", comma-separated ("" = no axes). */
+    std::string axesLabel() const;
 };
 
 /**
@@ -198,10 +188,11 @@ std::optional<SweepSpec> sweepFromJson(const std::string &text,
 
 /**
  * Expand the spec into concrete cells: (systems + grid cross-product)
- * x loads x replicas x routers x autoscale, in that nesting order
- * (system outermost). Resolves every system name through the global
- * registry and validates every cell spec; returns std::nullopt with an
- * actionable message naming the offending cell on failure.
+ * x loads x replicas (or fleets) x each spec-path axis, in that
+ * nesting order (system outermost, the last axis innermost). Resolves
+ * every system name through the global registry and every cell's
+ * overrides through core::applySpecOverrides; returns std::nullopt
+ * with an actionable message naming the offending cell on failure.
  */
 std::optional<std::vector<SweepCell>> expandSweep(
     const SweepSpec &spec, std::string *error = nullptr);

@@ -20,7 +20,10 @@ class Trace
     Trace() = default;
     explicit Trace(std::vector<Request> requests);
 
-    const std::vector<Request> &requests() const { return requests_; }
+    const std::vector<Request> &requests() const & { return requests_; }
+    /** No view into a temporary: `for (r : gen.generate().requests())`
+     * would iterate a destroyed Trace. Bind the trace to a name first. */
+    const std::vector<Request> &requests() const && = delete;
     std::size_t size() const { return requests_.size(); }
     bool empty() const { return requests_.empty(); }
     const Request &operator[](std::size_t i) const { return requests_[i]; }

@@ -321,10 +321,11 @@ TEST(FabricSpecRejection, UnknownMigrationInSweepAxis)
 {
     sweep::SweepSpec spec;
     spec.systems = {"chameleon"};
-    spec.migrations = {"sideways"};
+    spec.replicas = {2};
+    spec.axes = {sweep::SweepAxis::parse("fabric.migration", {"sideways"})};
     std::string error;
     EXPECT_FALSE(sweep::expandSweep(spec, &error).has_value());
-    EXPECT_NE(error.find("unknown policy \"sideways\""),
+    EXPECT_NE(error.find("\"fabric.migration\" unknown value \"sideways\""),
               std::string::npos)
         << error;
     EXPECT_NE(error.find("scale-up"), std::string::npos) << error;
@@ -334,10 +335,10 @@ TEST(FabricSpecRejection, UnknownTopologyInSweepAxis)
 {
     sweep::SweepSpec spec;
     spec.systems = {"chameleon"};
-    spec.topologies = {"token-ring"};
+    spec.axes = {sweep::SweepAxis::parse("fabric.topology", {"token-ring"})};
     std::string error;
     EXPECT_FALSE(sweep::expandSweep(spec, &error).has_value());
-    EXPECT_NE(error.find("unknown topology \"token-ring\""),
+    EXPECT_NE(error.find("\"fabric.topology\" unknown value \"token-ring\""),
               std::string::npos)
         << error;
     EXPECT_NE(error.find("pcie"), std::string::npos) << error;
@@ -376,13 +377,17 @@ TEST(FabricSweep, MigrationCellsThreadCountInvariant)
         spec.systems = {"chameleon"};
         spec.loads = {10.0};
         spec.replicas = {2};
-        spec.routers = {"affinity-dir", "affinity-cache"};
-        spec.autoscale = {true};
-        spec.autoscaler.minReplicas = 1;
-        spec.autoscaler.maxReplicas = 4;
-        spec.autoscaler.evalPeriodSeconds = 5.0;
-        spec.autoscaler.replicaServiceRps = 6.0;
-        spec.migrations = {"all"};
+        spec.axes = {
+            sweep::SweepAxis::parse("cluster.router",
+                                    {"affinity-dir", "affinity-cache"}),
+            sweep::SweepAxis::parse("cluster.autoscale", {"true"}),
+            sweep::SweepAxis::parse("cluster.autoscaler.min_replicas", {"1"}),
+            sweep::SweepAxis::parse("cluster.autoscaler.max_replicas", {"4"}),
+            sweep::SweepAxis::parse("cluster.autoscaler.eval_period_s",
+                                    {"5.0"}),
+            sweep::SweepAxis::parse("cluster.autoscaler.replica_service_rps",
+                                    {"6.0"}),
+            sweep::SweepAxis::parse("fabric.migration", {"all"})};
         spec.workload.durationSeconds = 30.0;
         spec.workload.adapters = 24;
         spec.seed = 99;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "simkit/flags.h"
@@ -45,6 +46,19 @@ TEST(Flags, SpaceAndEqualsForms)
     ASSERT_TRUE(parse(flags, {"--name", "abc", "--rate=2.25"}));
     EXPECT_EQ(*s, "abc");
     EXPECT_DOUBLE_EQ(*d, 2.25);
+}
+
+TEST(Flags, RepeatableListKeepsEveryValueInOrder)
+{
+    sim::FlagSet flags("t");
+    auto *sets = flags.addStringList("set", "h");
+    ASSERT_TRUE(parse(flags, {}));
+    EXPECT_TRUE(sets->empty());
+    // Values may themselves contain '=': only the flag name is split.
+    ASSERT_TRUE(parse(flags, {"--set", "a.b=1", "--set=c=x", "--set",
+                              "a.b=2"}));
+    EXPECT_EQ(*sets, (std::vector<std::string>{"a.b=1", "c=x", "a.b=2"}));
+    EXPECT_NE(flags.usage().find("repeatable"), std::string::npos);
 }
 
 TEST(Flags, BareBooleanEnables)

@@ -60,9 +60,11 @@ sharedPool()
 
 } // namespace
 
-/** (system, seed) grid. */
+/** (system, seed) grid. The system is a std::string, not a
+ * `const char *`, so gtest prints its text rather than its address
+ * and the test names stay the same from build to build. */
 class SystemInvariants
-    : public ::testing::TestWithParam<std::tuple<const char *,
+    : public ::testing::TestWithParam<std::tuple<std::string,
                                                  std::uint64_t>>
 {
 };

@@ -8,12 +8,17 @@
  *    testbed's full Chameleon;
  *  - strict rejection: unknown keys, type mismatches, bad enum values,
  *    and validate() contradictions all name the offending key;
+ *  - `path=value` overrides (applySpecOverrides, the path behind
+ *    `chameleon_sim --set` and sweep axes): the same strictness, the
+ *    parse-only fleet, the CLI's no-effect guard table, and a
+ *    property test setting every dumped leaf to its own value;
  *  - SystemSpec::operator== distinguishes every axis.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "chameleon/spec_json.h"
 #include "chameleon/system_registry.h"
@@ -590,6 +595,285 @@ TEST(SpecJson, RejectsValidationContradictions)
     EXPECT_NE(error.find("requires the chameleon cache"),
               std::string::npos)
         << error;
+}
+
+TEST(SpecValidate, MigrationNeedsPeers)
+{
+    auto spec = core::presets::chameleon();
+    spec.fabric.migration = fabric::MigrationPolicy::All;
+    const auto errors = spec.validate();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("fabric.migration 'all' needs peers"),
+              std::string::npos)
+        << errors[0];
+    spec.cluster.replicas = 2;
+    EXPECT_TRUE(spec.validate().empty());
+    spec.cluster.replicas = 1;
+    spec.cluster.autoscale = true;
+    EXPECT_TRUE(spec.validate().empty());
+}
+
+// ---------------------------------------------------------------------
+// path=value overrides.
+// ---------------------------------------------------------------------
+
+namespace {
+
+core::SystemSpec
+testbedChameleon()
+{
+    auto spec = core::presets::chameleon();
+    spec.engine.model = model::llama7B();
+    spec.engine.gpu = model::a40();
+    return spec;
+}
+
+/** "path=value" arguments as `chameleon_sim --set` splits them. */
+core::SpecOverrides
+sets(const std::vector<std::string> &args)
+{
+    core::SpecOverrides out;
+    for (const auto &arg : args) {
+        const auto eq = arg.find('=');
+        out.emplace_back(arg.substr(0, eq),
+                         core::overrideValue(arg.substr(eq + 1)));
+    }
+    return out;
+}
+
+std::string
+overrideError(const std::vector<std::string> &args)
+{
+    std::string error;
+    EXPECT_FALSE(
+        core::applySpecOverrides(testbedChameleon(), sets(args), &error)
+            .has_value());
+    return error;
+}
+
+/** The guard-table verdict on `args` applied to the testbed. */
+std::string
+guardError(const std::vector<std::string> &args)
+{
+    std::string error;
+    const auto overrides = sets(args);
+    const auto spec =
+        core::applySpecOverrides(testbedChameleon(), overrides, &error);
+    EXPECT_TRUE(spec.has_value()) << error;
+    EXPECT_FALSE(core::checkOverridesTakeEffect(
+        spec.value_or(core::SystemSpec{}), overrides, &error));
+    return error;
+}
+
+/** Every non-object node of a dump, as (dotted path, value). */
+void
+collectLeaves(const sim::JsonValue &node, const std::string &path,
+              core::SpecOverrides *out)
+{
+    if (!node.isObject()) {
+        out->emplace_back(path, node);
+        return;
+    }
+    for (const auto &[key, child] : node.members())
+        collectLeaves(child, path.empty() ? key : path + "." + key, out);
+}
+
+} // namespace
+
+TEST(SpecOverride, ValueTextIsAJsonLiteralElseABareString)
+{
+    EXPECT_TRUE(core::overrideValue("true").isBool());
+    EXPECT_EQ(core::overrideValue("8000").asInt(), 8000);
+    EXPECT_TRUE(core::overrideValue("[1,2]").isArray());
+    EXPECT_EQ(core::overrideValue("\"jsq\"").asString(), "jsq");
+    EXPECT_EQ(core::overrideValue("jsq").asString(), "jsq");
+    EXPECT_EQ(core::overrideValue("a100-48").asString(), "a100-48");
+    EXPECT_EQ(core::overrideValue("").asString(), "");
+    EXPECT_EQ(core::overrideValue("[1, 2]").items().size(), 2u);
+    // Malformed JSON is a string too; the key's parser then rejects it.
+    EXPECT_EQ(core::overrideValue("[1,").asString(), "[1,");
+}
+
+TEST(SpecOverride, AppliesLikeAConfigFile)
+{
+    std::string error;
+    const auto spec = core::applySpecOverrides(
+        testbedChameleon(),
+        sets({"cluster.replicas=3", "cluster.router=p2c",
+              "cluster.autoscale=true", "cluster.autoscaler.boot_ms=8000",
+              "engine.gpu=a100-48", "tenancy.tenants=2",
+              "tenancy.weights=[1,3]"}),
+        &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    EXPECT_EQ(spec->cluster.replicas, 3);
+    EXPECT_EQ(spec->cluster.router, routing::RouterPolicy::PowerOfTwoChoices);
+    EXPECT_TRUE(spec->cluster.autoscale);
+    EXPECT_EQ(spec->cluster.autoscaler.bootMs, 8000.0);
+    EXPECT_EQ(spec->engine.gpu, model::a100(48));
+    EXPECT_EQ(spec->tenancy.weights, (std::vector<double>{1.0, 3.0}));
+    // Untouched keys keep the base's values; no overrides = the base.
+    EXPECT_EQ(spec->scheduler, testbedChameleon().scheduler);
+    EXPECT_EQ(core::applySpecOverrides(testbedChameleon(), {}),
+              testbedChameleon());
+}
+
+TEST(SpecOverride, UnknownPathListsItsSiblings)
+{
+    const auto error = overrideError({"cluster.routr=p2c"});
+    EXPECT_NE(error.find("\"cluster.routr\""), std::string::npos) << error;
+    EXPECT_NE(error.find("no key \"routr\" under \"cluster\""),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("replicas, router, router_config, autoscale, "
+                         "autoscaler, fleet"),
+              std::string::npos)
+        << error;
+
+    const auto top = overrideError({"clustr.router=p2c"});
+    EXPECT_NE(top.find("at the top level"), std::string::npos) << top;
+    EXPECT_NE(top.find("engine, scheduler"), std::string::npos) << top;
+
+    // Descending through a leaf is an unknown path too.
+    const auto leaf = overrideError({"cluster.router.seed=1"});
+    EXPECT_NE(leaf.find("\"cluster.router\" is not an object"),
+              std::string::npos)
+        << leaf;
+}
+
+TEST(SpecOverride, BadEnumValueListsTheKnownNames)
+{
+    const auto router = overrideError({"cluster.router=hash-ring"});
+    EXPECT_NE(router.find("\"cluster.router\" unknown value \"hash-ring\""),
+              std::string::npos)
+        << router;
+    EXPECT_NE(router.find(routing::routerPolicyNames()), std::string::npos)
+        << router;
+
+    const auto gpu = overrideError({"engine.gpu=h100"});
+    EXPECT_NE(gpu.find("\"engine.gpu\" unknown gpu preset \"h100\""),
+              std::string::npos)
+        << gpu;
+
+    const auto type = overrideError({"cluster.autoscale=yes"});
+    EXPECT_NE(type.find("\"cluster.autoscale\" expects a bool"),
+              std::string::npos)
+        << type;
+}
+
+TEST(SpecOverride, ValidateFailureIsReported)
+{
+    const auto error = overrideError(
+        {"cluster.autoscale=true", "cluster.autoscaler.min_replicas=4",
+         "cluster.autoscaler.max_replicas=2"});
+    EXPECT_NE(error.find("fails validation"), std::string::npos) << error;
+    EXPECT_NE(error.find("maxReplicas"), std::string::npos) << error;
+
+    const auto peers = overrideError({"fabric.migration=all"});
+    EXPECT_NE(peers.find("needs peers"), std::string::npos) << peers;
+}
+
+TEST(SpecOverride, FleetReplacesReplicasAndFollowsTheEngine)
+{
+    // The engine override lands on the fleet's replicas whether it
+    // comes before or after the fleet: the tree parses "engine" first.
+    for (const auto &order :
+         {std::vector<std::string>{"engine.model=llama-13b",
+                                   "cluster.fleet=a100x1+a40x2"},
+          std::vector<std::string>{"cluster.fleet=a100x1+a40x2",
+                                   "engine.model=llama-13b"}}) {
+        std::string error;
+        const auto spec =
+            core::applySpecOverrides(testbedChameleon(), sets(order), &error);
+        ASSERT_TRUE(spec.has_value()) << error;
+        EXPECT_EQ(spec->cluster.replicas, 3);
+        ASSERT_EQ(spec->cluster.replicaEngines.size(), 3u);
+        for (const auto &engine : spec->cluster.replicaEngines)
+            EXPECT_EQ(engine.model, model::llama13B());
+        EXPECT_EQ(spec->cluster.replicaEngines[0].gpu, model::a100());
+        EXPECT_EQ(spec->cluster.replicaEngines[2].gpu, model::a40());
+    }
+
+    // The two deployment forms replace each other; the last one wins.
+    std::string error;
+    const auto back = core::applySpecOverrides(
+        testbedChameleon(),
+        sets({"cluster.fleet=a40x2", "cluster.replicas=4"}), &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_EQ(back->cluster.replicas, 4);
+    EXPECT_TRUE(back->cluster.replicaEngines.empty());
+
+    const auto unknown = overrideError({"cluster.fleet=h100x8"});
+    EXPECT_NE(unknown.find("\"cluster.fleet\" unknown fleet preset"),
+              std::string::npos)
+        << unknown;
+}
+
+TEST(SpecOverride, RejectsRouterOverrideOnASingleFixedReplica)
+{
+    const auto error = guardError({"cluster.router=p2c"});
+    EXPECT_NE(error.find("\"cluster.router\" has no effect"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("cluster.replicas > 1"), std::string::npos)
+        << error;
+    // router_config keys are guarded by the same row.
+    EXPECT_NE(guardError({"cluster.router_config.slo_admission=true"})
+                  .find("cluster.router_config.slo_admission"),
+              std::string::npos);
+}
+
+TEST(SpecOverride, RejectsAutoscalerOverrideWithoutAutoscale)
+{
+    const auto error = guardError({"cluster.replicas=2",
+                                   "cluster.autoscaler.max_replicas=6"});
+    EXPECT_NE(error.find("\"cluster.autoscaler.max_replicas\" has no "
+                         "effect"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("cluster.autoscale=true"), std::string::npos)
+        << error;
+}
+
+TEST(SpecOverride, RejectsFabricLinkOverrideWithMigrationOff)
+{
+    for (const char *arg : {"fabric.topology=nvlink", "fabric.top_k=8"}) {
+        const auto error = guardError({"cluster.replicas=2", arg});
+        EXPECT_NE(error.find("has no effect"), std::string::npos) << error;
+        EXPECT_NE(error.find("fabric.migration"), std::string::npos)
+            << error;
+        EXPECT_NE(error.find(fabric::migrationPolicyNames()),
+                  std::string::npos)
+            << error;
+    }
+}
+
+TEST(SpecOverride, GuardsPassWhenTheOverrideTakesEffect)
+{
+    const auto overrides =
+        sets({"cluster.replicas=2", "cluster.router=affinity-dir",
+              "cluster.autoscale=true", "cluster.autoscaler.max_replicas=4",
+              "fabric.migration=all", "fabric.topology=nvlink"});
+    std::string error;
+    const auto spec =
+        core::applySpecOverrides(testbedChameleon(), overrides, &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    EXPECT_TRUE(core::checkOverridesTakeEffect(*spec, overrides, &error))
+        << error;
+}
+
+TEST(SpecOverride, SettingEveryDumpedLeafToItselfKeepsRandomSpecs)
+{
+    sim::Rng rng(0x5E7);
+    for (int i = 0; i < 100; ++i) {
+        const auto spec = randomSpec(rng);
+        core::SpecOverrides leaves;
+        collectLeaves(core::specToJsonValue(spec), "", &leaves);
+        ASSERT_GT(leaves.size(), 60u);
+        std::string error;
+        const auto back = core::applySpecOverrides(spec, leaves, &error);
+        ASSERT_TRUE(back.has_value()) << "iteration " << i << ": " << error;
+        EXPECT_EQ(*back, spec) << "iteration " << i;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,14 @@
 /**
  * @file
  * Tests for the sweep subsystem (sweep_spec.h / sweep_runner.h):
- *  - JSON loading: defaults, strict unknown-key rejection, grid
- *    grammar errors naming the offending token;
- *  - expansion: cross-product order and size, trace sharing across
- *    systems at a load, per-load seed derivation, rps_per_replica;
+ *  - JSON loading: defaults, strict unknown-key rejection (the
+ *    retired bespoke axis keys included), grid grammar errors naming
+ *    the offending token, spec-path "axes" grammar;
+ *  - expansion: cross-product order and size, path-axis order and
+ *    single-value templates, trace sharing across systems at a load,
+ *    per-load seed derivation, rps_per_replica;
+ *  - rows: one column per path axis, and baseline_diff treating those
+ *    columns as cell identity;
  *  - determinism: the same sweep JSON + seed produces a byte-identical
  *    BenchJson document on repeated runs and at any thread count.
  */
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "simkit/json.h"
+#include "sweep/baseline_diff.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
 
@@ -47,6 +52,16 @@ sweepError(const std::string &text)
     std::string error;
     const auto spec = sweep::sweepFromJson(text, &error);
     EXPECT_FALSE(spec.has_value());
+    return error;
+}
+
+/** The expansion error of a sweep that parses. */
+std::string
+expandError(const std::string &text)
+{
+    std::string error;
+    EXPECT_FALSE(sweep::expandSweep(parseSweep(text), &error).has_value())
+        << text;
     return error;
 }
 
@@ -92,11 +107,18 @@ TEST(SweepJson, RejectsExplicitlyEmptyAxisArrays)
 {
     // An empty axis silently replaced by a default would run a grid
     // the author never wrote; "systems": [] stays legal (grid-only).
-    for (const char *axis : {"loads", "replicas", "routers", "autoscale"}) {
+    for (const char *axis : {"loads", "replicas", "fleets"}) {
         const auto error = sweepError(
             std::string(R"({"systems": ["slora"], ")") + axis +
             R"(": []})");
         EXPECT_NE(error.find(axis), std::string::npos) << error;
+        EXPECT_NE(error.find("empty array"), std::string::npos) << error;
+    }
+    for (const char *path : {"cluster.router", "cluster.autoscale"}) {
+        const auto error = sweepError(
+            std::string(R"({"systems": ["slora"], "axes": {")") + path +
+            R"(": []}})");
+        EXPECT_NE(error.find(path), std::string::npos) << error;
         EXPECT_NE(error.find("empty array"), std::string::npos) << error;
     }
     EXPECT_EQ(parseSweep(R"({"systems": [],
@@ -119,51 +141,94 @@ TEST(SweepJson, AutoscaleAxisAndTemplateLoadAndExpand)
       "systems": ["chameleon"],
       "loads": [6.0],
       "replicas": [2],
-      "autoscale": [false, true],
-      "autoscaler": {"min_replicas": 2, "max_replicas": 6,
-                     "replica_service_rps": 8.5, "boot_ms": 4000,
-                     "scale_up_policy": "fastest",
-                     "measured_rate_alpha": 0.3}
+      "axes": {
+        "cluster.autoscale": [false, true],
+        "cluster.autoscaler.min_replicas": [2],
+        "cluster.autoscaler.max_replicas": [6],
+        "cluster.autoscaler.replica_service_rps": [8.5],
+        "cluster.autoscaler.boot_ms": [4000],
+        "cluster.autoscaler.scale_up_policy": ["fastest"],
+        "cluster.autoscaler.measured_rate_alpha": [0.3]
+      }
     })");
-    ASSERT_EQ(spec.autoscale.size(), 2u);
-    EXPECT_EQ(spec.autoscaler.maxReplicas, 6u);
-    EXPECT_EQ(spec.autoscaler.bootMs, 4000.0);
-    EXPECT_EQ(spec.autoscaler.scaleUpPolicy,
-              routing::ScaleUpPolicy::Fastest);
+    ASSERT_EQ(spec.axes.size(), 7u);
+    EXPECT_EQ(spec.axes[0].path, "cluster.autoscale");
+    EXPECT_EQ(spec.axes[0].values.size(), 2u);
 
     std::string error;
     const auto cells = sweep::expandSweep(spec, &error);
     ASSERT_TRUE(cells.has_value()) << error;
     ASSERT_EQ(cells->size(), 2u);
-    // Off-cell: a fixed cluster untouched by the autoscaler template.
-    EXPECT_FALSE((*cells)[0].autoscale);
+    EXPECT_EQ((*cells)[0].axisValue("cluster.autoscale"), "false");
     EXPECT_FALSE((*cells)[0].spec.cluster.autoscale);
-    // On-cell: autoscaling with the template stamped in.
-    EXPECT_TRUE((*cells)[1].autoscale);
+    // On-cell: autoscaling with the single-valued template stamped in.
+    EXPECT_EQ((*cells)[1].axisValue("cluster.autoscale"), "true");
+    const auto &as = (*cells)[1].spec.cluster.autoscaler;
     EXPECT_TRUE((*cells)[1].spec.cluster.autoscale);
-    EXPECT_EQ((*cells)[1].spec.cluster.autoscaler, spec.autoscaler);
+    EXPECT_EQ(as.minReplicas, 2u);
+    EXPECT_EQ(as.maxReplicas, 6u);
+    EXPECT_EQ(as.replicaServiceRps, 8.5);
+    EXPECT_EQ(as.bootMs, 4000.0);
+    EXPECT_EQ(as.scaleUpPolicy, routing::ScaleUpPolicy::Fastest);
+    EXPECT_EQ(as.measuredRateAlpha, 0.3);
+    // The template reaches the off-cell too, where it is inert.
+    EXPECT_EQ((*cells)[0].spec.cluster.autoscaler, as);
     // Both cells share the trace: identical arrivals, on/off compared.
     EXPECT_EQ((*cells)[0].traceIndex, (*cells)[1].traceIndex);
 }
 
 TEST(SweepJson, AutoscaleAxisRejectsNonBooleans)
 {
-    const auto error = sweepError(
-        R"({"systems": ["slora"], "autoscale": [1, 0]})");
-    EXPECT_NE(error.find("autoscale"), std::string::npos) << error;
-    EXPECT_NE(error.find("boolean"), std::string::npos) << error;
+    const auto error = expandError(
+        R"({"systems": ["slora"], "axes": {"cluster.autoscale": [1, 0]}})");
+    EXPECT_NE(error.find("cluster.autoscale"), std::string::npos) << error;
+    EXPECT_NE(error.find("bool"), std::string::npos) << error;
+}
+
+TEST(SweepJson, RetiredAxisKeysFailAsUnknownKeys)
+{
+    // The bespoke axes and templates are spec paths now; the old keys
+    // must fail loudly rather than be silently ignored.
+    for (const char *key :
+         {R"("routers": ["jsq"])", R"("autoscale": [true])",
+          R"("autoscaler": {"max_replicas": 4})",
+          R"("slo_admission": [true])", R"("migrations": ["all"])",
+          R"("topologies": ["nvlink"])", R"("fabric": {"top_k": 2})"}) {
+        const std::string text =
+            std::string(R"({"systems": ["chameleon"], )") + key + "}";
+        const auto error = sweepError(text);
+        const std::string name = std::string(key).substr(
+            1, std::string(key).find('"', 1) - 1);
+        EXPECT_NE(error.find("\"" + name + "\" is not a recognised key"),
+                  std::string::npos)
+            << error;
+    }
+}
+
+TEST(SweepJson, RejectsDeploymentPathsAsAxes)
+{
+    for (const char *path : {"cluster.replicas", "cluster.fleet"}) {
+        const auto error = sweepError(
+            std::string(R"({"systems": ["chameleon"], "axes": {")") +
+            path + R"(": [2]}})");
+        EXPECT_NE(error.find(path), std::string::npos) << error;
+        EXPECT_NE(error.find("\"replicas\""), std::string::npos) << error;
+        EXPECT_NE(error.find("\"fleets\""), std::string::npos) << error;
+    }
 }
 
 TEST(SweepExpand, InvalidAutoscalerTemplateNamesTheCell)
 {
-    auto spec = parseSweep(R"({
+    const auto error = expandError(R"({
       "systems": ["chameleon"],
-      "autoscale": [true],
-      "autoscaler": {"min_replicas": 4, "max_replicas": 2}
+      "axes": {"cluster.autoscale": [true],
+               "cluster.autoscaler.min_replicas": [4],
+               "cluster.autoscaler.max_replicas": [2]}
     })");
-    std::string error;
-    EXPECT_FALSE(sweep::expandSweep(spec, &error).has_value());
-    EXPECT_NE(error.find("autoscale"), std::string::npos) << error;
+    EXPECT_NE(error.find("sweep cell \"chameleon\""), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("cluster.autoscale=true"), std::string::npos)
+        << error;
     EXPECT_NE(error.find("maxReplicas"), std::string::npos) << error;
 }
 
@@ -218,7 +283,7 @@ TEST(SweepExpand, RpsPerReplicaScalesTheLoadAxis)
       "loads": [4.0],
       "rps_per_replica": true,
       "replicas": [1, 2],
-      "routers": ["affinity"]
+      "axes": {"cluster.router": ["affinity"]}
     })");
     const auto cells = sweep::expandSweep(spec);
     ASSERT_TRUE(cells.has_value());
@@ -236,16 +301,18 @@ TEST(SweepExpand, FleetAxisDeploysHeterogeneousCells)
     const auto spec = parseSweep(R"({
       "systems": ["chameleon"],
       "fleets": ["a40x2", "a100x1+a40x1"],
-      "routers": ["jsq", "p2c"]
+      "axes": {"cluster.router": ["jsq", "p2c"]}
     })");
     std::string error;
     const auto cells = sweep::expandSweep(spec, &error);
     ASSERT_TRUE(cells.has_value()) << error;
     ASSERT_EQ(cells->size(), 4u);
-    // The fleet axis sits where replicas would (routers innermost).
+    // The fleet axis sits where replicas would (path axes innermost).
     EXPECT_EQ((*cells)[0].fleet, "a40x2");
-    EXPECT_EQ((*cells)[0].router, "jsq");
-    EXPECT_EQ((*cells)[1].router, "p2c");
+    EXPECT_EQ((*cells)[0].axisValue("cluster.router"), "jsq");
+    EXPECT_EQ((*cells)[1].axisValue("cluster.router"), "p2c");
+    EXPECT_EQ((*cells)[1].spec.cluster.router,
+              routing::RouterPolicy::PowerOfTwoChoices);
     EXPECT_EQ((*cells)[2].fleet, "a100x1+a40x1");
     // Each cell's replica count and per-replica engines come from its
     // fleet preset, applied onto the sweep's engine template.
@@ -302,14 +369,99 @@ TEST(SweepExpand, UnknownModifierTokenFailsWithGrammarMessage)
 
 TEST(SweepExpand, UnknownRouterFailsWithKnownList)
 {
+    const auto error = expandError(R"({
+      "systems": ["chameleon"], "axes": {"cluster.router": ["hash-ring"]}
+    })");
+    EXPECT_NE(error.find("cluster.router"), std::string::npos) << error;
+    EXPECT_NE(error.find("hash-ring"), std::string::npos) << error;
+    EXPECT_NE(error.find("affinity"), std::string::npos) << error;
+}
+
+TEST(SweepExpand, UnknownAxisPathListsItsSiblings)
+{
+    const auto error = expandError(R"({
+      "systems": ["chameleon"], "axes": {"cluster.routr": ["p2c"]}
+    })");
+    EXPECT_NE(error.find("cluster.routr"), std::string::npos) << error;
+    EXPECT_NE(error.find("router, router_config"), std::string::npos)
+        << error;
+}
+
+TEST(SweepExpand, PathAxesCrossAfterDeploymentInDocumentOrder)
+{
     const auto spec = parseSweep(R"({
-      "systems": ["chameleon"], "routers": ["hash-ring"]
+      "systems": ["chameleon"],
+      "replicas": [2, 3],
+      "axes": {"fabric.migration": ["off", "all"],
+               "cluster.router": ["jsq", "p2c", "rr"]}
     })");
     std::string error;
     const auto cells = sweep::expandSweep(spec, &error);
-    EXPECT_FALSE(cells.has_value());
-    EXPECT_NE(error.find("hash-ring"), std::string::npos) << error;
-    EXPECT_NE(error.find("affinity"), std::string::npos) << error;
+    ASSERT_TRUE(cells.has_value()) << error;
+    ASSERT_EQ(cells->size(), 12u);
+    // Replicas outermost, then the axes as written, the last fastest.
+    const char *routers[] = {"jsq", "p2c", "rr"};
+    for (std::size_t i = 0; i < cells->size(); ++i) {
+        const auto &cell = (*cells)[i];
+        EXPECT_EQ(cell.replicaCount, i < 6 ? 2 : 3) << i;
+        EXPECT_EQ(cell.axisValue("fabric.migration"),
+                  (i / 3) % 2 ? "all" : "off")
+            << i;
+        EXPECT_EQ(cell.axisValue("cluster.router"), routers[i % 3]) << i;
+        ASSERT_EQ(cell.overrides.size(), 2u);
+        EXPECT_EQ(cell.overrides[0].first, "fabric.migration");
+    }
+    EXPECT_EQ((*cells)[5].axesLabel(),
+              "fabric.migration=all, cluster.router=rr");
+    EXPECT_EQ((*cells)[5].spec.fabric.migration,
+              fabric::MigrationPolicy::All);
+    EXPECT_EQ((*cells)[5].spec.cluster.router,
+              routing::RouterPolicy::RoundRobin);
+    EXPECT_EQ((*cells)[5].spec.cluster.replicas, 2);
+}
+
+TEST(SweepExpand, SingleValuedAxisIsATemplate)
+{
+    const auto spec = parseSweep(R"({
+      "systems": ["slora", "chameleon"],
+      "loads": [4.0, 6.0],
+      "axes": {"engine.max_running": [64],
+               "scheduler.sjf_aging_per_second": [3.5]}
+    })");
+    std::string error;
+    const auto cells = sweep::expandSweep(spec, &error);
+    ASSERT_TRUE(cells.has_value()) << error;
+    // No extra cells: the grid is still systems x loads.
+    ASSERT_EQ(cells->size(), 4u);
+    for (const auto &cell : *cells) {
+        EXPECT_EQ(cell.spec.engine.maxRunning, 64);
+        EXPECT_EQ(cell.spec.scheduler.sjfAgingPerSecond, 3.5);
+        EXPECT_EQ(cell.axisValue("engine.max_running"), "64");
+    }
+    // Everything the axes leave alone is the registered system's.
+    EXPECT_EQ((*cells)[0].spec.scheduler.policy,
+              core::SchedulerPolicy::Fifo);
+    EXPECT_EQ((*cells)[2].spec.scheduler.policy,
+              core::SchedulerPolicy::Mlq);
+}
+
+TEST(SweepExpand, FleetFollowsAnEngineAxis)
+{
+    // The deployment is applied as an override in the same tree, so a
+    // fleet's per-replica engines pick up the cell's engine axis.
+    const auto spec = parseSweep(R"({
+      "systems": ["chameleon"],
+      "fleets": ["a40x1+a100x1"],
+      "axes": {"engine.model": ["llama-13b"]}
+    })");
+    std::string error;
+    const auto cells = sweep::expandSweep(spec, &error);
+    ASSERT_TRUE(cells.has_value()) << error;
+    ASSERT_EQ(cells->size(), 1u);
+    const auto &engines = (*cells)[0].spec.cluster.replicaEngines;
+    ASSERT_EQ(engines.size(), 2u);
+    EXPECT_EQ(engines[0].model.name, "llama-13b");
+    EXPECT_EQ(engines[1].gpu.name, "a100-80g");
 }
 
 // ---------------------------------------------------------------------
@@ -408,4 +560,62 @@ TEST(SweepRunner, RunsEveryCellOverTheSharedTrace)
               results[2].report.stats.submitted);
     EXPECT_EQ(results[1].report.stats.submitted,
               results[3].report.stats.submitted);
+}
+
+// ---------------------------------------------------------------------
+// Rows and the baseline gate.
+// ---------------------------------------------------------------------
+
+TEST(SweepRunner, RowsCarryOneColumnPerAxisNamedByItsPath)
+{
+    const auto spec = parseSweep(R"({
+      "systems": ["chameleon"],
+      "loads": [4.0],
+      "replicas": [2],
+      "axes": {"cluster.router": ["rr", "p2c"],
+               "cluster.autoscale": [false]},
+      "workload": {"preset": "splitwise", "duration_s": 10, "adapters": 8}
+    })");
+    const auto doc =
+        sim::parseJson(sweep::SweepRunner(spec).runToBenchJson().toString());
+    ASSERT_TRUE(doc.has_value());
+    const auto &rows = doc->find("rows")->items();
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].find("cluster.router")->asString(), "rr");
+    EXPECT_EQ(rows[1].find("cluster.router")->asString(), "p2c");
+    EXPECT_FALSE(rows[1].find("cluster.autoscale")->asBool());
+    // The retired per-knob columns are gone.
+    for (const char *retired :
+         {"router", "autoscale", "demand_source", "boot_aware_horizon",
+          "slo_admission", "migration", "topology"})
+        EXPECT_EQ(rows[0].find(retired), nullptr) << retired;
+    // Axis columns sit between the deployment and trace_seed.
+    const auto &members = rows[0].members();
+    EXPECT_EQ(members[3].first, "fleet");
+    EXPECT_EQ(members[4].first, "cluster.router");
+    EXPECT_EQ(members[5].first, "cluster.autoscale");
+    EXPECT_EQ(members[6].first, "trace_seed");
+}
+
+TEST(BaselineDiff, DottedAxisColumnsAreCellIdentity)
+{
+    auto doc = [](const char *router, const char *hash) {
+        return *sim::parseJson(
+            std::string(R"({"rows": [{"system": "chameleon", )") +
+            R"("cluster.router": ")" + router + R"(", "p99_ttft_s": 1.0, )" +
+            R"("event_hash": ")" + hash + R"("}]})");
+    };
+    const auto same =
+        sweep::diffAgainstBaseline(doc("rr", "0x1"), doc("rr", "0x1"));
+    EXPECT_TRUE(same.structural.empty());
+    EXPECT_TRUE(same.hashMismatches.empty());
+    // A moved axis value means the rows no longer describe the same
+    // cell: structural, not numeric drift.
+    const auto moved =
+        sweep::diffAgainstBaseline(doc("p2c", "0x1"), doc("rr", "0x1"));
+    ASSERT_EQ(moved.structural.size(), 1u);
+    EXPECT_NE(moved.structural[0].find("identity \"cluster.router\""),
+              std::string::npos)
+        << moved.structural[0];
+    EXPECT_TRUE(moved.drifts.empty());
 }

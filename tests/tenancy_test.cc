@@ -323,7 +323,8 @@ TEST(TenantTraceGen, SingleTenantPathLeavesTenantsAnonymous)
     wl.seed = 3;
     wl.numAdapters = 0;
     workload::TraceGenerator gen(wl, nullptr);
-    for (const auto &r : gen.generate().requests())
+    const workload::Trace trace = gen.generate();
+    for (const auto &r : trace.requests())
         EXPECT_EQ(r.tenant, workload::kAnonymousTenant);
 }
 
@@ -346,8 +347,9 @@ TEST(TenantTraceGen, MultiTenantIsDeterministicSortedAndComplete)
         EXPECT_EQ(ra.arrival, rb.arrival) << i;
         EXPECT_EQ(ra.tenant, rb.tenant) << i;
         EXPECT_EQ(ra.id, static_cast<workload::RequestId>(i)) << i;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(ra.arrival, a.requests()[i - 1].arrival) << i;
+        }
         ASSERT_GE(ra.tenant, 0);
         ASSERT_LT(ra.tenant, 3);
         ++counts[ra.tenant];
@@ -374,7 +376,8 @@ TEST(TenantTraceGen, StormMultipliesTheStormTenantInWindow)
     workload::TraceGenerator gen(wl, nullptr);
     int stormInWindow = 0;
     int calmInWindow = 0;
-    for (const auto &r : gen.generate().requests()) {
+    const workload::Trace trace = gen.generate();
+    for (const auto &r : trace.requests()) {
         const double t = sim::toSeconds(r.arrival);
         if (t < 20.0 || t >= 40.0)
             continue;

@@ -10,37 +10,37 @@
  *
  * --system accepts any registered name (see --list-systems) or a
  * composed variant like "chameleon+gdsf+prefetch" — base system plus
- * one modifier per policy axis.
+ * one modifier per policy axis. Every other system knob is a spec
+ * path set with --set path=value (repeatable; the paths are the keys
+ * --dump-config prints, listed in src/chameleon/README.md).
  *
  * Examples:
  *   chameleon_sim --list-systems
  *   chameleon_sim --system chameleon --rps 9 --duration 300
- *   chameleon_sim --system slora+sjf --model llama-13b --gpu a100 \
- *       --mem-gib 80 --adapters 200 --records-csv out.csv
- *   chameleon_sim --system chameleon-gdsf --replicas 4 --router affinity \
- *       --rps 34 --autoscale
- *   chameleon_sim --system chameleon --fleet a100x2+a40x2 --router p2c \
- *       --rps 30
- *   chameleon_sim --system chameleon --fleet a100-48x1+a40x1 --autoscale \
- *       --autoscale-boot-ms 8000 --autoscale-up-policy fastest \
- *       --autoscale-alpha 0.2 --rps 24
- *   chameleon_sim --system chameleon --replicas 4 --router affinity \
- *       --rps 30 --trace-out trace.json --metrics-out metrics.json
- *   chameleon_sim --system chameleon+wfq --tenants 4 --tenant-storm 8 \
- *       --rps 12
+ *   chameleon_sim --system slora+sjf --set engine.model=llama-13b \
+ *       --set engine.gpu=a100 --adapters 200 --records-csv out.csv
+ *   chameleon_sim --system chameleon --fleet a100x2+a40x2 \
+ *       --set cluster.router=p2c --set cluster.autoscale=true --rps 30 \
+ *       --trace-out trace.json --metrics-out metrics.json
+ *   chameleon_sim --system chameleon+wfq --set tenancy.tenants=4 \
+ *       --tenant-storm 8 --rps 12
  *
- * In --system mode, --seed drives the trace generator, the
- * output-length predictor, and the router's sampling stream, so a
- * cluster run is reproducible from its command line alone.
+ * In --system mode the spec starts from the registry preset on the
+ * paper testbed (Llama-7B on an A40); --seed drives the trace
+ * generator, the output-length predictor, and the router's sampling
+ * stream, so a cluster run is reproducible from its command line
+ * alone. --replicas N and --fleet PRESET are shorthands for
+ * --set cluster.replicas=N and --set cluster.fleet=PRESET, applied
+ * before the --set overrides.
  *
  * Any run is also reproducible from a file: --dump-config prints the
  * fully resolved SystemSpec as JSON and exits, and --config file.json
- * ("-" = stdin) loads a spec from such a file instead of --system +
- * hardware flags. `chameleon_sim --dump-config | chameleon_sim
- * --config -` re-runs the identical system. In --config mode the
- * predictor and router seeds are the file's (that is what makes the
- * round-trip bit-identical); --seed, --rps, --duration, --adapters,
- * and --workload shape only the generated trace.
+ * ("-" = stdin) loads a spec from such a file instead of --system.
+ * `chameleon_sim --dump-config | chameleon_sim --config -` re-runs the
+ * identical system; --set applies on top of the file. In --config
+ * mode the predictor and router seeds are the file's (that is what
+ * makes the round-trip bit-identical); --seed, --rps, --duration,
+ * --adapters, and --workload shape only the generated trace.
  */
 
 #include <cstdio>
@@ -51,7 +51,6 @@
 #include "chameleon/system.h"
 #include "fabric/cache_fabric.h"
 #include "tool_io.h"
-#include "model/gpu_spec.h"
 #include "model/llm.h"
 #include "routing/router.h"
 #include "serving/slo.h"
@@ -123,19 +122,13 @@ main(int argc, char **argv)
     auto *config_file = flags.addString(
         "config", "",
         "load the system spec from a JSON file (\"-\" = stdin) instead "
-        "of --system + hardware flags");
+        "of --system");
     auto *dump_config = flags.addBool(
         "dump-config", false,
         "print the resolved system spec as JSON and exit");
     auto *list_systems = flags.addBool(
         "list-systems", false,
         "print the system registry (names + composition grammar)");
-    auto *model_name = flags.addString("model", "llama-7b",
-                                       "base model preset");
-    auto *gpu_name = flags.addString("gpu", "a40", "gpu preset: a40|a100");
-    auto *mem_gib = flags.addInt("mem-gib", 0,
-                                 "a100 memory GiB (24/48/80; 0 = default)");
-    auto *tp = flags.addInt("tp", 1, "tensor-parallel degree");
     auto *adapters = flags.addInt("adapters", 100,
                                   "number of LoRA adapters (0 = base only)");
     auto *rps = flags.addDouble("rps", 8.0, "offered load, requests/s");
@@ -144,10 +137,6 @@ main(int argc, char **argv)
     auto *seed = flags.addInt("seed", 42, "workload seed");
     auto *workload_name = flags.addString(
         "workload", "splitwise", "trace preset: splitwise|wildchat|lmsys");
-    auto *tenants = flags.addInt(
-        "tenants", 1,
-        "split the workload across this many equal-share tenants "
-        "(wfq/drr schedulers weight them; 1 = anonymous single tenant)");
     auto *tenant_storm = flags.addDouble(
         "tenant-storm", 1.0,
         "noisy neighbour: tenant 0 bursts to this multiple of its share "
@@ -156,61 +145,19 @@ main(int argc, char **argv)
         "slo-multiplier", 5.0,
         "TTFT SLO as a multiple of the mean isolated latency "
         "(0 disables SLO reporting)");
-    auto *acc = flags.addDouble("predictor-acc", 0.8,
-                                "output-length predictor accuracy");
-    auto *replicas = flags.addInt("replicas", 1,
-                                  "data-parallel engine replicas");
+    auto *replicas = flags.addInt(
+        "replicas", 1,
+        "data-parallel engine replicas (= --set cluster.replicas=N)");
     auto *fleet = flags.addString(
         "fleet", "",
         "heterogeneous replica fleet, e.g. a40x4 or a100x2+a40x2 "
-        "(defines the replica count; per-replica GPUs override --gpu)");
-    auto *router = flags.addString(
-        "router", "jsq",
-        "cluster dispatch policy: "
-        "rr|jsq|p2c|affinity|affinity-cache|affinity-dir");
-    auto *migration = flags.addString(
-        "migration", "off",
-        "cache-fabric peer migration triggers: "
-        "off|scale-up|drain|remap|all");
-    auto *topology = flags.addString(
-        "topology", "pcie",
-        "peer-link preset migrations travel over: pcie|nvlink");
-    auto *fabric_top_k = flags.addInt(
-        "fabric-top-k", 4,
-        "hot adapters considered per migration trigger");
-    auto *autoscale = flags.addBool(
-        "autoscale", false, "enable predictor-driven replica autoscaling");
-    auto *min_replicas = flags.addInt("min-replicas", 1,
-                                      "autoscaler lower bound");
-    auto *max_replicas = flags.addInt("max-replicas", 8,
-                                      "autoscaler upper bound");
-    auto *replica_rps = flags.addDouble(
-        "replica-rps", 8.0,
-        "service capacity of one base-engine replica for the "
-        "autoscaler forecast");
-    auto *boot_ms = flags.addDouble(
-        "autoscale-boot-ms", 0.0,
-        "replica cold-start boot constant, ms (adds the weight-load "
-        "time from the cost model; 0 = instant scale-ups)");
-    auto *up_policy = flags.addString(
-        "autoscale-up-policy", "default",
-        "engine config a scale-up instantiates: default|cheapest|fastest");
-    auto *measured_alpha = flags.addDouble(
-        "autoscale-alpha", 0.0,
-        "EWMA weight of measured per-replica service rates blended "
-        "into the routing weights (0 = static nominal weights)");
-    auto *demand_source = flags.addString(
-        "autoscale-demand-source", "nominal",
-        "rate estimate behind the autoscaler capacity signals: "
-        "nominal|measured (measured needs --autoscale-alpha > 0)");
-    auto *boot_horizon = flags.addBool(
-        "autoscale-boot-horizon", false,
-        "stretch the forecast horizon to at least the next replica's "
-        "boot time, so scale-ups land before the forecasted load");
-    auto *slo_admission = flags.addBool(
-        "slo-admission", false,
-        "steer SLO-critical tenants (slo multiplier < 1) to the "
-        "fastest effective-rate replica before the routing policy");
+        "(= --set cluster.fleet=PRESET; defines the replica count)");
+    auto *sets = flags.addStringList(
+        "set",
+        "override one spec key, path=value (e.g. cluster.router=p2c, "
+        "cluster.autoscale=true, engine.gpu=a100-48); paths are the keys "
+        "--dump-config prints; applied in order after --replicas/--fleet "
+        "and on top of --config");
     auto *trace_in = flags.addString("trace", "",
                                      "load trace from CSV instead");
     auto *save_trace = flags.addString("save-trace", "",
@@ -242,34 +189,23 @@ main(int argc, char **argv)
         listSystems();
         // Listing alone is a complete command; only continue into a
         // simulation when one was explicitly requested via --system.
-        bool systemRequested = false;
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--system" || arg.rfind("--system=", 0) == 0)
-                systemRequested = true;
-        }
-        if (!systemRequested)
+        if (!flagGiven(argc, argv, "system"))
             return 0;
         std::printf("\n");
     }
 
-    core::SystemSpec spec;
+    core::SystemSpec base;
+    core::SpecOverrides overrides;
     if (!config_file->empty()) {
         // The file is the single source of truth for the system; a
-        // spec-axis flag beside it would be silently ignored, which
-        // would misread as a run of the flagged configuration.
-        for (const char *conflicting :
-             {"system", "model", "gpu", "mem-gib", "tp", "predictor-acc",
-              "replicas", "fleet", "router", "autoscale", "min-replicas",
-              "max-replicas", "replica-rps", "autoscale-boot-ms",
-              "autoscale-up-policy", "autoscale-alpha",
-              "autoscale-demand-source", "autoscale-boot-horizon",
-              "slo-admission", "tenants",
-              "migration", "topology", "fabric-top-k"}) {
+        // system or deployment flag beside it would be silently
+        // ignored, which would misread as a run of the flagged one.
+        for (const char *conflicting : {"system", "replicas", "fleet"}) {
             CHM_CHECK(!flagGiven(argc, argv, conflicting),
                       "--" << conflicting
                            << " conflicts with --config; edit the "
-                              "config file instead (workload flags "
+                              "config file or override it with --set "
+                              "path=value (workload flags "
                               "--rps/--duration/--seed/--adapters/"
                               "--workload still apply)");
         }
@@ -280,7 +216,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "%s\n", config_error.c_str());
             return 2;
         }
-        spec = *parsed;
+        base = *parsed;
     } else {
         std::string lookup_error;
         auto found = core::SystemRegistry::global().find(*system,
@@ -289,28 +225,13 @@ main(int argc, char **argv)
             std::fprintf(stderr, "%s\n", lookup_error.c_str());
             return 2;
         }
-        spec = *found;
+        base = *found;
+        base.engine.model = model::llama7B();
+        base.engine.gpu = model::a40();
+        base.predictor.seed = static_cast<std::uint64_t>(*seed);
+        base.cluster.routerConfig.seed = static_cast<std::uint64_t>(*seed);
+        base.cluster.autoscaler.replicaServiceRps = 8.0;
 
-        spec.engine.model = model::modelByName(*model_name);
-        if (*gpu_name == "a40") {
-            spec.engine.gpu = model::a40();
-            CHM_CHECK(*mem_gib == 0,
-                      "--mem-gib applies to --gpu a100 only");
-        } else if (*gpu_name == "a100") {
-            spec.engine.gpu = model::a100(
-                *mem_gib == 0 ? 80 : static_cast<int>(*mem_gib));
-        } else {
-            CHM_FATAL("unknown --gpu: " << *gpu_name);
-        }
-        spec.engine.tpDegree = static_cast<int>(*tp);
-        spec.predictor.accuracy = *acc;
-        spec.predictor.seed = static_cast<std::uint64_t>(*seed);
-
-        CHM_CHECK(*tenants >= 1, "--tenants must be >= 1");
-        spec.tenancy.tenants = static_cast<int>(*tenants);
-
-        CHM_CHECK(*replicas >= 1, "--replicas must be >= 1");
-        spec.cluster.replicas = static_cast<int>(*replicas);
         if (!fleet->empty()) {
             // A fleet defines the replica count; a --replicas beside it
             // would silently lose to one of the two.
@@ -321,99 +242,44 @@ main(int argc, char **argv)
                              "count\n");
                 return 2;
             }
-            std::vector<model::GpuSpec> gpus;
-            if (!model::tryFleetByName(*fleet, &gpus)) {
-                std::fprintf(stderr,
-                             "unknown --fleet '%s'; expected %s\n",
-                             fleet->c_str(),
-                             model::fleetGrammarHelp().c_str());
-                return 2;
-            }
-            spec.cluster.replicas = static_cast<int>(gpus.size());
-            spec.cluster.replicaEngines =
-                serving::fleetEngines(spec.engine, gpus);
+            overrides.emplace_back("cluster.fleet",
+                                   sim::JsonValue::makeString(*fleet));
+        } else if (flagGiven(argc, argv, "replicas")) {
+            overrides.emplace_back("cluster.replicas",
+                                   sim::JsonValue::makeInt(*replicas));
         }
-        if (!routing::routerPolicyByName(*router, &spec.cluster.router)) {
-            std::fprintf(stderr,
-                         "unknown --router '%s'; known: %s\n",
-                         router->c_str(), routing::routerPolicyNames());
-            return 2;
-        }
-        spec.cluster.routerConfig.seed = static_cast<std::uint64_t>(*seed);
-        spec.cluster.autoscale = *autoscale;
-        spec.cluster.autoscaler.minReplicas =
-            static_cast<std::size_t>(*min_replicas);
-        spec.cluster.autoscaler.maxReplicas =
-            static_cast<std::size_t>(*max_replicas);
-        spec.cluster.autoscaler.replicaServiceRps = *replica_rps;
-        spec.cluster.autoscaler.bootMs = *boot_ms;
-        if (!routing::scaleUpPolicyByName(
-                *up_policy, &spec.cluster.autoscaler.scaleUpPolicy)) {
-            std::fprintf(stderr,
-                         "unknown --autoscale-up-policy '%s'; known: %s\n",
-                         up_policy->c_str(),
-                         routing::scaleUpPolicyNames());
-            return 2;
-        }
-        spec.cluster.autoscaler.measuredRateAlpha = *measured_alpha;
-        if (!routing::demandSourceByName(
-                *demand_source, &spec.cluster.autoscaler.demandSource)) {
-            std::fprintf(stderr,
-                         "unknown --autoscale-demand-source '%s'; "
-                         "known: %s\n",
-                         demand_source->c_str(),
-                         routing::demandSourceNames());
-            return 2;
-        }
-        spec.cluster.autoscaler.bootAwareHorizon = *boot_horizon;
-        spec.cluster.routerConfig.sloAdmission = *slo_admission;
-        if (!fabric::migrationPolicyByName(*migration,
-                                           &spec.fabric.migration)) {
-            std::fprintf(stderr,
-                         "unknown --migration '%s'; known: %s\n",
-                         migration->c_str(),
-                         fabric::migrationPolicyNames());
-            return 2;
-        }
-        if (!fabric::topologyByName(*topology, &spec.fabric.topology)) {
-            std::fprintf(stderr,
-                         "unknown --topology '%s'; known: %s\n",
-                         topology->c_str(), fabric::topologyNames());
-            return 2;
-        }
-        CHM_CHECK(*fabric_top_k >= 1, "--fabric-top-k must be >= 1");
-        spec.fabric.topK = static_cast<std::size_t>(*fabric_top_k);
-        // Cluster-only flags silently doing nothing would misread as a
-        // valid run of the requested policy.
-        CHM_CHECK(spec.cluster.replicas > 1 || spec.cluster.autoscale ||
-                      *router == "jsq",
-                  "--router requires --replicas > 1 or --autoscale");
-        CHM_CHECK(spec.cluster.autoscale ||
-                      (*min_replicas == 1 && *max_replicas == 8 &&
-                       *replica_rps == 8.0 && *boot_ms == 0.0 &&
-                       *up_policy == "default" && *measured_alpha == 0.0 &&
-                       *demand_source == "nominal" && !*boot_horizon),
-                  "--min-replicas/--max-replicas/--replica-rps/"
-                  "--autoscale-boot-ms/--autoscale-up-policy/"
-                  "--autoscale-alpha/--autoscale-demand-source/"
-                  "--autoscale-boot-horizon require --autoscale");
-        CHM_CHECK(spec.fabric.migration == fabric::MigrationPolicy::Off ||
-                      spec.cluster.replicas > 1 || spec.cluster.autoscale,
-                  "--migration needs peers: --replicas > 1 or "
-                  "--autoscale");
-        CHM_CHECK(spec.fabric.enabled() ||
-                      (*topology == "pcie" && *fabric_top_k == 4),
-                  "--topology/--fabric-top-k require --migration");
     }
+    for (const auto &arg : *sets) {
+        const auto eq = arg.find('=');
+        if (eq == std::string::npos || eq == 0) {
+            std::fprintf(stderr,
+                         "--set %s: expected path=value, e.g. "
+                         "cluster.router=p2c\n",
+                         arg.c_str());
+            return 2;
+        }
+        overrides.emplace_back(arg.substr(0, eq),
+                               core::overrideValue(arg.substr(eq + 1)));
+    }
+    std::string override_error;
+    const auto resolved =
+        core::applySpecOverrides(base, overrides, &override_error);
+    if (!resolved.has_value() ||
+        !core::checkOverridesTakeEffect(*resolved, overrides,
+                                        &override_error)) {
+        std::fprintf(stderr, "%s\n", override_error.c_str());
+        return 2;
+    }
+    const core::SystemSpec &spec = *resolved;
     const bool clusterRun =
         spec.cluster.replicas > 1 || spec.cluster.autoscale;
 
     CHM_CHECK(*tenant_storm >= 1.0,
               "--tenant-storm must be >= 1 (1 disables the storm)");
     CHM_CHECK(*tenant_storm <= 1.0 || spec.tenancy.tenants > 1,
-              "--tenant-storm needs more than one tenant (--tenants, or "
-              "the config file's tenancy.tenants); a storm is one tenant "
-              "bursting against the others");
+              "--tenant-storm needs more than one tenant (--set "
+              "tenancy.tenants=N, or the config file's tenancy.tenants); "
+              "a storm is one tenant bursting against the others");
     CHM_CHECK(*slo_multiplier >= 0.0,
               "--slo-multiplier must be >= 0 (0 disables SLO reporting)");
 

@@ -4,7 +4,7 @@
  *
  * Loads a SweepSpec (src/sweep/README.md documents the grammar),
  * expands it into cells (systems and/or a base+modifier cross-product,
- * crossed with load / replica / router axes), runs every cell through
+ * crossed with load / replica / spec-path axes), runs every cell through
  * the core Runner, prints a summary table, and writes one consolidated
  * BenchJson. Per-cell seeds derive from the sweep seed, so the same
  * file + seed reproduces the identical document at any --threads.
@@ -98,17 +98,15 @@ main(int argc, char **argv)
     if (*dry_run) {
         std::printf("sweep %s: %zu cells\n", spec->name.c_str(),
                     cells->size());
-        std::printf("%-32s %8s %9s %-16s %-15s %9s %-9s %12s\n",
-                    "system", "rps", "replicas", "fleet", "router",
-                    "autoscale", "migration", "trace_seed");
+        std::printf("%-32s %8s %9s %-16s %12s  %s\n", "system", "rps",
+                    "replicas", "fleet", "trace_seed", "axes");
         for (const auto &cell : *cells) {
-            std::printf("%-32s %8.2f %9d %-16s %-15s %9s %-9s %12llu\n",
+            std::printf("%-32s %8.2f %9d %-16s %12llu  %s\n",
                         cell.system.c_str(), cell.rps, cell.replicaCount,
                         cell.fleet.empty() ? "-" : cell.fleet.c_str(),
-                        cell.router.c_str(),
-                        cell.autoscale ? "on" : "off",
-                        cell.migration.c_str(),
-                        static_cast<unsigned long long>(cell.traceSeed));
+                        static_cast<unsigned long long>(cell.traceSeed),
+                        cell.overrides.empty() ? "-"
+                                               : cell.axesLabel().c_str());
         }
         return 0;
     }
@@ -124,17 +122,17 @@ main(int argc, char **argv)
 
     const auto results = runner.run();
 
-    std::printf("%-32s %8s %9s %-15s %9s %12s %12s %7s\n", "system",
-                "rps", "replicas", "router", "finished", "p50ttft(s)",
-                "p99ttft(s)", "hit%");
+    std::printf("%-32s %8s %9s %9s %12s %12s %7s  %s\n", "system", "rps",
+                "replicas", "finished", "p50ttft(s)", "p99ttft(s)", "hit%",
+                "axes");
     for (const auto &result : results) {
         const auto &cell = result.cell;
         const auto &s = result.report.stats;
-        std::printf("%-32s %8.2f %9d %-15s %9lld %12.3f %12.3f %6.1f%%\n",
+        std::printf("%-32s %8.2f %9d %9lld %12.3f %12.3f %6.1f%%  %s\n",
                     cell.system.c_str(), cell.rps, cell.replicaCount,
-                    cell.router.c_str(),
                     static_cast<long long>(s.finished), s.ttft.p50(),
-                    s.ttft.p99(), 100.0 * result.report.cacheHitRate);
+                    s.ttft.p99(), 100.0 * result.report.cacheHitRate,
+                    cell.axesLabel().c_str());
     }
 
     sweep::BenchJson json(runner.spec().name);
