@@ -30,6 +30,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "chameleon/system.h"
 #include "model/gpu_spec.h"
@@ -60,9 +61,45 @@ canonicalHash(core::Runner &runner, const core::RunReport &report)
     return hash;
 }
 
+/** Doubles by bit pattern, so the report pins below are exact. */
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t out;
+    std::memcpy(&out, &value, sizeof(out));
+    return out;
+}
+
+/**
+ * The report's SLO and slowdown doubles, which the event-stream hash
+ * does not cover: run-wide sloSeconds, sloAttainment and
+ * fairnessIndex, then meanSlowdown, p99Slowdown and sloAttainment of
+ * every tenant in report order.
+ */
+std::vector<std::uint64_t>
+reportFloatBits(const core::RunReport &report)
+{
+    std::vector<std::uint64_t> bits = {bitsOf(report.sloSeconds),
+                                       bitsOf(report.sloAttainment),
+                                       bitsOf(report.fairnessIndex)};
+    for (const auto &tenant : report.tenants) {
+        bits.push_back(bitsOf(tenant.meanSlowdown));
+        bits.push_back(bitsOf(tenant.p99Slowdown));
+        bits.push_back(bitsOf(tenant.sloAttainment));
+    }
+    return bits;
+}
+
+/** A scenario's event-stream hash and report float bits. */
+struct Outcome
+{
+    std::uint64_t hash = 0;
+    std::vector<std::uint64_t> floatBits;
+};
+
 /** One golden scenario: router x fleet shape x autoscale, optionally
  * with cache-fabric peer migration on every trigger. */
-std::uint64_t
+Outcome
 runScenario(routing::RouterPolicy router, bool hetero, bool autoscale,
             fabric::MigrationPolicy migration = fabric::MigrationPolicy::Off,
             fabric::TopologyKind topology = fabric::TopologyKind::PciePeer,
@@ -110,14 +147,14 @@ runScenario(routing::RouterPolicy router, bool hetero, bool autoscale,
     // Sanity besides the hash: nothing may be lost or stuck.
     EXPECT_EQ(report.stats.finished,
               static_cast<std::int64_t>(trace.size()));
-    return canonicalHash(runner, report);
+    return {canonicalHash(runner, report), reportFloatBits(report)};
 }
 
 void
 expectGolden(routing::RouterPolicy router, bool hetero, bool autoscale,
              std::uint64_t pinned)
 {
-    const std::uint64_t hash = runScenario(router, hetero, autoscale);
+    const std::uint64_t hash = runScenario(router, hetero, autoscale).hash;
     if (std::getenv("CHM_GOLDEN_PRINT") != nullptr) {
         std::printf("GOLDEN %s %s %s 0x%016llxull\n",
                     routing::routerPolicyName(router),
@@ -141,7 +178,7 @@ expectGolden(routing::RouterPolicy router, bool hetero, bool autoscale,
  * the bounded fig29 drain window (the backlog is the interesting
  * state), so `finished == trace.size()` is only asserted without one.
  */
-std::uint64_t
+Outcome
 runTenantScenario(const char *scheduler, int tenants, bool storm,
                   bool autoscale)
 {
@@ -191,15 +228,16 @@ runTenantScenario(const char *scheduler, int tenants, bool storm,
         EXPECT_EQ(report.stats.finished,
                   static_cast<std::int64_t>(trace.size()));
     }
-    return canonicalHash(runner, report);
+    return {canonicalHash(runner, report), reportFloatBits(report)};
 }
 
 void
 expectFabricGolden(routing::RouterPolicy router, bool hetero,
                    bool autoscale, std::uint64_t pinned)
 {
-    const std::uint64_t hash = runScenario(router, hetero, autoscale,
-                                           fabric::MigrationPolicy::All);
+    const std::uint64_t hash =
+        runScenario(router, hetero, autoscale, fabric::MigrationPolicy::All)
+            .hash;
     if (std::getenv("CHM_GOLDEN_PRINT") != nullptr) {
         std::printf("GOLDEN fabric %s %s %s 0x%016llxull\n",
                     routing::routerPolicyName(router),
@@ -223,7 +261,7 @@ expectTenantGolden(const char *scheduler, int tenants, bool storm,
                    bool autoscale, std::uint64_t pinned)
 {
     const std::uint64_t hash =
-        runTenantScenario(scheduler, tenants, storm, autoscale);
+        runTenantScenario(scheduler, tenants, storm, autoscale).hash;
     if (std::getenv("CHM_GOLDEN_PRINT") != nullptr) {
         std::printf("GOLDEN %s %s %s 0x%016llxull\n", scheduler,
                     storm ? "storm4" : "single",
@@ -235,6 +273,30 @@ expectTenantGolden(const char *scheduler, int tenants, bool storm,
         << "event stream diverged for scheduler " << scheduler << ", "
         << tenants << " tenant(s)" << (storm ? " (storm)" : "")
         << (autoscale ? ", autoscale on" : ", autoscale off")
+        << "; if the change is intended, rerun with CHM_GOLDEN_PRINT=1 "
+        << "and update the pin (note it in CHANGES.md)";
+}
+
+/**
+ * Compare a scenario's report float bits against its pin list, or
+ * print the list under CHM_GOLDEN_PRINT.
+ */
+void
+expectReportFloats(const char *scenario,
+                   const std::vector<std::uint64_t> &bits,
+                   const std::vector<std::uint64_t> &pinned)
+{
+    if (std::getenv("CHM_GOLDEN_PRINT") != nullptr) {
+        std::printf("GOLDEN report %s {", scenario);
+        for (std::size_t i = 0; i < bits.size(); ++i) {
+            std::printf("%s0x%016llxull", i == 0 ? "" : ", ",
+                        static_cast<unsigned long long>(bits[i]));
+        }
+        std::printf("}\n");
+        return;
+    }
+    EXPECT_EQ(bits, pinned)
+        << "report SLO/slowdown doubles diverged for " << scenario
         << "; if the change is intended, rerun with CHM_GOLDEN_PRINT=1 "
         << "and update the pin (note it in CHANGES.md)";
 }
@@ -312,10 +374,12 @@ TEST(GoldenTrace, DirectoryRouterMatchesCacheAwareScan)
             EXPECT_EQ(
                 runScenario(
                     routing::RouterPolicy::AdapterAffinityDirectory,
-                    hetero, autoscale),
+                    hetero, autoscale)
+                    .hash,
                 runScenario(
                     routing::RouterPolicy::AdapterAffinityCacheAware,
-                    hetero, autoscale))
+                    hetero, autoscale)
+                    .hash)
                 << (hetero ? "hetero" : "homog")
                 << (autoscale ? ", autoscale" : ", fixed");
         }
@@ -385,7 +449,8 @@ TEST(GoldenTrace, ClosedLoopHeteroAutoscale)
         << "pin (note it in CHANGES.md)";
     // And the knobs must actually matter.
     EXPECT_NE(hash, runScenario(routing::RouterPolicy::JoinShortestQueue,
-                                true, true));
+                                true, true)
+                        .hash);
 }
 
 /** Non-default fabric knobs are inert while migration is off: the
@@ -394,7 +459,49 @@ TEST(GoldenTrace, FabricKnobsInertWithMigrationOff)
 {
     EXPECT_EQ(runScenario(routing::RouterPolicy::AdapterAffinityCacheAware,
                           true, true, fabric::MigrationPolicy::Off,
-                          fabric::TopologyKind::NvLink, 9),
+                          fabric::TopologyKind::NvLink, 9)
+                  .hash,
               0x748730f518247018ull)
         << "fabric topology/top_k leaked into a migration-off run";
 }
+
+// clang-format off
+/**
+ * Report pins: the SLO, attainment, fairness and per-tenant slowdown
+ * doubles (reportFloatBits) of one single-tenant and two storm
+ * scenarios, bit for bit. The event-stream pins above hash only the
+ * record stream, so these guard the post-simulation report pass.
+ * Regenerate with CHM_GOLDEN_PRINT=1.
+ */
+TEST(GoldenReport, JsqHomogFixed)
+{
+    expectReportFloats(
+        "jsq homog fixed",
+        runScenario(routing::RouterPolicy::JoinShortestQueue, false, false)
+            .floatBits,
+        {0x40222ad77318fc50ull, 0x3ff0000000000000ull, 0x3ff0000000000000ull,
+         0x400211056e486228ull, 0x4014042db44b8738ull, 0x3ff0000000000000ull});
+}
+
+TEST(GoldenReport, WfqStormFixed)
+{
+    expectReportFloats("wfq storm4 fixed",
+                       runTenantScenario("wfq", 4, true, false).floatBits,
+                       {0x4022bb90ea9e6eebull, 0x3ff0000000000000ull, 0x3fe5fe51c4df8466ull,
+                        0x401574eff65753ffull, 0x402c4dbacad39ba9ull, 0x3ff0000000000000ull,
+                        0x400dae66c5d86bc0ull, 0x401f7552159e2188ull, 0x3ff0000000000000ull,
+                        0x400e92f6aeee524dull, 0x401ef686af8453a1ull, 0x3ff0000000000000ull,
+                        0x400de14dc79ce611ull, 0x40205cd8aa1f78ecull, 0x3ff0000000000000ull});
+}
+
+TEST(GoldenReport, DrrStormAutoscale)
+{
+    expectReportFloats("drr storm4 autoscale",
+                       runTenantScenario("drr", 4, true, true).floatBits,
+                       {0x4022bb90ea9e6eebull, 0x3ff0000000000000ull, 0x3fe5fe51c4df8466ull,
+                        0x3ffd3cbb32a5f3baull, 0x400f7512a06fcb2eull, 0x3ff0000000000000ull,
+                        0x3ffd581a525d634eull, 0x4011884654aad704ull, 0x3ff0000000000000ull,
+                        0x3ffca09eb215dacaull, 0x400e88dfeb24ac03ull, 0x3ff0000000000000ull,
+                        0x3ffe8898e447c2d1ull, 0x40146a5721747addull, 0x3ff0000000000000ull});
+}
+// clang-format on
