@@ -1,10 +1,13 @@
 #include "chameleon/system.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
-#include <sstream>
-
+#include <iterator>
 #include <map>
+#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "fabric/cache_fabric.h"
 #include "predict/history_predictor.h"
@@ -313,47 +316,55 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
     }
 
     // --- per-tenant accounting (post-simulation: pure record reads) ---
-    const model::CostModel cost(spec_.engine.model, spec_.engine.gpu,
-                                spec_.engine.tpDegree, spec_.engine.cost);
+    // One isolated-latency table serves both the SLO and the slowdowns.
+    serving::IsolatedLatency isolated(
+        model::CostModel(spec_.engine.model, spec_.engine.gpu,
+                         spec_.engine.tpDegree, spec_.engine.cost),
+        pool_);
     if (sloMultiplier_ > 0.0 && !trace.empty()) {
         report.sloMultiplier = sloMultiplier_;
         report.sloSeconds = sim::toSeconds(
-            serving::computeSlo(trace, cost, pool_, sloMultiplier_));
+            serving::computeSlo(trace, isolated, sloMultiplier_));
     }
-    std::map<workload::TenantId, std::vector<serving::RequestRecord>>
-        byTenant;
-    for (const auto &rec : report.stats.records)
-        byTenant[rec.tenant].push_back(rec);
-    std::vector<double> weightedService;
-    std::int64_t metOverall = 0;
-    for (const auto &[tenant, records] : byTenant) {
-        TenantReport tr;
-        tr.tenant = tenant;
-        tr.finished = static_cast<std::int64_t>(records.size());
+    // One pass in record order: each tenant's samples arrive in the
+    // order of its own records, without copying them.
+    struct TenantSamples
+    {
         sim::PercentileTracker ttft;
         sim::PercentileTracker e2e;
-        for (const auto &rec : records) {
-            ttft.add(sim::toSeconds(rec.ttft));
-            e2e.add(sim::toSeconds(rec.e2e));
-        }
-        tr.p50TtftSeconds = ttft.p50();
-        tr.p99TtftSeconds = ttft.p99();
-        tr.p50E2eSeconds = e2e.p50();
-        tr.p99E2eSeconds = e2e.p99();
-        const auto slowdown = serving::slowdowns(records, cost, pool_);
-        tr.meanSlowdown = slowdown.mean();
-        tr.p99Slowdown = slowdown.p99();
+        sim::PercentileTracker slowdown;
+    };
+    std::map<workload::TenantId, TenantSamples> byTenant;
+    for (const auto &rec : report.stats.records) {
+        TenantSamples &samples = byTenant[rec.tenant];
+        samples.ttft.add(sim::toSeconds(rec.ttft));
+        samples.e2e.add(sim::toSeconds(rec.e2e));
+        samples.slowdown.add(serving::slowdown(rec, isolated));
+    }
+    std::vector<double> weightedService;
+    std::int64_t metOverall = 0;
+    for (const auto &[tenant, samples] : byTenant) {
+        TenantReport tr;
+        tr.tenant = tenant;
+        tr.finished = static_cast<std::int64_t>(samples.ttft.count());
+        tr.p50TtftSeconds = samples.ttft.p50();
+        tr.p99TtftSeconds = samples.ttft.p99();
+        tr.p50E2eSeconds = samples.e2e.p50();
+        tr.p99E2eSeconds = samples.e2e.p99();
+        tr.meanSlowdown = samples.slowdown.mean();
+        tr.p99Slowdown = samples.slowdown.p99();
         if (report.sloSeconds > 0.0) {
             tr.sloSeconds = report.sloSeconds *
                             spec_.tenancy.sloMultiplierFor(tenant);
-            std::int64_t met = 0;
-            for (const auto &rec : records) {
-                if (sim::toSeconds(rec.ttft) <= tr.sloSeconds)
-                    ++met;
-            }
+            // Requests that met the SLO: the sorted TTFT samples at or
+            // under it.
+            const auto &ttft = samples.ttft.sorted();
+            const auto met = static_cast<std::int64_t>(
+                std::upper_bound(ttft.begin(), ttft.end(), tr.sloSeconds) -
+                ttft.begin());
             metOverall += met;
             tr.sloAttainment = static_cast<double>(met) /
-                               static_cast<double>(records.size());
+                               static_cast<double>(tr.finished);
         }
         // Service per unit weight, not slowdown: FIFO equalises delay
         // (equal misery scores a perfect raw-slowdown index) while a
@@ -372,19 +383,8 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
     obs::MetricsRegistry registry;
     fillRunMetrics(registry, *cluster_, report);
     report.metrics = registry.snapshot();
-    report.eventHash = fnv1a64(canonicalEventStream(*cluster_, report));
+    report.eventHash = eventStreamHash(*cluster_, report);
     return report;
-}
-
-std::uint64_t
-fnv1a64(const std::string &text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
 }
 
 namespace {
@@ -399,30 +399,126 @@ doubleBits(double value)
     return out;
 }
 
+/** Event-stream sink that appends the text to a string. */
+struct StringSink
+{
+    std::string &out;
+
+    void write(const char *data, std::size_t size) { out.append(data, size); }
+};
+
+/** Event-stream sink that folds the text into an FNV-1a 64 hash. */
+struct FnvSink
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+
+    void write(const char *data, std::size_t size)
+    {
+        for (std::size_t i = 0; i < size; ++i) {
+            hash ^= static_cast<unsigned char>(data[i]);
+            hash *= 0x100000001b3ull;
+        }
+    }
+};
+
+/**
+ * One event-stream line, formatted in place with std::to_chars (the
+ * same decimal text as an ostream in the classic locale) and handed to
+ * a sink whole. The longest line is 15 fields of at most 20 digits
+ * plus separators, well inside the buffer.
+ */
+class LineBuffer
+{
+  public:
+    /** Integers in decimal (chars are text, so they are excluded). */
+    template <typename Int,
+              typename = std::enable_if_t<std::is_integral_v<Int> &&
+                                          !std::is_same_v<Int, char>>>
+    LineBuffer &operator<<(Int value)
+    {
+        const auto [ptr, ec] = std::to_chars(pos_, std::end(buf_), value);
+        CHM_CHECK(ec == std::errc(), "event-stream line overflow");
+        pos_ = ptr;
+        return *this;
+    }
+
+    LineBuffer &operator<<(std::string_view text)
+    {
+        CHM_CHECK(text.size() <= static_cast<std::size_t>(
+                                     std::end(buf_) - pos_),
+                  "event-stream line overflow");
+        pos_ = std::copy(text.begin(), text.end(), pos_);
+        return *this;
+    }
+
+    /** Hand the line to the sink and start the next one. */
+    template <typename Sink>
+    void flush(Sink &sink)
+    {
+        sink.write(buf_, static_cast<std::size_t>(pos_ - buf_));
+        pos_ = buf_;
+    }
+
+  private:
+    char buf_[512];
+    char *pos_ = buf_;
+};
+
+/** The canonical event stream (see canonicalEventStream), line by line
+ * into `sink`. */
+template <typename Sink>
+void
+writeEventStream(const serving::DataParallelCluster &cluster,
+                 const RunReport &report, Sink &sink)
+{
+    LineBuffer line;
+    line << "finished=" << report.stats.finished
+         << " scale_ups=" << report.scaleUps
+         << " scale_downs=" << report.scaleDowns
+         << " peak=" << report.peakReplicas
+         << " final_active=" << report.finalActiveReplicas << "\n";
+    line.flush(sink);
+    const auto &engines = cluster.engines();
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+        for (const auto &r : engines[i]->stats().records) {
+            line << i << "," << r.id << "," << r.arrival << ","
+                 << r.inputTokens << "," << r.outputTokens << ","
+                 << r.adapter << "," << r.rank << "," << r.ttft << ","
+                 << r.e2e << "," << r.queueDelay << "," << r.adapterStall
+                 << "," << doubleBits(r.wrs) << "," << r.queueIndex << ","
+                 << r.squashCount << "," << r.preemptCount << "\n";
+            line.flush(sink);
+        }
+    }
+}
+
 } // namespace
+
+std::uint64_t
+fnv1a64(const std::string &text)
+{
+    FnvSink sink;
+    sink.write(text.data(), text.size());
+    return sink.hash;
+}
 
 std::string
 canonicalEventStream(const serving::DataParallelCluster &cluster,
                      const RunReport &report)
 {
-    std::ostringstream os;
-    os << "finished=" << report.stats.finished
-       << " scale_ups=" << report.scaleUps
-       << " scale_downs=" << report.scaleDowns
-       << " peak=" << report.peakReplicas
-       << " final_active=" << report.finalActiveReplicas << '\n';
-    const auto &engines = cluster.engines();
-    for (std::size_t i = 0; i < engines.size(); ++i) {
-        for (const auto &r : engines[i]->stats().records) {
-            os << i << ',' << r.id << ',' << r.arrival << ','
-               << r.inputTokens << ',' << r.outputTokens << ','
-               << r.adapter << ',' << r.rank << ',' << r.ttft << ','
-               << r.e2e << ',' << r.queueDelay << ',' << r.adapterStall
-               << ',' << doubleBits(r.wrs) << ',' << r.queueIndex << ','
-               << r.squashCount << ',' << r.preemptCount << '\n';
-        }
-    }
-    return os.str();
+    std::string out;
+    StringSink sink{out};
+    writeEventStream(cluster, report, sink);
+    return out;
+}
+
+std::uint64_t
+eventStreamHash(const serving::DataParallelCluster &cluster,
+                const RunReport &report)
+{
+    FnvSink sink;
+    writeEventStream(cluster, report, sink);
+    return sink.hash;
 }
 
 namespace {

@@ -166,7 +166,8 @@ struct RunReport
      * FNV-1a 64 hash of the run's canonical event stream
      * (canonicalEventStream): the whole per-replica finished-record
      * sequence plus the scaling counters, in the golden-trace suite's
-     * exact format. Two runs with equal hashes dispatched the same
+     * exact format. Streamed by eventStreamHash, so the text is never
+     * built. Two runs with equal hashes dispatched the same
      * requests to the same replicas with the same timings — the
      * sweep's per-cell determinism fingerprint and the currency of
      * `chameleon_sweep --baseline`.
@@ -269,12 +270,21 @@ std::uint64_t fnv1a64(const std::string &text);
  * Anything routing, scheduling, or autoscaling can influence is in
  * here — a single moved dispatch or extra scale event changes the
  * text. This is the exact format the golden-trace pins hash (the suite
- * calls this function), so RunReport::eventHash values are comparable
- * across tests, sweeps, and baselines.
+ * calls this function). It shares one line formatter with
+ * eventStreamHash, so fnv1a64(canonicalEventStream(c, r)) ==
+ * eventStreamHash(c, r) == RunReport::eventHash.
  */
 std::string canonicalEventStream(
     const serving::DataParallelCluster &cluster,
     const RunReport &report);
+
+/**
+ * fnv1a64 of canonicalEventStream, hashed line by line as the stream
+ * is formatted, without building the text (about 80 bytes per record).
+ * Runner::run fills RunReport::eventHash with it.
+ */
+std::uint64_t eventStreamHash(const serving::DataParallelCluster &cluster,
+                              const RunReport &report);
 
 /** One-shot convenience wrapper. */
 RunReport runSpec(const SystemSpec &spec, const model::AdapterPool *pool,

@@ -80,7 +80,11 @@ class WindowedSum
     /** One row per window: (window start, sum / window length in seconds). */
     std::vector<TimePoint> ratePerSecond() const;
 
-    /** Mean of per-window rates; 0 when empty. */
+    /**
+     * Mean rate over the windows that recorded at least one sample
+     * (busy windows); windows without samples are skipped, so this is
+     * not the total divided by the elapsed time. 0 when empty.
+     */
     double meanRate() const;
 
     /** Max of per-window rates; 0 when empty. */

@@ -50,7 +50,9 @@ constexpr std::uint64_t kSeed = 1234;
  * format; the pins below — recorded against the test's original local
  * serialiser — staying green is the proof the library emits the same
  * bytes. RunReport::eventHash is the same value end-to-end, asserted
- * per scenario.
+ * per scenario: the Runner hashes the stream line by line
+ * (core::eventStreamHash) without building the text, so the equality
+ * proves its hashing sink and the string sink agree.
  */
 std::uint64_t
 canonicalHash(core::Runner &runner, const core::RunReport &report)

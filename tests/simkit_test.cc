@@ -267,6 +267,22 @@ TEST(WindowedSum, RatesPerSecond)
     EXPECT_DOUBLE_EQ(rates[0].value, 200.0);
 }
 
+TEST(WindowedSum, MeanRateSkipsWindowsWithoutSamples)
+{
+    // Traffic in seconds 0 and 9 only: the mean is over those two busy
+    // windows, not over the ten seconds they span.
+    sim::WindowedSum ws(sim::kSec);
+    ws.record(0, 100.0);
+    ws.record(9 * sim::kSec, 300.0);
+    EXPECT_DOUBLE_EQ(ws.meanRate(), 200.0);
+    EXPECT_EQ(ws.ratePerSecond().size(), 2u);
+    // A 2 s window halves each window's rate.
+    sim::WindowedSum wide(2 * sim::kSec);
+    wide.record(sim::kSec, 100.0);
+    wide.record(5 * sim::kSec, 300.0);
+    EXPECT_DOUBLE_EQ(wide.meanRate(), 100.0);
+}
+
 // ------------------------------------------------------------ simulator
 
 TEST(Simulator, FiresInTimestampOrder)

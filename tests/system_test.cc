@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "chameleon/system.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
 #include "serving/slo.h"
+#include "simkit/rng.h"
 #include "workload/trace_gen.h"
 
 using namespace chameleon;
@@ -186,6 +190,159 @@ TEST(SystemIntegration, SloAndSlowdownHelpers)
     auto sd = serving::slowdowns(result.stats.records, cost, &env.pool);
     EXPECT_GE(sd.percentile(1.0), 0.9); // can't beat run-alone by much
     EXPECT_GE(sd.p99(), sd.p50());
+}
+
+// ------------------------------------------------- isolated latency
+
+namespace {
+
+/** One hardware point of the IsolatedLatency equivalence tests. */
+struct IsolatedHw
+{
+    const char *name;
+    model::ModelSpec model;
+    model::GpuSpec gpu;
+    int tp;
+};
+
+std::vector<IsolatedHw>
+isolatedHardware()
+{
+    return {{"llama7b-a40-tp1", model::llama7B(), model::a40(), 1},
+            {"llama13b-a100-80-tp2", model::llama13B(), model::a100(80), 2},
+            {"llama70b-a100-80-tp4", model::llama70B(), model::a100(80), 4}};
+}
+
+/** CostModel::isolatedE2e, the per-token reference definition. */
+sim::SimTime
+referenceE2e(const model::CostModel &cost, const model::AdapterPool &pool,
+             std::int64_t input, std::int64_t output,
+             model::AdapterId adapter)
+{
+    if (adapter == model::kNoAdapter)
+        return cost.isolatedE2e(input, output, 0, 0, false);
+    const auto &spec = pool.spec(adapter);
+    return cost.isolatedE2e(input, output, spec.rank, spec.bytes,
+                            spec.rank > 0);
+}
+
+} // namespace
+
+TEST(IsolatedLatency, MatchesPerTokenLoopOnShortOutputsAndEveryRank)
+{
+    for (const auto &hw : isolatedHardware()) {
+        const model::CostModel cost(hw.model, hw.gpu, hw.tp);
+        // 10 adapters: two of each paper rank 8..128.
+        const model::AdapterPool pool(hw.model, 10);
+        serving::IsolatedLatency isolated(cost, &pool);
+        for (model::AdapterId adapter = model::kNoAdapter;
+             adapter < pool.size(); ++adapter) {
+            for (const std::int64_t input : {4, 142, 2000}) {
+                for (const std::int64_t output : {0, 1, 2, 3}) {
+                    EXPECT_EQ(isolated.e2e(input, output, adapter),
+                              referenceE2e(cost, pool, input, output,
+                                           adapter))
+                        << hw.name << " adapter " << adapter << " input "
+                        << input << " output " << output;
+                }
+            }
+        }
+    }
+}
+
+TEST(IsolatedLatency, MatchesPerTokenLoopAtFullContext)
+{
+    // Input and output are each clamped to 2000 tokens, so a KV length
+    // of 4000 is the longest any generated trace asks for.
+    for (const auto &hw : isolatedHardware()) {
+        const model::CostModel cost(hw.model, hw.gpu, hw.tp);
+        const model::AdapterPool pool(hw.model, 10);
+        serving::IsolatedLatency isolated(cost, &pool);
+        for (model::AdapterId adapter = model::kNoAdapter;
+             adapter < pool.size(); ++adapter) {
+            for (const auto &[input, output] :
+                 std::vector<std::pair<std::int64_t, std::int64_t>>{
+                     {2000, 2000}, {4, 3996}, {3996, 4}}) {
+                EXPECT_EQ(isolated.e2e(input, output, adapter),
+                          referenceE2e(cost, pool, input, output, adapter))
+                    << hw.name << " adapter " << adapter << " input "
+                    << input << " output " << output;
+            }
+        }
+    }
+}
+
+TEST(IsolatedLatency, MatchesPerTokenLoopOnRandomRequests)
+{
+    const auto hardware = isolatedHardware();
+    std::vector<model::CostModel> costs;
+    std::vector<model::AdapterPool> pools;
+    std::vector<serving::IsolatedLatency> tables;
+    for (const auto &hw : hardware) {
+        costs.emplace_back(hw.model, hw.gpu, hw.tp);
+        pools.emplace_back(hw.model, 10);
+    }
+    for (std::size_t i = 0; i < hardware.size(); ++i)
+        tables.emplace_back(costs[i], &pools[i]);
+    sim::Rng rng(20251017);
+    int mismatches = 0;
+    for (int sample = 0; sample < 20000; ++sample) {
+        const auto hw = rng.nextBelow(hardware.size());
+        const auto input = static_cast<std::int64_t>(rng.nextBelow(2001));
+        const auto output = static_cast<std::int64_t>(rng.nextBelow(2001));
+        const auto adapter = static_cast<model::AdapterId>(
+                                 rng.nextBelow(pools[hw].size() + 1)) -
+                             1;
+        const auto got = tables[hw].e2e(input, output, adapter);
+        const auto want =
+            referenceE2e(costs[hw], pools[hw], input, output, adapter);
+        if (got != want && ++mismatches <= 5) {
+            ADD_FAILURE() << hardware[hw].name << " adapter " << adapter
+                          << " input " << input << " output " << output
+                          << ": " << got << " != " << want;
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(IsolatedLatency, AnswersDoNotDependOnQueryOrder)
+{
+    const model::CostModel cost(model::llama7B(), model::a40());
+    const model::AdapterPool pool(model::llama7B(), 10);
+    const std::vector<std::pair<std::int64_t, std::int64_t>> requests = {
+        {2000, 2000}, {1500, 700}, {96, 300}, {10, 5}, {4, 2}};
+    serving::IsolatedLatency longFirst(cost, &pool);
+    serving::IsolatedLatency shortFirst(cost, &pool);
+    for (model::AdapterId adapter : {model::kNoAdapter, 0, 9}) {
+        std::vector<sim::SimTime> forward;
+        std::vector<sim::SimTime> backward;
+        for (const auto &[input, output] : requests)
+            forward.push_back(longFirst.e2e(input, output, adapter));
+        for (auto it = requests.rbegin(); it != requests.rend(); ++it)
+            backward.insert(backward.begin(),
+                            shortFirst.e2e(it->first, it->second, adapter));
+        EXPECT_EQ(forward, backward) << "adapter " << adapter;
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            EXPECT_EQ(forward[i],
+                      referenceE2e(cost, pool, requests[i].first,
+                                   requests[i].second, adapter));
+        }
+    }
+}
+
+TEST(IsolatedLatency, MeanMatchesPerTokenLoopBitForBit)
+{
+    Env env(8.0, 120.0);
+    const model::CostModel cost(model::llama7B(), model::a40());
+    double total_s = 0.0;
+    for (const auto &r : env.trace.requests()) {
+        total_s += sim::toSeconds(referenceE2e(cost, env.pool, r.inputTokens,
+                                               r.outputTokens, r.adapter));
+    }
+    const sim::SimTime reference = sim::fromSeconds(
+        total_s / static_cast<double>(env.trace.size()));
+    EXPECT_EQ(serving::meanIsolatedE2e(env.trace, cost, &env.pool),
+              reference);
 }
 
 TEST(Throughput, KneeFinderInterpolates)

@@ -452,6 +452,8 @@ main(int argc, char **argv)
             std::printf("\n");
         }
     }
+    const double elapsed =
+        std::max(1e-9, sim::toSeconds(trace.duration()));
     if (clusterRun) {
         // Per-link rate/utilisation is not meaningful summed over
         // replicas; report totals only.
@@ -459,14 +461,15 @@ main(int argc, char **argv)
                     static_cast<double>(report.pcieBytes) / 1e9,
                     static_cast<long long>(report.pcieTransfers));
     } else {
+        // The mean is over the whole trace; the busy-window mean
+        // (WindowedSum::meanRate) skips the seconds without traffic.
         std::printf("PCIe        : %.2f GB total, %.1f MB/s mean, "
-                    "utilisation %.1f%%\n",
+                    "%.1f MB/s busy-window mean, utilisation %.1f%%\n",
                     static_cast<double>(report.pcieBytes) / 1e9,
+                    static_cast<double>(report.pcieBytes) / elapsed / 1e6,
                     report.pcieMeanBytesPerSec / 1e6,
                     100.0 * report.pcieUtilisation);
     }
-    const double elapsed =
-        std::max(1e-9, sim::toSeconds(trace.duration()));
     std::printf("engine      : %lld iterations, busy %.1f s, mean batch "
                 "%.1f, %.0f prefill tok/s, %.0f decode tok/s\n",
                 static_cast<long long>(s.iterations),
@@ -491,7 +494,7 @@ main(int argc, char **argv)
         std::printf("svc rate    :");
         for (const double rate : report.perReplicaServiceRate)
             std::printf(" %.2f", rate);
-        std::printf(" req/s nominal (routing weights)\n");
+        std::printf(" req/s isolated (routing weights)\n");
         if (report.perReplicaEffectiveRate !=
             report.perReplicaServiceRate) {
             std::printf("measured    :");
