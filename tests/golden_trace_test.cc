@@ -99,17 +99,27 @@ struct Outcome
     std::vector<std::uint64_t> floatBits;
 };
 
-/** One golden scenario: router x fleet shape x autoscale, optionally
- * with cache-fabric peer migration on every trigger. */
+/** `affinity-cache` as the spec and CLI parse it. */
+routing::RouterPolicy
+affinityCache()
+{
+    routing::RouterPolicy policy{};
+    EXPECT_TRUE(routing::routerPolicyByName("affinity-cache", &policy));
+    return policy;
+}
+
+/** One golden scenario: system x router x fleet shape x autoscale,
+ * optionally with cache-fabric peer migration on every trigger. */
 Outcome
-runScenario(routing::RouterPolicy router, bool hetero, bool autoscale,
+runScenario(const std::string &system, routing::RouterPolicy router,
+            bool hetero, bool autoscale,
             fabric::MigrationPolicy migration = fabric::MigrationPolicy::Off,
             fabric::TopologyKind topology = fabric::TopologyKind::PciePeer,
             std::size_t fabricTopK = 4)
 {
     model::AdapterPool pool(model::llama7B(), 40);
 
-    auto spec = core::SystemRegistry::global().lookup("chameleon");
+    auto spec = core::SystemRegistry::global().lookup(system);
     spec.engine.model = model::llama7B();
     spec.engine.gpu = model::a40();
     spec.cluster.router = router;
@@ -153,12 +163,13 @@ runScenario(routing::RouterPolicy router, bool hetero, bool autoscale,
 }
 
 void
-expectGolden(routing::RouterPolicy router, bool hetero, bool autoscale,
-             std::uint64_t pinned)
+expectSystemGolden(const std::string &system, routing::RouterPolicy router,
+                   bool hetero, bool autoscale, std::uint64_t pinned)
 {
-    const std::uint64_t hash = runScenario(router, hetero, autoscale).hash;
+    const std::uint64_t hash =
+        runScenario(system, router, hetero, autoscale).hash;
     if (std::getenv("CHM_GOLDEN_PRINT") != nullptr) {
-        std::printf("GOLDEN %s %s %s 0x%016llxull\n",
+        std::printf("GOLDEN %s %s %s %s 0x%016llxull\n", system.c_str(),
                     routing::routerPolicyName(router),
                     hetero ? "hetero" : "homog",
                     autoscale ? "autoscale" : "fixed",
@@ -166,12 +177,19 @@ expectGolden(routing::RouterPolicy router, bool hetero, bool autoscale,
         return;
     }
     EXPECT_EQ(hash, pinned)
-        << "event stream diverged for router "
+        << "event stream diverged for system " << system << ", router "
         << routing::routerPolicyName(router)
         << (hetero ? ", hetero fleet" : ", homogeneous fleet")
         << (autoscale ? ", autoscale on" : ", autoscale off")
         << "; if the change is intended, rerun with CHM_GOLDEN_PRINT=1 "
         << "and update the pin (note it in CHANGES.md)";
+}
+
+void
+expectGolden(routing::RouterPolicy router, bool hetero, bool autoscale,
+             std::uint64_t pinned)
+{
+    expectSystemGolden("chameleon", router, hetero, autoscale, pinned);
 }
 
 /**
@@ -238,7 +256,8 @@ expectFabricGolden(routing::RouterPolicy router, bool hetero,
                    bool autoscale, std::uint64_t pinned)
 {
     const std::uint64_t hash =
-        runScenario(router, hetero, autoscale, fabric::MigrationPolicy::All)
+        runScenario("chameleon", router, hetero, autoscale,
+                    fabric::MigrationPolicy::All)
             .hash;
     if (std::getenv("CHM_GOLDEN_PRINT") != nullptr) {
         std::printf("GOLDEN fabric %s %s %s 0x%016llxull\n",
@@ -316,22 +335,30 @@ TEST(GoldenTrace, RrHomogFixed)            { expectGolden(routing::RouterPolicy:
 TEST(GoldenTrace, JsqHomogFixed)           { expectGolden(routing::RouterPolicy::JoinShortestQueue,         0, 0, 0x193d20557899761bull); }
 TEST(GoldenTrace, P2cHomogFixed)           { expectGolden(routing::RouterPolicy::PowerOfTwoChoices,         0, 0, 0xb33267c63ea4d6c9ull); }
 TEST(GoldenTrace, AffinityHomogFixed)      { expectGolden(routing::RouterPolicy::AdapterAffinity,           0, 0, 0x1aa30a8968024212ull); }
-TEST(GoldenTrace, AffinityCacheHomogFixed) { expectGolden(routing::RouterPolicy::AdapterAffinityCacheAware, 0, 0, 0x483cf354defc6814ull); }
+TEST(GoldenTrace, AffinityCacheHomogFixed) { expectGolden(affinityCache(), 0, 0, 0x483cf354defc6814ull); }
 TEST(GoldenTrace, RrHeteroFixed)           { expectGolden(routing::RouterPolicy::RoundRobin,                1, 0, 0xdbbe92547cd999dfull); }
 TEST(GoldenTrace, JsqHeteroFixed)          { expectGolden(routing::RouterPolicy::JoinShortestQueue,         1, 0, 0x3db81f8a9caf860aull); }
 TEST(GoldenTrace, P2cHeteroFixed)          { expectGolden(routing::RouterPolicy::PowerOfTwoChoices,         1, 0, 0x3db81f8a9caf860aull); }
 TEST(GoldenTrace, AffinityHeteroFixed)     { expectGolden(routing::RouterPolicy::AdapterAffinity,           1, 0, 0xdf56f8fc9cb131b5ull); }
-TEST(GoldenTrace, AffinityCacheHeteroFixed){ expectGolden(routing::RouterPolicy::AdapterAffinityCacheAware, 1, 0, 0xe3be4ec701d59bf8ull); }
+TEST(GoldenTrace, AffinityCacheHeteroFixed){ expectGolden(affinityCache(), 1, 0, 0xe3be4ec701d59bf8ull); }
 TEST(GoldenTrace, RrHomogAutoscale)        { expectGolden(routing::RouterPolicy::RoundRobin,                0, 1, 0x4e78f9da29d7041eull); }
 TEST(GoldenTrace, JsqHomogAutoscale)       { expectGolden(routing::RouterPolicy::JoinShortestQueue,         0, 1, 0x85f1a69cef347113ull); }
 TEST(GoldenTrace, P2cHomogAutoscale)       { expectGolden(routing::RouterPolicy::PowerOfTwoChoices,         0, 1, 0x82c7dbbf2b52285bull); }
 TEST(GoldenTrace, AffinityHomogAutoscale)  { expectGolden(routing::RouterPolicy::AdapterAffinity,           0, 1, 0x59c5c13a7274a4a4ull); }
-TEST(GoldenTrace, AffinityCacheHomogAutoscale) { expectGolden(routing::RouterPolicy::AdapterAffinityCacheAware, 0, 1, 0xcfd70ffd4810e543ull); }
+TEST(GoldenTrace, AffinityCacheHomogAutoscale) { expectGolden(affinityCache(), 0, 1, 0xcfd70ffd4810e543ull); }
 TEST(GoldenTrace, RrHeteroAutoscale)       { expectGolden(routing::RouterPolicy::RoundRobin,                1, 1, 0x7f6cc439abd705e2ull); }
 TEST(GoldenTrace, JsqHeteroAutoscale)      { expectGolden(routing::RouterPolicy::JoinShortestQueue,         1, 1, 0xd54b21c7c4bab637ull); }
 TEST(GoldenTrace, P2cHeteroAutoscale)      { expectGolden(routing::RouterPolicy::PowerOfTwoChoices,         1, 1, 0x7f73bdfe8bd9a647ull); }
 TEST(GoldenTrace, AffinityHeteroAutoscale) { expectGolden(routing::RouterPolicy::AdapterAffinity,           1, 1, 0xf6e8487ed39745b1ull); }
-TEST(GoldenTrace, AffinityCacheHeteroAutoscale) { expectGolden(routing::RouterPolicy::AdapterAffinityCacheAware, 1, 1, 0x748730f518247018ull); }
+TEST(GoldenTrace, AffinityCacheHeteroAutoscale) { expectGolden(affinityCache(), 1, 1, 0x748730f518247018ull); }
+
+// S-LoRA pins: the baseline adapter manager (discard-on-idle, queued
+// prefetch) under affinity-cache with migration off, so cache-aware
+// routing is pinned for a manager other than the Chameleon cache.
+TEST(GoldenTrace, SloraAffinityCacheHomogFixed)      { expectSystemGolden("slora", affinityCache(), 0, 0, 0xbb519a22398348b3ull); }
+TEST(GoldenTrace, SloraAffinityCacheHeteroFixed)     { expectSystemGolden("slora", affinityCache(), 1, 0, 0xe86db313f57cf30dull); }
+TEST(GoldenTrace, SloraAffinityCacheHomogAutoscale)  { expectSystemGolden("slora", affinityCache(), 0, 1, 0x54cb9ab5e5ba6bd7ull); }
+TEST(GoldenTrace, SloraAffinityCacheHeteroAutoscale) { expectSystemGolden("slora", affinityCache(), 1, 1, 0x3b87fa353ae8baadull); }
 
 // Tenancy pins: PR 7 fair-scheduler behaviour ({wfq, drr} x
 // {single-tenant, 4-tenant storm} x {fixed, autoscale}), recorded
@@ -375,10 +402,12 @@ TEST(GoldenTrace, DirectoryRouterMatchesCacheAwareScan)
         for (const bool autoscale : {false, true}) {
             EXPECT_EQ(
                 runScenario(
+                    "chameleon",
                     routing::RouterPolicy::AdapterAffinityDirectory,
                     hetero, autoscale)
                     .hash,
                 runScenario(
+                    "chameleon",
                     routing::RouterPolicy::AdapterAffinityCacheAware,
                     hetero, autoscale)
                     .hash)
@@ -450,7 +479,8 @@ TEST(GoldenTrace, ClosedLoopHeteroAutoscale)
         << "is intended, rerun with CHM_GOLDEN_PRINT=1 and update the "
         << "pin (note it in CHANGES.md)";
     // And the knobs must actually matter.
-    EXPECT_NE(hash, runScenario(routing::RouterPolicy::JoinShortestQueue,
+    EXPECT_NE(hash, runScenario("chameleon",
+                                routing::RouterPolicy::JoinShortestQueue,
                                 true, true)
                         .hash);
 }
@@ -459,7 +489,8 @@ TEST(GoldenTrace, ClosedLoopHeteroAutoscale)
  * stream stays byte-identical to the pinned pre-fabric scenario. */
 TEST(GoldenTrace, FabricKnobsInertWithMigrationOff)
 {
-    EXPECT_EQ(runScenario(routing::RouterPolicy::AdapterAffinityCacheAware,
+    EXPECT_EQ(runScenario("chameleon",
+                          routing::RouterPolicy::AdapterAffinityCacheAware,
                           true, true, fabric::MigrationPolicy::Off,
                           fabric::TopologyKind::NvLink, 9)
                   .hash,
@@ -479,7 +510,8 @@ TEST(GoldenReport, JsqHomogFixed)
 {
     expectReportFloats(
         "jsq homog fixed",
-        runScenario(routing::RouterPolicy::JoinShortestQueue, false, false)
+        runScenario("chameleon", routing::RouterPolicy::JoinShortestQueue,
+                    false, false)
             .floatBits,
         {0x40222ad77318fc50ull, 0x3ff0000000000000ull, 0x3ff0000000000000ull,
          0x400211056e486228ull, 0x4014042db44b8738ull, 0x3ff0000000000000ull});
