@@ -44,7 +44,7 @@ gridSpec(bool skewed)
     sw.rpsPerReplica = true;
     sw.replicas = {2, 4};
     sw.axes.push_back(sweep::SweepAxis::parse(
-        "cluster.router", {"rr", "jsq", "p2c", "affinity", "affinity-cache"}));
+        "cluster.router", {"rr", "jsq", "p2c", "affinity", "affinity-dir"}));
     sw.workload.durationSeconds = kTraceSeconds;
     sw.workload.adapters = 200;
     sw.workload.adapterPopularity = skewed ? "powerlaw" : "uniform";

@@ -46,7 +46,7 @@ gridSpec()
     sw.loads = {kTotalRps};
     sw.fleets = {"a40x4", "a100-48x2+a40x2", "a100-48x4"};
     sw.axes.push_back(sweep::SweepAxis::parse(
-        "cluster.router", {"rr", "jsq", "p2c", "affinity-cache"}));
+        "cluster.router", {"rr", "jsq", "p2c", "affinity-dir"}));
     sw.workload.durationSeconds = kTraceSeconds;
     sw.workload.adapters = 200;
     sw.workload.adapterPopularity = "powerlaw";

@@ -58,7 +58,7 @@ main(int argc, char **argv)
                               routing::RouterPolicy::JoinShortestQueue,
                               routing::RouterPolicy::PowerOfTwoChoices,
                               routing::RouterPolicy::AdapterAffinity,
-                              routing::RouterPolicy::AdapterAffinityCacheAware}) {
+                              routing::RouterPolicy::AdapterAffinityDirectory}) {
         spec.cluster.router = policy;
         const auto result = core::runSpec(spec, &pool, trace);
         std::printf("%-15s %8.3fs %8.3fs %10lld %7.1f%%\n",

@@ -36,41 +36,6 @@ CacheManager::find(AdapterId id) const
     return it == entries_.end() ? nullptr : &it->second;
 }
 
-void
-CacheManager::notifyLoadStart(AdapterId id)
-{
-    if (residency_ != nullptr)
-        residency_->onLoadStart(replicaIndex_, id);
-}
-
-void
-CacheManager::notifyLoadComplete(AdapterId id)
-{
-    if (residency_ != nullptr)
-        residency_->onLoadComplete(replicaIndex_, id);
-}
-
-void
-CacheManager::notifyEvict(AdapterId id)
-{
-    if (residency_ != nullptr)
-        residency_->onEvict(replicaIndex_, id);
-}
-
-void
-CacheManager::notifyAcquire(AdapterId id, SimTime now)
-{
-    if (residency_ != nullptr)
-        residency_->onAcquire(replicaIndex_, id, now);
-}
-
-void
-CacheManager::notifyRelease(AdapterId id)
-{
-    if (residency_ != nullptr)
-        residency_->onRelease(replicaIndex_, id);
-}
-
 double
 CacheManager::decayedFrequency(const Entry &e, SimTime now) const
 {

@@ -78,14 +78,6 @@ class CacheManager : public serving::AdapterManager
                            sim::SimTime now) override;
     bool tryFreeMemory(std::int64_t bytes) override;
 
-    /** Report every residency transition to the cluster directory. */
-    void setResidencyListener(serving::ResidencyEvents *listener,
-                              int replica) override
-    {
-        residency_ = listener;
-        replicaIndex_ = replica;
-    }
-
     /**
      * Accept adapter weights over a peer link (cache-fabric
      * migration): reserve memory like a predictive prefetch — only
@@ -151,13 +143,6 @@ class CacheManager : public serving::AdapterManager
 
     Entry &entry(model::AdapterId id);
     const Entry *find(model::AdapterId id) const;
-    // Residency-listener notifications (no-ops while unattached; the
-    // listener observes only, so attachment never alters behaviour).
-    void notifyLoadStart(model::AdapterId id);
-    void notifyLoadComplete(model::AdapterId id);
-    void notifyEvict(model::AdapterId id);
-    void notifyAcquire(model::AdapterId id, sim::SimTime now);
-    void notifyRelease(model::AdapterId id);
     void touch(Entry &e, sim::SimTime now);
     double decayedFrequency(const Entry &e, sim::SimTime now) const;
     sim::SimTime startLoad(model::AdapterId id, Entry &e, LoadKind kind,
@@ -191,8 +176,6 @@ class CacheManager : public serving::AdapterManager
     sim::SimTime lastNow_ = 0;
     obs::TraceRecorder *trace_ = nullptr;
     int tracePid_ = 0;
-    serving::ResidencyEvents *residency_ = nullptr;
-    int replicaIndex_ = 0;
 };
 
 } // namespace chameleon::core

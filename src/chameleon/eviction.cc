@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "chameleon/system_spec.h"
 #include "simkit/check.h"
-#include "simkit/rng.h"
 
 namespace chameleon::core {
 
@@ -99,50 +99,23 @@ GdsfEviction::pickVictim(const std::vector<EvictionCandidate> &candidates,
     return best;
 }
 
-std::size_t
-LfuEviction::pickVictim(const std::vector<EvictionCandidate> &candidates,
-                        sim::SimTime)
-{
-    CHM_CHECK(!candidates.empty(), "no eviction candidates");
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < candidates.size(); ++i) {
-        if (candidates[i].frequency < candidates[best].frequency)
-            best = i;
-    }
-    return best;
-}
-
-RandomEviction::RandomEviction(std::uint64_t seed) : state_(seed | 1)
-{
-}
-
-std::size_t
-RandomEviction::pickVictim(const std::vector<EvictionCandidate> &candidates,
-                           sim::SimTime)
-{
-    CHM_CHECK(!candidates.empty(), "no eviction candidates");
-    // SplitMix64 step: deterministic per seed, independent of sim state.
-    const std::uint64_t z = sim::mix64(state_);
-    state_ += 0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(z % candidates.size());
-}
-
 std::unique_ptr<EvictionPolicy>
 makeEvictionPolicy(const std::string &name)
 {
-    if (name == "chameleon")
+    EvictionKind kind = EvictionKind::Paper;
+    if (!evictionPolicyByName(name, &kind))
+        CHM_FATAL("unknown eviction policy: " << name);
+    switch (kind) {
+      case EvictionKind::Paper:
         return std::make_unique<ChameleonEviction>();
-    if (name == "fairshare")
+      case EvictionKind::FairShare:
         return std::make_unique<FairShareEviction>();
-    if (name == "lru")
+      case EvictionKind::Lru:
         return std::make_unique<LruEviction>();
-    if (name == "gdsf")
+      case EvictionKind::Gdsf:
         return std::make_unique<GdsfEviction>();
-    if (name == "lfu")
-        return std::make_unique<LfuEviction>();
-    if (name == "random")
-        return std::make_unique<RandomEviction>();
-    CHM_FATAL("unknown eviction policy: " << name);
+    }
+    CHM_PANIC("unknown eviction kind");
 }
 
 } // namespace chameleon::core

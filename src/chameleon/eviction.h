@@ -112,32 +112,9 @@ class GdsfEviction : public EvictionPolicy
     double aging_ = 0.0;
 };
 
-/** Least-frequently-used (frequency only; recency/size ignored). */
-class LfuEviction : public EvictionPolicy
-{
-  public:
-    const char *name() const override { return "lfu"; }
-    std::size_t pickVictim(const std::vector<EvictionCandidate> &candidates,
-                           sim::SimTime now) override;
-};
-
-/** Seeded random eviction: the sanity floor any policy should beat. */
-class RandomEviction : public EvictionPolicy
-{
-  public:
-    explicit RandomEviction(std::uint64_t seed = 1);
-
-    const char *name() const override { return "random"; }
-    std::size_t pickVictim(const std::vector<EvictionCandidate> &candidates,
-                           sim::SimTime now) override;
-
-  private:
-    std::uint64_t state_;
-};
-
 /**
- * Factory by name: "chameleon", "fairshare", "lru", "gdsf", "lfu",
- * "random".
+ * Factory by name: the names evictionPolicyByName parses ("chameleon",
+ * "fairshare", "lru", "gdsf"). Any other name is a fatal error.
  */
 std::unique_ptr<EvictionPolicy> makeEvictionPolicy(const std::string &name);
 

@@ -337,16 +337,16 @@ SystemSpec::validate() const
            << "credit in prefill tokens";
         err(os);
     }
-    if (fabricEnabled() &&
+    if (fabric.enabled() &&
         adapters.policy != AdapterPolicy::ChameleonCache) {
         std::ostringstream os;
-        os << "the cache fabric (migration '"
+        os << "fabric.migration '"
            << fabric::migrationPolicyName(fabric.migration)
-           << "', router '" << routing::routerPolicyName(cluster.router)
-           << "') needs residency callbacks only the chameleon cache "
-           << "reports; set adapters.policy = "
+           << "' needs peer admission, which only the chameleon cache "
+           << "offers; set adapters.policy = "
            << "AdapterPolicy::ChameleonCache (got "
-           << adapterPolicyName(adapters.policy) << ")";
+           << adapterPolicyName(adapters.policy)
+           << ") or keep migration 'off'";
         err(os);
     }
     if (fabric.topK < 1) {

@@ -20,7 +20,6 @@ routerPolicyName(RouterPolicy policy)
       case RouterPolicy::JoinShortestQueue: return "jsq";
       case RouterPolicy::PowerOfTwoChoices: return "p2c";
       case RouterPolicy::AdapterAffinity: return "affinity";
-      case RouterPolicy::AdapterAffinityCacheAware: return "affinity-cache";
       case RouterPolicy::AdapterAffinityDirectory: return "affinity-dir";
     }
     return "?";
@@ -29,7 +28,7 @@ routerPolicyName(RouterPolicy policy)
 const char *
 routerPolicyNames()
 {
-    return "rr, jsq, p2c, affinity, affinity-cache, affinity-dir";
+    return "rr, jsq, p2c, affinity, affinity-dir";
 }
 
 bool
@@ -43,9 +42,7 @@ routerPolicyByName(const std::string &name, RouterPolicy *out)
         *out = RouterPolicy::PowerOfTwoChoices;
     else if (name == "affinity")
         *out = RouterPolicy::AdapterAffinity;
-    else if (name == "affinity-cache")
-        *out = RouterPolicy::AdapterAffinityCacheAware;
-    else if (name == "affinity-dir")
+    else if (name == "affinity-dir" || name == "affinity-cache")
         *out = RouterPolicy::AdapterAffinityDirectory;
     else
         return false;
@@ -72,7 +69,7 @@ weightedLoad(const ClusterView &view, const std::vector<double> &weights,
  * One dispatch decision's flattened load view. Outstanding counts and
  * weights are read once per replica into a reused buffer, so policies
  * that compare loads several times per decision (the affinity router's
- * residency scan + spill walk + fallback) stop re-querying the view.
+ * resident holders + spill walk + fallback) stop re-querying the view.
  * Nothing dispatches between the snapshot and the decision, and every
  * entry is computed with the exact expression the per-call path used,
  * so decisions are bit-identical.
@@ -210,25 +207,18 @@ class PowerOfTwoChoicesRouter final : public Router
 class AdapterAffinityRouter final : public Router
 {
   public:
-    /** How the router learns residency before falling back to the
-     * hash ring: not at all, by scanning every replica's cache, or by
-     * one residency-directory lookup. */
-    enum class Mode { Hash, Scan, Directory };
-
-    AdapterAffinityRouter(const RouterConfig &config, Mode mode)
-        : config_(config), mode_(mode), ring_(config.virtualNodes)
+    /** `cacheAware`: before the hash ring, prefer the least-loaded
+     * replica holding the adapter (one residency-directory lookup). */
+    AdapterAffinityRouter(const RouterConfig &config, bool cacheAware)
+        : config_(config), cacheAware_(cacheAware),
+          ring_(config.virtualNodes)
     {
     }
 
     const char *
     name() const override
     {
-        switch (mode_) {
-          case Mode::Hash: return "affinity";
-          case Mode::Scan: return "affinity-cache";
-          case Mode::Directory: return "affinity-dir";
-        }
-        return "?";
+        return cacheAware_ ? "affinity-dir" : "affinity";
     }
 
     std::size_t
@@ -245,11 +235,12 @@ class AdapterAffinityRouter final : public Router
             return snapshot_.leastLoaded();
 
         const double limit = spillLimit();
-        if (mode_ == Mode::Directory) {
-            // True cache-hit routing: one directory lookup yields the
+        if (cacheAware_) {
+            // True cache-hit routing: a replica that already holds the
+            // adapter serves it with zero loading cost even if the hash
+            // owner differs (residency left over from spillover, a ring
+            // resize or a migration). One directory lookup yields the
             // holders; pick the least loaded under the spill bound.
-            // Same decision the Scan mode reaches by interrogating all
-            // n replicas, at O(holders) per request.
             view.residentReplicas(request.adapter, &holders_);
             std::size_t best = n;
             double bestLoad = std::numeric_limits<double>::infinity();
@@ -267,31 +258,6 @@ class AdapterAffinityRouter final : public Router
                     trace_->instant(obs::kClusterPid,
                                     obs::Lane::Control,
                                     "route_dir_hit", clock_->now(),
-                                    {{"adapter", request.adapter},
-                                     {"replica", best}});
-                }
-                return best;
-            }
-        } else if (mode_ == Mode::Scan) {
-            // A replica that already holds the adapter serves it with
-            // zero loading cost even if the hash owner differs (e.g.
-            // residency left over from spillover or a ring resize).
-            std::size_t best = n;
-            double bestLoad = std::numeric_limits<double>::infinity();
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!view.adapterResident(i, request.adapter))
-                    continue;
-                const double load = snapshot_.load(i);
-                if (load < bestLoad) {
-                    best = i;
-                    bestLoad = load;
-                }
-            }
-            if (best < n && bestLoad <= limit) {
-                if (trace_ != nullptr) {
-                    trace_->instant(obs::kClusterPid,
-                                    obs::Lane::Control,
-                                    "route_cache_hit", clock_->now(),
                                     {{"adapter", request.adapter},
                                      {"replica", best}});
                 }
@@ -370,7 +336,7 @@ class AdapterAffinityRouter final : public Router
     }
 
     RouterConfig config_;
-    Mode mode_;
+    bool cacheAware_;
     ConsistentHashRing ring_;
     bool ringDirty_ = false;
     LoadSnapshot snapshot_; // reused across decisions
@@ -391,13 +357,10 @@ makeRouter(RouterPolicy policy, const RouterConfig &config)
         return std::make_unique<PowerOfTwoChoicesRouter>(config.seed);
       case RouterPolicy::AdapterAffinity:
         return std::make_unique<AdapterAffinityRouter>(
-            config, AdapterAffinityRouter::Mode::Hash);
-      case RouterPolicy::AdapterAffinityCacheAware:
-        return std::make_unique<AdapterAffinityRouter>(
-            config, AdapterAffinityRouter::Mode::Scan);
+            config, /*cacheAware=*/false);
       case RouterPolicy::AdapterAffinityDirectory:
         return std::make_unique<AdapterAffinityRouter>(
-            config, AdapterAffinityRouter::Mode::Directory);
+            config, /*cacheAware=*/true);
     }
     CHM_PANIC("unknown router policy");
 }

@@ -18,10 +18,10 @@
  *    at O(1) cost and without herd behaviour.
  *  - AdapterAffinity: consistent hashing over adapter ids with
  *    load-aware spillover, optionally cache-aware (prefer replicas
- *    whose adapter cache already holds the request's adapter). Turns N
- *    replicated caches into an effectively partitioned cache and
- *    eliminates repeated PCIe loads of the same hot adapter on every
- *    replica.
+ *    whose adapter manager already holds the request's adapter, as the
+ *    cluster residency directory reports it). Turns N replicated
+ *    caches into an effectively partitioned cache and eliminates
+ *    repeated PCIe loads of the same hot adapter on every replica.
  *
  * All load-comparing policies are capacity-aware: queue depths are
  * divided by ClusterView::serviceWeight before comparison, and the
@@ -70,9 +70,8 @@ class ClusterView
 
     /**
      * View indices of every replica whose cache holds `id` resident,
-     * ascending, into `out` (cleared first). The directory-backed
-     * affinity policy reads this instead of scanning adapterResident
-     * over all replicas: views with a residency directory answer in
+     * ascending, into `out` (cleared first). The cache-aware affinity
+     * policy reads this: views with a residency directory answer in
      * O(holders) per decision. The default derives it from
      * adapterResident — same truth, scan cost — so any view supports
      * the policy.
@@ -132,19 +131,16 @@ enum class RouterPolicy {
     JoinShortestQueue,
     PowerOfTwoChoices,
     AdapterAffinity,
-    AdapterAffinityCacheAware,
     /** Affinity with true cache-hit routing: residency comes from the
      * cluster residency directory (ClusterView::residentReplicas, one
-     * lookup) instead of the cache-aware per-replica scan. Requires a
-     * view backed by the cache fabric's directory to beat the scan;
-     * decisions are identical where both see the same residency. */
+     * lookup per decision). "affinity-cache" parses to it. */
     AdapterAffinityDirectory,
 };
 
 /** Canonical short name (also accepted by routerPolicyByName). */
 const char *routerPolicyName(RouterPolicy policy);
 
-/** Parse a policy name; returns false on unknown names. */
+/** Parse a policy name or alias; returns false on unknown names. */
 bool routerPolicyByName(const std::string &name, RouterPolicy *out);
 
 /** Comma-separated policy names, for error messages. */

@@ -119,16 +119,17 @@ class AdapterManager
 
     /**
      * Attach the cluster residency listener; `replica` is the engine
-     * index this manager reports as. Default: ignore — the baseline
-     * manager keeps nothing idle worth tracking, and an unattached
-     * manager behaves identically either way. Attach before the first
-     * request; there is no replay of pre-attach contents.
+     * index this manager reports as. Every manager reports through the
+     * notify* helpers below, and an unattached manager behaves
+     * identically. Attach before the first request; there is no replay
+     * of pre-attach contents. Virtual so wrapping managers can forward
+     * the listener to the manager they wrap.
      */
     virtual void setResidencyListener(ResidencyEvents *listener,
                                       int replica)
     {
-        (void)listener;
-        (void)replica;
+        residency_ = listener;
+        replicaIndex_ = replica;
     }
 
     /**
@@ -156,6 +157,39 @@ class AdapterManager
     virtual std::int64_t misses() const = 0;
     /** Bytes currently held in the idle-adapter cache (0 for baseline). */
     virtual std::int64_t cachedBytes() const = 0;
+
+  protected:
+    // Residency-listener notifications (no-ops while unattached; the
+    // listener observes only, so attachment never alters behaviour).
+    void notifyLoadStart(model::AdapterId id)
+    {
+        if (residency_ != nullptr)
+            residency_->onLoadStart(replicaIndex_, id);
+    }
+    void notifyLoadComplete(model::AdapterId id)
+    {
+        if (residency_ != nullptr)
+            residency_->onLoadComplete(replicaIndex_, id);
+    }
+    void notifyEvict(model::AdapterId id)
+    {
+        if (residency_ != nullptr)
+            residency_->onEvict(replicaIndex_, id);
+    }
+    void notifyAcquire(model::AdapterId id, sim::SimTime now)
+    {
+        if (residency_ != nullptr)
+            residency_->onAcquire(replicaIndex_, id, now);
+    }
+    void notifyRelease(model::AdapterId id)
+    {
+        if (residency_ != nullptr)
+            residency_->onRelease(replicaIndex_, id);
+    }
+
+  private:
+    ResidencyEvents *residency_ = nullptr;
+    int replicaIndex_ = 0;
 };
 
 } // namespace chameleon::serving

@@ -53,10 +53,12 @@ SLoraAdapterManager::startLoad(AdapterId id, Entry &e, bool prefetch)
     if (!mem_.tryAllocAdapterInUse(bytes))
         return sim::kTimeNever;
     e.state = State::Loading;
+    notifyLoadStart(id);
     e.readyAt = link_.enqueue(bytes, [this, id] {
         auto &ent = entries_[id];
         CHM_CHECK(ent.state == State::Loading, "transfer done on non-loading");
         ent.state = State::Resident;
+        notifyLoadComplete(id);
         maybeDiscard(id, ent);
     });
     return e.readyAt;
@@ -70,6 +72,7 @@ SLoraAdapterManager::maybeDiscard(AdapterId id, Entry &e)
     if (e.state == State::Resident && e.runningRc == 0 && e.queuedRc == 0) {
         mem_.freeAdapterInUse(pool_.spec(id).bytes);
         e.state = State::NotResident;
+        notifyEvict(id);
     }
 }
 
@@ -94,6 +97,7 @@ SLoraAdapterManager::acquire(AdapterId id, SimTime now)
         CHM_PANIC("unreachable adapter state");
     }
     ++e.runningRc;
+    notifyAcquire(id, now);
     return ready;
 }
 
@@ -103,6 +107,7 @@ SLoraAdapterManager::release(AdapterId id)
     Entry &e = entry(id);
     CHM_CHECK(e.runningRc > 0, "release without acquire for adapter " << id);
     --e.runningRc;
+    notifyRelease(id);
     maybeDiscard(id, e);
 }
 
@@ -168,6 +173,7 @@ SLoraAdapterManager::tryFreeMemory(std::int64_t bytes)
         if (e.state == State::Resident && e.runningRc == 0) {
             mem_.freeAdapterInUse(pool_.spec(id).bytes);
             e.state = State::NotResident;
+            notifyEvict(id);
         }
     }
     return mem_.freeBytes() >= bytes;

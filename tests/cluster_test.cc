@@ -226,7 +226,7 @@ TEST(Heterogeneous, ExplicitHomogeneousOverridesMatchTheImplicitFleet)
     model::AdapterPool pool(model::llama7B(), 40);
     auto spec = specFor("chameleon", model::llama7B(), model::a40());
     spec.cluster.replicas = 3;
-    spec.cluster.router = routing::RouterPolicy::AdapterAffinityCacheAware;
+    spec.cluster.router = routing::RouterPolicy::AdapterAffinityDirectory;
 
     auto wl = workload::splitwiseLike();
     wl.rps = 18.0;

@@ -135,3 +135,11 @@ TEST(EvictionFactory, KnownNames)
     EXPECT_STREQ(core::makeEvictionPolicy("fairshare")->name(), "fairshare");
     EXPECT_STREQ(core::makeEvictionPolicy("gdsf")->name(), "gdsf");
 }
+
+TEST(EvictionFactoryDeathTest, RejectsRemovedNames)
+{
+    // One name table: the factory parses through evictionPolicyByName,
+    // so a name the spec cannot carry cannot build a policy either.
+    EXPECT_DEATH(core::makeEvictionPolicy("lfu"),
+                 "unknown eviction policy: lfu");
+}

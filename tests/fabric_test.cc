@@ -6,9 +6,10 @@
  * migration enabled.
  *
  * The tentpole invariant: the ResidencyDirectory — fed only by the
- * cache managers' residency callbacks — never disagrees with the
- * per-replica cache contents it mirrors, under arbitrary interleavings
- * of acquire/release/shrink/peer-admit/evict churn.
+ * adapter managers' residency callbacks — never disagrees with the
+ * per-replica contents it mirrors, under arbitrary interleavings of
+ * acquire/release/shrink/peer-admit/evict churn, for the Chameleon
+ * cache and the S-LoRA baseline alike.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "model/cost_model.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
+#include "serving/slora_adapter_manager.h"
 #include "simkit/simulator.h"
 #include "sweep/sweep_runner.h"
 
@@ -33,7 +35,10 @@ using namespace chameleon;
 
 namespace {
 
-/** A small cluster of real cache managers over one simulator, wired
+/** The adapter manager every replica of a ClusterFixture runs. */
+enum class ManagerKind { ChameleonCache, SLora, SLoraNoPrefetch };
+
+/** A small cluster of real adapter managers over one simulator, wired
  * into one directory exactly as DataParallelCluster wires them. */
 struct ClusterFixture
 {
@@ -46,9 +51,13 @@ struct ClusterFixture
     fabric::ResidencyDirectory directory;
     std::vector<std::unique_ptr<gpu::GpuMemory>> mems;
     std::vector<std::unique_ptr<gpu::PcieLink>> links;
-    std::vector<std::unique_ptr<core::CacheManager>> mgrs;
+    std::vector<std::unique_ptr<serving::AdapterManager>> mgrs;
+    /** The reference model: running references taken and not yet
+     * released, per (replica, adapter). */
+    int refs[kReplicas][kAdapters] = {};
 
-    explicit ClusterFixture(std::int64_t capacity = 120ll << 20)
+    explicit ClusterFixture(std::int64_t capacity = 120ll << 20,
+                            ManagerKind kind = ManagerKind::ChameleonCache)
     {
         for (int r = 0; r < kReplicas; ++r) {
             mems.push_back(
@@ -57,10 +66,90 @@ struct ClusterFixture
                 simulator, [this](std::int64_t bytes) {
                     return cost.adapterLoadTime(bytes);
                 }));
-            mgrs.push_back(std::make_unique<core::CacheManager>(
-                pool, *mems[r], *links[r], cost));
+            if (kind == ManagerKind::ChameleonCache) {
+                mgrs.push_back(std::make_unique<core::CacheManager>(
+                    pool, *mems[r], *links[r], cost));
+            } else {
+                mgrs.push_back(
+                    std::make_unique<serving::SLoraAdapterManager>(
+                        pool, *mems[r], *links[r],
+                        kind == ManagerKind::SLora));
+            }
             mgrs[r]->setResidencyListener(&directory, r);
         }
+    }
+
+    core::CacheManager &
+    cache(int r)
+    {
+        return static_cast<core::CacheManager &>(*mgrs[r]);
+    }
+
+    /** Acquire on `r`, counting the reference only when granted. */
+    bool
+    acquire(int r, model::AdapterId a)
+    {
+        if (mgrs[r]->acquire(a, simulator.now()) == sim::kTimeNever)
+            return false;
+        ++refs[r][a];
+        return true;
+    }
+
+    /** Release one counted reference, if `r` holds any on `a`. */
+    void
+    release(int r, model::AdapterId a)
+    {
+        if (refs[r][a] > 0) {
+            mgrs[r]->release(a);
+            --refs[r][a];
+        }
+    }
+
+    /**
+     * Drain to quiescence so Loading entries settle, then compare the
+     * directory against the ground truth: every manager's residency,
+     * the reference refcounts, and the per-replica and total entry
+     * counts. No refcount may ever go negative.
+     */
+    ::testing::AssertionResult
+    coherent()
+    {
+        simulator.run();
+        std::size_t totalHeld = 0;
+        for (int replica = 0; replica < kReplicas; ++replica) {
+            const auto index = static_cast<std::size_t>(replica);
+            std::size_t held = 0;
+            for (model::AdapterId id = 0; id < kAdapters; ++id) {
+                if (directory.isResident(id, index) !=
+                    mgrs[replica]->isResident(id)) {
+                    return ::testing::AssertionFailure()
+                           << "directory disagrees with replica "
+                           << replica << " about adapter " << id;
+                }
+                const auto *h = directory.holding(id, index);
+                const int refcount = h == nullptr ? 0 : h->refcount;
+                if (refcount < 0 || refcount != refs[replica][id]) {
+                    return ::testing::AssertionFailure()
+                           << "refcount " << refcount << " of adapter "
+                           << id << " on replica " << replica
+                           << ", expected " << refs[replica][id];
+                }
+                held += h != nullptr;
+            }
+            if (directory.replicaEntryCount(index) != held) {
+                return ::testing::AssertionFailure()
+                       << "replica " << replica << " entry count "
+                       << directory.replicaEntryCount(index)
+                       << ", expected " << held;
+            }
+            totalHeld += held;
+        }
+        if (directory.totalEntries() != totalHeld) {
+            return ::testing::AssertionFailure()
+                   << "total entries " << directory.totalEntries()
+                   << ", expected " << totalHeld;
+        }
+        return ::testing::AssertionSuccess();
     }
 };
 
@@ -80,10 +169,6 @@ TEST(FabricDirectory, ChurnNeverDisagreesWithCaches)
         // KV shrinks evict constantly.
         ClusterFixture f;
         std::mt19937_64 rng(seed);
-        // refs[r][a] mirrors the running refcounts we are allowed to
-        // release (the reference model's in-use set).
-        int refs[ClusterFixture::kReplicas][ClusterFixture::kAdapters] =
-            {};
 
         for (int step = 0; step < 400; ++step) {
             const int r = static_cast<int>(
@@ -96,14 +181,10 @@ TEST(FabricDirectory, ChurnNeverDisagreesWithCaches)
               case 1:
                 // A declined acquire (memory pressure, nothing
                 // evictable) takes no reference.
-                if (f.mgrs[r]->acquire(a, now) != sim::kTimeNever)
-                    ++refs[r][a];
+                f.acquire(r, a);
                 break;
               case 2:
-                if (refs[r][a] > 0) {
-                    f.mgrs[r]->release(a);
-                    --refs[r][a];
-                }
+                f.release(r, a);
                 break;
               case 3:
                 f.mgrs[r]->tryFreeMemory(
@@ -115,41 +196,80 @@ TEST(FabricDirectory, ChurnNeverDisagreesWithCaches)
                 f.mgrs[r]->peerAdmit(a, now + 500, now);
                 break;
             }
-            // Drain to quiescence so Loading entries settle, then
-            // compare the directory against the ground truth.
-            f.simulator.run();
-            std::size_t totalHeld = 0;
-            for (int replica = 0; replica < ClusterFixture::kReplicas;
-                 ++replica) {
-                std::size_t held = 0;
-                for (model::AdapterId id = 0;
-                     id < ClusterFixture::kAdapters; ++id) {
-                    const bool cacheSays =
-                        f.mgrs[replica]->isResident(id);
-                    ASSERT_EQ(f.directory.isResident(
-                                  id, static_cast<std::size_t>(replica)),
-                              cacheSays)
-                        << "seed " << seed << " step " << step
-                        << ": directory disagrees with replica "
-                        << replica << " about adapter " << id;
-                    const auto *h = f.directory.holding(
-                        id, static_cast<std::size_t>(replica));
-                    if (h != nullptr) {
-                        ++held;
-                        ASSERT_GE(h->refcount, 0);
-                        ASSERT_EQ(h->refcount, refs[replica][id])
-                            << "seed " << seed << " step " << step;
-                    } else {
-                        ASSERT_EQ(refs[replica][id], 0);
-                    }
-                }
-                ASSERT_EQ(f.directory.replicaEntryCount(
-                              static_cast<std::size_t>(replica)),
-                          held);
-                totalHeld += held;
-            }
-            ASSERT_EQ(f.directory.totalEntries(), totalHeld);
+            ASSERT_TRUE(f.coherent()) << "seed " << seed << " step " << step;
         }
+    }
+}
+
+/**
+ * The same churn against the S-LoRA baseline, with queued prefetch on
+ * and off: discard-on-idle after the last release or dequeue, the
+ * reclaim of prefetched adapters in tryFreeMemory, and declined
+ * acquires (which must report nothing) all keep the directory exact.
+ */
+TEST(FabricDirectory, SLoraChurnNeverDisagreesWithManagers)
+{
+    for (const auto kind :
+         {ManagerKind::SLora, ManagerKind::SLoraNoPrefetch}) {
+        int discards = 0;
+        int reclaims = 0;
+        int declined = 0;
+        for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+            ClusterFixture f(120ll << 20, kind);
+            std::mt19937_64 rng(seed);
+            // Queued requests per (replica, adapter), for dequeues.
+            int queued[ClusterFixture::kReplicas]
+                      [ClusterFixture::kAdapters] = {};
+
+            for (int step = 0; step < 400; ++step) {
+                const int r = static_cast<int>(
+                    rng() % ClusterFixture::kReplicas);
+                const int a = static_cast<int>(
+                    rng() % ClusterFixture::kAdapters);
+                const auto now = f.simulator.now();
+                const std::size_t entriesBefore =
+                    f.directory.totalEntries();
+                switch (rng() % 6) {
+                  case 0:
+                  case 1:
+                    if (!f.acquire(r, a)) {
+                        ++declined;
+                        ASSERT_EQ(f.directory.totalEntries(),
+                                  entriesBefore)
+                            << "a declined acquire reported residency";
+                    }
+                    break;
+                  case 2:
+                    f.release(r, a);
+                    discards += f.directory.totalEntries() <
+                                entriesBefore;
+                    break;
+                  case 3:
+                    f.mgrs[r]->onRequestQueued(a, now);
+                    ++queued[r][a];
+                    break;
+                  case 4:
+                    if (queued[r][a] > 0) {
+                        f.mgrs[r]->onRequestDequeued(a);
+                        --queued[r][a];
+                    }
+                    break;
+                  default:
+                    f.mgrs[r]->tryFreeMemory(
+                        static_cast<std::int64_t>(rng() % (60ll << 20)));
+                    reclaims += f.directory.totalEntries() < entriesBefore;
+                    break;
+                }
+                ASSERT_TRUE(f.coherent())
+                    << "seed " << seed << " step " << step
+                    << (kind == ManagerKind::SLora ? ", prefetch on"
+                                                   : ", prefetch off");
+            }
+        }
+        // Every path the test is about actually ran.
+        EXPECT_GT(discards, 0);
+        EXPECT_GT(reclaims, 0);
+        EXPECT_GT(declined, 0);
     }
 }
 
@@ -229,7 +349,7 @@ TEST(CacheFabric, ScaleUpWarmsFromPeersNotHost)
 
     EXPECT_TRUE(f.mgrs[1]->isResident(4));
     EXPECT_TRUE(f.mgrs[1]->isResident(5));
-    EXPECT_EQ(f.mgrs[1]->peerLoads(), 2);
+    EXPECT_EQ(f.cache(1).peerLoads(), 2);
     EXPECT_EQ(f.links[1]->totalTransfers(), hostTransfersBefore);
     EXPECT_EQ(fab.migrations(), 2);
     EXPECT_GT(fab.peerBytes(), 0);
@@ -305,6 +425,8 @@ TEST(FabricSpecRejection, UnknownTopologyInSpecJson)
     EXPECT_NE(error.find("nvlink"), std::string::npos) << error;
 }
 
+/** Migration admits weights through peerAdmit, which only the
+ * Chameleon cache implements. */
 TEST(FabricSpecRejection, FabricNeedsChameleonCache)
 {
     std::string error;
@@ -314,7 +436,28 @@ TEST(FabricSpecRejection, FabricNeedsChameleonCache)
             "cluster": {"replicas": 2}})",
         &error);
     EXPECT_FALSE(spec.has_value());
-    EXPECT_NE(error.find("fabric"), std::string::npos) << error;
+    EXPECT_NE(error.find("fabric.migration"), std::string::npos) << error;
+}
+
+/** Every adapter manager feeds the residency directory, so the
+ * directory-backed router validates (and builds the fabric) for each
+ * adapter policy, `affinity-cache` included. */
+TEST(FabricSpecRejection, DirectoryRouterTakesEveryAdapterPolicy)
+{
+    for (const char *policy : {"slora", "on-demand", "chameleon-cache"}) {
+        for (const char *router : {"affinity-dir", "affinity-cache"}) {
+            std::string error;
+            const auto spec = core::specFromJson(
+                std::string(R"({"adapters": {"policy": ")") + policy +
+                    R"("}, "cluster": {"replicas": 2, "router": ")" +
+                    router + R"("}})",
+                &error);
+            ASSERT_TRUE(spec.has_value()) << policy << ": " << error;
+            EXPECT_EQ(spec->cluster.router,
+                      routing::RouterPolicy::AdapterAffinityDirectory);
+            EXPECT_TRUE(spec->fabricEnabled()) << policy;
+        }
+    }
 }
 
 TEST(FabricSpecRejection, UnknownMigrationInSweepAxis)

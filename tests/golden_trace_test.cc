@@ -329,7 +329,10 @@ expectReportFloats(const char *scenario,
 // hetero-aware (demand divides by the active set's aggregate nominal
 // rate instead of assuming every replica is the reference — mixed
 // fleets now scale differently by design; homogeneous decisions are
-// arithmetically identical). Regenerate with CHM_GOLDEN_PRINT=1.
+// arithmetically identical). The AffinityCache* rows parse
+// "affinity-cache", an alias of affinity-dir since the per-replica
+// residency scan was removed: the directory router reproduces the
+// scan's streams byte for byte. Regenerate with CHM_GOLDEN_PRINT=1.
 // clang-format off
 TEST(GoldenTrace, RrHomogFixed)            { expectGolden(routing::RouterPolicy::RoundRobin,                0, 0, 0xf45b4dbc974c73cfull); }
 TEST(GoldenTrace, JsqHomogFixed)           { expectGolden(routing::RouterPolicy::JoinShortestQueue,         0, 0, 0x193d20557899761bull); }
@@ -364,7 +367,7 @@ TEST(GoldenTrace, SloraAffinityCacheHeteroAutoscale) { expectSystemGolden("slora
 // {single-tenant, 4-tenant storm} x {fixed, autoscale}), recorded
 // before the PR 8 event-queue/pool rebuild and asserted unchanged
 // across it. Storm runs use the bounded fig29 drain window.
-// Cache-fabric pins: {affinity-dir, affinity-cache} x {homog, hetero}
+// Cache-fabric pins: affinity-dir x {homog, hetero}
 // x {fixed, autoscale} with migration "all" over the pcie peer
 // topology. Fixed fleets never trigger a migration (the only remap is
 // at construction, before any heat exists), so those four pin that the
@@ -375,10 +378,6 @@ TEST(GoldenTrace, FabricDirHomogFixed)          { expectFabricGolden(routing::Ro
 TEST(GoldenTrace, FabricDirHeteroFixed)         { expectFabricGolden(routing::RouterPolicy::AdapterAffinityDirectory,  1, 0, 0xe3be4ec701d59bf8ull); }
 TEST(GoldenTrace, FabricDirHomogAutoscale)      { expectFabricGolden(routing::RouterPolicy::AdapterAffinityDirectory,  0, 1, 0x6bbfe18965fcf889ull); }
 TEST(GoldenTrace, FabricDirHeteroAutoscale)     { expectFabricGolden(routing::RouterPolicy::AdapterAffinityDirectory,  1, 1, 0xd568b212e4e944caull); }
-TEST(GoldenTrace, FabricCacheHomogFixed)        { expectFabricGolden(routing::RouterPolicy::AdapterAffinityCacheAware, 0, 0, 0x483cf354defc6814ull); }
-TEST(GoldenTrace, FabricCacheHeteroFixed)       { expectFabricGolden(routing::RouterPolicy::AdapterAffinityCacheAware, 1, 0, 0xe3be4ec701d59bf8ull); }
-TEST(GoldenTrace, FabricCacheHomogAutoscale)    { expectFabricGolden(routing::RouterPolicy::AdapterAffinityCacheAware, 0, 1, 0x6bbfe18965fcf889ull); }
-TEST(GoldenTrace, FabricCacheHeteroAutoscale)   { expectFabricGolden(routing::RouterPolicy::AdapterAffinityCacheAware, 1, 1, 0xd568b212e4e944caull); }
 
 TEST(GoldenTrace, WfqSingleFixed)     { expectTenantGolden("wfq", 1, 0, 0, 0xdf5c533bcbfe241aull); }
 TEST(GoldenTrace, WfqStormFixed)      { expectTenantGolden("wfq", 4, 1, 0, 0xcb4051efba9cf7d0ull); }
@@ -387,35 +386,6 @@ TEST(GoldenTrace, DrrSingleFixed)     { expectTenantGolden("drr", 1, 0, 0, 0xdda
 TEST(GoldenTrace, DrrStormFixed)      { expectTenantGolden("drr", 4, 1, 0, 0x67486ae747e7f57bull); }
 TEST(GoldenTrace, DrrStormAutoscale)  { expectTenantGolden("drr", 4, 1, 1, 0x3b3c8e13ca97af96ull); }
 // clang-format on
-
-/**
- * With migration off, the directory router must route exactly like the
- * cache-aware scan it replaces — the directory is a coherent mirror of
- * the same per-replica residency the scan reads. The AffinityCache*
- * pins above hold these streams byte-identical to the pre-fabric
- * seeds, so this equivalence transitively pins affinity-dir's
- * migration-off behaviour without four more constants.
- */
-TEST(GoldenTrace, DirectoryRouterMatchesCacheAwareScan)
-{
-    for (const bool hetero : {false, true}) {
-        for (const bool autoscale : {false, true}) {
-            EXPECT_EQ(
-                runScenario(
-                    "chameleon",
-                    routing::RouterPolicy::AdapterAffinityDirectory,
-                    hetero, autoscale)
-                    .hash,
-                runScenario(
-                    "chameleon",
-                    routing::RouterPolicy::AdapterAffinityCacheAware,
-                    hetero, autoscale)
-                    .hash)
-                << (hetero ? "hetero" : "homog")
-                << (autoscale ? ", autoscale" : ", fixed");
-        }
-    }
-}
 
 /**
  * Knobs-on pin for the PR 10 closed-loop control plane: measured
@@ -489,9 +459,7 @@ TEST(GoldenTrace, ClosedLoopHeteroAutoscale)
  * stream stays byte-identical to the pinned pre-fabric scenario. */
 TEST(GoldenTrace, FabricKnobsInertWithMigrationOff)
 {
-    EXPECT_EQ(runScenario("chameleon",
-                          routing::RouterPolicy::AdapterAffinityCacheAware,
-                          true, true, fabric::MigrationPolicy::Off,
+    EXPECT_EQ(runScenario("chameleon", affinityCache(), true, true, fabric::MigrationPolicy::Off,
                           fabric::TopologyKind::NvLink, 9)
                   .hash,
               0x748730f518247018ull)

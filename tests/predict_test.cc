@@ -1,11 +1,12 @@
 /**
  * @file
- * Unit tests for the output-length predictor and the histogram-based
- * load predictor.
+ * Unit tests for the output-length predictors (BERT proxy and online
+ * history EWMA) and the histogram-based load predictor.
  */
 
 #include <gtest/gtest.h>
 
+#include "predict/history_predictor.h"
 #include "predict/length_predictor.h"
 #include "predict/load_predictor.h"
 #include "simkit/time.h"
@@ -131,4 +132,59 @@ TEST(LoadPredictor, TopKRespectsK)
     const auto hot = lp.hottest(sim::fromSeconds(10), 3);
     ASSERT_EQ(hot.size(), 3u);
     EXPECT_EQ(hot[0], 9);
+}
+
+// ------------------------------------------------- history predictor
+
+TEST(HistoryPredictor, ColdStartUsesDefault)
+{
+    predict::HistoryLengthPredictor p(0.2, 64);
+    workload::Request r;
+    r.adapter = 3;
+    EXPECT_EQ(p.predict(r), 64);
+}
+
+TEST(HistoryPredictor, LearnsPerAdapterMeans)
+{
+    predict::HistoryLengthPredictor p(0.5);
+    workload::Request short_req;
+    short_req.adapter = 1;
+    short_req.outputTokens = 10;
+    workload::Request long_req;
+    long_req.adapter = 2;
+    long_req.outputTokens = 400;
+    for (int i = 0; i < 20; ++i) {
+        p.observe(short_req);
+        p.observe(long_req);
+    }
+    EXPECT_NEAR(static_cast<double>(p.predict(short_req)), 10.0, 2.0);
+    EXPECT_NEAR(static_cast<double>(p.predict(long_req)), 400.0, 20.0);
+    EXPECT_EQ(p.observations(), 40);
+}
+
+TEST(HistoryPredictor, GlobalFallbackForUnseenAdapter)
+{
+    predict::HistoryLengthPredictor p(0.5, 64);
+    workload::Request seen;
+    seen.adapter = 1;
+    seen.outputTokens = 100;
+    p.observe(seen);
+    workload::Request unseen;
+    unseen.adapter = 9;
+    // Falls back to the global EWMA (100), not the cold default (64).
+    EXPECT_EQ(p.predict(unseen), 100);
+}
+
+TEST(HistoryPredictor, TracksDrift)
+{
+    predict::HistoryLengthPredictor p(0.3);
+    workload::Request r;
+    r.adapter = 5;
+    r.outputTokens = 50;
+    for (int i = 0; i < 10; ++i)
+        p.observe(r);
+    r.outputTokens = 300;
+    for (int i = 0; i < 20; ++i)
+        p.observe(r);
+    EXPECT_NEAR(static_cast<double>(p.predict(r)), 300.0, 30.0);
 }

@@ -69,7 +69,7 @@ TEST(RouterPolicy, NamesRoundTrip)
     for (const auto policy :
          {RouterPolicy::RoundRobin, RouterPolicy::JoinShortestQueue,
           RouterPolicy::PowerOfTwoChoices, RouterPolicy::AdapterAffinity,
-          RouterPolicy::AdapterAffinityCacheAware}) {
+          RouterPolicy::AdapterAffinityDirectory}) {
         RouterPolicy parsed;
         ASSERT_TRUE(routing::routerPolicyByName(
             routing::routerPolicyName(policy), &parsed));
@@ -82,6 +82,9 @@ TEST(RouterPolicy, NamesRoundTrip)
     EXPECT_FALSE(routing::routerPolicyByName("nope", &parsed));
     EXPECT_TRUE(routing::routerPolicyByName("round-robin", &parsed));
     EXPECT_EQ(parsed, RouterPolicy::RoundRobin);
+    // Parse-only alias of the cache-aware policy.
+    EXPECT_TRUE(routing::routerPolicyByName("affinity-cache", &parsed));
+    EXPECT_EQ(parsed, RouterPolicy::AdapterAffinityDirectory);
 }
 
 TEST(ConsistentHash, OwnerIsStableAndBalanced)
@@ -250,7 +253,7 @@ TEST(AffinityRouter, CacheAwareVariantPrefersResidentReplica)
     auto plain =
         routing::makeRouter(routing::RouterPolicy::AdapterAffinity);
     auto aware = routing::makeRouter(
-        routing::RouterPolicy::AdapterAffinityCacheAware);
+        routing::RouterPolicy::AdapterAffinityDirectory);
     FakeView view;
     view.loads = {0, 0, 0, 0};
     const model::AdapterId adapter = 21;

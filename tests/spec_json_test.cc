@@ -117,7 +117,7 @@ randomSpec(sim::Rng &rng)
         routing::RouterPolicy::JoinShortestQueue,
         routing::RouterPolicy::PowerOfTwoChoices,
         routing::RouterPolicy::AdapterAffinity,
-        routing::RouterPolicy::AdapterAffinityCacheAware};
+        routing::RouterPolicy::AdapterAffinityDirectory};
     spec.cluster.router = routers[rng.nextBelow(5)];
     spec.cluster.routerConfig.seed = rng();
     spec.cluster.routerConfig.virtualNodes =
