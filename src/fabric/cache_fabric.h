@@ -3,7 +3,7 @@
  * The cache fabric: residency directory + peer-to-peer migration.
  *
  * Ties the cluster's per-replica adapter caches into one fabric. The
- * ResidencyDirectory (kept coherent by cache-manager callbacks) gives
+ * ResidencyDirectory (kept coherent by adapter-manager callbacks) gives
  * routers true cache-hit routing; the TransferTopology models the
  * peer links hot adapters migrate over when the cluster changes shape:
  *

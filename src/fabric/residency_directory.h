@@ -3,15 +3,15 @@
  * Cluster-wide adapter residency directory (ROADMAP open item 4).
  *
  * One map, adapter -> {replica, tier, refcount, last-use}, kept
- * coherent by the cache managers' residency callbacks
+ * coherent by the adapter managers' residency callbacks
  * (serving::ResidencyEvents): every load start/complete, eviction,
  * acquire, and release on any replica lands here at the instant it
  * happens, so the directory never disagrees with the per-replica cache
  * contents (the fabric test suite churns exactly this invariant). Two
  * consumers read it:
  *
- *  - the `affinity-dir` router, which replaces the cache-aware O(n)
- *    residency scan with one directory lookup per decision;
+ *  - the `affinity-dir` router, which answers "who holds this
+ *    adapter" with one directory lookup per decision;
  *  - the migration planner (CacheFabric), which needs "who holds this
  *    adapter" and "what is hot" to move weights replica-to-replica.
  *

@@ -79,12 +79,6 @@ struct ClusterFixture
         }
     }
 
-    core::CacheManager &
-    cache(int r)
-    {
-        return static_cast<core::CacheManager &>(*mgrs[r]);
-    }
-
     /** Acquire on `r`, counting the reference only when granted. */
     bool
     acquire(int r, model::AdapterId a)
@@ -349,7 +343,7 @@ TEST(CacheFabric, ScaleUpWarmsFromPeersNotHost)
 
     EXPECT_TRUE(f.mgrs[1]->isResident(4));
     EXPECT_TRUE(f.mgrs[1]->isResident(5));
-    EXPECT_EQ(f.cache(1).peerLoads(), 2);
+    EXPECT_EQ(static_cast<core::CacheManager &>(*f.mgrs[1]).peerLoads(), 2);
     EXPECT_EQ(f.links[1]->totalTransfers(), hostTransfersBefore);
     EXPECT_EQ(fab.migrations(), 2);
     EXPECT_GT(fab.peerBytes(), 0);
