@@ -17,29 +17,45 @@ CacheManager::CacheManager(const model::AdapterPool &pool,
     : pool_(pool), mem_(mem), link_(link), cost_(cost),
       config_(std::move(config)),
       policy_(makeEvictionPolicy(config_.evictionPolicy)),
-      loadPredictor_(120.0)
+      loadPredictor_(120.0),
+      entries_(static_cast<std::size_t>(pool.size()))
 {
     if (config_.minFreeBytes < 0)
         config_.minFreeBytes = mem_.capacity() / 25; // auto: 4% headroom
 }
 
+std::size_t
+CacheManager::index(AdapterId id) const
+{
+    CHM_CHECK(id >= 0 && static_cast<std::size_t>(id) < entries_.size(),
+              "adapter id out of range: " << id);
+    return static_cast<std::size_t>(id);
+}
+
 CacheManager::Entry &
 CacheManager::entry(AdapterId id)
 {
-    return entries_[id];
+    return entries_[index(id)];
 }
 
-const CacheManager::Entry *
-CacheManager::find(AdapterId id) const
+const CacheManager::Entry &
+CacheManager::entry(AdapterId id) const
 {
-    auto it = entries_.find(id);
-    return it == entries_.end() ? nullptr : &it->second;
+    return entries_[index(id)];
+}
+
+std::int64_t
+CacheManager::pinnedIdleShare(AdapterId id, const Entry &e) const
+{
+    const bool pinnedIdle = e.state == State::Resident && e.runningRc == 0 &&
+                            e.queuedRc > 0;
+    return pinnedIdle ? pool_.spec(id).bytes : 0;
 }
 
 double
 CacheManager::decayedFrequency(const Entry &e, SimTime now) const
 {
-    const double dt = sim::toSeconds(now - e.lastFreqTouch);
+    const double dt = sim::toSeconds(now - e.lastUsed);
     return e.frequency * std::exp(-dt / config_.frequencyTauSeconds);
 }
 
@@ -47,15 +63,13 @@ void
 CacheManager::touch(Entry &e, SimTime now)
 {
     e.frequency = decayedFrequency(e, now) + 1.0;
-    e.lastFreqTouch = now;
     e.lastUsed = now;
 }
 
 bool
 CacheManager::isResident(AdapterId id) const
 {
-    const Entry *e = find(id);
-    return e && e->state == State::Resident;
+    return entry(id).state == State::Resident;
 }
 
 std::int64_t
@@ -64,22 +78,13 @@ CacheManager::cachedBytes() const
     return mem_.adapterCacheBytes();
 }
 
-std::size_t
-CacheManager::cachedCount() const
-{
-    std::size_t n = 0;
-    for (const auto &[id, e] : entries_) {
-        if (e.state == State::Resident && e.runningRc == 0)
-            ++n;
-    }
-    return n;
-}
-
 std::vector<EvictionCandidate>
 CacheManager::collectCandidates(bool includePinned, SimTime now) const
 {
     std::vector<EvictionCandidate> out;
-    for (const auto &[id, e] : entries_) {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        const Entry &e = entries_[i];
+        const auto id = static_cast<AdapterId>(i);
         if (e.state != State::Resident || e.runningRc != 0)
             continue; // in use or absent: never evictable (§4.2.2)
         const bool pinned = e.queuedRc > 0;
@@ -102,15 +107,10 @@ CacheManager::collectCandidates(bool includePinned, SimTime now) const
 std::int64_t
 CacheManager::evictableBytes(bool includePinned) const
 {
-    std::int64_t total = 0;
-    for (const auto &[id, e] : entries_) {
-        if (e.state != State::Resident || e.runningRc != 0)
-            continue;
-        if (e.queuedRc > 0 && !includePinned)
-            continue;
-        total += pool_.spec(id).bytes;
-    }
-    return total;
+    // Every idle resident adapter sits in the cache bucket, and only
+    // this manager fills or drains it.
+    const std::int64_t cached = mem_.adapterCacheBytes();
+    return includePinned ? cached : cached - pinnedIdleBytes_;
 }
 
 bool
@@ -121,15 +121,23 @@ CacheManager::evictUntilFree(std::int64_t bytes, bool includePinned,
     // that cannot be reached anyway.
     if (mem_.freeBytes() + evictableBytes(includePinned) < bytes)
         return false;
+    if (mem_.freeBytes() >= bytes)
+        return true;
+    // One candidate pass per shrink: nothing but the victim changes
+    // inside the loop, so dropping it in place (order kept) leaves the
+    // set a rebuild would produce.
+    auto candidates = collectCandidates(includePinned, now);
     while (mem_.freeBytes() < bytes) {
-        auto candidates = collectCandidates(includePinned, now);
         if (candidates.empty())
             return false;
         const std::size_t victim = policy_->pickVictim(candidates, now);
         const AdapterId vid = candidates[victim].id;
-        Entry &ve = entries_[vid];
+        candidates.erase(candidates.begin() +
+                         static_cast<std::ptrdiff_t>(victim));
+        Entry &ve = entry(vid);
         CHM_CHECK(ve.state == State::Resident && ve.runningRc == 0,
                   "evicting a non-idle adapter");
+        pinnedIdleBytes_ -= pinnedIdleShare(vid, ve);
         mem_.freeAdapterCache(pool_.spec(vid).bytes);
         ve.state = State::NotResident;
         ++evictions_;
@@ -222,12 +230,12 @@ CacheManager::startLoad(AdapterId id, Entry &e, LoadKind kind, SimTime now)
                         {{"adapter", id}, {"bytes", bytes}});
     }
     e.state = State::Loading;
-    e.prefetched = kind != LoadKind::Demand;
     notifyLoadStart(id);
     e.readyAt = link_.enqueue(bytes, [this, id] {
-        auto &ent = entries_[id];
+        auto &ent = entry(id);
         CHM_CHECK(ent.state == State::Loading, "transfer done, not loading");
         ent.state = State::Resident;
+        pinnedIdleBytes_ += pinnedIdleShare(id, ent);
         if (ent.runningRc == 0) {
             // Landed as a prefetch: it sits in the cache until claimed.
             mem_.moveInUseToCache(pool_.spec(id).bytes);
@@ -266,17 +274,17 @@ CacheManager::peerAdmit(AdapterId id, SimTime readyAt, SimTime now)
                         {{"adapter", id}, {"bytes", bytes}});
     }
     e.state = State::Loading;
-    e.prefetched = true;
     e.readyAt = std::max(readyAt, now);
     notifyLoadStart(id);
     // The weights ride a peer link modelled by the fabric, not the
     // host PcieLink: schedule the Resident flip directly, so host PCIe
     // counters stay flat for migrated adapters.
     link_.simulator().scheduleAt(e.readyAt, [this, id] {
-        auto &ent = entries_[id];
+        auto &ent = entry(id);
         CHM_CHECK(ent.state == State::Loading,
                   "peer transfer done, not loading");
         ent.state = State::Resident;
+        pinnedIdleBytes_ += pinnedIdleShare(id, ent);
         if (ent.runningRc == 0) {
             // Landed unclaimed: it sits in the cache until acquired.
             mem_.moveInUseToCache(pool_.spec(id).bytes);
@@ -294,8 +302,10 @@ CacheManager::acquire(AdapterId id, SimTime now)
     SimTime ready;
     switch (e.state) {
       case State::Resident:
-        if (e.runningRc == 0)
+        if (e.runningRc == 0) {
+            pinnedIdleBytes_ -= pinnedIdleShare(id, e);
             mem_.moveCacheToInUse(pool_.spec(id).bytes);
+        }
         ready = now;
         break;
       case State::Loading:
@@ -310,7 +320,6 @@ CacheManager::acquire(AdapterId id, SimTime now)
         CHM_PANIC("unreachable adapter state");
     }
     ++e.runningRc;
-    e.prefetched = false;
     touch(e, now);
     notifyAcquire(id, now);
     return ready;
@@ -329,6 +338,7 @@ CacheManager::release(AdapterId id)
             // Adapters still referenced by queued requests are always
             // kept - discarding them would force an immediate refetch.
             mem_.moveInUseToCache(pool_.spec(id).bytes);
+            pinnedIdleBytes_ += pinnedIdleShare(id, e);
         } else {
             // Under memory pressure caching an unreferenced adapter
             // would immediately interfere with KV growth; hand the
@@ -343,8 +353,7 @@ CacheManager::release(AdapterId id)
 bool
 CacheManager::canMakeResident(AdapterId id) const
 {
-    const Entry *e = find(id);
-    if (e && e->state != State::NotResident)
+    if (entry(id).state != State::NotResident)
         return true;
     const auto bytes = pool_.spec(id).bytes;
     return bytes <= mem_.freeBytes() + evictableBytes(/*includePinned=*/true);
@@ -355,8 +364,12 @@ CacheManager::onRequestQueued(AdapterId id, SimTime now)
 {
     lastNow_ = now;
     Entry &e = entry(id);
+    pinnedIdleBytes_ -= pinnedIdleShare(id, e);
     ++e.queuedRc;
-    loadPredictor_.recordArrival(id, now);
+    pinnedIdleBytes_ += pinnedIdleShare(id, e);
+    // Only predictive prefetch reads the arrival histogram.
+    if (config_.predictivePrefetch)
+        loadPredictor_.recordArrival(id, now);
     // Hit/miss accounting is per arriving request: a hit means the
     // weights were already resident (in use or cached) at arrival.
     if (e.state == State::Resident) {
@@ -373,7 +386,9 @@ CacheManager::onRequestDequeued(AdapterId id)
 {
     Entry &e = entry(id);
     CHM_CHECK(e.queuedRc > 0, "dequeue without queue ref for " << id);
+    pinnedIdleBytes_ -= pinnedIdleShare(id, e);
     --e.queuedRc;
+    pinnedIdleBytes_ += pinnedIdleShare(id, e);
 }
 
 void

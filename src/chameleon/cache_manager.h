@@ -21,8 +21,9 @@
 #ifndef CHAMELEON_CHAMELEON_CACHE_MANAGER_H
 #define CHAMELEON_CHAMELEON_CACHE_MANAGER_H
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "chameleon/eviction.h"
 #include "gpu/gpu_memory.h"
@@ -100,8 +101,11 @@ class CacheManager : public serving::AdapterManager
         tracePid_ = pid;
     }
 
-    /** Cached (idle, evictable) adapter count. */
-    std::size_t cachedCount() const;
+    /**
+     * Bytes a shrink could reclaim: idle resident adapters, those
+     * pinned by queued requests only when `includePinned`. O(1).
+     */
+    std::int64_t evictableBytes(bool includePinned) const;
     /** Total evictions performed. */
     std::int64_t evictions() const { return evictions_; }
     /** Evictions triggered by KV/memory shrink requests. */
@@ -119,7 +123,7 @@ class CacheManager : public serving::AdapterManager
     const EvictionPolicy &policy() const { return *policy_; }
 
   private:
-    enum class State { NotResident, Loading, Resident };
+    enum class State : std::uint8_t { NotResident, Loading, Resident };
 
     struct Entry
     {
@@ -127,11 +131,9 @@ class CacheManager : public serving::AdapterManager
         int runningRc = 0;
         int queuedRc = 0;
         sim::SimTime readyAt = 0;
+        /** Last acquire; also the reference time of `frequency`. */
         sim::SimTime lastUsed = 0;
-        sim::SimTime lastFreqTouch = 0;
         double frequency = 0.0;
-        /** Transfer was started by prefetch and is still unclaimed. */
-        bool prefetched = false;
     };
 
     /** What triggered a transfer; governs how aggressive it may be. */
@@ -141,8 +143,12 @@ class CacheManager : public serving::AdapterManager
         PredictivePrefetch, ///< Speculation: leaves the watermark free.
     };
 
+    /** `id` as an index into entries_; range-checked. */
+    std::size_t index(model::AdapterId id) const;
     Entry &entry(model::AdapterId id);
-    const Entry *find(model::AdapterId id) const;
+    const Entry &entry(model::AdapterId id) const;
+    /** Bytes `e` adds to pinnedIdleBytes_ (0 unless idle and pinned). */
+    std::int64_t pinnedIdleShare(model::AdapterId id, const Entry &e) const;
     void touch(Entry &e, sim::SimTime now);
     double decayedFrequency(const Entry &e, sim::SimTime now) const;
     sim::SimTime startLoad(model::AdapterId id, Entry &e, LoadKind kind,
@@ -152,7 +158,6 @@ class CacheManager : public serving::AdapterManager
                         sim::SimTime now);
     std::vector<EvictionCandidate> collectCandidates(bool includePinned,
                                                      sim::SimTime now) const;
-    std::int64_t evictableBytes(bool includePinned) const;
 
     const model::AdapterPool &pool_;
     gpu::GpuMemory &mem_;
@@ -161,7 +166,13 @@ class CacheManager : public serving::AdapterManager
     CacheConfig config_;
     std::unique_ptr<EvictionPolicy> policy_;
     predict::HistogramLoadPredictor loadPredictor_;
-    std::unordered_map<model::AdapterId, Entry> entries_;
+    /** Per-adapter state, indexed by adapter id (ids are dense). */
+    std::vector<Entry> entries_;
+    /**
+     * Bytes of Resident entries with no running but some queued
+     * reference: the cache bytes a pinned-sparing shrink may not take.
+     */
+    std::int64_t pinnedIdleBytes_ = 0;
     std::int64_t hits_ = 0;
     std::int64_t misses_ = 0;
     std::int64_t evictions_ = 0;

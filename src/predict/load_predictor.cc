@@ -27,20 +27,23 @@ HistogramLoadPredictor::expire(History &h, SimTime now) const
 void
 HistogramLoadPredictor::recordArrival(model::AdapterId id, SimTime t)
 {
-    auto &h = history_[id];
+    CHM_CHECK(id >= 0, "adapter id out of range: " << id);
+    const auto i = static_cast<std::size_t>(id);
+    if (i >= history_.size())
+        history_.resize(i + 1);
+    auto &h = history_[i];
     expire(h, t);
     h.arrivals.push_back(t);
-    h.lastArrival = t;
 }
 
 double
 HistogramLoadPredictor::hotness(model::AdapterId id, SimTime now) const
 {
-    auto it = history_.find(id);
-    if (it == history_.end())
+    if (id < 0 || static_cast<std::size_t>(id) >= history_.size())
         return 0.0;
-    expire(it->second, now);
-    const auto &arrivals = it->second.arrivals;
+    auto &h = history_[static_cast<std::size_t>(id)];
+    expire(h, now);
+    const auto &arrivals = h.arrivals;
     if (arrivals.empty())
         return 0.0;
     // Median inter-arrival gap inside the window.
@@ -144,7 +147,8 @@ HistogramLoadPredictor::hottest(SimTime now, std::size_t k) const
 {
     std::vector<std::pair<double, model::AdapterId>> scored;
     scored.reserve(history_.size());
-    for (const auto &[id, h] : history_) {
+    for (std::size_t i = 0; i < history_.size(); ++i) {
+        const auto id = static_cast<model::AdapterId>(i);
         const double score = hotness(id, now);
         if (score > 0.0)
             scored.emplace_back(score, id);

@@ -15,7 +15,6 @@
 #define CHAMELEON_PREDICT_LOAD_PREDICTOR_H
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "model/adapter.h"
@@ -51,13 +50,13 @@ class HistogramLoadPredictor
     struct History
     {
         std::vector<sim::SimTime> arrivals; // ring of recent arrivals
-        sim::SimTime lastArrival = sim::kTimeNever;
     };
 
     void expire(History &h, sim::SimTime now) const;
 
     sim::SimTime window_;
-    mutable std::unordered_map<model::AdapterId, History> history_;
+    /** Indexed by adapter id; grown to the highest id recorded. */
+    mutable std::vector<History> history_;
 };
 
 /**

@@ -13,28 +13,35 @@ SLoraAdapterManager::SLoraAdapterManager(const model::AdapterPool &pool,
                                          gpu::GpuMemory &mem,
                                          gpu::PcieLink &link,
                                          bool prefetchEnabled)
-    : pool_(pool), mem_(mem), link_(link), prefetchEnabled_(prefetchEnabled)
+    : pool_(pool), mem_(mem), link_(link), prefetchEnabled_(prefetchEnabled),
+      entries_(static_cast<std::size_t>(pool.size()))
 {
+}
+
+std::size_t
+SLoraAdapterManager::index(AdapterId id) const
+{
+    CHM_CHECK(id >= 0 && static_cast<std::size_t>(id) < entries_.size(),
+              "adapter id out of range: " << id);
+    return static_cast<std::size_t>(id);
 }
 
 SLoraAdapterManager::Entry &
 SLoraAdapterManager::entry(AdapterId id)
 {
-    return entries_[id];
+    return entries_[index(id)];
 }
 
-const SLoraAdapterManager::Entry *
-SLoraAdapterManager::find(AdapterId id) const
+const SLoraAdapterManager::Entry &
+SLoraAdapterManager::entry(AdapterId id) const
 {
-    auto it = entries_.find(id);
-    return it == entries_.end() ? nullptr : &it->second;
+    return entries_[index(id)];
 }
 
 bool
 SLoraAdapterManager::isResident(AdapterId id) const
 {
-    const Entry *e = find(id);
-    return e && e->state == State::Resident;
+    return entry(id).state == State::Resident;
 }
 
 SimTime
@@ -55,7 +62,7 @@ SLoraAdapterManager::startLoad(AdapterId id, Entry &e, bool prefetch)
     e.state = State::Loading;
     notifyLoadStart(id);
     e.readyAt = link_.enqueue(bytes, [this, id] {
-        auto &ent = entries_[id];
+        auto &ent = entry(id);
         CHM_CHECK(ent.state == State::Loading, "transfer done on non-loading");
         ent.state = State::Resident;
         notifyLoadComplete(id);
@@ -114,8 +121,7 @@ SLoraAdapterManager::release(AdapterId id)
 bool
 SLoraAdapterManager::canMakeResident(AdapterId id) const
 {
-    const Entry *e = find(id);
-    if (e && e->state != State::NotResident)
+    if (entry(id).state != State::NotResident)
         return true;
     return pool_.spec(id).bytes <= mem_.freeBytes();
 }
@@ -166,10 +172,13 @@ SLoraAdapterManager::tryFreeMemory(std::int64_t bytes)
         return true;
     // No idle-adapter cache to shrink, but prefetched adapters of
     // queued (not yet running) requests can be reclaimed for request
-    // state — they will simply be refetched on demand later.
-    for (auto &[id, e] : entries_) {
+    // state — they will simply be refetched on demand later. Reclaim
+    // runs in ascending id order.
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
         if (mem_.freeBytes() >= bytes)
             break;
+        Entry &e = entries_[i];
+        const auto id = static_cast<AdapterId>(i);
         if (e.state == State::Resident && e.runningRc == 0) {
             mem_.freeAdapterInUse(pool_.spec(id).bytes);
             e.state = State::NotResident;

@@ -12,7 +12,7 @@
 #ifndef CHAMELEON_SERVING_SLORA_ADAPTER_MANAGER_H
 #define CHAMELEON_SERVING_SLORA_ADAPTER_MANAGER_H
 
-#include <unordered_map>
+#include <vector>
 
 #include "gpu/gpu_memory.h"
 #include "gpu/pcie_link.h"
@@ -60,8 +60,10 @@ class SLoraAdapterManager : public AdapterManager
         sim::SimTime readyAt = 0;
     };
 
+    /** `id` as an index into entries_; range-checked. */
+    std::size_t index(model::AdapterId id) const;
     Entry &entry(model::AdapterId id);
-    const Entry *find(model::AdapterId id) const;
+    const Entry &entry(model::AdapterId id) const;
     /** Start a transfer if memory allows; returns completion or Never. */
     sim::SimTime startLoad(model::AdapterId id, Entry &e, bool prefetch);
     /** Free the adapter when wholly unreferenced. */
@@ -71,7 +73,8 @@ class SLoraAdapterManager : public AdapterManager
     gpu::GpuMemory &mem_;
     gpu::PcieLink &link_;
     bool prefetchEnabled_;
-    std::unordered_map<model::AdapterId, Entry> entries_;
+    /** Per-adapter state, indexed by adapter id (ids are dense). */
+    std::vector<Entry> entries_;
     std::int64_t hits_ = 0;
     std::int64_t misses_ = 0;
 };

@@ -130,3 +130,20 @@ TEST(SLoraManager, SchedulingCycleRetriesFailedPrefetch)
     simulator.run();
     EXPECT_TRUE(mgr.isResident(1)); // retry succeeded
 }
+
+TEST(SLoraManager, ReclaimRunsInIdOrder)
+{
+    Fixture f;
+    // Prefetched for queued requests: three idle, reclaimable adapters
+    // (one rank 8, two rank 16).
+    for (model::AdapterId id : {1, 2, 3})
+        f.mgr.onRequestQueued(id, f.simulator.now());
+    f.simulator.run();
+    for (model::AdapterId id : {1, 2, 3})
+        ASSERT_TRUE(f.mgr.isResident(id));
+    // One byte short: a single reclaim suffices, and it is the lowest id.
+    ASSERT_TRUE(f.mgr.tryFreeMemory(f.mem.freeBytes() + 1));
+    EXPECT_FALSE(f.mgr.isResident(1));
+    EXPECT_TRUE(f.mgr.isResident(2));
+    EXPECT_TRUE(f.mgr.isResident(3));
+}

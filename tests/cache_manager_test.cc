@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
 #include "chameleon/cache_manager.h"
 #include "model/cost_model.h"
 #include "model/gpu_spec.h"
@@ -48,7 +52,8 @@ TEST(CacheManager, RetainsIdleAdapterInCache)
     EXPECT_TRUE(f.mgr.isResident(0));
     EXPECT_EQ(f.mem.adapterInUseBytes(), 0);
     EXPECT_EQ(f.mgr.cachedBytes(), f.pool.spec(0).bytes);
-    EXPECT_EQ(f.mgr.cachedCount(), 1u);
+    for (model::AdapterId id = 1; id < f.pool.size(); ++id)
+        EXPECT_FALSE(f.mgr.isResident(id));
 }
 
 TEST(CacheManager, ReacquireFromCacheIsInstant)
@@ -72,10 +77,14 @@ TEST(CacheManager, DynamicDownsizingFreesMemoryOnDemand)
     f.simulator.run();
     f.mgr.release(0);
     f.mgr.release(1);
-    EXPECT_EQ(f.mgr.cachedCount(), 2u);
+    EXPECT_TRUE(f.mgr.isResident(0));
+    EXPECT_TRUE(f.mgr.isResident(1));
+    EXPECT_EQ(f.mgr.cachedBytes(),
+              f.pool.spec(0).bytes + f.pool.spec(1).bytes);
     // A KV demand arrives: the cache must shrink.
     EXPECT_TRUE(f.mgr.tryFreeMemory(20ll << 20));
-    EXPECT_LE(f.mgr.cachedCount(), 1u);
+    EXPECT_FALSE(f.mgr.isResident(0) && f.mgr.isResident(1));
+    EXPECT_LE(f.mgr.cachedBytes(), f.pool.spec(0).bytes);
     EXPECT_GE(f.mem.freeBytes(), 20ll << 20);
 }
 
@@ -236,4 +245,136 @@ TEST(CacheManager, CanMakeResidentCountsEvictable)
     // While in use it is not evictable.
     f.mgr.acquire(8, f.simulator.now());
     EXPECT_FALSE(f.mgr.canMakeResident(9));
+}
+
+TEST(CacheManager, EvictionTiesGoToLowestId)
+{
+    core::CacheConfig cfg;
+    cfg.evictionPolicy = "lru";
+    Fixture f(200ll << 20, cfg);
+    // Two rank-8 adapters acquired at the same instant (equal lastUsed):
+    // only the id can break the tie.
+    f.mgr.acquire(0, 0);
+    f.mgr.acquire(1, 0);
+    f.simulator.run();
+    f.mgr.release(0);
+    f.mgr.release(1);
+    ASSERT_TRUE(f.mgr.tryFreeMemory(f.mem.freeBytes() + (5ll << 20)));
+    EXPECT_EQ(f.mgr.evictions(), 1);
+    EXPECT_FALSE(f.mgr.isResident(0));
+    EXPECT_TRUE(f.mgr.isResident(1));
+}
+
+TEST(CacheManager, EvictableBytesMatchesReferenceUnderChurn)
+{
+    // A seeded random walk over every entry point that changes an
+    // entry's state or reference counts, on a 10-adapter pool (16.8 MB
+    // to 268 MB each) and a 400 MB device that KV growth keeps tight.
+    // After every step the O(1) evictable-bytes counters must equal a
+    // reference built from the test's own refcounts and isResident.
+    for (const std::string policy : {"chameleon", "lru", "gdsf"}) {
+        SCOPED_TRACE(policy);
+        core::CacheConfig cfg;
+        cfg.evictionPolicy = policy;
+        cfg.predictivePrefetch = policy == "lru";
+        Fixture f(400ll << 20, cfg);
+        const int n = f.pool.size();
+        std::vector<int> running(static_cast<std::size_t>(n), 0);
+        std::vector<int> queued(static_cast<std::size_t>(n), 0);
+        std::int64_t kv = 0;
+        std::mt19937_64 rng(20241017);
+        std::int64_t declined = 0;
+        int pinnedSteps = 0; // steps with pinned idle bytes held back
+
+        auto checkCounters = [&](int step) {
+            std::int64_t unpinned = 0;
+            std::int64_t all = 0;
+            for (model::AdapterId id = 0; id < n; ++id) {
+                const auto i = static_cast<std::size_t>(id);
+                if (!f.mgr.isResident(id) || running[i] != 0)
+                    continue;
+                all += f.pool.spec(id).bytes;
+                if (queued[i] == 0)
+                    unpinned += f.pool.spec(id).bytes;
+            }
+            ASSERT_EQ(f.mgr.evictableBytes(false), unpinned)
+                << "step " << step;
+            ASSERT_EQ(f.mgr.evictableBytes(true), all) << "step " << step;
+            ASSERT_EQ(f.mgr.cachedBytes(), f.mgr.evictableBytes(true))
+                << "step " << step;
+            pinnedSteps += unpinned < all ? 1 : 0;
+        };
+
+        for (int step = 0; step < 4000; ++step) {
+            const auto id = static_cast<model::AdapterId>(rng() % n);
+            const auto i = static_cast<std::size_t>(id);
+            const auto now = f.simulator.now();
+            switch (rng() % 8) {
+              case 0:
+                f.mgr.onRequestQueued(id, now);
+                ++queued[i];
+                break;
+              case 1:
+                if (queued[i] > 0) {
+                    f.mgr.onRequestDequeued(id);
+                    --queued[i];
+                }
+                break;
+              case 2:
+                if (f.mgr.acquire(id, now) != sim::kTimeNever)
+                    ++running[i];
+                else
+                    ++declined;
+                break;
+              case 3:
+                if (running[i] > 0) {
+                    f.mgr.release(id);
+                    --running[i];
+                }
+                break;
+              case 4: {
+                std::vector<model::AdapterId> waiting;
+                for (model::AdapterId q = 0; q < n; ++q) {
+                    if (queued[static_cast<std::size_t>(q)] > 0)
+                        waiting.push_back(q);
+                }
+                f.mgr.onSchedulingCycle(waiting, now);
+                break;
+              }
+              case 5: {
+                // KV growth: shrink the cache for it, then take it.
+                const auto bytes =
+                    static_cast<std::int64_t>(rng() % (80ll << 20));
+                if (f.mgr.tryFreeMemory(bytes) && f.mem.tryAllocKv(bytes))
+                    kv += bytes;
+                break;
+              }
+              case 6:
+                f.mem.freeKv(kv);
+                kv = 0;
+                break;
+              case 7:
+                f.simulator.runUntil(now + sim::fromMillis(
+                                               static_cast<double>(
+                                                   rng() % 40)));
+                break;
+            }
+            checkCounters(step);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        // The walk reached the interesting states.
+        EXPECT_GT(f.mgr.evictions(), 0);
+        EXPECT_GT(f.mgr.kvShrinkEvictions(), 0);
+        EXPECT_GT(f.mgr.queuedLoads(), 0);
+        EXPECT_GT(declined, 0);
+        EXPECT_GT(pinnedSteps, 0);
+    }
+}
+
+TEST(CacheManagerDeathTest, RejectsOutOfRangeAdapter)
+{
+    Fixture f;
+    EXPECT_DEATH(f.mgr.acquire(10, 0), "adapter id out of range: 10");
+    EXPECT_DEATH(f.mgr.isResident(-1), "adapter id out of range: -1");
 }
