@@ -12,6 +12,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "sweep/bench_json.h"
 
 #include "chameleon/eviction.h"
@@ -112,10 +114,11 @@ BM_KvCacheReserveRelease(benchmark::State &state)
 {
     gpu::GpuMemory mem(48ll << 30, 0, 0);
     gpu::KvCache kv(mem, 512 * 1024, 16);
+    std::vector<gpu::KvReservation> reservations(256);
     std::int64_t id = 0;
     for (auto _ : state) {
-        kv.tryReserve(id % 256, 128 + id % 512);
-        kv.release((id + 128) % 256);
+        kv.tryReserve(reservations[id % 256], 128 + id % 512);
+        kv.release(reservations[(id + 128) % 256]);
         ++id;
     }
     state.SetItemsProcessed(state.iterations());

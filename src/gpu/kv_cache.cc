@@ -1,9 +1,12 @@
 #include "gpu/kv_cache.h"
 
+#include <limits>
+
 namespace chameleon::gpu {
 
 KvCache::KvCache(GpuMemory &mem, std::int64_t bytesPerToken, int pageTokens)
-    : mem_(mem), bytesPerToken_(bytesPerToken), pageTokens_(pageTokens)
+    : mem_(mem), bytesPerToken_(bytesPerToken), pageTokens_(pageTokens),
+      pageBytes_(pageTokens * bytesPerToken)
 {
     CHM_CHECK(bytesPerToken > 0, "bytesPerToken must be positive");
     CHM_CHECK(pageTokens > 0, "pageTokens must be positive");
@@ -14,55 +17,44 @@ KvCache::bytesForTokens(std::int64_t tokens) const
 {
     CHM_CHECK(tokens >= 0, "negative token reservation");
     const std::int64_t pages = (tokens + pageTokens_ - 1) / pageTokens_;
-    return pages * pageTokens_ * bytesPerToken_;
+    return pages * pageBytes_;
 }
 
 bool
-KvCache::tryReserve(std::int64_t requestId, std::int64_t tokens)
+KvCache::tryReserve(KvReservation &res, std::int64_t tokens)
 {
-    const std::int64_t want = bytesForTokens(tokens);
-    auto it = reservations_.find(requestId);
-    const std::int64_t have = it == reservations_.end() ? 0 : it->second.bytes;
-    if (want <= have) {
-        // Page already covers the new tokens; just record the count.
-        if (it != reservations_.end())
-            it->second.tokens = std::max(it->second.tokens, tokens);
+    CHM_CHECK(tokens >= 0, "negative token reservation");
+    CHM_CHECK(tokens <= std::numeric_limits<std::int32_t>::max(),
+              "token reservation exceeds int32");
+    if (tokens <= static_cast<std::int64_t>(res.pages) * pageTokens_) {
+        // The held pages already cover the tokens; just record the count.
+        if (tokens > res.tokens) {
+            totalTokens_ += tokens - res.tokens;
+            res.tokens = static_cast<std::int32_t>(tokens);
+        }
         return true;
     }
-    if (!mem_.tryAllocKv(want - have))
+    const std::int64_t pages = (tokens + pageTokens_ - 1) / pageTokens_;
+    const std::int64_t grow = (pages - res.pages) * pageBytes_;
+    if (!mem_.tryAllocKv(grow))
         return false;
-    totalBytes_ += want - have;
-    auto &res = reservations_[requestId];
-    res.tokens = tokens;
-    res.bytes = want;
+    totalBytes_ += grow;
+    totalTokens_ += tokens - res.tokens;
+    res.tokens = static_cast<std::int32_t>(tokens);
+    res.pages = static_cast<std::int32_t>(pages);
     return true;
 }
 
 void
-KvCache::release(std::int64_t requestId)
+KvCache::release(KvReservation &res)
 {
-    auto it = reservations_.find(requestId);
-    if (it == reservations_.end())
+    if (res.pages == 0)
         return;
-    mem_.freeKv(it->second.bytes);
-    totalBytes_ -= it->second.bytes;
-    reservations_.erase(it);
-}
-
-std::int64_t
-KvCache::reservedTokens(std::int64_t requestId) const
-{
-    auto it = reservations_.find(requestId);
-    return it == reservations_.end() ? 0 : it->second.tokens;
-}
-
-std::int64_t
-KvCache::fragmentationBytes() const
-{
-    std::int64_t frag = 0;
-    for (const auto &[id, res] : reservations_)
-        frag += res.bytes - res.tokens * bytesPerToken_;
-    return frag;
+    const std::int64_t bytes = res.pages * pageBytes_;
+    mem_.freeKv(bytes);
+    totalBytes_ -= bytes;
+    totalTokens_ -= res.tokens;
+    res = KvReservation{};
 }
 
 } // namespace chameleon::gpu

@@ -88,28 +88,8 @@ CostModel::prefillStepTime(
 SimTime
 CostModel::decodeIterTime(const std::vector<DecodeSlot> &batch) const
 {
-    if (batch.empty())
-        return 0;
-    const double bw = effectiveMemBandwidth();
-    // Weight shards are read once per iteration, in parallel across the
-    // TP group (each rank streams its own 1/tp of the weights).
-    double secs = static_cast<double>(model_.weightsBytes()) / tp_ /
-                  (gpu_.memBandwidth * params_.memUtil);
-    secs += params_.decodeFixedMs * 1e-3;
-    bool any_adapter = false;
-    std::int64_t kv_bytes = 0;
-    for (const auto &slot : batch) {
-        kv_bytes += slot.kvTokens * model_.kvBytesPerToken();
-        secs += params_.decodeReqUs * 1e-6;
-        if (slot.rank > 0) {
-            any_adapter = true;
-            secs += params_.decodeRankUs * 1e-6 * slot.rank;
-        }
-    }
-    secs += static_cast<double>(kv_bytes) / bw;
-    if (any_adapter)
-        secs += params_.mbgmvFixedMs * 1e-3;
-    return sim::fromSeconds(secs);
+    return decodeIterTimeOf(batch.begin(), batch.end(),
+                            [](const DecodeSlot &slot) { return slot; });
 }
 
 SimTime

@@ -119,6 +119,42 @@ class CostModel
     sim::SimTime decodeIterTime(const std::vector<DecodeSlot> &batch) const;
 
     /**
+     * decodeIterTime over [first, last) without building a slot vector:
+     * `slotOf(*it)` yields each element's DecodeSlot. The same
+     * operations in the same order, so the result is bit-equal to
+     * decodeIterTime of the mapped vector.
+     */
+    template <typename It, typename SlotOf>
+    sim::SimTime
+    decodeIterTimeOf(It first, It last, SlotOf slotOf) const
+    {
+        if (first == last)
+            return 0;
+        const double bw = effectiveMemBandwidth();
+        // Weight shards are read once per iteration, in parallel across
+        // the TP group (each rank streams its own 1/tp of the weights).
+        double secs = static_cast<double>(model_.weightsBytes()) / tp_ /
+                      (gpu_.memBandwidth * params_.memUtil);
+        secs += params_.decodeFixedMs * 1e-3;
+        const std::int64_t kv_per_token = model_.kvBytesPerToken();
+        bool any_adapter = false;
+        std::int64_t kv_bytes = 0;
+        for (; first != last; ++first) {
+            const DecodeSlot slot = slotOf(*first);
+            kv_bytes += slot.kvTokens * kv_per_token;
+            secs += params_.decodeReqUs * 1e-6;
+            if (slot.rank > 0) {
+                any_adapter = true;
+                secs += params_.decodeRankUs * 1e-6 * slot.rank;
+            }
+        }
+        secs += static_cast<double>(kv_bytes) / bw;
+        if (any_adapter)
+            secs += params_.mbgmvFixedMs * 1e-3;
+        return sim::fromSeconds(secs);
+    }
+
+    /**
      * Host->GPU transfer time for an adapter of the given byte size,
      * including per-transfer setup and TP synchronisation. This is the
      * service time used by the PCIe link model; queueing is on top.

@@ -634,7 +634,11 @@ DataParallelCluster::submitTrace(const workload::Trace &trace)
 std::vector<RequestRecord>
 DataParallelCluster::mergedRecords() const
 {
+    std::size_t total = 0;
+    for (const auto &e : engines_)
+        total += e->stats().records.size();
     std::vector<RequestRecord> all;
+    all.reserve(total);
     for (const auto &e : engines_) {
         const auto &rec = e->stats().records;
         all.insert(all.end(), rec.begin(), rec.end());

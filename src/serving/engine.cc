@@ -184,10 +184,10 @@ ServingEngine::tryReserve(LiveRequest *r)
             ? std::max<std::int64_t>(r->predictedOutput, 8)
             : config_.maxNewTokens;
     const std::int64_t kvTokens = r->req.inputTokens + gen_budget;
-    if (!kv_->tryReserve(r->req.id, kvTokens)) {
+    if (!kv_->tryReserve(r->kv, kvTokens)) {
         const std::int64_t need = kv_->bytesForTokens(kvTokens);
         adapterMgr_->tryFreeMemory(need);
-        if (!kv_->tryReserve(r->req.id, kvTokens))
+        if (!kv_->tryReserve(r->kv, kvTokens))
             return ReserveResult::NoKvMemory;
     }
 
@@ -199,7 +199,7 @@ ServingEngine::tryReserve(LiveRequest *r)
             ready = adapterMgr_->acquire(r->req.adapter, sim_.now());
         }
         if (ready == sim::kTimeNever) {
-            kv_->release(r->req.id);
+            kv_->release(r->kv);
             return ReserveResult::NoAdapterMemory;
         }
         r->adapterReadyTime = ready;
@@ -294,12 +294,12 @@ ServingEngine::startIteration()
     sampleMemory();
 
     // Prefetch / pin refresh over the adapters of waiting requests.
-    std::vector<model::AdapterId> queued_adapters;
+    queuedAdapters_.clear();
     for (const LiveRequest *r : scheduler_->waitingSnapshot()) {
         if (r->hasAdapter())
-            queued_adapters.push_back(r->req.adapter);
+            queuedAdapters_.push_back(r->req.adapter);
     }
-    adapterMgr_->onSchedulingCycle(queued_adapters, now);
+    adapterMgr_->onSchedulingCycle(queuedAdapters_, now);
 
     // Admissions.
     AdmissionContext ctx = makeContext();
@@ -317,9 +317,8 @@ ServingEngine::startIteration()
     // flight is skipped: its own first token waits for the load (the
     // per-request critical-path cost of §3.2 / Fig. 14) while the rest
     // of the batch proceeds.
-    std::vector<LiveRequest *> slice;
-    std::vector<std::int64_t> taken;
-    std::vector<std::pair<std::int64_t, int>> prefill_work;
+    slice_.clear();
+    prefillWork_.clear();
     std::int64_t budget = config_.prefillChunkTokens;
     SimTime earliest_adapter = sim::kTimeNever;
     for (LiveRequest *r : prefilling_) {
@@ -335,13 +334,12 @@ ServingEngine::startIteration()
         const std::int64_t take = std::min(r->remainingPrefill(), budget);
         if (take <= 0)
             continue;
-        slice.push_back(r);
-        taken.push_back(take);
-        prefill_work.emplace_back(take, r->rank);
+        slice_.push_back(r);
+        prefillWork_.emplace_back(take, r->rank);
         budget -= take;
     }
 
-    if (slice.empty() && running_.empty()) {
+    if (slice_.empty() && running_.empty()) {
         if (earliest_adapter != sim::kTimeNever) {
             // Idle until the blocking transfer lands.
             sim_.scheduleAt(earliest_adapter,
@@ -362,34 +360,28 @@ ServingEngine::startIteration()
     }
 
     SimTime duration = 0;
-    if (!prefill_work.empty())
-        duration += cost_.prefillStepTime(prefill_work);
-    if (!running_.empty()) {
-        std::vector<model::DecodeSlot> slots;
-        slots.reserve(running_.size());
-        for (const LiveRequest *r : running_) {
-            slots.push_back(model::DecodeSlot{
-                r->req.inputTokens + r->generated, r->rank});
-        }
-        duration += cost_.decodeIterTime(slots);
-    }
+    if (!prefillWork_.empty())
+        duration += cost_.prefillStepTime(prefillWork_);
+    duration += cost_.decodeIterTimeOf(
+        running_.begin(), running_.end(), [](const LiveRequest *r) {
+            return model::DecodeSlot{r->req.inputTokens + r->generated,
+                                     r->rank};
+        });
     CHM_CHECK(duration > 0, "iteration with work must take time");
 
     iterationInFlight_ = true;
-    sim_.scheduleAfter(duration, [this, duration, slice = std::move(slice),
-                                  taken = std::move(taken)]() mutable {
-        finishIteration(duration, std::move(slice), std::move(taken));
-    });
+    sim_.scheduleAfter(duration,
+                       [this, duration] { finishIteration(duration); });
 }
 
 bool
 ServingEngine::growKv(LiveRequest *r)
 {
     const std::int64_t tokens = r->req.inputTokens + r->generated;
-    if (kv_->tryReserve(r->req.id, tokens))
+    if (kv_->tryReserve(r->kv, tokens))
         return true;
     adapterMgr_->tryFreeMemory(kv_->bytesForTokens(tokens));
-    return kv_->tryReserve(r->req.id, tokens);
+    return kv_->tryReserve(r->kv, tokens);
 }
 
 void
@@ -412,17 +404,15 @@ ServingEngine::preemptForMemory()
 }
 
 void
-ServingEngine::finishIteration(SimTime duration,
-                               std::vector<LiveRequest *> slice,
-                               std::vector<std::int64_t> taken)
+ServingEngine::finishIteration(SimTime duration)
 {
     const SimTime now = sim_.now();
     ++stats_.iterations;
     stats_.busyTime += duration;
     stats_.decodeTokens += static_cast<std::int64_t>(running_.size());
     stats_.batchSizeAccum += static_cast<std::int64_t>(running_.size());
-    for (const std::int64_t t : taken)
-        stats_.prefillTokens += t;
+    for (const auto &work : prefillWork_)
+        stats_.prefillTokens += work.first;
     ewmaIterUs_ = (1.0 - kIterEwmaAlpha) * ewmaIterUs_ +
                   kIterEwmaAlpha * static_cast<double>(duration);
 
@@ -430,20 +420,19 @@ ServingEngine::finishIteration(SimTime duration,
     // requests promoted from prefill below do not decode this iteration.
     if (!running_.empty())
         stats_.tbt.add(sim::toMillis(duration));
-    std::vector<LiveRequest *> still_running;
-    still_running.reserve(running_.size());
-    std::vector<LiveRequest *> finished;
+    stillRunning_.clear();
+    finished_.clear();
     for (LiveRequest *r : running_) {
         ++r->generated;
         r->lastTokenTime = now;
         if (r->generated >= r->req.outputTokens) {
-            finished.push_back(r);
+            finished_.push_back(r);
         } else {
-            still_running.push_back(r);
+            stillRunning_.push_back(r);
         }
     }
-    running_ = std::move(still_running);
-    for (LiveRequest *r : finished)
+    running_.swap(stillRunning_);
+    for (LiveRequest *r : finished_)
         finishRequest(r);
 
     // Grow KV for survivors; preempt under unrecoverable pressure. Each
@@ -462,11 +451,11 @@ ServingEngine::finishIteration(SimTime duration,
     }
 
     // Prefill progress.
-    for (std::size_t i = 0; i < slice.size(); ++i) {
-        LiveRequest *r = slice[i];
+    for (std::size_t i = 0; i < slice_.size(); ++i) {
+        LiveRequest *r = slice_[i];
         if (r->phase != RequestPhase::Prefilling)
             continue; // squashed mid-iteration by preemption
-        r->prefilled += taken[i];
+        r->prefilled += prefillWork_[i].first;
         CHM_CHECK(r->prefilled <= r->req.inputTokens, "prefill overshoot");
         if (!r->prefillDone())
             continue;
@@ -492,7 +481,7 @@ ServingEngine::finishIteration(SimTime duration,
 void
 ServingEngine::releaseResources(LiveRequest *r)
 {
-    kv_->release(r->req.id);
+    kv_->release(r->kv);
     if (r->hasAdapter() && r->adapterReadyTime != sim::kTimeNever)
         adapterMgr_->release(r->req.adapter);
 }

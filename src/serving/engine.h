@@ -226,9 +226,7 @@ class ServingEngine
     void onArrival(LiveRequest *r);
     void maybeStartIteration();
     void startIteration();
-    void finishIteration(sim::SimTime duration,
-                         std::vector<LiveRequest *> prefillSlice,
-                         std::vector<std::int64_t> prefillTaken);
+    void finishIteration(sim::SimTime duration);
     ReserveResult tryReserve(LiveRequest *r);
     void finishRequest(LiveRequest *r);
     void emitRequestTrace(const LiveRequest *r);
@@ -259,6 +257,16 @@ class ServingEngine
     std::vector<LiveRequest *> prefilling_;
     std::vector<LiveRequest *> running_;
     bool iterationInFlight_ = false;
+    // Per-iteration scratch, reused so an iteration allocates nothing
+    // once the vectors have grown. slice_ and prefillWork_ (its
+    // (tokens taken, rank) pairs) carry the in-flight iteration's
+    // prefill from startIteration to finishIteration; one iteration is
+    // in flight at a time.
+    std::vector<model::AdapterId> queuedAdapters_;
+    std::vector<LiveRequest *> slice_;
+    std::vector<std::pair<std::int64_t, int>> prefillWork_;
+    std::vector<LiveRequest *> stillRunning_;
+    std::vector<LiveRequest *> finished_;
     double ewmaIterUs_ = 0.0;
     sim::SimTime lastMemSample_ = sim::kTimeNever;
 

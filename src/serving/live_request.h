@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "gpu/kv_cache.h"
 #include "simkit/time.h"
 #include "workload/request.h"
 
@@ -30,10 +31,11 @@ struct LiveRequest
     std::int64_t predictedOutput = 0;
     /** Adapter rank resolved from the pool (0 = base only). */
     int rank = 0;
+    RequestPhase phase = RequestPhase::Waiting;
     /** Adapter transfer size resolved from the pool. */
     std::int64_t adapterBytes = 0;
-
-    RequestPhase phase = RequestPhase::Waiting;
+    /** KV pages held in the engine's KvCache (empty while waiting). */
+    gpu::KvReservation kv;
 
     /** Prefill progress in tokens (chunked prefill advances this). */
     std::int64_t prefilled = 0;

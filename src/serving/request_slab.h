@@ -27,8 +27,13 @@ namespace chameleon::serving {
 class RequestSlab
 {
   public:
-    /** Requests per block: ~256 KiB blocks at sizeof(LiveRequest). */
-    static constexpr std::size_t kBlockRequests = 1024;
+    /**
+     * Requests per block: 44 KiB blocks at sizeof(LiveRequest) == 176,
+     * below glibc's default 128 KiB mmap threshold, and small enough
+     * that a replica serving a few hundred requests leaves little of
+     * its last block unused.
+     */
+    static constexpr std::size_t kBlockRequests = 256;
 
     /** A fresh default-constructed LiveRequest; pointer stays valid
      * for the slab's lifetime. */

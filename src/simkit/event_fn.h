@@ -3,11 +3,10 @@
  * Move-only callable for the simulator's schedule path.
  *
  * std::function heap-allocates for any capture beyond ~two words, and
- * the kernel's hot closures are bigger than that (the engine's
- * finishIteration event captures this + a duration + two vectors —
- * 64 bytes). EventFn keeps a 64-byte inline buffer so every closure on
- * the simulation hot path is stored in place; larger captures fall
- * back to the heap. Move-only (closures may own resources); invoking
+ * the kernel's hot closures are bigger than that (the cluster's
+ * arrival event captures this + a whole workload::Request). EventFn
+ * keeps a 64-byte inline buffer so every closure on the simulation hot
+ * path is stored in place; larger captures fall back to the heap. Move-only (closures may own resources); invoking
  * an empty EventFn is undefined.
  */
 

@@ -114,7 +114,7 @@ TEST(Engine, KvReservationIsConservativeForBaselines)
     f.engine->submit(mkReq(1, 0, 16, 2));
     // Drive exactly one iteration so the request is admitted.
     f.simulator.runUntil(sim::fromMillis(1.0));
-    const auto reserved = f.engine->kvCache().reservedTokens(1);
+    const auto reserved = f.engine->findRequest(1)->kv.tokens;
     EXPECT_GE(reserved, 16 + f.engine->config().maxNewTokens);
 }
 
@@ -125,7 +125,7 @@ TEST(Engine, PredictedReservationUsesPredictor)
     BaselineEngine f(cfg);
     f.engine->submit(mkReq(1, 0, 16, 40)); // perfect predictor
     f.simulator.runUntil(sim::fromMillis(1.0));
-    const auto reserved = f.engine->kvCache().reservedTokens(1);
+    const auto reserved = f.engine->findRequest(1)->kv.tokens;
     EXPECT_LT(reserved, 16 + cfg.maxNewTokens);
     EXPECT_GE(reserved, 16 + 40 - 16); // bucket midpoint may undershoot
     f.simulator.run();

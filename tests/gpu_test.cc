@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "gpu/gpu_memory.h"
 #include "gpu/kv_cache.h"
 #include "gpu/pcie_link.h"
@@ -80,33 +84,40 @@ TEST(KvCache, GrowWithinPageIsFree)
 {
     gpu::GpuMemory mem(1 * kGiB, 0, 0);
     gpu::KvCache kv(mem, 1024, 16);
-    ASSERT_TRUE(kv.tryReserve(1, 10));
+    gpu::KvReservation res;
+    ASSERT_TRUE(kv.tryReserve(res, 10));
     const auto bytes_before = mem.kvBytes();
-    ASSERT_TRUE(kv.tryReserve(1, 16)); // same page
+    ASSERT_TRUE(kv.tryReserve(res, 16)); // same page
     EXPECT_EQ(mem.kvBytes(), bytes_before);
-    ASSERT_TRUE(kv.tryReserve(1, 17)); // new page
+    ASSERT_TRUE(kv.tryReserve(res, 17)); // new page
     EXPECT_GT(mem.kvBytes(), bytes_before);
-    EXPECT_EQ(kv.reservedTokens(1), 17);
+    EXPECT_EQ(res.tokens, 17);
+    EXPECT_EQ(res.pages, 2);
 }
 
 TEST(KvCache, ReleaseReturnsAllPages)
 {
     gpu::GpuMemory mem(1 * kGiB, 0, 0);
     gpu::KvCache kv(mem, 1024, 16);
-    ASSERT_TRUE(kv.tryReserve(7, 100));
-    kv.release(7);
+    gpu::KvReservation res;
+    ASSERT_TRUE(kv.tryReserve(res, 100));
+    kv.release(res);
     EXPECT_EQ(mem.kvBytes(), 0);
-    EXPECT_EQ(kv.reservedTokens(7), 0);
-    kv.release(7); // double release is a no-op
+    EXPECT_EQ(res.tokens, 0);
+    EXPECT_EQ(res.pages, 0);
+    kv.release(res); // double release is a no-op
+    EXPECT_EQ(mem.kvBytes(), 0);
 }
 
 TEST(KvCache, FailureLeavesReservationIntact)
 {
     gpu::GpuMemory mem(64 * 1024, 0, 0);
     gpu::KvCache kv(mem, 1024, 16);
-    ASSERT_TRUE(kv.tryReserve(1, 32));        // 32 KiB
-    EXPECT_FALSE(kv.tryReserve(1, 128));      // would need 128 KiB
-    EXPECT_EQ(kv.reservedTokens(1), 32);
+    gpu::KvReservation res;
+    ASSERT_TRUE(kv.tryReserve(res, 32));   // 32 KiB
+    EXPECT_FALSE(kv.tryReserve(res, 128)); // would need 128 KiB
+    EXPECT_EQ(res.tokens, 32);
+    EXPECT_EQ(res.pages, 2);
     EXPECT_EQ(kv.totalBytes(), 32 * 1024);
 }
 
@@ -114,8 +125,85 @@ TEST(KvCache, FragmentationAccounting)
 {
     gpu::GpuMemory mem(1 * kGiB, 0, 0);
     gpu::KvCache kv(mem, 1024, 16);
-    ASSERT_TRUE(kv.tryReserve(1, 1)); // 15 tokens of slack
+    gpu::KvReservation res;
+    ASSERT_TRUE(kv.tryReserve(res, 1)); // 15 tokens of slack
     EXPECT_EQ(kv.fragmentationBytes(), 15 * 1024);
+}
+
+TEST(KvCache, RejectsTokenCountsBeyondInt32)
+{
+    gpu::GpuMemory mem(1 * kGiB, 0, 0);
+    gpu::KvCache kv(mem, 1, 16);
+    gpu::KvReservation res;
+    EXPECT_DEATH(kv.tryReserve(res, std::int64_t{1} << 31), "int32");
+    EXPECT_DEATH(kv.tryReserve(res, -1), "negative");
+}
+
+TEST(KvCache, HandleMatchesReferenceUnderChurn)
+{
+    // A seeded walk over 64 reservations on a device too small to hold
+    // them all, checked after every step against a per-request
+    // reference built from bytesForTokens: grow, re-reserve a smaller
+    // count, fail on a full device, and release (also twice).
+    constexpr std::int64_t kBytesPerToken = 1024;
+    constexpr int kRequests = 64;
+    gpu::GpuMemory mem(2048 * kBytesPerToken, 0, 0);
+    gpu::KvCache kv(mem, kBytesPerToken, 16);
+    struct Reference
+    {
+        std::int64_t tokens = 0;
+        std::int64_t bytes = 0;
+    };
+    std::vector<gpu::KvReservation> handles(kRequests);
+    std::vector<Reference> ref(kRequests);
+    std::mt19937_64 rng(7);
+    int grows = 0, shrinks = 0, failures = 0, releases = 0;
+    for (int step = 0; step < 10000; ++step) {
+        const std::size_t i = rng() % kRequests;
+        auto &h = handles[i];
+        auto &r = ref[i];
+        const auto action = rng() % 8;
+        if (action < 2) {
+            kv.release(h);
+            if (action == 1)
+                kv.release(h); // a second release is a no-op
+            r = Reference{};
+            ++releases;
+        } else {
+            const std::int64_t tokens =
+                action == 2 ? static_cast<std::int64_t>(rng() % 8)
+                            : r.tokens + static_cast<std::int64_t>(
+                                             rng() % 40);
+            const std::int64_t want = kv.bytesForTokens(tokens);
+            const bool fits = want <= r.bytes ||
+                              want - r.bytes <= mem.freeBytes();
+            ASSERT_EQ(kv.tryReserve(h, tokens), fits) << "step " << step;
+            if (!fits) {
+                ++failures;
+            } else if (tokens < r.tokens) {
+                ++shrinks;
+            } else {
+                ++grows;
+                r.tokens = tokens;
+                r.bytes = std::max(r.bytes, want);
+            }
+        }
+        std::int64_t bytes = 0, frag = 0;
+        for (const auto &e : ref) {
+            bytes += e.bytes;
+            frag += e.bytes - e.tokens * kBytesPerToken;
+        }
+        ASSERT_EQ(h.tokens, r.tokens) << "step " << step;
+        ASSERT_EQ(h.pages * 16 * kBytesPerToken, r.bytes) << "step " << step;
+        ASSERT_EQ(mem.kvBytes(), bytes) << "step " << step;
+        ASSERT_EQ(kv.totalBytes(), bytes) << "step " << step;
+        ASSERT_EQ(kv.fragmentationBytes(), frag) << "step " << step;
+    }
+    // The walk exercised every branch.
+    EXPECT_GT(grows, 1000);
+    EXPECT_GT(shrinks, 100);
+    EXPECT_GT(failures, 100);
+    EXPECT_GT(releases, 1000);
 }
 
 // ------------------------------------------------------------- PcieLink

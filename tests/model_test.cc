@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -200,6 +201,82 @@ TEST(CostModel, EmptyBatchTakesNoTime)
 {
     model::CostModel cost(model::llama7B(), model::a40());
     EXPECT_EQ(cost.decodeIterTime({}), 0);
+}
+
+namespace {
+
+/** The per-slot decode loop as a standalone reference: weights, fixed
+ *  cost, then per slot the KV bytes, request and rank terms, in order. */
+sim::SimTime
+referenceDecodeIterTime(const model::CostModel &cost,
+                        const std::vector<model::DecodeSlot> &batch)
+{
+    if (batch.empty())
+        return 0;
+    const auto &p = cost.params();
+    double secs = static_cast<double>(cost.model().weightsBytes()) /
+                  cost.tpDegree() / (cost.gpu().memBandwidth * p.memUtil);
+    secs += p.decodeFixedMs * 1e-3;
+    bool any_adapter = false;
+    std::int64_t kv_bytes = 0;
+    for (const auto &slot : batch) {
+        kv_bytes += slot.kvTokens * cost.model().kvBytesPerToken();
+        secs += p.decodeReqUs * 1e-6;
+        if (slot.rank > 0) {
+            any_adapter = true;
+            secs += p.decodeRankUs * 1e-6 * slot.rank;
+        }
+    }
+    secs += static_cast<double>(kv_bytes) / cost.effectiveMemBandwidth();
+    if (any_adapter)
+        secs += p.mbgmvFixedMs * 1e-3;
+    return sim::fromSeconds(secs);
+}
+
+} // namespace
+
+TEST(CostModel, DecodeIterTimeOfMatchesVector)
+{
+    // A request-like element the mapped form reads its slot from.
+    struct Running
+    {
+        std::int64_t input;
+        std::int64_t generated;
+        int rank;
+    };
+    const model::CostModel costs[] = {
+        model::CostModel(model::llama7B(), model::a40(), 1),
+        model::CostModel(model::llama13B(), model::a100(80), 2),
+        model::CostModel(model::llama70B(), model::a100(80), 4),
+    };
+    const int ranks[] = {0, 0, 8, 16, 32, 64, 128};
+    std::mt19937_64 rng(20240518);
+    std::vector<Running> running;
+    std::vector<model::DecodeSlot> slots;
+    int empty_batches = 0;
+    for (int trial = 0; trial < 10000; ++trial) {
+        const auto &cost = costs[trial % 3];
+        // One batch in 16 is empty; the rest span 1..256 requests.
+        const std::size_t n = rng() % 16 == 0 ? 0 : 1 + rng() % 256;
+        empty_batches += n == 0 ? 1 : 0;
+        running.clear();
+        slots.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            const Running r{static_cast<std::int64_t>(1 + rng() % 4096),
+                            static_cast<std::int64_t>(rng() % 2048),
+                            ranks[rng() % 7]};
+            running.push_back(r);
+            slots.push_back({r.input + r.generated, r.rank});
+        }
+        const sim::SimTime mapped = cost.decodeIterTimeOf(
+            running.begin(), running.end(), [](const Running &r) {
+                return model::DecodeSlot{r.input + r.generated, r.rank};
+            });
+        const sim::SimTime reference = referenceDecodeIterTime(cost, slots);
+        ASSERT_EQ(mapped, reference) << "trial " << trial;
+        ASSERT_EQ(cost.decodeIterTime(slots), reference) << "trial " << trial;
+    }
+    EXPECT_GT(empty_batches, 0);
 }
 
 // ------------------------------------------------------ tensor parallel
