@@ -22,7 +22,6 @@ Testbed::spec(const std::string &system) const
 {
     core::SystemSpec spec = core::SystemRegistry::global().lookup(system);
     spec.engine = engine;
-    spec.predictor = predictor;
     return spec;
 }
 

@@ -46,13 +46,11 @@ struct Testbed
     std::unique_ptr<model::AdapterPool> pool;
     /** Hardware + base model shared by every system run here. */
     serving::EngineConfig engine;
-    /** Output-length predictor shared by every system run here. */
-    core::PredictorSpec predictor;
     workload::TraceGenConfig wl;
 
     /**
      * Resolve a registry system name ("chameleon", "chameleon+gdsf",
-     * ...) and stamp it with this testbed's hardware and predictor.
+     * ...) and stamp it with this testbed's hardware.
      */
     core::SystemSpec spec(const std::string &system) const;
 

@@ -52,12 +52,11 @@ main()
     sw.loads = {bench::kMediumRps};
     sw.workload.durationSeconds = 300.0;
     sw.workload.adapters = 200;
-    sw.engine.model = model::llama7B();
-    sw.engine.gpu = model::a40();
     // Memory-tight configuration: the paper's testbed keeps far less
     // idle memory than our 48 GB model, so we reserve extra workspace to
     // put the cache under real eviction pressure (~11 GB for KV+cache).
-    sw.engine.workspacePerGpu = 24ll << 30;
+    sw.axes.push_back({"engine.workspace_per_gpu",
+                       {sim::JsonValue::makeInt(24ll << 30)}});
 
     // Enumerate the cache-policy axis from the registry: the S-LoRA
     // baseline plus every registered full system that differs from

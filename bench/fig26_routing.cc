@@ -48,8 +48,6 @@ gridSpec(bool skewed)
     sw.workload.durationSeconds = kTraceSeconds;
     sw.workload.adapters = 200;
     sw.workload.adapterPopularity = skewed ? "powerlaw" : "uniform";
-    sw.engine.model = model::llama7B();
-    sw.engine.gpu = model::a40();
     return sw;
 }
 
@@ -122,8 +120,6 @@ main()
     autoscaleGrid.workload.burstMultiplier = 4.0; // §3.1 bursty arrivals
     autoscaleGrid.workload.burstPeriodSeconds = 60.0;
     autoscaleGrid.workload.burstDurationSeconds = 15.0;
-    autoscaleGrid.engine.model = model::llama7B();
-    autoscaleGrid.engine.gpu = model::a40();
 
     std::printf("\n%-10s %9s %9s %9s %9s %12s\n", "mode", "start",
                 "peak", "ups", "downs", "p99ttft(s)");

@@ -50,8 +50,6 @@ gridSpec()
     sw.workload.durationSeconds = kTraceSeconds;
     sw.workload.adapters = 200;
     sw.workload.adapterPopularity = "powerlaw";
-    sw.engine.model = model::llama7B();
-    sw.engine.gpu = model::a40();
     return sw;
 }
 

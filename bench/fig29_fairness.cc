@@ -66,12 +66,9 @@ main()
     wl.rps = kBaseRps;
     wl.durationSeconds = kTraceSeconds;
     wl.numTenants = kTenants;
-    // The storm: tenant 0 at 8x its share over the middle half,
-    // leaving clean head/tail windows (the CLI/sweep convention).
-    wl.stormTenant = 0;
-    wl.stormMultiplier = kStormMultiplier;
-    wl.stormStartSeconds = 0.25 * kTraceSeconds;
-    wl.stormEndSeconds = 0.75 * kTraceSeconds;
+    // The storm: tenant 0 at 8x its share over the middle half (the
+    // CLI/sweep convention).
+    workload::applyTenantStorm(&wl, kStormMultiplier);
     workload::TraceGenerator gen(wl, tb.pool.get());
     const auto trace = gen.generate();
 

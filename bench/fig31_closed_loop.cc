@@ -11,14 +11,15 @@
  * nominal-rate model ignores), with a large replica boot latency, and
  * compares four control-plane configurations:
  *
- *   static      nominal demand, fixed horizon  (the open loop)
- *   measured    measured-EWMA demand, fixed horizon
- *   boot-aware  nominal demand, horizon >= next replica's boot time
- *   closed      measured demand + boot-aware horizon
+ *   static      alpha 0: nominal rates, fixed horizon  (the open loop)
+ *   measured    alpha 0.3: measured-EWMA rates, fixed horizon
+ *   boot-aware  alpha 0, horizon >= next replica's boot time
+ *   closed      alpha 0.3 + boot-aware horizon
  *
- * All four run identical traces, the same routing weights
- * (measured_rate_alpha is on everywhere), and the same autoscaler
- * watermarks; only `demand_source` and `boot_aware_horizon` differ.
+ * All four run identical traces and the same autoscaler watermarks;
+ * only `measured_rate_alpha` (which feeds the measured rates into the
+ * routing weights and the capacity signals alike) and
+ * `boot_aware_horizon` differ.
  * The claim under test: the closed loop sees the fleet's real
  * (degraded) capacity and scales early enough that post-step arrivals
  * meet capacity instead of a backlog — a lower post-step p99 TTFT
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "routing/autoscaler.h"
 #include "routing/router.h"
 #include "serving/cluster.h"
 #include "simkit/check.h"
@@ -51,12 +51,11 @@ constexpr double kTraceSeconds = 240.0;
 // horizon has something to stretch: a scale-up decided now lands
 // ~21 s later (weight load + boot constant).
 constexpr double kBootMs = 20000.0;
-constexpr double kMeasuredAlpha = 0.3;
 
 struct ControlConfig
 {
     const char *name;
-    routing::DemandSource demandSource;
+    double measuredRateAlpha;
     bool bootAwareHorizon;
 };
 
@@ -83,8 +82,7 @@ controlSpec(bench::Testbed &tb, const ControlConfig &control)
     spec.cluster.autoscaler.replicaServiceRps = kBaseRps;
     spec.cluster.autoscaler.downCooldownPeriods = 4;
     spec.cluster.autoscaler.bootMs = kBootMs;
-    spec.cluster.autoscaler.measuredRateAlpha = kMeasuredAlpha;
-    spec.cluster.autoscaler.demandSource = control.demandSource;
+    spec.cluster.autoscaler.measuredRateAlpha = control.measuredRateAlpha;
     spec.cluster.autoscaler.bootAwareHorizon = control.bootAwareHorizon;
     return spec;
 }
@@ -131,10 +129,10 @@ main()
     const auto trace = gen.generate();
 
     const ControlConfig controls[] = {
-        {"static", routing::DemandSource::Nominal, false},
-        {"measured", routing::DemandSource::Measured, false},
-        {"boot-aware", routing::DemandSource::Nominal, true},
-        {"closed", routing::DemandSource::Measured, true},
+        {"static", 0.0, false},
+        {"measured", 0.3, false},
+        {"boot-aware", 0.0, true},
+        {"closed", 0.3, true},
     };
 
     bench::BenchJson json("fig31_closed_loop");
@@ -162,9 +160,7 @@ main()
                     report.stats.ttft.p99(), stepP99);
         json.row()
             .field("control", control.name)
-            .field("demand_source",
-                   std::string(routing::demandSourceName(
-                       control.demandSource)))
+            .field("measured_rate_alpha", control.measuredRateAlpha)
             .field("boot_aware_horizon", control.bootAwareHorizon)
             .field("boot_ms", kBootMs)
             .field("rps", wl.rps)

@@ -77,11 +77,6 @@ engineToJson(const serving::EngineConfig &e)
     o.set("admission_token_budget",
           JsonValue::makeInt(e.admissionTokenBudget));
     o.set("max_new_tokens", JsonValue::makeInt(e.maxNewTokens));
-    // Derived from `reservation` by the Runner; kept for completeness.
-    o.set("predicted_reservation",
-          JsonValue::makeBool(e.predictedReservation));
-    o.set("prefill_chunk_tokens",
-          JsonValue::makeInt(e.prefillChunkTokens));
     o.set("max_admissions_per_iter",
           JsonValue::makeInt(e.maxAdmissionsPerIter));
     o.set("max_running", JsonValue::makeInt(e.maxRunning));
@@ -189,9 +184,6 @@ clusterToJson(const ClusterSpec &c)
                c.autoscaler.scaleUpPolicy)));
     as.set("measured_rate_alpha",
            JsonValue::makeNumber(c.autoscaler.measuredRateAlpha));
-    as.set("demand_source",
-           JsonValue::makeString(
-               routing::demandSourceName(c.autoscaler.demandSource)));
     as.set("boot_aware_horizon",
            JsonValue::makeBool(c.autoscaler.bootAwareHorizon));
     o.set("autoscaler", std::move(as));
@@ -343,6 +335,52 @@ adaptersFromJson(const JsonValue &v, const std::string &path,
               "chameleon, lru, fairshare, gdsf");
     r.getBool("predictive_prefetch", &out->predictivePrefetch);
     r.getSize("prefetch_top_k", &out->prefetchTopK);
+    return r.finish();
+}
+
+/**
+ * Apply an "engine" JSON object onto *out (missing keys keep existing
+ * values). `path` prefixes error key paths. Accepts the string
+ * shorthands "model": "llama-7b" and "gpu": "a40" | "a100" |
+ * "a100-<GiB>" as well as the full field-by-field objects.
+ */
+bool
+engineFromJson(const JsonValue &obj, const std::string &path,
+               serving::EngineConfig *out, std::string *error)
+{
+    sim::JsonObjectReader r(obj, path, error);
+    if (const JsonValue *m = r.child("model")) {
+        if (!modelFromJson(*m, path + ".model", &out->model, error))
+            return false;
+    }
+    if (const JsonValue *g = r.child("gpu")) {
+        if (!gpuFromJson(*g, path + ".gpu", &out->gpu, error))
+            return false;
+    }
+    r.getInt("tp_degree", &out->tpDegree);
+    if (const JsonValue *c = r.child("cost")) {
+        if (!costFromJson(*c, path + ".cost", &out->cost, error))
+            return false;
+    }
+    r.getInt64("workspace_per_gpu", &out->workspacePerGpu);
+    r.getInt64("admission_token_budget", &out->admissionTokenBudget);
+    r.getInt64("max_new_tokens", &out->maxNewTokens);
+    r.getInt("max_admissions_per_iter", &out->maxAdmissionsPerIter);
+    r.getInt("max_running", &out->maxRunning);
+    r.getInt("kv_page_tokens", &out->kvPageTokens);
+    getSeconds(r, "mem_sample_period_s", &out->memSamplePeriod);
+    return r.finish();
+}
+
+/** Apply a "predictor" JSON object onto *out; as engineFromJson. */
+bool
+predictorFromJson(const JsonValue &obj, const std::string &path,
+                  PredictorSpec *out, std::string *error)
+{
+    sim::JsonObjectReader r(obj, path, error);
+    r.getString("kind", &out->kind);
+    r.getDouble("accuracy", &out->accuracy);
+    r.getUint64("seed", &out->seed);
     return r.finish();
 }
 
@@ -511,47 +549,6 @@ specToJson(const SystemSpec &spec)
     return specToJsonValue(spec).dump();
 }
 
-bool
-engineFromJson(const JsonValue &obj, const std::string &path,
-               serving::EngineConfig *out, std::string *error)
-{
-    sim::JsonObjectReader r(obj, path, error);
-    if (const JsonValue *m = r.child("model")) {
-        if (!modelFromJson(*m, path + ".model", &out->model, error))
-            return false;
-    }
-    if (const JsonValue *g = r.child("gpu")) {
-        if (!gpuFromJson(*g, path + ".gpu", &out->gpu, error))
-            return false;
-    }
-    r.getInt("tp_degree", &out->tpDegree);
-    if (const JsonValue *c = r.child("cost")) {
-        if (!costFromJson(*c, path + ".cost", &out->cost, error))
-            return false;
-    }
-    r.getInt64("workspace_per_gpu", &out->workspacePerGpu);
-    r.getInt64("admission_token_budget", &out->admissionTokenBudget);
-    r.getInt64("max_new_tokens", &out->maxNewTokens);
-    r.getBool("predicted_reservation", &out->predictedReservation);
-    r.getInt64("prefill_chunk_tokens", &out->prefillChunkTokens);
-    r.getInt("max_admissions_per_iter", &out->maxAdmissionsPerIter);
-    r.getInt("max_running", &out->maxRunning);
-    r.getInt("kv_page_tokens", &out->kvPageTokens);
-    getSeconds(r, "mem_sample_period_s", &out->memSamplePeriod);
-    return r.finish();
-}
-
-bool
-predictorFromJson(const JsonValue &obj, const std::string &path,
-                  PredictorSpec *out, std::string *error)
-{
-    sim::JsonObjectReader r(obj, path, error);
-    r.getString("kind", &out->kind);
-    r.getDouble("accuracy", &out->accuracy);
-    r.getUint64("seed", &out->seed);
-    return r.finish();
-}
-
 namespace {
 
 bool
@@ -587,8 +584,6 @@ autoscalerFromJson(const JsonValue &obj, const std::string &path,
     r.getEnum("scale_up_policy", &out->scaleUpPolicy,
               routing::scaleUpPolicyByName, routing::scaleUpPolicyNames());
     r.getDouble("measured_rate_alpha", &out->measuredRateAlpha);
-    r.getEnum("demand_source", &out->demandSource,
-              routing::demandSourceByName, routing::demandSourceNames());
     r.getBool("boot_aware_horizon", &out->bootAwareHorizon);
     return r.finish();
 }

@@ -26,8 +26,7 @@
  *
  * chameleon_sim exposes this as --config file.json / --dump-config and
  * `--set path=value` (applySpecOverrides); the sweep subsystem
- * (src/sweep/) applies its spec-path "axes" through the same path and
- * reuses the engine/predictor section parsers for its templates.
+ * (src/sweep/) applies its spec-path "axes" through the same path.
  */
 
 #ifndef CHAMELEON_CHAMELEON_SPEC_JSON_H
@@ -61,19 +60,6 @@ std::optional<SystemSpec> specFromJson(const std::string &text,
 /** As specFromJson, from an already parsed document. */
 std::optional<SystemSpec> specFromJsonValue(const sim::JsonValue &root,
                                             std::string *error = nullptr);
-
-/**
- * Apply an "engine" JSON object onto *out (missing keys keep existing
- * values). `path` prefixes error key paths. Accepts the string
- * shorthands "model": "llama-7b" and "gpu": "a40" | "a100" |
- * "a100-<GiB>" as well as the full field-by-field objects.
- */
-bool engineFromJson(const sim::JsonValue &obj, const std::string &path,
-                    serving::EngineConfig *out, std::string *error);
-
-/** Apply a "predictor" JSON object onto *out; as engineFromJson. */
-bool predictorFromJson(const sim::JsonValue &obj, const std::string &path,
-                       PredictorSpec *out, std::string *error);
 
 /** One `path=value` override: a dotted spec path and its value. */
 using SpecOverride = std::pair<std::string, sim::JsonValue>;

@@ -69,7 +69,9 @@ buildPredictor(const PredictorSpec &spec)
  * spec's policy axes, on the given simulator. Every replica of the
  * Runner's cluster is built here; `replica` selects the resolved
  * per-replica engine config (heterogeneous fleets differ per index,
- * homogeneous specs resolve every index to spec.engine).
+ * homogeneous specs resolve every index to spec.engine). Its
+ * reservation and prefill-chunk fields come from the `reservation`
+ * and `chunked_prefill`/`chunk_tokens` axes alone.
  */
 std::unique_ptr<ServingEngine>
 buildEngine(const SystemSpec &spec, std::size_t replica,
@@ -90,10 +92,9 @@ buildEngine(const SystemSpec &spec, std::size_t replica,
         ecfg.predictedReservation = true;
         break;
     }
-    if (spec.chunkedPrefill) {
-        ecfg.prefillChunkTokens =
-            std::max<std::int64_t>(spec.chunkTokens, 1);
-    }
+    ecfg.prefillChunkTokens =
+        spec.chunkedPrefill ? std::max<std::int64_t>(spec.chunkTokens, 1)
+                            : EngineConfig{}.prefillChunkTokens;
 
     // Scheduler axis.
     std::unique_ptr<serving::Scheduler> scheduler;

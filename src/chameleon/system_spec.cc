@@ -390,18 +390,7 @@ SystemSpec::validate() const
             std::ostringstream os;
             os << "autoscaler.measuredRateAlpha must be within [0, 1] "
                << "(got " << cluster.autoscaler.measuredRateAlpha
-               << "); 0 keeps the static nominal routing weights";
-            err(os);
-        }
-        if (cluster.autoscaler.demandSource ==
-                routing::DemandSource::Measured &&
-            cluster.autoscaler.measuredRateAlpha <= 0.0) {
-            std::ostringstream os;
-            os << "autoscaler.demandSource 'measured' needs "
-               << "measuredRateAlpha > 0 — without the per-replica "
-               << "EWMAs the capacity signals silently degrade to the "
-               << "nominal rates; set measured_rate_alpha (or keep "
-               << "demand_source 'nominal')";
+               << "); 0 keeps the static nominal rates";
             err(os);
         }
     }

@@ -199,7 +199,9 @@ struct SystemSpec
     /** Display/registry name; composed lookups carry their grammar. */
     std::string name = "custom";
 
-    /** Hardware + base model (the engine axis is shared wiring). */
+    /** Hardware + base model (the engine axis is shared wiring).
+     * Its predictedReservation and prefillChunkTokens are not read:
+     * `reservation` and `chunkedPrefill`/`chunkTokens` set them. */
     serving::EngineConfig engine{};
 
     SchedulerSpec scheduler{};

@@ -39,34 +39,6 @@ scaleUpPolicyNames()
     return "default, cheapest, fastest";
 }
 
-const char *
-demandSourceName(DemandSource source)
-{
-    switch (source) {
-      case DemandSource::Nominal: return "nominal";
-      case DemandSource::Measured: return "measured";
-    }
-    return "?";
-}
-
-bool
-demandSourceByName(const std::string &name, DemandSource *out)
-{
-    if (name == "nominal")
-        *out = DemandSource::Nominal;
-    else if (name == "measured")
-        *out = DemandSource::Measured;
-    else
-        return false;
-    return true;
-}
-
-const char *
-demandSourceNames()
-{
-    return "nominal, measured";
-}
-
 Autoscaler::Autoscaler(AutoscalerConfig config)
     : config_(config),
       forecast_(config.forecastWindowSeconds)
@@ -86,21 +58,6 @@ void
 Autoscaler::onArrival(sim::SimTime now)
 {
     forecast_.recordArrival(now);
-}
-
-std::size_t
-Autoscaler::evaluate(std::size_t activeReplicas,
-                     std::int64_t totalOutstanding, sim::SimTime now)
-{
-    // Homogeneous: every replica is the reference replica. Passing
-    // exact small integers through the capacity arithmetic keeps the
-    // decisions bit-identical to the historical scalar form.
-    CapacitySignals capacity;
-    capacity.activeCapacityFactor = static_cast<double>(
-        std::clamp(activeReplicas, config_.minReplicas,
-                   config_.maxReplicas));
-    capacity.nextReplicaFactor = 1.0;
-    return evaluate(activeReplicas, totalOutstanding, now, capacity);
 }
 
 std::size_t
@@ -220,7 +177,6 @@ operator==(const AutoscalerConfig &a, const AutoscalerConfig &b)
            a.downCooldownPeriods == b.downCooldownPeriods &&
            a.bootMs == b.bootMs && a.scaleUpPolicy == b.scaleUpPolicy &&
            a.measuredRateAlpha == b.measuredRateAlpha &&
-           a.demandSource == b.demandSource &&
            a.bootAwareHorizon == b.bootAwareHorizon;
 }
 

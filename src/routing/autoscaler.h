@@ -71,31 +71,6 @@ bool scaleUpPolicyByName(const std::string &name, ScaleUpPolicy *out);
 /** Comma-separated policy names, for error messages. */
 const char *scaleUpPolicyNames();
 
-/**
- * Which per-replica service-rate estimate the cluster folds into the
- * CapacitySignals it hands each evaluation.
- */
-enum class DemandSource {
-    /** Static nominal rates (serving::nominalServiceRate) — the
-     * pre-closed-loop behaviour, and the only option when measured
-     * rates are disabled. */
-    Nominal,
-    /** Blended effective rates: the measured completion-rate EWMA
-     * (serving::MeasuredRate) when measured_rate_alpha > 0, nominal
-     * otherwise — demand-in-reference-units then tracks *achieved*
-     * throughput, so a degraded fleet scales up earlier. */
-    Measured,
-};
-
-/** Canonical short name (also accepted by demandSourceByName). */
-const char *demandSourceName(DemandSource source);
-
-/** Parse a demand-source name; returns false on unknown names. */
-bool demandSourceByName(const std::string &name, DemandSource *out);
-
-/** Comma-separated demand-source names, for error messages. */
-const char *demandSourceNames();
-
 /** Watermarks, bounds and cadence of the autoscaler. */
 struct AutoscalerConfig
 {
@@ -134,19 +109,14 @@ struct AutoscalerConfig
     ScaleUpPolicy scaleUpPolicy = ScaleUpPolicy::Default;
     /**
      * EWMA weight of each newly observed per-replica completion rate
-     * (serving::MeasuredRate), blended into the routing weights
-     * (ClusterView::serviceWeight) so they self-correct under
-     * load-dependent batching/cache effects. 0 disables measurement —
-     * weights stay the static nominal estimates, bit-identically.
+     * (serving::MeasuredRate). Above 0 the measured rates feed both
+     * the routing weights (ClusterView::serviceWeight) and the
+     * capacity factors the cluster reports (CapacitySignals), so
+     * routing and capacity track achieved throughput. 0 disables
+     * measurement — weights and capacity stay the static nominal
+     * estimates, bit-identically.
      */
     double measuredRateAlpha = 0.0;
-    /**
-     * Which rate estimate feeds the capacity factors the cluster
-     * reports (CapacitySignals). Nominal keeps the static estimates —
-     * bit-identical decisions; Measured uses the effective (measured
-     * when alpha > 0) rates, so capacity tracks achieved throughput.
-     */
-    DemandSource demandSource = DemandSource::Nominal;
     /**
      * Stretch the forecast horizon to at least the boot time of the
      * replica the scale-up policy would actually add
@@ -197,16 +167,11 @@ class Autoscaler
     void onArrival(sim::SimTime now);
 
     /**
-     * One evaluation: given the current active count and the total
-     * outstanding requests across active replicas, return the new
-     * target count in [minReplicas, maxReplicas]. The homogeneous
-     * convenience form — equivalent to capacity factors of exactly
-     * 1.0 per replica.
+     * One evaluation: given the current active count, the total
+     * outstanding requests across active replicas and the active
+     * set's capacity (see CapacitySignals), return the new target
+     * count in [minReplicas, maxReplicas].
      */
-    std::size_t evaluate(std::size_t activeReplicas,
-                         std::int64_t totalOutstanding, sim::SimTime now);
-
-    /** Heterogeneity-aware evaluation (see CapacitySignals). */
     std::size_t evaluate(std::size_t activeReplicas,
                          std::int64_t totalOutstanding, sim::SimTime now,
                          const CapacitySignals &capacity);

@@ -403,22 +403,20 @@ DataParallelCluster::capacityFactor(std::size_t index) const
 bool
 DataParallelCluster::measuredSignals() const
 {
-    return measuredAlpha_ > 0.0 && autoscaler_ != nullptr &&
-           autoscaler_->config().demandSource ==
-               routing::DemandSource::Measured;
+    return measuredAlpha_ > 0.0 && autoscaler_ != nullptr;
 }
 
 routing::CapacitySignals
 DataParallelCluster::capacitySignals() const
 {
-    // Capacity in reference-replica units. With DemandSource::Nominal
-    // (the default) the factors are the static nominal ratios —
-    // homogeneous fleets divide a rate by itself, every factor is
-    // exactly 1.0 and the sum exactly the provisioned count, which
-    // keeps the autoscaler's decisions bit-identical to the historical
-    // scalar arithmetic.
+    // Capacity in reference-replica units. Without measured rates
+    // (measured_rate_alpha = 0, the default) the factors are the
+    // static nominal ratios — homogeneous fleets divide a rate by
+    // itself, every factor is exactly 1.0 and the sum exactly the
+    // provisioned count, which keeps the autoscaler's decisions
+    // bit-identical to the historical scalar arithmetic.
     //
-    // With DemandSource::Measured each nominal factor is scaled by the
+    // With measured rates each nominal factor is scaled by the
     // replica's *health*: its measured-to-nominal ratio relative to
     // the best armed ratio in the fleet. Measured EWMA rates are
     // achieved throughput and only comparable across replicas — the

@@ -293,9 +293,9 @@ class DataParallelCluster : public routing::ClusterView
     routing::CapacitySignals capacitySignals() const;
     double capacityFactor(std::size_t index) const;
     /** Do the capacity signals read the measured (effective) rates?
-     * True only with measured rates live AND the autoscaler configured
-     * with DemandSource::Measured — Nominal keeps the static factors
-     * bit-identical even while measurement steers the routing weights. */
+     * True exactly when measured rates are live (alpha > 0) on an
+     * autoscaled cluster; otherwise the static factors stay
+     * bit-identical. */
     bool measuredSignals() const;
     /** Default-policy scale-up configuration (see setReferenceEngine). */
     const EngineConfig &referenceEngineConfig() const;

@@ -34,9 +34,10 @@ SweepRunner::SweepRunner(SweepSpec spec) : spec_(std::move(spec))
     CHM_CHECK(cells.has_value(), error);
     cells_ = std::move(*cells);
 
+    // expandSweep guarantees every cell runs the same model.
     if (spec_.workload.adapters > 0) {
         pool_ = std::make_unique<model::AdapterPool>(
-            spec_.engine.model, spec_.workload.adapters);
+            cells_.front().spec.engine.model, spec_.workload.adapters);
     }
 
     // One trace per distinct (rps, seed) pair, indexed by

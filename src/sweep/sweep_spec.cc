@@ -6,6 +6,7 @@
 #include "chameleon/spec_json.h"
 #include "chameleon/system_registry.h"
 #include "model/llm.h"
+#include "simkit/check.h"
 #include "simkit/json.h"
 
 namespace chameleon::sweep {
@@ -125,11 +126,11 @@ workloadFromJson(const JsonValue &v, SweepWorkload *out,
                       "needs \"tenants\" >= 2; a storm is one tenant "
                       "bursting against the others");
     }
-    if (out->preset != "splitwise" && out->preset != "wildchat" &&
-        out->preset != "lmsys") {
+    workload::TraceGenConfig preset;
+    if (!workload::tracePresetByName(out->preset, &preset)) {
         return r.fail("preset", "unknown value \"" + out->preset +
-                                    "\"; known: splitwise, wildchat, "
-                                    "lmsys");
+                                    "\"; known: " +
+                                    workload::tracePresetNames());
     }
     if (!out->adapterPopularity.empty() &&
         out->adapterPopularity != "uniform" &&
@@ -138,40 +139,6 @@ workloadFromJson(const JsonValue &v, SweepWorkload *out,
                       "unknown value \"" + out->adapterPopularity +
                           "\"; known: uniform, powerlaw");
     }
-    return true;
-}
-
-bool
-gridFromJson(const JsonValue &v, SweepSpec *out, std::string *error)
-{
-    sim::JsonObjectReader r(v, "grid", error);
-    r.getString("base", &out->gridBase);
-    const JsonValue *axes = r.child("axes");
-    if (axes != nullptr) {
-        if (!axes->isArray())
-            return r.fail("axes", "expects an array of token arrays");
-        for (std::size_t i = 0; i < axes->items().size(); ++i) {
-            const JsonValue &axis = axes->items()[i];
-            std::ostringstream key;
-            key << "axes[" << i << "]";
-            if (!axis.isArray() || axis.items().empty())
-                return r.fail(key.str(),
-                              "expects a non-empty array of modifier "
-                              "tokens");
-            std::vector<std::string> tokens;
-            for (const auto &token : axis.items()) {
-                if (!token.isString())
-                    return r.fail(key.str(),
-                                  "expects modifier-token strings");
-                tokens.push_back(token.asString());
-            }
-            out->gridAxes.push_back(std::move(tokens));
-        }
-    }
-    if (!r.finish())
-        return false;
-    if (out->gridBase.empty())
-        return r.fail("base", "is required when \"grid\" is present");
     return true;
 }
 
@@ -234,7 +201,7 @@ sweepFromJson(const std::string &text, std::string *error)
         return std::nullopt;
     }
 
-    SweepSpec spec; // engine already defaults to the paper testbed
+    SweepSpec spec;
 
     auto failure = [error]() -> std::optional<SweepSpec> {
         if (error != nullptr && error->rfind("sweep json:", 0) != 0)
@@ -245,11 +212,7 @@ sweepFromJson(const std::string &text, std::string *error)
     sim::JsonObjectReader r(*doc, "", error);
     r.getString("name", &spec.name);
     listOf(r, "systems", "strings", &spec.systems, toString,
-           /*allowEmpty=*/true);
-    if (const JsonValue *g = r.child("grid")) {
-        if (!gridFromJson(*g, &spec, error))
-            return failure();
-    }
+           /*allowEmpty=*/true); // caught below as "nothing to run"
     listOf(r, "loads", "numbers", &spec.loads, toDouble);
     r.getBool("rps_per_replica", &spec.rpsPerReplica);
     listOf(r, "replicas", "32-bit integers", &spec.replicas, toInt);
@@ -262,25 +225,15 @@ sweepFromJson(const std::string &text, std::string *error)
         if (!workloadFromJson(*w, &spec.workload, error))
             return failure();
     }
-    if (const JsonValue *e = r.child("engine")) {
-        if (!core::engineFromJson(*e, "engine", &spec.engine, error))
-            return failure();
-    }
-    if (const JsonValue *p = r.child("predictor")) {
-        if (!core::predictorFromJson(*p, "predictor", &spec.predictor,
-                                     error))
-            return failure();
-    }
     r.getUint64("seed", &spec.seed);
     r.getInt("threads", &spec.threads);
     r.getString("output", &spec.output);
     if (!r.finish())
         return failure();
 
-    if (spec.systems.empty() && spec.gridBase.empty()) {
+    if (spec.systems.empty()) {
         if (error != nullptr)
-            *error = "sweep json: nothing to run; give \"systems\" "
-                     "and/or a \"grid\"";
+            *error = "sweep json: nothing to run; give \"systems\"";
         return std::nullopt;
     }
     if (!spec.fleets.empty() && !spec.replicas.empty()) {
@@ -322,12 +275,10 @@ workload::TraceGenConfig
 cellTraceConfig(const SweepSpec &spec, double rps, std::uint64_t traceSeed)
 {
     workload::TraceGenConfig wl;
-    if (spec.workload.preset == "wildchat")
-        wl = workload::wildchatLike();
-    else if (spec.workload.preset == "lmsys")
-        wl = workload::lmsysLike();
-    else
-        wl = workload::splitwiseLike();
+    CHM_CHECK(workload::tracePresetByName(spec.workload.preset, &wl),
+              "unknown sweep workload preset \""
+                  << spec.workload.preset << "\"; known: "
+                  << workload::tracePresetNames());
     wl.rps = rps;
     wl.durationSeconds = spec.workload.durationSeconds;
     wl.numAdapters = spec.workload.adapters;
@@ -342,14 +293,8 @@ cellTraceConfig(const SweepSpec &spec, double rps, std::uint64_t traceSeed)
     if (spec.workload.burstDurationSeconds.has_value())
         wl.burstDurationSeconds = *spec.workload.burstDurationSeconds;
     wl.numTenants = spec.workload.tenants;
-    if (spec.workload.tenantStorm > 1.0) {
-        // The noisy neighbour: tenant 0 bursts for the middle half of
-        // the trace, leaving clean head/tail windows for comparison.
-        wl.stormTenant = 0;
-        wl.stormMultiplier = spec.workload.tenantStorm;
-        wl.stormStartSeconds = 0.25 * wl.durationSeconds;
-        wl.stormEndSeconds = 0.75 * wl.durationSeconds;
-    }
+    if (spec.workload.tenantStorm > 1.0)
+        workload::applyTenantStorm(&wl, spec.workload.tenantStorm);
     wl.seed = traceSeed;
     return wl;
 }
@@ -374,23 +319,6 @@ std::optional<std::vector<SweepCell>>
 expandSweep(const SweepSpec &spec, std::string *error)
 {
     const auto &registry = core::SystemRegistry::global();
-
-    // The system axis: explicit names first, then the grid product in
-    // row-major order (later axes vary fastest).
-    std::vector<std::string> systems = spec.systems;
-    if (!spec.gridBase.empty()) {
-        std::vector<std::string> combos{spec.gridBase};
-        for (const auto &axis : spec.gridAxes) {
-            std::vector<std::string> next;
-            next.reserve(combos.size() * axis.size());
-            for (const auto &prefix : combos) {
-                for (const auto &token : axis)
-                    next.push_back(prefix + "+" + token);
-            }
-            combos = std::move(next);
-        }
-        systems.insert(systems.end(), combos.begin(), combos.end());
-    }
 
     const std::vector<double> loads =
         spec.loads.empty() ? std::vector<double>{8.0} : spec.loads;
@@ -433,7 +361,7 @@ expandSweep(const SweepSpec &spec, std::string *error)
     // scales the trace) share one trace so systems compare on identical
     // arrivals; key -> index into the runner's trace table.
     std::vector<std::pair<double, std::uint64_t>> traceKeys;
-    for (const auto &system : systems) {
+    for (const auto &system : spec.systems) {
         std::string lookupError;
         auto base = registry.find(system, &lookupError);
         if (!base.has_value()) {
@@ -442,8 +370,7 @@ expandSweep(const SweepSpec &spec, std::string *error)
                          "\": " + lookupError;
             return std::nullopt;
         }
-        base->engine = spec.engine;
-        base->predictor = spec.predictor;
+        base->engine = paperTestbedEngine();
         base->tenancy.tenants = spec.workload.tenants;
         base->cluster.routerConfig.seed = spec.seed;
         for (std::size_t li = 0; li < loads.size(); ++li) {
@@ -460,18 +387,30 @@ expandSweep(const SweepSpec &spec, std::string *error)
                     core::SpecOverrides overrides{deployment};
                     overrides.insert(overrides.end(), combo.begin(),
                                      combo.end());
-                    std::string cellError;
-                    auto resolved = core::applySpecOverrides(
-                        *base, overrides, &cellError);
-                    if (!resolved.has_value()) {
+                    const auto invalid = [&](const std::string &problem) {
                         if (error != nullptr) {
                             std::ostringstream os;
                             os << "sweep cell \"" << system << "\" (load "
                                << loads[li] << ", " << label(overrides)
-                               << ") is invalid: " << cellError;
+                               << ") " << problem;
                             *error = os.str();
                         }
                         return std::nullopt;
+                    };
+                    std::string cellError;
+                    auto resolved = core::applySpecOverrides(
+                        *base, overrides, &cellError);
+                    if (!resolved.has_value())
+                        return invalid("is invalid: " + cellError);
+                    const auto &model = resolved->engine.model;
+                    if (!cells.empty() &&
+                        model != cells.front().spec.engine.model) {
+                        return invalid(
+                            "sets engine.model \"" + model.name +
+                            "\" but the first cell runs \"" +
+                            cells.front().spec.engine.model.name +
+                            "\"; the cells share one adapter pool, so a "
+                            "sweep runs one model");
                     }
                     cell.spec = std::move(*resolved);
                     cell.replicaCount = cell.spec.cluster.replicas;

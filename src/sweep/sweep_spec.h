@@ -3,32 +3,35 @@
  * SweepSpec: a declarative grid of scenarios over the system registry.
  *
  * The paper's evaluation is a grid — systems x loads x traces x
- * policies. A SweepSpec names one such grid: an explicit list of
- * registry system names, and/or a cross-product built from a base
- * system and axes of registry modifier tokens (the same `base+mod`
- * grammar the CLI accepts), crossed with load (rps), replica-count
- * (or heterogeneous fleet-preset), and spec-path axes over any key
- * --dump-config prints ("axes": {"cluster.router": ["jsq", "p2c"]}).
- * expandSweep() resolves it into concrete SweepCells
- * — one fully validated core::SystemSpec per grid cell — which the
- * SweepRunner (sweep_runner.h) executes into one consolidated
- * BenchJson.
+ * policies. A SweepSpec names one such grid: a list of registry system
+ * names (composed variants like "chameleon+lru" included), crossed
+ * with load (rps), replica-count (or heterogeneous fleet-preset), and
+ * spec-path axes over any key --dump-config prints
+ * ("axes": {"cluster.router": ["jsq", "p2c"]}). A single-valued axis
+ * sets its key in every cell without adding cells. expandSweep()
+ * resolves it into concrete SweepCells — one fully validated
+ * core::SystemSpec per grid cell — which the SweepRunner
+ * (sweep_runner.h) executes into one consolidated BenchJson.
  *
- * Loaded from JSON (sweepFromJson; grammar documented in
- * src/sweep/README.md):
+ * Every cell starts from its registry spec on the paper testbed
+ * (paperTestbedEngine); hardware and predictor knobs are spec paths
+ * like any other. There is no modifier cross-product and no engine or
+ * predictor template: list the composed names, and put hardware in an
+ * axis — `"grid": {"base": "chameleon", "axes": [["lru", "gdsf"]]}`
+ * is `"systems": ["chameleon+lru", "chameleon+gdsf"]`, and
+ * `"engine": {"workspace_per_gpu": N}` is
+ * `"axes": {"engine.workspace_per_gpu": [N]}`. Loaded from JSON
+ * (sweepFromJson; grammar documented in src/sweep/README.md):
  *
  *   {
  *     "name": "fig17_policy_grid",
  *     "seed": 42,
- *     "systems": ["slora"],
- *     "grid": {
- *       "base": "chameleon",
- *       "axes": [["paper", "lru", "fairshare", "gdsf"]]
- *     },
+ *     "systems": ["slora", "chameleon+paper", "chameleon+lru",
+ *                 "chameleon+fairshare", "chameleon+gdsf"],
  *     "loads": [8.0],
  *     "workload": {"preset": "splitwise", "duration_s": 300,
  *                  "adapters": 200},
- *     "engine": {"workspace_per_gpu": 25769803776}
+ *     "axes": {"engine.workspace_per_gpu": [25769803776]}
  *   }
  *
  * Determinism: the trace of load-axis index i is generated with seed
@@ -54,8 +57,8 @@
 
 namespace chameleon::sweep {
 
-/** The paper testbed's hardware (Llama-7B on an A40): the default
- * engine template of a SweepSpec, for the C++ and JSON paths alike. */
+/** The paper testbed's hardware (Llama-7B on an A40): the engine
+ * every sweep cell starts from, for the C++ and JSON paths alike. */
 serving::EngineConfig paperTestbedEngine();
 
 /** One spec-path axis: a key --dump-config prints ("cluster.router")
@@ -111,12 +114,8 @@ struct SweepSpec
 {
     std::string name = "sweep";
 
-    /** Explicit registry names ("chameleon", "slora+sjf", ...). */
+    /** Registry names ("chameleon", "slora+sjf", ...); required. */
     std::vector<std::string> systems;
-    /** Cross-product base; "" disables the grid. */
-    std::string gridBase;
-    /** One modifier-token list per axis; cells take one from each. */
-    std::vector<std::vector<std::string>> gridAxes;
 
     /** Load axis (rps); empty means one load at 8.0. */
     std::vector<double> loads;
@@ -128,7 +127,7 @@ struct SweepSpec
      * Heterogeneous-fleet axis: model::tryFleetByName presets
      * ("a40x4", "a100x2+a40x2", ...). Each entry becomes one axis
      * value whose cells deploy that GPU mix (per-replica engines =
-     * the engine template with the preset's GPUs; replica count = the
+     * the cell's engine with the preset's GPUs; replica count = the
      * fleet size). Mutually exclusive with the `replicas` axis — a
      * fleet already fixes the count. Empty = homogeneous sweep.
      */
@@ -138,10 +137,6 @@ struct SweepSpec
     std::vector<SweepAxis> axes;
 
     SweepWorkload workload;
-    /** Hardware template stamped onto every cell. */
-    serving::EngineConfig engine = paperTestbedEngine();
-    /** Output-length predictor template stamped onto every cell. */
-    core::PredictorSpec predictor;
 
     /** Master seed: traces derive per-load, routers use it directly. */
     std::uint64_t seed = 42;
@@ -180,19 +175,19 @@ struct SweepCell
 
 /**
  * Parse a sweep description from JSON text. Strict keys with
- * offending-key error messages, like core::specFromJson. The default
- * engine template is the paper testbed (Llama-7B on an A40).
+ * offending-key error messages, like core::specFromJson.
  */
 std::optional<SweepSpec> sweepFromJson(const std::string &text,
                                        std::string *error = nullptr);
 
 /**
- * Expand the spec into concrete cells: (systems + grid cross-product)
- * x loads x replicas (or fleets) x each spec-path axis, in that
- * nesting order (system outermost, the last axis innermost). Resolves
- * every system name through the global registry and every cell's
- * overrides through core::applySpecOverrides; returns std::nullopt
- * with an actionable message naming the offending cell on failure.
+ * Expand the spec into concrete cells: systems x loads x replicas (or
+ * fleets) x each spec-path axis, in that nesting order (system
+ * outermost, the last axis innermost). Resolves every system name
+ * through the global registry and every cell's overrides through
+ * core::applySpecOverrides; returns std::nullopt with an actionable
+ * message naming the offending cell on failure. The cells share one
+ * adapter pool, so they must all resolve to the same engine.model.
  */
 std::optional<std::vector<SweepCell>> expandSweep(
     const SweepSpec &spec, std::string *error = nullptr);

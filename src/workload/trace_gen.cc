@@ -51,6 +51,35 @@ lmsysLike()
     return cfg;
 }
 
+bool
+tracePresetByName(const std::string &name, TraceGenConfig *out)
+{
+    if (name == "splitwise")
+        *out = splitwiseLike();
+    else if (name == "wildchat")
+        *out = wildchatLike();
+    else if (name == "lmsys")
+        *out = lmsysLike();
+    else
+        return false;
+    return true;
+}
+
+const char *
+tracePresetNames()
+{
+    return "splitwise, wildchat, lmsys";
+}
+
+void
+applyTenantStorm(TraceGenConfig *cfg, double multiplier)
+{
+    cfg->stormTenant = 0;
+    cfg->stormMultiplier = multiplier;
+    cfg->stormStartSeconds = 0.25 * cfg->durationSeconds;
+    cfg->stormEndSeconds = 0.75 * cfg->durationSeconds;
+}
+
 TraceGenerator::TraceGenerator(TraceGenConfig config,
                                const model::AdapterPool *pool)
     : config_(std::move(config)), pool_(pool)

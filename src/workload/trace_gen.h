@@ -115,6 +115,20 @@ TraceGenConfig wildchatLike();
 /** LMSYS-Chat-1M-like workload: short inputs, short outputs (§5.4.4). */
 TraceGenConfig lmsysLike();
 
+/** Set `*out` to the named preset (splitwise | wildchat | lmsys);
+ * returns false, leaving `*out` alone, on unknown names. */
+bool tracePresetByName(const std::string &name, TraceGenConfig *out);
+
+/** Comma-separated preset names, for error messages. */
+const char *tracePresetNames();
+
+/**
+ * The noisy-neighbour storm: tenant 0 runs at `multiplier` x its share
+ * over the middle half of the trace (0.25-0.75 of durationSeconds, so
+ * set the duration first), leaving clean head/tail windows.
+ */
+void applyTenantStorm(TraceGenConfig *cfg, double multiplier);
+
 /** Generates traces and assigns adapters per the configuration. */
 class TraceGenerator
 {

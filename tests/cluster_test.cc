@@ -607,11 +607,11 @@ TEST(ClosedLoop, MeasuredDemandScalesUpADegradedFleet)
     // Two replicas with identical spec sheets, but one is throttled so
     // its real throughput is a fraction of nominalServiceRate. The
     // watermark is parked out of reach: any scale-up must come from the
-    // demand signal. Nominal capacity signals count two healthy
-    // replicas and never scale; measured signals see the degradation
-    // and grow the fleet.
+    // demand signal. Without measurement (alpha 0) the nominal capacity
+    // signals count two healthy replicas and never scale; measured
+    // rates (alpha > 0) see the degradation and grow the fleet.
     model::AdapterPool pool(model::llama7B(), 30);
-    const auto runWith = [&](routing::DemandSource source) {
+    const auto runWith = [&](double measuredRateAlpha) {
         auto spec = specFor("chameleon", model::llama7B(), model::a40());
         spec.cluster.replicas = 2;
         spec.cluster.router = routing::RouterPolicy::JoinShortestQueue;
@@ -625,8 +625,7 @@ TEST(ClosedLoop, MeasuredDemandScalesUpADegradedFleet)
         spec.cluster.autoscaler.maxReplicas = 4;
         spec.cluster.autoscaler.replicaServiceRps = 8.0;
         spec.cluster.autoscaler.highWatermark = 1e6; // demand only
-        spec.cluster.autoscaler.measuredRateAlpha = 0.3;
-        spec.cluster.autoscaler.demandSource = source;
+        spec.cluster.autoscaler.measuredRateAlpha = measuredRateAlpha;
 
         // A metronome trace — 10 rps at exactly 100 ms spacing — so the
         // forecast slope is zero and the demand signal alone decides.
@@ -643,8 +642,8 @@ TEST(ClosedLoop, MeasuredDemandScalesUpADegradedFleet)
         core::Runner runner(spec, &pool);
         return runner.run(workload::Trace(std::move(trace)));
     };
-    const auto nominal = runWith(routing::DemandSource::Nominal);
-    const auto measured = runWith(routing::DemandSource::Measured);
+    const auto nominal = runWith(0.0);
+    const auto measured = runWith(0.3);
     // Steady 10 rps over 8 rps/replica: demand 2 == nominal capacity 2,
     // so the open loop sits still while the backlog belies it.
     EXPECT_EQ(nominal.peakReplicas, 2u);

@@ -228,14 +228,8 @@ runTenantScenario(const char *scheduler, int tenants, bool storm,
     wl.numAdapters = 40;
     wl.seed = kSeed;
     wl.numTenants = tenants;
-    if (storm) {
-        // Tenant 0 at 8x its share over the middle half (the
-        // CLI/sweep/fig29 storm convention).
-        wl.stormTenant = 0;
-        wl.stormMultiplier = 8.0;
-        wl.stormStartSeconds = 0.25 * wl.durationSeconds;
-        wl.stormEndSeconds = 0.75 * wl.durationSeconds;
-    }
+    if (storm)
+        workload::applyTenantStorm(&wl, 8.0); // CLI/sweep/fig29 storm
     workload::TraceGenerator gen(wl, &pool);
     const auto trace = gen.generate();
 
@@ -416,9 +410,7 @@ TEST(GoldenTrace, ClosedLoopHeteroAutoscale)
     spec.cluster.autoscaler.replicaServiceRps = 6.0;
     spec.cluster.autoscaler.downCooldownPeriods = 2;
     spec.cluster.autoscaler.bootMs = 8000.0;
-    spec.cluster.autoscaler.measuredRateAlpha = 0.3;
-    spec.cluster.autoscaler.demandSource =
-        routing::DemandSource::Measured;
+    spec.cluster.autoscaler.measuredRateAlpha = 0.3; // measured demand
     spec.cluster.autoscaler.bootAwareHorizon = true;
     spec.tenancy.tenants = 2;
     spec.tenancy.sloMultipliers = {0.5, 2.0};

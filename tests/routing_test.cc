@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
@@ -59,6 +60,22 @@ requestFor(model::AdapterId adapter)
     r.id = adapter;
     r.adapter = adapter;
     return r;
+}
+
+/**
+ * One evaluation of a homogeneous fleet: every replica is a reference
+ * replica, so the capacity factor is the active count clamped into the
+ * scaler's bounds.
+ */
+std::size_t
+evaluateHomogeneous(routing::Autoscaler &scaler, std::size_t active,
+                    std::int64_t outstanding, sim::SimTime now)
+{
+    routing::CapacitySignals capacity;
+    capacity.activeCapacityFactor = static_cast<double>(
+        std::clamp(active, scaler.config().minReplicas,
+                   scaler.config().maxReplicas));
+    return scaler.evaluate(active, outstanding, now, capacity);
 }
 
 } // namespace
@@ -444,22 +461,22 @@ TEST(Autoscaler, ScalesUpOnHighQueueAndDownAfterSustainedLow)
 
     sim::SimTime now = sim::kSec;
     // 30 outstanding over 2 replicas = 15/replica > high watermark.
-    EXPECT_EQ(scaler.evaluate(2, 30, now), 3u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 2, 30, now), 3u);
     EXPECT_EQ(scaler.scaleUps(), 1);
     // At the ceiling the target saturates.
-    EXPECT_EQ(scaler.evaluate(4, 400, now += sim::kSec), 4u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 4, 400, now += sim::kSec), 4u);
     // Low queue must persist downCooldownPeriods evaluations.
-    EXPECT_EQ(scaler.evaluate(3, 0, now += sim::kSec), 3u);
-    EXPECT_EQ(scaler.evaluate(3, 0, now += sim::kSec), 2u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 3, 0, now += sim::kSec), 3u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 3, 0, now += sim::kSec), 2u);
     EXPECT_EQ(scaler.scaleDowns(), 1);
     // A busy evaluation resets the streak.
-    EXPECT_EQ(scaler.evaluate(2, 0, now += sim::kSec), 2u);
-    EXPECT_EQ(scaler.evaluate(2, 10, now += sim::kSec), 2u);
-    EXPECT_EQ(scaler.evaluate(2, 0, now += sim::kSec), 2u);
-    EXPECT_EQ(scaler.evaluate(2, 0, now += sim::kSec), 1u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 2, 0, now += sim::kSec), 2u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 2, 10, now += sim::kSec), 2u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 2, 0, now += sim::kSec), 2u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 2, 0, now += sim::kSec), 1u);
     // Never below the floor.
-    EXPECT_EQ(scaler.evaluate(1, 0, now += sim::kSec), 1u);
-    EXPECT_EQ(scaler.evaluate(1, 0, now += sim::kSec), 1u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 1, 0, now += sim::kSec), 1u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 1, 0, now += sim::kSec), 1u);
 }
 
 TEST(Autoscaler, ForecastDemandJumpsDirectlyToTheNeededReplicas)
@@ -478,7 +495,7 @@ TEST(Autoscaler, ForecastDemandJumpsDirectlyToTheNeededReplicas)
     sim::SimTime t = 0;
     for (int i = 0; i < 400; ++i)
         scaler.onArrival(t += sim::kSec / 40);
-    EXPECT_EQ(scaler.evaluate(1, 0, t), 8u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 1, 0, t), 8u);
     EXPECT_EQ(scaler.scaleUps(), 1);
     EXPECT_GE(scaler.lastForecastDemand(), 8.0);
 }
@@ -492,8 +509,8 @@ TEST(Autoscaler, ClampsTheActiveCountIntoItsBounds)
     // Idle cluster reported outside the bounds: the target comes back
     // clamped from both ends (evaluate never honours an out-of-range
     // count, matching enableAutoscaler's initial clamp).
-    EXPECT_EQ(scaler.evaluate(1, 0, sim::kSec), 2u);
-    EXPECT_EQ(scaler.evaluate(9, 1000, 2 * sim::kSec), 4u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 1, 0, sim::kSec), 2u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 9, 1000, 2 * sim::kSec), 4u);
 }
 
 TEST(Autoscaler, NonPositiveServiceRpsFallsBackToWatermarksOnly)
@@ -511,12 +528,12 @@ TEST(Autoscaler, NonPositiveServiceRpsFallsBackToWatermarksOnly)
     sim::SimTime t = 0;
     for (int i = 0; i < 500; ++i)
         scaler.onArrival(t += sim::kSec / 50);
-    EXPECT_EQ(scaler.evaluate(1, 0, t), 1u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 1, 0, t), 1u);
     EXPECT_DOUBLE_EQ(scaler.lastForecastDemand(), 0.0);
     // ...while the queue watermark still scales one step at a time.
-    EXPECT_EQ(scaler.evaluate(1, 20, t += sim::kSec), 2u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 1, 20, t += sim::kSec), 2u);
     // And a quiet queue scales down without a demand veto.
-    EXPECT_EQ(scaler.evaluate(2, 0, t += sim::kSec), 1u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 2, 0, t += sim::kSec), 1u);
 }
 
 TEST(Autoscaler, AggregateCapacityDrivesDemandOnAMixedFleet)
@@ -613,22 +630,6 @@ TEST(ScaleUpPolicy, NamesRoundTrip)
     }
     ScaleUpPolicy parsed;
     EXPECT_FALSE(routing::scaleUpPolicyByName("warp", &parsed));
-}
-
-TEST(DemandSource, NamesRoundTrip)
-{
-    using routing::DemandSource;
-    for (const auto source :
-         {DemandSource::Nominal, DemandSource::Measured}) {
-        DemandSource parsed;
-        ASSERT_TRUE(routing::demandSourceByName(
-            routing::demandSourceName(source), &parsed));
-        EXPECT_EQ(parsed, source);
-    }
-    DemandSource parsed;
-    EXPECT_FALSE(routing::demandSourceByName("psychic", &parsed));
-    // The rejection text the spec/CLI layers print.
-    EXPECT_STREQ(routing::demandSourceNames(), "nominal, measured");
 }
 
 TEST(Autoscaler, BootAwareHorizonScalesUpBeforeTheStaticOne)

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chameleon/spec_json.h"
@@ -280,20 +281,19 @@ TEST(SpecJson, RejectsMalformedAutoscalerRealismKnobs)
 
 TEST(SpecJson, ClosedLoopKnobsSurviveRoundTrip)
 {
-    // The PR-10 control-plane trio: demand_source, boot_aware_horizon
-    // and slo_admission all round-trip with every knob switched on.
+    // The closed-loop control-plane knobs: measured_rate_alpha (which
+    // also turns on measured demand), boot_aware_horizon and
+    // slo_admission all round-trip with every knob switched on.
     auto spec = core::presets::chameleon();
     spec.cluster.replicas = 2;
     spec.cluster.autoscale = true;
-    spec.cluster.autoscaler.measuredRateAlpha = 0.3;
-    spec.cluster.autoscaler.demandSource =
-        routing::DemandSource::Measured;
+    spec.cluster.autoscaler.measuredRateAlpha = 0.25;
     spec.cluster.autoscaler.bootAwareHorizon = true;
     spec.cluster.routerConfig.sloAdmission = true;
     ASSERT_TRUE(spec.validate().empty());
     EXPECT_EQ(roundTrip(spec), spec);
     const auto text = core::specToJson(spec);
-    EXPECT_NE(text.find("\"demand_source\": \"measured\""),
+    EXPECT_NE(text.find("\"measured_rate_alpha\": 0.25"),
               std::string::npos);
     EXPECT_NE(text.find("\"boot_aware_horizon\": true"),
               std::string::npos);
@@ -306,31 +306,68 @@ TEST(SpecJson, ClosedLoopKnobsSurviveRoundTrip)
     const auto fromText = core::specFromJson(
         R"({"cluster": {"replicas": 2, "autoscale": true,)"
         R"( "router_config": {"slo_admission": true}, "autoscaler":)"
-        R"( {"measured_rate_alpha": 0.2, "demand_source": "measured",)"
-        R"(  "boot_aware_horizon": true}}})");
+        R"( {"measured_rate_alpha": 0.2, "boot_aware_horizon": true}}})");
     ASSERT_TRUE(fromText.has_value());
-    EXPECT_EQ(fromText->cluster.autoscaler.demandSource,
-              routing::DemandSource::Measured);
+    EXPECT_EQ(fromText->cluster.autoscaler.measuredRateAlpha, 0.2);
     EXPECT_TRUE(fromText->cluster.autoscaler.bootAwareHorizon);
     EXPECT_TRUE(fromText->cluster.routerConfig.sloAdmission);
 }
 
 TEST(SpecJson, RejectsUnknownDemandSourceListingTheOptions)
 {
-    const auto error = parseError(
-        R"({"cluster": {"autoscaler": {"demand_source": "psychic"}}})");
-    EXPECT_NE(error.find("cluster.autoscaler.demand_source"),
-              std::string::npos)
+    // measured_rate_alpha > 0 is the measured demand source; the old
+    // demand_source key is unknown, whatever its value, so a config
+    // that still carries it fails instead of silently running on the
+    // alpha alone.
+    for (const char *value : {"measured", "nominal", "psychic"}) {
+        const auto error = parseError(
+            std::string(R"({"cluster": {"autoscaler": )") +
+            R"({"demand_source": ")" + value + R"("}}})");
+        EXPECT_NE(error.find("cluster.autoscaler.demand_source"),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find("not a recognised key"), std::string::npos)
+            << error;
+    }
+    // The --set path lists the keys that remain, the alpha among them.
+    std::string error;
+    EXPECT_FALSE(core::applySpecOverrides(
+                     core::presets::chameleon(),
+                     {{"cluster.autoscaler.demand_source",
+                       sim::JsonValue::makeString("measured")}},
+                     &error)
+                     .has_value());
+    EXPECT_NE(error.find("no key \"demand_source\""), std::string::npos)
         << error;
-    EXPECT_NE(error.find("nominal"), std::string::npos) << error;
-    EXPECT_NE(error.find("measured"), std::string::npos) << error;
-    // And measured-without-measurement fails spec validation with the
-    // knob that unlocks it.
-    const auto unmeasured = parseError(
-        R"({"cluster": {"replicas": 2, "autoscale": true,)"
-        R"( "autoscaler": {"demand_source": "measured"}}})");
-    EXPECT_NE(unmeasured.find("measured_rate_alpha"), std::string::npos)
-        << unmeasured;
+    EXPECT_NE(error.find("measured_rate_alpha"), std::string::npos)
+        << error;
+}
+
+TEST(SpecJson, RejectsTheEngineKeysTheRunnerDerives)
+{
+    // predicted_reservation and prefill_chunk_tokens are derived from
+    // `reservation` and `chunked_prefill`/`chunk_tokens` when an engine
+    // is built, so a copy in the spec would be a dead knob. They are
+    // neither printed nor accepted, at the top level or per replica.
+    const auto text = core::specToJson(core::presets::chameleon());
+    EXPECT_EQ(text.find("predicted_reservation"), std::string::npos);
+    EXPECT_EQ(text.find("prefill_chunk_tokens"), std::string::npos);
+    const std::pair<const char *, const char *> cases[] = {
+        {R"({"engine": {"predicted_reservation": true}})",
+         "engine.predicted_reservation"},
+        {R"({"engine": {"prefill_chunk_tokens": 64}})",
+         "engine.prefill_chunk_tokens"},
+        {R"({"cluster": {"replicas": [{"prefill_chunk_tokens": 64}]}})",
+         "cluster.replicas[0].prefill_chunk_tokens"},
+        {R"({"cluster": {"replicas": [{"predicted_reservation": true}]}})",
+         "cluster.replicas[0].predicted_reservation"},
+    };
+    for (const auto &[json, path] : cases) {
+        const auto error = parseError(json);
+        EXPECT_NE(error.find(path), std::string::npos) << error;
+        EXPECT_NE(error.find("not a recognised key"), std::string::npos)
+            << error;
+    }
 }
 
 TEST(SpecJson, HeteroFleetRoundTripsBitIdentically)

@@ -2,11 +2,12 @@
  * @file
  * Tests for the sweep subsystem (sweep_spec.h / sweep_runner.h):
  *  - JSON loading: defaults, strict unknown-key rejection (the
- *    retired bespoke axis keys included), grid grammar errors naming
- *    the offending token, spec-path "axes" grammar;
- *  - expansion: cross-product order and size, path-axis order and
- *    single-value templates, trace sharing across systems at a load,
- *    per-load seed derivation, rps_per_replica;
+ *    retired bespoke axis keys, templates and grid included),
+ *    spec-path "axes" grammar;
+ *  - expansion: composed system names keep their modifiers, path-axis
+ *    order and single-value axes, one model per sweep, trace sharing
+ *    across systems at a load, per-load seed derivation,
+ *    rps_per_replica;
  *  - rows: one column per path axis, and baseline_diff treating those
  *    columns as cell identity;
  *  - determinism: the same sweep JSON + seed produces a byte-identical
@@ -20,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "model/adapter.h"
+#include "model/llm.h"
 #include "simkit/json.h"
 #include "sweep/baseline_diff.h"
 #include "sweep/sweep_runner.h"
@@ -81,8 +84,13 @@ TEST(SweepJson, LoadsWithDefaults)
     EXPECT_EQ(spec.threads, 1);
     EXPECT_EQ(spec.workload.adapters, 16);
     EXPECT_EQ(spec.outputPath(), "BENCH_small.json");
-    // The hardware template defaults to the paper testbed.
-    EXPECT_EQ(spec.engine.model.name, "llama-7b");
+    // Every cell starts on the paper testbed.
+    const auto cells = sweep::expandSweep(spec);
+    ASSERT_TRUE(cells.has_value());
+    for (const auto &cell : *cells) {
+        EXPECT_EQ(cell.spec.engine.model.name, "llama-7b");
+        EXPECT_EQ(cell.spec.engine.gpu.name, "a40-48g");
+    }
 }
 
 TEST(SweepJson, RejectsUnknownKeysNamingThem)
@@ -106,7 +114,7 @@ TEST(SweepJson, RejectsEmptySweeps)
 TEST(SweepJson, RejectsExplicitlyEmptyAxisArrays)
 {
     // An empty axis silently replaced by a default would run a grid
-    // the author never wrote; "systems": [] stays legal (grid-only).
+    // the author never wrote.
     for (const char *axis : {"loads", "replicas", "fleets"}) {
         const auto error = sweepError(
             std::string(R"({"systems": ["slora"], ")") + axis +
@@ -121,10 +129,9 @@ TEST(SweepJson, RejectsExplicitlyEmptyAxisArrays)
         EXPECT_NE(error.find(path), std::string::npos) << error;
         EXPECT_NE(error.find("empty array"), std::string::npos) << error;
     }
-    EXPECT_EQ(parseSweep(R"({"systems": [],
-                             "grid": {"base": "chameleon"}})")
-                  .gridBase,
-              "chameleon");
+    // "systems" has no default: empty is nothing to run.
+    const auto error = sweepError(R"({"systems": []})");
+    EXPECT_NE(error.find("nothing to run"), std::string::npos) << error;
 }
 
 TEST(SweepJson, RejectsBadWorkloadPreset)
@@ -187,13 +194,17 @@ TEST(SweepJson, AutoscaleAxisRejectsNonBooleans)
 
 TEST(SweepJson, RetiredAxisKeysFailAsUnknownKeys)
 {
-    // The bespoke axes and templates are spec paths now; the old keys
-    // must fail loudly rather than be silently ignored.
+    // The bespoke axes and templates are spec paths now, and composed
+    // names replace the modifier grid; the old keys must fail loudly
+    // rather than be silently ignored or stamp over the cells.
     for (const char *key :
          {R"("routers": ["jsq"])", R"("autoscale": [true])",
           R"("autoscaler": {"max_replicas": 4})",
           R"("slo_admission": [true])", R"("migrations": ["all"])",
-          R"("topologies": ["nvlink"])", R"("fabric": {"top_k": 2})"}) {
+          R"("topologies": ["nvlink"])", R"("fabric": {"top_k": 2})",
+          R"("engine": {"workspace_per_gpu": 25769803776})",
+          R"("predictor": {"kind": "history"})",
+          R"("grid": {"base": "chameleon", "axes": [["lru"]]})"}) {
         const std::string text =
             std::string(R"({"systems": ["chameleon"], )") + key + "}";
         const auto error = sweepError(text);
@@ -236,29 +247,50 @@ TEST(SweepExpand, InvalidAutoscalerTemplateNamesTheCell)
 // Expansion.
 // ---------------------------------------------------------------------
 
-TEST(SweepExpand, GridCrossProductOrderAndSize)
+TEST(SweepExpand, ComposedNamesKeepTheirModifiers)
 {
     const auto spec = parseSweep(R"({
-      "systems": ["slora"],
-      "grid": {"base": "chameleon",
-               "axes": [["paper", "lru"], ["bypass", "nobypass"]]},
-      "loads": [4.0, 6.0]
+      "systems": ["chameleon", "chameleon+history",
+                  "chameleon+lru+nobypass"],
+      "loads": [4.0]
     })");
     std::string error;
     const auto cells = sweep::expandSweep(spec, &error);
     ASSERT_TRUE(cells.has_value()) << error;
-    // (1 explicit + 2x2 grid) systems x 2 loads.
-    ASSERT_EQ(cells->size(), 10u);
-    EXPECT_EQ((*cells)[0].system, "slora");
-    EXPECT_EQ((*cells)[0].rps, 4.0);
-    EXPECT_EQ((*cells)[1].rps, 6.0);
-    EXPECT_EQ((*cells)[2].system, "chameleon+paper+bypass");
-    EXPECT_EQ((*cells)[4].system, "chameleon+paper+nobypass");
-    EXPECT_EQ((*cells)[8].system, "chameleon+lru+nobypass");
-    // The composed spec really carries the modifier.
-    EXPECT_FALSE((*cells)[8].spec.scheduler.bypass);
-    EXPECT_EQ((*cells)[8].spec.adapters.eviction,
+    ASSERT_EQ(cells->size(), 3u);
+    // Nothing stamps over the registry: the predictor modifier holds.
+    EXPECT_EQ((*cells)[0].spec.predictor.kind, "bert");
+    EXPECT_EQ((*cells)[1].spec.predictor.kind, "history");
+    EXPECT_FALSE((*cells)[2].spec.scheduler.bypass);
+    EXPECT_EQ((*cells)[2].spec.adapters.eviction,
               core::EvictionKind::Lru);
+}
+
+TEST(SweepExpand, HistoryPredictorCellRunsItsOwnPredictor)
+{
+    const auto spec = parseSweep(R"({
+      "systems": ["chameleon", "chameleon+history"],
+      "loads": [12.0],
+      "workload": {"preset": "splitwise", "duration_s": 60,
+                   "adapters": 20},
+      "seed": 7
+    })");
+    const auto results = sweep::SweepRunner(spec).run();
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[1].cell.spec.predictor.kind, "history");
+    // Same trace, different predictor: the event streams must differ.
+    EXPECT_NE(results[0].report.eventHash, results[1].report.eventHash);
+}
+
+TEST(SweepExpand, RejectsCellsOnDifferentModelsNamingTheKey)
+{
+    // The cells share one adapter pool, so one sweep runs one model.
+    const auto error = expandError(R"({
+      "systems": ["chameleon"],
+      "axes": {"engine.model": ["llama-7b", "llama-13b"]}
+    })");
+    EXPECT_NE(error.find("engine.model"), std::string::npos) << error;
+    EXPECT_NE(error.find("llama-13b"), std::string::npos) << error;
 }
 
 TEST(SweepExpand, SharesTracesAcrossSystemsAtALoad)
@@ -315,7 +347,7 @@ TEST(SweepExpand, FleetAxisDeploysHeterogeneousCells)
               routing::RouterPolicy::PowerOfTwoChoices);
     EXPECT_EQ((*cells)[2].fleet, "a100x1+a40x1");
     // Each cell's replica count and per-replica engines come from its
-    // fleet preset, applied onto the sweep's engine template.
+    // fleet preset, applied onto the cell's engine.
     EXPECT_EQ((*cells)[0].replicaCount, 2);
     ASSERT_EQ((*cells)[0].spec.cluster.replicaEngines.size(), 2u);
     EXPECT_EQ((*cells)[0].spec.cluster.replicaEngines[0].gpu.name,
@@ -326,7 +358,7 @@ TEST(SweepExpand, FleetAxisDeploysHeterogeneousCells)
     EXPECT_EQ((*cells)[2].spec.cluster.replicaEngines[1].gpu.name,
               "a40-48g");
     EXPECT_EQ((*cells)[2].spec.cluster.replicaEngines[0].model.name,
-              spec.engine.model.name);
+              "llama-7b");
     ASSERT_TRUE((*cells)[2].spec.validate().empty());
 }
 
@@ -356,7 +388,7 @@ TEST(SweepExpand, UnknownFleetFailsTeachingTheGrammar)
 TEST(SweepExpand, UnknownModifierTokenFailsWithGrammarMessage)
 {
     const auto spec = parseSweep(R"({
-      "grid": {"base": "chameleon", "axes": [["frobnicate"]]}
+      "systems": ["chameleon+frobnicate"]
     })");
     std::string error;
     const auto cells = sweep::expandSweep(spec, &error);
@@ -462,6 +494,19 @@ TEST(SweepExpand, FleetFollowsAnEngineAxis)
     ASSERT_EQ(engines.size(), 2u);
     EXPECT_EQ(engines[0].model.name, "llama-13b");
     EXPECT_EQ(engines[1].gpu.name, "a100-80g");
+}
+
+TEST(SweepRunner, BuildsTheAdapterPoolForTheCellsModel)
+{
+    const auto spec = parseSweep(R"({
+      "systems": ["chameleon"],
+      "axes": {"engine.model": ["llama-13b"]},
+      "workload": {"preset": "splitwise", "duration_s": 10, "adapters": 8}
+    })");
+    const sweep::SweepRunner runner(spec);
+    ASSERT_NE(runner.pool(), nullptr);
+    EXPECT_EQ(runner.pool()->maxBytes(),
+              model::AdapterPool(model::llama13B(), 8).maxBytes());
 }
 
 // ---------------------------------------------------------------------

@@ -452,22 +452,6 @@ TEST(SpecValidation, RejectsBadAutoscalerBounds)
     EXPECT_TRUE(hasErrorContaining(spec, "maxReplicas"));
 }
 
-TEST(SpecValidation, RejectsMeasuredDemandWithoutMeasurement)
-{
-    // demand_source=measured promises the autoscaler live rates; with
-    // measured_rate_alpha left at zero no MeasuredRate instances exist
-    // and the capacity signals would silently stay nominal. The error
-    // names the knob that unlocks it.
-    auto spec = core::presets::chameleon();
-    spec.cluster.replicas = 2;
-    spec.cluster.autoscale = true;
-    spec.cluster.autoscaler.demandSource =
-        routing::DemandSource::Measured;
-    EXPECT_TRUE(hasErrorContaining(spec, "measured_rate_alpha"));
-    spec.cluster.autoscaler.measuredRateAlpha = 0.3;
-    EXPECT_TRUE(spec.validate().empty());
-}
-
 TEST(SpecValidation, CollectsEveryProblemAtOnce)
 {
     auto spec = core::presets::chameleon();

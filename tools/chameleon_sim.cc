@@ -301,27 +301,17 @@ main(int argc, char **argv)
         trace = workload::Trace::loadCsv(*trace_in);
     } else {
         workload::TraceGenConfig wl;
-        if (*workload_name == "splitwise")
-            wl = workload::splitwiseLike();
-        else if (*workload_name == "wildchat")
-            wl = workload::wildchatLike();
-        else if (*workload_name == "lmsys")
-            wl = workload::lmsysLike();
-        else
-            CHM_FATAL("unknown --workload: " << *workload_name);
+        CHM_CHECK(workload::tracePresetByName(*workload_name, &wl),
+                  "unknown --workload \"" << *workload_name
+                                          << "\"; known: "
+                                          << workload::tracePresetNames());
         wl.rps = *rps;
         wl.durationSeconds = *duration;
         wl.numAdapters = static_cast<int>(*adapters);
         wl.seed = static_cast<std::uint64_t>(*seed);
         wl.numTenants = spec.tenancy.tenants;
-        if (*tenant_storm > 1.0) {
-            // Tenant 0 bursts for the middle half of the trace, leaving
-            // clean head/tail windows for comparison.
-            wl.stormTenant = 0;
-            wl.stormMultiplier = *tenant_storm;
-            wl.stormStartSeconds = 0.25 * wl.durationSeconds;
-            wl.stormEndSeconds = 0.75 * wl.durationSeconds;
-        }
+        if (*tenant_storm > 1.0)
+            workload::applyTenantStorm(&wl, *tenant_storm);
         workload::TraceGenerator gen(wl, pool.get());
         trace = gen.generate();
     }
@@ -361,8 +351,8 @@ main(int argc, char **argv)
                         ? " + slo admission"
                         : "",
                     spec.cluster.autoscale ? ", autoscaling" : "",
-                    spec.cluster.autoscaler.demandSource ==
-                            routing::DemandSource::Measured
+                    spec.cluster.autoscale &&
+                            spec.cluster.autoscaler.measuredRateAlpha > 0.0
                         ? " on measured demand"
                         : "",
                     spec.cluster.autoscaler.bootAwareHorizon
