@@ -7,8 +7,8 @@
  * an A40-48GB GPU, Na=100 adapters with ranks {8,16,32,64,128}, uniform
  * rank popularity and power-law adapter popularity, Poisson arrivals
  * with Splitwise-like length distributions. Output is a plain-text
- * table on stdout with "paper reports" annotations so EXPERIMENTS.md
- * can record paper-vs-measured per experiment.
+ * table on stdout with "paper reports" annotations, so each
+ * experiment's paper-vs-measured gap can be read off its output.
  */
 
 #ifndef CHAMELEON_BENCH_BENCH_UTIL_H

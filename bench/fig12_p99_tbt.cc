@@ -30,6 +30,6 @@ main()
     }
     std::printf("\nnote: TBT here is per-iteration latency; the simulated "
                 "testbed fuses prefill into iterations, so absolute values "
-                "exceed the paper's GPU measurements (see EXPERIMENTS.md)\n");
+                "exceed the paper's GPU measurements\n");
     return 0;
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark) for the core data structures:
- * event kernel throughput, eviction scoring, 1-D K-means, quota
- * assignment, WRS computation, and the paged KV allocator.
+ * event kernel throughput, eviction scoring, 1-D K-means, the sample
+ * sort behind every percentile, quota assignment, WRS computation, the
+ * paged KV allocator, and the residency directory's top-k heat query.
  *
  * Besides the usual console table, the binary writes
  * BENCH_micro_core.json (sweep::BenchJson rows: name, iterations,
@@ -12,6 +13,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <vector>
 
 #include "sweep/bench_json.h"
@@ -20,11 +22,13 @@
 #include "chameleon/kmeans.h"
 #include "chameleon/quota.h"
 #include "chameleon/wrs.h"
+#include "fabric/residency_directory.h"
 #include "gpu/gpu_memory.h"
 #include "gpu/kv_cache.h"
 #include "model/llm.h"
 #include "simkit/rng.h"
 #include "simkit/simulator.h"
+#include "simkit/stats.h"
 
 using namespace chameleon;
 
@@ -77,6 +81,48 @@ BM_KMeans1d(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_KMeans1d)->Arg(512)->Arg(4096);
+
+/** Latency-like samples (a few decades); each iteration sorts a fresh
+ * copy, so the copy is part of the measured time. 2048 is about a
+ * k-means window, 151k a large run's per-request tracker. */
+void
+BM_SortDoubles(benchmark::State &state)
+{
+    sim::Rng rng(4);
+    std::vector<double> data;
+    for (int i = 0; i < state.range(0); ++i)
+        data.push_back(std::exp(8.0 * rng.nextDouble() - 4.0));
+    for (auto _ : state) {
+        std::vector<double> copy = data;
+        sim::sortDoubles(copy);
+        benchmark::DoNotOptimize(copy.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SortDoubles)->Arg(2048)->Arg(151000);
+
+/** The fabric's migration query: the top 4 of 1000 adapters by heat. */
+void
+BM_DirectoryHottest(benchmark::State &state)
+{
+    const int adapters = static_cast<int>(state.range(0));
+    fabric::ResidencyDirectory dir;
+    sim::Rng rng(5);
+    for (int id = 0; id < adapters; ++id) {
+        dir.onLoadStart(0, id);
+        dir.onLoadComplete(0, id);
+        for (auto uses = rng.nextBelow(8); uses > 0; --uses) {
+            dir.onAcquire(0, id,
+                          static_cast<sim::SimTime>(rng.nextBelow(1000)));
+            dir.onRelease(0, id);
+        }
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(dir.hottest(4));
+    state.SetItemsProcessed(state.iterations() * adapters);
+}
+BENCHMARK(BM_DirectoryHottest)->Arg(1000);
 
 void
 BM_QuotaAssignment(benchmark::State &state)

@@ -6,12 +6,14 @@
  * computes the within-cluster sum of squares (WCSS), and derives queue
  * cutoffs as midpoints between consecutive centroids.
  *
- * Note on K selection: the paper says to "pick the K that yields minimal
- * WCSS", but WCSS is monotonically non-increasing in K, which would
- * always select Kmax. We implement both the literal rule and an elbow
- * criterion (smallest K whose marginal WCSS improvement falls below a
- * threshold); the elbow is the default. The deviation is recorded in
- * DESIGN.md.
+ * K selection deviates from the paper's literal "minimal WCSS" rule,
+ * which always selects Kmax: the default is an elbow criterion. Both
+ * rules are implemented; the deviation is explained in the MLQ section
+ * of src/chameleon/README.md.
+ *
+ * Every entry point sorts its window once (sim::sortDoubles) and runs
+ * all K on that copy; the results are bit-equal to an independent sort
+ * and first-minimum scan per K.
  */
 
 #ifndef CHAMELEON_CHAMELEON_KMEANS_H
@@ -28,12 +30,15 @@ struct KMeansResult
     double wcss = 0.0;
 };
 
+/** Lloyd iterations per K unless the assignment settles sooner. */
+inline constexpr int kKMeansMaxIters = 64;
+
 /**
  * Lloyd's algorithm in one dimension with quantile initialisation
  * (deterministic).
  */
 KMeansResult kmeans1d(const std::vector<double> &data, int k,
-                      int maxIters = 64);
+                      int maxIters = kKMeansMaxIters);
 
 /** K-selection rules. */
 enum class KSelection {

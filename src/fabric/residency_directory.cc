@@ -138,51 +138,71 @@ ResidencyDirectory::replicaEntryCount(std::size_t replica) const
     return static_cast<std::size_t>(it->second);
 }
 
-std::vector<AdapterId>
-ResidencyDirectory::hotSort(std::vector<AdapterId> ids,
-                            std::size_t k) const
+namespace {
+
+/** One adapter's heat, copied out of the map for one query. */
+struct HeatKey
 {
-    std::sort(ids.begin(), ids.end(),
-              [this](AdapterId a, AdapterId b) {
-                  const AdapterInfo &ia = adapters_.at(a);
-                  const AdapterInfo &ib = adapters_.at(b);
-                  if (ia.uses != ib.uses)
-                      return ia.uses > ib.uses;
-                  if (ia.lastUse != ib.lastUse)
-                      return ia.lastUse > ib.lastUse;
-                  return a < b;
-              });
-    if (ids.size() > k)
-        ids.resize(k);
+    std::int64_t uses;
+    sim::SimTime lastUse;
+    AdapterId id;
+};
+
+/** Heat order (uses desc, last-use desc, id asc): a strict total order,
+ * so any sort of the same keys yields the same list. */
+bool
+hotterFirst(const HeatKey &a, const HeatKey &b)
+{
+    if (a.uses != b.uses)
+        return a.uses > b.uses;
+    if (a.lastUse != b.lastUse)
+        return a.lastUse > b.lastUse;
+    return a.id < b.id;
+}
+
+/** The ids of the first k keys in heat order, in that order. */
+std::vector<AdapterId>
+topK(std::vector<HeatKey> keys, std::size_t k)
+{
+    const std::size_t m = std::min(k, keys.size());
+    std::partial_sort(keys.begin(),
+                      keys.begin() + static_cast<std::ptrdiff_t>(m),
+                      keys.end(), hotterFirst);
+    std::vector<AdapterId> ids;
+    ids.reserve(m);
+    for (std::size_t i = 0; i < m; ++i)
+        ids.push_back(keys[i].id);
     return ids;
 }
+
+} // namespace
 
 std::vector<AdapterId>
 ResidencyDirectory::hottest(std::size_t k) const
 {
-    std::vector<AdapterId> ids;
+    std::vector<HeatKey> keys;
     for (const auto &[id, info] : adapters_) {
         if (info.uses > 0)
-            ids.push_back(id);
+            keys.push_back({info.uses, info.lastUse, id});
     }
-    return hotSort(std::move(ids), k);
+    return topK(std::move(keys), k);
 }
 
 std::vector<AdapterId>
 ResidencyDirectory::hottestIdleOn(std::size_t replica,
                                   std::size_t k) const
 {
-    std::vector<AdapterId> ids;
+    std::vector<HeatKey> keys;
     for (const auto &[id, info] : adapters_) {
         auto hit = info.holders.find(static_cast<int>(replica));
         if (hit == info.holders.end())
             continue;
         if (hit->second.tier == Tier::Resident &&
             hit->second.refcount == 0) {
-            ids.push_back(id);
+            keys.push_back({info.uses, info.lastUse, id});
         }
     }
-    return hotSort(std::move(ids), k);
+    return topK(std::move(keys), k);
 }
 
 std::size_t

@@ -88,7 +88,9 @@ class ResidencyDirectory : public serving::ResidencyEvents
 
     /**
      * The k globally hottest adapters ever acquired, ordered by
-     * (uses desc, last-use desc, id asc).
+     * (uses desc, last-use desc, id asc). One pass over the adapters
+     * and a partial sort of the top k: O(n log k), a linear scan at
+     * the fabric's small k.
      */
     std::vector<model::AdapterId> hottest(std::size_t k) const;
 
@@ -110,9 +112,6 @@ class ResidencyDirectory : public serving::ResidencyEvents
         /** Last acquire anywhere (heat tiebreaker). */
         sim::SimTime lastUse = 0;
     };
-
-    std::vector<model::AdapterId>
-    hotSort(std::vector<model::AdapterId> ids, std::size_t k) const;
 
     std::map<model::AdapterId, AdapterInfo> adapters_;
     std::map<int, std::int64_t> perReplicaEntries_;

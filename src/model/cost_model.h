@@ -5,7 +5,13 @@
  * Converts batch composition into virtual execution times. Calibrated
  * against the paper's own single-request measurements (Fig. 2: TTFT of
  * 74/78/88/107/144 ms for adapter ranks 8..128 on Llama-7B/A40 with a
- * 96-token "medium" input); see DESIGN.md §3 for the fit.
+ * 96-token "medium" input). The fit back-solves the input to
+ * kMediumInputTokens: its base prefill (fixed overhead plus FLOPs at
+ * computeUtil) is 64.5 ms; the MBGMM term (mbgmmFixedMs plus loraIneff
+ * times the LoRA FLOPs) grows linearly with rank, from 7.5 ms at rank 8
+ * to 55.3 ms at rank 128; the PCIe load adds 1.9 to 25.9 ms. Modelled
+ * TTFT is 73.9/78.6/88.2/107.3/145.6 ms (bench/fig02_rank_breakdown
+ * prints the table).
  *
  * Structure:
  *  - prefill: compute-bound, FLOPs / effective-FLOP-rate per token.

@@ -1,11 +1,76 @@
 #include "simkit/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "simkit/check.h"
 
 namespace chameleon::sim {
+
+namespace {
+
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+/** Unsigned key that orders like the double (see sortDoubles). */
+std::uint64_t
+sortKey(double x)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    return (bits & kSignBit) ? ~bits : bits | kSignBit;
+}
+
+double
+fromSortKey(std::uint64_t key)
+{
+    const std::uint64_t bits = (key & kSignBit) ? key & ~kSignBit : ~key;
+    double x;
+    std::memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+} // namespace
+
+void
+sortDoubles(std::vector<double> &values)
+{
+    const std::size_t n = values.size();
+    if (n < 2)
+        return;
+    std::vector<std::uint64_t> keys(n);
+    for (std::size_t i = 0; i < n; ++i)
+        keys[i] = sortKey(values[i]);
+
+    constexpr int kPasses = 8; // one per key byte, least significant first
+    std::array<std::array<std::size_t, 256>, kPasses> counts{};
+    for (const std::uint64_t key : keys) {
+        for (int pass = 0; pass < kPasses; ++pass)
+            ++counts[pass][(key >> (8 * pass)) & 0xff];
+    }
+    std::vector<std::uint64_t> scratch(n);
+    for (int pass = 0; pass < kPasses; ++pass) {
+        const int shift = 8 * pass;
+        auto &offsets = counts[pass];
+        // Every key has the same byte here: the pass is the identity.
+        if (offsets[(keys[0] >> shift) & 0xff] == n)
+            continue;
+        std::size_t next = 0;
+        for (std::size_t &slot : offsets) {
+            const std::size_t count = slot;
+            slot = next;
+            next += count;
+        }
+        for (const std::uint64_t key : keys)
+            scratch[offsets[(key >> shift) & 0xff]++] = key;
+        keys.swap(scratch);
+    }
+
+    for (std::size_t i = 0; i < n; ++i)
+        values[i] = fromSortKey(keys[i]);
+}
 
 void
 OnlineStats::add(double x)
@@ -56,6 +121,7 @@ OnlineStats::max() const
 void
 PercentileTracker::add(double x)
 {
+    CHM_CHECK(!std::isnan(x), "percentile sample is NaN (" << x << ")");
     samples_.push_back(x);
     sorted_ = false;
 }
@@ -64,7 +130,7 @@ const std::vector<double> &
 PercentileTracker::sorted() const
 {
     if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
+        sortDoubles(samples_);
         sorted_ = true;
     }
     return samples_;

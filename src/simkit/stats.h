@@ -17,6 +17,16 @@
 
 namespace chameleon::sim {
 
+/**
+ * Sort ascending in O(n): an LSD radix sort over order-preserving
+ * IEEE-754 keys (the sign bit of non-negative values is flipped and
+ * negative values are inverted), one byte per pass, skipping every
+ * pass whose byte is the same in all keys. The output is bit-equal to
+ * std::sort's whenever no NaN and no mixed-sign zero is present; -0.0
+ * orders before +0.0. Scratch is transient, 16 bytes per value.
+ */
+void sortDoubles(std::vector<double> &values);
+
 /** Streaming mean/variance/min/max accumulator (Welford). */
 class OnlineStats
 {
@@ -43,12 +53,13 @@ class OnlineStats
 /**
  * Exact percentile tracker over all added samples.
  *
- * Samples are kept unsorted and sorted lazily on query; queries between
- * inserts re-sort only when dirty.
+ * Samples are kept unsorted and sorted lazily on query (sortDoubles);
+ * queries between inserts re-sort only when dirty.
  */
 class PercentileTracker
 {
   public:
+    /** Add one sample; a NaN has no rank and is a checked error. */
     void add(double x);
 
     /** Percentile in [0, 100]; linear interpolation between ranks. */

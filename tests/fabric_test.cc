@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -304,6 +306,114 @@ TEST(FabricDirectory, HottestIsDeterministic)
               (std::vector<model::AdapterId>{2, 1, 3}));
     EXPECT_EQ(dir.hottestIdleOn(0, 2),
               (std::vector<model::AdapterId>{2, 1}));
+}
+
+/**
+ * Random load/complete/evict/acquire/release churn over many adapters
+ * and few distinct timestamps, so heat ties on uses and on last-use are
+ * common. The top-k queries must equal a full sort of the reference
+ * model in heat order, for k = 0, 1, 4 and everything.
+ */
+TEST(ResidencyDirectory, HottestMatchesFullSortUnderChurn)
+{
+    constexpr int kReplicas = 3;
+    constexpr int kAdapters = 60;
+    struct Held
+    {
+        bool resident = false;
+        int refs = 0;
+    };
+    struct Heat
+    {
+        std::int64_t uses = 0;
+        sim::SimTime lastUse = 0;
+    };
+    const std::size_t all = std::numeric_limits<std::size_t>::max();
+
+    for (std::uint64_t seed : {11u, 12u, 13u}) {
+        fabric::ResidencyDirectory dir;
+        std::map<std::pair<int, int>, Held> held; // (replica, adapter)
+        std::vector<Heat> heat(kAdapters);
+        std::mt19937_64 rng(seed);
+        sim::SimTime now = 0;
+
+        // Heat order over the reference model, fully sorted.
+        auto expected = [&](auto keep, std::size_t k) {
+            std::vector<model::AdapterId> ids;
+            for (int a = 0; a < kAdapters; ++a) {
+                if (keep(a))
+                    ids.push_back(a);
+            }
+            std::sort(ids.begin(), ids.end(), [&](int a, int b) {
+                if (heat[a].uses != heat[b].uses)
+                    return heat[a].uses > heat[b].uses;
+                if (heat[a].lastUse != heat[b].lastUse)
+                    return heat[a].lastUse > heat[b].lastUse;
+                return a < b;
+            });
+            if (ids.size() > k)
+                ids.resize(k);
+            return ids;
+        };
+
+        for (int step = 0; step < 3000; ++step) {
+            const int r = static_cast<int>(rng() % kReplicas);
+            const int a = static_cast<int>(rng() % kAdapters);
+            now += static_cast<sim::SimTime>(rng() % 3); // many equal times
+            auto it = held.find({r, a});
+            switch (rng() % 5) {
+              case 0: // load start, or complete an in-flight load
+                if (it == held.end()) {
+                    dir.onLoadStart(r, a);
+                    held[{r, a}] = Held{};
+                } else if (!it->second.resident) {
+                    dir.onLoadComplete(r, a);
+                    it->second.resident = true;
+                }
+                break;
+              case 1:
+                if (it != held.end() && it->second.refs == 0) {
+                    dir.onEvict(r, a);
+                    held.erase(it);
+                }
+                break;
+              case 2:
+              case 3:
+                if (it != held.end() && it->second.resident) {
+                    dir.onAcquire(r, a, now);
+                    ++it->second.refs;
+                    ++heat[a].uses;
+                    heat[a].lastUse = now;
+                }
+                break;
+              default:
+                if (it != held.end() && it->second.refs > 0) {
+                    dir.onRelease(r, a);
+                    --it->second.refs;
+                }
+                break;
+            }
+            if (step % 25 != 0)
+                continue;
+            for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                        std::size_t{4}, all}) {
+                ASSERT_EQ(dir.hottest(k),
+                          expected([&](int id) { return heat[id].uses > 0; },
+                                   k))
+                    << "seed " << seed << " step " << step << " k " << k;
+                for (int rep = 0; rep < kReplicas; ++rep) {
+                    auto idle = [&](int id) {
+                        auto h = held.find({rep, id});
+                        return h != held.end() && h->second.resident &&
+                               h->second.refs == 0;
+                    };
+                    ASSERT_EQ(dir.hottestIdleOn(rep, k), expected(idle, k))
+                        << "seed " << seed << " step " << step << " k " << k
+                        << " replica " << rep;
+                }
+            }
+        }
+    }
 }
 
 /** Double release is a bookkeeping bug, caught at the directory. */

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "simkit/rng.h"
@@ -114,8 +118,231 @@ TEST(KMeans, LiteralMinWcssPicksKmax)
     const auto chosen = core::chooseClusters(
         data, 4, core::KSelection::LiteralMinWcss, 0.10);
     // WCSS is monotone, so the literal rule lands on Kmax (the
-    // deviation documented in kmeans.h / DESIGN.md).
+    // deviation documented in src/chameleon/README.md).
     EXPECT_EQ(chosen.centroids.size(), 4u);
+}
+
+namespace {
+
+// A verbatim copy of the K-means before the one-sort kernel: a sort per
+// K and a first-minimum scan over every centroid per point. The
+// production code must match it bit for bit.
+
+core::KMeansResult
+refKmeans1d(const std::vector<double> &data, int k, int maxIters = 64)
+{
+    std::vector<double> sorted = data;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t n = sorted.size();
+
+    std::vector<double> centroids;
+    centroids.reserve(static_cast<std::size_t>(k));
+    for (int i = 0; i < k; ++i) {
+        const std::size_t idx = std::min(
+            n - 1, static_cast<std::size_t>((2.0 * i + 1) /
+                                            (2.0 * k) * static_cast<double>(n)));
+        centroids.push_back(sorted[idx]);
+    }
+    std::sort(centroids.begin(), centroids.end());
+
+    std::vector<int> assign(n, 0);
+    for (int iter = 0; iter < maxIters; ++iter) {
+        bool changed = false;
+        for (std::size_t i = 0; i < n; ++i) {
+            int best = 0;
+            double best_d = std::abs(sorted[i] - centroids[0]);
+            for (int c = 1; c < k; ++c) {
+                const double d = std::abs(sorted[i] - centroids[
+                    static_cast<std::size_t>(c)]);
+                if (d < best_d) {
+                    best_d = d;
+                    best = c;
+                }
+            }
+            if (assign[i] != best) {
+                assign[i] = best;
+                changed = true;
+            }
+        }
+        if (!changed && iter > 0)
+            break;
+        std::vector<double> sum(static_cast<std::size_t>(k), 0.0);
+        std::vector<std::size_t> count(static_cast<std::size_t>(k), 0);
+        for (std::size_t i = 0; i < n; ++i) {
+            sum[static_cast<std::size_t>(assign[i])] += sorted[i];
+            ++count[static_cast<std::size_t>(assign[i])];
+        }
+        for (int c = 0; c < k; ++c) {
+            const auto cc = static_cast<std::size_t>(c);
+            if (count[cc] > 0)
+                centroids[cc] = sum[cc] / static_cast<double>(count[cc]);
+        }
+        std::sort(centroids.begin(), centroids.end());
+    }
+
+    core::KMeansResult result;
+    result.centroids = centroids;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double d =
+            sorted[i] - centroids[static_cast<std::size_t>(assign[i])];
+        result.wcss += d * d;
+    }
+    return result;
+}
+
+core::KMeansResult
+refChooseClusters(const std::vector<double> &data, int kMax,
+                  core::KSelection selection, double elbowThreshold)
+{
+    std::vector<core::KMeansResult> results;
+    for (int k = 1; k <= kMax; ++k)
+        results.push_back(refKmeans1d(data, k));
+    if (selection == core::KSelection::LiteralMinWcss) {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < results.size(); ++i) {
+            if (results[i].wcss < results[best].wcss)
+                best = i;
+        }
+        return results[best];
+    }
+    const double total = results[0].wcss;
+    std::size_t chosen = results.size() - 1;
+    if (total <= 0.0)
+        return results[0];
+    for (std::size_t i = 1; i < results.size(); ++i) {
+        const double improvement =
+            (results[i - 1].wcss - results[i].wcss) / total;
+        if (improvement < elbowThreshold) {
+            chosen = i - 1;
+            break;
+        }
+    }
+    return results[chosen];
+}
+
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+::testing::AssertionResult
+sameBits(const core::KMeansResult &got, const core::KMeansResult &want)
+{
+    if (bitsOf(got.wcss) != bitsOf(want.wcss)) {
+        return ::testing::AssertionFailure()
+               << "wcss " << got.wcss << " vs " << want.wcss;
+    }
+    if (got.centroids.size() != want.centroids.size()) {
+        return ::testing::AssertionFailure()
+               << got.centroids.size() << " centroids vs "
+               << want.centroids.size();
+    }
+    for (std::size_t c = 0; c < got.centroids.size(); ++c) {
+        if (bitsOf(got.centroids[c]) != bitsOf(want.centroids[c])) {
+            return ::testing::AssertionFailure()
+                   << "centroid " << c << ": " << got.centroids[c]
+                   << " vs " << want.centroids[c];
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** One seeded window of one of seven shapes (finite, no -0.0). */
+std::vector<double>
+kmeansWindow(sim::Rng &rng, int shape)
+{
+    std::size_t n = 1 + rng.nextBelow(300);
+    std::vector<double> v;
+    switch (shape) {
+    case 0: // uniform
+        for (std::size_t i = 0; i < n; ++i)
+            v.push_back(rng.nextDouble());
+        break;
+    case 1: { // heavy duplicates
+        std::vector<double> pool(1 + rng.nextBelow(6));
+        for (double &x : pool)
+            x = 10.0 * rng.nextDouble();
+        for (std::size_t i = 0; i < n; ++i)
+            v.push_back(pool[rng.nextBelow(pool.size())]);
+        break;
+    }
+    case 2: // fewer points than clusters
+        n = 1 + rng.nextBelow(3);
+        for (std::size_t i = 0; i < n; ++i)
+            v.push_back(rng.nextDouble());
+        break;
+    case 3: { // values a few ulps apart
+        double x = 0.25 + rng.nextDouble();
+        for (std::size_t i = 0; i < n; ++i) {
+            for (auto step = rng.nextBelow(3); step > 0; --step)
+                x = std::nextafter(x, 2.0);
+            v.push_back(x);
+        }
+        break;
+    }
+    case 4: // signed magnitudes from 2^-600 to 2^600
+        for (std::size_t i = 0; i < n; ++i) {
+            const int e = static_cast<int>(rng.nextBelow(1201)) - 600;
+            const double sign = rng.nextBelow(2) ? 1.0 : -1.0;
+            v.push_back(sign * std::ldexp(1.0 + rng.nextDouble(), e));
+        }
+        break;
+    case 5: // small values beside 2^600: distances round into ties
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto pick = rng.nextBelow(4);
+            v.push_back(pick == 0   ? std::ldexp(1.0 + rng.nextDouble(), 600)
+                        : pick == 1 ? -std::ldexp(1.0, 600)
+                                    : rng.nextDouble());
+        }
+        break;
+    default: // WRS-like: a few tight groups
+        for (std::size_t i = 0; i < n; ++i) {
+            const double centre = 0.1 * static_cast<double>(
+                                            1 + rng.nextBelow(4));
+            v.push_back(centre + 0.01 * rng.nextDouble());
+        }
+        break;
+    }
+    // Shuffle so the sort under test does real work.
+    for (std::size_t i = v.size(); i > 1; --i)
+        std::swap(v[i - 1], v[rng.nextBelow(i)]);
+    return v;
+}
+
+} // namespace
+
+/** The one-sort kernel equals the per-K sort and first-minimum scan
+ * bit for bit: centroids and WCSS, for both K-selection rules and for
+ * Lloyd runs cut short by maxIters. */
+TEST(KMeans, MatchesVerbatimReference)
+{
+    sim::Rng rng(2020);
+    constexpr int kWindows = 10500;
+    constexpr int kShapes = 7;
+    for (int w = 0; w < kWindows; ++w) {
+        const int shape = w % kShapes;
+        const std::vector<double> data = kmeansWindow(rng, shape);
+        const int kMax = 1 + static_cast<int>(rng.nextBelow(4));
+        const double threshold = rng.nextBelow(2) ? 0.10 : 0.01;
+        for (const auto selection : {core::KSelection::Elbow,
+                                     core::KSelection::LiteralMinWcss}) {
+            ASSERT_TRUE(sameBits(
+                core::chooseClusters(data, kMax, selection, threshold),
+                refChooseClusters(data, kMax, selection, threshold)))
+                << "window " << w << " shape " << shape << " kMax "
+                << kMax;
+        }
+        const int k = 1 + static_cast<int>(rng.nextBelow(4));
+        const int iters[] = {1, 2, 3, 64};
+        const int maxIters = iters[rng.nextBelow(4)];
+        ASSERT_TRUE(sameBits(core::kmeans1d(data, k, maxIters),
+                             refKmeans1d(data, k, maxIters)))
+            << "window " << w << " shape " << shape << " k " << k
+            << " maxIters " << maxIters;
+    }
 }
 
 TEST(KMeans, CutoffsAreCentroidMidpoints)

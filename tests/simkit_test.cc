@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "simkit/distributions.h"
@@ -213,6 +216,125 @@ TEST(PercentileTracker, CdfMonotone)
         EXPECT_LT(cdf[i - 1].second, cdf[i].second);
     }
     EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
+}
+
+TEST(PercentileTrackerDeathTest, NanSampleAborts)
+{
+    sim::PercentileTracker t;
+    t.add(1.0);
+    EXPECT_DEATH(t.add(std::nan("")), "percentile sample is NaN");
+}
+
+namespace {
+
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+/** Any double but NaN and -0.0, from uniformly random bits. */
+double
+randomBitsDouble(sim::Rng &rng)
+{
+    for (;;) {
+        const std::uint64_t bits = rng();
+        double x;
+        std::memcpy(&x, &bits, sizeof x);
+        if (!std::isnan(x) && bits != bitsOf(-0.0))
+            return x;
+    }
+}
+
+/** One seeded sample set of one of several shapes (no NaN, no -0.0). */
+std::vector<double>
+sortInput(sim::Rng &rng, std::size_t n, int shape)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    std::vector<double> pool;
+    for (int i = 0; i < 5; ++i)
+        pool.push_back(randomBitsDouble(rng));
+    std::vector<double> v(n);
+    for (double &x : v) {
+        switch (shape) {
+        case 0: // latency-like: positive, a few decades
+            x = std::exp(10.0 * rng.nextDouble() - 5.0);
+            break;
+        case 1: // signed, with infinities, subnormals and zeros
+            switch (rng.nextBelow(6)) {
+            case 0: x = rng.nextBelow(2) ? inf : -inf; break;
+            case 1:
+                x = denorm * static_cast<double>(rng.nextBelow(1000)) *
+                    (rng.nextBelow(2) ? 1.0 : -1.0);
+                if (x == 0.0)
+                    x = 0.0;
+                break;
+            default: x = 2e6 * rng.nextDouble() - 1e6; break;
+            }
+            break;
+        case 2: // heavy duplicates
+            x = pool[rng.nextBelow(pool.size())];
+            break;
+        case 3: // all equal
+            x = pool[0];
+            break;
+        default: // every exponent and sign
+            x = randomBitsDouble(rng);
+            break;
+        }
+    }
+    return v;
+}
+
+} // namespace
+
+/** The radix kernel is bit-equal to std::sort on every NaN-free set
+ * without mixed-sign zeros, skipped byte passes included. */
+TEST(Stats, SortDoublesMatchesStdSort)
+{
+    sim::Rng rng(20);
+    std::vector<std::size_t> sizes = {0, 1, 2, 3, 255, 256, 4096, 65537,
+                                      300000};
+    for (int i = 0; i < 40; ++i)
+        sizes.push_back(rng.nextBelow(20000));
+    for (const std::size_t n : sizes) {
+        for (int shape = 0; shape < 5; ++shape) {
+            std::vector<double> got = sortInput(rng, n, shape);
+            std::vector<double> want = got;
+            std::sort(want.begin(), want.end());
+            sim::sortDoubles(got);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(bitsOf(got[i]), bitsOf(want[i]))
+                    << "n=" << n << " shape=" << shape << " i=" << i;
+            }
+        }
+    }
+}
+
+/** Mixed-sign zeros compare equal, so std::sort may leave them in any
+ * order; the kernel's keys put every -0.0 first. */
+TEST(Stats, SortDoublesPutsNegativeZeroFirst)
+{
+    for (const std::size_t n : {8u, 200u}) {
+        std::vector<double> v;
+        for (std::size_t i = 0; i < n; ++i)
+            v.push_back(i % 3 == 0 ? -0.0 : i % 3 == 1 ? 0.0 : -1.0);
+        sim::sortDoubles(v);
+        const std::size_t negatives = n / 3;
+        const std::size_t negZeros = (n + 2) / 3;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i < negatives)
+                EXPECT_EQ(v[i], -1.0);
+            else if (i < negatives + negZeros)
+                EXPECT_EQ(bitsOf(v[i]), bitsOf(-0.0)) << i;
+            else
+                EXPECT_EQ(bitsOf(v[i]), bitsOf(0.0)) << i;
+        }
+    }
 }
 
 TEST(Histogram, BinningAndClamping)

@@ -12,6 +12,10 @@
 #    from the root README.
 # 4. With a chameleon_sweep binary given, the shipped example sweeps
 #    must still expand (`--dry-run` smoke, hetero fleet included).
+# 5. Every *.md path named in a comment under src/, tools/ or bench/
+#    must resolve to a file, from the repository root or from the
+#    commenting file's directory — a doc renamed or never written
+#    fails the build.
 #
 # Usage: tools/check_docs.sh <chameleon_sim-binary> <repo-root> \
 #            [chameleon_sweep-binary]
@@ -96,8 +100,30 @@ if [ -n "$sweep_bin" ]; then
     done
 fi
 
+# --- 5. Markdown paths named in source comments resolve --------------
+# A comment line starts with //, /*, * or #, or carries a trailing //.
+# URLs are dropped before paths are picked out.
+md_refs=0
+while IFS=: read -r file line text; do
+    refs=$(sed -E 's#[a-z]+://[^[:space:]]*##g' <<< "$text" |
+        grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' || true)
+    for ref in $refs; do
+        md_refs=$((md_refs + 1))
+        if [ ! -f "$root/$ref" ] && [ ! -f "$root/$(dirname "$file")/$ref" ]
+        then
+            echo "FAIL: $file:$line names $ref, which does not exist"
+            fail=1
+        fi
+    done
+done < <(cd "$root" && grep -rnE \
+    --include='*.h' --include='*.cc' --include='*.cpp' \
+    --include='*.sh' --include='*.py' \
+    '^[[:space:]]*(//|/\*|\*|#)|[[:space:]]//' src tools bench |
+    grep -E '\.md\b' || true)
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "docs freshness OK ($(echo "$registry_names" | wc -l) presets," \
-     "$(echo "$dump_keys" | wc -l) spec keys documented)"
+     "$(echo "$dump_keys" | wc -l) spec keys documented," \
+     "$md_refs doc paths in comments resolve)"
