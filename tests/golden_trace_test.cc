@@ -447,6 +447,96 @@ TEST(GoldenTrace, ClosedLoopHeteroAutoscale)
                         .hash);
 }
 
+/**
+ * One Chameleon engine under memory pressure: the rare engine paths
+ * that no pin above reaches. `pool` and `gpu` set the hardware, the
+ * workload draws uniformly from the pool, and `configure` adjusts the
+ * spec before the run.
+ */
+template <typename Configure>
+core::RunReport
+runPressureScenario(const model::AdapterPool &pool, model::GpuSpec gpu,
+                    double rps, Configure configure)
+{
+    auto spec = core::SystemRegistry::global().lookup("chameleon");
+    spec.engine.model = model::llama7B();
+    spec.engine.gpu = gpu;
+    spec.predictor.seed = kSeed;
+    spec.cluster.replicas = 1;
+    configure(spec);
+    EXPECT_TRUE(spec.validate().empty());
+
+    auto wl = workload::splitwiseLike();
+    wl.rps = rps;
+    wl.durationSeconds = 60.0;
+    wl.numAdapters = pool.size();
+    wl.adapterPopularity = workload::Popularity::Uniform;
+    wl.seed = kSeed;
+    workload::TraceGenerator gen(wl, &pool);
+    const auto trace = gen.generate();
+
+    core::Runner runner(spec, &pool);
+    auto report = runner.run(trace);
+    EXPECT_EQ(report.stats.finished,
+              static_cast<std::int64_t>(trace.size()));
+    canonicalHash(runner, report);
+    return report;
+}
+
+void
+expectPressureGolden(const char *scenario, std::uint64_t hash,
+                     std::uint64_t pinned)
+{
+    if (std::getenv("CHM_GOLDEN_PRINT") != nullptr) {
+        std::printf("GOLDEN %s 0x%016llxull\n", scenario,
+                    static_cast<unsigned long long>(hash));
+        return;
+    }
+    EXPECT_EQ(hash, pinned)
+        << "event stream diverged for " << scenario
+        << "; if the change is intended, rerun with CHM_GOLDEN_PRINT=1 "
+        << "and update the pin (note it in CHANGES.md)";
+}
+
+/**
+ * Preemption pin: an under-predicting length predictor sizes each
+ * prediction-driven KV reservation short, and a large workspace leaves
+ * a tight KV pool, so decode growth runs out of memory and the engine
+ * preempts its youngest running request.
+ */
+TEST(GoldenTrace, ChameleonPreemptsUnderKvPressure)
+{
+    model::AdapterPool pool(model::llama7B(), 40);
+    const auto report =
+        runPressureScenario(pool, model::a40(), 10.0, [](auto &spec) {
+            spec.predictor.accuracy = 0.2;
+            spec.engine.workspacePerGpu = 30ll << 30;
+        });
+    EXPECT_GT(report.stats.preemptions, 0);
+    expectPressureGolden("chameleon preempt", report.eventHash,
+                         0xe2cfa1a54b72e480ull);
+}
+
+/**
+ * Bypass-squash pin: rank-128 adapters (268 MB each) on an A100-24G,
+ * where in-use adapters and KV fill request memory, so queue heads
+ * block on adapter memory, younger requests bypass them, and wrong
+ * guesses are squashed. This is the ablation_bypass hardware at 20 RPS
+ * instead of 13, so one simulated minute reaches the squash path.
+ */
+TEST(GoldenTrace, ChameleonBypassSquashesUnderAdapterPressure)
+{
+    model::AdapterPool pool(model::llama7B(), std::vector<int>(60, 128));
+    const auto report =
+        runPressureScenario(pool, model::a100(24), 20.0, [](auto &spec) {
+            spec.scheduler.bypass = true;
+        });
+    EXPECT_GT(report.stats.bypasses, 0);
+    EXPECT_GT(report.stats.squashes, 0);
+    expectPressureGolden("chameleon bypass squash", report.eventHash,
+                         0x336a4ac2a69b7f4eull);
+}
+
 /** Non-default fabric knobs are inert while migration is off: the
  * stream stays byte-identical to the pinned pre-fabric scenario. */
 TEST(GoldenTrace, FabricKnobsInertWithMigrationOff)
