@@ -52,6 +52,12 @@ CacheManager::pinnedIdleShare(AdapterId id, const Entry &e) const
     return pinnedIdle ? pool_.spec(id).bytes : 0;
 }
 
+int
+CacheManager::queuedNotResidentShare(const Entry &e)
+{
+    return e.state == State::NotResident && e.queuedRc > 0 ? 1 : 0;
+}
+
 double
 CacheManager::decayedFrequency(const Entry &e, SimTime now) const
 {
@@ -140,6 +146,7 @@ CacheManager::evictUntilFree(std::int64_t bytes, bool includePinned,
         pinnedIdleBytes_ -= pinnedIdleShare(vid, ve);
         mem_.freeAdapterCache(pool_.spec(vid).bytes);
         ve.state = State::NotResident;
+        queuedNotResident_ += queuedNotResidentShare(ve);
         ++evictions_;
         notifyEvict(vid);
         if (trace_ != nullptr) {
@@ -229,6 +236,7 @@ CacheManager::startLoad(AdapterId id, Entry &e, LoadKind kind, SimTime now)
         trace_->instant(tracePid_, obs::Lane::Cache, event, now,
                         {{"adapter", id}, {"bytes", bytes}});
     }
+    queuedNotResident_ -= queuedNotResidentShare(e);
     e.state = State::Loading;
     notifyLoadStart(id);
     e.readyAt = link_.enqueue(bytes, [this, id] {
@@ -273,6 +281,7 @@ CacheManager::peerAdmit(AdapterId id, SimTime readyAt, SimTime now)
         trace_->instant(tracePid_, obs::Lane::Cache, "peer_load", now,
                         {{"adapter", id}, {"bytes", bytes}});
     }
+    queuedNotResident_ -= queuedNotResidentShare(e);
     e.state = State::Loading;
     e.readyAt = std::max(readyAt, now);
     notifyLoadStart(id);
@@ -345,6 +354,7 @@ CacheManager::release(AdapterId id)
             // memory back instead (§4.2.1).
             mem_.freeAdapterInUse(pool_.spec(id).bytes);
             e.state = State::NotResident;
+            queuedNotResident_ += queuedNotResidentShare(e);
             notifyEvict(id);
         }
     }
@@ -365,8 +375,10 @@ CacheManager::onRequestQueued(AdapterId id, SimTime now)
     lastNow_ = now;
     Entry &e = entry(id);
     pinnedIdleBytes_ -= pinnedIdleShare(id, e);
+    queuedNotResident_ -= queuedNotResidentShare(e);
     ++e.queuedRc;
     pinnedIdleBytes_ += pinnedIdleShare(id, e);
+    queuedNotResident_ += queuedNotResidentShare(e);
     // Only predictive prefetch reads the arrival histogram.
     if (config_.predictivePrefetch)
         loadPredictor_.recordArrival(id, now);
@@ -387,8 +399,10 @@ CacheManager::onRequestDequeued(AdapterId id)
     Entry &e = entry(id);
     CHM_CHECK(e.queuedRc > 0, "dequeue without queue ref for " << id);
     pinnedIdleBytes_ -= pinnedIdleShare(id, e);
+    queuedNotResident_ -= queuedNotResidentShare(e);
     --e.queuedRc;
     pinnedIdleBytes_ += pinnedIdleShare(id, e);
+    queuedNotResident_ += queuedNotResidentShare(e);
 }
 
 void

@@ -77,6 +77,13 @@ class CacheManager : public serving::AdapterManager
     void onRequestDequeued(model::AdapterId id) override;
     void onSchedulingCycle(const std::vector<model::AdapterId> &queued,
                            sim::SimTime now) override;
+    /** Only a queued prefetch reads the list, and it only acts on a
+     * queued adapter that is neither resident nor loading. */
+    bool
+    needsQueuedAdapters() const override
+    {
+        return config_.queuedPrefetch && queuedNotResident_ > 0;
+    }
     bool tryFreeMemory(std::int64_t bytes) override;
 
     /**
@@ -106,6 +113,9 @@ class CacheManager : public serving::AdapterManager
      * pinned by queued requests only when `includePinned`. O(1).
      */
     std::int64_t evictableBytes(bool includePinned) const;
+    /** Adapters with a queued reference that are neither resident nor
+     * loading. O(1). */
+    std::int64_t queuedNotResident() const { return queuedNotResident_; }
     /** Total evictions performed. */
     std::int64_t evictions() const { return evictions_; }
     /** Evictions triggered by KV/memory shrink requests. */
@@ -149,6 +159,8 @@ class CacheManager : public serving::AdapterManager
     const Entry &entry(model::AdapterId id) const;
     /** Bytes `e` adds to pinnedIdleBytes_ (0 unless idle and pinned). */
     std::int64_t pinnedIdleShare(model::AdapterId id, const Entry &e) const;
+    /** What `e` adds to queuedNotResident_ (1 if queued and absent). */
+    static int queuedNotResidentShare(const Entry &e);
     void touch(Entry &e, sim::SimTime now);
     double decayedFrequency(const Entry &e, sim::SimTime now) const;
     sim::SimTime startLoad(model::AdapterId id, Entry &e, LoadKind kind,
@@ -173,6 +185,8 @@ class CacheManager : public serving::AdapterManager
      * reference: the cache bytes a pinned-sparing shrink may not take.
      */
     std::int64_t pinnedIdleBytes_ = 0;
+    /** Entries with queuedRc > 0 in state NotResident. */
+    std::int64_t queuedNotResident_ = 0;
     std::int64_t hits_ = 0;
     std::int64_t misses_ = 0;
     std::int64_t evictions_ = 0;

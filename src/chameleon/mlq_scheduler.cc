@@ -60,6 +60,7 @@ MlqScheduler::enqueue(LiveRequest *r)
     const std::size_t lane = classify(r->wrs);
     r->queueIndex = static_cast<int>(lane);
     lanes_[lane].queue.push_back(r);
+    ++waiting_;
     ++lanes_[lane].arrivalsInWindow;
     lanes_[lane].maxTokensSeen = std::max(
         lanes_[lane].maxTokensSeen, static_cast<double>(tokenCost(r)));
@@ -80,25 +81,19 @@ MlqScheduler::requeueFront(LiveRequest *r)
     const std::size_t lane = classify(r->wrs);
     r->queueIndex = static_cast<int>(lane);
     lanes_[lane].queue.push_front(r);
+    ++waiting_;
 }
 
 bool
 MlqScheduler::hasWaiting() const
 {
-    for (const auto &lane : lanes_) {
-        if (!lane.queue.empty())
-            return true;
-    }
-    return false;
+    return waiting_ > 0;
 }
 
 std::size_t
 MlqScheduler::waitingCount() const
 {
-    std::size_t n = 0;
-    for (const auto &lane : lanes_)
-        n += lane.queue.size();
-    return n;
+    return waiting_;
 }
 
 std::vector<LiveRequest *>
@@ -137,6 +132,7 @@ MlqScheduler::tryBypass(Lane &lane, LiveRequest *blocked,
         if (ctx.tryReserve(r2) != ReserveResult::Ok)
             continue;
         lane.queue.erase(it);
+        --waiting_;
         admitted.push_back(r2);
         admitted_.insert(r2);
         r2->quotaTokens = needed;
@@ -168,6 +164,7 @@ MlqScheduler::putBatch(Lane &lane, std::size_t laneIdx,
         const ReserveResult res = ctx.tryReserve(head);
         if (res == ReserveResult::Ok) {
             lane.queue.pop_front();
+            --waiting_;
             admitted.push_back(head);
             admitted_.insert(head);
             head->quotaTokens = needed;

@@ -147,6 +147,8 @@ class MlqScheduler : public serving::Scheduler
     MlqConfig config_;
     WrsCalculator wrs_;
     std::vector<Lane> lanes_;
+    /** Requests across every lane's queue. */
+    std::size_t waiting_ = 0;
     std::vector<double> cutoffs_;
     std::vector<WrsSample> samples_; // ring buffer of recent arrivals
     std::size_t sampleNext_ = 0;

@@ -86,10 +86,42 @@ CostModel::prefillStepTime(
 }
 
 SimTime
+CostModel::decodeIterTime(const int *ranks, std::size_t count,
+                          std::int64_t kvTokens) const
+{
+    if (count == 0)
+        return 0;
+    const double bw = effectiveMemBandwidth();
+    // Weight shards are read once per iteration, in parallel across the
+    // TP group (each rank streams its own 1/tp of the weights).
+    double secs = static_cast<double>(model_.weightsBytes()) / tp_ /
+                  (gpu_.memBandwidth * params_.memUtil);
+    secs += params_.decodeFixedMs * 1e-3;
+    bool any_adapter = false;
+    for (std::size_t i = 0; i < count; ++i) {
+        secs += params_.decodeReqUs * 1e-6;
+        if (ranks[i] > 0) {
+            any_adapter = true;
+            secs += params_.decodeRankUs * 1e-6 * ranks[i];
+        }
+    }
+    secs += static_cast<double>(kvTokens * model_.kvBytesPerToken()) / bw;
+    if (any_adapter)
+        secs += params_.mbgmvFixedMs * 1e-3;
+    return sim::fromSeconds(secs);
+}
+
+SimTime
 CostModel::decodeIterTime(const std::vector<DecodeSlot> &batch) const
 {
-    return decodeIterTimeOf(batch.begin(), batch.end(),
-                            [](const DecodeSlot &slot) { return slot; });
+    std::vector<int> ranks;
+    ranks.reserve(batch.size());
+    std::int64_t kv_tokens = 0;
+    for (const DecodeSlot &slot : batch) {
+        ranks.push_back(slot.rank);
+        kv_tokens += slot.kvTokens;
+    }
+    return decodeIterTime(ranks.data(), ranks.size(), kv_tokens);
 }
 
 SimTime
@@ -125,10 +157,8 @@ CostModel::isolatedE2e(std::int64_t inputTokens, std::int64_t outputTokens,
     // First output token is produced by the prefill step itself; the
     // remaining outputTokens-1 come from single-request decode iterations
     // with a growing KV footprint.
-    for (std::int64_t i = 1; i < outputTokens; ++i) {
-        DecodeSlot slot{inputTokens + i, rank};
-        t += decodeIterTime({slot});
-    }
+    for (std::int64_t i = 1; i < outputTokens; ++i)
+        t += decodeIterTime(&rank, 1, inputTokens + i);
     return t;
 }
 

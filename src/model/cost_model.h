@@ -28,6 +28,7 @@
 #ifndef CHAMELEON_MODEL_COST_MODEL_H
 #define CHAMELEON_MODEL_COST_MODEL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -121,44 +122,20 @@ class CostModel
     sim::SimTime prefillStepTime(
         const std::vector<std::pair<std::int64_t, int>> &reqs) const;
 
-    /** One decode iteration over the given batch composition. */
-    sim::SimTime decodeIterTime(const std::vector<DecodeSlot> &batch) const;
-
     /**
-     * decodeIterTime over [first, last) without building a slot vector:
-     * `slotOf(*it)` yields each element's DecodeSlot. The same
-     * operations in the same order, so the result is bit-equal to
-     * decodeIterTime of the mapped vector.
+     * One decode iteration over a batch given as its adapter ranks, in
+     * batch order, and the KV tokens read by the whole batch (the sum
+     * of every request's prompt + generated tokens). The per-request
+     * terms add in batch order and the KV bytes are an exact integer,
+     * so the time does not depend on how the KV tokens split between
+     * requests.
      */
-    template <typename It, typename SlotOf>
-    sim::SimTime
-    decodeIterTimeOf(It first, It last, SlotOf slotOf) const
-    {
-        if (first == last)
-            return 0;
-        const double bw = effectiveMemBandwidth();
-        // Weight shards are read once per iteration, in parallel across
-        // the TP group (each rank streams its own 1/tp of the weights).
-        double secs = static_cast<double>(model_.weightsBytes()) / tp_ /
-                      (gpu_.memBandwidth * params_.memUtil);
-        secs += params_.decodeFixedMs * 1e-3;
-        const std::int64_t kv_per_token = model_.kvBytesPerToken();
-        bool any_adapter = false;
-        std::int64_t kv_bytes = 0;
-        for (; first != last; ++first) {
-            const DecodeSlot slot = slotOf(*first);
-            kv_bytes += slot.kvTokens * kv_per_token;
-            secs += params_.decodeReqUs * 1e-6;
-            if (slot.rank > 0) {
-                any_adapter = true;
-                secs += params_.decodeRankUs * 1e-6 * slot.rank;
-            }
-        }
-        secs += static_cast<double>(kv_bytes) / bw;
-        if (any_adapter)
-            secs += params_.mbgmvFixedMs * 1e-3;
-        return sim::fromSeconds(secs);
-    }
+    sim::SimTime decodeIterTime(const int *ranks, std::size_t count,
+                                std::int64_t kvTokens) const;
+
+    /** decodeIterTime over the given batch composition, bit-equal to
+     * the kernel above over its ranks and summed KV tokens. */
+    sim::SimTime decodeIterTime(const std::vector<DecodeSlot> &batch) const;
 
     /**
      * Host->GPU transfer time for an adapter of the given byte size,

@@ -99,6 +99,15 @@ class AdapterManager
         sim::SimTime now) = 0;
 
     /**
+     * Would onSchedulingCycle act on the queued-adapter list right now?
+     * When false, the engine passes an empty list instead of collecting
+     * the adapters of every waiting request. The default asks for the
+     * list every cycle, so a wrapping manager that does not forward
+     * this call still receives every list.
+     */
+    virtual bool needsQueuedAdapters() const { return true; }
+
+    /**
      * Release idle adapter memory until at least `bytes` of device
      * memory are free; true on success. The baseline has no idle
      * adapters, so it succeeds only if memory is already free.

@@ -1,6 +1,7 @@
 #include "serving/engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "simkit/check.h"
@@ -15,6 +16,14 @@ namespace {
 constexpr double kInitIterUs = 30.0 * 1000.0;
 /** EWMA weight of the newest iteration sample. */
 constexpr double kIterEwmaAlpha = 0.05;
+
+/** Heap order for a min-heap of decode events on (step, runSeq). */
+template <typename Event>
+bool
+laterEvent(const Event &a, const Event &b)
+{
+    return a.step != b.step ? a.step > b.step : a.runSeq > b.runSeq;
+}
 } // namespace
 
 RequestRecord makeRecord(const LiveRequest &r); // metrics.cc
@@ -136,20 +145,30 @@ ServingEngine::estimateMemoryFreeTime(std::int64_t bytes) const
 {
     // Project each running request's completion from its predicted
     // remaining output, then walk completions until enough bytes free.
-    std::vector<std::pair<SimTime, std::int64_t>> frees;
-    frees.reserve(running_.size());
-    for (const LiveRequest *r : running_) {
-        const std::int64_t remaining =
-            std::max<std::int64_t>(1, r->predictedOutput - r->generated);
-        const SimTime when = sim_.now() + remaining * avgIterTime();
-        const std::int64_t freed =
-            kv_->bytesForTokens(r->req.inputTokens + r->generated) +
-            r->adapterBytes;
-        frees.emplace_back(when, freed);
+    // The sorted projection depends only on the clock, the decode step
+    // and the batch, so a scheduling pass that asks once per bypass
+    // candidate builds it once.
+    const SimTime now = sim_.now();
+    if (now != freesNow_ || decodeStep_ != freesStep_ ||
+        runningVersion_ != freesVersion_) {
+        frees_.clear();
+        for (const LiveRequest *r : running_) {
+            const std::int64_t done = generated(*r);
+            const std::int64_t remaining =
+                std::max<std::int64_t>(1, r->predictedOutput - done);
+            const SimTime when = now + remaining * avgIterTime();
+            const std::int64_t freed =
+                kv_->bytesForTokens(r->req.inputTokens + done) +
+                r->adapterBytes;
+            frees_.emplace_back(when, freed);
+        }
+        std::sort(frees_.begin(), frees_.end());
+        freesNow_ = now;
+        freesStep_ = decodeStep_;
+        freesVersion_ = runningVersion_;
     }
-    std::sort(frees.begin(), frees.end());
     std::int64_t acc = mem_->freeBytes();
-    for (const auto &[when, freed] : frees) {
+    for (const auto &[when, freed] : frees_) {
         acc += freed;
         if (acc >= bytes)
             return when;
@@ -164,7 +183,7 @@ ServingEngine::estimateExecTime(const LiveRequest *r) const
         cost_.prefillTime(r->remainingPrefill()) +
         cost_.adapterPrefillTime(r->rank, r->remainingPrefill());
     const std::int64_t remaining =
-        std::max<std::int64_t>(1, r->predictedOutput - r->generated);
+        std::max<std::int64_t>(1, r->predictedOutput - generated(*r));
     return prefill + remaining * avgIterTime();
 }
 
@@ -227,7 +246,7 @@ ServingEngine::makeContext()
     };
     ctx.freeBytes = [this] { return mem_->freeBytes(); };
     ctx.heldBytes = [this](const LiveRequest *r) {
-        return kv_->bytesForTokens(r->req.inputTokens + r->generated + 1) +
+        return kv_->bytesForTokens(r->req.inputTokens + generated(*r) + 1) +
                r->adapterBytes;
     };
     ctx.squashForBypass = [this](LiveRequest *r) {
@@ -293,11 +312,14 @@ ServingEngine::startIteration()
     const SimTime now = sim_.now();
     sampleMemory();
 
-    // Prefetch / pin refresh over the adapters of waiting requests.
+    // Prefetch / pin refresh over the adapters of waiting requests,
+    // listed only when the manager has a use for them.
     queuedAdapters_.clear();
-    for (const LiveRequest *r : scheduler_->waitingSnapshot()) {
-        if (r->hasAdapter())
-            queuedAdapters_.push_back(r->req.adapter);
+    if (adapterMgr_->needsQueuedAdapters()) {
+        for (const LiveRequest *r : scheduler_->waitingSnapshot()) {
+            if (r->hasAdapter())
+                queuedAdapters_.push_back(r->req.adapter);
+        }
     }
     adapterMgr_->onSchedulingCycle(queuedAdapters_, now);
 
@@ -362,11 +384,8 @@ ServingEngine::startIteration()
     SimTime duration = 0;
     if (!prefillWork_.empty())
         duration += cost_.prefillStepTime(prefillWork_);
-    duration += cost_.decodeIterTimeOf(
-        running_.begin(), running_.end(), [](const LiveRequest *r) {
-            return model::DecodeSlot{r->req.inputTokens + r->generated,
-                                     r->rank};
-        });
+    duration += cost_.decodeIterTime(runningRanks_.data(),
+                                     runningRanks_.size(), runningKvTokens_);
     CHM_CHECK(duration > 0, "iteration with work must take time");
 
     iterationInFlight_ = true;
@@ -377,7 +396,7 @@ ServingEngine::startIteration()
 bool
 ServingEngine::growKv(LiveRequest *r)
 {
-    const std::int64_t tokens = r->req.inputTokens + r->generated;
+    const std::int64_t tokens = r->req.inputTokens + generated(*r);
     if (kv_->tryReserve(r->kv, tokens))
         return true;
     adapterMgr_->tryFreeMemory(kv_->bytesForTokens(tokens));
@@ -398,7 +417,7 @@ ServingEngine::preemptForMemory()
         trace_->instant(tracePid_, obs::Lane::Engine, "preempt",
                         sim_.now(),
                         {{"request", victim->req.id},
-                         {"generated", victim->generated}});
+                         {"generated", generated(*victim)}});
     }
     squash(victim);
 }
@@ -416,38 +435,71 @@ ServingEngine::finishIteration(SimTime duration)
     ewmaIterUs_ = (1.0 - kIterEwmaAlpha) * ewmaIterUs_ +
                   kIterEwmaAlpha * static_cast<double>(duration);
 
-    // Decode step: one token per running request. Work on a snapshot so
-    // requests promoted from prefill below do not decode this iteration.
+    // Decode step: one token per running request. Progress is lazy:
+    // advancing decodeStep_ advances every running request's derived
+    // `generated`, and only requests that finish or cross a KV page at
+    // this step are visited. Requests promoted from prefill below join
+    // after the step, so they do not decode this iteration.
     if (!running_.empty())
         stats_.tbt.add(sim::toMillis(duration));
-    stillRunning_.clear();
+    ++decodeStep_;
+    runningKvTokens_ += static_cast<std::int64_t>(running_.size());
     finished_.clear();
-    for (LiveRequest *r : running_) {
-        ++r->generated;
-        r->lastTokenTime = now;
-        if (r->generated >= r->req.outputTokens) {
+    crossers_.clear();
+    while (!decodeEvents_.empty() &&
+           decodeEvents_.front().step <= decodeStep_) {
+        const DecodeEvent event = decodeEvents_.front();
+        std::pop_heap(decodeEvents_.begin(), decodeEvents_.end(),
+                      laterEvent<DecodeEvent>);
+        decodeEvents_.pop_back();
+        LiveRequest *r = event.request;
+        if (r->phase != RequestPhase::Running || r->runSeq != event.runSeq)
+            continue; // left the batch since the event was queued
+        if (generated(*r) >= r->req.outputTokens) {
             finished_.push_back(r);
         } else {
-            stillRunning_.push_back(r);
+            crossers_.push_back(r);
         }
     }
-    running_.swap(stillRunning_);
-    for (LiveRequest *r : finished_)
-        finishRequest(r);
 
-    // Grow KV for survivors; preempt under unrecoverable pressure. Each
-    // preemption releases the youngest request's memory, so the loop
-    // makes progress until the growth fits or the batch empties.
-    for (std::size_t i = 0; i < running_.size();) {
-        LiveRequest *r = running_[i];
-        if (growKv(r)) {
-            ++i;
-            continue;
+    // Finishers, in join order: the heap pops them in runSeq order, the
+    // order of running_, so one merge walk removes them all.
+    if (!finished_.empty()) {
+        std::size_t kept = 0;
+        std::size_t next = 0;
+        for (std::size_t i = 0; i < running_.size(); ++i) {
+            LiveRequest *r = running_[i];
+            if (next < finished_.size() && r == finished_[next]) {
+                ++next;
+                r->generated = generated(*r);
+                runningKvTokens_ -= r->req.inputTokens + r->generated;
+                continue;
+            }
+            running_[kept] = r;
+            runningRanks_[kept] = runningRanks_[i];
+            ++kept;
         }
-        preemptForMemory();
-        // Retry the same index: either r is still there (victim was the
-        // youngest, behind it) or r itself was evicted and the index now
-        // points at the next survivor.
+        CHM_CHECK(next == finished_.size(), "finisher missing from batch");
+        running_.resize(kept);
+        runningRanks_.resize(kept);
+        ++runningVersion_;
+        for (LiveRequest *r : finished_)
+            finishRequest(r);
+    }
+
+    // Grow KV for crossers in join order; preempt under unrecoverable
+    // pressure. Each preemption releases the youngest request's memory,
+    // so the loop makes progress until the growth fits or the crosser
+    // itself is the victim. A request that crosses no page would grow
+    // within the pages it holds, which changes nothing.
+    for (LiveRequest *r : crossers_) {
+        while (r->phase == RequestPhase::Running) {
+            if (growKv(r)) {
+                scheduleDecodeEvent(r);
+                break;
+            }
+            preemptForMemory();
+        }
     }
 
     // Prefill progress.
@@ -461,21 +513,64 @@ ServingEngine::finishIteration(SimTime duration)
             continue;
         // First token produced by the prefill step.
         r->firstTokenTime = now;
-        r->lastTokenTime = now;
         r->generated = 1;
         prefilling_.erase(
             std::find(prefilling_.begin(), prefilling_.end(), r));
         if (r->generated >= r->req.outputTokens) {
             finishRequest(r);
         } else {
-            r->phase = RequestPhase::Running;
-            running_.push_back(r);
+            joinRunning(r);
         }
     }
 
     scheduler_->onIterationEnd(now);
     iterationInFlight_ = false;
     maybeStartIteration();
+}
+
+void
+ServingEngine::joinRunning(LiveRequest *r)
+{
+    CHM_CHECK(nextRunSeq_ != std::numeric_limits<std::uint32_t>::max(),
+              "decode-batch join numbers exhausted");
+    r->phase = RequestPhase::Running;
+    r->runSeq = nextRunSeq_++;
+    r->decodeOrigin = decodeStep_ - r->generated;
+    running_.push_back(r);
+    runningRanks_.push_back(r->rank);
+    runningKvTokens_ += r->req.inputTokens + r->generated;
+    ++runningVersion_;
+    scheduleDecodeEvent(r);
+}
+
+void
+ServingEngine::eraseRunning(LiveRequest *r)
+{
+    const auto it = std::find(running_.begin(), running_.end(), r);
+    CHM_CHECK(it != running_.end(), "running request not in batch");
+    const auto i = it - running_.begin();
+    running_.erase(it);
+    runningRanks_.erase(runningRanks_.begin() + i);
+    runningKvTokens_ -= r->req.inputTokens + generated(*r);
+    ++runningVersion_;
+}
+
+void
+ServingEngine::scheduleDecodeEvent(LiveRequest *r)
+{
+    // The request finishes once generated reaches its output length and
+    // next crosses a page once prompt + generated exceeds the tokens its
+    // pages hold; generated = decodeStep_ - decodeOrigin.
+    const std::int64_t finish = r->decodeOrigin + r->req.outputTokens;
+    const std::int64_t cross =
+        r->decodeOrigin +
+        static_cast<std::int64_t>(r->kv.pages) * kv_->pageTokens() -
+        r->req.inputTokens + 1;
+    const std::int64_t step =
+        std::max(std::min(finish, cross), decodeStep_ + 1);
+    decodeEvents_.push_back(DecodeEvent{step, r->runSeq, r});
+    std::push_heap(decodeEvents_.begin(), decodeEvents_.end(),
+                   laterEvent<DecodeEvent>);
 }
 
 void
@@ -573,19 +668,18 @@ ServingEngine::squash(LiveRequest *r)
     CHM_CHECK(r->phase == RequestPhase::Prefilling ||
                   r->phase == RequestPhase::Running,
               "can only squash admitted requests");
-    auto drop = [r](std::vector<LiveRequest *> &v) {
-        auto it = std::find(v.begin(), v.end(), r);
-        if (it != v.end())
-            v.erase(it);
-    };
-    drop(prefilling_);
-    drop(running_);
+    if (r->phase == RequestPhase::Running) {
+        eraseRunning(r);
+    } else {
+        const auto it = std::find(prefilling_.begin(), prefilling_.end(), r);
+        CHM_CHECK(it != prefilling_.end(), "prefilling request not in batch");
+        prefilling_.erase(it);
+    }
     releaseResources(r);
     r->phase = RequestPhase::Waiting;
     r->prefilled = 0;
     r->generated = 0;
     r->firstTokenTime = sim::kTimeNever;
-    r->lastTokenTime = sim::kTimeNever;
     r->adapterReadyTime = 0;
     scheduler_->requeueFront(r);
     if (r->hasAdapter())

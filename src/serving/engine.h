@@ -203,6 +203,19 @@ class ServingEngine
     /** Recent exponentially-weighted mean decode-iteration time. */
     sim::SimTime avgIterTime() const;
 
+    /**
+     * Output tokens `r` has generated so far. A running request's count
+     * is derived from the engine's decode step, so read it here rather
+     * than from LiveRequest::generated, which is only stored when the
+     * request leaves the decode batch.
+     */
+    std::int64_t
+    generated(const LiveRequest &r) const
+    {
+        return r.phase == RequestPhase::Running ? decodeStep_ - r.decodeOrigin
+                                                : r.generated;
+    }
+
     /** Estimate when `bytes` will have been freed by running requests. */
     sim::SimTime estimateMemoryFreeTime(std::int64_t bytes) const;
 
@@ -233,6 +246,14 @@ class ServingEngine
     void releaseResources(LiveRequest *r);
     bool growKv(LiveRequest *r);
     void preemptForMemory();
+    /** Add a request whose prefill just emitted its first token to the
+     * decode batch. */
+    void joinRunning(LiveRequest *r);
+    /** Remove a running request from the decode batch (squash). */
+    void eraseRunning(LiveRequest *r);
+    /** Queue the next decode step at which running `r` finishes or
+     * crosses a KV page. */
+    void scheduleDecodeEvent(LiveRequest *r);
     void sampleMemory();
     AdmissionContext makeContext();
 
@@ -253,10 +274,42 @@ class ServingEngine
      *  touched while a recorder is attached). */
     std::map<workload::TenantId, std::int64_t> tenantFinished_;
 
+    /** The step at which a running request next does decode work: it
+     * finishes or its KV grows past the pages it holds. */
+    struct DecodeEvent
+    {
+        std::int64_t step;
+        /** The request's runSeq when queued; a squash makes it stale. */
+        std::uint32_t runSeq;
+        LiveRequest *request;
+    };
+
     RequestSlab requests_; // stable storage, block-allocated
     std::vector<LiveRequest *> prefilling_;
+    // The decode batch in join order. Decode progress is lazy: every
+    // finishIteration advances decodeStep_, which advances the derived
+    // `generated` of every running request at once, and only requests
+    // with a due DecodeEvent are visited. runningRanks_ holds each
+    // running request's rank at the same index and runningKvTokens_
+    // the batch's total prompt + generated tokens, so the iteration
+    // time reads contiguous ints instead of the requests.
     std::vector<LiveRequest *> running_;
+    std::vector<int> runningRanks_;
+    std::int64_t runningKvTokens_ = 0;
+    std::int64_t decodeStep_ = 0;
+    std::uint32_t nextRunSeq_ = 0;
+    /** Bumped whenever running_ gains or loses a request. */
+    std::uint64_t runningVersion_ = 0;
+    /** Min-heap on (step, runSeq): one live event per running request. */
+    std::vector<DecodeEvent> decodeEvents_;
     bool iterationInFlight_ = false;
+    // estimateMemoryFreeTime's projected (completion time, bytes freed)
+    // list, sorted; valid for the clock, decode step and batch version
+    // it was built at.
+    mutable std::vector<std::pair<sim::SimTime, std::int64_t>> frees_;
+    mutable sim::SimTime freesNow_ = sim::kTimeNever;
+    mutable std::int64_t freesStep_ = -1;
+    mutable std::uint64_t freesVersion_ = 0;
     // Per-iteration scratch, reused so an iteration allocates nothing
     // once the vectors have grown. slice_ and prefillWork_ (its
     // (tokens taken, rank) pairs) carry the in-flight iteration's
@@ -265,8 +318,8 @@ class ServingEngine
     std::vector<model::AdapterId> queuedAdapters_;
     std::vector<LiveRequest *> slice_;
     std::vector<std::pair<std::int64_t, int>> prefillWork_;
-    std::vector<LiveRequest *> stillRunning_;
     std::vector<LiveRequest *> finished_;
+    std::vector<LiveRequest *> crossers_;
     double ewmaIterUs_ = 0.0;
     sim::SimTime lastMemSample_ = sim::kTimeNever;
 

@@ -39,8 +39,15 @@ struct LiveRequest
 
     /** Prefill progress in tokens (chunked prefill advances this). */
     std::int64_t prefilled = 0;
-    /** Output tokens generated so far (prefill completion emits #1). */
+    /**
+     * Output tokens generated so far (prefill completion emits #1).
+     * Stored when the request leaves the decode batch; while it runs,
+     * ServingEngine::generated derives the count from decodeOrigin.
+     */
     std::int64_t generated = 0;
+    /** Engine decode step at which a running request had generated 0
+     *  tokens (set each time it joins the decode batch). */
+    std::int64_t decodeOrigin = 0;
 
     /** Time the engine accepted the request (trace arrival). */
     sim::SimTime arrival = 0;
@@ -54,13 +61,14 @@ struct LiveRequest
     sim::SimTime adapterReadyTime = 0;
     /** Adapter-load time spent on this request's critical path. */
     sim::SimTime adapterStall = 0;
-    /** Timestamp of the most recent emitted token (TBT bookkeeping). */
-    sim::SimTime lastTokenTime = sim::kTimeNever;
 
     /** Weighted request size assigned by the Chameleon scheduler. */
     double wrs = 0.0;
     /** Scheduler queue index (0 = smallest class); -1 when unassigned. */
     int queueIndex = -1;
+    /** Decode-batch join number, engine-assigned on every join; tells a
+     *  request's current decode event from one left by a squash. */
+    std::uint32_t runSeq = 0;
     /** Scheduler quota tokens held while admitted (returned on finish). */
     std::int64_t quotaTokens = 0;
 

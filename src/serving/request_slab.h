@@ -24,6 +24,10 @@
 
 namespace chameleon::serving {
 
+// kBlockRequests below sizes a block for 176-byte requests.
+static_assert(sizeof(LiveRequest) <= 176,
+              "LiveRequest outgrew the slab's 44 KiB block budget");
+
 class RequestSlab
 {
   public:

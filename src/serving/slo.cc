@@ -33,7 +33,7 @@ IsolatedLatency::decodePrefix(int rank, std::int64_t kvTokens)
         for (auto k = static_cast<std::int64_t>(table.size());
              k <= kvTokens; ++k) {
             table.push_back(table.back() +
-                            cost_.decodeIterTime({model::DecodeSlot{k, rank}}));
+                            cost_.decodeIterTime(&rank, 1, k));
         }
     }
     return table;

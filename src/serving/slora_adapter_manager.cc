@@ -38,6 +38,12 @@ SLoraAdapterManager::entry(AdapterId id) const
     return entries_[index(id)];
 }
 
+int
+SLoraAdapterManager::queuedNotResidentShare(const Entry &e)
+{
+    return e.state == State::NotResident && e.queuedRc > 0 ? 1 : 0;
+}
+
 bool
 SLoraAdapterManager::isResident(AdapterId id) const
 {
@@ -59,6 +65,7 @@ SLoraAdapterManager::startLoad(AdapterId id, Entry &e, bool prefetch)
     }
     if (!mem_.tryAllocAdapterInUse(bytes))
         return sim::kTimeNever;
+    queuedNotResident_ -= queuedNotResidentShare(e);
     e.state = State::Loading;
     notifyLoadStart(id);
     e.readyAt = link_.enqueue(bytes, [this, id] {
@@ -79,6 +86,7 @@ SLoraAdapterManager::maybeDiscard(AdapterId id, Entry &e)
     if (e.state == State::Resident && e.runningRc == 0 && e.queuedRc == 0) {
         mem_.freeAdapterInUse(pool_.spec(id).bytes);
         e.state = State::NotResident;
+        queuedNotResident_ += queuedNotResidentShare(e);
         notifyEvict(id);
     }
 }
@@ -130,7 +138,9 @@ void
 SLoraAdapterManager::onRequestQueued(AdapterId id, SimTime)
 {
     Entry &e = entry(id);
+    queuedNotResident_ -= queuedNotResidentShare(e);
     ++e.queuedRc;
+    queuedNotResident_ += queuedNotResidentShare(e);
     // Hit/miss accounting is per arriving request: a hit means the
     // weights were already on the GPU when the request arrived.
     if (e.state == State::Resident) {
@@ -147,7 +157,9 @@ SLoraAdapterManager::onRequestDequeued(AdapterId id)
 {
     Entry &e = entry(id);
     CHM_CHECK(e.queuedRc > 0, "dequeue without queue ref for " << id);
+    queuedNotResident_ -= queuedNotResidentShare(e);
     --e.queuedRc;
+    queuedNotResident_ += queuedNotResidentShare(e);
     maybeDiscard(id, e);
 }
 
@@ -182,6 +194,7 @@ SLoraAdapterManager::tryFreeMemory(std::int64_t bytes)
         if (e.state == State::Resident && e.runningRc == 0) {
             mem_.freeAdapterInUse(pool_.spec(id).bytes);
             e.state = State::NotResident;
+            queuedNotResident_ += queuedNotResidentShare(e);
             notifyEvict(id);
         }
     }

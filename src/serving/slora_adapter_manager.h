@@ -43,7 +43,18 @@ class SLoraAdapterManager : public AdapterManager
     void onRequestDequeued(model::AdapterId id) override;
     void onSchedulingCycle(const std::vector<model::AdapterId> &queued,
                            sim::SimTime now) override;
+    /** The retry pass only acts on a queued adapter that is neither
+     * resident nor loading. */
+    bool
+    needsQueuedAdapters() const override
+    {
+        return prefetchEnabled_ && queuedNotResident_ > 0;
+    }
     bool tryFreeMemory(std::int64_t bytes) override;
+
+    /** Adapters with a queued reference that are neither resident nor
+     * loading. O(1). */
+    std::int64_t queuedNotResident() const { return queuedNotResident_; }
 
     std::int64_t hits() const override { return hits_; }
     std::int64_t misses() const override { return misses_; }
@@ -68,6 +79,8 @@ class SLoraAdapterManager : public AdapterManager
     sim::SimTime startLoad(model::AdapterId id, Entry &e, bool prefetch);
     /** Free the adapter when wholly unreferenced. */
     void maybeDiscard(model::AdapterId id, Entry &e);
+    /** What `e` adds to queuedNotResident_ (1 if queued and absent). */
+    static int queuedNotResidentShare(const Entry &e);
 
     const model::AdapterPool &pool_;
     gpu::GpuMemory &mem_;
@@ -75,6 +88,8 @@ class SLoraAdapterManager : public AdapterManager
     bool prefetchEnabled_;
     /** Per-adapter state, indexed by adapter id (ids are dense). */
     std::vector<Entry> entries_;
+    /** Entries with queuedRc > 0 in state NotResident. */
+    std::int64_t queuedNotResident_ = 0;
     std::int64_t hits_ = 0;
     std::int64_t misses_ = 0;
 };

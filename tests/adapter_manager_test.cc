@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "gpu/gpu_memory.h"
 #include "gpu/pcie_link.h"
 #include "model/adapter.h"
 #include "model/llm.h"
 #include "serving/slora_adapter_manager.h"
 #include "simkit/simulator.h"
+#include "test_util.h"
 
 using namespace chameleon;
 
@@ -146,4 +150,101 @@ TEST(SLoraManager, ReclaimRunsInIdOrder)
     EXPECT_FALSE(f.mgr.isResident(1));
     EXPECT_TRUE(f.mgr.isResident(2));
     EXPECT_TRUE(f.mgr.isResident(3));
+}
+
+TEST(SLoraManager, QueuedNotResidentMatchesScanUnderChurn)
+{
+    // The S-LoRA twin of the cache manager's walk: queue/dequeue,
+    // acquire/release, prefetch retries and reclaims on a device tight
+    // enough that queued prefetches fail. After every step the O(1)
+    // count of queued adapters that are neither resident nor loading
+    // must equal the scan over reported residency transitions, and a
+    // scheduling cycle the manager declared it does not need must start
+    // no transfer.
+    sim::Simulator simulator;
+    model::AdapterPool pool(model::llama7B(), 10);
+    gpu::GpuMemory mem(400ll << 20, 0, 0);
+    gpu::PcieLink link(simulator,
+                       [](std::int64_t) { return sim::fromMillis(4.0); });
+    serving::SLoraAdapterManager mgr(pool, mem, link);
+    const int n = pool.size();
+    testutil::ResidencyLog log(n);
+    mgr.setResidencyListener(&log, 0);
+    std::vector<int> running(static_cast<std::size_t>(n), 0);
+    std::vector<int> queued(static_cast<std::size_t>(n), 0);
+    std::int64_t kv = 0;
+    std::mt19937_64 rng(20241020);
+    int skippableCycles = 0;
+    int neededSteps = 0;
+    int queuedReclaims = 0;
+
+    for (int step = 0; step < 4000; ++step) {
+        const auto id = static_cast<model::AdapterId>(rng() % n);
+        const auto i = static_cast<std::size_t>(id);
+        const auto now = simulator.now();
+        switch (rng() % 8) {
+          case 0:
+            mgr.onRequestQueued(id, now);
+            ++queued[i];
+            break;
+          case 1:
+            if (queued[i] > 0) {
+                mgr.onRequestDequeued(id);
+                --queued[i];
+            }
+            break;
+          case 2:
+            if (mgr.acquire(id, now) != sim::kTimeNever)
+                ++running[i];
+            break;
+          case 3:
+            if (running[i] > 0) {
+                mgr.release(id);
+                --running[i];
+            }
+            break;
+          case 4: {
+            std::vector<model::AdapterId> ids;
+            for (model::AdapterId q = 0; q < n; ++q) {
+                for (int k = 0; k < queued[static_cast<std::size_t>(q)]; ++k)
+                    ids.push_back(q);
+            }
+            const bool needed = mgr.needsQueuedAdapters();
+            const auto transfers = link.totalTransfers();
+            mgr.onSchedulingCycle(ids, now);
+            if (!needed) {
+                ASSERT_EQ(link.totalTransfers(), transfers)
+                    << "step " << step;
+                ++skippableCycles;
+            }
+            break;
+          }
+          case 5: {
+            // KV growth reclaims prefetched adapters, queued ones too.
+            const auto bytes =
+                static_cast<std::int64_t>(rng() % (120ll << 20));
+            const auto before = log.queuedNotResident(queued);
+            if (mgr.tryFreeMemory(bytes) && mem.tryAllocKv(bytes))
+                kv += bytes;
+            queuedReclaims += log.queuedNotResident(queued) > before;
+            break;
+          }
+          case 6:
+            mem.freeKv(kv);
+            kv = 0;
+            break;
+          case 7:
+            simulator.runUntil(
+                now + sim::fromMillis(static_cast<double>(rng() % 40)));
+            break;
+        }
+        const std::int64_t expected = log.queuedNotResident(queued);
+        ASSERT_EQ(mgr.queuedNotResident(), expected) << "step " << step;
+        ASSERT_EQ(mgr.needsQueuedAdapters(), expected > 0)
+            << "step " << step;
+        neededSteps += expected > 0 ? 1 : 0;
+    }
+    EXPECT_GT(neededSteps, 0);
+    EXPECT_GT(skippableCycles, 0);
+    EXPECT_GT(queuedReclaims, 0);
 }

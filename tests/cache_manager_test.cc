@@ -14,6 +14,7 @@
 #include "model/gpu_spec.h"
 #include "model/llm.h"
 #include "simkit/simulator.h"
+#include "test_util.h"
 
 using namespace chameleon;
 
@@ -370,6 +371,103 @@ TEST(CacheManager, EvictableBytesMatchesReferenceUnderChurn)
         EXPECT_GT(declined, 0);
         EXPECT_GT(pinnedSteps, 0);
     }
+}
+
+TEST(CacheManager, QueuedNotResidentMatchesScanUnderChurn)
+{
+    // The evictable-bytes walk above, plus peer admits, on a device that
+    // keeps queued prefetches failing. After every step the O(1) count
+    // of queued adapters that are neither resident nor loading must
+    // equal a scan over the residency transitions the manager reported
+    // and the test's own queue refcounts. Whenever the count is zero, a
+    // scheduling cycle over the queued adapters must start no transfer:
+    // that is what lets the engine skip building the list.
+    Fixture f(400ll << 20);
+    const int n = f.pool.size();
+    testutil::ResidencyLog log(n);
+    f.mgr.setResidencyListener(&log, 0);
+    std::vector<int> running(static_cast<std::size_t>(n), 0);
+    std::vector<int> queued(static_cast<std::size_t>(n), 0);
+    std::int64_t kv = 0;
+    std::mt19937_64 rng(20241019);
+    int skippableCycles = 0;
+    int neededSteps = 0;
+
+    auto queuedIds = [&] {
+        std::vector<model::AdapterId> ids;
+        for (model::AdapterId q = 0; q < n; ++q) {
+            for (int k = 0; k < queued[static_cast<std::size_t>(q)]; ++k)
+                ids.push_back(q);
+        }
+        return ids;
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+        const auto id = static_cast<model::AdapterId>(rng() % n);
+        const auto i = static_cast<std::size_t>(id);
+        const auto now = f.simulator.now();
+        switch (rng() % 9) {
+          case 0:
+            f.mgr.onRequestQueued(id, now);
+            ++queued[i];
+            break;
+          case 1:
+            if (queued[i] > 0) {
+                f.mgr.onRequestDequeued(id);
+                --queued[i];
+            }
+            break;
+          case 2:
+            if (f.mgr.acquire(id, now) != sim::kTimeNever)
+                ++running[i];
+            break;
+          case 3:
+            if (running[i] > 0) {
+                f.mgr.release(id);
+                --running[i];
+            }
+            break;
+          case 4: {
+            const bool needed = f.mgr.needsQueuedAdapters();
+            const auto loads = f.mgr.queuedLoads();
+            f.mgr.onSchedulingCycle(queuedIds(), now);
+            if (!needed) {
+                ASSERT_EQ(f.mgr.queuedLoads(), loads) << "step " << step;
+                ++skippableCycles;
+            }
+            break;
+          }
+          case 5: {
+            const auto bytes =
+                static_cast<std::int64_t>(rng() % (120ll << 20));
+            if (f.mgr.tryFreeMemory(bytes) && f.mem.tryAllocKv(bytes))
+                kv += bytes;
+            break;
+          }
+          case 6:
+            f.mem.freeKv(kv);
+            kv = 0;
+            break;
+          case 7:
+            f.mgr.peerAdmit(id, now + sim::fromMillis(5.0), now);
+            break;
+          case 8:
+            f.simulator.runUntil(
+                now + sim::fromMillis(static_cast<double>(rng() % 40)));
+            break;
+        }
+        const std::int64_t expected = log.queuedNotResident(queued);
+        ASSERT_EQ(f.mgr.queuedNotResident(), expected) << "step " << step;
+        ASSERT_EQ(f.mgr.needsQueuedAdapters(), expected > 0)
+            << "step " << step;
+        neededSteps += expected > 0 ? 1 : 0;
+    }
+    // The walk reached both regimes and every transition kind.
+    EXPECT_GT(neededSteps, 0);
+    EXPECT_GT(skippableCycles, 0);
+    EXPECT_GT(f.mgr.evictions(), 0);
+    EXPECT_GT(f.mgr.queuedLoads(), 0);
+    EXPECT_GT(f.mgr.peerLoads(), 0);
 }
 
 TEST(CacheManagerDeathTest, RejectsOutOfRangeAdapter)

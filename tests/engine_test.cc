@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "simkit/distributions.h"
 #include "simkit/rng.h"
 #include "test_util.h"
@@ -160,12 +164,12 @@ TEST(Engine, SquashResetsProgressAndRequeues)
     ASSERT_EQ(f.engine->runningCount(), 1u);
     serving::LiveRequest *victim = f.engine->findRequest(1);
     ASSERT_NE(victim, nullptr);
-    const auto generated_before = victim->generated;
+    const auto generated_before = f.engine->generated(*victim);
     EXPECT_GT(generated_before, 0);
 
     f.engine->squash(victim);
     EXPECT_EQ(victim->phase, serving::RequestPhase::Waiting);
-    EXPECT_EQ(victim->generated, 0);
+    EXPECT_EQ(f.engine->generated(*victim), 0);
     EXPECT_EQ(victim->prefilled, 0);
     EXPECT_TRUE(f.engine->scheduler().hasWaiting());
     EXPECT_EQ(f.engine->memory().kvBytes(), 0);
@@ -174,6 +178,89 @@ TEST(Engine, SquashResetsProgressAndRequeues)
     f.simulator.run();
     EXPECT_EQ(f.engine->stats().finished, 1);
     EXPECT_EQ(f.engine->stats().records.front().outputTokens, 100);
+}
+
+TEST(Engine, EstimateMemoryFreeCachedMatchesFresh)
+{
+    // The engine keeps its sorted completion projection across calls at
+    // one clock reading, decode step and batch. At stops throughout a
+    // loaded run, and again after a squash changes the batch at the same
+    // instant, every answer must equal a projection built fresh from the
+    // running requests' public state.
+    BaselineEngine f;
+    sim::Rng rng(11);
+    sim::SimTime t = 0;
+    constexpr int kRequests = 300;
+    for (int i = 0; i < kRequests; ++i) {
+        t += sim::fromSeconds(sim::sampleExponential(rng, 12.0));
+        const auto in = 8 + static_cast<std::int64_t>(rng.nextBelow(400));
+        const auto out = 2 + static_cast<std::int64_t>(rng.nextBelow(300));
+        f.engine->submit(mkReq(i, t, in, out,
+                               static_cast<model::AdapterId>(
+                                   rng.nextBelow(10))));
+    }
+    auto fresh = [&](std::int64_t bytes) {
+        std::vector<std::pair<sim::SimTime, std::int64_t>> frees;
+        for (int id = 0; id < kRequests; ++id) {
+            const serving::LiveRequest *r = f.engine->findRequest(id);
+            if (r->phase != serving::RequestPhase::Running)
+                continue;
+            const std::int64_t done = f.engine->generated(*r);
+            const std::int64_t remaining =
+                std::max<std::int64_t>(1, r->predictedOutput - done);
+            frees.emplace_back(
+                f.simulator.now() + remaining * f.engine->avgIterTime(),
+                f.engine->kvCache().bytesForTokens(r->req.inputTokens +
+                                                   done) +
+                    r->adapterBytes);
+        }
+        std::sort(frees.begin(), frees.end());
+        std::int64_t acc = f.engine->memory().freeBytes();
+        for (const auto &[when, freed] : frees) {
+            acc += freed;
+            if (acc >= bytes)
+                return when;
+        }
+        return sim::kTimeNever;
+    };
+    auto expectMatches = [&](const char *when) {
+        const std::int64_t free = f.engine->memory().freeBytes();
+        const std::int64_t targets[] = {free / 2, free + 1,
+                                        free + (std::int64_t{256} << 20),
+                                        free + (std::int64_t{2} << 30),
+                                        std::int64_t{1} << 50};
+        for (std::int64_t bytes : targets) {
+            ASSERT_EQ(f.engine->estimateMemoryFreeTime(bytes), fresh(bytes))
+                << when << " at " << f.simulator.now() << ", bytes "
+                << bytes;
+        }
+    };
+    int squashes = 0;
+    int busyStops = 0;
+    for (sim::SimTime stop = 0; stop < t; stop += sim::fromMillis(97.0)) {
+        f.simulator.runUntil(stop);
+        expectMatches("stop");
+        if (f.engine->runningCount() < 2)
+            continue;
+        ++busyStops;
+        // Squash a running request now and then: same clock and decode
+        // step, new batch.
+        if (rng.nextBelow(4) == 0) {
+            for (int id = 0; id < kRequests; ++id) {
+                serving::LiveRequest *r = f.engine->findRequest(id);
+                if (r->phase == serving::RequestPhase::Running) {
+                    f.engine->squash(r);
+                    ++squashes;
+                    break;
+                }
+            }
+            expectMatches("after squash");
+        }
+    }
+    f.simulator.run();
+    EXPECT_EQ(f.engine->stats().finished, kRequests);
+    EXPECT_GT(busyStops, 20);
+    EXPECT_GT(squashes, 0);
 }
 
 TEST(Engine, DrainsCleanlyUnderLoad)

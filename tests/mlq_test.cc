@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <random>
 
 #include "simkit/rng.h"
 
@@ -651,4 +652,95 @@ TEST(MlqScheduler, StaticVariantUsesEqualRangesAndQuotas)
     const auto quotas = sched.quotas();
     for (std::size_t i = 1; i < quotas.size(); ++i)
         EXPECT_EQ(quotas[i], quotas[0]);
+}
+
+TEST(Mlq, WaitingCountMatchesScanUnderChurn)
+{
+    // A seeded walk over every entry point that moves a request into or
+    // out of the lanes: enqueue, squash requeue, admission (with
+    // bypasses past refused heads), finish, and reconfiguration. After
+    // every step the O(1) waiting count must equal the lane scan.
+    model::AdapterPool pool(model::llama7B(), 10);
+    auto cfg = testMlqConfig();
+    cfg.totalTokens = 20000; // quotas bind, so lanes keep a backlog
+    cfg.refreshPeriod = sim::fromSeconds(2.0);
+    core::MlqScheduler sched(cfg, &pool);
+    std::mt19937_64 rng(20241018);
+    std::vector<serving::LiveRequest> reqs;
+    reqs.reserve(600);
+    std::vector<serving::LiveRequest *> admitted;
+    sim::SimTime now = 0;
+    int bypasses = 0;
+    int requeues = 0;
+
+    for (int step = 0; step < 3000; ++step) {
+        switch (rng() % 6) {
+          case 0:
+          case 1:
+            if (reqs.size() < reqs.capacity()) {
+                const auto adapter =
+                    static_cast<model::AdapterId>(rng() % 10);
+                reqs.push_back(liveRequest(
+                    static_cast<std::int64_t>(reqs.size()),
+                    static_cast<std::int64_t>(8 + rng() % 600),
+                    static_cast<std::int64_t>(8 + rng() % 600), adapter,
+                    pool.spec(adapter).bytes, pool.spec(adapter).rank));
+                reqs.back().arrival = now;
+                sched.enqueue(&reqs.back());
+            }
+            break;
+          case 2: {
+            // Refuse a random waiting request on adapter memory, so a
+            // blocked lane head is bypassed.
+            const auto waiting = sched.waitingSnapshot();
+            FakeAdmission fake;
+            fake.ctx.now = now;
+            fake.ctx.admissionSlots = static_cast<int>(rng() % 4);
+            fake.refuseWith = serving::ReserveResult::NoAdapterMemory;
+            if (!waiting.empty())
+                fake.refuse = waiting[rng() % waiting.size()];
+            fake.ctx.noteBypass = [&] { ++bypasses; };
+            for (serving::LiveRequest *r : sched.selectAdmissions(fake.ctx)) {
+                r->phase = serving::RequestPhase::Running;
+                r->admitTime = now;
+                admitted.push_back(r);
+            }
+            break;
+          }
+          case 3:
+            if (!admitted.empty()) {
+                const auto i = rng() % admitted.size();
+                serving::LiveRequest *r = admitted[i];
+                admitted.erase(admitted.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+                r->phase = serving::RequestPhase::Waiting;
+                sched.requeueFront(r);
+                ++requeues;
+            }
+            break;
+          case 4:
+            if (!admitted.empty()) {
+                const auto i = rng() % admitted.size();
+                serving::LiveRequest *r = admitted[i];
+                admitted.erase(admitted.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+                r->phase = serving::RequestPhase::Finished;
+                r->finishTime = now;
+                sched.onRequestFinished(r);
+            }
+            break;
+          case 5:
+            now += sim::fromMillis(static_cast<double>(rng() % 500));
+            sched.onIterationEnd(now);
+            break;
+        }
+        const auto waiting = sched.waitingSnapshot();
+        ASSERT_EQ(sched.waitingCount(), waiting.size()) << "step " << step;
+        ASSERT_EQ(sched.hasWaiting(), !waiting.empty()) << "step " << step;
+    }
+    // The walk reached the interesting states.
+    EXPECT_GT(sched.reconfigurations(), 2);
+    EXPECT_GT(sched.queueCount(), 1);
+    EXPECT_GT(bypasses, 0);
+    EXPECT_GT(requeues, 0);
 }

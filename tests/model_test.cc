@@ -237,13 +237,9 @@ referenceDecodeIterTime(const model::CostModel &cost,
 
 TEST(CostModel, DecodeIterTimeOfMatchesVector)
 {
-    // A request-like element the mapped form reads its slot from.
-    struct Running
-    {
-        std::int64_t input;
-        std::int64_t generated;
-        int rank;
-    };
+    // Both forms against the per-slot reference: the slot vector, and
+    // the engine's contiguous rank array with the batch's summed KV
+    // tokens.
     const model::CostModel costs[] = {
         model::CostModel(model::llama7B(), model::a40(), 1),
         model::CostModel(model::llama13B(), model::a100(80), 2),
@@ -251,7 +247,7 @@ TEST(CostModel, DecodeIterTimeOfMatchesVector)
     };
     const int ranks[] = {0, 0, 8, 16, 32, 64, 128};
     std::mt19937_64 rng(20240518);
-    std::vector<Running> running;
+    std::vector<int> batch_ranks;
     std::vector<model::DecodeSlot> slots;
     int empty_batches = 0;
     for (int trial = 0; trial < 10000; ++trial) {
@@ -259,21 +255,22 @@ TEST(CostModel, DecodeIterTimeOfMatchesVector)
         // One batch in 16 is empty; the rest span 1..256 requests.
         const std::size_t n = rng() % 16 == 0 ? 0 : 1 + rng() % 256;
         empty_batches += n == 0 ? 1 : 0;
-        running.clear();
+        batch_ranks.clear();
         slots.clear();
+        std::int64_t kv_tokens = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            const Running r{static_cast<std::int64_t>(1 + rng() % 4096),
-                            static_cast<std::int64_t>(rng() % 2048),
-                            ranks[rng() % 7]};
-            running.push_back(r);
-            slots.push_back({r.input + r.generated, r.rank});
+            const auto input = static_cast<std::int64_t>(1 + rng() % 4096);
+            const auto generated = static_cast<std::int64_t>(rng() % 2048);
+            const int rank = ranks[rng() % 7];
+            batch_ranks.push_back(rank);
+            kv_tokens += input + generated;
+            slots.push_back({input + generated, rank});
         }
-        const sim::SimTime mapped = cost.decodeIterTimeOf(
-            running.begin(), running.end(), [](const Running &r) {
-                return model::DecodeSlot{r.input + r.generated, r.rank};
-            });
         const sim::SimTime reference = referenceDecodeIterTime(cost, slots);
-        ASSERT_EQ(mapped, reference) << "trial " << trial;
+        ASSERT_EQ(cost.decodeIterTime(batch_ranks.data(), batch_ranks.size(),
+                                      kv_tokens),
+                  reference)
+            << "trial " << trial;
         ASSERT_EQ(cost.decodeIterTime(slots), reference) << "trial " << trial;
     }
     EXPECT_GT(empty_batches, 0);

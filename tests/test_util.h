@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for serving/chameleon tests: tiny engine builders,
- * fake admission contexts, and request factories.
+ * fake admission contexts, request factories, and a residency log.
  */
 
 #ifndef CHAMELEON_TESTS_TEST_UTIL_H
@@ -102,6 +102,46 @@ struct BaselineEngine
         cfg.model = model::llama7B();
         cfg.gpu = model::a40();
         return cfg;
+    }
+};
+
+/**
+ * Residency states as the manager reports them: the test's own view of
+ * every adapter, built only from listener transitions.
+ */
+struct ResidencyLog : serving::ResidencyEvents
+{
+    enum class State { NotResident, Loading, Resident };
+    std::vector<State> state;
+
+    explicit ResidencyLog(int adapters)
+        : state(static_cast<std::size_t>(adapters), State::NotResident)
+    {
+    }
+    void onLoadStart(int, model::AdapterId id) override
+    {
+        state[static_cast<std::size_t>(id)] = State::Loading;
+    }
+    void onLoadComplete(int, model::AdapterId id) override
+    {
+        state[static_cast<std::size_t>(id)] = State::Resident;
+    }
+    void onEvict(int, model::AdapterId id) override
+    {
+        state[static_cast<std::size_t>(id)] = State::NotResident;
+    }
+    void onAcquire(int, model::AdapterId, sim::SimTime) override {}
+    void onRelease(int, model::AdapterId) override {}
+
+    /** Adapters with a queued reference that are neither resident nor
+     * loading. */
+    std::int64_t
+    queuedNotResident(const std::vector<int> &queued) const
+    {
+        std::int64_t n = 0;
+        for (std::size_t i = 0; i < state.size(); ++i)
+            n += queued[i] > 0 && state[i] == State::NotResident ? 1 : 0;
+        return n;
     }
 };
 
