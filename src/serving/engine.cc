@@ -61,7 +61,7 @@ ServingEngine::ServingEngine(sim::Simulator &simulator, EngineConfig config,
     : sim_(simulator), config_(std::move(config)), pool_(pool),
       cost_(config_.model, config_.gpu, config_.tpDegree, config_.cost),
       scheduler_(std::move(scheduler)), predictor_(predictor),
-      ewmaIterUs_(kInitIterUs)
+      admission_(makeContext()), ewmaIterUs_(kInitIterUs)
 {
     CHM_CHECK(scheduler_ != nullptr, "engine needs a scheduler");
     CHM_CHECK(predictor_ != nullptr, "engine needs a length predictor");
@@ -234,9 +234,6 @@ AdmissionContext
 ServingEngine::makeContext()
 {
     AdmissionContext ctx;
-    ctx.now = sim_.now();
-    ctx.prefillTokenBudget = config_.admissionTokenBudget;
-    ctx.admissionSlots = config_.maxAdmissionsPerIter;
     ctx.tryReserve = [this](LiveRequest *r) { return tryReserve(r); };
     ctx.estimateMemoryFree = [this](std::int64_t bytes) {
         return estimateMemoryFreeTime(bytes);
@@ -323,9 +320,12 @@ ServingEngine::startIteration()
     }
     adapterMgr_->onSchedulingCycle(queuedAdapters_, now);
 
-    // Admissions.
-    AdmissionContext ctx = makeContext();
-    for (LiveRequest *r : scheduler_->selectAdmissions(ctx)) {
+    // Admissions. The callbacks were bound at construction; only the
+    // clock and the per-iteration caps are reset here.
+    admission_.now = now;
+    admission_.prefillTokenBudget = config_.admissionTokenBudget;
+    admission_.admissionSlots = config_.maxAdmissionsPerIter;
+    for (LiveRequest *r : scheduler_->selectAdmissions(admission_)) {
         if (r->admitTime == sim::kTimeNever)
             r->admitTime = now;
         r->phase = RequestPhase::Prefilling;

@@ -255,6 +255,7 @@ class ServingEngine
      * crosses a KV page. */
     void scheduleDecodeEvent(LiveRequest *r);
     void sampleMemory();
+    /** The admission callbacks, bound to this engine. */
     AdmissionContext makeContext();
 
     sim::Simulator &sim_;
@@ -268,6 +269,8 @@ class ServingEngine
     std::unique_ptr<AdapterManager> adapterMgr_;
     predict::OutputPredictor *predictor_;
     std::function<void(sim::SimTime)> onFinish_;
+    /** Reused by every scheduling cycle (see startIteration). */
+    AdmissionContext admission_;
     obs::TraceRecorder *trace_ = nullptr;
     int tracePid_ = 0;
     /** Per-tenant finished counts for the tenant counter lanes (only
