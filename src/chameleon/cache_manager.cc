@@ -354,7 +354,6 @@ CacheManager::release(AdapterId id)
             // memory back instead (§4.2.1).
             mem_.freeAdapterInUse(pool_.spec(id).bytes);
             e.state = State::NotResident;
-            queuedNotResident_ += queuedNotResidentShare(e);
             notifyEvict(id);
         }
     }

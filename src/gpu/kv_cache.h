@@ -50,8 +50,10 @@ class KvCache
     /**
      * Reserve pages for `tokens` tokens in `res`; false, with `res` and
      * the memory untouched, if memory is unavailable. Re-reserving with a
-     * larger count grows the reservation (used as decode emits tokens);
-     * a smaller count keeps what is held.
+     * larger count grows the reservation (the serving engine does so when
+     * decode crosses a page, so there `tokens` and fragmentationBytes()
+     * advance per page, not per token); a smaller count keeps what is
+     * held.
      */
     bool tryReserve(KvReservation &res, std::int64_t tokens);
 

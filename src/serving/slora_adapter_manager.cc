@@ -86,7 +86,6 @@ SLoraAdapterManager::maybeDiscard(AdapterId id, Entry &e)
     if (e.state == State::Resident && e.runningRc == 0 && e.queuedRc == 0) {
         mem_.freeAdapterInUse(pool_.spec(id).bytes);
         e.state = State::NotResident;
-        queuedNotResident_ += queuedNotResidentShare(e);
         notifyEvict(id);
     }
 }
