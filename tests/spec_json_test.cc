@@ -17,11 +17,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "chameleon/spec_json.h"
+#include "chameleon/system.h"
 #include "chameleon/system_registry.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
@@ -390,6 +395,77 @@ TEST(SpecJson, HeteroFleetRoundTripsBitIdentically)
     const auto parsed = core::specFromJson(text);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(core::specToJson(*parsed), text);
+}
+
+namespace {
+
+/** An autoscaled heterogeneous fleet with peer migration on. */
+core::SystemSpec
+fabricFleetSpec()
+{
+    auto spec = core::presets::chameleon();
+    spec.engine.model = model::llama7B();
+    spec.engine.gpu = model::a40();
+    spec.withFleet({model::a100(48), model::a40()},
+                   routing::RouterPolicy::AdapterAffinityDirectory);
+    spec.named("fabric-fleet");
+    spec.cluster.autoscale = true;
+    spec.cluster.autoscaler.maxReplicas = 4;
+    spec.cluster.autoscaler.bootMs = 8000.0;
+    spec.cluster.autoscaler.scaleUpPolicy =
+        routing::ScaleUpPolicy::Cheapest;
+    spec.fabric.migration = fabric::MigrationPolicy::All;
+    spec.fabric.topology = fabric::TopologyKind::NvLink;
+    return spec;
+}
+
+/**
+ * fnv1a64 of the dump. `scheduler.sjf_aging_per_second` is left out:
+ * the key is slated for removal (ROADMAP item 8), and these pins must
+ * hold across it.
+ */
+std::uint64_t
+dumpHash(const core::SystemSpec &spec)
+{
+    auto dump = core::specToJsonValue(spec);
+    dump.find("scheduler")->erase("sjf_aging_per_second");
+    return core::fnv1a64(dump.dump());
+}
+
+} // namespace
+
+TEST(SpecJson, DumpsArePinned)
+{
+    // Every dump byte is part of the --dump-config | --config contract;
+    // a changed key name, order or number format moves these hashes.
+    const auto empty = core::specFromJson("{}");
+    ASSERT_TRUE(empty.has_value());
+    EXPECT_EQ(dumpHash(*empty), 0x77cc214cc948e95dull);
+    EXPECT_EQ(dumpHash(fabricFleetSpec()), 0x31da8135f79cb833ull);
+
+    const std::pair<const char *, std::uint64_t> pins[] = {
+        {"chameleon", 0xb5dc950ae1cffaeeull},
+        {"chameleon-degree1", 0xe3a3844913533af1ull},
+        {"chameleon-fairshare", 0x029bd3874d9b3e41ull},
+        {"chameleon-gdsf", 0x1a337d4ae8eee7adull},
+        {"chameleon-lru", 0xd7f5108339a15655ull},
+        {"chameleon-nocache", 0xabe27049f92c2eccull},
+        {"chameleon-nosched", 0xea53c668ef394abfull},
+        {"chameleon-output-only", 0x8fd3d300da086945ull},
+        {"chameleon-prefetch", 0x2ee4c4426a1b7ec9ull},
+        {"chameleon-static", 0x4bf8753524e69124ull},
+        {"slora", 0x3b91db2bdc914e5bull},
+        {"slora-chunked", 0x05b593070275a7cdull},
+        {"slora-sjf", 0x833685b36f08fca0ull},
+    };
+    const auto &registry = core::SystemRegistry::global();
+    ASSERT_EQ(registry.names().size(), std::size(pins));
+    for (const auto &[name, hash] : pins) {
+        auto spec = registry.lookup(name);
+        spec.engine.model = model::llama7B();
+        spec.engine.gpu = model::a40();
+        EXPECT_EQ(dumpHash(spec), hash) << name;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -917,6 +993,65 @@ TEST(SpecOverride, SettingEveryDumpedLeafToItselfKeepsRandomSpecs)
 // operator== (the round-trip assertions depend on it being exact).
 // ---------------------------------------------------------------------
 
+namespace {
+
+/**
+ * Values that differ from a dumped leaf, in the order to try them:
+ * numbers +1, then x2 and /2 unless 0; a bool flipped; an enum's other known names
+ * (read off the parser's error for an unknown one); a free string
+ * suffixed; an array grown by one number.
+ */
+std::vector<sim::JsonValue>
+perturbations(const core::SystemSpec &base, const std::string &path,
+              const sim::JsonValue &value)
+{
+    using sim::JsonValue;
+    std::vector<JsonValue> out;
+    if (value.isBool()) {
+        out.push_back(JsonValue::makeBool(!value.asBool()));
+    } else if (value.isUnsignedIntegral()) {
+        out.push_back(JsonValue::makeUint64(value.asUint64() + 1));
+    } else if (value.isIntegral()) {
+        out.push_back(JsonValue::makeInt(value.asInt() + 1));
+        if (value.asInt() != 0)
+            out.push_back(JsonValue::makeInt(value.asInt() * 2));
+    } else if (value.isNumber()) {
+        const double v = value.asNumber();
+        out.push_back(JsonValue::makeNumber(v + 1.0));
+        if (v != 0.0) {
+            out.push_back(JsonValue::makeNumber(v * 2.0));
+            out.push_back(JsonValue::makeNumber(v / 2.0));
+        }
+    } else if (value.isArray()) {
+        JsonValue grown = value;
+        grown.push(JsonValue::makeNumber(1.0));
+        out.push_back(std::move(grown));
+    } else if (value.isString()) {
+        std::string error;
+        core::applySpecOverrides(base, {{path, JsonValue::makeString("?")}},
+                                 &error);
+        const auto known = error.find("known: ");
+        if (known == std::string::npos) {
+            out.push_back(JsonValue::makeString(value.asString() + "-x"));
+        } else {
+            std::string names = error.substr(known + 7);
+            for (std::size_t start = 0; start < names.size();) {
+                std::size_t end = names.find(", ", start);
+                if (end == std::string::npos)
+                    end = names.size();
+                const std::string name = names.substr(start, end - start);
+                if (name != value.asString())
+                    out.push_back(JsonValue::makeString(name));
+                start = end + 2;
+            }
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+
 TEST(SpecEquality, DistinguishesEveryAxis)
 {
     const auto base = [] {
@@ -971,4 +1106,54 @@ TEST(SpecEquality, DistinguishesEveryAxis)
     auto chunked = base();
     chunked.chunkTokens += 1;
     EXPECT_NE(chunked, base());
+
+    // Fields the leaf walk below cannot reach: the keys whose every
+    // perturbation validate() rejects on the base, and the two engine
+    // fields the Runner derives (never printed, still compared).
+    auto kind = base();
+    kind.predictor.kind = "history";
+    EXPECT_NE(kind, base());
+    auto prefetch = base();
+    prefetch.adapters.predictivePrefetch = true;
+    EXPECT_NE(prefetch, base());
+    auto topK = base();
+    topK.adapters.prefetchTopK = 8;
+    EXPECT_NE(topK, base());
+    auto migration = base();
+    migration.fabric.migration = fabric::MigrationPolicy::All;
+    EXPECT_NE(migration, base());
+    auto derivedReservation = base();
+    derivedReservation.engine.predictedReservation =
+        !derivedReservation.engine.predictedReservation;
+    EXPECT_NE(derivedReservation, base());
+    auto derivedChunk = base();
+    derivedChunk.engine.prefillChunkTokens += 1;
+    EXPECT_NE(derivedChunk, base());
+
+    // Every dumped leaf: perturb it through the override path and
+    // assert operator== sees the change.
+    const std::vector<std::string> skipped = {
+        "predictor.kind",              // free string; validate() wants
+                                       // "bert" or "history"
+        "adapters.predictive_prefetch", // needs prefetch_top_k > 0
+        "adapters.prefetch_top_k",      // needs predictive_prefetch
+        "fabric.migration",             // needs peers
+    };
+    core::SpecOverrides leaves;
+    collectLeaves(core::specToJsonValue(base()), "", &leaves);
+    ASSERT_GT(leaves.size(), 60u);
+    for (const auto &[path, value] : leaves) {
+        const bool skip = std::find(skipped.begin(), skipped.end(),
+                                    path) != skipped.end();
+        std::optional<core::SystemSpec> perturbed;
+        for (const auto &candidate : perturbations(base(), path, value)) {
+            perturbed = core::applySpecOverrides(base(), {{path, candidate}});
+            if (perturbed.has_value())
+                break;
+        }
+        EXPECT_EQ(perturbed.has_value(), !skip) << path;
+        if (perturbed.has_value()) {
+            EXPECT_NE(*perturbed, base()) << path;
+        }
+    }
 }
