@@ -1,12 +1,13 @@
 #include "chameleon/spec_json.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
+#include "chameleon/spec_schema.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
 #include "simkit/time.h"
@@ -18,574 +19,323 @@ using sim::JsonValue;
 namespace {
 
 // ---------------------------------------------------------------------
-// Printing.
+// Printing: one walk over the field lists (spec_schema.h).
 // ---------------------------------------------------------------------
 
+template <class T>
+JsonValue toJson(const T &object);
+
+JsonValue toJson(bool v) { return JsonValue::makeBool(v); }
+JsonValue toJson(int v) { return JsonValue::makeInt(v); }
+JsonValue toJson(std::int64_t v) { return JsonValue::makeInt(v); }
+JsonValue toJson(double v) { return JsonValue::makeNumber(v); }
+JsonValue toJson(const std::string &v) { return JsonValue::makeString(v); }
+
 JsonValue
-modelToJson(const model::ModelSpec &m)
+toJson(std::size_t v)
 {
-    JsonValue o = JsonValue::makeObject();
-    o.set("name", JsonValue::makeString(m.name));
-    o.set("layers", JsonValue::makeInt(m.layers));
-    o.set("hidden", JsonValue::makeInt(m.hidden));
-    o.set("kv_hidden", JsonValue::makeInt(m.kvHidden));
-    o.set("params", JsonValue::makeNumber(m.params));
-    return o;
+    return JsonValue::makeInt(static_cast<std::int64_t>(v));
 }
 
 JsonValue
-gpuToJson(const model::GpuSpec &g)
+toJson(const std::vector<double> &list)
 {
-    JsonValue o = JsonValue::makeObject();
-    o.set("name", JsonValue::makeString(g.name));
-    o.set("fp16_flops", JsonValue::makeNumber(g.fp16Flops));
-    o.set("mem_bandwidth", JsonValue::makeNumber(g.memBandwidth));
-    o.set("mem_bytes", JsonValue::makeInt(g.memBytes));
-    o.set("pcie_bandwidth", JsonValue::makeNumber(g.pcieBandwidth));
-    o.set("pcie_setup_seconds", JsonValue::makeNumber(g.pcieSetupSeconds));
-    return o;
+    JsonValue array = JsonValue::makeArray();
+    for (const double v : list)
+        array.push(JsonValue::makeNumber(v));
+    return array;
 }
 
 JsonValue
-costToJson(const model::CostParams &c)
+toJson(Seconds<const sim::SimTime> time)
 {
-    JsonValue o = JsonValue::makeObject();
-    o.set("compute_util", JsonValue::makeNumber(c.computeUtil));
-    o.set("mem_util", JsonValue::makeNumber(c.memUtil));
-    o.set("prefill_fixed_ms", JsonValue::makeNumber(c.prefillFixedMs));
-    o.set("mbgmm_fixed_ms", JsonValue::makeNumber(c.mbgmmFixedMs));
-    o.set("lora_ineff", JsonValue::makeNumber(c.loraIneff));
-    o.set("decode_fixed_ms", JsonValue::makeNumber(c.decodeFixedMs));
-    o.set("decode_req_us", JsonValue::makeNumber(c.decodeReqUs));
-    o.set("mbgmv_fixed_ms", JsonValue::makeNumber(c.mbgmvFixedMs));
-    o.set("decode_rank_us", JsonValue::makeNumber(c.decodeRankUs));
-    o.set("tp_sync_ms", JsonValue::makeNumber(c.tpSyncMs));
-    o.set("tp_eff_loss_per_log2",
-          JsonValue::makeNumber(c.tpEffLossPerLog2));
-    return o;
+    return JsonValue::makeNumber(sim::toSeconds(time.v));
 }
 
 JsonValue
-engineToJson(const serving::EngineConfig &e)
+toJson(Seed<const std::uint64_t> seed)
 {
-    JsonValue o = JsonValue::makeObject();
-    o.set("model", modelToJson(e.model));
-    o.set("gpu", gpuToJson(e.gpu));
-    o.set("tp_degree", JsonValue::makeInt(e.tpDegree));
-    o.set("cost", costToJson(e.cost));
-    o.set("workspace_per_gpu", JsonValue::makeInt(e.workspacePerGpu));
-    o.set("admission_token_budget",
-          JsonValue::makeInt(e.admissionTokenBudget));
-    o.set("max_new_tokens", JsonValue::makeInt(e.maxNewTokens));
-    o.set("max_admissions_per_iter",
-          JsonValue::makeInt(e.maxAdmissionsPerIter));
-    o.set("max_running", JsonValue::makeInt(e.maxRunning));
-    o.set("kv_page_tokens", JsonValue::makeInt(e.kvPageTokens));
-    o.set("mem_sample_period_s",
-          JsonValue::makeNumber(sim::toSeconds(e.memSamplePeriod)));
-    return o;
+    return JsonValue::makeUint64(seed.v);
+}
+
+template <class E>
+JsonValue
+toJson(Named<E> e)
+{
+    return JsonValue::makeString(e.name(e.v));
 }
 
 JsonValue
-schedulerToJson(const SchedulerSpec &s)
+toJson(Replicas<const ClusterSpec> deployment)
 {
-    JsonValue o = JsonValue::makeObject();
-    o.set("policy", JsonValue::makeString(schedulerPolicyName(s.policy)));
-    o.set("sjf_aging_per_second",
-          JsonValue::makeNumber(s.sjfAgingPerSecond));
-    o.set("slo_seconds", JsonValue::makeNumber(s.sloSeconds));
-    o.set("refresh_period_s",
-          JsonValue::makeNumber(sim::toSeconds(s.refreshPeriod)));
-    o.set("bypass", JsonValue::makeBool(s.bypass));
-    o.set("dynamic_queues", JsonValue::makeBool(s.dynamicQueues));
-    o.set("wrs_form", JsonValue::makeString(wrsFormName(s.wrsForm)));
-    return o;
+    const ClusterSpec &c = deployment.cluster;
+    if (c.replicaEngines.empty())
+        return JsonValue::makeInt(c.replicas);
+    // Heterogeneous fleet: "replicas" becomes the ordered list of fully
+    // resolved per-replica engines. Printing every field (rather than a
+    // diff against "engine") keeps the round trip exact whatever base
+    // the overrides were applied onto.
+    JsonValue list = JsonValue::makeArray();
+    for (const auto &engine : c.replicaEngines)
+        list.push(toJson(engine));
+    return list;
 }
 
-JsonValue
-adaptersToJson(const AdapterSpec &a)
+struct Printer
 {
-    JsonValue o = JsonValue::makeObject();
-    o.set("policy", JsonValue::makeString(adapterPolicyName(a.policy)));
-    o.set("eviction",
-          JsonValue::makeString(evictionPolicyName(a.eviction)));
-    o.set("predictive_prefetch",
-          JsonValue::makeBool(a.predictivePrefetch));
-    o.set("prefetch_top_k",
-          JsonValue::makeInt(static_cast<std::int64_t>(a.prefetchTopK)));
-    return o;
-}
+    JsonValue &object;
 
-JsonValue
-predictorToJson(const PredictorSpec &p)
-{
-    JsonValue o = JsonValue::makeObject();
-    o.set("kind", JsonValue::makeString(p.kind));
-    o.set("accuracy", JsonValue::makeNumber(p.accuracy));
-    o.set("seed", JsonValue::makeUint64(p.seed));
-    return o;
-}
-
-JsonValue
-clusterToJson(const ClusterSpec &c)
-{
-    JsonValue o = JsonValue::makeObject();
-    if (c.replicaEngines.empty()) {
-        o.set("replicas", JsonValue::makeInt(c.replicas));
-    } else {
-        // Heterogeneous fleet: "replicas" becomes the ordered list of
-        // fully resolved per-replica engines. Printing every field
-        // (rather than a diff against "engine") keeps the round trip
-        // exact whatever base the overrides were applied onto.
-        JsonValue list = JsonValue::makeArray();
-        for (const auto &engine : c.replicaEngines)
-            list.push(engineToJson(engine));
-        o.set("replicas", std::move(list));
+    template <class T>
+    void operator()(const char *key, const T &field)
+    {
+        object.set(key, toJson(field));
     }
-    o.set("router",
-          JsonValue::makeString(routing::routerPolicyName(c.router)));
-    JsonValue rc = JsonValue::makeObject();
-    rc.set("seed", JsonValue::makeUint64(c.routerConfig.seed));
-    rc.set("virtual_nodes",
-           JsonValue::makeInt(c.routerConfig.virtualNodes));
-    rc.set("spill_load_factor",
-           JsonValue::makeNumber(c.routerConfig.spillLoadFactor));
-    rc.set("spill_margin", JsonValue::makeInt(c.routerConfig.spillMargin));
-    rc.set("slo_admission",
-           JsonValue::makeBool(c.routerConfig.sloAdmission));
-    o.set("router_config", std::move(rc));
-    o.set("autoscale", JsonValue::makeBool(c.autoscale));
-    JsonValue as = JsonValue::makeObject();
-    as.set("min_replicas",
-           JsonValue::makeInt(
-               static_cast<std::int64_t>(c.autoscaler.minReplicas)));
-    as.set("max_replicas",
-           JsonValue::makeInt(
-               static_cast<std::int64_t>(c.autoscaler.maxReplicas)));
-    as.set("eval_period_s",
-           JsonValue::makeNumber(c.autoscaler.evalPeriodSeconds));
-    as.set("high_watermark",
-           JsonValue::makeNumber(c.autoscaler.highWatermark));
-    as.set("low_watermark",
-           JsonValue::makeNumber(c.autoscaler.lowWatermark));
-    as.set("forecast_horizon_s",
-           JsonValue::makeNumber(c.autoscaler.forecastHorizonSeconds));
-    as.set("forecast_window_s",
-           JsonValue::makeNumber(c.autoscaler.forecastWindowSeconds));
-    as.set("replica_service_rps",
-           JsonValue::makeNumber(c.autoscaler.replicaServiceRps));
-    as.set("up_cooldown_periods",
-           JsonValue::makeInt(c.autoscaler.upCooldownPeriods));
-    as.set("down_cooldown_periods",
-           JsonValue::makeInt(c.autoscaler.downCooldownPeriods));
-    as.set("boot_ms", JsonValue::makeNumber(c.autoscaler.bootMs));
-    as.set("scale_up_policy",
-           JsonValue::makeString(routing::scaleUpPolicyName(
-               c.autoscaler.scaleUpPolicy)));
-    as.set("measured_rate_alpha",
-           JsonValue::makeNumber(c.autoscaler.measuredRateAlpha));
-    as.set("boot_aware_horizon",
-           JsonValue::makeBool(c.autoscaler.bootAwareHorizon));
-    o.set("autoscaler", std::move(as));
-    return o;
-}
 
+    template <class T>
+    void operator()(const char *, Derived<T>)
+    {
+    }
+};
+
+template <class T>
 JsonValue
-fabricToJson(const FabricSpec &f)
+toJson(const T &object)
 {
     JsonValue o = JsonValue::makeObject();
-    o.set("migration",
-          JsonValue::makeString(
-              fabric::migrationPolicyName(f.migration)));
-    o.set("topology",
-          JsonValue::makeString(fabric::topologyName(f.topology)));
-    o.set("top_k",
-          JsonValue::makeInt(static_cast<std::int64_t>(f.topK)));
-    return o;
-}
-
-JsonValue
-tenancyToJson(const TenancySpec &t)
-{
-    JsonValue o = JsonValue::makeObject();
-    o.set("tenants", JsonValue::makeInt(t.tenants));
-    JsonValue weights = JsonValue::makeArray();
-    for (const double w : t.weights)
-        weights.push(JsonValue::makeNumber(w));
-    o.set("weights", std::move(weights));
-    JsonValue slos = JsonValue::makeArray();
-    for (const double m : t.sloMultipliers)
-        slos.push(JsonValue::makeNumber(m));
-    o.set("slo_multipliers", std::move(slos));
-    o.set("drr_quantum_tokens", JsonValue::makeInt(t.drrQuantumTokens));
+    fields(Of<T>{}, Printer{o}, object);
     return o;
 }
 
 // ---------------------------------------------------------------------
-// Parsing.
+// Parsing: the same walk, onto the defaults already in the target.
 // ---------------------------------------------------------------------
-
-/** Number of seconds -> SimTime, via a JsonObjectReader key. */
-bool
-getSeconds(sim::JsonObjectReader &r, const std::string &key,
-           sim::SimTime *out)
-{
-    double seconds = sim::toSeconds(*out);
-    if (!r.getDouble(key, &seconds))
-        return false;
-    *out = sim::fromSeconds(seconds);
-    return true;
-}
-
-bool
-modelFromJson(const JsonValue &v, const std::string &path,
-              model::ModelSpec *out, std::string *error)
-{
-    if (v.isString()) {
-        const std::string &name = v.asString();
-        if (!model::tryModelByName(name, out)) {
-            if (error != nullptr)
-                *error = "\"" + path + "\" unknown model preset \"" +
-                         name + "\"; known: " +
-                         model::modelPresetNames() +
-                         " (or a full model object)";
-            return false;
-        }
-        return true;
-    }
-    sim::JsonObjectReader r(v, path, error);
-    r.getString("name", &out->name);
-    r.getInt("layers", &out->layers);
-    r.getInt("hidden", &out->hidden);
-    r.getInt("kv_hidden", &out->kvHidden);
-    r.getDouble("params", &out->params);
-    return r.finish();
-}
-
-bool
-gpuFromJson(const JsonValue &v, const std::string &path,
-            model::GpuSpec *out, std::string *error)
-{
-    if (v.isString()) {
-        const std::string &name = v.asString();
-        if (!model::tryGpuByName(name, out)) {
-            if (error != nullptr)
-                *error = "\"" + path + "\" unknown gpu preset \"" +
-                         name + "\"; known: " +
-                         model::gpuPresetNames() +
-                         " (or a full gpu object)";
-            return false;
-        }
-        return true;
-    }
-    sim::JsonObjectReader r(v, path, error);
-    r.getString("name", &out->name);
-    r.getDouble("fp16_flops", &out->fp16Flops);
-    r.getDouble("mem_bandwidth", &out->memBandwidth);
-    r.getInt64("mem_bytes", &out->memBytes);
-    r.getDouble("pcie_bandwidth", &out->pcieBandwidth);
-    r.getDouble("pcie_setup_seconds", &out->pcieSetupSeconds);
-    return r.finish();
-}
-
-bool
-costFromJson(const JsonValue &v, const std::string &path,
-             model::CostParams *out, std::string *error)
-{
-    sim::JsonObjectReader r(v, path, error);
-    r.getDouble("compute_util", &out->computeUtil);
-    r.getDouble("mem_util", &out->memUtil);
-    r.getDouble("prefill_fixed_ms", &out->prefillFixedMs);
-    r.getDouble("mbgmm_fixed_ms", &out->mbgmmFixedMs);
-    r.getDouble("lora_ineff", &out->loraIneff);
-    r.getDouble("decode_fixed_ms", &out->decodeFixedMs);
-    r.getDouble("decode_req_us", &out->decodeReqUs);
-    r.getDouble("mbgmv_fixed_ms", &out->mbgmvFixedMs);
-    r.getDouble("decode_rank_us", &out->decodeRankUs);
-    r.getDouble("tp_sync_ms", &out->tpSyncMs);
-    r.getDouble("tp_eff_loss_per_log2", &out->tpEffLossPerLog2);
-    return r.finish();
-}
-
-bool
-schedulerFromJson(const JsonValue &v, const std::string &path,
-                  SchedulerSpec *out, std::string *error)
-{
-    sim::JsonObjectReader r(v, path, error);
-    r.getEnum("policy", &out->policy, schedulerPolicyByName,
-              "fifo, sjf, mlq, wfq, drr");
-    r.getDouble("sjf_aging_per_second", &out->sjfAgingPerSecond);
-    r.getDouble("slo_seconds", &out->sloSeconds);
-    getSeconds(r, "refresh_period_s", &out->refreshPeriod);
-    r.getBool("bypass", &out->bypass);
-    r.getBool("dynamic_queues", &out->dynamicQueues);
-    r.getEnum("wrs_form", &out->wrsForm, wrsFormByName,
-              "degree2, degree1, output-only");
-    return r.finish();
-}
-
-bool
-adaptersFromJson(const JsonValue &v, const std::string &path,
-                 AdapterSpec *out, std::string *error)
-{
-    sim::JsonObjectReader r(v, path, error);
-    r.getEnum("policy", &out->policy, adapterPolicyByName,
-              "on-demand, slora, chameleon-cache");
-    r.getEnum("eviction", &out->eviction, evictionPolicyByName,
-              "chameleon, lru, fairshare, gdsf");
-    r.getBool("predictive_prefetch", &out->predictivePrefetch);
-    r.getSize("prefetch_top_k", &out->prefetchTopK);
-    return r.finish();
-}
 
 /**
- * Apply an "engine" JSON object onto *out (missing keys keep existing
- * values). `path` prefixes error key paths. Accepts the string
- * shorthands "model": "llama-7b" and "gpu": "a40" | "a100" |
- * "a100-<GiB>" as well as the full field-by-field objects.
+ * The preset-name shorthands of "engine.model" and "engine.gpu" (and of
+ * a "cluster.replicas" entry); `instead` names the longhand form.
  */
 bool
-engineFromJson(const JsonValue &obj, const std::string &path,
-               serving::EngineConfig *out, std::string *error)
+readPreset(const std::string &name, const std::string &path,
+           model::ModelSpec *out, std::string *error,
+           const char *instead = "a full model object")
 {
-    sim::JsonObjectReader r(obj, path, error);
-    if (const JsonValue *m = r.child("model")) {
-        if (!modelFromJson(*m, path + ".model", &out->model, error))
-            return false;
-    }
-    if (const JsonValue *g = r.child("gpu")) {
-        if (!gpuFromJson(*g, path + ".gpu", &out->gpu, error))
-            return false;
-    }
-    r.getInt("tp_degree", &out->tpDegree);
-    if (const JsonValue *c = r.child("cost")) {
-        if (!costFromJson(*c, path + ".cost", &out->cost, error))
-            return false;
-    }
-    r.getInt64("workspace_per_gpu", &out->workspacePerGpu);
-    r.getInt64("admission_token_budget", &out->admissionTokenBudget);
-    r.getInt64("max_new_tokens", &out->maxNewTokens);
-    r.getInt("max_admissions_per_iter", &out->maxAdmissionsPerIter);
-    r.getInt("max_running", &out->maxRunning);
-    r.getInt("kv_page_tokens", &out->kvPageTokens);
-    getSeconds(r, "mem_sample_period_s", &out->memSamplePeriod);
-    return r.finish();
-}
-
-/** Apply a "predictor" JSON object onto *out; as engineFromJson. */
-bool
-predictorFromJson(const JsonValue &obj, const std::string &path,
-                  PredictorSpec *out, std::string *error)
-{
-    sim::JsonObjectReader r(obj, path, error);
-    r.getString("kind", &out->kind);
-    r.getDouble("accuracy", &out->accuracy);
-    r.getUint64("seed", &out->seed);
-    return r.finish();
-}
-
-/** An array of numbers; empty allowed (= "use the defaults"). */
-bool
-numberList(sim::JsonObjectReader &r, const std::string &key,
-           std::vector<double> *out)
-{
-    const JsonValue *v = r.child(key);
-    if (v == nullptr)
-        return r.ok();
-    if (!v->isArray())
-        return r.fail(key, "expects an array of numbers");
-    out->clear();
-    for (const auto &item : v->items()) {
-        if (!item.isNumber())
-            return r.fail(key, "expects an array of numbers");
-        out->push_back(item.asNumber());
-    }
-    return true;
+    if (model::tryModelByName(name, out))
+        return true;
+    if (error != nullptr)
+        *error = "\"" + path + "\" unknown model preset \"" + name +
+                 "\"; known: " + model::modelPresetNames() + " (or " +
+                 instead + ")";
+    return false;
 }
 
 bool
-tenancyFromJson(const JsonValue &v, const std::string &path,
-                TenancySpec *out, std::string *error)
+readPreset(const std::string &name, const std::string &path,
+           model::GpuSpec *out, std::string *error,
+           const char *instead = "a full gpu object")
 {
-    sim::JsonObjectReader r(v, path, error);
-    r.getInt("tenants", &out->tenants);
-    if (!numberList(r, "weights", &out->weights))
-        return false;
-    if (!numberList(r, "slo_multipliers", &out->sloMultipliers))
-        return false;
-    r.getInt64("drr_quantum_tokens", &out->drrQuantumTokens);
-    return r.finish();
+    if (model::tryGpuByName(name, out))
+        return true;
+    if (error != nullptr)
+        *error = "\"" + path + "\" unknown gpu preset \"" + name +
+                 "\"; known: " + model::gpuPresetNames() + " (or " +
+                 instead + ")";
+    return false;
 }
 
-bool autoscalerFromJson(const JsonValue &obj, const std::string &path,
-                        routing::AutoscalerConfig *out, std::string *error);
+template <class T>
+bool readObject(const JsonValue &v, const std::string &path, T *out,
+                std::string *error, const serving::EngineConfig *baseEngine);
 
-bool
-clusterFromJson(const JsonValue &v, const std::string &path,
-                const serving::EngineConfig &baseEngine, ClusterSpec *out,
-                std::string *error)
+/**
+ * Reads one JSON object's keys into the fields its list visits; missing
+ * keys keep the target's values. `baseEngine` is the parsed top-level
+ * engine, onto which "cluster.replicas" entries apply.
+ */
+class Reader
 {
-    sim::JsonObjectReader r(v, path, error);
-    // "replicas" is polymorphic: an integer count (homogeneous fleet,
-    // every replica from the top-level "engine") or an ordered array
-    // of per-replica engine overrides applied onto that base engine.
-    // "fleet" is a shorthand for the array form: a GPU-mix preset like
-    // "a100x2+a40x2" expands to one base-engine replica per GPU.
-    const JsonValue *replicas = r.child("replicas");
-    const JsonValue *fleet = r.child("fleet");
+  public:
+    Reader(const JsonValue &v, const std::string &path, std::string *error,
+           const serving::EngineConfig *baseEngine)
+        : r_(v, path, error), error_(error), baseEngine_(baseEngine)
+    {
+    }
+
+    template <class T>
+    void operator()(const char *key, T &&field)
+    {
+        if (nestedOk_)
+            read(key, field);
+    }
+
+    /** True when every key read and no unknown key is left. */
+    bool finish() { return nestedOk_ && r_.finish(); }
+
+  private:
+    void read(const char *key, bool &v) { r_.getBool(key, &v); }
+    void read(const char *key, int &v) { r_.getInt(key, &v); }
+    void read(const char *key, std::int64_t &v) { r_.getInt64(key, &v); }
+    void read(const char *key, std::size_t &v) { r_.getSize(key, &v); }
+    void read(const char *key, double &v) { r_.getDouble(key, &v); }
+    void read(const char *key, std::string &v) { r_.getString(key, &v); }
+
+    /** An array of numbers; empty allowed (= "use the defaults"). */
+    void
+    read(const char *key, std::vector<double> &out)
+    {
+        const JsonValue *v = r_.child(key);
+        if (v == nullptr)
+            return;
+        if (!v->isArray()) {
+            r_.fail(key, "expects an array of numbers");
+            return;
+        }
+        out.clear();
+        for (const auto &item : v->items()) {
+            if (!item.isNumber()) {
+                r_.fail(key, "expects an array of numbers");
+                return;
+            }
+            out.push_back(item.asNumber());
+        }
+    }
+
+    void
+    read(const char *key, Seconds<sim::SimTime> time)
+    {
+        double seconds = sim::toSeconds(time.v);
+        if (r_.getDouble(key, &seconds))
+            time.v = sim::fromSeconds(seconds);
+    }
+
+    void
+    read(const char *key, Seed<std::uint64_t> seed)
+    {
+        r_.getUint64(key, &seed.v);
+    }
+
+    template <class E>
+    void
+    read(const char *key, Named<E> e)
+    {
+        r_.getEnum(key, &e.v, e.byName, e.known);
+    }
+
+    template <class T>
+    void read(const char *, Derived<T>)
+    {
+    }
+
+    void read(const char *key, Replicas<ClusterSpec> deployment);
+
+    /** A nested object: its own reader, under `key`'s path. */
+    template <class T>
+    void
+    read(const char *key, T &object)
+    {
+        if (const JsonValue *child = r_.child(key))
+            nestedOk_ = readObject(*child, r_.pathOf(key), &object, error_,
+                                   baseEngine_);
+    }
+
+    sim::JsonObjectReader r_;
+    std::string *error_;
+    const serving::EngineConfig *baseEngine_;
+    bool nestedOk_ = true;
+};
+
+/**
+ * "replicas" is polymorphic: an integer count (homogeneous fleet, every
+ * replica from the top-level "engine") or an ordered array of
+ * per-replica engine overrides applied onto that base engine. "fleet"
+ * is a shorthand for the array form: a GPU-mix preset like
+ * "a100x2+a40x2" expands to one base-engine replica per GPU.
+ */
+void
+Reader::read(const char *key, Replicas<ClusterSpec> deployment)
+{
+    ClusterSpec *out = &deployment.cluster;
+    const std::string path = r_.pathOf("");
+    const JsonValue *replicas = r_.child(key);
+    const JsonValue *fleet = r_.child("fleet");
     if (replicas != nullptr && fleet != nullptr) {
-        return r.fail("fleet",
-                      "conflicts with \"" + path +
-                          ".replicas\"; the fleet preset already "
-                          "defines the replica count and GPU mix");
+        r_.fail("fleet", "conflicts with \"" + path +
+                             ".replicas\"; the fleet preset already "
+                             "defines the replica count and GPU mix");
+        return;
     }
     if (replicas != nullptr) {
         if (replicas->isArray()) {
             if (replicas->items().empty()) {
-                return r.fail("replicas",
-                              "must not be an empty array; use an "
-                              "integer count for a homogeneous fleet");
+                r_.fail(key, "must not be an empty array; use an integer "
+                             "count for a homogeneous fleet");
+                return;
             }
             out->replicaEngines.clear();
             for (std::size_t i = 0; i < replicas->items().size(); ++i) {
                 const JsonValue &entry = replicas->items()[i];
                 std::ostringstream entryPath;
                 entryPath << path << ".replicas[" << i << "]";
-                serving::EngineConfig cfg = baseEngine;
-                if (entry.isString()) {
-                    // Bare string = GPU-preset shorthand.
-                    if (!model::tryGpuByName(entry.asString(),
-                                             &cfg.gpu)) {
-                        if (error != nullptr)
-                            *error = "\"" + entryPath.str() +
-                                     "\" unknown gpu preset \"" +
-                                     entry.asString() + "\"; known: " +
-                                     model::gpuPresetNames() +
-                                     " (or an engine-override object)";
-                        return false;
-                    }
-                } else if (!engineFromJson(entry, entryPath.str(), &cfg,
-                                           error)) {
-                    return false;
-                }
+                serving::EngineConfig cfg = *baseEngine_;
+                // A bare string is the GPU-preset shorthand.
+                nestedOk_ =
+                    entry.isString()
+                        ? readPreset(entry.asString(), entryPath.str(),
+                                     &cfg.gpu, error_,
+                                     "an engine-override object")
+                        : readObject(entry, entryPath.str(), &cfg, error_,
+                                     baseEngine_);
+                if (!nestedOk_)
+                    return;
                 out->replicaEngines.push_back(std::move(cfg));
             }
-            out->replicas =
-                static_cast<int>(out->replicaEngines.size());
+            out->replicas = static_cast<int>(out->replicaEngines.size());
         } else if (replicas->isNumber() && replicas->isIntegral() &&
                    !replicas->isUnsignedIntegral() &&
-                   replicas->asInt() >=
-                       std::numeric_limits<int>::min() &&
-                   replicas->asInt() <=
-                       std::numeric_limits<int>::max()) {
+                   replicas->asInt() >= std::numeric_limits<int>::min() &&
+                   replicas->asInt() <= std::numeric_limits<int>::max()) {
             out->replicas = static_cast<int>(replicas->asInt());
         } else {
-            return r.fail("replicas",
-                          "expects an integer count or an array of "
-                          "per-replica engine overrides");
+            r_.fail(key, "expects an integer count or an array of "
+                         "per-replica engine overrides");
+            return;
         }
     }
     if (fleet != nullptr) {
         if (!fleet->isString()) {
-            return r.fail("fleet", "expects a fleet-preset string: " +
-                                       model::fleetGrammarHelp());
+            r_.fail("fleet", "expects a fleet-preset string: " +
+                                 model::fleetGrammarHelp());
+            return;
         }
         std::vector<model::GpuSpec> gpus;
         if (!model::tryFleetByName(fleet->asString(), &gpus)) {
-            return r.fail("fleet", "unknown fleet preset \"" +
-                                       fleet->asString() +
-                                       "\"; expected " +
-                                       model::fleetGrammarHelp());
+            r_.fail("fleet", "unknown fleet preset \"" + fleet->asString() +
+                                 "\"; expected " +
+                                 model::fleetGrammarHelp());
+            return;
         }
-        out->replicaEngines = serving::fleetEngines(baseEngine, gpus);
+        out->replicaEngines = serving::fleetEngines(*baseEngine_, gpus);
         out->replicas = static_cast<int>(out->replicaEngines.size());
     }
-    r.getEnum("router", &out->router, routing::routerPolicyByName,
-              routing::routerPolicyNames());
-    if (const JsonValue *rc = r.child("router_config")) {
-        sim::JsonObjectReader rr(*rc, path + ".router_config", error);
-        rr.getUint64("seed", &out->routerConfig.seed);
-        rr.getInt("virtual_nodes", &out->routerConfig.virtualNodes);
-        rr.getDouble("spill_load_factor",
-                     &out->routerConfig.spillLoadFactor);
-        rr.getInt64("spill_margin", &out->routerConfig.spillMargin);
-        rr.getBool("slo_admission", &out->routerConfig.sloAdmission);
-        if (!rr.finish())
-            return false;
-    }
-    r.getBool("autoscale", &out->autoscale);
-    if (const JsonValue *as = r.child("autoscaler")) {
-        if (!autoscalerFromJson(*as, path + ".autoscaler",
-                                &out->autoscaler, error))
-            return false;
-    }
-    return r.finish();
 }
 
-} // namespace
-
-JsonValue
-specToJsonValue(const SystemSpec &spec)
-{
-    JsonValue root = JsonValue::makeObject();
-    root.set("name", JsonValue::makeString(spec.name));
-    root.set("engine", engineToJson(spec.engine));
-    root.set("scheduler", schedulerToJson(spec.scheduler));
-    root.set("adapters", adaptersToJson(spec.adapters));
-    root.set("predictor", predictorToJson(spec.predictor));
-    root.set("cluster", clusterToJson(spec.cluster));
-    root.set("tenancy", tenancyToJson(spec.tenancy));
-    root.set("fabric", fabricToJson(spec.fabric));
-    root.set("reservation",
-             JsonValue::makeString(reservationPolicyName(spec.reservation)));
-    root.set("chunked_prefill", JsonValue::makeBool(spec.chunkedPrefill));
-    root.set("chunk_tokens", JsonValue::makeInt(spec.chunkTokens));
-    return root;
-}
-
-std::string
-specToJson(const SystemSpec &spec)
-{
-    return specToJsonValue(spec).dump();
-}
-
-namespace {
-
+/**
+ * Apply a JSON object onto *out (missing keys keep existing values).
+ * `path` prefixes error key paths. "engine.model" and "engine.gpu" also
+ * take a preset name in place of the field-by-field object.
+ */
+template <class T>
 bool
-fabricFromJson(const JsonValue &obj, const std::string &path,
-               FabricSpec *out, std::string *error)
+readObject(const JsonValue &v, const std::string &path, T *out,
+           std::string *error, const serving::EngineConfig *baseEngine)
 {
-    sim::JsonObjectReader r(obj, path, error);
-    r.getEnum("migration", &out->migration,
-              fabric::migrationPolicyByName,
-              fabric::migrationPolicyNames());
-    r.getEnum("topology", &out->topology, fabric::topologyByName,
-              fabric::topologyNames());
-    r.getSize("top_k", &out->topK);
-    return r.finish();
-}
-
-bool
-autoscalerFromJson(const JsonValue &obj, const std::string &path,
-                   routing::AutoscalerConfig *out, std::string *error)
-{
-    sim::JsonObjectReader r(obj, path, error);
-    r.getSize("min_replicas", &out->minReplicas);
-    r.getSize("max_replicas", &out->maxReplicas);
-    r.getDouble("eval_period_s", &out->evalPeriodSeconds);
-    r.getDouble("high_watermark", &out->highWatermark);
-    r.getDouble("low_watermark", &out->lowWatermark);
-    r.getDouble("forecast_horizon_s", &out->forecastHorizonSeconds);
-    r.getDouble("forecast_window_s", &out->forecastWindowSeconds);
-    r.getDouble("replica_service_rps", &out->replicaServiceRps);
-    r.getInt("up_cooldown_periods", &out->upCooldownPeriods);
-    r.getInt("down_cooldown_periods", &out->downCooldownPeriods);
-    r.getDouble("boot_ms", &out->bootMs);
-    r.getEnum("scale_up_policy", &out->scaleUpPolicy,
-              routing::scaleUpPolicyByName, routing::scaleUpPolicyNames());
-    r.getDouble("measured_rate_alpha", &out->measuredRateAlpha);
-    r.getBool("boot_aware_horizon", &out->bootAwareHorizon);
-    return r.finish();
+    if constexpr (std::is_same_v<T, model::ModelSpec> ||
+                  std::is_same_v<T, model::GpuSpec>) {
+        if (v.isString())
+            return readPreset(v.asString(), path, out, error);
+    }
+    Reader reader(v, path, error, baseEngine);
+    fields(Of<T>{}, reader, *out);
+    return reader.finish();
 }
 
 /** Uniform "spec json: " prefix on whatever a nested reader wrote. */
@@ -599,6 +349,18 @@ specParseFailure(std::string *error)
 
 } // namespace
 
+JsonValue
+specToJsonValue(const SystemSpec &spec)
+{
+    return toJson(spec);
+}
+
+std::string
+specToJson(const SystemSpec &spec)
+{
+    return specToJsonValue(spec).dump();
+}
+
 std::optional<SystemSpec>
 specFromJsonValue(const JsonValue &root, std::string *error)
 {
@@ -608,45 +370,10 @@ specFromJsonValue(const JsonValue &root, std::string *error)
     spec.engine.model = model::llama7B();
     spec.engine.gpu = model::a40();
 
-    sim::JsonObjectReader r(root, "", error);
-    r.getString("name", &spec.name);
-    if (const JsonValue *e = r.child("engine")) {
-        if (!engineFromJson(*e, "engine", &spec.engine, error))
-            return specParseFailure(error);
-    }
-    if (const JsonValue *s = r.child("scheduler")) {
-        if (!schedulerFromJson(*s, "scheduler", &spec.scheduler, error))
-            return specParseFailure(error);
-    }
-    if (const JsonValue *a = r.child("adapters")) {
-        if (!adaptersFromJson(*a, "adapters", &spec.adapters, error))
-            return specParseFailure(error);
-    }
-    if (const JsonValue *p = r.child("predictor")) {
-        if (!predictorFromJson(*p, "predictor", &spec.predictor, error))
-            return specParseFailure(error);
-    }
-    // Parsed after "engine" on purpose: per-replica overrides in
-    // "cluster.replicas"/"cluster.fleet" apply onto the parsed base
-    // engine, wherever the keys appeared in the document.
-    if (const JsonValue *c = r.child("cluster")) {
-        if (!clusterFromJson(*c, "cluster", spec.engine, &spec.cluster,
-                             error))
-            return specParseFailure(error);
-    }
-    if (const JsonValue *t = r.child("tenancy")) {
-        if (!tenancyFromJson(*t, "tenancy", &spec.tenancy, error))
-            return specParseFailure(error);
-    }
-    if (const JsonValue *f = r.child("fabric")) {
-        if (!fabricFromJson(*f, "fabric", &spec.fabric, error))
-            return specParseFailure(error);
-    }
-    r.getEnum("reservation", &spec.reservation, reservationPolicyByName,
-              "auto, max-tokens, predicted");
-    r.getBool("chunked_prefill", &spec.chunkedPrefill);
-    r.getInt64("chunk_tokens", &spec.chunkTokens);
-    if (!r.finish())
+    // "engine" precedes "cluster" in the field list, so per-replica
+    // overrides in "cluster.replicas"/"cluster.fleet" apply onto the
+    // parsed base engine, wherever the keys appeared in the document.
+    if (!readObject(root, "", &spec, error, &spec.engine))
         return specParseFailure(error);
 
     const auto problems = spec.validate();

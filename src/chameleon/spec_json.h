@@ -4,9 +4,12 @@
  *
  * specToJson prints a complete SystemSpec — every policy axis, every
  * engine knob, the full ClusterSpec — as pretty JSON; specFromJson
- * parses it back onto the documented defaults. The pair is
- * round-trip-stable: parse(print(spec)) == spec under
- * SystemSpec::operator==, asserted by tests/spec_json_test.cc.
+ * parses it back onto the documented defaults. Both walk the one field
+ * list per spec struct in spec_schema.h, as SystemSpec::operator==
+ * does, so a key is declared once and the pair is round-trip-stable:
+ * parse(print(spec)) == spec, asserted by tests/spec_json_test.cc.
+ * Only "cluster.replicas" (with the parse-only "cluster.fleet") and
+ * the "engine.model"/"engine.gpu" preset shorthands are coded here.
  *
  * Parsing is strict and partial at once: any key may be omitted (its
  * default survives — `{}` is the paper testbed's full Chameleon), but

@@ -397,67 +397,6 @@ SystemSpec::validate() const
     return errors;
 }
 
-bool
-operator==(const PredictorSpec &a, const PredictorSpec &b)
-{
-    return a.kind == b.kind && a.accuracy == b.accuracy &&
-           a.seed == b.seed;
-}
-
-bool
-operator==(const SchedulerSpec &a, const SchedulerSpec &b)
-{
-    return a.policy == b.policy &&
-           a.sjfAgingPerSecond == b.sjfAgingPerSecond &&
-           a.sloSeconds == b.sloSeconds &&
-           a.refreshPeriod == b.refreshPeriod && a.bypass == b.bypass &&
-           a.dynamicQueues == b.dynamicQueues && a.wrsForm == b.wrsForm;
-}
-
-bool
-operator==(const AdapterSpec &a, const AdapterSpec &b)
-{
-    return a.policy == b.policy && a.eviction == b.eviction &&
-           a.predictivePrefetch == b.predictivePrefetch &&
-           a.prefetchTopK == b.prefetchTopK;
-}
-
-bool
-operator==(const ClusterSpec &a, const ClusterSpec &b)
-{
-    return a.replicas == b.replicas &&
-           a.replicaEngines == b.replicaEngines &&
-           a.router == b.router && a.routerConfig == b.routerConfig &&
-           a.autoscale == b.autoscale && a.autoscaler == b.autoscaler;
-}
-
-bool
-operator==(const TenancySpec &a, const TenancySpec &b)
-{
-    return a.tenants == b.tenants && a.weights == b.weights &&
-           a.sloMultipliers == b.sloMultipliers &&
-           a.drrQuantumTokens == b.drrQuantumTokens;
-}
-
-bool
-operator==(const FabricSpec &a, const FabricSpec &b)
-{
-    return a.migration == b.migration && a.topology == b.topology &&
-           a.topK == b.topK;
-}
-
-bool
-operator==(const SystemSpec &a, const SystemSpec &b)
-{
-    return a.name == b.name && a.engine == b.engine &&
-           a.scheduler == b.scheduler && a.adapters == b.adapters &&
-           a.predictor == b.predictor && a.cluster == b.cluster &&
-           a.tenancy == b.tenancy && a.fabric == b.fabric &&
-           a.reservation == b.reservation &&
-           a.chunkedPrefill == b.chunkedPrefill &&
-           a.chunkTokens == b.chunkTokens;
-}
-
 namespace presets {
 
 namespace {

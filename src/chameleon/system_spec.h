@@ -264,9 +264,10 @@ struct SystemSpec
 };
 
 /**
- * Field-wise equality over every axis and knob (name included), so
- * JSON round-trip tests can assert spec equivalence directly instead
- * of comparing re-printed strings.
+ * Field-wise equality over every axis and knob (name included), each
+ * walking its field list in spec_schema.h, so JSON round-trip tests can
+ * assert spec equivalence directly instead of comparing re-printed
+ * strings.
  */
 bool operator==(const PredictorSpec &a, const PredictorSpec &b);
 bool operator==(const SchedulerSpec &a, const SchedulerSpec &b);
@@ -275,30 +276,6 @@ bool operator==(const ClusterSpec &a, const ClusterSpec &b);
 bool operator==(const TenancySpec &a, const TenancySpec &b);
 bool operator==(const FabricSpec &a, const FabricSpec &b);
 bool operator==(const SystemSpec &a, const SystemSpec &b);
-inline bool operator!=(const PredictorSpec &a, const PredictorSpec &b)
-{
-    return !(a == b);
-}
-inline bool operator!=(const SchedulerSpec &a, const SchedulerSpec &b)
-{
-    return !(a == b);
-}
-inline bool operator!=(const AdapterSpec &a, const AdapterSpec &b)
-{
-    return !(a == b);
-}
-inline bool operator!=(const ClusterSpec &a, const ClusterSpec &b)
-{
-    return !(a == b);
-}
-inline bool operator!=(const TenancySpec &a, const TenancySpec &b)
-{
-    return !(a == b);
-}
-inline bool operator!=(const FabricSpec &a, const FabricSpec &b)
-{
-    return !(a == b);
-}
 inline bool operator!=(const SystemSpec &a, const SystemSpec &b)
 {
     return !(a == b);

@@ -162,17 +162,4 @@ CostModel::isolatedE2e(std::int64_t inputTokens, std::int64_t outputTokens,
     return t;
 }
 
-bool
-operator==(const CostParams &a, const CostParams &b)
-{
-    return a.computeUtil == b.computeUtil && a.memUtil == b.memUtil &&
-           a.prefillFixedMs == b.prefillFixedMs &&
-           a.mbgmmFixedMs == b.mbgmmFixedMs && a.loraIneff == b.loraIneff &&
-           a.decodeFixedMs == b.decodeFixedMs &&
-           a.decodeReqUs == b.decodeReqUs &&
-           a.mbgmvFixedMs == b.mbgmvFixedMs &&
-           a.decodeRankUs == b.decodeRankUs && a.tpSyncMs == b.tpSyncMs &&
-           a.tpEffLossPerLog2 == b.tpEffLossPerLog2;
-}
-
 } // namespace chameleon::model

@@ -72,12 +72,8 @@ struct CostParams
     double tpEffLossPerLog2 = 0.15;
 };
 
-/** Field-wise equality (spec round-trip tests). */
+/** Field-wise equality over its list in chameleon/spec_schema.h. */
 bool operator==(const CostParams &a, const CostParams &b);
-inline bool operator!=(const CostParams &a, const CostParams &b)
-{
-    return !(a == b);
-}
 
 /** One running request's contribution to a decode iteration. */
 struct DecodeSlot

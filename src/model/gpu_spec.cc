@@ -42,15 +42,6 @@ a100(int memGiB)
 }
 
 bool
-operator==(const GpuSpec &a, const GpuSpec &b)
-{
-    return a.name == b.name && a.fp16Flops == b.fp16Flops &&
-           a.memBandwidth == b.memBandwidth && a.memBytes == b.memBytes &&
-           a.pcieBandwidth == b.pcieBandwidth &&
-           a.pcieSetupSeconds == b.pcieSetupSeconds;
-}
-
-bool
 tryGpuByName(const std::string &name, GpuSpec *out)
 {
     if (name == "a40") {

@@ -28,12 +28,8 @@ struct GpuSpec
     double pcieSetupSeconds = 0.0;
 };
 
-/** Field-wise equality (spec round-trip tests). */
+/** Field-wise equality over its list in chameleon/spec_schema.h. */
 bool operator==(const GpuSpec &a, const GpuSpec &b);
-inline bool operator!=(const GpuSpec &a, const GpuSpec &b)
-{
-    return !(a == b);
-}
 
 /** NVIDIA A40, 48 GB (the paper's primary testbed). */
 GpuSpec a40();

@@ -83,12 +83,4 @@ modelByName(const std::string &name)
     return spec;
 }
 
-bool
-operator==(const ModelSpec &a, const ModelSpec &b)
-{
-    return a.name == b.name && a.layers == b.layers &&
-           a.hidden == b.hidden && a.kvHidden == b.kvHidden &&
-           a.params == b.params;
-}
-
 } // namespace chameleon::model

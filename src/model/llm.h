@@ -54,7 +54,7 @@ struct ModelSpec
     double flopsPerToken() const { return 2.0 * params; }
 };
 
-/** Field-wise equality (spec round-trip tests). */
+/** Field-wise equality over its list in chameleon/spec_schema.h. */
 bool operator==(const ModelSpec &a, const ModelSpec &b);
 inline bool operator!=(const ModelSpec &a, const ModelSpec &b)
 {

@@ -162,22 +162,4 @@ Autoscaler::evaluate(std::size_t activeReplicas,
     return decided(activeReplicas);
 }
 
-bool
-operator==(const AutoscalerConfig &a, const AutoscalerConfig &b)
-{
-    return a.minReplicas == b.minReplicas &&
-           a.maxReplicas == b.maxReplicas &&
-           a.evalPeriodSeconds == b.evalPeriodSeconds &&
-           a.highWatermark == b.highWatermark &&
-           a.lowWatermark == b.lowWatermark &&
-           a.forecastHorizonSeconds == b.forecastHorizonSeconds &&
-           a.forecastWindowSeconds == b.forecastWindowSeconds &&
-           a.replicaServiceRps == b.replicaServiceRps &&
-           a.upCooldownPeriods == b.upCooldownPeriods &&
-           a.downCooldownPeriods == b.downCooldownPeriods &&
-           a.bootMs == b.bootMs && a.scaleUpPolicy == b.scaleUpPolicy &&
-           a.measuredRateAlpha == b.measuredRateAlpha &&
-           a.bootAwareHorizon == b.bootAwareHorizon;
-}
-
 } // namespace chameleon::routing

@@ -128,12 +128,8 @@ struct AutoscalerConfig
     bool bootAwareHorizon = false;
 };
 
-/** Field-wise equality (spec round-trip tests). */
+/** Field-wise equality over its list in chameleon/spec_schema.h. */
 bool operator==(const AutoscalerConfig &a, const AutoscalerConfig &b);
-inline bool operator!=(const AutoscalerConfig &a, const AutoscalerConfig &b)
-{
-    return !(a == b);
-}
 
 /**
  * Capacity of the active set in reference-replica units, supplied by

@@ -365,13 +365,4 @@ makeRouter(RouterPolicy policy, const RouterConfig &config)
     CHM_PANIC("unknown router policy");
 }
 
-bool
-operator==(const RouterConfig &a, const RouterConfig &b)
-{
-    return a.seed == b.seed && a.virtualNodes == b.virtualNodes &&
-           a.spillLoadFactor == b.spillLoadFactor &&
-           a.spillMargin == b.spillMargin &&
-           a.sloAdmission == b.sloAdmission;
-}
-
 } // namespace chameleon::routing

@@ -174,12 +174,8 @@ struct RouterConfig
     bool sloAdmission = false;
 };
 
-/** Field-wise equality (spec round-trip tests). */
+/** Field-wise equality over its list in chameleon/spec_schema.h. */
 bool operator==(const RouterConfig &a, const RouterConfig &b);
-inline bool operator!=(const RouterConfig &a, const RouterConfig &b)
-{
-    return !(a == b);
-}
 
 /** A global dispatch policy: picks one replica per arriving request. */
 class Router

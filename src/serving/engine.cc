@@ -712,20 +712,4 @@ ServingEngine::finalize()
     stats_.adapterMisses = adapterMgr_->misses();
 }
 
-bool
-operator==(const EngineConfig &a, const EngineConfig &b)
-{
-    return a.model == b.model && a.gpu == b.gpu &&
-           a.tpDegree == b.tpDegree && a.cost == b.cost &&
-           a.workspacePerGpu == b.workspacePerGpu &&
-           a.admissionTokenBudget == b.admissionTokenBudget &&
-           a.maxNewTokens == b.maxNewTokens &&
-           a.predictedReservation == b.predictedReservation &&
-           a.prefillChunkTokens == b.prefillChunkTokens &&
-           a.maxAdmissionsPerIter == b.maxAdmissionsPerIter &&
-           a.maxRunning == b.maxRunning &&
-           a.kvPageTokens == b.kvPageTokens &&
-           a.memSamplePeriod == b.memSamplePeriod;
-}
-
 } // namespace chameleon::serving

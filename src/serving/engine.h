@@ -93,12 +93,8 @@ struct EngineConfig
     sim::SimTime memSamplePeriod = sim::kSec;
 };
 
-/** Field-wise equality (spec round-trip tests). */
+/** Field-wise equality over its list in chameleon/spec_schema.h. */
 bool operator==(const EngineConfig &a, const EngineConfig &b);
-inline bool operator!=(const EngineConfig &a, const EngineConfig &b)
-{
-    return !(a == b);
-}
 
 /**
  * Nominal service rate of one engine with this configuration, in
