@@ -35,13 +35,12 @@ main()
 
     auto &registry = core::SystemRegistry::global();
 
-    // A custom spec: SJF admission with anti-starvation aging over the
-    // chameleon cache — not a paper system, but one line to describe.
-    core::SystemSpec agedSjf = registry.lookup("chameleon-nosched");
-    agedSjf.scheduler.policy = core::SchedulerPolicy::Sjf;
-    agedSjf.scheduler.sjfAgingPerSecond = 2.0;
-    registry.add("sjf-aged+cache", agedSjf,
-                 "custom: aged SJF over the chameleon cache");
+    // A custom spec: SJF admission over the chameleon cache — not a
+    // paper system, but one line to describe.
+    core::SystemSpec sjfCache = registry.lookup("chameleon-nosched");
+    sjfCache.scheduler.policy = core::SchedulerPolicy::Sjf;
+    registry.add("sjf+cache", sjfCache,
+                 "custom: SJF over the chameleon cache");
 
     // Fluent composition of another custom point in the policy space.
     core::SystemSpec gdsfPrefetch =
@@ -53,7 +52,7 @@ main()
     const std::vector<std::string> names{
         "slora",            // FIFO + discard-on-idle (registry preset)
         "slora+cache",      // FIFO + chameleon cache (composed)
-        "sjf-aged+cache",   // custom registered above
+        "sjf+cache",        // custom registered above
         "chameleon+lru",    // MLQ + cache, LRU eviction (composed)
         "chameleon+gdsf",   // MLQ + cache, GDSF eviction (composed)
         "chameleon",        // the full paper system

@@ -168,7 +168,6 @@ fields(Of<SchedulerSpec>, F &&f, S &...s)
     f("policy", Named{s.policy, schedulerPolicyName,
                       schedulerPolicyByName,
                       "fifo, sjf, mlq, wfq, drr"}...);
-    f("sjf_aging_per_second", s.sjfAgingPerSecond...);
     f("slo_seconds", s.sloSeconds...);
     f("refresh_period_s", Seconds{s.refreshPeriod}...);
     f("bypass", s.bypass...);

@@ -103,8 +103,7 @@ buildEngine(const SystemSpec &spec, std::size_t replica,
         scheduler = std::make_unique<serving::FifoScheduler>();
         break;
       case SchedulerPolicy::Sjf:
-        scheduler = std::make_unique<serving::SjfScheduler>(
-            spec.scheduler.sjfAgingPerSecond);
+        scheduler = std::make_unique<serving::SjfScheduler>();
         break;
       case SchedulerPolicy::Mlq: {
         MlqConfig mcfg;

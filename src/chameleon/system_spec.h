@@ -88,8 +88,6 @@ struct PredictorSpec
 struct SchedulerSpec
 {
     SchedulerPolicy policy = SchedulerPolicy::Mlq;
-    /** SJF anti-starvation aging (tokens/second; 0 disables). */
-    double sjfAgingPerSecond = 0.0;
     // --- MLQ knobs (§4.3); ignored by Fifo/Sjf ---
     /** Per-queue SLO used in quota assignment, seconds. */
     double sloSeconds = 5.0;

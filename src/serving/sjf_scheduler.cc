@@ -4,24 +4,16 @@
 
 namespace chameleon::serving {
 
-double
-SjfScheduler::effectiveSize(const LiveRequest *r, sim::SimTime now) const
-{
-    const double waited = sim::toSeconds(now - r->arrival);
-    return static_cast<double>(r->predictedOutput) -
-           agingPerSecond_ * waited;
-}
-
 std::vector<LiveRequest *>
 SjfScheduler::selectAdmissions(AdmissionContext &ctx)
 {
     std::vector<LiveRequest *> admitted;
     while (!queue_.empty() && ctx.admissionSlots > 0 &&
            ctx.prefillTokenBudget > 0) {
-        // Pick the waiting request with the smallest effective size.
+        // Pick the waiting request with the shortest predicted output.
         auto best = queue_.begin();
         for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
-            if (effectiveSize(*it, ctx.now) < effectiveSize(*best, ctx.now))
+            if ((*it)->predictedOutput < (*best)->predictedOutput)
                 best = it;
         }
         LiveRequest *r = *best;

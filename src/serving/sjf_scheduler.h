@@ -3,9 +3,9 @@
  * Speculative shortest-job-first scheduler (the uServe policy [46]).
  *
  * Orders waiting requests by predicted output length and admits the
- * shortest first. An optional aging term bounds starvation: a request's
- * effective size shrinks as it waits. The paper runs SJF without
- * preemption, as do we (§3.3, §6).
+ * shortest first, without aging: a long request can starve while
+ * shorter ones keep arriving. The paper runs SJF without preemption,
+ * as do we (§3.3, §6).
  */
 
 #ifndef CHAMELEON_SERVING_SJF_SCHEDULER_H
@@ -21,15 +21,6 @@ namespace chameleon::serving {
 class SjfScheduler : public Scheduler
 {
   public:
-    /**
-     * @param agingPerSecond tokens subtracted from a request's effective
-     *        size per second of waiting (0 disables aging)
-     */
-    explicit SjfScheduler(double agingPerSecond = 0.0)
-        : agingPerSecond_(agingPerSecond)
-    {
-    }
-
     const char *name() const override { return "sjf"; }
 
     void enqueue(LiveRequest *r) override { queue_.push_back(r); }
@@ -43,9 +34,6 @@ class SjfScheduler : public Scheduler
     std::vector<LiveRequest *> waitingSnapshot() const override;
 
   private:
-    double effectiveSize(const LiveRequest *r, sim::SimTime now) const;
-
-    double agingPerSecond_;
     std::list<LiveRequest *> queue_;
 };
 

@@ -123,22 +123,3 @@ TEST(SjfScheduler, LongRequestsStarveWhileShortsArrive)
         EXPECT_NE(r, &longr); // all four shorts pass the long request
     EXPECT_EQ(sched.waitingCount(), 1u);
 }
-
-TEST(SjfScheduler, AgingEventuallyPromotesLongRequests)
-{
-    serving::SjfScheduler sched(/*agingPerSecond=*/10.0);
-    auto longr = liveRequest(1, 10, 100);
-    longr.arrival = 0;
-    auto shortr = liveRequest(2, 10, 5);
-    shortr.arrival = sim::fromSeconds(60.0);
-    sched.enqueue(&longr);
-    sched.enqueue(&shortr);
-    FakeAdmission fake;
-    fake.ctx.now = sim::fromSeconds(60.0);
-    fake.ctx.admissionSlots = 1;
-    // After 60 s of waiting the long request's effective size is
-    // 100 - 600 < 5, so it goes first.
-    const auto admitted = sched.selectAdmissions(fake.ctx);
-    ASSERT_EQ(admitted.size(), 1u);
-    EXPECT_EQ(admitted[0], &longr);
-}

@@ -74,7 +74,6 @@ randomSpec(sim::Rng &rng)
         core::SchedulerPolicy::Fifo, core::SchedulerPolicy::Sjf,
         core::SchedulerPolicy::Mlq};
     spec.scheduler.policy = schedulers[rng.nextBelow(3)];
-    spec.scheduler.sjfAgingPerSecond = rng.nextDouble() * 100.0;
     spec.scheduler.sloSeconds = 1.0 + rng.nextDouble() * 9.0;
     spec.scheduler.refreshPeriod =
         static_cast<sim::SimTime>(60 + rng.nextBelow(600)) * sim::kSec;
@@ -419,17 +418,10 @@ fabricFleetSpec()
     return spec;
 }
 
-/**
- * fnv1a64 of the dump. `scheduler.sjf_aging_per_second` is left out:
- * the key is slated for removal (ROADMAP item 8), and these pins must
- * hold across it.
- */
 std::uint64_t
 dumpHash(const core::SystemSpec &spec)
 {
-    auto dump = core::specToJsonValue(spec);
-    dump.find("scheduler")->erase("sjf_aging_per_second");
-    return core::fnv1a64(dump.dump());
+    return core::fnv1a64(core::specToJson(spec));
 }
 
 } // namespace

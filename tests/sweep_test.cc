@@ -458,7 +458,7 @@ TEST(SweepExpand, SingleValuedAxisIsATemplate)
       "systems": ["slora", "chameleon"],
       "loads": [4.0, 6.0],
       "axes": {"engine.max_running": [64],
-               "scheduler.sjf_aging_per_second": [3.5]}
+               "scheduler.slo_seconds": [3.5]}
     })");
     std::string error;
     const auto cells = sweep::expandSweep(spec, &error);
@@ -467,7 +467,7 @@ TEST(SweepExpand, SingleValuedAxisIsATemplate)
     ASSERT_EQ(cells->size(), 4u);
     for (const auto &cell : *cells) {
         EXPECT_EQ(cell.spec.engine.maxRunning, 64);
-        EXPECT_EQ(cell.spec.scheduler.sjfAgingPerSecond, 3.5);
+        EXPECT_EQ(cell.spec.scheduler.sloSeconds, 3.5);
         EXPECT_EQ(cell.axisValue("engine.max_running"), "64");
     }
     // Everything the axes leave alone is the registered system's.
