@@ -1,6 +1,8 @@
 #include "chameleon/system_spec.h"
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 namespace chameleon::core {
 
@@ -234,6 +236,64 @@ SystemSpec::validate() const
            << ")";
         err(os);
     }
+    // Engine knobs the simulation divides by, sizes memory with or
+    // paces events on: below these floors a run aborts or admits
+    // nothing. A default (unset) model or GPU is hardware the caller
+    // has yet to choose, as in the presets, and is not checked.
+    const auto checkEngine = [&](const serving::EngineConfig &e,
+                                 const std::string &at) {
+        const bool hasModel = !(e.model == model::ModelSpec{});
+        const bool hasGpu = !(e.gpu == model::GpuSpec{});
+        const auto n = [](auto v) { return static_cast<double>(v); };
+        const struct
+        {
+            bool checked;
+            const char *key;
+            double value;
+            double floor;
+            bool strict; // value must exceed the floor, not only reach it
+        } floors[] = {
+            {hasModel, "model.layers", n(e.model.layers), 1, false},
+            {hasModel, "model.kv_hidden", n(e.model.kvHidden), 1, false},
+            {hasModel, "model.params", e.model.params, 0, false},
+            {hasGpu, "gpu.fp16_flops", e.gpu.fp16Flops, 0, true},
+            {hasGpu, "gpu.mem_bandwidth", e.gpu.memBandwidth, 0, true},
+            {hasGpu, "gpu.mem_bytes", n(e.gpu.memBytes), 0, true},
+            {hasGpu, "gpu.pcie_bandwidth", e.gpu.pcieBandwidth, 0, true},
+            {hasGpu, "gpu.pcie_setup_seconds", e.gpu.pcieSetupSeconds, 0,
+             false},
+            {true, "cost.compute_util", e.cost.computeUtil, 0, true},
+            {true, "cost.mem_util", e.cost.memUtil, 0, true},
+            {true, "workspace_per_gpu", n(e.workspacePerGpu), 0, false},
+            {true, "admission_token_budget", n(e.admissionTokenBudget), 1,
+             false},
+            {true, "max_admissions_per_iter", n(e.maxAdmissionsPerIter), 1,
+             false},
+            {true, "max_running", n(e.maxRunning), 1, false},
+            {true, "kv_page_tokens", n(e.kvPageTokens), 1, false},
+        };
+        for (const auto &f : floors) {
+            if (!f.checked || f.value > f.floor ||
+                (f.value == f.floor && !f.strict))
+                continue;
+            std::ostringstream os;
+            os << at << "." << f.key << " must be "
+               << (f.strict ? "> " : ">= ") << f.floor << " (got "
+               << f.value << ")";
+            err(os);
+        }
+    };
+    checkEngine(engine, "engine");
+    for (std::size_t i = 0; i < cluster.replicaEngines.size(); ++i) {
+        checkEngine(cluster.replicaEngines[i],
+                    "cluster.replicas[" + std::to_string(i) + "]");
+    }
+    if (cluster.routerConfig.virtualNodes < 1) {
+        std::ostringstream os;
+        os << "cluster.router_config.virtual_nodes must be >= 1 (got "
+           << cluster.routerConfig.virtualNodes << ")";
+        err(os);
+    }
     if (chunkedPrefill && chunkTokens <= 0) {
         std::ostringstream os;
         os << "chunked prefill enabled with non-positive chunk size ("
@@ -376,6 +436,30 @@ SystemSpec::validate() const
                << cluster.autoscaler.maxReplicas
                << ") must be >= minReplicas ("
                << cluster.autoscaler.minReplicas << ")";
+            err(os);
+        }
+        // Below 1 us a period rounds to zero simulated time: a zero
+        // evaluation period re-arms at the same instant forever, and
+        // the demand forecaster needs a positive window.
+        const std::pair<const char *, double> periods[] = {
+            {"eval_period_s", cluster.autoscaler.evalPeriodSeconds},
+            {"forecast_window_s", cluster.autoscaler.forecastWindowSeconds},
+        };
+        for (const auto &[key, seconds] : periods) {
+            if (seconds >= 1e-6)
+                continue;
+            std::ostringstream os;
+            os << "cluster.autoscaler." << key << " must be at least 1 us "
+               << "(got " << seconds << " s)";
+            err(os);
+        }
+        if (!(cluster.autoscaler.lowWatermark <
+              cluster.autoscaler.highWatermark)) {
+            std::ostringstream os;
+            os << "cluster.autoscaler.high_watermark ("
+               << cluster.autoscaler.highWatermark
+               << ") must exceed low_watermark ("
+               << cluster.autoscaler.lowWatermark << ")";
             err(os);
         }
         if (cluster.autoscaler.bootMs < 0.0) {

@@ -12,12 +12,16 @@
  *    `chameleon_sim --set` and sweep axes): the same strictness, the
  *    parse-only fleet, the CLI's no-effect guard table, and a
  *    property test setting every dumped leaf to its own value;
- *  - SystemSpec::operator== distinguishes every axis.
+ *  - pinned dump hashes, and SystemSpec::operator== distinguishing a
+ *    change to every dumped leaf;
+ *  - leaf mutation: every numeric leaf at 0 and -1 is either rejected
+ *    naming it, or runs a short trace to completion.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <iterator>
 #include <optional>
@@ -31,6 +35,7 @@
 #include "model/gpu_spec.h"
 #include "model/llm.h"
 #include "simkit/rng.h"
+#include "workload/trace_gen.h"
 
 using namespace chameleon;
 
@@ -700,6 +705,38 @@ TEST(SpecJson, RejectsValidationContradictions)
     EXPECT_NE(error.find("requires the chameleon cache"),
               std::string::npos)
         << error;
+
+    // Values that would abort, hang or admit nothing at run time are
+    // rejected up front, naming the key, per replica too.
+    const std::pair<const char *, const char *> cases[] = {
+        {R"({"engine": {"kv_page_tokens": 0}})", "engine.kv_page_tokens"},
+        {R"({"engine": {"kv_page_tokens": -1}})", "engine.kv_page_tokens"},
+        {R"({"engine": {"gpu": {"mem_bytes": 0}}})", "engine.gpu.mem_bytes"},
+        {R"({"engine": {"model": {"layers": 0}}})", "engine.model.layers"},
+        {R"({"engine": {"cost": {"compute_util": 0}}})",
+         "engine.cost.compute_util"},
+        {R"({"engine": {"workspace_per_gpu": -1}})",
+         "engine.workspace_per_gpu"},
+        {R"({"engine": {"gpu": {"pcie_bandwidth": 0}}})",
+         "engine.gpu.pcie_bandwidth"},
+        {R"({"engine": {"max_running": 0}})", "engine.max_running"},
+        {R"({"engine": {"max_admissions_per_iter": 0}})",
+         "engine.max_admissions_per_iter"},
+        {R"({"engine": {"admission_token_budget": 0}})",
+         "engine.admission_token_budget"},
+        {R"({"cluster": {"replicas": ["a40", {"kv_page_tokens": 0}]}})",
+         "cluster.replicas[1].kv_page_tokens"},
+        {R"({"cluster": {"replicas": 2, "autoscale": true,)"
+         R"( "autoscaler": {"eval_period_s": 0}}})",
+         "cluster.autoscaler.eval_period_s"},
+        {R"({"cluster": {"replicas": 2, "autoscale": true,)"
+         R"( "autoscaler": {"eval_period_s": 1e-7}}})",
+         "cluster.autoscaler.eval_period_s"},
+    };
+    for (const auto &[json, key] : cases) {
+        const auto rejected = parseError(json);
+        EXPECT_NE(rejected.find(key), std::string::npos) << rejected;
+    }
 }
 
 TEST(SpecValidate, MigrationNeedsPeers)
@@ -1148,4 +1185,78 @@ TEST(SpecEquality, DistinguishesEveryAxis)
             EXPECT_NE(*perturbed, base()) << path;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Leaf mutation: no numeric value aborts or hangs a run.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Does `error` name the leaf at `path` (as its path or as a member)? */
+bool
+namesLeaf(const std::string &error, const std::string &path)
+{
+    std::string member;
+    bool upper = false;
+    for (const char c : path.substr(path.rfind('.') + 1)) {
+        if (c == '_') {
+            upper = true;
+            continue;
+        }
+        member += upper ? static_cast<char>(std::toupper(c)) : c;
+        upper = false;
+    }
+    return error.find(path) != std::string::npos ||
+           error.find(member) != std::string::npos;
+}
+
+} // namespace
+
+TEST(SpecMutation, ZeroOrNegativeLeavesAreRejectedOrRunToCompletion)
+{
+    std::string error;
+    const auto base = core::applySpecOverrides(
+        testbedChameleon(),
+        sets({"cluster.replicas=2", "cluster.router=affinity-dir",
+              "fabric.migration=all", "cluster.autoscale=true",
+              "cluster.autoscaler.max_replicas=4"}),
+        &error);
+    ASSERT_TRUE(base.has_value()) << error;
+
+    model::AdapterPool pool(model::llama7B(), 20);
+    auto wl = workload::splitwiseLike();
+    wl.seed = 9001;
+    wl.rps = 4.0;
+    wl.durationSeconds = 30.0;
+    wl.numAdapters = 20;
+    const auto generated = workload::TraceGenerator(wl, &pool).generate();
+    ASSERT_GE(generated.size(), 20u);
+    const workload::Trace trace(std::vector<workload::Request>(
+        generated.requests().begin(), generated.requests().begin() + 20));
+
+    core::SpecOverrides leaves;
+    collectLeaves(core::specToJsonValue(*base), "", &leaves);
+    int rejected = 0;
+    int ran = 0;
+    for (const auto &[path, value] : leaves) {
+        if (!value.isNumber())
+            continue;
+        for (const std::int64_t v : {0, -1}) {
+            const auto spec = core::applySpecOverrides(
+                *base, {{path, sim::JsonValue::makeInt(v)}}, &error);
+            if (!spec.has_value()) {
+                ++rejected;
+                EXPECT_TRUE(namesLeaf(error, path))
+                    << path << "=" << v << ": " << error;
+                continue;
+            }
+            ++ran;
+            const auto report = core::runSpec(*spec, &pool, trace);
+            EXPECT_EQ(report.stats.finished, 20) << path << "=" << v;
+        }
+    }
+    // Both outcomes occur: the walk reached the leaves.
+    EXPECT_GT(rejected, 20);
+    EXPECT_GT(ran, 20);
 }
