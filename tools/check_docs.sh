@@ -8,11 +8,14 @@
 #    exactly the keys `chameleon_sim --dump-config` emits (plus rows
 #    marked parse-only) — a spec knob added without a docs update
 #    fails the build.
-# 3. docs/ARCHITECTURE.md and bench/README.md must exist and be linked
+# 3. The annotated jsonc config in src/chameleon/README.md (its first
+#    jsonc block) must parse: `chameleon_sim --config - --dump-config`
+#    — a key deleted from the schema but left in the example fails.
+# 4. docs/ARCHITECTURE.md and bench/README.md must exist and be linked
 #    from the root README.
-# 4. With a chameleon_sweep binary given, the shipped example sweeps
+# 5. With a chameleon_sweep binary given, the shipped example sweeps
 #    must still expand (`--dry-run` smoke, hetero fleet included).
-# 5. Every *.md path named in a comment under src/, tools/ or bench/
+# 6. Every *.md path named in a comment under src/, tools/ or bench/
 #    must resolve to a file, from the repository root or from the
 #    commenting file's directory — a doc renamed or never written
 #    fails the build.
@@ -78,6 +81,19 @@ if [ "$dump_keys" != "$table_keys" ]; then
     fail=1
 fi
 
+# --- the README's annotated config still parses ---------------------
+annotated=$(awk '/^```jsonc$/{f=1; next} f && /^```$/{exit} f' \
+        "$root/src/chameleon/README.md")
+if [ -z "$annotated" ]; then
+    echo "FAIL: src/chameleon/README.md has no annotated jsonc config"
+    fail=1
+elif ! config_error=$("$bin" --config - --dump-config \
+        <<< "$annotated" 2>&1 > /dev/null); then
+    echo "FAIL: src/chameleon/README.md annotated config does not parse:"
+    echo "  $config_error"
+    fail=1
+fi
+
 for doc in docs/ARCHITECTURE.md bench/README.md; do
     if [ ! -f "$root/$doc" ]; then
         echo "FAIL: $doc is missing"
@@ -100,7 +116,7 @@ if [ -n "$sweep_bin" ]; then
     done
 fi
 
-# --- 5. Markdown paths named in source comments resolve --------------
+# --- 6. Markdown paths named in source comments resolve --------------
 # A comment line starts with //, /*, * or #, or carries a trailing //.
 # URLs are dropped before paths are picked out.
 md_refs=0
