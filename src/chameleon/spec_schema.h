@@ -8,7 +8,8 @@
  * SystemSpec by walking the lists, and every spec struct's operator==
  * compares field by field over its list (spec_schema.cc). The pack
  * `s...` is one object (print, read) or two in step (equality), so
- * adding a knob is one line here plus its README table row.
+ * adding a knob is its struct field, one line here and its README
+ * table row.
  *
  * The C++ type of a member decides its JSON encoding (bool, int,
  * int64, size_t as a non-negative count, double, string, number
