@@ -611,15 +611,12 @@ DataParallelCluster::submitTrace(const workload::Trace &trace)
     }
     // Dispatch decisions must be made at arrival time (outstanding
     // counts and cache residency change as the simulation runs), so
-    // route via scheduled events.
-    for (const auto &r : trace.requests()) {
-        sim_.scheduleAt(r.arrival, [this, r] {
-            // Submit with arrival == now; the engine schedules
-            // onArrival at that same timestamp, which fires immediately
-            // after.
-            dispatch(r);
-        });
-    }
+    // route from a kernel arrival stream. The engine schedules
+    // onArrival at the dispatch timestamp, which fires right after.
+    sim_.scheduleStream(
+        trace.size(),
+        [&trace](std::size_t i) { return trace[i].arrival; },
+        [this, &trace](std::size_t i) { dispatch(trace[i]); });
     if (autoscaler_ != nullptr && !trace.empty()) {
         const sim::SimTime period = sim::fromSeconds(
             autoscaler_->config().evalPeriodSeconds);

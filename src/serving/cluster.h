@@ -184,7 +184,13 @@ class DataParallelCluster : public routing::ClusterView
      */
     void attachFabric(fabric::CacheFabric *fabric);
 
-    /** Route every request of the trace at its arrival time. */
+    /**
+     * Route every request of the trace at its arrival time, from one
+     * kernel arrival stream (sim::Simulator::scheduleStream). The trace
+     * is read during the run, so it must outlive it. A fixed cluster
+     * takes further traces, each its own stream; an autoscaled one
+     * takes one.
+     */
     void submitTrace(const workload::Trace &trace);
 
     // --- routing::ClusterView (the dispatchable replica set) ---

@@ -2,12 +2,11 @@
  * @file
  * Move-only callable for the simulator's schedule path.
  *
- * std::function heap-allocates for any capture beyond ~two words, and
- * the kernel's hot closures are bigger than that (the cluster's
- * arrival event captures this + a whole workload::Request). EventFn
- * keeps a 64-byte inline buffer so every closure on the simulation hot
- * path is stored in place; larger captures fall back to the heap. Move-only (closures may own resources); invoking
- * an empty EventFn is undefined.
+ * std::function heap-allocates for any capture beyond ~two words.
+ * EventFn keeps a 64-byte inline buffer, so a closure of up to eight
+ * words is stored in place; larger captures fall back to the heap.
+ * Move-only (closures may own resources); invoking an empty EventFn is
+ * undefined.
  */
 
 #ifndef CHAMELEON_SIMKIT_EVENT_FN_H
@@ -23,7 +22,7 @@ namespace chameleon::sim {
 class EventFn
 {
   public:
-    /** Inline capture budget; sized for the engine's largest closure. */
+    /** Inline capture budget in bytes. */
     static constexpr std::size_t kInlineBytes = 64;
 
     EventFn() = default;

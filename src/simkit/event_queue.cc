@@ -128,22 +128,17 @@ CalendarQueue::top()
 void
 CalendarQueue::pop()
 {
-    settle();
-    buckets_[curBucket_ & kBucketMask].pop_back();
+    // Right after top() the cursor bucket is non-empty and sorted, and
+    // its back is the minimum, so the dispatch loop's top() + pop()
+    // settles once; any other pop settles here.
+    auto *slot = &buckets_[curBucket_ & kBucketMask];
+    if (slot->empty() || !curSorted_) {
+        settle();
+        slot = &buckets_[curBucket_ & kBucketMask];
+    }
+    slot->pop_back();
     --nearCount_;
     --size_;
-}
-
-EventKey
-CalendarQueue::popFront()
-{
-    settle();
-    auto &slot = buckets_[curBucket_ & kBucketMask];
-    const EventKey key = slot.back();
-    slot.pop_back();
-    --nearCount_;
-    --size_;
-    return key;
 }
 
 } // namespace chameleon::sim

@@ -17,11 +17,14 @@
  *                 bucket with b the *bucket* occupancy, not the queue
  *                 size.
  *   far future    events beyond the ring's window. Monotone pushes
- *                 (trace arrivals are generated in nondecreasing time
- *                 order) append to a sorted deque in O(1); the rare
+ *                 append to a sorted deque in O(1); the rare
  *                 out-of-order far push goes to a small binary heap.
  *                 Far events migrate into the ring — once — as the
- *                 cursor window advances over them.
+ *                 cursor window advances over them. Trace arrivals
+ *                 skip the queue as the Simulator's arrival streams
+ *                 (simulator.h); the deque keeps O(1) the callers
+ *                 that schedule a sorted run of far events one at a
+ *                 time, such as bench/sim_core_scale's 1M arrivals.
  *
  * Ordering is exactly the kernel's contract: globally by (time, seq)
  * with seq the schedule-order sequence number, i.e. a stable FIFO
@@ -80,17 +83,14 @@ class CalendarQueue
      * const: positions the cursor (amortised O(1)). */
     const EventKey &top();
 
-    /** Remove the minimal key; queue must be non-empty. */
+    /** Remove the minimal key; queue must be non-empty. Right after
+     * top() this reuses top()'s cursor settle. */
     void pop();
-
-    /** top() and pop() fused into one cursor settle (the dispatch
-     * loop's fast path); queue must be non-empty. */
-    EventKey popFront();
 
   private:
     // 2048 buckets x 1024 us: a ~2.1 s near window. Iteration-scale
-    // events (micro/milliseconds ahead) stay O(1); trace arrivals
-    // seconds-to-hours out take the far path.
+    // events (micro/milliseconds ahead) stay O(1); events seconds to
+    // hours out take the far path.
     static constexpr int kWidthBits = 10;
     static constexpr int kBucketBits = 11;
     static constexpr std::size_t kBucketCount = std::size_t{1}

@@ -2,13 +2,22 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The Simulator owns the virtual clock and a calendar queue
- * (event_queue.h) of scheduled callbacks. Events at the same timestamp
- * fire in scheduling order (stable FIFO tie-break via a sequence
- * number) so runs are deterministic. Callbacks are stored as
- * sim::EventFn — a small-buffer move-only callable — in block-allocated
- * slots with stable addresses, so scheduling the hot-path closures
- * never touches the heap and never relocates pending events.
+ * The Simulator owns the virtual clock, a calendar queue
+ * (event_queue.h) of scheduled callbacks, and a few sorted arrival
+ * streams. Events at the same timestamp fire in scheduling order
+ * (stable FIFO tie-break via a sequence number) so runs are
+ * deterministic. Callbacks are stored as sim::EventFn — a small-buffer
+ * move-only callable — in block-allocated slots with stable addresses,
+ * so scheduling the hot-path closures never touches the heap and never
+ * relocates pending events.
+ *
+ * A trace's arrivals are known up front and sorted, so they do not go
+ * through the queue: scheduleStream registers the whole sequence at
+ * once and reserves the block of sequence numbers that scheduling each
+ * arrival would have taken. Dispatch merges the stream heads with the
+ * queue head by (time, seq), so the dispatch order is exactly that of
+ * per-arrival scheduling, with no slot, queue key or closure held per
+ * future arrival: kernel memory follows the events in flight.
  */
 
 #ifndef CHAMELEON_SIMKIT_SIMULATOR_H
@@ -16,6 +25,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -58,7 +68,19 @@ class Simulator
     /** Cancel a pending event; returns false if already fired/cancelled. */
     bool cancel(EventId id);
 
-    /** Dispatch events until the queue empties. */
+    /**
+     * Schedule `count` arrivals at once: arrival i fires fire(i) at
+     * time timeOf(i). Dispatches exactly as `count` scheduleAt calls
+     * made now in index order would, but holds no per-arrival state:
+     * timeOf is read one arrival ahead and fire when the arrival is
+     * due, so whatever they read must outlive the run. Times must be
+     * nondecreasing in i and >= now. Arrivals cannot be cancelled.
+     */
+    void scheduleStream(std::size_t count,
+                        std::function<SimTime(std::size_t)> timeOf,
+                        std::function<void(std::size_t)> fire);
+
+    /** Dispatch events until the queue and every stream empty. */
     void run();
 
     /**
@@ -70,11 +92,44 @@ class Simulator
     /** Number of events dispatched so far. */
     std::uint64_t eventsDispatched() const { return dispatched_; }
 
-    /** Pending (non-cancelled) event count. */
-    std::size_t pendingEvents() const { return pendingLive_; }
+    /** Pending (non-cancelled) event count, stream arrivals included. */
+    std::size_t pendingEvents() const
+    {
+        return pendingLive_ + streamPending_;
+    }
+
+    /** Event slots ever allocated: the peak of events pending at once
+     * in the queue (stream arrivals take none). */
+    std::size_t eventSlots() const { return slotCount_; }
 
   private:
-    void dispatchNext();
+    /** A registered scheduleStream: arrival `next` is its head, due at
+     * `time` with sequence number seq0 + next. */
+    struct Stream
+    {
+        std::function<SimTime(std::size_t)> timeOf;
+        std::function<void(std::size_t)> fire;
+        std::size_t next = 0;
+        std::size_t count = 0;
+        std::uint64_t seq0 = 0;
+        SimTime time = 0;
+
+        std::uint64_t seq() const { return seq0 + next; }
+    };
+
+    /** Dispatch the (time, seq)-earliest queue event or stream arrival
+     * if it is due by `deadline`; false when nothing is. The queue
+     * head is settled once per call. */
+    bool dispatchNext(SimTime deadline);
+
+    /** Run (or, if cancelled, recycle) the event under a popped key. */
+    void dispatchKey(const EventKey &key);
+
+    /** Fire the head arrival of stream `s` and advance it. */
+    void fireStream(Stream &s);
+
+    /** Point head_ at the stream with the earliest head, if any. */
+    void refreshHead();
 
     EventId scheduleImpl(SimTime t, EventFn &&fn);
 
@@ -127,6 +182,13 @@ class Simulator
      * slot: the dispatch -> schedule ping-pong of event chains
      * recycles it without touching the freeSlots_ vector. */
     EventId lastFreed_ = kNoSlot;
+    /** Streams with arrivals left (boxed: a fire() may register a
+     * stream while its own closure runs). */
+    std::vector<std::unique_ptr<Stream>> streams_;
+    /** The stream whose head arrival is earliest; null when none. */
+    Stream *head_ = nullptr;
+    /** Arrivals not yet fired, over all streams. */
+    std::size_t streamPending_ = 0;
 };
 
 } // namespace chameleon::sim

@@ -17,6 +17,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <queue>
 #include <utility>
@@ -434,6 +436,207 @@ TEST(SimulatorQueue, RandomScheduleStormMatchesSortOrder)
     for (std::size_t i = 0; i < expected.size(); ++i)
         ASSERT_EQ(fired[i], expected[i].seq) << "position " << i;
     EXPECT_EQ(s.now(), expected.back().time);
+}
+
+// ------------------------------------------------------ arrival streams
+
+namespace {
+
+/**
+ * One side of the stream property test. Every dispatched item — a
+ * scheduled event or a stream arrival — logs its label and then acts
+ * as its label's seeded RNG dictates: schedule more events (same µs,
+ * near, far), cancel an earlier one, or start a new stream. A
+ * `streamed` harness registers streams with scheduleStream; the
+ * reference schedules every arrival with its own scheduleAt, in index
+ * order, at the same moment. Labels are handed out in creation order,
+ * so both sides act alike for as long as they dispatch alike.
+ */
+struct StreamHarness
+{
+    explicit StreamHarness(bool streamed) : streamed(streamed) {}
+
+    void
+    addEvent(sim::SimTime t)
+    {
+        const std::uint64_t label = nextLabel++;
+        const std::size_t index = eventIds.size();
+        eventIds.push_back(s.scheduleAt(t, [this, label, index] {
+            done[index] = 1;
+            act(label);
+        }));
+        done.push_back(0);
+    }
+
+    void
+    addStream(std::vector<sim::SimTime> times)
+    {
+        const std::uint64_t first = nextLabel;
+        nextLabel += times.size();
+        const std::vector<sim::SimTime> &kept =
+            streamTimes.emplace_back(std::move(times));
+        if (streamed) {
+            s.scheduleStream(
+                kept.size(), [&kept](std::size_t i) { return kept[i]; },
+                [this, first](std::size_t i) { act(first + i); });
+        } else {
+            for (std::size_t i = 0; i < kept.size(); ++i) {
+                const std::uint64_t label = first + i;
+                s.scheduleAt(kept[i], [this, label] { act(label); });
+            }
+        }
+    }
+
+    void
+    act(std::uint64_t label)
+    {
+        log.push_back(label);
+        sim::Rng rng(label * 7919 + 13);
+        const auto roll = rng.nextBelow(100);
+        if (roll < 40) {
+            const int n = 1 + static_cast<int>(rng.nextBelow(2));
+            for (int k = 0; k < n; ++k) {
+                const std::uint64_t horizon = rng.nextBelow(4);
+                sim::SimTime dt = 0; // same µs as the running item
+                if (horizon == 1)
+                    dt = static_cast<sim::SimTime>(rng.nextBelow(4));
+                else if (horizon == 2)
+                    dt = static_cast<sim::SimTime>(
+                        rng.nextBelow(5 * sim::kMsec));
+                else if (horizon == 3)
+                    dt = 3 * sim::kSec + static_cast<sim::SimTime>(
+                                             rng.nextBelow(8 * sim::kSec));
+                addEvent(s.now() + dt);
+            }
+        } else if (roll < 55 && !eventIds.empty()) {
+            // Only a pending event's id is its own: a fired one's may
+            // have been recycled, differently on the two sides.
+            const auto k = rng.nextBelow(eventIds.size());
+            cancels.push_back(!done[k] && s.cancel(eventIds[k]) ? 1 : 0);
+            done[k] = 1;
+        } else if (roll < 57 && streamTimes.size() < 12) {
+            addStream(streamAt(rng, s.now(), 1 + rng.nextBelow(30)));
+        }
+    }
+
+    /** Nondecreasing times from `t`, a third of them tied. */
+    static std::vector<sim::SimTime>
+    streamAt(sim::Rng &rng, sim::SimTime t, std::uint64_t n)
+    {
+        std::vector<sim::SimTime> times;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const std::uint64_t gap = rng.nextBelow(3);
+            if (gap == 1)
+                t += 1 + static_cast<sim::SimTime>(rng.nextBelow(3));
+            else if (gap == 2)
+                t += static_cast<sim::SimTime>(
+                    rng.nextBelow(3 * sim::kMsec));
+            times.push_back(t);
+        }
+        return times;
+    }
+
+    bool streamed;
+    sim::Simulator s;
+    std::uint64_t nextLabel = 0;
+    std::vector<std::uint64_t> log;
+    std::vector<int> cancels;
+    std::vector<sim::EventId> eventIds;
+    /** Per event: fired or cancelled. */
+    std::vector<char> done;
+    /** Stream times outlive the run (a deque never moves them). */
+    std::deque<std::vector<sim::SimTime>> streamTimes;
+};
+
+} // namespace
+
+TEST(SimulatorStream, DispatchesExactlyLikeOneScheduleAtPerArrival)
+{
+    std::size_t startedInDispatch = 0;
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+        StreamHarness streamed(true);
+        StreamHarness reference(false);
+        sim::Rng rng(500 + seed);
+        // Set-up, identical on both sides: streams interleaved with
+        // events, some tied to a stream's times to the microsecond.
+        std::vector<sim::SimTime> deadlines;
+        const int streams = 1 + static_cast<int>(rng.nextBelow(3));
+        for (int k = 0; k < streams; ++k) {
+            const auto times = StreamHarness::streamAt(
+                rng, static_cast<sim::SimTime>(rng.nextBelow(sim::kMsec)),
+                200 + rng.nextBelow(400));
+            for (int e = 0; e < 20; ++e) {
+                const sim::SimTime t =
+                    e % 2 == 0 ? times[rng.nextBelow(times.size())]
+                               : static_cast<sim::SimTime>(
+                                     rng.nextBelow(times.back() + 1));
+                streamed.addEvent(t);
+                reference.addEvent(t);
+                if (e % 5 == 0)
+                    deadlines.push_back(times[rng.nextBelow(times.size())]);
+            }
+            streamed.addStream(times);
+            reference.addStream(times);
+        }
+        ASSERT_EQ(streamed.s.pendingEvents(), reference.s.pendingEvents());
+        std::sort(deadlines.begin(), deadlines.end());
+        for (const sim::SimTime deadline : deadlines) {
+            streamed.s.runUntil(deadline);
+            reference.s.runUntil(deadline);
+            ASSERT_EQ(streamed.log, reference.log)
+                << "seed " << seed << ", deadline " << deadline;
+            ASSERT_EQ(streamed.s.now(), reference.s.now());
+            ASSERT_EQ(streamed.s.pendingEvents(),
+                      reference.s.pendingEvents())
+                << "seed " << seed << ", deadline " << deadline;
+            ASSERT_EQ(streamed.s.eventsDispatched(),
+                      reference.s.eventsDispatched());
+        }
+        streamed.s.run();
+        reference.s.run();
+        ASSERT_EQ(streamed.log, reference.log) << "seed " << seed;
+        EXPECT_EQ(streamed.cancels, reference.cancels);
+        EXPECT_EQ(streamed.s.now(), reference.s.now());
+        EXPECT_EQ(streamed.s.pendingEvents(), 0u);
+        EXPECT_EQ(streamed.s.eventsDispatched(),
+                  reference.s.eventsDispatched());
+        startedInDispatch +=
+            streamed.streamTimes.size() - static_cast<std::size_t>(streams);
+    }
+    EXPECT_GT(startedInDispatch, 24u) << "streams started mid-dispatch";
+}
+
+TEST(SimulatorStream, ArrivalsTakeNoEventSlots)
+{
+    // A million-arrival stream next to a self-rescheduling event chain:
+    // the kernel's slot table stays at the handful of queued events.
+    sim::Simulator s;
+    std::vector<sim::SimTime> times(1000000);
+    for (std::size_t i = 0; i < times.size(); ++i)
+        times[i] = static_cast<sim::SimTime>(i) * 10;
+    std::size_t fired = 0;
+    s.scheduleStream(
+        times.size(), [&times](std::size_t i) { return times[i]; },
+        [&fired](std::size_t) { ++fired; });
+    std::function<void()> tick = [&] {
+        if (s.now() < times.back())
+            s.scheduleAfter(sim::kMsec, tick);
+    };
+    s.scheduleAt(0, tick);
+    EXPECT_EQ(s.pendingEvents(), times.size() + 1);
+    s.run();
+    EXPECT_EQ(fired, times.size());
+    EXPECT_LE(s.eventSlots(), 2u);
+}
+
+TEST(SimulatorStreamDeathTest, UnsortedArrivalsAreRejected)
+{
+    sim::Simulator s;
+    const std::vector<sim::SimTime> times{5, 3};
+    s.scheduleStream(
+        times.size(), [&times](std::size_t i) { return times[i]; },
+        [](std::size_t) {});
+    EXPECT_DEATH(s.run(), "stream arrival times must be nondecreasing");
 }
 
 TEST(SimulatorQueueDeathTest, SchedulePastReportsBothClocksInSeconds)
