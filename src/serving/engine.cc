@@ -99,8 +99,8 @@ ServingEngine::setTraceRecorder(obs::TraceRecorder *recorder, int pid)
         adapterMgr_->setTraceRecorder(recorder, pid);
 }
 
-void
-ServingEngine::submit(const workload::Request &request)
+LiveRequest *
+ServingEngine::makeLive(const workload::Request &request)
 {
     LiveRequest *live = requests_.allocate();
     live->req = request;
@@ -112,14 +112,26 @@ ServingEngine::submit(const workload::Request &request)
         live->rank = spec.rank;
         live->adapterBytes = spec.bytes;
     }
+    return live;
+}
+
+void
+ServingEngine::submit(const workload::Request &request)
+{
+    LiveRequest *live = makeLive(request);
     sim_.scheduleAt(request.arrival, [this, live] { onArrival(live); });
 }
 
 void
 ServingEngine::submitTrace(const workload::Trace &trace)
 {
-    for (const auto &r : trace.requests())
-        submit(r);
+    // One kernel stream for the whole trace: each request is built and
+    // predicted when it arrives, so the predictor has seen every
+    // completion before it and no state exists for future arrivals.
+    sim_.scheduleStream(
+        trace.size(),
+        [&trace](std::size_t i) { return trace[i].arrival; },
+        [this, &trace](std::size_t i) { onArrival(makeLive(trace[i])); });
 }
 
 void

@@ -169,10 +169,16 @@ class ServingEngine
      */
     void setTraceRecorder(obs::TraceRecorder *recorder, int pid);
 
-    /** Submit every request in the trace at its arrival time. */
+    /**
+     * Submit every request in the trace at its arrival time, as one
+     * kernel arrival stream (sim::Simulator::scheduleStream): a request
+     * is built and its output length predicted when it arrives. The
+     * trace is read during the run, so it must outlive it.
+     */
     void submitTrace(const workload::Trace &trace);
 
-    /** Submit one request (scheduled at its arrival time). */
+    /** Submit one request: built and predicted now, scheduled at its
+     * arrival time. */
     void submit(const workload::Request &request);
 
     /** Aggregated results; valid once the simulation has drained. */
@@ -232,6 +238,8 @@ class ServingEngine
     LiveRequest *findRequest(workload::RequestId id);
 
   private:
+    /** Allocate and fill the live state of an arriving request. */
+    LiveRequest *makeLive(const workload::Request &request);
     void onArrival(LiveRequest *r);
     void maybeStartIteration();
     void startIteration();

@@ -403,3 +403,41 @@ TEST(SystemIntegration, UtilisationAccountingConsistent)
         EXPECT_EQ(s.decodeTokens, expect_decode);
     }
 }
+
+TEST(HistoryPredictor, OneReplicaPredictsFromObservedCompletions)
+{
+    // A single replica builds each request when it arrives, so the
+    // history predictor has observed every completion before it: the
+    // second request on adapter 3 is predicted from the first one's
+    // output length, and a request on an unseen adapter from the
+    // global average, not from the cold default.
+    model::AdapterPool pool(model::llama7B(), 10);
+    auto spec = core::SystemRegistry::global().lookup("chameleon+history");
+    spec.engine.model = model::llama7B();
+    spec.engine.gpu = model::a40();
+    auto request = [](workload::RequestId id, double arrivalSeconds,
+                      std::int64_t output, model::AdapterId adapter) {
+        workload::Request r;
+        r.id = id;
+        r.arrival = sim::fromSeconds(arrivalSeconds);
+        r.inputTokens = 64;
+        r.outputTokens = output;
+        r.adapter = adapter;
+        return r;
+    };
+    const workload::Trace trace({request(1, 0.0, 200, 3),
+                                 request(2, 60.0, 10, 3),
+                                 request(3, 60.0, 10, 5)});
+    core::Runner runner(spec, &pool);
+    runner.cluster().submitTrace(trace);
+    runner.simulator().runUntil(sim::fromSeconds(60.0));
+    ASSERT_EQ(runner.engine().stats().finished, 1);
+    const serving::LiveRequest *second = runner.engine().findRequest(2);
+    const serving::LiveRequest *unseen = runner.engine().findRequest(3);
+    ASSERT_NE(second, nullptr);
+    ASSERT_NE(unseen, nullptr);
+    EXPECT_EQ(second->predictedOutput, 200);
+    EXPECT_EQ(unseen->predictedOutput, 200);
+    runner.simulator().run();
+    EXPECT_EQ(runner.engine().stats().finished, 3);
+}
