@@ -615,6 +615,10 @@ ServingEngine::finishRequest(LiveRequest *r)
         onFinish_(sim_.now());
     predictor_->observe(r->req);
     scheduler_->onRequestFinished(r);
+    // Nothing holds `r` past this point; a stale decode event for it
+    // was popped before it could finish (its step precedes the finish),
+    // and runSeq never repeats, so a reused slot cannot match one.
+    requests_.release(r);
 }
 
 /**

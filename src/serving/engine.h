@@ -234,8 +234,13 @@ class ServingEngine
     std::size_t runningCount() const { return running_.size(); }
     std::size_t prefillingCount() const { return prefilling_.size(); }
 
-    /** Look up live request state by id (tests); null when unknown. */
+    /** Look up live request state by id (tests); null when unknown or
+     * finished (a finished request's slot is recycled). */
     LiveRequest *findRequest(workload::RequestId id);
+
+    /** LiveRequest slots this engine ever allocated: the peak of its
+     * requests in flight, not the requests it served. */
+    std::size_t requestSlots() const { return requests_.slots(); }
 
   private:
     /** Allocate and fill the live state of an arriving request. */
@@ -291,7 +296,7 @@ class ServingEngine
         LiveRequest *request;
     };
 
-    RequestSlab requests_; // stable storage, block-allocated
+    RequestSlab requests_; // recycled on finish, block-allocated
     std::vector<LiveRequest *> prefilling_;
     // The decode batch in join order. Decode progress is lazy: every
     // finishIteration advances decodeStep_, which advances the derived

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "chameleon/system.h"
@@ -20,6 +21,8 @@
 #include "serving/cluster.h"
 #include "serving/fifo_scheduler.h"
 #include "serving/slora_adapter_manager.h"
+#include "simkit/distributions.h"
+#include "simkit/rng.h"
 #include "workload/trace_gen.h"
 
 using namespace chameleon;
@@ -688,4 +691,91 @@ TEST(ClosedLoop, BootAwareHorizonCutsThePostStepTail)
     const double staticP99 = p99With(false);
     const double bootAwareP99 = p99With(true);
     EXPECT_LT(bootAwareP99, staticP99);
+}
+
+// ------------------------------------------ memory follows requests in flight
+
+namespace {
+
+/** A long, low-load trace: short requests spaced ~5 per second. */
+workload::Trace
+longLowLoadTrace(std::size_t requests)
+{
+    sim::Rng rng(42);
+    std::vector<workload::Request> reqs;
+    sim::SimTime t = 0;
+    for (std::size_t i = 0; i < requests; ++i) {
+        t += sim::fromSeconds(sim::sampleExponential(rng, 5.0));
+        workload::Request r;
+        r.id = static_cast<workload::RequestId>(i);
+        r.arrival = t;
+        r.inputTokens = 16 + static_cast<std::int64_t>(rng.nextBelow(112));
+        r.outputTokens = 2 + static_cast<std::int64_t>(rng.nextBelow(14));
+        r.adapter = static_cast<model::AdapterId>(rng.nextBelow(20));
+        reqs.push_back(r);
+    }
+    return workload::Trace(std::move(reqs));
+}
+
+/** Most requests one engine held at once, from its records; requests
+ * that finish at another's arrival instant count as overlapping. */
+std::size_t
+peakInFlight(const std::vector<serving::RequestRecord> &records)
+{
+    std::vector<std::pair<sim::SimTime, int>> edges;
+    for (const auto &r : records) {
+        edges.emplace_back(r.arrival, 0);          // arrivals sort first
+        edges.emplace_back(r.arrival + r.e2e, 1);  // at equal times
+    }
+    std::sort(edges.begin(), edges.end());
+    std::size_t live = 0;
+    std::size_t peak = 0;
+    for (const auto &[time, finish] : edges) {
+        (void)time;
+        live = finish ? live - 1 : live + 1;
+        peak = std::max(peak, live);
+    }
+    return peak;
+}
+
+void
+expectSlotsFollowRequestsInFlight(int replicas)
+{
+    model::AdapterPool pool(model::llama7B(), 20);
+    auto spec = core::SystemRegistry::global().lookup("chameleon");
+    spec.engine.model = model::llama7B();
+    spec.engine.gpu = model::a40();
+    spec.cluster.replicas = replicas;
+    const auto trace = longLowLoadTrace(20000);
+    core::Runner runner(spec, &pool);
+    const auto report = runner.run(trace);
+    ASSERT_EQ(report.stats.finished, static_cast<std::int64_t>(trace.size()));
+
+    std::size_t peakTotal = 0;
+    for (const auto &engine : runner.cluster().engines()) {
+        const std::size_t peak = peakInFlight(engine->stats().records);
+        peakTotal += peak;
+        // One slot per request in flight at the busiest instant,
+        // recycled ever after.
+        EXPECT_LE(engine->requestSlots(), peak);
+        EXPECT_GE(engine->requestSlots(), 1u);
+    }
+    EXPECT_LT(peakTotal, 100u) << "the trace is meant to run at low load";
+    // Per engine an iteration, a transfer and a retry or two; per
+    // request in flight at most its pending arrival. Nothing per
+    // request served.
+    EXPECT_LE(runner.simulator().eventSlots(),
+              8 * static_cast<std::size_t>(replicas) + 2 * peakTotal);
+}
+
+} // namespace
+
+TEST(InFlightMemory, OneReplicaSlotsFollowPeakInFlight)
+{
+    expectSlotsFollowRequestsInFlight(1);
+}
+
+TEST(InFlightMemory, FourReplicaSlotsFollowPeakInFlight)
+{
+    expectSlotsFollowRequestsInFlight(4);
 }

@@ -203,8 +203,8 @@ TEST(Engine, EstimateMemoryFreeCachedMatchesFresh)
         std::vector<std::pair<sim::SimTime, std::int64_t>> frees;
         for (int id = 0; id < kRequests; ++id) {
             const serving::LiveRequest *r = f.engine->findRequest(id);
-            if (r->phase != serving::RequestPhase::Running)
-                continue;
+            if (r == nullptr || r->phase != serving::RequestPhase::Running)
+                continue; // finished: its slot was recycled
             const std::int64_t done = f.engine->generated(*r);
             const std::int64_t remaining =
                 std::max<std::int64_t>(1, r->predictedOutput - done);
@@ -248,7 +248,8 @@ TEST(Engine, EstimateMemoryFreeCachedMatchesFresh)
         if (rng.nextBelow(4) == 0) {
             for (int id = 0; id < kRequests; ++id) {
                 serving::LiveRequest *r = f.engine->findRequest(id);
-                if (r->phase == serving::RequestPhase::Running) {
+                if (r != nullptr &&
+                    r->phase == serving::RequestPhase::Running) {
                     f.engine->squash(r);
                     ++squashes;
                     break;
