@@ -123,6 +123,7 @@ PercentileTracker::add(double x)
 {
     CHM_CHECK(!std::isnan(x), "percentile sample is NaN (" << x << ")");
     samples_.push_back(x);
+    sum_ += x;
     sorted_ = false;
 }
 
@@ -158,10 +159,7 @@ PercentileTracker::mean() const
 {
     if (samples_.empty())
         return 0.0;
-    double sum = 0.0;
-    for (double x : samples_)
-        sum += x;
-    return sum / static_cast<double>(samples_.size());
+    return sum_ / static_cast<double>(samples_.size());
 }
 
 std::vector<std::pair<double, double>>

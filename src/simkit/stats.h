@@ -54,7 +54,9 @@ class OnlineStats
  * Exact percentile tracker over all added samples.
  *
  * Samples are kept unsorted and sorted lazily on query (sortDoubles);
- * queries between inserts re-sort only when dirty.
+ * queries between inserts re-sort only when dirty. The mean is a
+ * running sum in insertion order, so it reads the same bits before and
+ * after a percentile query reorders the samples.
  */
 class PercentileTracker
 {
@@ -69,6 +71,7 @@ class PercentileTracker
     double p90() const { return percentile(90.0); }
     double p99() const { return percentile(99.0); }
 
+    /** Mean in O(1): the insertion-order sum over the count. */
     double mean() const;
     std::size_t count() const { return samples_.size(); }
     bool empty() const { return samples_.empty(); }
@@ -82,6 +85,7 @@ class PercentileTracker
   private:
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
+    double sum_ = 0.0;
 };
 
 /** Fixed-width histogram over [lo, hi) with out-of-range clamping. */

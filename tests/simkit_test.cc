@@ -218,6 +218,22 @@ TEST(PercentileTracker, CdfMonotone)
     EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
 }
 
+TEST(PercentileTracker, MeanIsIndependentOfSortState)
+{
+    // Summed in storage order, these read 0.19999999999999998 unsorted
+    // and 0.20000000000000004 once a percentile query sorted them.
+    sim::PercentileTracker t;
+    t.add(0.3);
+    t.add(0.2);
+    t.add(0.1);
+    const double before = t.mean();
+    EXPECT_EQ(before, (0.3 + 0.2 + 0.1) / 3.0);
+    EXPECT_DOUBLE_EQ(t.p99(), 0.298);
+    EXPECT_EQ(t.mean(), before);
+    t.add(0.4);
+    EXPECT_EQ(t.mean(), (0.3 + 0.2 + 0.1 + 0.4) / 4.0);
+}
+
 TEST(PercentileTrackerDeathTest, NanSampleAborts)
 {
     sim::PercentileTracker t;
