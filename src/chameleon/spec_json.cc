@@ -1,6 +1,7 @@
 #include "chameleon/spec_json.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <tuple>
@@ -62,21 +63,28 @@ template <class E>
 JsonValue
 toJson(Named<E> e)
 {
-    return JsonValue::makeString(e.name(e.v));
+    return JsonValue::makeString(e.table.name(e.v));
 }
 
+template <class T>
 JsonValue
-toJson(Replicas<const ClusterSpec> deployment)
+toJson(Bound<T> bound)
 {
-    const ClusterSpec &c = deployment.cluster;
-    if (c.replicaEngines.empty())
-        return JsonValue::makeInt(c.replicas);
+    return toJson(bound.v);
+}
+
+template <class N, class E>
+JsonValue
+toJson(Replicas<N, E> deployment)
+{
+    if (deployment.engines.empty())
+        return JsonValue::makeInt(deployment.count.v);
     // Heterogeneous fleet: "replicas" becomes the ordered list of fully
     // resolved per-replica engines. Printing every field (rather than a
     // diff against "engine") keeps the round trip exact whatever base
     // the overrides were applied onto.
     JsonValue list = JsonValue::makeArray();
-    for (const auto &engine : c.replicaEngines)
+    for (const auto &engine : deployment.engines)
         list.push(toJson(engine));
     return list;
 }
@@ -217,7 +225,14 @@ class Reader
     void
     read(const char *key, Named<E> e)
     {
-        r_.getEnum(key, &e.v, e.byName, e.known);
+        r_.getEnum(key, &e.v, e.table);
+    }
+
+    template <class T>
+    void
+    read(const char *key, Bound<T> bound)
+    {
+        read(key, bound.v);
     }
 
     template <class T>
@@ -225,7 +240,8 @@ class Reader
     {
     }
 
-    void read(const char *key, Replicas<ClusterSpec> deployment);
+    void read(const char *key,
+              Replicas<int, std::vector<serving::EngineConfig>> deployment);
 
     /** A nested object: its own reader, under `key`'s path. */
     template <class T>
@@ -251,9 +267,11 @@ class Reader
  * "a100x2+a40x2" expands to one base-engine replica per GPU.
  */
 void
-Reader::read(const char *key, Replicas<ClusterSpec> deployment)
+Reader::read(const char *key,
+             Replicas<int, std::vector<serving::EngineConfig>> deployment)
 {
-    ClusterSpec *out = &deployment.cluster;
+    int &count = deployment.count.v;
+    std::vector<serving::EngineConfig> &engines = deployment.engines;
     const std::string path = r_.pathOf("");
     const JsonValue *replicas = r_.child(key);
     const JsonValue *fleet = r_.child("fleet");
@@ -270,7 +288,7 @@ Reader::read(const char *key, Replicas<ClusterSpec> deployment)
                              "count for a homogeneous fleet");
                 return;
             }
-            out->replicaEngines.clear();
+            engines.clear();
             for (std::size_t i = 0; i < replicas->items().size(); ++i) {
                 const JsonValue &entry = replicas->items()[i];
                 std::ostringstream entryPath;
@@ -286,14 +304,14 @@ Reader::read(const char *key, Replicas<ClusterSpec> deployment)
                                      baseEngine_);
                 if (!nestedOk_)
                     return;
-                out->replicaEngines.push_back(std::move(cfg));
+                engines.push_back(std::move(cfg));
             }
-            out->replicas = static_cast<int>(out->replicaEngines.size());
+            count = static_cast<int>(engines.size());
         } else if (replicas->isNumber() && replicas->isIntegral() &&
                    !replicas->isUnsignedIntegral() &&
                    replicas->asInt() >= std::numeric_limits<int>::min() &&
                    replicas->asInt() <= std::numeric_limits<int>::max()) {
-            out->replicas = static_cast<int>(replicas->asInt());
+            count = static_cast<int>(replicas->asInt());
         } else {
             r_.fail(key, "expects an integer count or an array of "
                          "per-replica engine overrides");
@@ -313,8 +331,8 @@ Reader::read(const char *key, Replicas<ClusterSpec> deployment)
                                  model::fleetGrammarHelp());
             return;
         }
-        out->replicaEngines = serving::fleetEngines(*baseEngine_, gpus);
-        out->replicas = static_cast<int>(out->replicaEngines.size());
+        engines = serving::fleetEngines(*baseEngine_, gpus);
+        count = static_cast<int>(engines.size());
     }
 }
 
@@ -427,11 +445,14 @@ setPath(JsonValue &root, const std::string &path, const JsonValue &value,
     std::string walked; // the path above `node`
     for (std::size_t start = 0;;) {
         const std::size_t dot = path.find('.', start);
-        const std::string key = path.substr(start, dot - start);
+        // "key[i]" steps into entry i of the array at "key".
+        const std::string segment = path.substr(start, dot - start);
+        const std::size_t bracket = segment.find('[');
+        const std::string key = segment.substr(0, bracket);
         const bool leaf = dot == std::string::npos;
         if (!node->isObject())
             return fail("\"" + walked + "\" is not an object");
-        if (leaf && walked == "cluster" &&
+        if (leaf && bracket == std::string::npos && walked == "cluster" &&
             (key == "replicas" || key == "fleet")) {
             // The deployment is one of the two: the parse-only fleet
             // preset replaces the replica count or list, and back.
@@ -445,18 +466,29 @@ setPath(JsonValue &root, const std::string &path, const JsonValue &value,
             std::string known;
             for (const auto &member : node->members())
                 known += (known.empty() ? "" : ", ") + member.first;
-            if (walked == "cluster")
+            if (walked == "cluster" && node->find("fleet") == nullptr)
                 known += ", fleet"; // parse-only, so never dumped
             return fail("no key \"" + key + "\" " +
                         (walked.empty() ? "at the top level"
                                         : "under \"" + walked + "\"") +
                         "; known: " + known);
         }
+        walked += (walked.empty() ? "" : ".") + key;
+        if (bracket != std::string::npos) {
+            const std::string index = segment.substr(bracket + 1);
+            const std::size_t i = std::strtoul(index.c_str(), nullptr, 10);
+            if (!child->isArray() || index.size() < 2 ||
+                index.back() != ']' ||
+                index.find_first_not_of("0123456789") != index.size() - 1 ||
+                i >= child->items().size())
+                return fail("\"" + walked + "\" has no entry [" + index);
+            child = &child->items()[i];
+            walked += "[" + index;
+        }
         if (leaf) {
             *child = value;
             return true;
         }
-        walked += (walked.empty() ? "" : ".") + key;
         node = child;
         start = dot + 1;
     }
@@ -470,6 +502,16 @@ applySpecOverrides(const SystemSpec &base, const SpecOverrides &overrides,
 {
     JsonValue root = specToJsonValue(base);
     for (const auto &[path, value] : overrides) {
+        // A fleet preset's replicas are addressable by index once it
+        // expands, onto the engine as overridden so far.
+        const JsonValue *cluster = root.find("cluster");
+        if (path.rfind("cluster.replicas[", 0) == 0 && cluster != nullptr &&
+            cluster->find("fleet") != nullptr) {
+            SystemSpec expanded;
+            if (!readObject(root, "", &expanded, error, &expanded.engine))
+                return specParseFailure(error);
+            root = specToJsonValue(expanded);
+        }
         if (!setPath(root, path, value, error))
             return std::nullopt;
     }

@@ -77,9 +77,11 @@ sim::JsonValue overrideValue(const std::string &text);
  * dump `base` (specToJsonValue), write each value at its path in
  * order, and parse the tree once (specFromJsonValue), so strict keys,
  * enum-name errors and validate() apply exactly as to a config file.
- * A path names a key --dump-config prints; the parse-only
- * "cluster.fleet" replaces "cluster.replicas" (and vice versa). An
- * unknown path fails naming it and listing its sibling keys.
+ * A path names a key --dump-config prints, with "key[i]" for entry i
+ * of an array ("cluster.replicas[1].max_running", "tenancy.weights[0]");
+ * the parse-only "cluster.fleet" replaces "cluster.replicas" (and
+ * vice versa). An unknown path fails naming it and listing its
+ * sibling keys.
  */
 std::optional<SystemSpec> applySpecOverrides(const SystemSpec &base,
                                              const SpecOverrides &overrides,

@@ -5,11 +5,12 @@
  * fields(Of<T>{}, f, s...) names every member of T once, in dump
  * order, as f("json_key", s.member...). The list is the only place a
  * JSON key maps to a member: spec_json.cc prints and strictly reads a
- * SystemSpec by walking the lists, and every spec struct's operator==
- * compares field by field over its list (spec_schema.cc). The pack
- * `s...` is one object (print, read) or two in step (equality), so
- * adding a knob is its struct field, one line here and its README
- * table row.
+ * SystemSpec by walking the lists, every spec struct's operator==
+ * compares field by field over its list, and checkBounds() walks them
+ * for the single-key range checks of SystemSpec::validate()
+ * (spec_schema.cc). The pack `s...` is one object (print, read,
+ * check) or two in step (equality), so adding a knob is its struct
+ * field, one line here and its README table row.
  *
  * The C++ type of a member decides its JSON encoding (bool, int,
  * int64, size_t as a non-negative count, double, string, number
@@ -17,21 +18,33 @@
  *  - Seconds: a SimTime (µs) written and read as seconds;
  *  - Seed: a uint64 over its full range (size_t is the same type, but
  *    a plain one is a count capped at int64);
- *  - Named: an enum, by its name, parsed by name, listing the known
- *    names on a miss;
+ *  - Named: an enum, printed and parsed through the enum's name table
+ *    (sim::NameTable, one per enum, beside the enum), listing the
+ *    table's names on a miss;
  *  - Derived: compared, but neither printed nor read (the Runner sets
  *    it from other keys);
  *  - Replicas: "cluster.replicas", an integer count or an array of
  *    per-replica engines (with the parse-only "cluster.fleet").
+ *
+ * A member's range is declared here too, as a Bound around it:
+ * atLeast(v, lo) for v >= lo, above(v, lo) for v > lo and
+ * within(v, lo, hi) for lo <= v <= hi; on a number list each entry
+ * is held to it. The printer, the reader and operator== see through a
+ * Bound; checkBounds() reports each value outside its range by the
+ * dotted path --set takes. validate() keeps only the rules that
+ * relate two keys.
  */
 
 #ifndef CHAMELEON_CHAMELEON_SPEC_SCHEMA_H
 #define CHAMELEON_CHAMELEON_SPEC_SCHEMA_H
 
+#include <limits>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "chameleon/system_spec.h"
+#include "simkit/name_table.h"
 
 namespace chameleon::core {
 
@@ -65,35 +78,77 @@ struct Derived
 template <class T>
 Derived(T &) -> Derived<T>;
 
-/** An enum encoded by name. */
+/** An enum encoded by its name in the enum's name table. */
 template <class E>
 struct Named
 {
     using Enum = std::remove_const_t<E>;
     E &v;
-    const char *(*name)(Enum);
-    bool (*byName)(const std::string &, Enum *);
-    const char *known;
+    const sim::NameTable<Enum> &table;
     friend bool operator==(Named a, Named b) { return a.v == b.v; }
 };
 template <class E>
-Named(E &, const char *(*)(std::remove_const_t<E>),
-      bool (*)(const std::string &, std::remove_const_t<E> *),
-      const char *) -> Named<E>;
+Named(E &, const sim::NameTable<std::remove_const_t<E>> &) -> Named<E>;
 
-/** The deployment: replica count plus optional per-replica engines. */
-template <class C>
+/**
+ * A number held to a range: v >= lo (v > lo when `strict`) and
+ * v <= hi. A list of numbers holds each entry to it. Built by
+ * atLeast(), above() and within().
+ */
+template <class T>
+struct Bound
+{
+    T &v;
+    double lo;
+    bool strict;
+    double hi;
+    friend bool operator==(Bound a, Bound b) { return a.v == b.v; }
+};
+
+template <class T>
+Bound<T>
+atLeast(T &v, double lo)
+{
+    return {v, lo, false, std::numeric_limits<double>::infinity()};
+}
+
+template <class T>
+Bound<T>
+above(T &v, double lo)
+{
+    return {v, lo, true, std::numeric_limits<double>::infinity()};
+}
+
+template <class T>
+Bound<T>
+within(T &v, double lo, double hi)
+{
+    return {v, lo, false, hi};
+}
+
+/** The deployment: a replica count plus optional per-replica engines. */
+template <class N, class E>
 struct Replicas
 {
-    C &cluster;
+    Bound<N> count;
+    E &engines;
     friend bool operator==(Replicas a, Replicas b)
     {
-        return a.cluster.replicas == b.cluster.replicas &&
-               a.cluster.replicaEngines == b.cluster.replicaEngines;
+        return a.count == b.count && a.engines == b.engines;
     }
 };
-template <class C>
-Replicas(C &) -> Replicas<C>;
+template <class N, class E>
+Replicas(Bound<N>, E &) -> Replicas<N, E>;
+
+/**
+ * Every Bound of `spec` that is out of range, as "<path> must be >= 1
+ * (got 0)", where <path> is the dotted path --set takes
+ * ("cluster.replicas[1].kv_page_tokens", "tenancy.weights[0]"). An
+ * unset (default) model or GPU is hardware the caller has yet to
+ * choose, as in the presets, and the autoscaler's keys only count
+ * with cluster.autoscale on; neither is checked.
+ */
+void checkBounds(const SystemSpec &spec, std::vector<std::string> *errors);
 
 /** Selects the field list of spec struct T: fields(Of<T>{}, f, s...). */
 template <class T>
@@ -106,10 +161,10 @@ void
 fields(Of<model::ModelSpec>, F &&f, S &...s)
 {
     f("name", s.name...);
-    f("layers", s.layers...);
+    f("layers", atLeast(s.layers, 1)...);
     f("hidden", s.hidden...);
-    f("kv_hidden", s.kvHidden...);
-    f("params", s.params...);
+    f("kv_hidden", atLeast(s.kvHidden, 1)...);
+    f("params", atLeast(s.params, 0)...);
 }
 
 template <class F, class... S>
@@ -117,19 +172,19 @@ void
 fields(Of<model::GpuSpec>, F &&f, S &...s)
 {
     f("name", s.name...);
-    f("fp16_flops", s.fp16Flops...);
-    f("mem_bandwidth", s.memBandwidth...);
-    f("mem_bytes", s.memBytes...);
-    f("pcie_bandwidth", s.pcieBandwidth...);
-    f("pcie_setup_seconds", s.pcieSetupSeconds...);
+    f("fp16_flops", above(s.fp16Flops, 0)...);
+    f("mem_bandwidth", above(s.memBandwidth, 0)...);
+    f("mem_bytes", above(s.memBytes, 0)...);
+    f("pcie_bandwidth", above(s.pcieBandwidth, 0)...);
+    f("pcie_setup_seconds", atLeast(s.pcieSetupSeconds, 0)...);
 }
 
 template <class F, class... S>
 void
 fields(Of<model::CostParams>, F &&f, S &...s)
 {
-    f("compute_util", s.computeUtil...);
-    f("mem_util", s.memUtil...);
+    f("compute_util", above(s.computeUtil, 0)...);
+    f("mem_util", above(s.memUtil, 0)...);
     f("prefill_fixed_ms", s.prefillFixedMs...);
     f("mbgmm_fixed_ms", s.mbgmmFixedMs...);
     f("lora_ineff", s.loraIneff...);
@@ -147,14 +202,14 @@ fields(Of<serving::EngineConfig>, F &&f, S &...s)
 {
     f("model", s.model...);
     f("gpu", s.gpu...);
-    f("tp_degree", s.tpDegree...);
+    f("tp_degree", atLeast(s.tpDegree, 1)...);
     f("cost", s.cost...);
-    f("workspace_per_gpu", s.workspacePerGpu...);
-    f("admission_token_budget", s.admissionTokenBudget...);
+    f("workspace_per_gpu", atLeast(s.workspacePerGpu, 0)...);
+    f("admission_token_budget", atLeast(s.admissionTokenBudget, 1)...);
     f("max_new_tokens", s.maxNewTokens...);
-    f("max_admissions_per_iter", s.maxAdmissionsPerIter...);
-    f("max_running", s.maxRunning...);
-    f("kv_page_tokens", s.kvPageTokens...);
+    f("max_admissions_per_iter", atLeast(s.maxAdmissionsPerIter, 1)...);
+    f("max_running", atLeast(s.maxRunning, 1)...);
+    f("kv_page_tokens", atLeast(s.kvPageTokens, 1)...);
     f("mem_sample_period_s", Seconds{s.memSamplePeriod}...);
     // Set by the Runner from `reservation` and `chunked_prefill`/
     // `chunk_tokens`; the scale-up catalogue dedupes on them.
@@ -166,26 +221,20 @@ template <class F, class... S>
 void
 fields(Of<SchedulerSpec>, F &&f, S &...s)
 {
-    f("policy", Named{s.policy, schedulerPolicyName,
-                      schedulerPolicyByName,
-                      "fifo, sjf, mlq, wfq, drr"}...);
+    f("policy", Named{s.policy, schedulerPolicyTable()}...);
     f("slo_seconds", s.sloSeconds...);
     f("refresh_period_s", Seconds{s.refreshPeriod}...);
     f("bypass", s.bypass...);
     f("dynamic_queues", s.dynamicQueues...);
-    f("wrs_form", Named{s.wrsForm, wrsFormName, wrsFormByName,
-                        "degree2, degree1, output-only"}...);
+    f("wrs_form", Named{s.wrsForm, wrsFormTable()}...);
 }
 
 template <class F, class... S>
 void
 fields(Of<AdapterSpec>, F &&f, S &...s)
 {
-    f("policy", Named{s.policy, adapterPolicyName, adapterPolicyByName,
-                      "on-demand, slora, chameleon-cache"}...);
-    f("eviction", Named{s.eviction, evictionPolicyName,
-                        evictionPolicyByName,
-                        "chameleon, lru, fairshare, gdsf"}...);
+    f("policy", Named{s.policy, adapterPolicyTable()}...);
+    f("eviction", Named{s.eviction, evictionPolicyTable()}...);
     f("predictive_prefetch", s.predictivePrefetch...);
     f("prefetch_top_k", s.prefetchTopK...);
 }
@@ -195,7 +244,7 @@ void
 fields(Of<PredictorSpec>, F &&f, S &...s)
 {
     f("kind", s.kind...);
-    f("accuracy", s.accuracy...);
+    f("accuracy", within(s.accuracy, 0, 1)...);
     f("seed", Seed{s.seed}...);
 }
 
@@ -204,7 +253,7 @@ void
 fields(Of<routing::RouterConfig>, F &&f, S &...s)
 {
     f("seed", Seed{s.seed}...);
-    f("virtual_nodes", s.virtualNodes...);
+    f("virtual_nodes", atLeast(s.virtualNodes, 1)...);
     f("spill_load_factor", s.spillLoadFactor...);
     f("spill_margin", s.spillMargin...);
     f("slo_admission", s.sloAdmission...);
@@ -214,22 +263,23 @@ template <class F, class... S>
 void
 fields(Of<routing::AutoscalerConfig>, F &&f, S &...s)
 {
-    f("min_replicas", s.minReplicas...);
+    f("min_replicas", atLeast(s.minReplicas, 1)...);
     f("max_replicas", s.maxReplicas...);
-    f("eval_period_s", s.evalPeriodSeconds...);
+    // Below 1 us a period rounds to zero simulated time: the evaluation
+    // re-arms at the same instant forever, and the forecaster's window
+    // is empty.
+    f("eval_period_s", atLeast(s.evalPeriodSeconds, 1e-6)...);
     f("high_watermark", s.highWatermark...);
     f("low_watermark", s.lowWatermark...);
     f("forecast_horizon_s", s.forecastHorizonSeconds...);
-    f("forecast_window_s", s.forecastWindowSeconds...);
+    f("forecast_window_s", atLeast(s.forecastWindowSeconds, 1e-6)...);
     f("replica_service_rps", s.replicaServiceRps...);
     f("up_cooldown_periods", s.upCooldownPeriods...);
     f("down_cooldown_periods", s.downCooldownPeriods...);
-    f("boot_ms", s.bootMs...);
+    f("boot_ms", atLeast(s.bootMs, 0)...);
     f("scale_up_policy",
-      Named{s.scaleUpPolicy, routing::scaleUpPolicyName,
-            routing::scaleUpPolicyByName,
-            routing::scaleUpPolicyNames()}...);
-    f("measured_rate_alpha", s.measuredRateAlpha...);
+      Named{s.scaleUpPolicy, routing::scaleUpPolicyTable()}...);
+    f("measured_rate_alpha", within(s.measuredRateAlpha, 0, 1)...);
     f("boot_aware_horizon", s.bootAwareHorizon...);
 }
 
@@ -237,10 +287,9 @@ template <class F, class... S>
 void
 fields(Of<ClusterSpec>, F &&f, S &...s)
 {
-    f("replicas", Replicas{s}...);
-    f("router", Named{s.router, routing::routerPolicyName,
-                      routing::routerPolicyByName,
-                      routing::routerPolicyNames()}...);
+    f("replicas",
+      Replicas{atLeast(s.replicas, 1), s.replicaEngines}...);
+    f("router", Named{s.router, routing::routerPolicyTable()}...);
     f("router_config", s.routerConfig...);
     f("autoscale", s.autoscale...);
     f("autoscaler", s.autoscaler...);
@@ -250,23 +299,19 @@ template <class F, class... S>
 void
 fields(Of<TenancySpec>, F &&f, S &...s)
 {
-    f("tenants", s.tenants...);
-    f("weights", s.weights...);
-    f("slo_multipliers", s.sloMultipliers...);
-    f("drr_quantum_tokens", s.drrQuantumTokens...);
+    f("tenants", atLeast(s.tenants, 1)...);
+    f("weights", above(s.weights, 0)...);
+    f("slo_multipliers", above(s.sloMultipliers, 0)...);
+    f("drr_quantum_tokens", above(s.drrQuantumTokens, 0)...);
 }
 
 template <class F, class... S>
 void
 fields(Of<FabricSpec>, F &&f, S &...s)
 {
-    f("migration", Named{s.migration, fabric::migrationPolicyName,
-                         fabric::migrationPolicyByName,
-                         fabric::migrationPolicyNames()}...);
-    f("topology", Named{s.topology, fabric::topologyName,
-                        fabric::topologyByName,
-                        fabric::topologyNames()}...);
-    f("top_k", s.topK...);
+    f("migration", Named{s.migration, fabric::migrationPolicyTable()}...);
+    f("topology", Named{s.topology, fabric::topologyTable()}...);
+    f("top_k", atLeast(s.topK, 1)...);
 }
 
 template <class F, class... S>
@@ -281,9 +326,7 @@ fields(Of<SystemSpec>, F &&f, S &...s)
     f("cluster", s.cluster...);
     f("tenancy", s.tenancy...);
     f("fabric", s.fabric...);
-    f("reservation", Named{s.reservation, reservationPolicyName,
-                           reservationPolicyByName,
-                           "auto, max-tokens, predicted"}...);
+    f("reservation", Named{s.reservation, reservationPolicyTable()}...);
     f("chunked_prefill", s.chunkedPrefill...);
     f("chunk_tokens", s.chunkTokens...);
 }

@@ -36,12 +36,6 @@
 namespace chameleon::core {
 
 /**
- * Aggregate outcome of one run — single-engine and cluster runs share
- * this one report. Per-link fields (utilisation, rate series) and the
- * in-engine time series are only populated for single-replica runs;
- * cluster-wide percentiles are rebuilt over all replicas' samples.
- */
-/**
  * Per-tenant outcome slice of one run, computed from the finished
  * request records (post-simulation — the accounting can never perturb
  * event streams). SLO attainment is the fraction of finished requests
@@ -65,6 +59,12 @@ struct TenantReport
     double sloAttainment = -1.0;
 };
 
+/**
+ * Aggregate outcome of one run — single-engine and cluster runs share
+ * this one report. Per-link fields (utilisation, rate series) and the
+ * in-engine time series are only populated for single-replica runs;
+ * cluster-wide percentiles are rebuilt over all replicas' samples.
+ */
 struct RunReport
 {
     serving::EngineStats stats;

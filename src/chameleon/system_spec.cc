@@ -1,127 +1,52 @@
 #include "chameleon/system_spec.h"
 
+#include "chameleon/spec_schema.h"
+
 #include <sstream>
 #include <string>
 #include <utility>
 
 namespace chameleon::core {
 
-const char *
-schedulerPolicyName(SchedulerPolicy policy)
+const sim::NameTable<SchedulerPolicy> &
+schedulerPolicyTable()
 {
-    switch (policy) {
-      case SchedulerPolicy::Fifo: return "fifo";
-      case SchedulerPolicy::Sjf: return "sjf";
-      case SchedulerPolicy::Mlq: return "mlq";
-      case SchedulerPolicy::Wfq: return "wfq";
-      case SchedulerPolicy::Drr: return "drr";
-    }
-    return "?";
+    static const sim::NameTable<SchedulerPolicy> table{
+        {SchedulerPolicy::Fifo, "fifo"}, {SchedulerPolicy::Sjf, "sjf"},
+        {SchedulerPolicy::Mlq, "mlq"},   {SchedulerPolicy::Wfq, "wfq"},
+        {SchedulerPolicy::Drr, "drr"}};
+    return table;
 }
 
-const char *
-adapterPolicyName(AdapterPolicy policy)
+const sim::NameTable<AdapterPolicy> &
+adapterPolicyTable()
 {
-    switch (policy) {
-      case AdapterPolicy::OnDemand: return "on-demand";
-      case AdapterPolicy::SLora: return "slora";
-      case AdapterPolicy::ChameleonCache: return "chameleon-cache";
-    }
-    return "?";
+    static const sim::NameTable<AdapterPolicy> table{
+        {AdapterPolicy::OnDemand, "on-demand"},
+        {AdapterPolicy::SLora, "slora"},
+        {AdapterPolicy::ChameleonCache, "chameleon-cache"}};
+    return table;
 }
 
-const char *
-evictionPolicyName(EvictionKind policy)
+const sim::NameTable<EvictionKind> &
+evictionPolicyTable()
 {
-    switch (policy) {
-      case EvictionKind::Paper: return "chameleon";
-      case EvictionKind::Lru: return "lru";
-      case EvictionKind::FairShare: return "fairshare";
-      case EvictionKind::Gdsf: return "gdsf";
-    }
-    return "?";
+    static const sim::NameTable<EvictionKind> table{
+        {EvictionKind::Paper, "chameleon"},
+        {EvictionKind::Lru, "lru"},
+        {EvictionKind::FairShare, "fairshare"},
+        {EvictionKind::Gdsf, "gdsf"}};
+    return table;
 }
 
-const char *
-reservationPolicyName(ReservationPolicy policy)
+const sim::NameTable<ReservationPolicy> &
+reservationPolicyTable()
 {
-    switch (policy) {
-      case ReservationPolicy::Auto: return "auto";
-      case ReservationPolicy::MaxTokens: return "max-tokens";
-      case ReservationPolicy::Predicted: return "predicted";
-    }
-    return "?";
-}
-
-bool
-schedulerPolicyByName(const std::string &name, SchedulerPolicy *out)
-{
-    if (name == "fifo")
-        *out = SchedulerPolicy::Fifo;
-    else if (name == "sjf")
-        *out = SchedulerPolicy::Sjf;
-    else if (name == "mlq")
-        *out = SchedulerPolicy::Mlq;
-    else if (name == "wfq")
-        *out = SchedulerPolicy::Wfq;
-    else if (name == "drr")
-        *out = SchedulerPolicy::Drr;
-    else
-        return false;
-    return true;
-}
-
-bool
-adapterPolicyByName(const std::string &name, AdapterPolicy *out)
-{
-    if (name == "on-demand")
-        *out = AdapterPolicy::OnDemand;
-    else if (name == "slora")
-        *out = AdapterPolicy::SLora;
-    else if (name == "chameleon-cache")
-        *out = AdapterPolicy::ChameleonCache;
-    else
-        return false;
-    return true;
-}
-
-bool
-evictionPolicyByName(const std::string &name, EvictionKind *out)
-{
-    if (name == "chameleon")
-        *out = EvictionKind::Paper;
-    else if (name == "lru")
-        *out = EvictionKind::Lru;
-    else if (name == "fairshare")
-        *out = EvictionKind::FairShare;
-    else if (name == "gdsf")
-        *out = EvictionKind::Gdsf;
-    else
-        return false;
-    return true;
-}
-
-bool
-reservationPolicyByName(const std::string &name, ReservationPolicy *out)
-{
-    if (name == "auto")
-        *out = ReservationPolicy::Auto;
-    else if (name == "max-tokens")
-        *out = ReservationPolicy::MaxTokens;
-    else if (name == "predicted")
-        *out = ReservationPolicy::Predicted;
-    else
-        return false;
-    return true;
-}
-
-const std::vector<EvictionKind> &
-allEvictionPolicies()
-{
-    static const std::vector<EvictionKind> all{
-        EvictionKind::Paper, EvictionKind::Lru,
-        EvictionKind::FairShare, EvictionKind::Gdsf};
-    return all;
+    static const sim::NameTable<ReservationPolicy> table{
+        {ReservationPolicy::Auto, "auto"},
+        {ReservationPolicy::MaxTokens, "max-tokens"},
+        {ReservationPolicy::Predicted, "predicted"}};
+    return table;
 }
 
 double
@@ -199,285 +124,84 @@ SystemSpec::resolvedEngine(std::size_t replica) const
 std::vector<std::string>
 SystemSpec::validate() const
 {
+    // Single-key ranges are declared in the field lists; the rules here
+    // relate two keys. Both name keys and values as --set takes them.
     std::vector<std::string> errors;
-    auto err = [&errors](const std::ostringstream &os) {
+    checkBounds(*this, &errors);
+    const auto err = [&errors](const auto &...parts) {
+        std::ostringstream os;
+        (os << ... << parts);
         errors.push_back(os.str());
     };
+    const char *cache = adapterPolicyName(AdapterPolicy::ChameleonCache);
+    const char *adapterPolicy = adapterPolicyName(adapters.policy);
+    const bool cached = adapters.policy == AdapterPolicy::ChameleonCache;
 
-    if (cluster.replicas < 1) {
-        std::ostringstream os;
-        os << "cluster.replicas must be >= 1 (got " << cluster.replicas
-           << "); replicas = 1 means a single engine";
-        err(os);
-    }
     if (!cluster.replicaEngines.empty() &&
-        static_cast<int>(cluster.replicaEngines.size()) !=
-            cluster.replicas) {
-        std::ostringstream os;
-        os << "cluster.replicaEngines has "
-           << cluster.replicaEngines.size() << " per-replica overrides "
-           << "but cluster.replicas = " << cluster.replicas
-           << "; give exactly one override per replica (or clear the "
-           << "list for a homogeneous fleet)";
-        err(os);
-    }
-    for (std::size_t i = 0; i < cluster.replicaEngines.size(); ++i) {
-        if (cluster.replicaEngines[i].tpDegree < 1) {
-            std::ostringstream os;
-            os << "cluster.replicaEngines[" << i
-               << "].tpDegree must be >= 1 (got "
-               << cluster.replicaEngines[i].tpDegree << ")";
-            err(os);
-        }
-    }
-    if (engine.tpDegree < 1) {
-        std::ostringstream os;
-        os << "engine.tpDegree must be >= 1 (got " << engine.tpDegree
-           << ")";
-        err(os);
-    }
-    // Engine knobs the simulation divides by, sizes memory with or
-    // paces events on: below these floors a run aborts or admits
-    // nothing. A default (unset) model or GPU is hardware the caller
-    // has yet to choose, as in the presets, and is not checked.
-    const auto checkEngine = [&](const serving::EngineConfig &e,
-                                 const std::string &at) {
-        const bool hasModel = !(e.model == model::ModelSpec{});
-        const bool hasGpu = !(e.gpu == model::GpuSpec{});
-        const auto n = [](auto v) { return static_cast<double>(v); };
-        const struct
-        {
-            bool checked;
-            const char *key;
-            double value;
-            double floor;
-            bool strict; // value must exceed the floor, not only reach it
-        } floors[] = {
-            {hasModel, "model.layers", n(e.model.layers), 1, false},
-            {hasModel, "model.kv_hidden", n(e.model.kvHidden), 1, false},
-            {hasModel, "model.params", e.model.params, 0, false},
-            {hasGpu, "gpu.fp16_flops", e.gpu.fp16Flops, 0, true},
-            {hasGpu, "gpu.mem_bandwidth", e.gpu.memBandwidth, 0, true},
-            {hasGpu, "gpu.mem_bytes", n(e.gpu.memBytes), 0, true},
-            {hasGpu, "gpu.pcie_bandwidth", e.gpu.pcieBandwidth, 0, true},
-            {hasGpu, "gpu.pcie_setup_seconds", e.gpu.pcieSetupSeconds, 0,
-             false},
-            {true, "cost.compute_util", e.cost.computeUtil, 0, true},
-            {true, "cost.mem_util", e.cost.memUtil, 0, true},
-            {true, "workspace_per_gpu", n(e.workspacePerGpu), 0, false},
-            {true, "admission_token_budget", n(e.admissionTokenBudget), 1,
-             false},
-            {true, "max_admissions_per_iter", n(e.maxAdmissionsPerIter), 1,
-             false},
-            {true, "max_running", n(e.maxRunning), 1, false},
-            {true, "kv_page_tokens", n(e.kvPageTokens), 1, false},
-        };
-        for (const auto &f : floors) {
-            if (!f.checked || f.value > f.floor ||
-                (f.value == f.floor && !f.strict))
-                continue;
-            std::ostringstream os;
-            os << at << "." << f.key << " must be "
-               << (f.strict ? "> " : ">= ") << f.floor << " (got "
-               << f.value << ")";
-            err(os);
-        }
-    };
-    checkEngine(engine, "engine");
-    for (std::size_t i = 0; i < cluster.replicaEngines.size(); ++i) {
-        checkEngine(cluster.replicaEngines[i],
-                    "cluster.replicas[" + std::to_string(i) + "]");
-    }
-    if (cluster.routerConfig.virtualNodes < 1) {
-        std::ostringstream os;
-        os << "cluster.router_config.virtual_nodes must be >= 1 (got "
-           << cluster.routerConfig.virtualNodes << ")";
-        err(os);
-    }
-    if (chunkedPrefill && chunkTokens <= 0) {
-        std::ostringstream os;
-        os << "chunked prefill enabled with non-positive chunk size ("
-           << chunkTokens << "); set chunkTokens > 0 or disable "
-           << "chunkedPrefill";
-        err(os);
-    }
-    if (adapters.predictivePrefetch && adapters.prefetchTopK == 0) {
-        std::ostringstream os;
-        os << "predictive prefetch enabled with prefetchTopK = 0; set "
-           << "adapters.prefetchTopK (paper uses 8)";
-        err(os);
-    }
-    if (!adapters.predictivePrefetch && adapters.prefetchTopK > 0) {
-        std::ostringstream os;
-        os << "adapters.prefetchTopK = " << adapters.prefetchTopK
-           << " without prefetch enabled; set "
-           << "adapters.predictivePrefetch = true (or clear prefetchTopK)";
-        err(os);
-    }
-    if (adapters.predictivePrefetch &&
-        adapters.policy != AdapterPolicy::ChameleonCache) {
-        std::ostringstream os;
-        os << "predictive prefetch requires the chameleon cache; set "
-           << "adapters.policy = AdapterPolicy::ChameleonCache (got "
-           << adapterPolicyName(adapters.policy) << ")";
-        err(os);
-    }
-    if (adapters.eviction != EvictionKind::Paper &&
-        adapters.policy != AdapterPolicy::ChameleonCache) {
-        std::ostringstream os;
-        os << "eviction policy '" << evictionPolicyName(adapters.eviction)
-           << "' requires the chameleon cache; set adapters.policy = "
-           << "AdapterPolicy::ChameleonCache (got "
-           << adapterPolicyName(adapters.policy) << ")";
-        err(os);
-    }
-    if (predictor.kind != "bert" && predictor.kind != "history") {
-        std::ostringstream os;
-        os << "unknown predictor kind '" << predictor.kind
-           << "'; use \"bert\" or \"history\"";
-        err(os);
-    }
-    if (predictor.accuracy < 0.0 || predictor.accuracy > 1.0) {
-        std::ostringstream os;
-        os << "predictor.accuracy must be within [0, 1] (got "
-           << predictor.accuracy << ")";
-        err(os);
-    }
+        static_cast<int>(cluster.replicaEngines.size()) != cluster.replicas)
+        err("cluster.replicas has ", cluster.replicaEngines.size(),
+            " per-replica engines for a count of ", cluster.replicas,
+            "; give exactly one override per replica (or none for a "
+            "homogeneous fleet)");
+    if (chunkedPrefill && chunkTokens <= 0)
+        err("chunked_prefill=true with a non-positive chunk size: "
+            "chunk_tokens must be > 0 (got ",
+            chunkTokens, "), or set chunked_prefill=false");
+    if (adapters.predictivePrefetch && adapters.prefetchTopK == 0)
+        err("adapters.predictive_prefetch=true with "
+            "adapters.prefetch_top_k=0; set adapters.prefetch_top_k "
+            "(paper uses 8)");
+    if (!adapters.predictivePrefetch && adapters.prefetchTopK > 0)
+        err("adapters.prefetch_top_k=", adapters.prefetchTopK,
+            " without prefetch enabled; set "
+            "adapters.predictive_prefetch=true (or "
+            "adapters.prefetch_top_k=0)");
+    if (adapters.predictivePrefetch && !cached)
+        err("adapters.predictive_prefetch=true requires the chameleon "
+            "cache; set adapters.policy=",
+            cache, " (got ", adapterPolicy, ")");
+    if (adapters.eviction != EvictionKind::Paper && !cached)
+        err("adapters.eviction=", evictionPolicyName(adapters.eviction),
+            " requires the chameleon cache; set adapters.policy=", cache,
+            " (got ", adapterPolicy, ")");
+    if (predictor.kind != "bert" && predictor.kind != "history")
+        err("predictor.kind: unknown value \"", predictor.kind,
+            "\"; known: bert, history");
     if (scheduler.policy == SchedulerPolicy::Mlq &&
-        scheduler.sloSeconds <= 0.0) {
-        std::ostringstream os;
-        os << "MLQ quota assignment needs scheduler.sloSeconds > 0 (got "
-           << scheduler.sloSeconds << ")";
-        err(os);
+        scheduler.sloSeconds <= 0.0)
+        err("scheduler.policy=", schedulerPolicyName(scheduler.policy),
+            " needs scheduler.slo_seconds > 0 for quota assignment (got ",
+            scheduler.sloSeconds, ")");
+    const std::pair<const char *, std::size_t> perTenant[] = {
+        {"tenancy.weights", tenancy.weights.size()},
+        {"tenancy.slo_multipliers", tenancy.sloMultipliers.size()},
+    };
+    for (const auto &[key, entries] : perTenant) {
+        if (entries != 0 && static_cast<int>(entries) != tenancy.tenants)
+            err(key, " has ", entries, " entries but tenancy.tenants=",
+                tenancy.tenants,
+                "; give one per tenant (or [] for the default)");
     }
-    if (tenancy.tenants < 1) {
-        std::ostringstream os;
-        os << "tenancy.tenants must be >= 1 (got " << tenancy.tenants
-           << "); 1 means the anonymous single-tenant default";
-        err(os);
-    }
-    if (!tenancy.weights.empty() &&
-        static_cast<int>(tenancy.weights.size()) != tenancy.tenants) {
-        std::ostringstream os;
-        os << "tenancy.weights has " << tenancy.weights.size()
-           << " entries but tenancy.tenants = " << tenancy.tenants
-           << "; give one weight per tenant (or clear the list for "
-           << "equal weights)";
-        err(os);
-    }
-    for (std::size_t i = 0; i < tenancy.weights.size(); ++i) {
-        if (tenancy.weights[i] <= 0.0) {
-            std::ostringstream os;
-            os << "tenancy.weights[" << i << "] must be > 0 (got "
-               << tenancy.weights[i] << ")";
-            err(os);
-        }
-    }
-    if (!tenancy.sloMultipliers.empty() &&
-        static_cast<int>(tenancy.sloMultipliers.size()) !=
-            tenancy.tenants) {
-        std::ostringstream os;
-        os << "tenancy.sloMultipliers has " << tenancy.sloMultipliers.size()
-           << " entries but tenancy.tenants = " << tenancy.tenants
-           << "; give one multiplier per tenant (or clear the list)";
-        err(os);
-    }
-    for (std::size_t i = 0; i < tenancy.sloMultipliers.size(); ++i) {
-        if (tenancy.sloMultipliers[i] <= 0.0) {
-            std::ostringstream os;
-            os << "tenancy.sloMultipliers[" << i << "] must be > 0 (got "
-               << tenancy.sloMultipliers[i] << ")";
-            err(os);
-        }
-    }
-    if (tenancy.drrQuantumTokens <= 0) {
-        std::ostringstream os;
-        os << "tenancy.drrQuantumTokens must be > 0 (got "
-           << tenancy.drrQuantumTokens << "); it is the per-round DRR "
-           << "credit in prefill tokens";
-        err(os);
-    }
-    if (fabric.enabled() &&
-        adapters.policy != AdapterPolicy::ChameleonCache) {
-        std::ostringstream os;
-        os << "fabric.migration '"
-           << fabric::migrationPolicyName(fabric.migration)
-           << "' needs peer admission, which only the chameleon cache "
-           << "offers; set adapters.policy = "
-           << "AdapterPolicy::ChameleonCache (got "
-           << adapterPolicyName(adapters.policy)
-           << ") or keep migration 'off'";
-        err(os);
-    }
-    if (fabric.topK < 1) {
-        std::ostringstream os;
-        os << "fabric.topK must be >= 1 (got " << fabric.topK
-           << "); it is the hot-adapter window per migration trigger";
-        err(os);
-    }
-    if (fabric.enabled() && cluster.replicas <= 1 && !cluster.autoscale) {
-        std::ostringstream os;
-        os << "fabric.migration '"
-           << fabric::migrationPolicyName(fabric.migration)
-           << "' needs peers: set cluster.replicas > 1 or "
-           << "cluster.autoscale = true (or keep migration 'off')";
-        err(os);
-    }
-    if (cluster.autoscale) {
-        if (cluster.autoscaler.minReplicas < 1) {
-            errors.push_back(
-                "autoscaler.minReplicas must be >= 1; a cluster cannot "
-                "drain to zero replicas");
-        }
-        if (cluster.autoscaler.maxReplicas <
-            cluster.autoscaler.minReplicas) {
-            std::ostringstream os;
-            os << "autoscaler.maxReplicas ("
-               << cluster.autoscaler.maxReplicas
-               << ") must be >= minReplicas ("
-               << cluster.autoscaler.minReplicas << ")";
-            err(os);
-        }
-        // Below 1 us a period rounds to zero simulated time: a zero
-        // evaluation period re-arms at the same instant forever, and
-        // the demand forecaster needs a positive window.
-        const std::pair<const char *, double> periods[] = {
-            {"eval_period_s", cluster.autoscaler.evalPeriodSeconds},
-            {"forecast_window_s", cluster.autoscaler.forecastWindowSeconds},
-        };
-        for (const auto &[key, seconds] : periods) {
-            if (seconds >= 1e-6)
-                continue;
-            std::ostringstream os;
-            os << "cluster.autoscaler." << key << " must be at least 1 us "
-               << "(got " << seconds << " s)";
-            err(os);
-        }
-        if (!(cluster.autoscaler.lowWatermark <
-              cluster.autoscaler.highWatermark)) {
-            std::ostringstream os;
-            os << "cluster.autoscaler.high_watermark ("
-               << cluster.autoscaler.highWatermark
-               << ") must exceed low_watermark ("
-               << cluster.autoscaler.lowWatermark << ")";
-            err(os);
-        }
-        if (cluster.autoscaler.bootMs < 0.0) {
-            std::ostringstream os;
-            os << "autoscaler.bootMs must be >= 0 (got "
-               << cluster.autoscaler.bootMs
-               << "); 0 disables the cold-start model";
-            err(os);
-        }
-        if (cluster.autoscaler.measuredRateAlpha < 0.0 ||
-            cluster.autoscaler.measuredRateAlpha > 1.0) {
-            std::ostringstream os;
-            os << "autoscaler.measuredRateAlpha must be within [0, 1] "
-               << "(got " << cluster.autoscaler.measuredRateAlpha
-               << "); 0 keeps the static nominal rates";
-            err(os);
-        }
-    }
+    const char *migration = fabric::migrationPolicyName(fabric.migration);
+    const char *off =
+        fabric::migrationPolicyName(fabric::MigrationPolicy::Off);
+    if (fabric.enabled() && !cached)
+        err("fabric.migration=", migration, " needs peer admission, which "
+            "only the chameleon cache offers; set adapters.policy=",
+            cache, " (got ", adapterPolicy, ") or fabric.migration=", off);
+    if (fabric.enabled() && cluster.replicas <= 1 && !cluster.autoscale)
+        err("fabric.migration=", migration, " needs peers: set "
+            "cluster.replicas > 1 or cluster.autoscale=true (or "
+            "fabric.migration=", off, ")");
+    const auto &scaler = cluster.autoscaler;
+    if (cluster.autoscale && scaler.maxReplicas < scaler.minReplicas)
+        err("cluster.autoscaler.max_replicas (", scaler.maxReplicas,
+            ") must be >= cluster.autoscaler.min_replicas (",
+            scaler.minReplicas, ")");
+    if (cluster.autoscale && !(scaler.lowWatermark < scaler.highWatermark))
+        err("cluster.autoscaler.high_watermark (", scaler.highWatermark,
+            ") must exceed cluster.autoscaler.low_watermark (",
+            scaler.lowWatermark, ")");
     return errors;
 }
 

@@ -24,6 +24,7 @@
 #include "routing/autoscaler.h"
 #include "routing/router.h"
 #include "serving/engine.h"
+#include "simkit/name_table.h"
 #include "simkit/time.h"
 
 namespace chameleon::core {
@@ -59,20 +60,53 @@ enum class ReservationPolicy {
     Predicted, ///< Input + predicted output (Chameleon admission).
 };
 
-const char *schedulerPolicyName(SchedulerPolicy policy);
-const char *adapterPolicyName(AdapterPolicy policy);
-const char *evictionPolicyName(EvictionKind policy);
-const char *reservationPolicyName(ReservationPolicy policy);
+/** Each axis enum's names: the name and the parser (false on an
+ * unknown name) of each read its table. */
+const sim::NameTable<SchedulerPolicy> &schedulerPolicyTable();
+const sim::NameTable<AdapterPolicy> &adapterPolicyTable();
+const sim::NameTable<EvictionKind> &evictionPolicyTable();
+const sim::NameTable<ReservationPolicy> &reservationPolicyTable();
 
-/** Parse canonical policy names; return false on unknown names. */
-bool schedulerPolicyByName(const std::string &name, SchedulerPolicy *out);
-bool adapterPolicyByName(const std::string &name, AdapterPolicy *out);
-bool evictionPolicyByName(const std::string &name, EvictionKind *out);
-bool reservationPolicyByName(const std::string &name,
-                             ReservationPolicy *out);
-
-/** All eviction policies, for registry/bench enumeration. */
-const std::vector<EvictionKind> &allEvictionPolicies();
+inline const char *
+schedulerPolicyName(SchedulerPolicy policy)
+{
+    return schedulerPolicyTable().name(policy);
+}
+inline const char *
+adapterPolicyName(AdapterPolicy policy)
+{
+    return adapterPolicyTable().name(policy);
+}
+inline const char *
+evictionPolicyName(EvictionKind policy)
+{
+    return evictionPolicyTable().name(policy);
+}
+inline const char *
+reservationPolicyName(ReservationPolicy policy)
+{
+    return reservationPolicyTable().name(policy);
+}
+inline bool
+schedulerPolicyByName(const std::string &name, SchedulerPolicy *out)
+{
+    return schedulerPolicyTable().byName(name, out);
+}
+inline bool
+adapterPolicyByName(const std::string &name, AdapterPolicy *out)
+{
+    return adapterPolicyTable().byName(name, out);
+}
+inline bool
+evictionPolicyByName(const std::string &name, EvictionKind *out)
+{
+    return evictionPolicyTable().byName(name, out);
+}
+inline bool
+reservationPolicyByName(const std::string &name, ReservationPolicy *out)
+{
+    return reservationPolicyTable().byName(name, out);
+}
 
 /** Output-length predictor axis. */
 struct PredictorSpec

@@ -53,29 +53,14 @@ WrsCalculator::compute(std::int64_t inputTokens,
     CHM_PANIC("unknown WRS form");
 }
 
-const char *
-wrsFormName(WrsForm form)
+const sim::NameTable<WrsForm> &
+wrsFormTable()
 {
-    switch (form) {
-      case WrsForm::Degree2: return "degree2";
-      case WrsForm::Degree1: return "degree1";
-      case WrsForm::OutputOnly: return "output-only";
-    }
-    return "?";
-}
-
-bool
-wrsFormByName(const std::string &name, WrsForm *out)
-{
-    if (name == "degree2")
-        *out = WrsForm::Degree2;
-    else if (name == "degree1")
-        *out = WrsForm::Degree1;
-    else if (name == "output-only")
-        *out = WrsForm::OutputOnly;
-    else
-        return false;
-    return true;
+    static const sim::NameTable<WrsForm> table{
+        {WrsForm::Degree2, "degree2"},
+        {WrsForm::Degree1, "degree1"},
+        {WrsForm::OutputOnly, "output-only"}};
+    return table;
 }
 
 } // namespace chameleon::core

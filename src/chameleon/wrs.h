@@ -20,6 +20,7 @@
 #include <string>
 
 #include "model/adapter.h"
+#include "simkit/name_table.h"
 
 namespace chameleon::core {
 
@@ -30,10 +31,19 @@ enum class WrsForm {
     OutputOnly, ///< Predicted output only (the uServe-style knob, §5.4.1).
 };
 
-/** Canonical name ("degree2" | "degree1" | "output-only"). */
-const char *wrsFormName(WrsForm form);
-/** Parse a form name; returns false on unknown names. */
-bool wrsFormByName(const std::string &name, WrsForm *out);
+/** The forms' names ("degree2" | "degree1" | "output-only"): the
+ * name and the parser (false on an unknown name) read it. */
+const sim::NameTable<WrsForm> &wrsFormTable();
+inline const char *
+wrsFormName(WrsForm form)
+{
+    return wrsFormTable().name(form);
+}
+inline bool
+wrsFormByName(const std::string &name, WrsForm *out)
+{
+    return wrsFormTable().byName(name, out);
+}
 
 /** Computes WRS values with running normalisation maxima. */
 class WrsCalculator

@@ -9,41 +9,16 @@ namespace chameleon::fabric {
 
 using model::AdapterId;
 
-const char *
-migrationPolicyName(MigrationPolicy policy)
+const sim::NameTable<MigrationPolicy> &
+migrationPolicyTable()
 {
-    switch (policy) {
-      case MigrationPolicy::Off: return "off";
-      case MigrationPolicy::ScaleUp: return "scale-up";
-      case MigrationPolicy::Drain: return "drain";
-      case MigrationPolicy::Remap: return "remap";
-      case MigrationPolicy::All: return "all";
-    }
-    return "?";
-}
-
-bool
-migrationPolicyByName(const std::string &name, MigrationPolicy *out)
-{
-    if (name == "off")
-        *out = MigrationPolicy::Off;
-    else if (name == "scale-up")
-        *out = MigrationPolicy::ScaleUp;
-    else if (name == "drain")
-        *out = MigrationPolicy::Drain;
-    else if (name == "remap")
-        *out = MigrationPolicy::Remap;
-    else if (name == "all")
-        *out = MigrationPolicy::All;
-    else
-        return false;
-    return true;
-}
-
-const char *
-migrationPolicyNames()
-{
-    return "off, scale-up, drain, remap, all";
+    static const sim::NameTable<MigrationPolicy> table{
+        {MigrationPolicy::Off, "off"},
+        {MigrationPolicy::ScaleUp, "scale-up"},
+        {MigrationPolicy::Drain, "drain"},
+        {MigrationPolicy::Remap, "remap"},
+        {MigrationPolicy::All, "all"}};
+    return table;
 }
 
 CacheFabric::CacheFabric(sim::Simulator &simulator,

@@ -57,14 +57,24 @@ enum class MigrationPolicy {
     All,     ///< Every trigger.
 };
 
-/** Canonical short name (also accepted by migrationPolicyByName). */
-const char *migrationPolicyName(MigrationPolicy policy);
-
-/** Parse a policy name; returns false on unknown names. */
-bool migrationPolicyByName(const std::string &name, MigrationPolicy *out);
-
-/** Comma-separated policy names, for error messages. */
-const char *migrationPolicyNames();
+/** The policies' short names: the name, the parser (false on an
+ * unknown name) and the list for error messages read it. */
+const sim::NameTable<MigrationPolicy> &migrationPolicyTable();
+inline const char *
+migrationPolicyName(MigrationPolicy policy)
+{
+    return migrationPolicyTable().name(policy);
+}
+inline bool
+migrationPolicyByName(const std::string &name, MigrationPolicy *out)
+{
+    return migrationPolicyTable().byName(name, out);
+}
+inline const char *
+migrationPolicyNames()
+{
+    return migrationPolicyTable().names();
+}
 
 /** Fabric knobs (mirrored by core::FabricSpec / spec JSON). */
 struct FabricConfig

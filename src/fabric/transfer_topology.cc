@@ -4,32 +4,13 @@
 
 namespace chameleon::fabric {
 
-const char *
-topologyName(TopologyKind kind)
+const sim::NameTable<TopologyKind> &
+topologyTable()
 {
-    switch (kind) {
-      case TopologyKind::PciePeer: return "pcie";
-      case TopologyKind::NvLink: return "nvlink";
-    }
-    return "?";
-}
-
-bool
-topologyByName(const std::string &name, TopologyKind *out)
-{
-    if (name == "pcie" || name == "pcie-peer")
-        *out = TopologyKind::PciePeer;
-    else if (name == "nvlink")
-        *out = TopologyKind::NvLink;
-    else
-        return false;
-    return true;
-}
-
-const char *
-topologyNames()
-{
-    return "pcie, nvlink";
+    static const sim::NameTable<TopologyKind> table(
+        {{TopologyKind::PciePeer, "pcie"}, {TopologyKind::NvLink, "nvlink"}},
+        {{TopologyKind::PciePeer, "pcie-peer"}});
+    return table;
 }
 
 namespace {

@@ -28,6 +28,7 @@
 #include <utility>
 
 #include "gpu/peer_link.h"
+#include "simkit/name_table.h"
 #include "simkit/simulator.h"
 #include "simkit/time.h"
 
@@ -39,14 +40,24 @@ enum class TopologyKind {
     NvLink,   ///< NVLink mesh (~240 GB/s, ~20 us setup).
 };
 
-/** Canonical short name (also accepted by topologyByName). */
-const char *topologyName(TopologyKind kind);
-
-/** Parse a topology name; returns false on unknown names. */
-bool topologyByName(const std::string &name, TopologyKind *out);
-
-/** Comma-separated topology names, for error messages. */
-const char *topologyNames();
+/** The presets' short names, with the parse-only "pcie-peer" alias:
+ * the name, the parser and the list for error messages read it. */
+const sim::NameTable<TopologyKind> &topologyTable();
+inline const char *
+topologyName(TopologyKind kind)
+{
+    return topologyTable().name(kind);
+}
+inline bool
+topologyByName(const std::string &name, TopologyKind *out)
+{
+    return topologyTable().byName(name, out);
+}
+inline const char *
+topologyNames()
+{
+    return topologyTable().names();
+}
 
 /** Lazily built per-ordered-pair peer links from one preset. */
 class TransferTopology

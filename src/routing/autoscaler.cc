@@ -8,35 +8,14 @@
 
 namespace chameleon::routing {
 
-const char *
-scaleUpPolicyName(ScaleUpPolicy policy)
+const sim::NameTable<ScaleUpPolicy> &
+scaleUpPolicyTable()
 {
-    switch (policy) {
-      case ScaleUpPolicy::Default: return "default";
-      case ScaleUpPolicy::Cheapest: return "cheapest";
-      case ScaleUpPolicy::Fastest: return "fastest";
-    }
-    return "?";
-}
-
-bool
-scaleUpPolicyByName(const std::string &name, ScaleUpPolicy *out)
-{
-    if (name == "default")
-        *out = ScaleUpPolicy::Default;
-    else if (name == "cheapest")
-        *out = ScaleUpPolicy::Cheapest;
-    else if (name == "fastest")
-        *out = ScaleUpPolicy::Fastest;
-    else
-        return false;
-    return true;
-}
-
-const char *
-scaleUpPolicyNames()
-{
-    return "default, cheapest, fastest";
+    static const sim::NameTable<ScaleUpPolicy> table{
+        {ScaleUpPolicy::Default, "default"},
+        {ScaleUpPolicy::Cheapest, "cheapest"},
+        {ScaleUpPolicy::Fastest, "fastest"}};
+    return table;
 }
 
 Autoscaler::Autoscaler(AutoscalerConfig config)

@@ -38,6 +38,7 @@
 #include <string>
 
 #include "predict/load_predictor.h"
+#include "simkit/name_table.h"
 #include "simkit/time.h"
 
 namespace chameleon::obs {
@@ -62,14 +63,24 @@ enum class ScaleUpPolicy {
     Fastest,
 };
 
-/** Canonical short name (also accepted by scaleUpPolicyByName). */
-const char *scaleUpPolicyName(ScaleUpPolicy policy);
-
-/** Parse a policy name; returns false on unknown names. */
-bool scaleUpPolicyByName(const std::string &name, ScaleUpPolicy *out);
-
-/** Comma-separated policy names, for error messages. */
-const char *scaleUpPolicyNames();
+/** The policies' short names: the name, the parser (false on an
+ * unknown name) and the list for error messages read it. */
+const sim::NameTable<ScaleUpPolicy> &scaleUpPolicyTable();
+inline const char *
+scaleUpPolicyName(ScaleUpPolicy policy)
+{
+    return scaleUpPolicyTable().name(policy);
+}
+inline bool
+scaleUpPolicyByName(const std::string &name, ScaleUpPolicy *out)
+{
+    return scaleUpPolicyTable().byName(name, out);
+}
+inline const char *
+scaleUpPolicyNames()
+{
+    return scaleUpPolicyTable().names();
+}
 
 /** Watermarks, bounds and cadence of the autoscaler. */
 struct AutoscalerConfig

@@ -12,41 +12,18 @@
 
 namespace chameleon::routing {
 
-const char *
-routerPolicyName(RouterPolicy policy)
+const sim::NameTable<RouterPolicy> &
+routerPolicyTable()
 {
-    switch (policy) {
-      case RouterPolicy::RoundRobin: return "rr";
-      case RouterPolicy::JoinShortestQueue: return "jsq";
-      case RouterPolicy::PowerOfTwoChoices: return "p2c";
-      case RouterPolicy::AdapterAffinity: return "affinity";
-      case RouterPolicy::AdapterAffinityDirectory: return "affinity-dir";
-    }
-    return "?";
-}
-
-const char *
-routerPolicyNames()
-{
-    return "rr, jsq, p2c, affinity, affinity-dir";
-}
-
-bool
-routerPolicyByName(const std::string &name, RouterPolicy *out)
-{
-    if (name == "rr" || name == "round-robin")
-        *out = RouterPolicy::RoundRobin;
-    else if (name == "jsq")
-        *out = RouterPolicy::JoinShortestQueue;
-    else if (name == "p2c")
-        *out = RouterPolicy::PowerOfTwoChoices;
-    else if (name == "affinity")
-        *out = RouterPolicy::AdapterAffinity;
-    else if (name == "affinity-dir" || name == "affinity-cache")
-        *out = RouterPolicy::AdapterAffinityDirectory;
-    else
-        return false;
-    return true;
+    static const sim::NameTable<RouterPolicy> table(
+        {{RouterPolicy::RoundRobin, "rr"},
+         {RouterPolicy::JoinShortestQueue, "jsq"},
+         {RouterPolicy::PowerOfTwoChoices, "p2c"},
+         {RouterPolicy::AdapterAffinity, "affinity"},
+         {RouterPolicy::AdapterAffinityDirectory, "affinity-dir"}},
+        {{RouterPolicy::RoundRobin, "round-robin"},
+         {RouterPolicy::AdapterAffinityDirectory, "affinity-cache"}});
+    return table;
 }
 
 namespace {

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "model/adapter.h"
+#include "simkit/name_table.h"
 #include "workload/request.h"
 
 namespace chameleon::obs {
@@ -137,14 +138,24 @@ enum class RouterPolicy {
     AdapterAffinityDirectory,
 };
 
-/** Canonical short name (also accepted by routerPolicyByName). */
-const char *routerPolicyName(RouterPolicy policy);
-
-/** Parse a policy name or alias; returns false on unknown names. */
-bool routerPolicyByName(const std::string &name, RouterPolicy *out);
-
-/** Comma-separated policy names, for error messages. */
-const char *routerPolicyNames();
+/** The policies' short names, with the parse-only "round-robin" and
+ * "affinity-cache" aliases; the three wrappers below read it. */
+const sim::NameTable<RouterPolicy> &routerPolicyTable();
+inline const char *
+routerPolicyName(RouterPolicy policy)
+{
+    return routerPolicyTable().name(policy);
+}
+inline bool
+routerPolicyByName(const std::string &name, RouterPolicy *out)
+{
+    return routerPolicyTable().byName(name, out);
+}
+inline const char *
+routerPolicyNames()
+{
+    return routerPolicyTable().names();
+}
 
 /** Knobs shared by the stochastic and affinity policies. */
 struct RouterConfig

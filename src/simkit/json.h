@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "simkit/name_table.h"
+
 namespace chameleon::sim {
 
 /** One JSON value; objects keep their members in insertion order. */
@@ -148,19 +150,19 @@ class JsonObjectReader
     bool getUint64(const std::string &key, std::uint64_t *out);
     bool getString(const std::string &key, std::string *out);
 
-    /** Parse a named enum via `byName`; lists `known` on failure. */
-    template <typename Enum, typename ByName>
-    bool getEnum(const std::string &key, Enum *out, ByName byName,
-                 const std::string &known)
+    /** Parse an enum by name; lists the table's names on failure. */
+    template <typename Enum>
+    bool getEnum(const std::string &key, Enum *out,
+                 const NameTable<Enum> &names)
     {
         const JsonValue *v = consume(key);
         if (v == nullptr)
             return ok_;
         if (!v->isString())
             return fail(key, typeMessage("a string", *v));
-        if (!byName(v->asString(), out))
+        if (!names.byName(v->asString(), out))
             return fail(key, "unknown value \"" + v->asString() +
-                                 "\"; known: " + known);
+                                 "\"; known: " + names.names());
         return true;
     }
 

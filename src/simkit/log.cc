@@ -1,25 +1,24 @@
 #include "simkit/log.h"
 
+#include <cctype>
 #include <cstdio>
 
 namespace chameleon::sim {
 
 namespace {
 LogLevel g_level = LogLevel::Warn;
-
-const char *
-levelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Error: return "ERROR";
-      case LogLevel::Warn: return "WARN";
-      case LogLevel::Info: return "INFO";
-      case LogLevel::Debug: return "DEBUG";
-      case LogLevel::Trace: return "TRACE";
-    }
-    return "?";
-}
 } // namespace
+
+const NameTable<LogLevel> &
+logLevelTable()
+{
+    static const NameTable<LogLevel> table{{LogLevel::Error, "error"},
+                                           {LogLevel::Warn, "warn"},
+                                           {LogLevel::Info, "info"},
+                                           {LogLevel::Debug, "debug"},
+                                           {LogLevel::Trace, "trace"}};
+    return table;
+}
 
 void
 setLogLevel(LogLevel level)
@@ -36,31 +35,10 @@ logLevel()
 void
 logMessage(LogLevel level, const std::string &msg)
 {
-    std::fprintf(stderr, "[%s] %s\n", levelName(level), msg.c_str());
-}
-
-bool
-logLevelByName(const std::string &name, LogLevel *out)
-{
-    if (name == "error")
-        *out = LogLevel::Error;
-    else if (name == "warn")
-        *out = LogLevel::Warn;
-    else if (name == "info")
-        *out = LogLevel::Info;
-    else if (name == "debug")
-        *out = LogLevel::Debug;
-    else if (name == "trace")
-        *out = LogLevel::Trace;
-    else
-        return false;
-    return true;
-}
-
-const char *
-logLevelNames()
-{
-    return "error, warn, info, debug, trace";
+    std::string tag = logLevelTable().name(level);
+    for (char &c : tag)
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    std::fprintf(stderr, "[%s] %s\n", tag.c_str(), msg.c_str());
 }
 
 } // namespace chameleon::sim

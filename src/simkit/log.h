@@ -13,6 +13,8 @@
 #include <sstream>
 #include <string>
 
+#include "simkit/name_table.h"
+
 namespace chameleon::sim {
 
 /** Severity levels, increasing verbosity. */
@@ -27,14 +29,19 @@ LogLevel logLevel();
 /** Emit a message at the given level (used by the macros below). */
 void logMessage(LogLevel level, const std::string &msg);
 
-/**
- * Parse a level from its lowercase name ("error", "warn", "info",
- * "debug", "trace"). Returns false (out untouched) on unknown names.
- */
-bool logLevelByName(const std::string &name, LogLevel *out);
-
-/** The names logLevelByName accepts, for flag help/error messages. */
-const char *logLevelNames();
+/** The levels' lowercase names ("error" ... "trace"): the parser
+ * (false on an unknown name) and the list for flag help read it. */
+const NameTable<LogLevel> &logLevelTable();
+inline bool
+logLevelByName(const std::string &name, LogLevel *out)
+{
+    return logLevelTable().byName(name, out);
+}
+inline const char *
+logLevelNames()
+{
+    return logLevelTable().names();
+}
 
 } // namespace chameleon::sim
 

@@ -91,9 +91,9 @@ randomSpec(sim::Rng &rng)
 
     if (rng.nextBelow(2)) {
         spec.adapters.policy = core::AdapterPolicy::ChameleonCache;
-        const auto &evictions = core::allEvictionPolicies();
-        spec.adapters.eviction = evictions[rng.nextBelow(
-            evictions.size())];
+        const auto &evictions = core::evictionPolicyTable().entries();
+        spec.adapters.eviction =
+            evictions[rng.nextBelow(evictions.size())].value;
         if (rng.nextBelow(2)) {
             spec.adapters.predictivePrefetch = true;
             spec.adapters.prefetchTopK = 1 + rng.nextBelow(16);
@@ -279,12 +279,14 @@ TEST(SpecJson, RejectsMalformedAutoscalerRealismKnobs)
     const auto negativeBoot = parseError(
         R"({"cluster": {"replicas": 2, "autoscale": true,)"
         R"( "autoscaler": {"boot_ms": -1}}})");
-    EXPECT_NE(negativeBoot.find("bootMs"), std::string::npos)
+    EXPECT_NE(negativeBoot.find("cluster.autoscaler.boot_ms"),
+              std::string::npos)
         << negativeBoot;
     const auto alpha = parseError(
         R"({"cluster": {"replicas": 2, "autoscale": true,)"
         R"( "autoscaler": {"measured_rate_alpha": 1.5}}})");
-    EXPECT_NE(alpha.find("measuredRateAlpha"), std::string::npos)
+    EXPECT_NE(alpha.find("cluster.autoscaler.measured_rate_alpha"),
+              std::string::npos)
         << alpha;
 }
 
@@ -680,7 +682,7 @@ TEST(SpecValidate, ReplicaOverridesMustMatchTheReplicaCount)
     spec.cluster.replicaEngines = {spec.engine, spec.engine};
     const auto errors = spec.validate();
     ASSERT_EQ(errors.size(), 1u);
-    EXPECT_NE(errors[0].find("replicaEngines"), std::string::npos)
+    EXPECT_NE(errors[0].find("cluster.replicas"), std::string::npos)
         << errors[0];
     EXPECT_NE(errors[0].find("one override per replica"),
               std::string::npos)
@@ -691,7 +693,7 @@ TEST(SpecValidate, ReplicaOverridesMustMatchTheReplicaCount)
     spec.cluster.replicaEngines[1].tpDegree = 0;
     const auto tpErrors = spec.validate();
     ASSERT_EQ(tpErrors.size(), 1u);
-    EXPECT_NE(tpErrors[0].find("replicaEngines[1].tpDegree"),
+    EXPECT_NE(tpErrors[0].find("cluster.replicas[1].tp_degree"),
               std::string::npos)
         << tpErrors[0];
 }
@@ -745,7 +747,7 @@ TEST(SpecValidate, MigrationNeedsPeers)
     spec.fabric.migration = fabric::MigrationPolicy::All;
     const auto errors = spec.validate();
     ASSERT_EQ(errors.size(), 1u);
-    EXPECT_NE(errors[0].find("fabric.migration 'all' needs peers"),
+    EXPECT_NE(errors[0].find("fabric.migration=all needs peers"),
               std::string::npos)
         << errors[0];
     spec.cluster.replicas = 2;
@@ -807,17 +809,29 @@ guardError(const std::vector<std::string> &args)
     return error;
 }
 
-/** Every non-object node of a dump, as (dotted path, value). */
+/**
+ * Every non-object node of a dump, as (dotted path, value). With
+ * `intoArrays`, a non-empty array is walked too, its entries at
+ * "path[i]", so number lists and per-replica engines yield one leaf per
+ * number.
+ */
 void
 collectLeaves(const sim::JsonValue &node, const std::string &path,
-              core::SpecOverrides *out)
+              core::SpecOverrides *out, bool intoArrays = false)
 {
+    if (intoArrays && node.isArray() && !node.items().empty()) {
+        for (std::size_t i = 0; i < node.items().size(); ++i)
+            collectLeaves(node.items()[i],
+                          path + "[" + std::to_string(i) + "]", out, true);
+        return;
+    }
     if (!node.isObject()) {
         out->emplace_back(path, node);
         return;
     }
     for (const auto &[key, child] : node.members())
-        collectLeaves(child, path.empty() ? key : path + "." + key, out);
+        collectLeaves(child, path.empty() ? key : path + "." + key, out,
+                      intoArrays);
 }
 
 } // namespace
@@ -908,7 +922,9 @@ TEST(SpecOverride, ValidateFailureIsReported)
         {"cluster.autoscale=true", "cluster.autoscaler.min_replicas=4",
          "cluster.autoscaler.max_replicas=2"});
     EXPECT_NE(error.find("fails validation"), std::string::npos) << error;
-    EXPECT_NE(error.find("maxReplicas"), std::string::npos) << error;
+    EXPECT_NE(error.find("cluster.autoscaler.max_replicas"),
+              std::string::npos)
+        << error;
 
     const auto peers = overrideError({"fabric.migration=all"});
     EXPECT_NE(peers.find("needs peers"), std::string::npos) << peers;
@@ -1008,13 +1024,18 @@ TEST(SpecOverride, SettingEveryDumpedLeafToItselfKeepsRandomSpecs)
     sim::Rng rng(0x5E7);
     for (int i = 0; i < 100; ++i) {
         const auto spec = randomSpec(rng);
-        core::SpecOverrides leaves;
-        collectLeaves(core::specToJsonValue(spec), "", &leaves);
-        ASSERT_GT(leaves.size(), 60u);
-        std::string error;
-        const auto back = core::applySpecOverrides(spec, leaves, &error);
-        ASSERT_TRUE(back.has_value()) << "iteration " << i << ": " << error;
-        EXPECT_EQ(*back, spec) << "iteration " << i;
+        // Whole arrays as values, then each array entry by its index.
+        for (const bool intoArrays : {false, true}) {
+            core::SpecOverrides leaves;
+            collectLeaves(core::specToJsonValue(spec), "", &leaves,
+                          intoArrays);
+            ASSERT_GT(leaves.size(), 60u);
+            std::string error;
+            const auto back = core::applySpecOverrides(spec, leaves, &error);
+            ASSERT_TRUE(back.has_value())
+                << "iteration " << i << ": " << error;
+            EXPECT_EQ(*back, spec) << "iteration " << i;
+        }
     }
 }
 
@@ -1162,8 +1183,6 @@ TEST(SpecEquality, DistinguishesEveryAxis)
     // Every dumped leaf: perturb it through the override path and
     // assert operator== sees the change.
     const std::vector<std::string> skipped = {
-        "predictor.kind",              // free string; validate() wants
-                                       // "bert" or "history"
         "adapters.predictive_prefetch", // needs prefetch_top_k > 0
         "adapters.prefetch_top_k",      // needs predictive_prefetch
         "fabric.migration",             // needs peers
@@ -1193,22 +1212,19 @@ TEST(SpecEquality, DistinguishesEveryAxis)
 
 namespace {
 
-/** Does `error` name the leaf at `path` (as its path or as a member)? */
+/** Does `error` name the leaf at exactly `path` (not a longer path)? */
 bool
 namesLeaf(const std::string &error, const std::string &path)
 {
-    std::string member;
-    bool upper = false;
-    for (const char c : path.substr(path.rfind('.') + 1)) {
-        if (c == '_') {
-            upper = true;
-            continue;
-        }
-        member += upper ? static_cast<char>(std::toupper(c)) : c;
-        upper = false;
+    for (std::size_t at = error.find(path); at != std::string::npos;
+         at = error.find(path, at + 1)) {
+        const std::size_t end = at + path.size();
+        if (end == error.size() ||
+            (!std::isalnum(static_cast<unsigned char>(error[end])) &&
+             std::string("_.[").find(error[end]) == std::string::npos))
+            return true;
     }
-    return error.find(path) != std::string::npos ||
-           error.find(member) != std::string::npos;
+    return false;
 }
 
 } // namespace
@@ -1216,11 +1232,15 @@ namesLeaf(const std::string &error, const std::string &path)
 TEST(SpecMutation, ZeroOrNegativeLeavesAreRejectedOrRunToCompletion)
 {
     std::string error;
+    // Per-replica engines and per-tenant lists, so the walk reaches
+    // array entries ("cluster.replicas[1].max_running",
+    // "tenancy.weights[0]") as well as object members.
     const auto base = core::applySpecOverrides(
         testbedChameleon(),
-        sets({"cluster.replicas=2", "cluster.router=affinity-dir",
+        sets({"cluster.fleet=a40x2", "cluster.router=affinity-dir",
               "fabric.migration=all", "cluster.autoscale=true",
-              "cluster.autoscaler.max_replicas=4"}),
+              "cluster.autoscaler.max_replicas=4", "tenancy.tenants=2",
+              "tenancy.weights=[1,2]", "tenancy.slo_multipliers=[1,2]"}),
         &error);
     ASSERT_TRUE(base.has_value()) << error;
 
@@ -1235,8 +1255,10 @@ TEST(SpecMutation, ZeroOrNegativeLeavesAreRejectedOrRunToCompletion)
     const workload::Trace trace(std::vector<workload::Request>(
         generated.requests().begin(), generated.requests().begin() + 20));
 
-    core::SpecOverrides leaves;
-    collectLeaves(core::specToJsonValue(*base), "", &leaves);
+    // The replica count itself, which the array form replaces.
+    core::SpecOverrides leaves = {
+        {"cluster.replicas", sim::JsonValue::makeInt(2)}};
+    collectLeaves(core::specToJsonValue(*base), "", &leaves, true);
     int rejected = 0;
     int ran = 0;
     for (const auto &[path, value] : leaves) {
@@ -1257,6 +1279,6 @@ TEST(SpecMutation, ZeroOrNegativeLeavesAreRejectedOrRunToCompletion)
         }
     }
     // Both outcomes occur: the walk reached the leaves.
-    EXPECT_GT(rejected, 20);
-    EXPECT_GT(ran, 20);
+    EXPECT_GT(rejected, 100);
+    EXPECT_GT(ran, 100);
 }

@@ -240,7 +240,7 @@ TEST(SweepExpand, InvalidAutoscalerTemplateNamesTheCell)
         << error;
     EXPECT_NE(error.find("cluster.autoscale=true"), std::string::npos)
         << error;
-    EXPECT_NE(error.find("maxReplicas"), std::string::npos) << error;
+    EXPECT_NE(error.find("cluster.autoscaler.max_replicas"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------

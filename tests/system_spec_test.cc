@@ -6,7 +6,9 @@
  *    bit-identical seeded stats to the new SystemSpec path;
  *  - registry round-trip (name -> spec -> name) and the composition
  *    grammar;
- *  - SystemSpec::validate() rejections with actionable messages.
+ *  - SystemSpec::validate() rejections with actionable messages;
+ *  - every enum's name table: names and aliases parse back to their
+ *    values, and the names list holds no alias.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "serving/fifo_scheduler.h"
 #include "serving/sjf_scheduler.h"
 #include "serving/slora_adapter_manager.h"
+#include "simkit/log.h"
 #include "workload/trace_gen.h"
 
 using namespace chameleon;
@@ -408,8 +411,9 @@ TEST(SpecValidation, RejectsNonPositiveChunkSize)
     auto spec = core::presets::sloraChunked();
     spec.chunkTokens = 0;
     EXPECT_TRUE(hasErrorContaining(spec, "non-positive chunk size"));
+    EXPECT_TRUE(hasErrorContaining(spec, "chunk_tokens must be > 0"));
     spec.chunkTokens = -64;
-    EXPECT_TRUE(hasErrorContaining(spec, "non-positive chunk size"));
+    EXPECT_TRUE(hasErrorContaining(spec, "chunk_tokens must be > 0"));
 }
 
 TEST(SpecValidation, RejectsPrefetchTopKWithoutPrefetch)
@@ -417,10 +421,11 @@ TEST(SpecValidation, RejectsPrefetchTopKWithoutPrefetch)
     auto spec = core::presets::chameleon();
     spec.adapters.prefetchTopK = 8; // but predictivePrefetch is false
     EXPECT_TRUE(hasErrorContaining(spec, "without prefetch enabled"));
+    EXPECT_TRUE(hasErrorContaining(spec, "adapters.prefetch_top_k=8"));
 
     auto zero = core::presets::chameleonPrefetch();
     zero.adapters.prefetchTopK = 0;
-    EXPECT_TRUE(hasErrorContaining(zero, "prefetchTopK"));
+    EXPECT_TRUE(hasErrorContaining(zero, "adapters.prefetch_top_k=0"));
 }
 
 TEST(SpecValidation, RejectsEvictionWithoutCache)
@@ -428,6 +433,9 @@ TEST(SpecValidation, RejectsEvictionWithoutCache)
     auto spec = core::presets::slora();
     spec.adapters.eviction = core::EvictionKind::Gdsf;
     EXPECT_TRUE(hasErrorContaining(spec, "requires the chameleon cache"));
+    EXPECT_TRUE(hasErrorContaining(spec, "adapters.eviction=gdsf"));
+    EXPECT_TRUE(
+        hasErrorContaining(spec, "set adapters.policy=chameleon-cache"));
     // The same spec with the cache enabled is fine.
     spec.adapters.policy = core::AdapterPolicy::ChameleonCache;
     EXPECT_TRUE(spec.validate().empty());
@@ -437,10 +445,12 @@ TEST(SpecValidation, RejectsBadPredictor)
 {
     auto spec = core::presets::chameleon();
     spec.predictor.kind = "crystal-ball";
-    EXPECT_TRUE(hasErrorContaining(spec, "unknown predictor kind"));
+    EXPECT_TRUE(hasErrorContaining(
+        spec, "predictor.kind: unknown value \"crystal-ball\""));
     spec.predictor.kind = "bert";
     spec.predictor.accuracy = 1.5;
-    EXPECT_TRUE(hasErrorContaining(spec, "accuracy"));
+    EXPECT_TRUE(hasErrorContaining(
+        spec, "predictor.accuracy must be within [0, 1] (got 1.5)"));
 }
 
 TEST(SpecValidation, RejectsBadAutoscalerBounds)
@@ -449,7 +459,7 @@ TEST(SpecValidation, RejectsBadAutoscalerBounds)
     spec.cluster.autoscale = true;
     spec.cluster.autoscaler.minReplicas = 4;
     spec.cluster.autoscaler.maxReplicas = 2;
-    EXPECT_TRUE(hasErrorContaining(spec, "maxReplicas"));
+    EXPECT_TRUE(hasErrorContaining(spec, "cluster.autoscaler.max_replicas"));
 }
 
 TEST(SpecValidation, CollectsEveryProblemAtOnce)
@@ -459,4 +469,81 @@ TEST(SpecValidation, CollectsEveryProblemAtOnce)
     spec.predictor.kind = "nope";
     spec.adapters.prefetchTopK = 4;
     EXPECT_GE(spec.validate().size(), 3u);
+}
+
+// ---------------------------------------------------------------------
+// Enum name tables.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** `table`'s names print, parse and list consistently. */
+template <class E>
+void
+expectConsistentNames(const sim::NameTable<E> &table,
+                      const std::string &names)
+{
+    std::string listed;
+    for (const auto &entry : table.entries()) {
+        EXPECT_STREQ(table.name(entry.value), entry.name);
+        E parsed = table.entries().back().value;
+        EXPECT_TRUE(table.byName(table.name(entry.value), &parsed))
+            << entry.name;
+        EXPECT_EQ(parsed, entry.value) << entry.name;
+        listed += (listed.empty() ? "" : ", ") + std::string(entry.name);
+    }
+    EXPECT_EQ(listed, table.names());
+    EXPECT_EQ(names, table.names());
+    for (const auto &alias : table.aliases()) {
+        E parsed = table.entries().front().value;
+        EXPECT_TRUE(table.byName(alias.name, &parsed)) << alias.name;
+        EXPECT_EQ(parsed, alias.value) << alias.name;
+        EXPECT_STRNE(table.name(alias.value), alias.name);
+        EXPECT_EQ((", " + listed + ", ").find(", " + std::string(alias.name) +
+                                              ", "),
+                  std::string::npos)
+            << alias.name;
+    }
+    E untouched = table.entries().front().value;
+    EXPECT_FALSE(table.byName("bogus", &untouched));
+    EXPECT_EQ(untouched, table.entries().front().value);
+}
+
+} // namespace
+
+TEST(EnumNames, EveryTableRoundTripsAndListsNoAlias)
+{
+    expectConsistentNames(core::schedulerPolicyTable(),
+                          "fifo, sjf, mlq, wfq, drr");
+    expectConsistentNames(core::adapterPolicyTable(),
+                          "on-demand, slora, chameleon-cache");
+    expectConsistentNames(core::evictionPolicyTable(),
+                          "chameleon, lru, fairshare, gdsf");
+    expectConsistentNames(core::reservationPolicyTable(),
+                          "auto, max-tokens, predicted");
+    expectConsistentNames(core::wrsFormTable(),
+                          "degree2, degree1, output-only");
+    expectConsistentNames(routing::routerPolicyTable(),
+                          routing::routerPolicyNames());
+    expectConsistentNames(routing::scaleUpPolicyTable(),
+                          routing::scaleUpPolicyNames());
+    expectConsistentNames(fabric::migrationPolicyTable(),
+                          fabric::migrationPolicyNames());
+    expectConsistentNames(fabric::topologyTable(), fabric::topologyNames());
+    expectConsistentNames(sim::logLevelTable(), sim::logLevelNames());
+
+    // The parse-only aliases and the wrappers over the tables.
+    routing::RouterPolicy router{};
+    EXPECT_TRUE(routing::routerPolicyByName("round-robin", &router));
+    EXPECT_EQ(router, routing::RouterPolicy::RoundRobin);
+    EXPECT_TRUE(routing::routerPolicyByName("affinity-cache", &router));
+    EXPECT_EQ(router, routing::RouterPolicy::AdapterAffinityDirectory);
+    fabric::TopologyKind topology = fabric::TopologyKind::NvLink;
+    EXPECT_TRUE(fabric::topologyByName("pcie-peer", &topology));
+    EXPECT_EQ(topology, fabric::TopologyKind::PciePeer);
+    EXPECT_STREQ(core::evictionPolicyName(core::EvictionKind::Paper),
+                 "chameleon");
+    core::WrsForm form{};
+    EXPECT_TRUE(core::wrsFormByName("output-only", &form));
+    EXPECT_EQ(form, core::WrsForm::OutputOnly);
 }

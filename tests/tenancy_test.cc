@@ -460,13 +460,13 @@ TEST(TenancySpec, ValidateRejectsBadShapes)
     broken = spec;
     broken.tenancy.tenants = 2;
     broken.tenancy.weights = {1.0, 0.0}; // non-positive weight
-    EXPECT_NE(joinErrors(broken.validate()).find("tenancy.weights"),
+    EXPECT_NE(joinErrors(broken.validate()).find("tenancy.weights[1]"),
               std::string::npos);
 
     broken = spec;
     broken.tenancy.drrQuantumTokens = 0;
     EXPECT_NE(
-        joinErrors(broken.validate()).find("tenancy.drrQuantumTokens"),
+        joinErrors(broken.validate()).find("tenancy.drr_quantum_tokens"),
         std::string::npos);
 }
 

@@ -19,6 +19,11 @@
 #    must resolve to a file, from the repository root or from the
 #    commenting file's directory — a doc renamed or never written
 #    fails the build.
+# 7. Each enum row of the spec-keys table (its type column opens with
+#    a backticked `a \| b` list) must list exactly the names the parser
+#    knows: the "known:" list `chameleon_sim --set <key>=<bogus>`
+#    prints — a value added, renamed or dropped without a docs update
+#    fails the build.
 #
 # Usage: tools/check_docs.sh <chameleon_sim-binary> <repo-root> \
 #            [chameleon_sweep-binary]
@@ -137,9 +142,31 @@ done < <(cd "$root" && grep -rnE \
     '^[[:space:]]*(//|/\*|\*|#)|[[:space:]]//' src tools bench |
     grep -E '\.md\b' || true)
 
+# --- 7. Enum rows list the names the parser knows ------------------
+enum_rows=0
+while IFS=$'\t' read -r key values; do
+    enum_rows=$((enum_rows + 1))
+    documented=$(sed 's/ \\| /, /g' <<< "$values")
+    known=$("$bin" --set "$key=not-a-value" --dump-config 2>&1 > /dev/null |
+        sed -n 's/.*; known: //p' | head -n 1 || true)
+    if [ "$known" != "$documented" ]; then
+        echo "FAIL: src/chameleon/README.md lists $key as" \
+             "\"$documented\"; the parser knows \"$known\""
+        fail=1
+    fi
+done < <(awk '/<!-- spec-keys:begin -->/{f=1; next}
+              /<!-- spec-keys:end -->/{f=0} f' \
+        "$root/src/chameleon/README.md" |
+    sed -nE 's/^\| `([^`]+)` \| `([^`]*\\\|[^`]*)`.*/\1\t\2/p')
+if [ "$enum_rows" -eq 0 ]; then
+    echo "FAIL: src/chameleon/README.md spec-keys table has no enum rows"
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "docs freshness OK ($(echo "$registry_names" | wc -l) presets," \
      "$(echo "$dump_keys" | wc -l) spec keys documented," \
+     "$enum_rows enum value lists match the parser," \
      "$md_refs doc paths in comments resolve)"
