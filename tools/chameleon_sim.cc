@@ -46,6 +46,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "chameleon/spec_json.h"
 #include "chameleon/system.h"
@@ -176,6 +177,23 @@ main(int argc, char **argv)
         "stderr log threshold: error|warn|info|debug|trace");
     if (!flags.parse(argc, argv))
         return 2;
+    // A zero rate or duration would abort trace generation, and a
+    // negative adapter count would silently run base-only.
+    const std::pair<const char *, bool> workload_flags[] = {
+        {"--rps must be > 0", *rps > 0.0},
+        {"--duration must be > 0 (seconds)", *duration > 0.0},
+        {"--adapters must be >= 0 (0 = base only)", *adapters >= 0},
+        {"--tenant-storm must be >= 1 (1 disables the storm)",
+         *tenant_storm >= 1.0},
+        {"--slo-multiplier must be >= 0 (0 disables SLO reporting)",
+         *slo_multiplier >= 0.0},
+    };
+    for (const auto &[message, ok] : workload_flags) {
+        if (!ok) {
+            std::fprintf(stderr, "chameleon_sim: %s\n", message);
+            return 2;
+        }
+    }
 
     sim::LogLevel level;
     if (!sim::logLevelByName(*log_level, &level)) {
@@ -274,14 +292,14 @@ main(int argc, char **argv)
     const bool clusterRun =
         spec.cluster.replicas > 1 || spec.cluster.autoscale;
 
-    CHM_CHECK(*tenant_storm >= 1.0,
-              "--tenant-storm must be >= 1 (1 disables the storm)");
-    CHM_CHECK(*tenant_storm <= 1.0 || spec.tenancy.tenants > 1,
-              "--tenant-storm needs more than one tenant (--set "
-              "tenancy.tenants=N, or the config file's tenancy.tenants); "
-              "a storm is one tenant bursting against the others");
-    CHM_CHECK(*slo_multiplier >= 0.0,
-              "--slo-multiplier must be >= 0 (0 disables SLO reporting)");
+    if (*tenant_storm > 1.0 && spec.tenancy.tenants <= 1) {
+        std::fprintf(stderr,
+                     "chameleon_sim: --tenant-storm needs more than one "
+                     "tenant (--set tenancy.tenants=N, or the config "
+                     "file's tenancy.tenants); a storm is one tenant "
+                     "bursting against the others\n");
+        return 2;
+    }
 
     if (*dump_config) {
         // The resolved spec alone reproduces this system: pipe it back
@@ -301,10 +319,14 @@ main(int argc, char **argv)
         trace = workload::Trace::loadCsv(*trace_in);
     } else {
         workload::TraceGenConfig wl;
-        CHM_CHECK(workload::tracePresetByName(*workload_name, &wl),
-                  "unknown --workload \"" << *workload_name
-                                          << "\"; known: "
-                                          << workload::tracePresetNames());
+        if (!workload::tracePresetByName(*workload_name, &wl)) {
+            std::fprintf(stderr,
+                         "chameleon_sim: unknown --workload \"%s\"; "
+                         "known: %s\n",
+                         workload_name->c_str(),
+                         workload::tracePresetNames());
+            return 2;
+        }
         wl.rps = *rps;
         wl.durationSeconds = *duration;
         wl.numAdapters = static_cast<int>(*adapters);
