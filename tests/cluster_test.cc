@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "chameleon/system.h"
+#include "fabric/cache_fabric.h"
 #include "routing/autoscaler.h"
 #include "routing/router.h"
 #include "predict/length_predictor.h"
@@ -778,4 +780,124 @@ TEST(InFlightMemory, OneReplicaSlotsFollowPeakInFlight)
 TEST(InFlightMemory, FourReplicaSlotsFollowPeakInFlight)
 {
     expectSlotsFollowRequestsInFlight(4);
+}
+
+// ---------------------------------------------------------------------
+// Lifecycle invariants: a misordered or out-of-range call aborts,
+// naming the broken rule, instead of corrupting the run.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Routes every request one past the last routable replica. */
+class OutOfRangeRouter : public routing::Router
+{
+  public:
+    const char *name() const override { return "out-of-range"; }
+
+    std::size_t
+    route(const workload::Request &, const routing::ClusterView &view)
+        override
+    {
+        return view.replicaCount();
+    }
+};
+
+/** A small SLoRA cluster over a short trace, built inside each test. */
+struct LifecycleRig
+{
+    sim::Simulator simulator;
+    model::AdapterPool pool{model::llama7B(), 8};
+    predict::LengthPredictor predictor{1.0};
+    workload::Trace trace;
+
+    LifecycleRig()
+    {
+        auto wl = workload::splitwiseLike();
+        wl.rps = 4.0;
+        wl.durationSeconds = 5.0;
+        wl.numAdapters = 8;
+        trace = workload::TraceGenerator(wl, &pool).generate();
+    }
+
+    serving::DataParallelCluster
+    cluster(int replicas, std::unique_ptr<routing::Router> router =
+                              routing::makeRouter(
+                                  routing::RouterPolicy::RoundRobin))
+    {
+        return serving::DataParallelCluster(
+            simulator,
+            [this](std::size_t) {
+                return makeEngine(simulator, pool, predictor);
+            },
+            replicas, std::move(router));
+    }
+};
+
+} // namespace
+
+TEST(ClusterLifecycleDeathTest, ControlPlaneWiringMustPrecedeTheTrace)
+{
+    EXPECT_DEATH(
+        {
+            LifecycleRig rig;
+            auto cluster = rig.cluster(2);
+            cluster.submitTrace(rig.trace);
+            cluster.enableAutoscaler(routing::AutoscalerConfig{}, 0.0);
+        },
+        "enableAutoscaler must precede submitTrace");
+    EXPECT_DEATH(
+        {
+            LifecycleRig rig;
+            auto cluster = rig.cluster(2);
+            cluster.submitTrace(rig.trace);
+            cluster.enableMeasuredRates(0.5);
+        },
+        "enableMeasuredRates must precede submitTrace");
+    EXPECT_DEATH(
+        {
+            LifecycleRig rig;
+            auto cluster = rig.cluster(2);
+            fabric::CacheFabric fabric(rig.simulator, rig.pool, {});
+            cluster.submitTrace(rig.trace);
+            cluster.attachFabric(&fabric);
+        },
+        "attachFabric must precede submitTrace");
+}
+
+TEST(ClusterLifecycleDeathTest, AutoscaledClusterTakesASingleTrace)
+{
+    EXPECT_DEATH(
+        {
+            LifecycleRig rig;
+            auto cluster = rig.cluster(2);
+            cluster.enableAutoscaler(routing::AutoscalerConfig{}, 0.0);
+            cluster.submitTrace(rig.trace);
+            cluster.submitTrace(rig.trace);
+        },
+        "an autoscaled cluster takes a single trace");
+}
+
+TEST(ClusterLifecycleDeathTest, ResizeBelowOneReplicaAborts)
+{
+    EXPECT_DEATH(
+        {
+            LifecycleRig rig;
+            auto cluster = rig.cluster(2);
+            cluster.resize(0);
+        },
+        "cluster cannot resize below one replica");
+}
+
+TEST(ClusterLifecycleDeathTest, RouterPickOutsideTheRoutableSetAborts)
+{
+    EXPECT_DEATH(
+        {
+            LifecycleRig rig;
+            auto cluster =
+                rig.cluster(3, std::make_unique<OutOfRangeRouter>());
+            cluster.submitTrace(rig.trace);
+            rig.simulator.run();
+        },
+        "router returned an inactive replica");
 }
