@@ -27,4 +27,20 @@ makeRecord(const LiveRequest &r)
     return rec;
 }
 
+void
+writeRecordsCsv(std::ostream &out, const std::vector<RequestRecord> &records)
+{
+    out << "id,arrival_s,input,output,adapter,rank,ttft_s,e2e_s,"
+           "queue_delay_s,adapter_stall_ms,wrs,queue,squashes,preempts\n";
+    for (const auto &r : records) {
+        out << r.id << ',' << sim::toSeconds(r.arrival) << ','
+            << r.inputTokens << ',' << r.outputTokens << ',' << r.adapter
+            << ',' << r.rank << ',' << sim::toSeconds(r.ttft) << ','
+            << sim::toSeconds(r.e2e) << ',' << sim::toSeconds(r.queueDelay)
+            << ',' << sim::toMillis(r.adapterStall) << ',' << r.wrs << ','
+            << r.queueIndex << ',' << r.squashCount << ','
+            << r.preemptCount << '\n';
+    }
+}
+
 } // namespace chameleon::serving

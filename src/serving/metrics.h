@@ -7,6 +7,7 @@
 #define CHAMELEON_SERVING_METRICS_H
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "model/adapter.h"
@@ -87,6 +88,14 @@ struct EngineStats
                      : 0.0;
     }
 };
+
+/**
+ * Write records as CSV: a header row, then one row per record in
+ * order (times in seconds, the adapter stall in ms). This is the
+ * `chameleon_sim --records-csv` file.
+ */
+void writeRecordsCsv(std::ostream &out,
+                     const std::vector<RequestRecord> &records);
 
 } // namespace chameleon::serving
 

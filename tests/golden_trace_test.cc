@@ -108,6 +108,24 @@ affinityCache()
     return policy;
 }
 
+/**
+ * The scenarios' trace: one simulated minute at 10 RPS over 40
+ * adapters. A mid-trace burst forces scale-ups; the quiet tail drains
+ * again, so the autoscale scenarios pin both transitions.
+ */
+workload::Trace
+burstTrace(const model::AdapterPool &pool)
+{
+    auto wl = workload::splitwiseLike();
+    wl.rps = 10.0;
+    wl.durationSeconds = 60.0;
+    wl.numAdapters = 40;
+    wl.seed = kSeed;
+    wl.bursts.push_back(workload::Burst{15.0, 35.0, 3.0});
+    workload::TraceGenerator gen(wl, &pool);
+    return gen.generate();
+}
+
 /** One golden scenario: system x router x fleet shape x autoscale,
  * optionally with cache-fabric peer migration on every trigger. */
 Outcome
@@ -143,17 +161,7 @@ runScenario(const std::string &system, routing::RouterPolicy router,
         spec.cluster.autoscaler.downCooldownPeriods = 2;
     }
 
-    auto wl = workload::splitwiseLike();
-    wl.rps = 10.0;
-    wl.durationSeconds = 60.0;
-    wl.numAdapters = 40;
-    wl.seed = kSeed;
-    // A mid-trace burst forces scale-ups; the quiet tail drains again,
-    // so the autoscale scenarios pin both transitions.
-    wl.bursts.push_back(workload::Burst{15.0, 35.0, 3.0});
-    workload::TraceGenerator gen(wl, &pool);
-    const auto trace = gen.generate();
-
+    const auto trace = burstTrace(pool);
     core::Runner runner(spec, &pool);
     const auto report = runner.run(trace);
     // Sanity besides the hash: nothing may be lost or stuck.
@@ -293,11 +301,38 @@ expectTenantGolden(const char *scheduler, int tenants, bool storm,
 }
 
 /**
- * Compare a scenario's report float bits against its pin list, or
- * print the list under CHM_GOLDEN_PRINT.
+ * The hashes of what a run exports besides its event stream: the
+ * metrics snapshot (`--metrics-out`) and the per-request records CSV
+ * (`--records-csv`) of a Chameleon cluster of `replicas` JSQ replicas
+ * on the burst trace.
+ */
+std::vector<std::uint64_t>
+exportHashes(int replicas)
+{
+    model::AdapterPool pool(model::llama7B(), 40);
+    auto spec = core::SystemRegistry::global().lookup("chameleon");
+    spec.engine.model = model::llama7B();
+    spec.engine.gpu = model::a40();
+    spec.cluster.router = routing::RouterPolicy::JoinShortestQueue;
+    spec.cluster.routerConfig.seed = kSeed;
+    spec.predictor.seed = kSeed;
+    spec.cluster.replicas = replicas;
+    const auto trace = burstTrace(pool);
+    core::Runner runner(spec, &pool);
+    const auto report = runner.run(trace);
+    EXPECT_EQ(report.stats.finished,
+              static_cast<std::int64_t>(trace.size()));
+    std::ostringstream csv;
+    serving::writeRecordsCsv(csv, report.stats.records);
+    return {core::fnv1a64(report.metrics.dump()), core::fnv1a64(csv.str())};
+}
+
+/**
+ * Compare a scenario's report values against its pin list, or print
+ * the list under CHM_GOLDEN_PRINT.
  */
 void
-expectReportFloats(const char *scenario,
+expectReportPins(const char *scenario,
                    const std::vector<std::uint64_t> &bits,
                    const std::vector<std::uint64_t> &pinned)
 {
@@ -311,7 +346,7 @@ expectReportFloats(const char *scenario,
         return;
     }
     EXPECT_EQ(bits, pinned)
-        << "report SLO/slowdown doubles diverged for " << scenario
+        << "report values diverged for " << scenario
         << "; if the change is intended, rerun with CHM_GOLDEN_PRINT=1 "
         << "and update the pin (note it in CHANGES.md)";
 }
@@ -558,7 +593,7 @@ TEST(GoldenTrace, FabricKnobsInertWithMigrationOff)
  */
 TEST(GoldenReport, JsqHomogFixed)
 {
-    expectReportFloats(
+    expectReportPins(
         "jsq homog fixed",
         runScenario("chameleon", routing::RouterPolicy::JoinShortestQueue,
                     false, false)
@@ -569,7 +604,7 @@ TEST(GoldenReport, JsqHomogFixed)
 
 TEST(GoldenReport, WfqStormFixed)
 {
-    expectReportFloats("wfq storm4 fixed",
+    expectReportPins("wfq storm4 fixed",
                        runTenantScenario("wfq", 4, true, false).floatBits,
                        {0x4022bb90ea9e6eebull, 0x3ff0000000000000ull, 0x3fe5fe51c4df8466ull,
                         0x401574eff65753ffull, 0x402c4dbacad39ba9ull, 0x3ff0000000000000ull,
@@ -580,7 +615,7 @@ TEST(GoldenReport, WfqStormFixed)
 
 TEST(GoldenReport, DrrStormAutoscale)
 {
-    expectReportFloats("drr storm4 autoscale",
+    expectReportPins("drr storm4 autoscale",
                        runTenantScenario("drr", 4, true, true).floatBits,
                        {0x4022bb90ea9e6eebull, 0x3ff0000000000000ull, 0x3fe5fe51c4df8466ull,
                         0x3ffd3cbb32a5f3baull, 0x400f7512a06fcb2eull, 0x3ff0000000000000ull,
@@ -589,3 +624,22 @@ TEST(GoldenReport, DrrStormAutoscale)
                         0x3ffe8898e447c2d1ull, 0x40146a5721747addull, 0x3ff0000000000000ull});
 }
 // clang-format on
+
+/**
+ * Export pins: {metrics snapshot, records CSV} hashes of a one-replica
+ * run, whose report holds its engine's own stats, and of a 4-replica
+ * run, whose report merges four. The event-stream pins cover neither
+ * the histograms and counters of the snapshot nor the CSV's decimal
+ * text. Regenerate with CHM_GOLDEN_PRINT=1.
+ */
+TEST(GoldenReport, ExportsSingleReplica)
+{
+    expectReportPins("exports single replica", exportHashes(1),
+                       {0x7f3aaf77998e180cull, 0x5989540fe7da1f3eull});
+}
+
+TEST(GoldenReport, ExportsJsqFourReplicas)
+{
+    expectReportPins("exports jsq 4 replicas", exportHashes(4),
+                       {0xdcbf8ece1120fb7full, 0xdb6adf41b8778da5ull});
+}

@@ -79,25 +79,6 @@ listSystems()
     std::printf("\n");
 }
 
-void
-writeRecordsCsv(const std::string &path,
-                const std::vector<serving::RequestRecord> &records)
-{
-    std::ofstream out(path);
-    CHM_CHECK(out.good(), "cannot open " << path);
-    out << "id,arrival_s,input,output,adapter,rank,ttft_s,e2e_s,"
-           "queue_delay_s,adapter_stall_ms,wrs,queue,squashes,preempts\n";
-    for (const auto &r : records) {
-        out << r.id << ',' << sim::toSeconds(r.arrival) << ','
-            << r.inputTokens << ',' << r.outputTokens << ',' << r.adapter
-            << ',' << r.rank << ',' << sim::toSeconds(r.ttft) << ','
-            << sim::toSeconds(r.e2e) << ',' << sim::toSeconds(r.queueDelay)
-            << ',' << sim::toMillis(r.adapterStall) << ',' << r.wrs << ','
-            << r.queueIndex << ',' << r.squashCount << ','
-            << r.preemptCount << '\n';
-    }
-}
-
 /** Was --name (or --name=value) given explicitly on the command line? */
 bool
 flagGiven(int argc, char **argv, const std::string &name)
@@ -533,7 +514,9 @@ main(int argc, char **argv)
     }
 
     if (!records_csv->empty()) {
-        writeRecordsCsv(*records_csv, s.records);
+        std::ofstream out(*records_csv);
+        CHM_CHECK(out.good(), "cannot open " << *records_csv);
+        serving::writeRecordsCsv(out, s.records);
         std::printf("\nper-request records written to %s\n",
                     records_csv->c_str());
     }
