@@ -89,11 +89,11 @@ controlSpec(bench::Testbed &tb, const ControlConfig &control)
 
 /** p99 TTFT (seconds) over requests arriving at/after the load step. */
 double
-postStepP99Ttft(const serving::DataParallelCluster &cluster)
+postStepP99Ttft(const core::RunReport &report)
 {
     std::vector<double> ttfts;
     const sim::SimTime stepStart = sim::fromSeconds(kStepStartSeconds);
-    for (const auto &rec : cluster.mergedRecords()) {
+    for (const auto &rec : report.stats.records) {
         if (rec.arrival >= stepStart)
             ttfts.push_back(sim::toSeconds(rec.ttft));
     }
@@ -146,7 +146,7 @@ main()
         const auto spec = controlSpec(tb, control);
         core::Runner runner(spec, tb.pool.get());
         const auto report = runner.run(trace);
-        const double stepP99 = postStepP99Ttft(runner.cluster());
+        const double stepP99 = postStepP99Ttft(report);
         if (control.name == std::string("static"))
             staticP99 = stepP99;
         if (control.name == std::string("closed"))

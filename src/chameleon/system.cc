@@ -270,18 +270,16 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
     cluster_->finalize();
 
     RunReport report;
+    // The report takes the per-request data; the engines keep their
+    // counters.
+    report.stats = cluster_->mergedStats();
     const auto &engines = cluster_->engines();
     if (engines.size() == 1) {
-        // Keep the engine's full stats object (windowed TTFT and memory
-        // time series) and the per-link rates — merging would drop them.
-        report.stats = engines.front()->stats();
         const auto &link = engines.front()->pcieLink();
         report.pcieUtilisation = link.utilisation();
         report.pcieMeanBytesPerSec = link.bandwidthSeries().meanRate();
         report.pcieMaxBytesPerSec = link.bandwidthSeries().maxRate();
         report.pcieRateSeries = link.bandwidthSeries().ratePerSecond();
-    } else {
-        report.stats = cluster_->mergedStats();
     }
     report.pcieBytes = cluster_->totalPcieBytes();
     report.pcieTransfers = cluster_->totalPcieTransfers();
@@ -468,8 +466,7 @@ class LineBuffer
  * into `sink`. */
 template <typename Sink>
 void
-writeEventStream(const serving::DataParallelCluster &cluster,
-                 const RunReport &report, Sink &sink)
+writeEventStream(const RunReport &report, Sink &sink)
 {
     LineBuffer line;
     line << "finished=" << report.stats.finished
@@ -478,17 +475,14 @@ writeEventStream(const serving::DataParallelCluster &cluster,
          << " peak=" << report.peakReplicas
          << " final_active=" << report.finalActiveReplicas << "\n";
     line.flush(sink);
-    const auto &engines = cluster.engines();
-    for (std::size_t i = 0; i < engines.size(); ++i) {
-        for (const auto &r : engines[i]->stats().records) {
-            line << i << "," << r.id << "," << r.arrival << ","
-                 << r.inputTokens << "," << r.outputTokens << ","
-                 << r.adapter << "," << r.rank << "," << r.ttft << ","
-                 << r.e2e << "," << r.queueDelay << "," << r.adapterStall
-                 << "," << doubleBits(r.wrs) << "," << r.queueIndex << ","
-                 << r.squashCount << "," << r.preemptCount << "\n";
-            line.flush(sink);
-        }
+    for (const auto &r : report.stats.records) {
+        line << r.replica << "," << r.id << "," << r.arrival << ","
+             << r.inputTokens << "," << r.outputTokens << "," << r.adapter
+             << "," << r.rank << "," << r.ttft << "," << r.e2e << ","
+             << r.queueDelay << "," << r.adapterStall << ","
+             << doubleBits(r.wrs) << "," << r.queueIndex << ","
+             << r.squashCount << "," << r.preemptCount << "\n";
+        line.flush(sink);
     }
 }
 
@@ -503,21 +497,21 @@ fnv1a64(const std::string &text)
 }
 
 std::string
-canonicalEventStream(const serving::DataParallelCluster &cluster,
+canonicalEventStream(const serving::DataParallelCluster & /*cluster*/,
                      const RunReport &report)
 {
     std::string out;
     StringSink sink{out};
-    writeEventStream(cluster, report, sink);
+    writeEventStream(report, sink);
     return out;
 }
 
 std::uint64_t
-eventStreamHash(const serving::DataParallelCluster &cluster,
+eventStreamHash(const serving::DataParallelCluster & /*cluster*/,
                 const RunReport &report)
 {
     FnvSink sink;
-    writeEventStream(cluster, report, sink);
+    writeEventStream(report, sink);
     return sink.hash;
 }
 
@@ -540,6 +534,8 @@ fillRunMetrics(obs::MetricsRegistry &registry,
                const RunReport &report)
 {
     const auto &engines = cluster.engines();
+    const auto &records = report.stats.records;
+    std::size_t next = 0; // records are grouped by replica, in order
     for (std::size_t i = 0; i < engines.size(); ++i) {
         const std::string prefix = "replica" + std::to_string(i) + ".";
         const serving::EngineStats &s = engines[i]->stats();
@@ -578,17 +574,30 @@ fillRunMetrics(obs::MetricsRegistry &registry,
         }
         count("pcie.bytes", engines[i]->pcieLink().totalBytes());
         count("pcie.transfers", engines[i]->pcieLink().totalTransfers());
-        fillHistogram(registry.histogram(prefix + "latency.ttft_s"),
-                      s.ttft);
-        fillHistogram(registry.histogram(prefix + "latency.e2e_s"),
-                      s.e2e);
+        // The replica's latency samples, rebuilt from its records:
+        // the values its engine tracked, fed in the same sorted order.
+        sim::PercentileTracker ttft, e2e, queueDelay, loadStall;
+        for (; next < records.size() &&
+               records[next].replica == static_cast<std::int32_t>(i);
+             ++next) {
+            const serving::RequestRecord &r = records[next];
+            ttft.add(sim::toSeconds(r.ttft));
+            e2e.add(sim::toSeconds(r.e2e));
+            queueDelay.add(sim::toSeconds(r.queueDelay));
+            if (r.adapter != model::kNoAdapter)
+                loadStall.add(sim::toMillis(r.adapterStall));
+        }
+        fillHistogram(registry.histogram(prefix + "latency.ttft_s"), ttft);
+        fillHistogram(registry.histogram(prefix + "latency.e2e_s"), e2e);
         fillHistogram(
             registry.histogram(prefix + "latency.queue_delay_s"),
-            s.queueDelay);
+            queueDelay);
         fillHistogram(
             registry.histogram(prefix + "latency.load_stall_ms"),
-            s.loadStall);
+            loadStall);
     }
+    CHM_CHECK(next == records.size(),
+              "report records are not grouped by replica in engine order");
 
     const serving::EngineStats &total = report.stats;
     registry.counter("cluster.requests.submitted").inc(total.submitted);

@@ -67,6 +67,13 @@ struct TenantReport
  */
 struct RunReport
 {
+    /**
+     * The run's stats, taken from its engines
+     * (DataParallelCluster::mergedStats): the only copy of the
+     * per-request records and samples once run() returns. The records
+     * are grouped by replica in engine order, each group in finish
+     * order, and each carries its replica index.
+     */
     serving::EngineStats stats;
 
     /**
@@ -205,7 +212,7 @@ class Runner
      * Attach a span recorder to the whole system (engines, router,
      * autoscaler, caches — see DataParallelCluster::setTraceRecorder).
      * Call before run(); the caller owns the recorder and exports it
-     * (TraceRecorder::writeJson) after the run. Detached (the default)
+     * (TraceRecorder::toJson) after the run. Detached (the default)
      * the run's event streams are bit-identical to an untraced run.
      */
     void setTraceRecorder(obs::TraceRecorder *recorder)
@@ -223,7 +230,10 @@ class Runner
 
     /**
      * Run a trace to completion (with a drain window after the last
-     * arrival) and collect results.
+     * arrival) and collect results. The report takes the engines'
+     * per-request data: afterwards every engine's stats() keeps its
+     * counters, but its records and samples are empty. Read them from
+     * RunReport::stats.
      */
     RunReport run(const workload::Trace &trace,
                   sim::SimTime drainWindow = 3600 * sim::kSec);
@@ -251,9 +261,10 @@ class Runner
  * "replica<i>.*" (requests, engine, cache, pcie, latency groups) and
  * cluster-wide aggregates under "cluster.*". Reads authoritative
  * end-of-run stats only — it never samples during the simulation, so
- * metrics can never perturb event streams. Runner::run calls this to
- * fill RunReport::metrics; tools and tests may call it on their own
- * registry for richer exports.
+ * metrics can never perturb event streams. The counters come from the
+ * engines, every latency sample from the report's records and
+ * trackers. Runner::run calls this to fill RunReport::metrics; tools
+ * and tests may call it on their own registry for richer exports.
  */
 void fillRunMetrics(obs::MetricsRegistry &registry,
                     const serving::DataParallelCluster &cluster,
@@ -267,6 +278,8 @@ std::uint64_t fnv1a64(const std::string &text);
  * scaling counters, then one line per finished request in per-replica
  * finish order (replica index first) carrying every routing- and
  * scheduling-visible field; doubles are serialised by bit pattern.
+ * Everything is read from the report, which owns the records after
+ * Runner::run; `cluster` is not read.
  * Anything routing, scheduling, or autoscaling can influence is in
  * here — a single moved dispatch or extra scale event changes the
  * text. This is the exact format the golden-trace pins hash (the suite

@@ -1,6 +1,7 @@
 #include "serving/cluster.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "fabric/cache_fabric.h"
@@ -259,6 +260,7 @@ void
 DataParallelCluster::appendEngine(std::unique_ptr<ServingEngine> engine,
                                   double nominalRate)
 {
+    engine->setReplica(static_cast<std::int32_t>(engines_.size()));
     engines_.push_back(std::move(engine));
     rates_.push_back(nominalRate);
     maxRate_ = std::max(maxRate_, nominalRate);
@@ -626,51 +628,51 @@ DataParallelCluster::submitTrace(const workload::Trace &trace)
     }
 }
 
-std::vector<RequestRecord>
-DataParallelCluster::mergedRecords() const
+namespace {
+
+/** The latency trackers mergedStats merges, in EngineStats order. */
+template <typename Stats>
+auto
+latencyTrackers(Stats &stats)
 {
-    std::size_t total = 0;
-    for (const auto &e : engines_)
-        total += e->stats().records.size();
-    std::vector<RequestRecord> all;
-    all.reserve(total);
-    for (const auto &e : engines_) {
-        const auto &rec = e->stats().records;
-        all.insert(all.end(), rec.begin(), rec.end());
-    }
-    return all;
+    return std::array{&stats.ttft, &stats.tbt, &stats.e2e,
+                      &stats.queueDelay, &stats.loadStall};
 }
 
+} // namespace
+
 EngineStats
-DataParallelCluster::mergedStats() const
+DataParallelCluster::mergedStats()
 {
+    // One replica's stats are the cluster's, time series included.
+    if (engines_.size() == 1)
+        return engines_.front()->takeStats();
     EngineStats out;
+    const auto merged = latencyTrackers(out);
+    std::size_t records = 0;
+    std::array<std::size_t, merged.size()> samples{};
     for (const auto &e : engines_) {
-        const EngineStats &s = e->stats();
-        for (double v : s.ttft.sorted())
-            out.ttft.add(v);
-        for (double v : s.tbt.sorted())
-            out.tbt.add(v);
-        for (double v : s.e2e.sorted())
-            out.e2e.add(v);
-        for (double v : s.queueDelay.sorted())
-            out.queueDelay.add(v);
-        for (double v : s.loadStall.sorted())
-            out.loadStall.add(v);
-        out.submitted += s.submitted;
-        out.finished += s.finished;
-        out.preemptions += s.preemptions;
-        out.squashes += s.squashes;
-        out.bypasses += s.bypasses;
-        out.iterations += s.iterations;
-        out.adapterHits += s.adapterHits;
-        out.adapterMisses += s.adapterMisses;
-        out.busyTime += s.busyTime;
-        out.prefillTokens += s.prefillTokens;
-        out.decodeTokens += s.decodeTokens;
-        out.batchSizeAccum += s.batchSizeAccum;
+        records += e->stats().records.size();
+        const auto trackers = latencyTrackers(e->stats());
+        for (std::size_t k = 0; k < merged.size(); ++k)
+            samples[k] += trackers[k]->count();
     }
-    out.records = mergedRecords();
+    out.records.reserve(records);
+    for (std::size_t k = 0; k < merged.size(); ++k)
+        merged[k]->reserve(samples[k]);
+    for (auto &e : engines_) {
+        // Taken one replica at a time: each replica's samples and
+        // records are freed as soon as they are merged.
+        const EngineStats s = e->takeStats();
+        out += s;
+        const auto trackers = latencyTrackers(s);
+        for (std::size_t k = 0; k < merged.size(); ++k) {
+            for (const double v : trackers[k]->sorted())
+                merged[k]->add(v);
+        }
+        out.records.insert(out.records.end(), s.records.begin(),
+                           s.records.end());
+    }
     return out;
 }
 

@@ -260,18 +260,22 @@ class DataParallelCluster : public routing::ClusterView
         return autoscaler_ ? autoscaler_->scaleDowns() : 0;
     }
 
-    /** Merge per-engine request records into one vector. */
-    std::vector<RequestRecord> mergedRecords() const;
-
     /**
-     * Merge per-engine statistics: counters are summed and the latency
-     * trackers are rebuilt from every engine's samples, so percentiles
-     * are over the whole cluster, not averaged per replica. The
-     * time-series fields (ttftOverTime, mem* series) are NOT merged —
-     * they stay empty; per-replica timelines remain available through
-     * engines()[i]->stats().
+     * Take every engine's statistics as one (ServingEngine::takeStats):
+     * the engines keep their counters, and their samples and records
+     * move into the result, so a finished run holds one copy of its
+     * per-request data. Call it once, after the run; the Runner does,
+     * and RunReport::stats is the result.
+     *
+     * One replica hands over its stats whole, time series included.
+     * Several are merged: counters are summed, each latency tracker
+     * gets every replica's samples (replica by replica, each in sorted
+     * order), so percentiles are over the whole cluster, and the
+     * records are concatenated in replica order. The time-series
+     * fields (ttftOverTime, mem* series) are not merged; they stay
+     * empty.
      */
-    EngineStats mergedStats() const;
+    EngineStats mergedStats();
 
     /** Requests finished per replica, indexed like engines(). */
     std::vector<std::int64_t> perReplicaFinished() const;

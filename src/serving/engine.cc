@@ -26,7 +26,8 @@ laterEvent(const Event &a, const Event &b)
 }
 } // namespace
 
-RequestRecord makeRecord(const LiveRequest &r); // metrics.cc
+RequestRecord makeRecord(const LiveRequest &r,
+                         std::int32_t replica); // metrics.cc
 
 double
 nominalServiceRate(const EngineConfig &config)
@@ -607,7 +608,7 @@ ServingEngine::finishRequest(LiveRequest *r)
         stats_.loadStall.add(sim::toMillis(r->adapterStall));
     stats_.e2e.add(sim::toSeconds(r->finishTime - r->arrival));
     stats_.queueDelay.add(sim::toSeconds(r->queueDelay()));
-    stats_.records.push_back(makeRecord(*r));
+    stats_.records.push_back(makeRecord(*r, replica_));
     ++stats_.finished;
     if (trace_ != nullptr)
         emitRequestTrace(r);
@@ -726,6 +727,15 @@ ServingEngine::finalize()
 {
     stats_.adapterHits = adapterMgr_->hits();
     stats_.adapterMisses = adapterMgr_->misses();
+}
+
+EngineStats
+ServingEngine::takeStats()
+{
+    EngineStats taken = std::move(stats_);
+    stats_ = EngineStats{};
+    static_cast<EngineCounters &>(stats_) = taken;
+    return taken;
 }
 
 } // namespace chameleon::serving

@@ -184,6 +184,20 @@ class ServingEngine
     /** Aggregated results; valid once the simulation has drained. */
     const EngineStats &stats() const { return stats_; }
 
+    /**
+     * Hand the run's stats over and keep only their counters: the
+     * samples, series and records leave the engine, so a report that
+     * takes them holds the only copy (DataParallelCluster::mergedStats).
+     */
+    EngineStats takeStats();
+
+    /**
+     * The replica index written into every RequestRecord this engine
+     * finishes (0 until set). The cluster sets it when it adds the
+     * engine.
+     */
+    void setReplica(std::int32_t index) { replica_ = index; }
+
     /** Finalise derived stats (hit rates, memory series flush). */
     void finalize();
 
@@ -335,6 +349,7 @@ class ServingEngine
     double ewmaIterUs_ = 0.0;
     sim::SimTime lastMemSample_ = sim::kTimeNever;
 
+    std::int32_t replica_ = 0;
     EngineStats stats_;
 };
 

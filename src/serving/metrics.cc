@@ -4,11 +4,13 @@
 
 namespace chameleon::serving {
 
-/** Build the immutable outcome record for a finished request. */
+/** Build the immutable outcome record for a request that `replica`
+ * finished. */
 RequestRecord
-makeRecord(const LiveRequest &r)
+makeRecord(const LiveRequest &r, std::int32_t replica)
 {
     RequestRecord rec;
+    rec.replica = replica;
     rec.id = r.req.id;
     rec.arrival = r.arrival;
     rec.inputTokens = r.req.inputTokens;
@@ -25,6 +27,24 @@ makeRecord(const LiveRequest &r)
     rec.squashCount = r.squashCount;
     rec.preemptCount = r.preemptCount;
     return rec;
+}
+
+EngineCounters &
+EngineCounters::operator+=(const EngineCounters &other)
+{
+    submitted += other.submitted;
+    finished += other.finished;
+    preemptions += other.preemptions;
+    squashes += other.squashes;
+    bypasses += other.bypasses;
+    iterations += other.iterations;
+    adapterHits += other.adapterHits;
+    adapterMisses += other.adapterMisses;
+    busyTime += other.busyTime;
+    prefillTokens += other.prefillTokens;
+    decodeTokens += other.decodeTokens;
+    batchSizeAccum += other.batchSizeAccum;
+    return *this;
 }
 
 void

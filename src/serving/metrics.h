@@ -28,6 +28,9 @@ struct RequestRecord
     model::AdapterId adapter = model::kNoAdapter;
     workload::TenantId tenant = workload::kAnonymousTenant;
     int rank = 0;
+    /** Index of the replica that served the request: its engine's
+     * place in the cluster (0 for a standalone engine). */
+    std::int32_t replica = 0;
     sim::SimTime ttft = 0;
     sim::SimTime e2e = 0;
     sim::SimTime queueDelay = 0;
@@ -38,16 +41,14 @@ struct RequestRecord
     int preemptCount = 0;
 };
 
-/** Aggregated statistics for one simulation run of an engine/cluster. */
-struct EngineStats
-{
-    sim::PercentileTracker ttft;
-    sim::PercentileTracker tbt;
-    sim::PercentileTracker e2e;
-    sim::PercentileTracker queueDelay;
-    /** Adapter loading latency on the critical path (Fig. 14). */
-    sim::PercentileTracker loadStall;
+// `replica` fills the padding after `rank`: a record per finished
+// request is the largest per-request cost of a run.
+static_assert(sizeof(RequestRecord) == 104,
+              "RequestRecord grew; keep it packed");
 
+/** The counters of one engine's (or a cluster's) run. */
+struct EngineCounters
+{
     std::int64_t submitted = 0;
     std::int64_t finished = 0;
     std::int64_t preemptions = 0;
@@ -69,6 +70,33 @@ struct EngineStats
     /** Sum of per-iteration decode batch sizes (mean = /iterations). */
     std::int64_t batchSizeAccum = 0;
 
+    double
+    cacheHitRate() const
+    {
+        const auto total = adapterHits + adapterMisses;
+        return total ? static_cast<double>(adapterHits) /
+                           static_cast<double>(total)
+                     : 0.0;
+    }
+
+    /** Sum another run's counters into these. */
+    EngineCounters &operator+=(const EngineCounters &other);
+};
+
+/**
+ * Aggregated statistics for one simulation run of an engine/cluster:
+ * the counters plus the per-request data (latency samples, series and
+ * records), which grows with the requests served.
+ */
+struct EngineStats : EngineCounters
+{
+    sim::PercentileTracker ttft;
+    sim::PercentileTracker tbt;
+    sim::PercentileTracker e2e;
+    sim::PercentileTracker queueDelay;
+    /** Adapter loading latency on the critical path (Fig. 14). */
+    sim::PercentileTracker loadStall;
+
     /** Windowed TTFT samples for latency-over-time figures. */
     sim::WindowedPercentiles ttftOverTime{10 * sim::kSec};
     /** Memory usage samples: (time, bytes) for each tracked region. */
@@ -78,15 +106,6 @@ struct EngineStats
 
     /** Per-request outcome log (always kept; sized by trace length). */
     std::vector<RequestRecord> records;
-
-    double
-    cacheHitRate() const
-    {
-        const auto total = adapterHits + adapterMisses;
-        return total ? static_cast<double>(adapterHits) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
 };
 
 /**

@@ -64,6 +64,9 @@ class PercentileTracker
     /** Add one sample; a NaN has no rank and is a checked error. */
     void add(double x);
 
+    /** Room for `n` samples, so adding up to `n` never reallocates. */
+    void reserve(std::size_t n) { samples_.reserve(n); }
+
     /** Percentile in [0, 100]; linear interpolation between ranks. */
     double percentile(double p) const;
 

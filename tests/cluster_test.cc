@@ -130,7 +130,7 @@ TEST(DataParallel, SpreadsLoadAcrossEngines)
         total += finished;
     }
     EXPECT_EQ(total, static_cast<std::int64_t>(trace.size()));
-    EXPECT_EQ(cluster.mergedRecords().size(), trace.size());
+    EXPECT_EQ(cluster.mergedStats().records.size(), trace.size());
 }
 
 TEST(DataParallel, RoundRobinAlternates)
@@ -193,9 +193,9 @@ TEST(DataParallel, AffinityPartitionsAdaptersAcrossReplicas)
     EXPECT_GT(replicasOf.size(), 0u);
     for (const auto &[adapter, replicas] : replicasOf)
         EXPECT_EQ(replicas.size(), 1u) << "adapter " << adapter;
-    EXPECT_EQ(cluster.mergedRecords().size(), trace.size());
-    EXPECT_EQ(cluster.mergedStats().finished,
-              static_cast<std::int64_t>(trace.size()));
+    const auto merged = cluster.mergedStats();
+    EXPECT_EQ(merged.records.size(), trace.size());
+    EXPECT_EQ(merged.finished, static_cast<std::int64_t>(trace.size()));
 }
 
 TEST(DataParallel, AffinityRoutingReducesAdapterPcieTraffic)
@@ -340,12 +340,15 @@ TEST(DataParallel, DrainedReplicaFinishesInFlightWorkWithoutNewDispatches)
     simulator.run();
     cluster.finalize();
     // Nothing in flight was dropped...
-    EXPECT_EQ(cluster.mergedStats().finished,
-              static_cast<std::int64_t>(trace.size()));
+    const auto merged = cluster.mergedStats();
+    EXPECT_EQ(merged.finished, static_cast<std::int64_t>(trace.size()));
     EXPECT_GT(cluster.engines()[1]->stats().finished, 0);
     // ...and the drained replica received no dispatch after the drain.
-    for (const auto &record : cluster.engines()[1]->stats().records)
-        EXPECT_LE(record.arrival, 10 * sim::kSec);
+    for (const auto &record : merged.records) {
+        if (record.replica == 1) {
+            EXPECT_LE(record.arrival, 10 * sim::kSec);
+        }
+    }
 }
 
 TEST(DataParallel, ScaleUpBootsBeforeServingAndResumesAfterMidBootDrain)
@@ -590,12 +593,11 @@ namespace {
 
 /** p99 TTFT (seconds) over requests arriving at/after `fromSeconds`. */
 double
-p99TtftAfter(const serving::DataParallelCluster &cluster,
-             double fromSeconds)
+p99TtftAfter(const core::RunReport &report, double fromSeconds)
 {
     std::vector<double> ttfts;
     const sim::SimTime cutoff = sim::fromSeconds(fromSeconds);
-    for (const auto &rec : cluster.mergedRecords()) {
+    for (const auto &rec : report.stats.records) {
         if (rec.arrival >= cutoff)
             ttfts.push_back(sim::toSeconds(rec.ttft));
     }
@@ -688,7 +690,7 @@ TEST(ClosedLoop, BootAwareHorizonCutsThePostStepTail)
         core::Runner runner(spec, &pool);
         const auto report = runner.run(trace);
         EXPECT_GT(report.scaleUps, 0) << "bootAware=" << bootAware;
-        return p99TtftAfter(runner.cluster(), 40.0);
+        return p99TtftAfter(report, 40.0);
     };
     const double staticP99 = p99With(false);
     const double bootAwareP99 = p99With(true);
@@ -719,13 +721,17 @@ longLowLoadTrace(std::size_t requests)
     return workload::Trace(std::move(reqs));
 }
 
-/** Most requests one engine held at once, from its records; requests
- * that finish at another's arrival instant count as overlapping. */
+/** Most requests one replica held at once, from its records in a
+ * run's report; requests that finish at another's arrival instant
+ * count as overlapping. */
 std::size_t
-peakInFlight(const std::vector<serving::RequestRecord> &records)
+peakInFlight(const std::vector<serving::RequestRecord> &records,
+             std::size_t replica)
 {
     std::vector<std::pair<sim::SimTime, int>> edges;
     for (const auto &r : records) {
+        if (r.replica != static_cast<std::int32_t>(replica))
+            continue;
         edges.emplace_back(r.arrival, 0);          // arrivals sort first
         edges.emplace_back(r.arrival + r.e2e, 1);  // at equal times
     }
@@ -754,8 +760,10 @@ expectSlotsFollowRequestsInFlight(int replicas)
     ASSERT_EQ(report.stats.finished, static_cast<std::int64_t>(trace.size()));
 
     std::size_t peakTotal = 0;
-    for (const auto &engine : runner.cluster().engines()) {
-        const std::size_t peak = peakInFlight(engine->stats().records);
+    const auto &engines = runner.cluster().engines();
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+        const auto &engine = engines[i];
+        const std::size_t peak = peakInFlight(report.stats.records, i);
         peakTotal += peak;
         // One slot per request in flight at the busiest instant,
         // recycled ever after.
@@ -780,6 +788,100 @@ TEST(InFlightMemory, OneReplicaSlotsFollowPeakInFlight)
 TEST(InFlightMemory, FourReplicaSlotsFollowPeakInFlight)
 {
     expectSlotsFollowRequestsInFlight(4);
+}
+
+namespace {
+
+/**
+ * After Runner::run the report holds the run's only copy of its
+ * per-request data: every engine kept its counters but no record or
+ * sample, and the report's records take no more room than one vector
+ * of them grown by doubling. Returns the replicas the run built.
+ */
+std::size_t
+expectReportOwnsRecords(const core::SystemSpec &spec,
+                        const workload::Trace &trace,
+                        const model::AdapterPool &pool)
+{
+    core::Runner runner(spec, &pool);
+    const auto report = runner.run(trace);
+    const auto &records = report.stats.records;
+    EXPECT_GT(report.stats.finished, 0);
+    EXPECT_EQ(records.size(),
+              static_cast<std::size_t>(report.stats.finished));
+    std::int64_t finished = 0;
+    const auto &engines = runner.cluster().engines();
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+        const serving::EngineStats &s = engines[i]->stats();
+        EXPECT_TRUE(s.records.empty()) << "replica " << i;
+        EXPECT_TRUE(s.ttft.empty()) << "replica " << i;
+        EXPECT_TRUE(s.tbt.empty()) << "replica " << i;
+        finished += s.finished;
+        EXPECT_EQ(static_cast<std::int64_t>(std::count_if(
+                      records.begin(), records.end(),
+                      [i](const serving::RequestRecord &r) {
+                          return r.replica == static_cast<std::int32_t>(i);
+                      })),
+                  s.finished)
+            << "replica " << i;
+    }
+    EXPECT_EQ(finished, report.stats.finished);
+    const std::size_t bytes =
+        records.capacity() * sizeof(serving::RequestRecord);
+    const std::size_t needed =
+        records.size() * sizeof(serving::RequestRecord);
+    // A merge reserves exactly; a single replica's vector keeps the
+    // slack of its doublings, less than its size.
+    if (engines.size() > 1) {
+        EXPECT_EQ(bytes, needed);
+    }
+    EXPECT_LE(bytes, 2 * needed);
+    return engines.size();
+}
+
+core::SystemSpec
+ownershipSpec(int replicas)
+{
+    auto spec = specFor("chameleon", model::llama7B(), model::a40());
+    spec.cluster.replicas = replicas;
+    return spec;
+}
+
+} // namespace
+
+TEST(ReportOwnership, OneReplicaHandsOverItsRecords)
+{
+    model::AdapterPool pool(model::llama7B(), 20);
+    EXPECT_EQ(expectReportOwnsRecords(ownershipSpec(1),
+                                      longLowLoadTrace(3000), pool),
+              1u);
+}
+
+TEST(ReportOwnership, FourReplicasHandOverTheirRecords)
+{
+    model::AdapterPool pool(model::llama7B(), 20);
+    EXPECT_EQ(expectReportOwnsRecords(ownershipSpec(4),
+                                      longLowLoadTrace(3000), pool),
+              4u);
+}
+
+TEST(ReportOwnership, AutoscaledReplicasHandOverTheirRecords)
+{
+    model::AdapterPool pool(model::llama7B(), 30);
+    auto spec = ownershipSpec(1);
+    spec.cluster.autoscale = true;
+    spec.cluster.autoscaler.minReplicas = 1;
+    spec.cluster.autoscaler.maxReplicas = 4;
+    spec.cluster.autoscaler.evalPeriodSeconds = 5.0;
+    spec.cluster.autoscaler.replicaServiceRps = 6.0;
+    spec.cluster.autoscaler.downCooldownPeriods = 2;
+    auto wl = workload::splitwiseLike();
+    wl.rps = 8.0;
+    wl.durationSeconds = 60.0;
+    wl.numAdapters = 30;
+    wl.bursts.push_back(workload::Burst{15.0, 35.0, 3.0});
+    workload::TraceGenerator gen(wl, &pool);
+    EXPECT_GT(expectReportOwnsRecords(spec, gen.generate(), pool), 1u);
 }
 
 // ---------------------------------------------------------------------

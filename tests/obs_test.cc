@@ -75,18 +75,13 @@ smallTrace(const model::AdapterPool &pool)
 
 /** Per-request record stream, the golden-suite canonical form. */
 std::string
-recordStream(const core::Runner &runner)
+recordStream(const core::RunReport &report)
 {
     std::ostringstream os;
-    const auto &engines =
-        const_cast<core::Runner &>(runner).cluster().engines();
-    for (std::size_t i = 0; i < engines.size(); ++i) {
-        for (const auto &r : engines[i]->stats().records) {
-            os << i << ',' << r.id << ',' << r.arrival << ',' << r.ttft
-               << ',' << r.e2e << ',' << r.queueDelay << ','
-               << r.adapterStall << ',' << r.squashCount << ','
-               << r.preemptCount << '\n';
-        }
+    for (const auto &r : report.stats.records) {
+        os << r.replica << ',' << r.id << ',' << r.arrival << ',' << r.ttft
+           << ',' << r.e2e << ',' << r.queueDelay << ',' << r.adapterStall
+           << ',' << r.squashCount << ',' << r.preemptCount << '\n';
     }
     return os.str();
 }
@@ -112,7 +107,7 @@ runTraced(bool attachRecorder)
     out.report = runner.run(trace);
     out.traceJson = recorder.toJson();
     out.metricsJson = out.report.metrics.dump();
-    out.records = recordStream(runner);
+    out.records = recordStream(out.report);
     return out;
 }
 
