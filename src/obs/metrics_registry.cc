@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -219,17 +218,6 @@ std::string
 MetricsRegistry::toJson() const
 {
     return snapshot().dump();
-}
-
-void
-MetricsRegistry::writeJson(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    CHM_CHECK(f != nullptr, "cannot open metrics output " << path);
-    const std::string text = toJson();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
 }
 
 } // namespace chameleon::obs

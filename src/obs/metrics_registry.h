@@ -119,8 +119,6 @@ class MetricsRegistry
     sim::JsonValue snapshot() const;
     /** snapshot().dump(). */
     std::string toJson() const;
-    /** Write toJson() to `path`; fails hard when it won't open. */
-    void writeJson(const std::string &path) const;
 
   private:
     std::map<std::string, Counter> counters_;

@@ -1,6 +1,5 @@
 #include "obs/trace_recorder.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "simkit/check.h"
@@ -194,17 +193,6 @@ std::string
 TraceRecorder::toJson() const
 {
     return toJsonValue().dump();
-}
-
-void
-TraceRecorder::writeJson(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    CHM_CHECK(f != nullptr, "cannot open trace output " << path);
-    const std::string text = toJson();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
 }
 
 } // namespace chameleon::obs

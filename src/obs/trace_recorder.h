@@ -142,9 +142,6 @@ class TraceRecorder
     sim::JsonValue toJsonValue() const;
     std::string toJson() const;
 
-    /** Write the JSON document; fails hard when the path won't open. */
-    void writeJson(const std::string &path) const;
-
   private:
     struct Event
     {

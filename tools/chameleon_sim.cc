@@ -46,6 +46,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "chameleon/spec_json.h"
@@ -200,13 +201,16 @@ main(int argc, char **argv)
         // system or deployment flag beside it would be silently
         // ignored, which would misread as a run of the flagged one.
         for (const char *conflicting : {"system", "replicas", "fleet"}) {
-            CHM_CHECK(!flagGiven(argc, argv, conflicting),
-                      "--" << conflicting
-                           << " conflicts with --config; edit the "
-                              "config file or override it with --set "
-                              "path=value (workload flags "
-                              "--rps/--duration/--seed/--adapters/"
-                              "--workload still apply)");
+            if (flagGiven(argc, argv, conflicting)) {
+                std::fprintf(stderr,
+                             "chameleon_sim: --%s conflicts with --config; "
+                             "edit the config file or override it with "
+                             "--set path=value (workload flags "
+                             "--rps/--duration/--seed/--adapters/"
+                             "--workload still apply)\n",
+                             conflicting);
+                return 2;
+            }
         }
         std::string config_error;
         auto parsed = core::specFromJson(
@@ -287,6 +291,27 @@ main(int argc, char **argv)
         // through --config - for a bit-identical seeded run.
         std::fputs(core::specToJson(spec).c_str(), stdout);
         return 0;
+    }
+
+    // Open every output file now: an unwritable path fails at once,
+    // not after the whole simulation has run.
+    std::ofstream records_file;
+    std::ofstream trace_file;
+    std::ofstream metrics_file;
+    const std::tuple<const char *, const std::string *, std::ofstream *>
+        outputs[] = {{"records-csv", records_csv, &records_file},
+                     {"trace-out", trace_out, &trace_file},
+                     {"metrics-out", metrics_out, &metrics_file}};
+    for (const auto &[flag, path, file] : outputs) {
+        if (path->empty())
+            continue;
+        file->open(*path);
+        if (!file->good()) {
+            std::fprintf(stderr, "chameleon_sim: --%s: cannot open %s "
+                                 "for writing\n",
+                         flag, path->c_str());
+            return 2;
+        }
     }
 
     std::unique_ptr<model::AdapterPool> pool;
@@ -514,22 +539,18 @@ main(int argc, char **argv)
     }
 
     if (!records_csv->empty()) {
-        std::ofstream out(*records_csv);
-        CHM_CHECK(out.good(), "cannot open " << *records_csv);
-        serving::writeRecordsCsv(out, s.records);
+        serving::writeRecordsCsv(records_file, s.records);
         std::printf("\nper-request records written to %s\n",
                     records_csv->c_str());
     }
     if (!trace_out->empty()) {
-        recorder.writeJson(*trace_out);
+        trace_file << recorder.toJson() << '\n';
         std::printf("\ntrace (%zu events) written to %s — open in "
                     "Perfetto or chrome://tracing\n",
                     recorder.size(), trace_out->c_str());
     }
     if (!metrics_out->empty()) {
-        std::ofstream out(*metrics_out);
-        CHM_CHECK(out.good(), "cannot open " << *metrics_out);
-        out << report.metrics.dump() << '\n';
+        metrics_file << report.metrics.dump() << '\n';
         std::printf("metrics snapshot written to %s\n",
                     metrics_out->c_str());
     }
