@@ -61,8 +61,10 @@ constexpr double kRequiredSpeedup = 1.5;
 #endif
 /** Interleaved repetitions per kernel; the best wall time counts
  * (noise only ever adds time, so min-of-N is the stable estimator
- * and keeps the CHM_CHECK gate from flaking on a loaded machine). */
-constexpr int kReps = 3;
+ * and keeps the CHM_CHECK gate from flaking on a loaded machine).
+ * The kernel that runs first alternates, so neither one always gets
+ * the same half of each repetition. */
+constexpr int kReps = 5;
 
 /**
  * The event kernel exactly as src/simkit/simulator.{h,cc} had it
@@ -243,14 +245,26 @@ main()
     double calendarSeconds = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
         std::uint64_t legacySink = 0;
-        LegacySimulator legacy;
-        const auto [lEvents, lSeconds] =
-            replayTrace(legacy, trace, legacySink);
-
         std::uint64_t calendarSink = 0;
-        sim::Simulator calendar;
-        const auto [cEvents, cSeconds] =
-            replayTrace(calendar, trace, calendarSink);
+        const auto runLegacy = [&] {
+            LegacySimulator legacy;
+            return replayTrace(legacy, trace, legacySink);
+        };
+        const auto runCalendar = [&] {
+            sim::Simulator calendar;
+            return replayTrace(calendar, trace, calendarSink);
+        };
+        std::pair<std::uint64_t, double> legacyRun;
+        std::pair<std::uint64_t, double> calendarRun;
+        if (rep % 2 == 0) {
+            legacyRun = runLegacy();
+            calendarRun = runCalendar();
+        } else {
+            calendarRun = runCalendar();
+            legacyRun = runLegacy();
+        }
+        const auto [lEvents, lSeconds] = legacyRun;
+        const auto [cEvents, cSeconds] = calendarRun;
 
         CHM_CHECK(lEvents == cEvents,
                   "kernels dispatched different event counts: "
