@@ -517,13 +517,76 @@ eventStreamHash(const serving::DataParallelCluster & /*cluster*/,
 
 namespace {
 
-/** Feed every sample of a PercentileTracker into a histogram. */
-void
-fillHistogram(obs::Histogram &histogram,
-              const sim::PercentileTracker &tracker)
+/** A latency histogram and the record field its samples come from. */
+struct LatencyMetric
 {
-    for (const double v : tracker.sorted())
-        histogram.add(v);
+    /** Histogram leaf: "replica<i>.latency.<name>". */
+    const char *name;
+    sim::SimTime serving::RequestRecord::*field;
+    /** The unit conversion the engine sampled the field with. */
+    double (*convert)(sim::SimTime);
+    /** Also a "cluster.latency.<name>" histogram. */
+    bool cluster;
+    /** Sampled only for requests with an adapter (load stall). */
+    bool adaptersOnly;
+};
+
+constexpr LatencyMetric kLatencyMetrics[] = {
+    {"ttft_s", &serving::RequestRecord::ttft, sim::toSeconds, true, false},
+    {"e2e_s", &serving::RequestRecord::e2e, sim::toSeconds, true, false},
+    {"queue_delay_s", &serving::RequestRecord::queueDelay, sim::toSeconds,
+     true, false},
+    {"load_stall_ms", &serving::RequestRecord::adapterStall, sim::toMillis,
+     false, true},
+};
+
+constexpr int kReplicaBits = 16;
+
+/**
+ * Fill one latency metric's histograms from the report's records:
+ * the engines' samples, recomputed. Each histogram gets its values in
+ * ascending order, as the sorted trackers hand them out, so every sum
+ * is bit-equal to one fed from them. One radix sort of (value,
+ * replica) keys orders the cluster's values and, as subsequences,
+ * every replica's.
+ */
+void
+fillLatency(obs::MetricsRegistry &registry,
+            const std::vector<serving::RequestRecord> &records,
+            std::size_t replicas, const LatencyMetric &metric)
+{
+    std::vector<std::uint64_t> keys;
+    keys.reserve(records.size());
+    for (const auto &r : records) {
+        if (metric.adaptersOnly && r.adapter == model::kNoAdapter)
+            continue;
+        const sim::SimTime value = r.*metric.field;
+        CHM_CHECK(value >= 0 && value < (sim::SimTime{1} << 47),
+                  "latency " << metric.name << " out of range: " << value);
+        CHM_CHECK(r.replica >= 0 &&
+                      static_cast<std::size_t>(r.replica) < replicas,
+                  "record of unknown replica " << r.replica);
+        keys.push_back(static_cast<std::uint64_t>(value) << kReplicaBits |
+                       static_cast<std::uint64_t>(r.replica));
+    }
+    sim::sortKeys(keys);
+    std::vector<obs::Histogram *> perReplica(replicas);
+    for (std::size_t i = 0; i < replicas; ++i) {
+        perReplica[i] = &registry.histogram(
+            "replica" + std::to_string(i) + ".latency." + metric.name);
+    }
+    obs::Histogram *cluster =
+        metric.cluster ? &registry.histogram(std::string("cluster.latency.") +
+                                             metric.name)
+                       : nullptr;
+    constexpr std::uint64_t kReplicaMask = (1u << kReplicaBits) - 1;
+    for (const std::uint64_t key : keys) {
+        const double v =
+            metric.convert(static_cast<sim::SimTime>(key >> kReplicaBits));
+        perReplica[key & kReplicaMask]->add(v);
+        if (cluster != nullptr)
+            cluster->add(v);
+    }
 }
 
 } // namespace
@@ -534,8 +597,6 @@ fillRunMetrics(obs::MetricsRegistry &registry,
                const RunReport &report)
 {
     const auto &engines = cluster.engines();
-    const auto &records = report.stats.records;
-    std::size_t next = 0; // records are grouped by replica, in order
     for (std::size_t i = 0; i < engines.size(); ++i) {
         const std::string prefix = "replica" + std::to_string(i) + ".";
         const serving::EngineStats &s = engines[i]->stats();
@@ -574,30 +635,9 @@ fillRunMetrics(obs::MetricsRegistry &registry,
         }
         count("pcie.bytes", engines[i]->pcieLink().totalBytes());
         count("pcie.transfers", engines[i]->pcieLink().totalTransfers());
-        // The replica's latency samples, rebuilt from its records:
-        // the values its engine tracked, fed in the same sorted order.
-        sim::PercentileTracker ttft, e2e, queueDelay, loadStall;
-        for (; next < records.size() &&
-               records[next].replica == static_cast<std::int32_t>(i);
-             ++next) {
-            const serving::RequestRecord &r = records[next];
-            ttft.add(sim::toSeconds(r.ttft));
-            e2e.add(sim::toSeconds(r.e2e));
-            queueDelay.add(sim::toSeconds(r.queueDelay));
-            if (r.adapter != model::kNoAdapter)
-                loadStall.add(sim::toMillis(r.adapterStall));
-        }
-        fillHistogram(registry.histogram(prefix + "latency.ttft_s"), ttft);
-        fillHistogram(registry.histogram(prefix + "latency.e2e_s"), e2e);
-        fillHistogram(
-            registry.histogram(prefix + "latency.queue_delay_s"),
-            queueDelay);
-        fillHistogram(
-            registry.histogram(prefix + "latency.load_stall_ms"),
-            loadStall);
     }
-    CHM_CHECK(next == records.size(),
-              "report records are not grouped by replica in engine order");
+    for (const LatencyMetric &metric : kLatencyMetrics)
+        fillLatency(registry, report.stats.records, engines.size(), metric);
 
     const serving::EngineStats &total = report.stats;
     registry.counter("cluster.requests.submitted").inc(total.submitted);
@@ -630,12 +670,6 @@ fillRunMetrics(obs::MetricsRegistry &registry,
         registry.counter("fabric.peer_transfers")
             .inc(report.fabricPeerTransfers);
     }
-    fillHistogram(registry.histogram("cluster.latency.ttft_s"),
-                  total.ttft);
-    fillHistogram(registry.histogram("cluster.latency.e2e_s"),
-                  total.e2e);
-    fillHistogram(registry.histogram("cluster.latency.queue_delay_s"),
-                  total.queueDelay);
 
     // Tenancy groups: one "tenant.<id>.*" slice per tenant with
     // finished requests, plus the fleet-wide fairness index.

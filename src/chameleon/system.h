@@ -262,9 +262,9 @@ class Runner
  * cluster-wide aggregates under "cluster.*". Reads authoritative
  * end-of-run stats only — it never samples during the simulation, so
  * metrics can never perturb event streams. The counters come from the
- * engines, every latency sample from the report's records and
- * trackers. Runner::run calls this to fill RunReport::metrics; tools
- * and tests may call it on their own registry for richer exports.
+ * engines, the latency histograms from the report's records. Runner::run
+ * calls this to fill RunReport::metrics; tools and tests may call it on
+ * their own registry for richer exports.
  */
 void fillRunMetrics(obs::MetricsRegistry &registry,
                     const serving::DataParallelCluster &cluster,

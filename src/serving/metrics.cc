@@ -1,5 +1,7 @@
 #include "serving/metrics.h"
 
+#include <ostream>
+
 #include "serving/live_request.h"
 
 namespace chameleon::serving {

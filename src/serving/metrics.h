@@ -7,7 +7,7 @@
 #define CHAMELEON_SERVING_METRICS_H
 
 #include <cstdint>
-#include <ostream>
+#include <iosfwd>
 #include <vector>
 
 #include "model/adapter.h"

@@ -43,7 +43,17 @@ sortDoubles(std::vector<double> &values)
     std::vector<std::uint64_t> keys(n);
     for (std::size_t i = 0; i < n; ++i)
         keys[i] = sortKey(values[i]);
+    sortKeys(keys);
+    for (std::size_t i = 0; i < n; ++i)
+        values[i] = fromSortKey(keys[i]);
+}
 
+void
+sortKeys(std::vector<std::uint64_t> &keys)
+{
+    const std::size_t n = keys.size();
+    if (n < 2)
+        return;
     constexpr int kPasses = 8; // one per key byte, least significant first
     std::array<std::array<std::size_t, 256>, kPasses> counts{};
     for (const std::uint64_t key : keys) {
@@ -67,9 +77,6 @@ sortDoubles(std::vector<double> &values)
             scratch[offsets[(key >> shift) & 0xff]++] = key;
         keys.swap(scratch);
     }
-
-    for (std::size_t i = 0; i < n; ++i)
-        values[i] = fromSortKey(keys[i]);
 }
 
 void

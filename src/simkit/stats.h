@@ -12,6 +12,7 @@
 #define CHAMELEON_SIMKIT_STATS_H
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,10 @@ namespace chameleon::sim {
  * orders before +0.0. Scratch is transient, 16 bytes per value.
  */
 void sortDoubles(std::vector<double> &values);
+
+/** Sort unsigned keys ascending: the radix sort sortDoubles runs on
+ * its keys. Scratch is transient, 8 bytes per key. */
+void sortKeys(std::vector<std::uint64_t> &keys);
 
 /** Streaming mean/variance/min/max accumulator (Welford). */
 class OnlineStats
