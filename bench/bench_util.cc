@@ -1,8 +1,8 @@
 #include "bench_util.h"
 
 #include <cstdio>
+#include <map>
 
-#include "simkit/check.h"
 
 namespace chameleon::bench {
 
@@ -93,26 +93,29 @@ banner(const std::string &figure, const std::string &paperClaim)
 
 std::vector<std::pair<double, double>>
 sweepLoads(const Testbed &tb, const std::string &system,
-           const std::vector<double> &rpsList, const std::string &metric,
-           double traceSeconds)
+           const std::vector<double> &rpsList,
+           double (*metric)(const core::RunReport &), double traceSeconds)
 {
     std::vector<std::pair<double, double>> out;
     const auto spec = tb.spec(system);
     for (double rps : rpsList) {
         const auto trace = tb.trace(rps, traceSeconds);
-        const auto result = run(tb, spec, trace);
-        double value = 0.0;
-        if (metric == "p99ttft") {
-            value = result.stats.ttft.p99();
-        } else if (metric == "p50ttft") {
-            value = result.stats.ttft.p50();
-        } else if (metric == "p99tbt") {
-            value = result.stats.tbt.p99();
-        } else {
-            CHM_FATAL("unknown sweep metric: " << metric);
-        }
-        out.emplace_back(rps, value);
+        out.emplace_back(rps, metric(run(tb, spec, trace)));
     }
+    return out;
+}
+
+std::vector<sim::TimePoint>
+p99TtftOverTime(const std::vector<serving::RequestRecord> &records,
+                sim::SimTime window)
+{
+    std::map<std::int64_t, sim::PercentileTracker> windows;
+    for (const auto &r : records)
+        windows[(r.arrival + r.ttft) / window].add(sim::toSeconds(r.ttft));
+    std::vector<sim::TimePoint> out;
+    out.reserve(windows.size());
+    for (const auto &[index, ttft] : windows)
+        out.push_back({index * window, ttft.p99()});
     return out;
 }
 

@@ -22,6 +22,7 @@
 #include "model/gpu_spec.h"
 #include "model/llm.h"
 #include "serving/slo.h"
+#include "simkit/timeseries.h"
 #include "sweep/bench_json.h"
 #include "workload/trace_gen.h"
 
@@ -83,14 +84,18 @@ core::RunReport run(const Testbed &tb, const std::string &system,
 /** Print a figure banner with the paper's headline expectation. */
 void banner(const std::string &figure, const std::string &paperClaim);
 
-/**
- * Sweep loads and return (rps, metric) rows for a system.
- * metric: "p99ttft" | "p50ttft" | "p99tbt".
- */
+/** Sweep loads and return (rps, metric(report)) rows for a system. */
 std::vector<std::pair<double, double>> sweepLoads(
     const Testbed &tb, const std::string &system,
-    const std::vector<double> &rpsList, const std::string &metric,
-    double traceSeconds = 240.0);
+    const std::vector<double> &rpsList,
+    double (*metric)(const core::RunReport &), double traceSeconds = 240.0);
+
+/** P99 TTFT in each tumbling window of `window` that a record's first
+ * token (arrival + ttft) falls in: (window start, seconds), in time
+ * order. For latency-over-time figures. */
+std::vector<sim::TimePoint>
+p99TtftOverTime(const std::vector<serving::RequestRecord> &records,
+                sim::SimTime window = 10 * sim::kSec);
 
 } // namespace chameleon::bench
 

@@ -18,10 +18,11 @@ main()
 
     auto tb = bench::makeTestbed(100);
     const std::vector<double> loads{5, 6, 7, 8, 9, 10, 11, 12, 13};
-    const auto slora =
-        bench::sweepLoads(tb, "slora", loads, "p99tbt");
-    const auto cham = bench::sweepLoads(tb, "chameleon",
-                                        loads, "p99tbt");
+    const auto p99Tbt = [](const core::RunReport &r) {
+        return r.stats.tbt.p99();
+    };
+    const auto slora = bench::sweepLoads(tb, "slora", loads, p99Tbt);
+    const auto cham = bench::sweepLoads(tb, "chameleon", loads, p99Tbt);
     std::printf("%8s %14s %14s\n", "rps", "S-LoRA(ms)", "Chameleon(ms)");
     for (std::size_t i = 0; i < loads.size(); ++i) {
         // The TBT tracker stores milliseconds.

@@ -18,10 +18,11 @@ main()
 
     auto tb = bench::makeTestbed(100);
     const std::vector<double> loads{5, 6, 7, 8, 9, 10, 11, 12, 13};
-    const auto slora =
-        bench::sweepLoads(tb, "slora", loads, "p50ttft");
-    const auto cham = bench::sweepLoads(tb, "chameleon",
-                                        loads, "p50ttft");
+    const auto p50Ttft = [](const core::RunReport &r) {
+        return r.stats.ttft.p50();
+    };
+    const auto slora = bench::sweepLoads(tb, "slora", loads, p50Ttft);
+    const auto cham = bench::sweepLoads(tb, "chameleon", loads, p50Ttft);
     std::printf("%8s %13s %13s %12s\n", "rps", "S-LoRA(s)", "Chameleon(s)",
                 "reduction");
     for (std::size_t i = 0; i < loads.size(); ++i) {

@@ -33,7 +33,7 @@ main()
     std::map<std::string, std::map<std::int64_t, double>> series;
     for (const auto &[name, kind] : systems) {
         const auto result = bench::run(tb, kind, trace);
-        for (const auto &pt : result.stats.ttftOverTime.series(99.0))
+        for (const auto &pt : bench::p99TtftOverTime(result.stats.records))
             series[name][pt.time / (100 * sim::kSec)] = pt.value;
     }
 

@@ -36,7 +36,8 @@ main()
             const auto result = bench::run(tb, spec, trace);
             // Peak windowed P99 within the burst region (250..400 s).
             double burst_p99 = 0.0;
-            for (const auto &pt : result.stats.ttftOverTime.series(99.0)) {
+            for (const auto &pt :
+                 bench::p99TtftOverTime(result.stats.records)) {
                 const double t = sim::toSeconds(pt.time);
                 if (t >= 250.0 && t <= 400.0)
                     burst_p99 = std::max(burst_p99, pt.value);

@@ -269,10 +269,30 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
     drainSimulation(sim_, trace, drainWindow);
     cluster_->finalize();
 
+    // One isolated-latency table serves both the SLO and the slowdowns.
+    serving::IsolatedLatency isolated(
+        model::CostModel(spec_.engine.model, spec_.engine.gpu,
+                         spec_.engine.tpDegree, spec_.engine.cost),
+        pool_);
+    // Each tenant's samples, filled in the walk over the records that
+    // builds the run's latency trackers, in the order of its records.
+    struct TenantSamples
+    {
+        sim::PercentileTracker ttft;
+        sim::PercentileTracker e2e;
+        sim::PercentileTracker slowdown;
+    };
+    std::map<workload::TenantId, TenantSamples> byTenant;
     RunReport report;
     // The report takes the per-request data; the engines keep their
     // counters.
-    report.stats = cluster_->mergedStats();
+    report.stats = cluster_->mergedStats(
+        [&](const serving::RequestRecord &rec) {
+            TenantSamples &samples = byTenant[rec.tenant];
+            samples.ttft.add(sim::toSeconds(rec.ttft));
+            samples.e2e.add(sim::toSeconds(rec.e2e));
+            samples.slowdown.add(serving::slowdown(rec, isolated));
+        });
     const auto &engines = cluster_->engines();
     if (engines.size() == 1) {
         const auto &link = engines.front()->pcieLink();
@@ -314,30 +334,10 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
     }
 
     // --- per-tenant accounting (post-simulation: pure record reads) ---
-    // One isolated-latency table serves both the SLO and the slowdowns.
-    serving::IsolatedLatency isolated(
-        model::CostModel(spec_.engine.model, spec_.engine.gpu,
-                         spec_.engine.tpDegree, spec_.engine.cost),
-        pool_);
     if (sloMultiplier_ > 0.0 && !trace.empty()) {
         report.sloMultiplier = sloMultiplier_;
         report.sloSeconds = sim::toSeconds(
             serving::computeSlo(trace, isolated, sloMultiplier_));
-    }
-    // One pass in record order: each tenant's samples arrive in the
-    // order of its own records, without copying them.
-    struct TenantSamples
-    {
-        sim::PercentileTracker ttft;
-        sim::PercentileTracker e2e;
-        sim::PercentileTracker slowdown;
-    };
-    std::map<workload::TenantId, TenantSamples> byTenant;
-    for (const auto &rec : report.stats.records) {
-        TenantSamples &samples = byTenant[rec.tenant];
-        samples.ttft.add(sim::toSeconds(rec.ttft));
-        samples.e2e.add(sim::toSeconds(rec.e2e));
-        samples.slowdown.add(serving::slowdown(rec, isolated));
     }
     std::vector<double> weightedService;
     std::int64_t metOverall = 0;
@@ -517,43 +517,18 @@ eventStreamHash(const serving::DataParallelCluster & /*cluster*/,
 
 namespace {
 
-/** A latency histogram and the record field its samples come from. */
-struct LatencyMetric
-{
-    /** Histogram leaf: "replica<i>.latency.<name>". */
-    const char *name;
-    sim::SimTime serving::RequestRecord::*field;
-    /** The unit conversion the engine sampled the field with. */
-    double (*convert)(sim::SimTime);
-    /** Also a "cluster.latency.<name>" histogram. */
-    bool cluster;
-    /** Sampled only for requests with an adapter (load stall). */
-    bool adaptersOnly;
-};
-
-constexpr LatencyMetric kLatencyMetrics[] = {
-    {"ttft_s", &serving::RequestRecord::ttft, sim::toSeconds, true, false},
-    {"e2e_s", &serving::RequestRecord::e2e, sim::toSeconds, true, false},
-    {"queue_delay_s", &serving::RequestRecord::queueDelay, sim::toSeconds,
-     true, false},
-    {"load_stall_ms", &serving::RequestRecord::adapterStall, sim::toMillis,
-     false, true},
-};
-
 constexpr int kReplicaBits = 16;
 
 /**
- * Fill one latency metric's histograms from the report's records:
- * the engines' samples, recomputed. Each histogram gets its values in
- * ascending order, as the sorted trackers hand them out, so every sum
- * is bit-equal to one fed from them. One radix sort of (value,
- * replica) keys orders the cluster's values and, as subsequences,
- * every replica's.
+ * Fill one latency field's histograms from the report's records.
+ * Each histogram gets its values in ascending order, so its sums do
+ * not depend on finish order. One radix sort of (value, replica) keys
+ * orders the cluster's values and, as subsequences, every replica's.
  */
 void
 fillLatency(obs::MetricsRegistry &registry,
             const std::vector<serving::RequestRecord> &records,
-            std::size_t replicas, const LatencyMetric &metric)
+            std::size_t replicas, const serving::LatencyField &metric)
 {
     std::vector<std::uint64_t> keys;
     keys.reserve(records.size());
@@ -575,10 +550,12 @@ fillLatency(obs::MetricsRegistry &registry,
         perReplica[i] = &registry.histogram(
             "replica" + std::to_string(i) + ".latency." + metric.name);
     }
+    // The load stall has per-replica histograms only.
     obs::Histogram *cluster =
-        metric.cluster ? &registry.histogram(std::string("cluster.latency.") +
-                                             metric.name)
-                       : nullptr;
+        metric.tracker != &serving::RunStats::loadStall
+            ? &registry.histogram(std::string("cluster.latency.") +
+                                  metric.name)
+            : nullptr;
     constexpr std::uint64_t kReplicaMask = (1u << kReplicaBits) - 1;
     for (const std::uint64_t key : keys) {
         const double v =
@@ -636,7 +613,7 @@ fillRunMetrics(obs::MetricsRegistry &registry,
         count("pcie.bytes", engines[i]->pcieLink().totalBytes());
         count("pcie.transfers", engines[i]->pcieLink().totalTransfers());
     }
-    for (const LatencyMetric &metric : kLatencyMetrics)
+    for (const serving::LatencyField &metric : serving::kLatencyFields)
         fillLatency(registry, report.stats.records, engines.size(), metric);
 
     const serving::EngineStats &total = report.stats;

@@ -63,18 +63,19 @@ struct TenantReport
  * Aggregate outcome of one run — single-engine and cluster runs share
  * this one report. Per-link fields (utilisation, rate series) and the
  * in-engine time series are only populated for single-replica runs;
- * cluster-wide percentiles are rebuilt over all replicas' samples.
+ * cluster-wide percentiles are over all replicas' records.
  */
 struct RunReport
 {
     /**
      * The run's stats, taken from its engines
      * (DataParallelCluster::mergedStats): the only copy of the
-     * per-request records and samples once run() returns. The records
-     * are grouped by replica in engine order, each group in finish
-     * order, and each carries its replica index.
+     * per-request records once run() returns, and the latency trackers
+     * built from them. The records are grouped by replica in engine
+     * order, each group in finish order, and each carries its replica
+     * index.
      */
-    serving::EngineStats stats;
+    serving::RunStats stats;
 
     /**
      * Per-tenant slices ordered by tenant id (one entry per tenant with

@@ -1,7 +1,6 @@
 #include "serving/cluster.h"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 
 #include "fabric/cache_fabric.h"
@@ -628,51 +627,34 @@ DataParallelCluster::submitTrace(const workload::Trace &trace)
     }
 }
 
-namespace {
-
-/** The latency trackers mergedStats merges, in EngineStats order. */
-template <typename Stats>
-auto
-latencyTrackers(Stats &stats)
+RunStats
+DataParallelCluster::mergedStats(const RecordVisitor &eachRecord)
 {
-    return std::array{&stats.ttft, &stats.tbt, &stats.e2e,
-                      &stats.queueDelay, &stats.loadStall};
-}
-
-} // namespace
-
-EngineStats
-DataParallelCluster::mergedStats()
-{
-    // One replica's stats are the cluster's, time series included.
-    if (engines_.size() == 1)
-        return engines_.front()->takeStats();
-    EngineStats out;
-    const auto merged = latencyTrackers(out);
-    std::size_t records = 0;
-    std::array<std::size_t, merged.size()> samples{};
-    for (const auto &e : engines_) {
-        records += e->stats().records.size();
-        const auto trackers = latencyTrackers(e->stats());
-        for (std::size_t k = 0; k < merged.size(); ++k)
-            samples[k] += trackers[k]->count();
-    }
-    out.records.reserve(records);
-    for (std::size_t k = 0; k < merged.size(); ++k)
-        merged[k]->reserve(samples[k]);
-    for (auto &e : engines_) {
-        // Taken one replica at a time: each replica's samples and
-        // records are freed as soon as they are merged.
-        const EngineStats s = e->takeStats();
-        out += s;
-        const auto trackers = latencyTrackers(s);
-        for (std::size_t k = 0; k < merged.size(); ++k) {
-            for (const double v : trackers[k]->sorted())
-                merged[k]->add(v);
+    RunStats out;
+    if (engines_.size() == 1) {
+        // One replica's stats are the cluster's, series included.
+        static_cast<EngineStats &>(out) = engines_.front()->takeStats();
+    } else {
+        std::size_t records = 0;
+        std::size_t tbt = 0;
+        for (const auto &e : engines_) {
+            records += e->stats().records.size();
+            tbt += e->stats().tbt.count();
         }
-        out.records.insert(out.records.end(), s.records.begin(),
-                           s.records.end());
+        out.records.reserve(records);
+        out.tbt.reserve(tbt);
+        for (auto &e : engines_) {
+            // Taken one replica at a time: each replica's samples and
+            // records are freed as soon as they are merged.
+            const EngineStats s = e->takeStats();
+            out += s;
+            for (const double v : s.tbt.sorted())
+                out.tbt.add(v);
+            out.records.insert(out.records.end(), s.records.begin(),
+                               s.records.end());
+        }
     }
+    fillLatencyTrackers(out, eachRecord);
     return out;
 }
 

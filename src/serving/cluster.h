@@ -261,21 +261,17 @@ class DataParallelCluster : public routing::ClusterView
     }
 
     /**
-     * Take every engine's statistics as one (ServingEngine::takeStats):
-     * the engines keep their counters, and their samples and records
-     * move into the result, so a finished run holds one copy of its
-     * per-request data. Call it once, after the run; the Runner does,
-     * and RunReport::stats is the result.
-     *
-     * One replica hands over its stats whole, time series included.
-     * Several are merged: counters are summed, each latency tracker
-     * gets every replica's samples (replica by replica, each in sorted
-     * order), so percentiles are over the whole cluster, and the
-     * records are concatenated in replica order. The time-series
-     * fields (ttftOverTime, mem* series) are not merged; they stay
-     * empty.
+     * Take every engine's statistics as one (ServingEngine::takeStats),
+     * once, after the run: the engines keep their counters, and their
+     * TBT samples, series and records move into the result (the
+     * Runner's RunReport::stats). One replica hands over its stats
+     * whole; several have their counters summed, their TBT samples
+     * appended replica by replica (each in sorted order) and their
+     * records concatenated in replica order, and no memory series.
+     * The latency trackers are then built once from the records
+     * (fillLatencyTrackers), whose walk `eachRecord` also sees.
      */
-    EngineStats mergedStats();
+    RunStats mergedStats(const RecordVisitor &eachRecord = {});
 
     /** Requests finished per replica, indexed like engines(). */
     std::vector<std::int64_t> perReplicaFinished() const;

@@ -600,14 +600,8 @@ ServingEngine::finishRequest(LiveRequest *r)
     r->phase = RequestPhase::Finished;
     r->finishTime = sim_.now();
     releaseResources(r);
-    // One TTFT sample per request, from its final (non-squashed) run.
-    const double ttft_s = sim::toSeconds(r->firstTokenTime - r->arrival);
-    stats_.ttft.add(ttft_s);
-    stats_.ttftOverTime.record(r->firstTokenTime, ttft_s);
-    if (r->hasAdapter())
-        stats_.loadStall.add(sim::toMillis(r->adapterStall));
-    stats_.e2e.add(sim::toSeconds(r->finishTime - r->arrival));
-    stats_.queueDelay.add(sim::toSeconds(r->queueDelay()));
+    // The record is the request's only latency sample; its TTFT is
+    // from the final (non-squashed) run.
     stats_.records.push_back(makeRecord(*r, replica_));
     ++stats_.finished;
     if (trace_ != nullptr)

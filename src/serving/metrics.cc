@@ -1,6 +1,8 @@
 #include "serving/metrics.h"
 
+#include <algorithm>
 #include <ostream>
+#include <utility>
 
 #include "serving/live_request.h"
 
@@ -47,6 +49,34 @@ EngineCounters::operator+=(const EngineCounters &other)
     decodeTokens += other.decodeTokens;
     batchSizeAccum += other.batchSizeAccum;
     return *this;
+}
+
+RunStats::RunStats(EngineStats stats) : EngineStats(std::move(stats))
+{
+    fillLatencyTrackers(*this);
+}
+
+void
+fillLatencyTrackers(RunStats &stats, const RecordVisitor &eachRecord)
+{
+    const auto &records = stats.records;
+    const auto adapters = std::count_if(
+        records.begin(), records.end(),
+        [](const RequestRecord &r) { return r.adapter != model::kNoAdapter; });
+    for (const LatencyField &f : kLatencyFields) {
+        stats.*f.tracker = {};
+        (stats.*f.tracker)
+            .reserve(f.adaptersOnly ? static_cast<std::size_t>(adapters)
+                                    : records.size());
+    }
+    for (const RequestRecord &r : records) {
+        for (const LatencyField &f : kLatencyFields) {
+            if (!f.adaptersOnly || r.adapter != model::kNoAdapter)
+                (stats.*f.tracker).add(f.convert(r.*f.field));
+        }
+        if (eachRecord)
+            eachRecord(r);
+    }
 }
 
 void

@@ -7,6 +7,7 @@
 #define CHAMELEON_SERVING_METRICS_H
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <vector>
 
@@ -84,21 +85,14 @@ struct EngineCounters
 };
 
 /**
- * Aggregated statistics for one simulation run of an engine/cluster:
- * the counters plus the per-request data (latency samples, series and
- * records), which grows with the requests served.
+ * What an engine keeps as it runs. A finished request's latencies are
+ * only in its record; RunStats builds the trackers from the records.
  */
 struct EngineStats : EngineCounters
 {
-    sim::PercentileTracker ttft;
+    /** Time between tokens: one sample per decode iteration, in ms. */
     sim::PercentileTracker tbt;
-    sim::PercentileTracker e2e;
-    sim::PercentileTracker queueDelay;
-    /** Adapter loading latency on the critical path (Fig. 14). */
-    sim::PercentileTracker loadStall;
 
-    /** Windowed TTFT samples for latency-over-time figures. */
-    sim::WindowedPercentiles ttftOverTime{10 * sim::kSec};
     /** Memory usage samples: (time, bytes) for each tracked region. */
     sim::TimeSeries memTotalUsed;
     sim::TimeSeries memKv;
@@ -107,6 +101,52 @@ struct EngineStats : EngineCounters
     /** Per-request outcome log (always kept; sized by trace length). */
     std::vector<RequestRecord> records;
 };
+
+/** A run's stats (RunReport::stats): EngineStats plus the latency
+ * trackers fillLatencyTrackers builds from its records. */
+struct RunStats : EngineStats
+{
+    sim::PercentileTracker ttft; // seconds
+    sim::PercentileTracker e2e;
+    sim::PercentileTracker queueDelay;
+    /** Adapter load latency on the critical path (Fig. 14), in ms. */
+    sim::PercentileTracker loadStall;
+
+    RunStats() = default;
+    /** Take `stats` and build the trackers; implicit, so an engine's
+     * stats assign to a report's. */
+    RunStats(EngineStats stats);
+};
+
+/** One RequestRecord latency field and the RunStats tracker it fills,
+ * in the tracker's unit; the load stall only for adapter requests. */
+struct LatencyField
+{
+    const char *name;
+    sim::SimTime RequestRecord::*field;
+    double (*convert)(sim::SimTime);
+    bool adaptersOnly;
+    sim::PercentileTracker RunStats::*tracker;
+};
+
+inline constexpr LatencyField kLatencyFields[] = {
+    {"ttft_s", &RequestRecord::ttft, sim::toSeconds, false, &RunStats::ttft},
+    {"e2e_s", &RequestRecord::e2e, sim::toSeconds, false, &RunStats::e2e},
+    {"queue_delay_s", &RequestRecord::queueDelay, sim::toSeconds, false,
+     &RunStats::queueDelay},
+    {"load_stall_ms", &RequestRecord::adapterStall, sim::toMillis, true,
+     &RunStats::loadStall},
+};
+
+using RecordVisitor = std::function<void(const RequestRecord &)>;
+
+/**
+ * Fill `stats`' latency trackers from its records, replacing what they
+ * held: in record order, each reserved to its exact count.
+ * `eachRecord`, when set, sees every record in the same walk.
+ */
+void fillLatencyTrackers(RunStats &stats,
+                         const RecordVisitor &eachRecord = {});
 
 /**
  * Write records as CSV: a header row, then one row per record in

@@ -24,27 +24,6 @@ TimeSeries::downsample(std::size_t n) const
     return out;
 }
 
-WindowedPercentiles::WindowedPercentiles(SimTime window) : window_(window)
-{
-    CHM_CHECK(window > 0, "window must be positive");
-}
-
-void
-WindowedPercentiles::record(SimTime t, double value)
-{
-    windows_[t / window_].add(value);
-}
-
-std::vector<TimePoint>
-WindowedPercentiles::series(double percentile) const
-{
-    std::vector<TimePoint> out;
-    out.reserve(windows_.size());
-    for (const auto &[idx, tracker] : windows_)
-        out.push_back({idx * window_, tracker.percentile(percentile)});
-    return out;
-}
-
 WindowedSum::WindowedSum(SimTime window) : window_(window)
 {
     CHM_CHECK(window > 0, "window must be positive");

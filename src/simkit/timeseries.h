@@ -3,16 +3,16 @@
  * Windowed time-series recorders.
  *
  * Used for figure reproductions that plot a metric over elapsed time
- * (memory usage, windowed P99 TTFT, PCIe bandwidth per window).
+ * (memory usage, PCIe bandwidth per window).
  */
 
 #ifndef CHAMELEON_SIMKIT_TIMESERIES_H
 #define CHAMELEON_SIMKIT_TIMESERIES_H
 
-#include <map>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "simkit/stats.h"
 #include "simkit/time.h"
 
 namespace chameleon::sim {
@@ -38,31 +38,6 @@ class TimeSeries
 
   private:
     std::vector<TimePoint> points_;
-};
-
-/**
- * Tumbling-window percentile series.
- *
- * Samples falling in the same fixed window are aggregated; a window's
- * percentile can be queried after the series is finalised. Used to plot
- * e.g. P99 TTFT over elapsed time (paper Figs. 15 and 19).
- */
-class WindowedPercentiles
-{
-  public:
-    explicit WindowedPercentiles(SimTime window);
-
-    /** Record a sample stamped at time t (any order). */
-    void record(SimTime t, double value);
-
-    /** One output row per non-empty window: (window start, percentile). */
-    std::vector<TimePoint> series(double percentile) const;
-
-    SimTime window() const { return window_; }
-
-  private:
-    SimTime window_;
-    std::map<std::int64_t, PercentileTracker> windows_;
 };
 
 /**

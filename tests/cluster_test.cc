@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -792,11 +794,28 @@ TEST(InFlightMemory, FourReplicaSlotsFollowPeakInFlight)
 
 namespace {
 
+/** Whether T has a `ttft` member (a latency tracker). */
+template <typename T, typename = void>
+struct HasTtft : std::false_type
+{
+};
+template <typename T>
+struct HasTtft<T, std::void_t<decltype(std::declval<T &>().ttft)>>
+    : std::true_type
+{
+};
+
+// An engine's stats hold no latency tracker: a finished request's
+// latencies are in its record, and only a run's stats build trackers.
+static_assert(!HasTtft<serving::EngineStats>::value);
+static_assert(HasTtft<serving::RunStats>::value);
+
 /**
  * After Runner::run the report holds the run's only copy of its
  * per-request data: every engine kept its counters but no record or
- * sample, and the report's records take no more room than one vector
- * of them grown by doubling. Returns the replicas the run built.
+ * TBT sample, the report's records take no more room than one vector
+ * of them grown by doubling, and its latency trackers are reserved to
+ * their exact counts. Returns the replicas the run built.
  */
 std::size_t
 expectReportOwnsRecords(const core::SystemSpec &spec,
@@ -814,7 +833,6 @@ expectReportOwnsRecords(const core::SystemSpec &spec,
     for (std::size_t i = 0; i < engines.size(); ++i) {
         const serving::EngineStats &s = engines[i]->stats();
         EXPECT_TRUE(s.records.empty()) << "replica " << i;
-        EXPECT_TRUE(s.ttft.empty()) << "replica " << i;
         EXPECT_TRUE(s.tbt.empty()) << "replica " << i;
         finished += s.finished;
         EXPECT_EQ(static_cast<std::int64_t>(std::count_if(
@@ -836,6 +854,10 @@ expectReportOwnsRecords(const core::SystemSpec &spec,
         EXPECT_EQ(bytes, needed);
     }
     EXPECT_LE(bytes, 2 * needed);
+    for (const auto &field : serving::kLatencyFields) {
+        const auto &samples = (report.stats.*field.tracker).sorted();
+        EXPECT_EQ(samples.capacity(), samples.size()) << field.name;
+    }
     return engines.size();
 }
 
@@ -863,6 +885,79 @@ TEST(ReportOwnership, FourReplicasHandOverTheirRecords)
     EXPECT_EQ(expectReportOwnsRecords(ownershipSpec(4),
                                       longLowLoadTrace(3000), pool),
               4u);
+}
+
+namespace {
+
+std::vector<std::uint64_t>
+bitsOf(const std::vector<double> &values)
+{
+    std::vector<std::uint64_t> out(values.size());
+    std::memcpy(out.data(), values.data(), values.size() * sizeof(double));
+    return out;
+}
+
+/**
+ * Run `replicas` replicas over a low-load trace where every fifth
+ * request has no adapter, and check that each latency tracker of the
+ * report holds exactly its records' values: the same count, the same
+ * sorted bits, and a mean summed in record order. The load stall is
+ * sampled only for requests with an adapter.
+ */
+void
+expectTrackersHoldTheirRecords(int replicas)
+{
+    model::AdapterPool pool(model::llama7B(), 20);
+    const workload::Trace base = longLowLoadTrace(3000);
+    std::vector<workload::Request> requests = base.requests();
+    for (std::size_t i = 0; i < requests.size(); i += 5)
+        requests[i].adapter = model::kNoAdapter;
+    const workload::Trace trace(std::move(requests));
+    core::Runner runner(ownershipSpec(replicas), &pool);
+    const auto report = runner.run(trace);
+    const auto &records = report.stats.records;
+    ASSERT_EQ(records.size(), trace.size());
+
+    struct Expected
+    {
+        const char *name;
+        const sim::PercentileTracker &tracker;
+        std::vector<double> values;
+    };
+    Expected expected[] = {{"ttft", report.stats.ttft, {}},
+                           {"e2e", report.stats.e2e, {}},
+                           {"queueDelay", report.stats.queueDelay, {}},
+                           {"loadStall", report.stats.loadStall, {}}};
+    for (const auto &r : records) {
+        expected[0].values.push_back(sim::toSeconds(r.ttft));
+        expected[1].values.push_back(sim::toSeconds(r.e2e));
+        expected[2].values.push_back(sim::toSeconds(r.queueDelay));
+        if (r.adapter != model::kNoAdapter)
+            expected[3].values.push_back(sim::toMillis(r.adapterStall));
+    }
+    EXPECT_EQ(expected[3].values.size(), records.size() - 600);
+    for (auto &e : expected) {
+        double sum = 0.0;
+        for (const double v : e.values)
+            sum += v;
+        const double mean = sum / static_cast<double>(e.values.size());
+        EXPECT_EQ(bitsOf({e.tracker.mean()}), bitsOf({mean})) << e.name;
+        std::sort(e.values.begin(), e.values.end());
+        EXPECT_EQ(e.tracker.count(), e.values.size()) << e.name;
+        EXPECT_EQ(bitsOf(e.tracker.sorted()), bitsOf(e.values)) << e.name;
+    }
+}
+
+} // namespace
+
+TEST(ReportTrackers, OneReplicaTrackersHoldItsRecords)
+{
+    expectTrackersHoldTheirRecords(1);
+}
+
+TEST(ReportTrackers, FourReplicaTrackersHoldTheirRecords)
+{
+    expectTrackersHoldTheirRecords(4);
 }
 
 TEST(ReportOwnership, AutoscaledReplicasHandOverTheirRecords)

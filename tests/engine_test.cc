@@ -40,8 +40,9 @@ TEST(Engine, SingleBaseRequestMatchesIsolatedCost)
     // (one iteration, no queueing, no adapter).
     const auto expected =
         f.engine->costModel().isolatedTtft(142, 0, 0, false);
-    EXPECT_NEAR(stats.ttft.p50(), sim::toSeconds(expected),
-                0.05 * sim::toSeconds(expected));
+    EXPECT_NEAR(static_cast<double>(stats.records.front().ttft),
+                static_cast<double>(expected),
+                0.05 * static_cast<double>(expected));
 }
 
 TEST(Engine, SingleAdapterRequestPaysLoadOnCriticalPath)
@@ -152,8 +153,8 @@ TEST(Engine, ChunkedPrefillSpreadsLongPrompts)
     // slightly higher TTFT (per-iteration overheads), cf. §3.3.
     EXPECT_GE(chunked.engine->stats().iterations, 8);
     EXPECT_EQ(whole.engine->stats().iterations, 1);
-    EXPECT_GT(chunked.engine->stats().ttft.p50(),
-              whole.engine->stats().ttft.p50());
+    EXPECT_GT(chunked.engine->stats().records.front().ttft,
+              whole.engine->stats().records.front().ttft);
 }
 
 TEST(Engine, SquashResetsProgressAndRequeues)
@@ -302,7 +303,10 @@ TEST(Engine, DeterministicAcrossRuns)
                                        rng.nextBelow(10))));
         }
         f.simulator.run();
-        return f.engine->stats().e2e.sorted();
+        std::vector<sim::SimTime> e2e;
+        for (const auto &rec : f.engine->stats().records)
+            e2e.push_back(rec.e2e);
+        return e2e;
     };
     EXPECT_EQ(run_once(), run_once());
 }

@@ -379,20 +379,6 @@ TEST(TimeSeries, DownsampleKeepsEndpointsApproximately)
     EXPECT_EQ(down.front().time, 0);
 }
 
-TEST(WindowedPercentiles, OutOfOrderSamples)
-{
-    sim::WindowedPercentiles wp(sim::kSec);
-    wp.record(2 * sim::kSec, 5.0);
-    wp.record(0, 1.0);
-    wp.record(0, 3.0);
-    const auto series = wp.series(50.0);
-    ASSERT_EQ(series.size(), 2u);
-    EXPECT_EQ(series[0].time, 0);
-    EXPECT_DOUBLE_EQ(series[0].value, 2.0);
-    EXPECT_EQ(series[1].time, 2 * sim::kSec);
-    EXPECT_DOUBLE_EQ(series[1].value, 5.0);
-}
-
 TEST(WindowedSum, RatesPerSecond)
 {
     sim::WindowedSum ws(sim::kSec);
