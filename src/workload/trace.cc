@@ -1,6 +1,7 @@
 #include "workload/trace.h"
 
-#include <fstream>
+#include <istream>
+#include <ostream>
 #include <sstream>
 
 #include "simkit/check.h"
@@ -38,10 +39,8 @@ Trace::append(const Request &r)
 }
 
 void
-Trace::saveCsv(const std::string &path) const
+Trace::saveCsv(std::ostream &out) const
 {
-    std::ofstream out(path);
-    CHM_CHECK(out.good(), "cannot open " << path << " for writing");
     out << "id,arrival_us,input_tokens,output_tokens,adapter,tenant\n";
     for (const auto &r : requests_) {
         out << r.id << ',' << r.arrival << ',' << r.inputTokens << ','
@@ -49,15 +48,13 @@ Trace::saveCsv(const std::string &path) const
     }
 }
 
-Trace
-Trace::loadCsv(const std::string &path)
+std::optional<Trace>
+Trace::loadCsv(std::istream &in, std::string *error)
 {
-    std::ifstream in(path);
-    CHM_CHECK(in.good(), "cannot open " << path << " for reading");
     std::string line;
     std::getline(in, line); // header
     std::vector<Request> reqs;
-    while (std::getline(in, line)) {
+    for (int number = 2; std::getline(in, line); ++number) {
         if (line.empty())
             continue;
         std::istringstream ss(line);
@@ -65,7 +62,19 @@ Trace::loadCsv(const std::string &path)
         char comma;
         ss >> r.id >> comma >> r.arrival >> comma >> r.inputTokens >> comma >>
             r.outputTokens >> comma >> r.adapter;
-        CHM_CHECK(!ss.fail(), "malformed trace line: " << line);
+        const bool negative = r.arrival < 0 || r.inputTokens < 0 ||
+                              r.outputTokens < 0 ||
+                              r.adapter < model::kNoAdapter;
+        const char *problem =
+            ss.fail() || negative ? "malformed trace line"
+            : !reqs.empty() && r.arrival < reqs.back().arrival
+                ? "arrival before the previous line's"
+                : nullptr;
+        if (problem != nullptr) {
+            *error = "line " + std::to_string(number) + ": " + problem +
+                     ": " + line;
+            return std::nullopt;
+        }
         // Optional trailing tenant column; pre-tenancy traces omit it.
         if (!(ss >> comma >> r.tenant))
             r.tenant = kAnonymousTenant;

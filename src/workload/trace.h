@@ -6,6 +6,8 @@
 #ifndef CHAMELEON_WORKLOAD_TRACE_H
 #define CHAMELEON_WORKLOAD_TRACE_H
 
+#include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,10 +40,15 @@ class Trace
     void append(const Request &r);
 
     /** Write as CSV: id,arrival_us,input,output,adapter,tenant. */
-    void saveCsv(const std::string &path) const;
+    void saveCsv(std::ostream &out) const;
 
-    /** Parse the CSV format written by saveCsv. */
-    static Trace loadCsv(const std::string &path);
+    /**
+     * Parse the CSV format written by saveCsv; a row without the tenant
+     * column is tenant 0. A malformed or out-of-order row gives nullopt,
+     * with `*error` naming its line.
+     */
+    static std::optional<Trace> loadCsv(std::istream &in,
+                                        std::string *error);
 
   private:
     std::vector<Request> requests_;

@@ -7,7 +7,7 @@
  */
 
 #include <algorithm>
-#include <fstream>
+#include <sstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -397,25 +397,25 @@ TEST(TenantTraceGen, CsvRoundTripsTenantsAndReadsLegacyRows)
     wl.numTenants = 2;
     workload::TraceGenerator gen(wl, nullptr);
     const auto trace = gen.generate();
-    const std::string path = "tenancy_test_trace.csv";
-    trace.saveCsv(path);
-    const auto loaded = workload::Trace::loadCsv(path);
-    ASSERT_EQ(loaded.size(), trace.size());
+    std::stringstream csv;
+    trace.saveCsv(csv);
+    std::string error;
+    const auto loaded = workload::Trace::loadCsv(csv, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    ASSERT_EQ(loaded->size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(loaded.requests()[i].tenant, trace.requests()[i].tenant)
+        EXPECT_EQ(loaded->requests()[i].tenant, trace.requests()[i].tenant)
             << i;
     }
 
     // Legacy 5-column rows (pre-tenancy traces) default to tenant 0.
-    const std::string legacy = "tenancy_test_legacy.csv";
-    {
-        std::ofstream out(legacy);
-        out << "id,arrival_us,input_tokens,output_tokens,adapter\n";
-        out << "0,1000,128,32,2\n";
-    }
-    const auto old = workload::Trace::loadCsv(legacy);
-    ASSERT_EQ(old.size(), 1u);
-    EXPECT_EQ(old.requests()[0].tenant, workload::kAnonymousTenant);
+    std::istringstream legacy(
+        "id,arrival_us,input_tokens,output_tokens,adapter\n"
+        "0,1000,128,32,2\n");
+    const auto old = workload::Trace::loadCsv(legacy, &error);
+    ASSERT_TRUE(old.has_value()) << error;
+    ASSERT_EQ(old->size(), 1u);
+    EXPECT_EQ(old->requests()[0].tenant, workload::kAnonymousTenant);
 }
 
 // ---------------------------------------------------------------------

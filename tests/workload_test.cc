@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "model/adapter.h"
 #include "model/llm.h"
@@ -43,14 +45,34 @@ TEST(Trace, CsvRoundTrip)
     workload::Trace t;
     t.append({0, 100, 32, 64, 5});
     t.append({1, 250, 2000, 1, model::kNoAdapter});
-    const std::string path = ::testing::TempDir() + "/trace_roundtrip.csv";
-    t.saveCsv(path);
-    const auto loaded = workload::Trace::loadCsv(path);
-    ASSERT_EQ(loaded.size(), 2u);
-    EXPECT_EQ(loaded[0].arrival, 100);
-    EXPECT_EQ(loaded[1].inputTokens, 2000);
-    EXPECT_EQ(loaded[1].adapter, model::kNoAdapter);
-    std::remove(path.c_str());
+    std::stringstream csv;
+    t.saveCsv(csv);
+    std::string error;
+    const auto loaded = workload::Trace::loadCsv(csv, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    ASSERT_EQ(loaded->size(), 2u);
+    EXPECT_EQ((*loaded)[0].arrival, 100);
+    EXPECT_EQ((*loaded)[1].inputTokens, 2000);
+    EXPECT_EQ((*loaded)[1].adapter, model::kNoAdapter);
+}
+
+TEST(Trace, CsvRejectsMalformedAndOutOfOrderLinesByNumber)
+{
+    const std::string header = "id,arrival_us,input,output,adapter\n";
+    const std::pair<std::string, std::string> cases[] = {
+        {header + "0,100,32,64,5\n1,x,32,64,5\n",
+         "line 3: malformed trace line: 1,x,32,64,5"},
+        {header + "0,100,32,64\n", "line 2: malformed trace line"},
+        {header + "0,100,32,64,5\n\n1,99,32,64,5\n",
+         "line 4: arrival before the previous line's: 1,99,32,64,5"},
+    };
+    for (const auto &[text, message] : cases) {
+        std::istringstream csv(text);
+        std::string error;
+        EXPECT_FALSE(workload::Trace::loadCsv(csv, &error).has_value())
+            << text;
+        EXPECT_NE(error.find(message), std::string::npos) << error;
+    }
 }
 
 TEST(TraceGen, DeterministicForSeed)

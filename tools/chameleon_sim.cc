@@ -45,6 +45,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -92,6 +93,39 @@ flagGiven(int argc, char **argv, const std::string &name)
             return true;
     }
     return false;
+}
+
+/**
+ * Load a --trace CSV into `trace`: false, with `*error` set, when the
+ * file cannot be read or parsed, holds no request, or names an adapter
+ * outside the pool.
+ */
+bool
+loadTrace(const std::string &path, std::int64_t adapters,
+          workload::Trace *trace, std::string *error)
+{
+    std::ifstream in(path);
+    if (!in.good()) {
+        *error = "cannot open for reading";
+        return false;
+    }
+    auto loaded = workload::Trace::loadCsv(in, error);
+    if (!loaded)
+        return false;
+    if (loaded->empty()) {
+        *error = "no requests";
+        return false;
+    }
+    for (const auto &r : loaded->requests()) {
+        if (r.adapter >= adapters) {
+            *error = "request " + std::to_string(r.id) + " names adapter " +
+                     std::to_string(r.adapter) +
+                     ", outside the --adapters pool";
+            return false;
+        }
+    }
+    *trace = std::move(*loaded);
+    return true;
 }
 
 } // namespace
@@ -298,10 +332,12 @@ main(int argc, char **argv)
     std::ofstream records_file;
     std::ofstream trace_file;
     std::ofstream metrics_file;
+    std::ofstream saved_trace_file;
     const std::tuple<const char *, const std::string *, std::ofstream *>
         outputs[] = {{"records-csv", records_csv, &records_file},
                      {"trace-out", trace_out, &trace_file},
-                     {"metrics-out", metrics_out, &metrics_file}};
+                     {"metrics-out", metrics_out, &metrics_file},
+                     {"save-trace", save_trace, &saved_trace_file}};
     for (const auto &[flag, path, file] : outputs) {
         if (path->empty())
             continue;
@@ -322,7 +358,12 @@ main(int argc, char **argv)
 
     workload::Trace trace;
     if (!trace_in->empty()) {
-        trace = workload::Trace::loadCsv(*trace_in);
+        std::string error;
+        if (!loadTrace(*trace_in, *adapters, &trace, &error)) {
+            std::fprintf(stderr, "chameleon_sim: --trace %s: %s\n",
+                         trace_in->c_str(), error.c_str());
+            return 2;
+        }
     } else {
         workload::TraceGenConfig wl;
         if (!workload::tracePresetByName(*workload_name, &wl)) {
@@ -344,7 +385,7 @@ main(int argc, char **argv)
         trace = gen.generate();
     }
     if (!save_trace->empty())
-        trace.saveCsv(*save_trace);
+        trace.saveCsv(saved_trace_file);
 
     model::CostModel cost(spec.engine.model, spec.engine.gpu,
                           spec.engine.tpDegree, spec.engine.cost);
