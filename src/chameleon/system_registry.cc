@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "simkit/check.h"
 
@@ -83,57 +85,50 @@ SystemRegistry::has(const std::string &name) const
     return entries_.count(name) != 0;
 }
 
+namespace {
+
+/** Modifier spellings of policy names, with the names they stand for. */
+constexpr std::pair<const char *, const char *> kPolicyAliases[] = {
+    {"paper", "chameleon"}, {"fair-share", "fairshare"},
+    {"cache", "chameleon-cache"}, {"ondemand", "on-demand"}};
+
+/** The modifiers that set a knob rather than name a policy. */
+constexpr const char *kKnobModifiers[] = {
+    "prefetch[K]", "noprefetch", "bypass", "nobypass",  "static",
+    "dynamic",     "history",    "bert",   "chunked[N]"};
+
+} // namespace
+
 bool
 SystemRegistry::applyModifier(SystemSpec &spec, const std::string &token,
                               std::string *error)
 {
+    std::string policy = token;
+    for (const auto &[alias, name] : kPolicyAliases) {
+        if (token == alias)
+            policy = name;
+    }
     long long value = 0;
-    // Eviction axis (implies the chameleon cache stays required;
-    // validate() rejects the combination on a cacheless base).
-    if (token == "lru") {
-        spec.adapters.eviction = EvictionKind::Lru;
-    } else if (token == "fairshare" || token == "fair-share") {
-        spec.adapters.eviction = EvictionKind::FairShare;
-    } else if (token == "gdsf") {
-        spec.adapters.eviction = EvictionKind::Gdsf;
-    } else if (token == "paper") {
-        spec.adapters.eviction = EvictionKind::Paper;
-    // Scheduler axis.
-    } else if (token == "fifo") {
-        spec.scheduler.policy = SchedulerPolicy::Fifo;
-    } else if (token == "sjf") {
-        spec.scheduler.policy = SchedulerPolicy::Sjf;
-    } else if (token == "mlq") {
-        spec.scheduler.policy = SchedulerPolicy::Mlq;
-    } else if (token == "wfq") {
-        spec.scheduler.policy = SchedulerPolicy::Wfq;
-    } else if (token == "drr") {
-        spec.scheduler.policy = SchedulerPolicy::Drr;
-    // Adapter-management axis.
-    } else if (token == "cache") {
-        spec.adapters.policy = AdapterPolicy::ChameleonCache;
-    } else if (token == "ondemand" || token == "on-demand") {
-        spec.adapters.policy = AdapterPolicy::OnDemand;
+    // A policy name sets its axis: eviction (validate() rejects it on a
+    // cacheless base), scheduler or adapter management.
+    if (evictionPolicyTable().byName(policy, &spec.adapters.eviction) ||
+        schedulerPolicyTable().byName(policy, &spec.scheduler.policy) ||
+        adapterPolicyTable().byName(policy, &spec.adapters.policy))
+        return true;
     // Knobs.
-    } else if (token == "noprefetch") {
+    if (token == "noprefetch") {
         spec.adapters.predictivePrefetch = false;
         spec.adapters.prefetchTopK = 0;
     } else if (splitNumericSuffix(token, "prefetch", &value)) {
         spec.adapters.predictivePrefetch = true;
         spec.adapters.prefetchTopK =
             value < 0 ? 8 : static_cast<std::size_t>(value);
-    } else if (token == "bypass") {
-        spec.scheduler.bypass = true;
-    } else if (token == "nobypass") {
-        spec.scheduler.bypass = false;
-    } else if (token == "static") {
-        spec.scheduler.dynamicQueues = false;
-    } else if (token == "dynamic") {
-        spec.scheduler.dynamicQueues = true;
-    } else if (token == "history") {
-        spec.predictor.kind = "history";
-    } else if (token == "bert") {
-        spec.predictor.kind = "bert";
+    } else if (token == "bypass" || token == "nobypass") {
+        spec.scheduler.bypass = token == "bypass";
+    } else if (token == "static" || token == "dynamic") {
+        spec.scheduler.dynamicQueues = token == "dynamic";
+    } else if (token == "history" || token == "bert") {
+        spec.predictor.kind = token;
     } else if (splitNumericSuffix(token, "chunked", &value)) {
         spec.chunkedPrefill = true;
         if (value >= 0)
@@ -229,11 +224,17 @@ SystemRegistry::description(const std::string &name) const
 std::vector<std::string>
 SystemRegistry::modifierHelp()
 {
-    return {"lru",     "fairshare", "gdsf",       "paper",
-            "fifo",    "sjf",       "mlq",        "wfq",
-            "drr",     "cache",     "ondemand",   "prefetch[K]",
-            "noprefetch", "bypass", "nobypass",   "static",
-            "dynamic", "history",   "bert",       "chunked[N]"};
+    std::vector<std::string> out;
+    const auto add = [&out](const auto &table) {
+        for (const auto &entry : table.entries())
+            out.emplace_back(entry.name);
+    };
+    add(evictionPolicyTable());
+    add(schedulerPolicyTable());
+    add(adapterPolicyTable());
+    out.insert(out.end(), std::begin(kKnobModifiers),
+               std::end(kKnobModifiers));
+    return out;
 }
 
 } // namespace chameleon::core

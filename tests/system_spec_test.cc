@@ -323,6 +323,57 @@ TEST(SystemRegistry, GrammarComposesAxes)
     EXPECT_EQ(history.predictor.kind, "history");
 }
 
+namespace {
+
+/** Every name of `table` is a modifier that sets the axis `get` reads
+ * to its value, and modifierHelp() lists it. */
+template <class E, class Get>
+void
+expectTableNamesAreModifiers(const sim::NameTable<E> &table, Get get)
+{
+    const auto &registry = core::SystemRegistry::global();
+    const auto help = core::SystemRegistry::modifierHelp();
+    for (const auto &entry : table.entries()) {
+        const std::string name = std::string("slora+") + entry.name;
+        std::string error;
+        const auto spec = registry.find(name, &error);
+        ASSERT_TRUE(spec.has_value()) << name << ": " << error;
+        EXPECT_EQ(get(*spec), entry.value) << name;
+        EXPECT_NE(std::find(help.begin(), help.end(), entry.name),
+                  help.end())
+            << entry.name;
+    }
+}
+
+} // namespace
+
+TEST(SystemRegistry, EveryPolicyNameIsAModifier)
+{
+    expectTableNamesAreModifiers(
+        core::evictionPolicyTable(),
+        [](const core::SystemSpec &s) { return s.adapters.eviction; });
+    expectTableNamesAreModifiers(
+        core::schedulerPolicyTable(),
+        [](const core::SystemSpec &s) { return s.scheduler.policy; });
+    expectTableNamesAreModifiers(
+        core::adapterPolicyTable(),
+        [](const core::SystemSpec &s) { return s.adapters.policy; });
+}
+
+TEST(SystemRegistry, ModifierSpellingsOfPolicyNamesStayAccepted)
+{
+    const auto &registry = core::SystemRegistry::global();
+    EXPECT_EQ(registry.lookup("chameleon+lru+paper").adapters.eviction,
+              core::EvictionKind::Paper);
+    EXPECT_EQ(registry.lookup("chameleon+fair-share").adapters.eviction,
+              core::EvictionKind::FairShare);
+    EXPECT_EQ(registry.lookup("slora+cache").adapters.policy,
+              core::AdapterPolicy::ChameleonCache);
+    EXPECT_EQ(registry.lookup("chameleon+ondemand").adapters.policy,
+              core::AdapterPolicy::OnDemand);
+}
+
+
 TEST(SystemRegistry, UnknownNamesFailWithActionableErrors)
 {
     const auto &registry = core::SystemRegistry::global();
