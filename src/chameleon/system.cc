@@ -284,6 +284,11 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
     };
     std::map<workload::TenantId, TenantSamples> byTenant;
     RunReport report;
+    if (sloMultiplier_ > 0.0 && !trace.empty()) {
+        report.sloMultiplier = sloMultiplier_;
+        report.sloSeconds = sim::toSeconds(
+            serving::computeSlo(trace, isolated, sloMultiplier_));
+    }
     // The report takes the per-request data; the engines keep their
     // counters.
     report.stats = cluster_->mergedStats(
@@ -334,11 +339,6 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
     }
 
     // --- per-tenant accounting (post-simulation: pure record reads) ---
-    if (sloMultiplier_ > 0.0 && !trace.empty()) {
-        report.sloMultiplier = sloMultiplier_;
-        report.sloSeconds = sim::toSeconds(
-            serving::computeSlo(trace, isolated, sloMultiplier_));
-    }
     std::vector<double> weightedService;
     std::int64_t metOverall = 0;
     for (const auto &[tenant, samples] : byTenant) {
