@@ -56,13 +56,14 @@ TEST(Trace, CsvRoundTrip)
     EXPECT_EQ((*loaded)[1].adapter, model::kNoAdapter);
 }
 
-TEST(Trace, CsvRejectsMalformedAndOutOfOrderLinesByNumber)
+TEST(Trace, CsvRejectsBadLinesByNumber)
 {
     const std::string header = "id,arrival_us,input,output,adapter\n";
     const std::pair<std::string, std::string> cases[] = {
         {header + "0,100,32,64,5\n1,x,32,64,5\n",
          "line 3: malformed trace line: 1,x,32,64,5"},
         {header + "0,100,32,64\n", "line 2: malformed trace line"},
+        {header + "0,100,-32,64,5\n", "line 2: malformed trace line"},
         {header + "0,100,32,64,5\n\n1,99,32,64,5\n",
          "line 4: arrival before the previous line's: 1,99,32,64,5"},
     };
