@@ -106,7 +106,8 @@ struct EngineStats : EngineCounters
  * trackers fillLatencyTrackers builds from its records. */
 struct RunStats : EngineStats
 {
-    sim::PercentileTracker ttft; // seconds
+    /** TTFT, E2E and queue delay, in seconds. */
+    sim::PercentileTracker ttft;
     sim::PercentileTracker e2e;
     sim::PercentileTracker queueDelay;
     /** Adapter load latency on the critical path (Fig. 14), in ms. */
