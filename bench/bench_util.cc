@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <map>
 
-
 namespace chameleon::bench {
 
 workload::Trace
