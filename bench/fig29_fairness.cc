@@ -68,7 +68,7 @@ main()
     wl.numTenants = kTenants;
     // The storm: tenant 0 at 8x its share over the middle half (the
     // CLI/sweep convention).
-    workload::applyTenantStorm(&wl, kStormMultiplier);
+    wl.stormMultiplier = kStormMultiplier;
     workload::TraceGenerator gen(wl, tb.pool.get());
     const auto trace = gen.generate();
 

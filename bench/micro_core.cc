@@ -20,6 +20,7 @@
 
 #include "chameleon/eviction.h"
 #include "chameleon/kmeans.h"
+#include "chameleon/mlq_scheduler.h"
 #include "chameleon/quota.h"
 #include "chameleon/wrs.h"
 #include "fabric/residency_directory.h"
@@ -77,7 +78,8 @@ BM_KMeans1d(benchmark::State &state)
     for (int i = 0; i < state.range(0); ++i)
         data.push_back(rng.nextDouble());
     for (auto _ : state)
-        benchmark::DoNotOptimize(core::chooseClusters(data, 4));
+        benchmark::DoNotOptimize(core::chooseClusters(
+            data, core::kMlqMaxQueues, core::kMlqElbowThreshold));
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_KMeans1d)->Arg(512)->Arg(4096);

@@ -11,17 +11,20 @@ namespace chameleon::core {
 using model::AdapterId;
 using sim::SimTime;
 
+namespace {
+/** Time constant of the decayed use frequency, seconds. */
+constexpr double kFrequencyTauSeconds = 60.0;
+} // namespace
+
 CacheManager::CacheManager(const model::AdapterPool &pool,
                            gpu::GpuMemory &mem, gpu::PcieLink &link,
                            const model::CostModel &cost, CacheConfig config)
     : pool_(pool), mem_(mem), link_(link), cost_(cost),
-      config_(std::move(config)),
+      config_(std::move(config)), minFreeBytes_(mem_.capacity() / 25),
       policy_(makeEvictionPolicy(config_.evictionPolicy)),
       loadPredictor_(120.0),
       entries_(static_cast<std::size_t>(pool.size()))
 {
-    if (config_.minFreeBytes < 0)
-        config_.minFreeBytes = mem_.capacity() / 25; // auto: 4% headroom
 }
 
 std::size_t
@@ -62,7 +65,7 @@ double
 CacheManager::decayedFrequency(const Entry &e, SimTime now) const
 {
     const double dt = sim::toSeconds(now - e.lastUsed);
-    return e.frequency * std::exp(-dt / config_.frequencyTauSeconds);
+    return e.frequency * std::exp(-dt / kFrequencyTauSeconds);
 }
 
 void
@@ -169,7 +172,7 @@ CacheManager::tryFreeMemory(std::int64_t bytes)
     // success only requires the requested bytes, though. Unpinned idle
     // adapters go first; the adapters of queued requests are sacrificed
     // only when memory constraints make it necessary.
-    evictUntilFree(bytes + config_.minFreeBytes, /*includePinned=*/false,
+    evictUntilFree(bytes + minFreeBytes_, /*includePinned=*/false,
                    lastNow_);
     if (mem_.freeBytes() >= bytes) {
         kvShrinkEvictions_ += evictions_ - before;
@@ -201,15 +204,15 @@ CacheManager::startLoad(AdapterId id, Entry &e, LoadKind kind, SimTime now)
         // necessary state for incoming requests"). Pinned entries are
         // never displaced, and the free watermark stays untouched so
         // prefetching cannot starve KV growth into eviction churn.
-        if (mem_.freeBytes() < bytes + config_.minFreeBytes &&
-            !evictUntilFree(bytes + config_.minFreeBytes,
+        if (mem_.freeBytes() < bytes + minFreeBytes_ &&
+            !evictUntilFree(bytes + minFreeBytes_,
                             /*includePinned=*/false, now)) {
             return sim::kTimeNever;
         }
         break;
       case LoadKind::PredictivePrefetch:
         // Speculation must not interfere: keep the watermark free.
-        if (mem_.freeBytes() < bytes + config_.minFreeBytes)
+        if (mem_.freeBytes() < bytes + minFreeBytes_)
             return sim::kTimeNever;
         break;
     }
@@ -269,8 +272,8 @@ CacheManager::peerAdmit(AdapterId id, SimTime readyAt, SimTime now)
     // prefetch: it may displace unpinned idle cache entries but must
     // leave the interference watermark free (§4.2.1) so migration can
     // never starve KV growth.
-    if (mem_.freeBytes() < bytes + config_.minFreeBytes &&
-        !evictUntilFree(bytes + config_.minFreeBytes,
+    if (mem_.freeBytes() < bytes + minFreeBytes_ &&
+        !evictUntilFree(bytes + minFreeBytes_,
                         /*includePinned=*/false, now)) {
         return sim::kTimeNever;
     }
@@ -342,7 +345,7 @@ CacheManager::release(AdapterId id)
     --e.runningRc;
     notifyRelease(id);
     if (e.runningRc == 0 && e.state == State::Resident) {
-        if (e.queuedRc > 0 || mem_.freeBytes() >= config_.minFreeBytes) {
+        if (e.queuedRc > 0 || mem_.freeBytes() >= minFreeBytes_) {
             // Contrary to the baseline: retain the adapter in the cache.
             // Adapters still referenced by queued requests are always
             // kept - discarding them would force an immediate refetch.
@@ -388,7 +391,7 @@ CacheManager::onRequestQueued(AdapterId id, SimTime now)
     } else {
         ++misses_;
     }
-    if (config_.queuedPrefetch && e.state == State::NotResident)
+    if (e.state == State::NotResident)
         startLoad(id, e, LoadKind::QueuedPrefetch, now);
 }
 
@@ -409,12 +412,10 @@ CacheManager::onSchedulingCycle(const std::vector<AdapterId> &queued,
                                 SimTime now)
 {
     lastNow_ = now;
-    if (config_.queuedPrefetch) {
-        for (AdapterId id : queued) {
-            Entry &e = entry(id);
-            if (e.state == State::NotResident)
-                startLoad(id, e, LoadKind::QueuedPrefetch, now);
-        }
+    for (AdapterId id : queued) {
+        Entry &e = entry(id);
+        if (e.state == State::NotResident)
+            startLoad(id, e, LoadKind::QueuedPrefetch, now);
     }
     if (config_.predictivePrefetch) {
         for (AdapterId id :

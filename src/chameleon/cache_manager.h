@@ -9,7 +9,8 @@
  *  - the cache is dynamically sized: whenever request state (KV pages,
  *    activations, missing adapters) needs memory, the manager shrinks
  *    the cache by evicting idle adapters with a cost-aware policy;
- *  - adapters of queued requests are pinned (evicted only under real
+ *  - adapters of queued requests are fetched while they wait (the
+ *    S-LoRA-style queued prefetch) and pinned (evicted only under real
  *    memory pressure);
  *  - per-adapter metadata (rank/size, last-used time, decayed use
  *    frequency, reference count) feeds the eviction score;
@@ -40,23 +41,10 @@ struct CacheConfig
 {
     /** Eviction policy name: chameleon / fairshare / lru / gdsf. */
     std::string evictionPolicy = "chameleon";
-    /** Prefetch adapters of waiting (queued) requests. */
-    bool queuedPrefetch = true;
     /** Histogram-based predictive prefetch (§4.2.3; off by default). */
     bool predictivePrefetch = false;
     /** Predictive prefetch width (adapters per cycle). */
     std::size_t predictiveTopK = 8;
-    /** Frequency decay time constant, seconds. */
-    double frequencyTauSeconds = 60.0;
-    /**
-     * Interference-free watermark (§4.2.1): the cache neither fills via
-     * prefetch nor retains a released adapter unless at least this many
-     * bytes stay free for incoming request state, and KV-driven shrinks
-     * overshoot down to it. Prevents the cache from thrashing against
-     * KV-cache growth under memory pressure. Negative = auto (4% of
-     * device capacity).
-     */
-    std::int64_t minFreeBytes = -1;
 };
 
 /** AdapterManager implementation with the Chameleon cache. */
@@ -77,12 +65,12 @@ class CacheManager : public serving::AdapterManager
     void onRequestDequeued(model::AdapterId id) override;
     void onSchedulingCycle(const std::vector<model::AdapterId> &queued,
                            sim::SimTime now) override;
-    /** Only a queued prefetch reads the list, and it only acts on a
+    /** Only the queued prefetch reads the list, and it only acts on a
      * queued adapter that is neither resident nor loading. */
     bool
     needsQueuedAdapters() const override
     {
-        return config_.queuedPrefetch && queuedNotResident_ > 0;
+        return queuedNotResident_ > 0;
     }
     bool tryFreeMemory(std::int64_t bytes) override;
 
@@ -176,6 +164,15 @@ class CacheManager : public serving::AdapterManager
     gpu::PcieLink &link_;
     const model::CostModel &cost_;
     CacheConfig config_;
+    /**
+     * Interference-free watermark (§4.2.1), 4% of device capacity: the
+     * cache neither fills via prefetch nor retains a released adapter
+     * unless at least this many bytes stay free for incoming request
+     * state, and KV-driven shrinks overshoot down to it. Prevents the
+     * cache from thrashing against KV-cache growth under memory
+     * pressure.
+     */
+    const std::int64_t minFreeBytes_;
     std::unique_ptr<EvictionPolicy> policy_;
     predict::HistogramLoadPredictor loadPredictor_;
     /** Per-adapter state, indexed by adapter id (ids are dense). */

@@ -137,23 +137,12 @@ kmeans1d(const std::vector<double> &data, int k, int maxIters)
 
 KMeansResult
 chooseClusters(const std::vector<double> &data, int kMax,
-               KSelection selection, double elbowThreshold)
+               double elbowThreshold)
 {
     CHM_CHECK(kMax >= 1, "kMax must be at least 1");
     std::vector<double> sorted = data;
     sim::sortDoubles(sorted);
     LloydBuffers buf;
-
-    if (selection == KSelection::LiteralMinWcss) {
-        // WCSS is non-increasing in K; ties broken toward smaller K.
-        KMeansResult best = lloyd(sorted, 1, kKMeansMaxIters, buf);
-        for (int k = 2; k <= kMax; ++k) {
-            KMeansResult r = lloyd(sorted, k, kKMeansMaxIters, buf);
-            if (r.wcss < best.wcss)
-                best = std::move(r);
-        }
-        return best;
-    }
 
     // Elbow: stop at the first K whose improvement over K-1 is small.
     // Improvements are measured relative to the total dispersion (the

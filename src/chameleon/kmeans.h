@@ -7,9 +7,8 @@
  * cutoffs as midpoints between consecutive centroids.
  *
  * K selection deviates from the paper's literal "minimal WCSS" rule,
- * which always selects Kmax: the default is an elbow criterion. Both
- * rules are implemented; the deviation is explained in the MLQ section
- * of src/chameleon/README.md.
+ * which always selects Kmax: an elbow criterion picks K instead. The
+ * deviation is explained in the MLQ section of src/chameleon/README.md.
  *
  * Every entry point sorts its window once (sim::sortDoubles) and runs
  * all K on that copy; the results are bit-equal to an independent sort
@@ -40,21 +39,13 @@ inline constexpr int kKMeansMaxIters = 64;
 KMeansResult kmeans1d(const std::vector<double> &data, int k,
                       int maxIters = kKMeansMaxIters);
 
-/** K-selection rules. */
-enum class KSelection {
-    Elbow,          ///< Smallest K with marginal improvement < threshold.
-    LiteralMinWcss, ///< Paper-literal: minimal WCSS (effectively Kmax).
-};
-
 /**
- * Choose K in [1, kMax] and return the chosen clustering.
- *
- * @param elbowThreshold relative WCSS improvement below which adding a
- *        cluster is not considered worthwhile (elbow rule only)
+ * Choose K in [1, kMax] by the elbow rule and return its clustering:
+ * the smallest K for which K+1 clusters cut the WCSS by less than
+ * `elbowThreshold` times the K=1 WCSS (kMax if no such K).
  */
 KMeansResult chooseClusters(const std::vector<double> &data, int kMax,
-                            KSelection selection = KSelection::Elbow,
-                            double elbowThreshold = 0.10);
+                            double elbowThreshold);
 
 /** Queue cutoffs: midpoints of consecutive centroids (size K-1). */
 std::vector<double> centroidCutoffs(const std::vector<double> &centroids);

@@ -13,10 +13,9 @@ using serving::ReserveResult;
 
 MlqScheduler::MlqScheduler(MlqConfig config, const model::AdapterPool *pool)
     : config_(std::move(config)),
-      wrs_(pool, config_.wrsForm, config_.wrsA, config_.wrsB)
+      wrs_(pool, config_.wrsForm)
 {
     CHM_CHECK(config_.totalTokens > 0, "MLQ needs a token pool size");
-    CHM_CHECK(config_.kMax >= 1, "kMax must be at least 1");
     // Bootstrap: a single queue owning the whole pool until enough WRS
     // samples exist to cluster.
     lanes_.resize(1);
@@ -43,11 +42,11 @@ MlqScheduler::classify(double wrs) const
 void
 MlqScheduler::addWrsSample(double wrs, std::int64_t tokens)
 {
-    if (samples_.size() < config_.sampleWindow) {
+    if (samples_.size() < kMlqSampleWindow) {
         samples_.push_back(WrsSample{wrs, tokens});
     } else {
         samples_[sampleNext_] = WrsSample{wrs, tokens};
-        sampleNext_ = (sampleNext_ + 1) % config_.sampleWindow;
+        sampleNext_ = (sampleNext_ + 1) % kMlqSampleWindow;
     }
 }
 
@@ -257,11 +256,11 @@ MlqScheduler::onRequestFinished(LiveRequest *r)
     if (r->admitTime != sim::kTimeNever) {
         const ServiceSample sample{
             r->wrs, sim::toSeconds(r->finishTime - r->admitTime)};
-        if (services_.size() < config_.sampleWindow) {
+        if (services_.size() < kMlqSampleWindow) {
             services_.push_back(sample);
         } else {
             services_[serviceNext_] = sample;
-            serviceNext_ = (serviceNext_ + 1) % config_.sampleWindow;
+            serviceNext_ = (serviceNext_ + 1) % kMlqSampleWindow;
         }
         lane.serviceSecondsSum += sample.seconds;
         ++lane.servicesInWindow;
@@ -301,8 +300,7 @@ MlqScheduler::reconfigure(sim::SimTime now)
         wrs_values.push_back(s.wrs);
 
     const KMeansResult clusters =
-        chooseClusters(wrs_values, config_.kMax, config_.kSelection,
-                       config_.elbowThreshold);
+        chooseClusters(wrs_values, kMlqMaxQueues, kMlqElbowThreshold);
 
     // Window duration for arrival rates: time since the last refresh.
     const double window_s =
@@ -312,13 +310,13 @@ MlqScheduler::reconfigure(sim::SimTime now)
     if (config_.dynamic) {
         new_cutoffs = centroidCutoffs(clusters.centroids);
     } else {
-        // Static variant (Fig. 22): kMax equal WRS ranges over the
-        // observed span, fixed after the first configuration.
+        // Static variant (Fig. 22): kMlqMaxQueues equal WRS ranges over
+        // the observed span, fixed after the first configuration.
         const auto [mn, mx] =
             std::minmax_element(wrs_values.begin(), wrs_values.end());
-        for (int i = 1; i < config_.kMax; ++i) {
+        for (int i = 1; i < kMlqMaxQueues; ++i) {
             new_cutoffs.push_back(*mn + (*mx - *mn) * i /
-                                  static_cast<double>(config_.kMax));
+                                  static_cast<double>(kMlqMaxQueues));
         }
     }
     cutoffs_ = new_cutoffs;

@@ -32,20 +32,21 @@
 
 namespace chameleon::core {
 
+/** Max queue count (paper: 4, §4.3.4). */
+inline constexpr int kMlqMaxQueues = 4;
+/** Elbow rule's threshold on the relative WCSS gain of one more queue
+ * (see the K-selection note in src/chameleon/README.md). */
+inline constexpr double kMlqElbowThreshold = 0.10;
+/** Capacity of the WRS and service-time sample windows. */
+inline constexpr std::size_t kMlqSampleWindow = 4096;
+
 /** Scheduler configuration (paper defaults). */
 struct MlqConfig
 {
-    /** WRS formula and weights (§4.3.1). */
+    /** WRS formula (§4.3.1). */
     WrsForm wrsForm = WrsForm::Degree2;
-    double wrsA = 0.4;
-    double wrsB = 0.6;
-    /** Max queue count (paper: 4). */
-    int kMax = 4;
     /** Reconfiguration period (paper: 5 minutes). */
     sim::SimTime refreshPeriod = 300 * sim::kSec;
-    /** K selection rule (see kmeans.h for the literal-vs-elbow note). */
-    KSelection kSelection = KSelection::Elbow;
-    double elbowThreshold = 0.10;
     /** Per-queue SLO used in quota assignment, seconds. */
     double sloSeconds = 5.0;
     /** Engine token pool (input+output+adapter tokens of all requests). */
@@ -58,8 +59,6 @@ struct MlqConfig
     bool dynamic = true;
     /** Samples required before the first reconfiguration. */
     std::size_t warmupSamples = 200;
-    /** WRS sample window capacity for clustering. */
-    std::size_t sampleWindow = 4096;
 };
 
 /** Multi-level-queue scheduler with quotas, clustering, and bypass. */

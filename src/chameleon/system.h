@@ -227,7 +227,6 @@ class Runner
      * accounting (attainments report -1). Call before run().
      */
     void setSloMultiplier(double multiplier) { sloMultiplier_ = multiplier; }
-    double sloMultiplier() const { return sloMultiplier_; }
 
     /**
      * Run a trace to completion (with a drain window after the last
@@ -238,10 +237,6 @@ class Runner
      */
     RunReport run(const workload::Trace &trace,
                   sim::SimTime drainWindow = 3600 * sim::kSec);
-
-    /** The cache fabric, or nullptr when spec().fabricEnabled() is
-     * false (non-fabric runs never construct one). */
-    fabric::CacheFabric *cacheFabric() { return fabric_.get(); }
 
   private:
     SystemSpec spec_;

@@ -96,14 +96,6 @@ SystemSpec::withPrefetch(std::size_t topK)
 }
 
 SystemSpec &
-SystemSpec::withReplicas(int replicas, routing::RouterPolicy router)
-{
-    cluster.replicas = replicas;
-    cluster.router = router;
-    return *this;
-}
-
-SystemSpec &
 SystemSpec::withFleet(const std::vector<model::GpuSpec> &gpus,
                       routing::RouterPolicy router)
 {

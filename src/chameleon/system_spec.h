@@ -82,30 +82,10 @@ evictionPolicyName(EvictionKind policy)
 {
     return evictionPolicyTable().name(policy);
 }
-inline const char *
-reservationPolicyName(ReservationPolicy policy)
-{
-    return reservationPolicyTable().name(policy);
-}
-inline bool
-schedulerPolicyByName(const std::string &name, SchedulerPolicy *out)
-{
-    return schedulerPolicyTable().byName(name, out);
-}
-inline bool
-adapterPolicyByName(const std::string &name, AdapterPolicy *out)
-{
-    return adapterPolicyTable().byName(name, out);
-}
 inline bool
 evictionPolicyByName(const std::string &name, EvictionKind *out)
 {
     return evictionPolicyTable().byName(name, out);
-}
-inline bool
-reservationPolicyByName(const std::string &name, ReservationPolicy *out)
-{
-    return reservationPolicyTable().byName(name, out);
 }
 
 /** Output-length predictor axis. */
@@ -254,9 +234,6 @@ struct SystemSpec
     SystemSpec &withScheduler(SchedulerPolicy p);
     SystemSpec &withEviction(EvictionKind e);
     SystemSpec &withPrefetch(std::size_t topK = 8);
-    SystemSpec &withReplicas(int replicas,
-                             routing::RouterPolicy router =
-                                 routing::RouterPolicy::JoinShortestQueue);
     /**
      * Deploy a heterogeneous fleet: one replica per GPU in `gpus`,
      * each built from the current `engine` with that GPU swapped in

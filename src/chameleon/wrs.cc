@@ -12,12 +12,10 @@ constexpr double kMinMaxInput = 256.0;
 constexpr double kMinMaxOutput = 256.0;
 } // namespace
 
-WrsCalculator::WrsCalculator(const model::AdapterPool *pool, WrsForm form,
-                             double a, double b)
-    : pool_(pool), form_(form), a_(a), b_(b), maxInput_(kMinMaxInput),
+WrsCalculator::WrsCalculator(const model::AdapterPool *pool, WrsForm form)
+    : pool_(pool), form_(form), maxInput_(kMinMaxInput),
       maxOutput_(kMinMaxOutput)
 {
-    CHM_CHECK(a >= 0 && b >= 0, "weights must be non-negative");
 }
 
 double
@@ -43,10 +41,11 @@ WrsCalculator::compute(std::int64_t inputTokens,
 
     switch (form_) {
       case WrsForm::Degree2:
-        return (a_ * in_n + b_ * out_n) * ad_n;
+        return (kWrsInputWeight * in_n + kWrsOutputWeight * out_n) * ad_n;
       case WrsForm::Degree1:
         // Equal-altitude linear blend; adapter gets the residual weight.
-        return a_ * in_n + b_ * out_n + 0.5 * ad_n;
+        return kWrsInputWeight * in_n + kWrsOutputWeight * out_n +
+               0.5 * ad_n;
       case WrsForm::OutputOnly:
         return out_n;
     }

@@ -32,18 +32,18 @@ enum class WrsForm {
 };
 
 /** The forms' names ("degree2" | "degree1" | "output-only"): the
- * name and the parser (false on an unknown name) read it. */
+ * parser (false on an unknown name) reads it. */
 const sim::NameTable<WrsForm> &wrsFormTable();
-inline const char *
-wrsFormName(WrsForm form)
-{
-    return wrsFormTable().name(form);
-}
 inline bool
 wrsFormByName(const std::string &name, WrsForm *out)
 {
     return wrsFormTable().byName(name, out);
 }
+
+/** Input weight A of the WRS formula (paper: 0.4). */
+inline constexpr double kWrsInputWeight = 0.4;
+/** Output weight B of the WRS formula (paper: 0.6). */
+inline constexpr double kWrsOutputWeight = 0.6;
 
 /** Computes WRS values with running normalisation maxima. */
 class WrsCalculator
@@ -52,12 +52,9 @@ class WrsCalculator
     /**
      * @param pool adapter catalogue (nullable for base-only workloads)
      * @param form formula variant
-     * @param a input weight (paper: 0.4)
-     * @param b output weight (paper: 0.6)
      */
     explicit WrsCalculator(const model::AdapterPool *pool,
-                           WrsForm form = WrsForm::Degree2, double a = 0.4,
-                           double b = 0.6);
+                           WrsForm form = WrsForm::Degree2);
 
     /**
      * WRS of a request. Maintains running maxima of observed input and
@@ -72,8 +69,6 @@ class WrsCalculator
   private:
     const model::AdapterPool *pool_;
     WrsForm form_;
-    double a_;
-    double b_;
     double maxInput_;
     double maxOutput_;
 };

@@ -34,7 +34,6 @@ class GpuMemory
 
     std::int64_t capacity() const { return capacity_; }
     std::int64_t weightsBytes() const { return weights_; }
-    std::int64_t workspaceBytes() const { return workspace_; }
     std::int64_t kvBytes() const { return kv_; }
     std::int64_t adapterInUseBytes() const { return adapterInUse_; }
     std::int64_t adapterCacheBytes() const { return adapterCache_; }

@@ -99,27 +99,6 @@ MetricsRegistry::histogram(const std::string &name)
     return histograms_[name];
 }
 
-const Counter *
-MetricsRegistry::findCounter(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? nullptr : &it->second;
-}
-
-const Gauge *
-MetricsRegistry::findGauge(const std::string &name) const
-{
-    auto it = gauges_.find(name);
-    return it == gauges_.end() ? nullptr : &it->second;
-}
-
-const Histogram *
-MetricsRegistry::findHistogram(const std::string &name) const
-{
-    auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : &it->second;
-}
-
 namespace {
 
 struct MetricLeaf

@@ -102,11 +102,6 @@ class MetricsRegistry
     Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
 
-    /** Lookup without creating; nullptr when absent (tests). */
-    const Counter *findCounter(const std::string &name) const;
-    const Gauge *findGauge(const std::string &name) const;
-    const Histogram *findHistogram(const std::string &name) const;
-
     std::size_t size() const
     {
         return counters_.size() + gauges_.size() + histograms_.size();

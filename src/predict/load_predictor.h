@@ -88,9 +88,6 @@ class LoadForecaster
      */
     double forecastRps(sim::SimTime now, double horizonSeconds) const;
 
-    /** Arrivals currently inside the window. */
-    std::size_t windowCount() const { return arrivals_.size(); }
-
   private:
     void expire(sim::SimTime now) const;
     /** min(window, time since first arrival): rate normalisation. */

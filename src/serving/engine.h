@@ -210,7 +210,6 @@ class ServingEngine
     gpu::KvCache &kvCache() { return *kv_; }
     gpu::PcieLink &pcieLink() { return *link_; }
     const model::CostModel &costModel() const { return cost_; }
-    const model::AdapterPool *adapterPool() const { return pool_; }
     AdapterManager &adapterManager() { return *adapterMgr_; }
     const AdapterManager &adapterManager() const { return *adapterMgr_; }
     Scheduler &scheduler() { return *scheduler_; }
@@ -244,9 +243,8 @@ class ServingEngine
      */
     void squash(LiveRequest *r);
 
-    /** Live batch views (tests/benches). */
+    /** Live batch view (tests/benches). */
     std::size_t runningCount() const { return running_.size(); }
-    std::size_t prefillingCount() const { return prefilling_.size(); }
 
     /** Look up live request state by id (tests); null when unknown or
      * finished (a finished request's slot is recycled). */

@@ -293,8 +293,7 @@ cellTraceConfig(const SweepSpec &spec, double rps, std::uint64_t traceSeed)
     if (spec.workload.burstDurationSeconds.has_value())
         wl.burstDurationSeconds = *spec.workload.burstDurationSeconds;
     wl.numTenants = spec.workload.tenants;
-    if (spec.workload.tenantStorm > 1.0)
-        workload::applyTenantStorm(&wl, spec.workload.tenantStorm);
+    wl.stormMultiplier = spec.workload.tenantStorm;
     wl.seed = traceSeed;
     return wl;
 }

@@ -27,13 +27,6 @@ TenantTable::setWeight(TenantId tenant, double weight)
 }
 
 void
-TenantTable::setRpsShare(TenantId tenant, double share)
-{
-    CHM_CHECK(share >= 0.0, "tenant rps share must be non-negative");
-    rowFor(tenant).rpsShare = share;
-}
-
-void
 TenantTable::setSloMultiplier(TenantId tenant, double multiplier)
 {
     CHM_CHECK(multiplier > 0.0, "tenant SLO multiplier must be positive");
@@ -46,14 +39,6 @@ TenantTable::weight(TenantId tenant) const
     if (tenant < 0 || tenant >= size())
         return 1.0;
     return rows_[static_cast<std::size_t>(tenant)].weight;
-}
-
-double
-TenantTable::rpsShare(TenantId tenant) const
-{
-    if (tenant < 0 || tenant >= size())
-        return 0.0;
-    return rows_[static_cast<std::size_t>(tenant)].rpsShare;
 }
 
 double

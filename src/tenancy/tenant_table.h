@@ -3,7 +3,7 @@
  * Tenant descriptors and fairness metrics.
  *
  * The tenancy layer gives requests an owner: a tenant with a scheduler
- * weight, an offered-load share, and an SLO multiplier. TenantTable is
+ * weight and an SLO multiplier. TenantTable is
  * the lookup the fair schedulers and the reporting layer share; ids
  * beyond the configured table resolve to neutral defaults so partially
  * configured (or wholly anonymous) workloads keep working.
@@ -25,8 +25,6 @@ struct TenantInfo
 {
     /** Scheduler weight (WFQ service share, DRR quantum scale). */
     double weight = 1.0;
-    /** Fraction of the offered load this tenant contributes (0 = n/a). */
-    double rpsShare = 0.0;
     /** Per-tenant scale on the global TTFT SLO. */
     double sloMultiplier = 1.0;
 };
@@ -48,13 +46,10 @@ class TenantTable
     explicit TenantTable(int tenants);
 
     void setWeight(TenantId tenant, double weight);
-    void setRpsShare(TenantId tenant, double share);
     void setSloMultiplier(TenantId tenant, double multiplier);
 
     /** Scheduler weight; 1.0 for ids outside the table. */
     double weight(TenantId tenant) const;
-    /** Offered-load share; 0.0 for ids outside the table. */
-    double rpsShare(TenantId tenant) const;
     /** SLO scale; 1.0 for ids outside the table. */
     double sloMultiplier(TenantId tenant) const;
 

@@ -50,9 +50,6 @@ class WfqScheduler : public serving::Scheduler
 
     std::vector<serving::LiveRequest *> waitingSnapshot() const override;
 
-    /** Current system virtual time (for tests). */
-    double virtualTime() const { return virtualTime_; }
-
   private:
     struct Entry
     {

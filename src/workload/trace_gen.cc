@@ -12,6 +12,11 @@ namespace chameleon::workload {
 using model::AdapterId;
 using sim::Rng;
 
+namespace {
+/** Power-law exponent of a PowerLaw popularity knob. */
+constexpr double kPowerLawAlpha = 1.2;
+} // namespace
+
 double
 LengthDist::approxMean() const
 {
@@ -71,15 +76,6 @@ tracePresetNames()
     return "splitwise, wildchat, lmsys";
 }
 
-void
-applyTenantStorm(TraceGenConfig *cfg, double multiplier)
-{
-    cfg->stormTenant = 0;
-    cfg->stormMultiplier = multiplier;
-    cfg->stormStartSeconds = 0.25 * cfg->durationSeconds;
-    cfg->stormEndSeconds = 0.75 * cfg->durationSeconds;
-}
-
 TraceGenerator::TraceGenerator(TraceGenConfig config,
                                const model::AdapterPool *pool)
     : config_(std::move(config)), pool_(pool)
@@ -97,10 +93,10 @@ TraceGenerator::TraceGenerator(TraceGenConfig config,
             rankBuckets_.push_back(std::move(ids));
         const double rank_alpha =
             config_.rankPopularity == Popularity::PowerLaw
-                ? config_.powerLawAlpha : 0.0;
+                ? kPowerLawAlpha : 0.0;
         const double adapter_alpha =
             config_.adapterPopularity == Popularity::PowerLaw
-                ? config_.powerLawAlpha : 0.0;
+                ? kPowerLawAlpha : 0.0;
         rankSampler_ = std::make_unique<sim::PowerLawSampler>(
             rankBuckets_.size(), rank_alpha);
         for (const auto &ids : rankBuckets_)
@@ -127,29 +123,10 @@ TraceGenerator::sampleAdapter(Rng &rng) const
     return ids[withinSamplers_[bucket].sample(rng)];
 }
 
-std::vector<double>
-TraceGenerator::normalisedShares() const
-{
-    const auto n = static_cast<std::size_t>(config_.numTenants);
-    std::vector<double> shares = config_.tenantShares;
-    if (shares.empty())
-        shares.assign(n, 1.0);
-    CHM_CHECK(shares.size() == n,
-              "tenant_shares must be empty or have one entry per tenant");
-    double total = 0.0;
-    for (const double s : shares) {
-        CHM_CHECK(s > 0.0, "tenant shares must be positive");
-        total += s;
-    }
-    for (double &s : shares)
-        s /= total;
-    return shares;
-}
-
 /**
  * One tenant's arrival process: the same modulated-Poisson loop as the
  * single-tenant path, at `shareRps`, plus the noisy-neighbour storm
- * window when this tenant is the storm tenant.
+ * window when this is tenant 0.
  */
 std::vector<Request>
 TraceGenerator::generateTenant(TenantId tenant, double shareRps,
@@ -159,9 +136,9 @@ TraceGenerator::generateTenant(TenantId tenant, double shareRps,
     Rng lengthRng = root.split();
     Rng adapterRng = root.split();
 
-    const bool storming = tenant == config_.stormTenant &&
-                          config_.stormMultiplier > 1.0 &&
-                          config_.stormEndSeconds > config_.stormStartSeconds;
+    const bool storming = tenant == 0 && config_.stormMultiplier > 1.0;
+    const double stormStart = 0.25 * config_.durationSeconds;
+    const double stormEnd = 0.75 * config_.durationSeconds;
     std::vector<Request> reqs;
     const sim::SimTime horizon = sim::fromSeconds(config_.durationSeconds);
     sim::SimTime t = 0;
@@ -187,8 +164,7 @@ TraceGenerator::generateTenant(TenantId tenant, double shareRps,
             if (now_s >= b.startSeconds && now_s < b.endSeconds)
                 rate *= b.rateMultiplier;
         }
-        if (storming && now_s >= config_.stormStartSeconds &&
-            now_s < config_.stormEndSeconds)
+        if (storming && now_s >= stormStart && now_s < stormEnd)
             rate *= config_.stormMultiplier;
         const double gap_s = sim::sampleExponential(arrivalRng, rate);
         t += sim::fromSeconds(gap_s);
@@ -199,14 +175,6 @@ TraceGenerator::generateTenant(TenantId tenant, double shareRps,
         r.inputTokens = sampleLength(config_.input, lengthRng);
         r.outputTokens = sampleLength(config_.output, lengthRng);
         r.adapter = sampleAdapter(adapterRng);
-        if (config_.tenantAdapterSkew && r.adapter != model::kNoAdapter &&
-            config_.numTenants > 1) {
-            // Rotate each tenant's draws through a different slice of
-            // the adapter space: per-tenant skew, unchanged marginal.
-            const int span = config_.numAdapters;
-            const int shift = tenant * (span / config_.numTenants);
-            r.adapter = (r.adapter + shift) % span;
-        }
         r.tenant = tenant;
         reqs.push_back(r);
     }
@@ -229,12 +197,12 @@ TraceGenerator::generate()
         return Trace(std::move(reqs));
     }
 
-    const std::vector<double> shares = normalisedShares();
+    const double share = 1.0 / config_.numTenants;
     Rng rng(config_.seed);
     std::vector<Request> merged;
     for (int tenant = 0; tenant < config_.numTenants; ++tenant) {
         std::vector<Request> part =
-            generateTenant(tenant, config_.rps * shares[tenant], rng.split());
+            generateTenant(tenant, config_.rps * share, rng.split());
         merged.insert(merged.end(), part.begin(), part.end());
     }
     std::stable_sort(merged.begin(), merged.end(),

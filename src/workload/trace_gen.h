@@ -67,8 +67,6 @@ struct TraceGenConfig
     Popularity rankPopularity = Popularity::Uniform;
     /** Popularity of adapters within a rank class. */
     Popularity adapterPopularity = Popularity::PowerLaw;
-    /** Power-law exponent when a popularity knob is PowerLaw. */
-    double powerLawAlpha = 1.2;
     /** Optional load bursts. */
     std::vector<Burst> bursts{};
     /**
@@ -85,27 +83,18 @@ struct TraceGenConfig
     /**
      * Multi-tenant generation. With numTenants <= 1 the generator takes
      * the exact pre-tenancy code path (every request gets tenant 0).
-     * With more, each tenant runs an independent arrival process at
-     * rps * share and the per-tenant streams are merged by arrival.
+     * With more, each tenant runs an independent arrival process at an
+     * equal share of `rps` and the per-tenant streams are merged by
+     * arrival.
      */
     int numTenants = 1;
-    /** Per-tenant fraction of `rps`; empty = equal shares (normalised). */
-    std::vector<double> tenantShares{};
     /**
-     * Noisy-neighbour storm: tenant `stormTenant` runs at
-     * stormMultiplier x its share inside [stormStartSeconds,
-     * stormEndSeconds). stormTenant < 0 or multiplier <= 1 disables it.
+     * Noisy-neighbour storm: tenant 0 runs at stormMultiplier x its
+     * share over the middle half of the trace, [0.25, 0.75) x
+     * durationSeconds, leaving clean head and tail windows.
+     * A multiplier <= 1 disables it.
      */
-    int stormTenant = -1;
     double stormMultiplier = 1.0;
-    double stormStartSeconds = 0.0;
-    double stormEndSeconds = 0.0;
-    /**
-     * When true each tenant favours a different slice of the adapter
-     * space (its sampled adapter id is rotated by tenant index), giving
-     * per-tenant popularity skew without changing the marginal mix.
-     */
-    bool tenantAdapterSkew = false;
 };
 
 /** Splitwise-like conversation workload (testbed-scaled lengths). */
@@ -121,13 +110,6 @@ bool tracePresetByName(const std::string &name, TraceGenConfig *out);
 
 /** Comma-separated preset names, for error messages. */
 const char *tracePresetNames();
-
-/**
- * The noisy-neighbour storm: tenant 0 runs at `multiplier` x its share
- * over the middle half of the trace (0.25-0.75 of durationSeconds, so
- * set the duration first), leaving clean head/tail windows.
- */
-void applyTenantStorm(TraceGenConfig *cfg, double multiplier);
 
 /** Generates traces and assigns adapters per the configuration. */
 class TraceGenerator
@@ -145,7 +127,6 @@ class TraceGenerator
     model::AdapterId sampleAdapter(sim::Rng &rng) const;
     std::vector<Request> generateTenant(TenantId tenant, double shareRps,
                                         sim::Rng root) const;
-    std::vector<double> normalisedShares() const;
 
     TraceGenConfig config_;
     const model::AdapterPool *pool_;

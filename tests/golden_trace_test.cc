@@ -237,7 +237,7 @@ runTenantScenario(const char *scheduler, int tenants, bool storm,
     wl.seed = kSeed;
     wl.numTenants = tenants;
     if (storm)
-        workload::applyTenantStorm(&wl, 8.0); // CLI/sweep/fig29 storm
+        wl.stormMultiplier = 8.0; // CLI/sweep/fig29 storm
     workload::TraceGenerator gen(wl, &pool);
     const auto trace = gen.generate();
 

@@ -105,22 +105,25 @@ TEST(KMeans, ElbowStopsAtTrueClusterCount)
         data.push_back(1.0 + 0.001 * i);
         data.push_back(50.0 + 0.001 * i);
     }
-    const auto chosen =
-        core::chooseClusters(data, 4, core::KSelection::Elbow, 0.10);
+    const auto chosen = core::chooseClusters(data, 4, 0.10);
     EXPECT_EQ(chosen.centroids.size(), 2u);
 }
 
-TEST(KMeans, LiteralMinWcssPicksKmax)
+TEST(KMeans, WcssFallsStrictlyToKmax)
 {
     std::vector<double> data;
     sim::Rng rng(6);
     for (int i = 0; i < 300; ++i)
         data.push_back(rng.nextDouble());
-    const auto chosen = core::chooseClusters(
-        data, 4, core::KSelection::LiteralMinWcss, 0.10);
-    // WCSS is monotone, so the literal rule lands on Kmax (the
-    // deviation documented in src/chameleon/README.md).
-    EXPECT_EQ(chosen.centroids.size(), 4u);
+    // Each added cluster lowers the WCSS, so the paper's literal
+    // "minimal WCSS" rule would always land on Kmax: the reason for
+    // the elbow rule documented in src/chameleon/README.md.
+    double prev = core::kmeans1d(data, 1).wcss;
+    for (int k = 2; k <= core::kMlqMaxQueues; ++k) {
+        const double wcss = core::kmeans1d(data, k).wcss;
+        EXPECT_LT(wcss, prev) << "k " << k;
+        prev = wcss;
+    }
 }
 
 namespace {
@@ -193,19 +196,11 @@ refKmeans1d(const std::vector<double> &data, int k, int maxIters = 64)
 
 core::KMeansResult
 refChooseClusters(const std::vector<double> &data, int kMax,
-                  core::KSelection selection, double elbowThreshold)
+                  double elbowThreshold)
 {
     std::vector<core::KMeansResult> results;
     for (int k = 1; k <= kMax; ++k)
         results.push_back(refKmeans1d(data, k));
-    if (selection == core::KSelection::LiteralMinWcss) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < results.size(); ++i) {
-            if (results[i].wcss < results[best].wcss)
-                best = i;
-        }
-        return results[best];
-    }
     const double total = results[0].wcss;
     std::size_t chosen = results.size() - 1;
     if (total <= 0.0)
@@ -316,8 +311,8 @@ kmeansWindow(sim::Rng &rng, int shape)
 } // namespace
 
 /** The one-sort kernel equals the per-K sort and first-minimum scan
- * bit for bit: centroids and WCSS, for both K-selection rules and for
- * Lloyd runs cut short by maxIters. */
+ * bit for bit: centroids and WCSS, for the elbow rule over a sweep of
+ * kMax and thresholds and for Lloyd runs cut short by maxIters. */
 TEST(KMeans, MatchesVerbatimReference)
 {
     sim::Rng rng(2020);
@@ -328,14 +323,9 @@ TEST(KMeans, MatchesVerbatimReference)
         const std::vector<double> data = kmeansWindow(rng, shape);
         const int kMax = 1 + static_cast<int>(rng.nextBelow(4));
         const double threshold = rng.nextBelow(2) ? 0.10 : 0.01;
-        for (const auto selection : {core::KSelection::Elbow,
-                                     core::KSelection::LiteralMinWcss}) {
-            ASSERT_TRUE(sameBits(
-                core::chooseClusters(data, kMax, selection, threshold),
-                refChooseClusters(data, kMax, selection, threshold)))
-                << "window " << w << " shape " << shape << " kMax "
-                << kMax;
-        }
+        ASSERT_TRUE(sameBits(core::chooseClusters(data, kMax, threshold),
+                             refChooseClusters(data, kMax, threshold)))
+            << "window " << w << " shape " << shape << " kMax " << kMax;
         const int k = 1 + static_cast<int>(rng.nextBelow(4));
         const int iters[] = {1, 2, 3, 64};
         const int maxIters = iters[rng.nextBelow(4)];
@@ -636,7 +626,6 @@ TEST(MlqScheduler, StaticVariantUsesEqualRangesAndQuotas)
     model::AdapterPool pool(model::llama7B(), 10);
     auto cfg = testMlqConfig();
     cfg.dynamic = false;
-    cfg.kMax = 4;
     core::MlqScheduler sched(cfg, &pool);
     std::vector<serving::LiveRequest> warm;
     warm.reserve(30);

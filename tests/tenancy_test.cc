@@ -369,22 +369,27 @@ TEST(TenantTraceGen, StormMultipliesTheStormTenantInWindow)
     wl.seed = 5;
     wl.numAdapters = 0;
     wl.numTenants = 2;
-    wl.stormTenant = 0;
     wl.stormMultiplier = 6.0;
-    wl.stormStartSeconds = 20.0;
-    wl.stormEndSeconds = 40.0;
     workload::TraceGenerator gen(wl, nullptr);
     int stormInWindow = 0;
     int calmInWindow = 0;
+    int stormOutside = 0;
+    int calmOutside = 0;
     const workload::Trace trace = gen.generate();
     for (const auto &r : trace.requests()) {
         const double t = sim::toSeconds(r.arrival);
-        if (t < 20.0 || t >= 40.0)
-            continue;
-        (r.tenant == 0 ? stormInWindow : calmInWindow)++;
+        const bool inWindow = t >= 15.0 && t < 45.0;
+        if (r.tenant == 0)
+            ++(inWindow ? stormInWindow : stormOutside);
+        else
+            ++(inWindow ? calmInWindow : calmOutside);
     }
-    // 6x the share: expect several times the calm tenant's arrivals.
+    // 6x the share over [15, 45) s: several times the calm tenant's
+    // arrivals there.
     EXPECT_GT(stormInWindow, 3 * calmInWindow);
+    // Outside the window the two run at equal shares: no surplus
+    // beyond Poisson noise (a 2x surplus would be ~10 sigma).
+    EXPECT_LT(stormOutside, calmOutside * 3 / 2);
 }
 
 TEST(TenantTraceGen, CsvRoundTripsTenantsAndReadsLegacyRows)

@@ -379,8 +379,7 @@ main(int argc, char **argv)
         wl.numAdapters = static_cast<int>(*adapters);
         wl.seed = static_cast<std::uint64_t>(*seed);
         wl.numTenants = spec.tenancy.tenants;
-        if (*tenant_storm > 1.0)
-            workload::applyTenantStorm(&wl, *tenant_storm);
+        wl.stormMultiplier = *tenant_storm;
         workload::TraceGenerator gen(wl, pool.get());
         trace = gen.generate();
     }
