@@ -33,7 +33,8 @@ main()
     std::map<std::string, std::map<std::int64_t, double>> series;
     for (const auto &[name, kind] : systems) {
         const auto result = bench::run(tb, kind, trace);
-        for (const auto &pt : bench::p99TtftOverTime(result.stats.records))
+        for (const auto &pt : bench::p99TtftOverTime(result.stats.records,
+                                                     100 * sim::kSec))
             series[name][pt.time / (100 * sim::kSec)] = pt.value;
     }
 
@@ -53,7 +54,7 @@ main()
         }
         std::printf("\n");
     }
-    std::printf("\n(values: P99 TTFT seconds within each 100 s window; "
-                "windows aggregated from 10 s buckets)\n");
+    std::printf("\n(values: P99 TTFT seconds of the requests whose first "
+                "token falls in each 100 s window)\n");
     return 0;
 }
