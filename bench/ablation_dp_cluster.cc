@@ -3,60 +3,16 @@
  * §4.4 data parallelism: a global dispatcher over N engine replicas,
  * each replica running its own local scheduler and adapter cache
  * (caches replicated, as the paper specifies for DP). Compares S-LoRA
- * and Chameleon replicas at proportional loads, and the two dispatch
- * policies.
+ * and Chameleon replicas at proportional loads under join-shortest-
+ * queue dispatch.
  */
 
 #include <cstdio>
-#include <memory>
+#include <utility>
 
 #include "bench_util.h"
-#include "chameleon/cache_manager.h"
-#include "predict/length_predictor.h"
-#include "chameleon/mlq_scheduler.h"
-#include "serving/cluster.h"
-#include "serving/fifo_scheduler.h"
-#include "serving/slora_adapter_manager.h"
-#include "simkit/stats.h"
 
 using namespace chameleon;
-
-namespace {
-
-std::unique_ptr<serving::ServingEngine>
-makeReplica(sim::Simulator &simulator, const model::AdapterPool &pool,
-            predict::OutputPredictor &predictor, bool chameleon)
-{
-    serving::EngineConfig cfg;
-    cfg.model = model::llama7B();
-    cfg.gpu = model::a40();
-    std::unique_ptr<serving::Scheduler> sched;
-    if (chameleon) {
-        core::MlqConfig mcfg;
-        mcfg.kvBytesPerToken = cfg.model.kvBytesPerToken();
-        mcfg.totalTokens = (cfg.gpu.memBytes - cfg.model.weightsBytes() -
-                            cfg.workspacePerGpu) /
-                           mcfg.kvBytesPerToken;
-        sched = std::make_unique<core::MlqScheduler>(mcfg, &pool);
-        cfg.predictedReservation = true;
-    } else {
-        sched = std::make_unique<serving::FifoScheduler>();
-    }
-    auto engine = std::make_unique<serving::ServingEngine>(
-        simulator, cfg, &pool, std::move(sched), &predictor);
-    if (chameleon) {
-        engine->setAdapterManager(std::make_unique<core::CacheManager>(
-            pool, engine->memory(), engine->pcieLink(),
-            engine->costModel()));
-    } else {
-        engine->setAdapterManager(
-            std::make_unique<serving::SLoraAdapterManager>(
-                pool, engine->memory(), engine->pcieLink()));
-    }
-    return engine;
-}
-
-} // namespace
 
 int
 main()
@@ -72,35 +28,14 @@ main()
     for (int replicas : {1, 2, 4}) {
         const double rps = 8.5 * replicas;
         const auto trace = tb.trace(rps, 200.0);
-        for (bool chameleon : {false, true}) {
-            sim::Simulator simulator;
-            predict::LengthPredictor predictor(0.8);
-            serving::DataParallelCluster cluster(
-                simulator,
-                [&](std::size_t) {
-                    return makeReplica(simulator, *tb.pool, predictor,
-                                       chameleon);
-                },
-                replicas, routing::RouterPolicy::JoinShortestQueue);
-            cluster.submitTrace(trace);
-            simulator.run();
-            cluster.finalize();
-
-            sim::PercentileTracker ttft;
-            std::int64_t hits = 0, misses = 0;
-            for (const auto &engine : cluster.engines()) {
-                for (const auto &rec : engine->stats().records)
-                    ttft.add(sim::toSeconds(rec.ttft));
-                hits += engine->stats().adapterHits;
-                misses += engine->stats().adapterMisses;
-            }
-            std::printf("%9d %8.1f %-6s %12.3f %12.3f %8.1f%%\n",
-                        replicas, rps,
-                        chameleon ? "Cham" : "SLoRA", ttft.p50(),
-                        ttft.p99(),
-                        100.0 * static_cast<double>(hits) /
-                            static_cast<double>(std::max<std::int64_t>(
-                                hits + misses, 1)));
+        for (const auto &[label, system] :
+             {std::pair{"SLoRA", "slora"}, std::pair{"Cham", "chameleon"}}) {
+            auto spec = tb.spec(system);
+            spec.cluster.replicas = replicas;
+            const auto report = bench::run(tb, spec, trace);
+            std::printf("%9d %8.1f %-6s %12.3f %12.3f %8.1f%%\n", replicas,
+                        rps, label, report.stats.ttft.p50(),
+                        report.stats.ttft.p99(), 100.0 * report.cacheHitRate);
         }
     }
     return 0;
