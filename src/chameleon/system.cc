@@ -605,6 +605,14 @@ fillRunMetrics(obs::MetricsRegistry &registry,
         if (const auto *cache = dynamic_cast<const CacheManager *>(
                 &engines[i]->adapterManager())) {
             count("cache.evictions", cache->evictions());
+            // A registry name cannot be both a leaf and a prefix, so the
+            // causes sit beside the total rather than under it.
+            count("cache.evictions_by_cause.demand",
+                  cache->demandEvictions());
+            count("cache.evictions_by_cause.prefetch",
+                  cache->prefetchEvictions());
+            count("cache.evictions_by_cause.kv_shrink",
+                  cache->kvShrinkEvictions());
             count("cache.demand_loads", cache->demandLoads());
             count("cache.queued_loads", cache->queuedLoads());
             count("cache.predictive_loads", cache->predictiveLoads());

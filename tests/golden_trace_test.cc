@@ -635,11 +635,11 @@ TEST(GoldenReport, DrrStormAutoscale)
 TEST(GoldenReport, ExportsSingleReplica)
 {
     expectReportPins("exports single replica", exportHashes(1),
-                       {0x7f3aaf77998e180cull, 0x5989540fe7da1f3eull});
+                       {0xddf1bbeddc5d2fb1ull, 0x5989540fe7da1f3eull});
 }
 
 TEST(GoldenReport, ExportsJsqFourReplicas)
 {
     expectReportPins("exports jsq 4 replicas", exportHashes(4),
-                       {0xdcbf8ece1120fb7full, 0xdb6adf41b8778da5ull});
+                       {0x5dc31f4e5cb5e323ull, 0xdb6adf41b8778da5ull});
 }

@@ -23,6 +23,7 @@
 #include <tuple>
 #include <vector>
 
+#include "chameleon/cache_manager.h"
 #include "chameleon/system.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
@@ -335,4 +336,39 @@ TEST(MetricsRegistry, RunReportMetricsMatchTheStats)
         EXPECT_EQ(replica->find("requests")->find("finished")->asInt(),
                   run.report.perReplicaFinished[i]);
     }
+}
+
+/** The cache's eviction counters by cause reach the metrics snapshot,
+ * on a run whose KV growth squeezes the cache (a 30 GiB workspace and
+ * an under-predicting length predictor, the preemption pin's setup). */
+TEST(MetricsRegistry, RunReportMetricsCountEvictionsByCause)
+{
+    model::AdapterPool pool(model::llama7B(), 40);
+    auto spec = core::SystemRegistry::global().lookup("chameleon");
+    spec.engine.model = model::llama7B();
+    spec.engine.gpu = model::a40();
+    spec.engine.workspacePerGpu = 30ll << 30;
+    spec.predictor.accuracy = 0.2;
+    spec.predictor.seed = kSeed;
+    auto wl = workload::splitwiseLike();
+    wl.rps = 10.0;
+    wl.durationSeconds = 60.0;
+    wl.numAdapters = pool.size();
+    wl.adapterPopularity = workload::Popularity::Uniform;
+    wl.seed = kSeed;
+    workload::TraceGenerator gen(wl, &pool);
+    core::Runner runner(spec, &pool);
+    const auto report = runner.run(gen.generate());
+
+    const auto &cache = dynamic_cast<const core::CacheManager &>(
+        runner.engine().adapterManager());
+    EXPECT_GT(cache.evictions(), 0);
+    const auto *causes = report.metrics.find("replica0")
+                             ->find("cache")
+                             ->find("evictions_by_cause");
+    ASSERT_NE(causes, nullptr);
+    EXPECT_EQ(causes->find("demand")->asInt(), cache.demandEvictions());
+    EXPECT_EQ(causes->find("prefetch")->asInt(), cache.prefetchEvictions());
+    EXPECT_EQ(causes->find("kv_shrink")->asInt(),
+              cache.kvShrinkEvictions());
 }
