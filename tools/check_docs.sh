@@ -24,6 +24,12 @@
 #    knows: the "known:" list `chameleon_sim --set <key>=<bogus>`
 #    prints — a value added, renamed or dropped without a docs update
 #    fails the build.
+# 8. Every backticked `Type::member` in README.md, docs/*.md,
+#    src/*/README.md and bench/README.md names a member that appears in
+#    the src/ header declaring Type; a namespace-qualified name
+#    (`sim::sortDoubles`) resolves anywhere under src/. A trailing `*`
+#    (a prefix) or `()` is ignored, and `std::` names are skipped — a
+#    member deleted or renamed without a docs update fails the build.
 #
 # Usage: tools/check_docs.sh <chameleon_sim-binary> <repo-root> \
 #            [chameleon_sweep-binary]
@@ -163,10 +169,45 @@ if [ "$enum_rows" -eq 0 ]; then
     fail=1
 fi
 
+# --- 8. Backticked Type::member names resolve in src/ ---------------
+namespaces=$(cd "$root" && grep -rhoE '^[[:space:]]*namespace [A-Za-z_:]+' \
+        --include='*.h' --include='*.cc' src |
+    awk '{print $2}' | tr ':' '\n' | sed '/^$/d' | sort -u)
+sym_refs=0
+while IFS=: read -r doc ref; do
+    sym=${ref//\`/}
+    sym=${sym%()}
+    word=-w
+    if [ "${sym%\*}" != "$sym" ]; then
+        sym=${sym%\*}
+        word=
+    fi
+    qualifier=${sym%%::*}
+    member=${sym##*::}
+    [ "$qualifier" = std ] && continue
+    sym_refs=$((sym_refs + 1))
+    if grep -qx "$qualifier" <<< "$namespaces"; then
+        where="src/"
+        files=$(cd "$root" && grep -rl $word -- "$member" src || true)
+    else
+        where="the header declaring $qualifier"
+        files=$(cd "$root" && grep -rlE --include='*.h' \
+            "^[[:space:]]*(class|struct|enum class|enum|union)[[:space:]]+$qualifier([[:space:]]*([:{]|final)|[[:space:]]*\$)" \
+            src | xargs -r grep -l $word -- "$member" || true)
+    fi
+    if [ -z "$files" ]; then
+        echo "FAIL: $doc names \`$sym\`, but $member is not in $where"
+        fail=1
+    fi
+done < <(cd "$root" && grep -oE \
+    '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+(\(\)|\*)?`' \
+    README.md docs/*.md src/*/README.md bench/README.md)
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "docs freshness OK ($(echo "$registry_names" | wc -l) presets," \
      "$(echo "$dump_keys" | wc -l) spec keys documented," \
      "$enum_rows enum value lists match the parser," \
-     "$md_refs doc paths in comments resolve)"
+     "$md_refs doc paths in comments resolve," \
+     "$sym_refs Type::member names in docs resolve)"
