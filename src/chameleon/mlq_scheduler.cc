@@ -11,6 +11,11 @@ using serving::AdmissionContext;
 using serving::LiveRequest;
 using serving::ReserveResult;
 
+namespace {
+/** Capacity of the WRS and service-time sample windows. */
+constexpr std::size_t kSampleWindow = 4096;
+} // namespace
+
 MlqScheduler::MlqScheduler(MlqConfig config, const model::AdapterPool *pool)
     : config_(std::move(config)),
       wrs_(pool, config_.wrsForm)
@@ -42,11 +47,11 @@ MlqScheduler::classify(double wrs) const
 void
 MlqScheduler::addWrsSample(double wrs, std::int64_t tokens)
 {
-    if (samples_.size() < kMlqSampleWindow) {
+    if (samples_.size() < kSampleWindow) {
         samples_.push_back(WrsSample{wrs, tokens});
     } else {
         samples_[sampleNext_] = WrsSample{wrs, tokens};
-        sampleNext_ = (sampleNext_ + 1) % kMlqSampleWindow;
+        sampleNext_ = (sampleNext_ + 1) % kSampleWindow;
     }
 }
 
@@ -256,11 +261,11 @@ MlqScheduler::onRequestFinished(LiveRequest *r)
     if (r->admitTime != sim::kTimeNever) {
         const ServiceSample sample{
             r->wrs, sim::toSeconds(r->finishTime - r->admitTime)};
-        if (services_.size() < kMlqSampleWindow) {
+        if (services_.size() < kSampleWindow) {
             services_.push_back(sample);
         } else {
             services_[serviceNext_] = sample;
-            serviceNext_ = (serviceNext_ + 1) % kMlqSampleWindow;
+            serviceNext_ = (serviceNext_ + 1) % kSampleWindow;
         }
         lane.serviceSecondsSum += sample.seconds;
         ++lane.servicesInWindow;

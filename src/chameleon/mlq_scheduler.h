@@ -37,8 +37,6 @@ inline constexpr int kMlqMaxQueues = 4;
 /** Elbow rule's threshold on the relative WCSS gain of one more queue
  * (see the K-selection note in src/chameleon/README.md). */
 inline constexpr double kMlqElbowThreshold = 0.10;
-/** Capacity of the WRS and service-time sample windows. */
-inline constexpr std::size_t kMlqSampleWindow = 4096;
 
 /** Scheduler configuration (paper defaults). */
 struct MlqConfig

@@ -10,6 +10,9 @@ namespace {
 /** Normalisation floors: typical medium request (§3.1). */
 constexpr double kMinMaxInput = 256.0;
 constexpr double kMinMaxOutput = 256.0;
+/** Input and output weights A and B (paper: 0.4 and 0.6). */
+constexpr double kInputWeight = 0.4;
+constexpr double kOutputWeight = 0.6;
 } // namespace
 
 WrsCalculator::WrsCalculator(const model::AdapterPool *pool, WrsForm form)
@@ -41,11 +44,10 @@ WrsCalculator::compute(std::int64_t inputTokens,
 
     switch (form_) {
       case WrsForm::Degree2:
-        return (kWrsInputWeight * in_n + kWrsOutputWeight * out_n) * ad_n;
+        return (kInputWeight * in_n + kOutputWeight * out_n) * ad_n;
       case WrsForm::Degree1:
         // Equal-altitude linear blend; adapter gets the residual weight.
-        return kWrsInputWeight * in_n + kWrsOutputWeight * out_n +
-               0.5 * ad_n;
+        return kInputWeight * in_n + kOutputWeight * out_n + 0.5 * ad_n;
       case WrsForm::OutputOnly:
         return out_n;
     }

@@ -40,11 +40,6 @@ wrsFormByName(const std::string &name, WrsForm *out)
     return wrsFormTable().byName(name, out);
 }
 
-/** Input weight A of the WRS formula (paper: 0.4). */
-inline constexpr double kWrsInputWeight = 0.4;
-/** Output weight B of the WRS formula (paper: 0.6). */
-inline constexpr double kWrsOutputWeight = 0.6;
-
 /** Computes WRS values with running normalisation maxima. */
 class WrsCalculator
 {
