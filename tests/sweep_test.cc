@@ -17,10 +17,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "chameleon/spec_json.h"
 #include "model/adapter.h"
 #include "model/llm.h"
 #include "simkit/json.h"
@@ -507,6 +513,116 @@ TEST(SweepRunner, BuildsTheAdapterPoolForTheCellsModel)
     ASSERT_NE(runner.pool(), nullptr);
     EXPECT_EQ(runner.pool()->maxBytes(),
               model::AdapterPool(model::llama13B(), 8).maxBytes());
+}
+
+// ---------------------------------------------------------------------
+// The example sweeps' expansions, pinned.
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::string
+lengthText(const workload::LengthDist &d)
+{
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%.17g/%.17g/%lld/%lld", d.median,
+                  d.sigma, static_cast<long long>(d.minTokens),
+                  static_cast<long long>(d.maxTokens));
+    return buf;
+}
+
+/** Every field of a trace configuration, doubles at full precision. */
+std::string
+traceConfigText(const workload::TraceGenConfig &wl)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << "rps=" << wl.rps << " duration=" << wl.durationSeconds
+       << " input=" << lengthText(wl.input)
+       << " output=" << lengthText(wl.output)
+       << " adapters=" << wl.numAdapters
+       << " rank_pop=" << static_cast<int>(wl.rankPopularity)
+       << " adapter_pop=" << static_cast<int>(wl.adapterPopularity)
+       << " bursts=";
+    for (const auto &b : wl.bursts)
+        os << b.startSeconds << "/" << b.endSeconds << "/"
+           << b.rateMultiplier << ";";
+    os << " burst=" << wl.burstMultiplier << "/" << wl.burstPeriodSeconds
+       << "/" << wl.burstDurationSeconds << " seed=" << wl.seed
+       << " tenants=" << wl.numTenants << " storm=" << wl.stormMultiplier;
+    return os.str();
+}
+
+/** One line per cell: system, spec hash, trace configuration, trace
+ * seed and trace index, in cell order. */
+std::string
+expansionText(const std::string &text)
+{
+    std::string error;
+    const auto spec = sweep::sweepFromJson(text, &error);
+    EXPECT_TRUE(spec.has_value()) << error;
+    if (!spec.has_value())
+        return "";
+    const auto cells = sweep::expandSweep(*spec, &error);
+    EXPECT_TRUE(cells.has_value()) << error;
+    if (!cells.has_value())
+        return "";
+    std::ostringstream os;
+    for (const auto &cell : *cells) {
+        char hash[19];
+        std::snprintf(hash, sizeof(hash), "0x%016llx",
+                      static_cast<unsigned long long>(
+                          core::fnv1a64(core::specToJson(cell.spec))));
+        os << cell.system << " | " << hash << " | "
+           << traceConfigText(
+                  sweep::cellTraceConfig(*spec, cell.rps, cell.traceSeed))
+           << " | " << cell.traceSeed << " | " << cell.traceIndex << "\n";
+    }
+    return os.str();
+}
+
+} // namespace
+
+TEST(SweepExamples, ExpansionsArePinned)
+{
+    // {cells, fnv1a64 of expansionText}: a grammar change must leave
+    // every example's cells, specs and traces exactly as they were.
+    const std::map<std::string, std::pair<std::size_t, std::uint64_t>>
+        pins = {
+            {"autoscale_step.json", {2, 0xfb44353401e0e2e3ull}},
+            {"ci_smoke.json", {12, 0x4625832309ddae2bull}},
+            {"fabric_smoke.json", {4, 0xf36c67db38048bddull}},
+            {"fig17_policy_grid.json", {5, 0xa7f30981b9ca2894ull}},
+            {"hetero_fleet.json", {12, 0x04b70aa468bd17d0ull}},
+            {"minimal.json", {2, 0xed9f12db7bc06c3bull}},
+            {"noisy_neighbour.json", {3, 0x230cebfde0ecb6c1ull}},
+        };
+    const auto dir =
+        std::filesystem::path(__FILE__).parent_path().parent_path() /
+        "examples" / "sweeps";
+    std::set<std::string> seen;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        seen.insert(name);
+        std::ifstream in(entry.path());
+        std::stringstream text;
+        text << in.rdbuf();
+        const std::string expansion = expansionText(text.str());
+        const auto pin = pins.find(name);
+        ASSERT_NE(pin, pins.end()) << "no pin for " << name;
+        std::size_t cells = 0;
+        for (const char c : expansion)
+            cells += c == '\n';
+        char hash[19];
+        std::snprintf(hash, sizeof(hash), "0x%016llx",
+                      static_cast<unsigned long long>(
+                          core::fnv1a64(expansion)));
+        EXPECT_EQ(cells, pin->second.first) << name;
+        EXPECT_EQ(core::fnv1a64(expansion), pin->second.second)
+            << name << " expands to (hash " << hash << "):\n"
+            << expansion;
+    }
+    EXPECT_EQ(seen.size(), pins.size());
 }
 
 // ---------------------------------------------------------------------
