@@ -49,9 +49,9 @@ main()
 
     sweep::SweepSpec sw;
     sw.name = "fig17_cache_policies";
-    sw.loads = {bench::kMediumRps};
+    sw.workload.rps = bench::kMediumRps;
     sw.workload.durationSeconds = 300.0;
-    sw.workload.adapters = 200;
+    sw.workload.numAdapters = 200;
     // Memory-tight configuration: the paper's testbed keeps far less
     // idle memory than our 48 GB model, so we reserve extra workspace to
     // put the cache under real eviction pressure (~11 GB for KV+cache).

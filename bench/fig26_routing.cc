@@ -12,8 +12,8 @@
  * exercises the predictor-driven autoscaler on the same traces.
  *
  * The policy x replicas grid is a sweep::SweepRunner run per skew
- * setting (replicas and the cluster.router spec path are sweep axes;
- * the load scales per replica via rps_per_replica). The autoscale
+ * setting (cluster.replicas and cluster.router are sweep axes; the
+ * load scales per replica via rps_per_replica). The autoscale
  * on/off section is the cluster.autoscale axis over the same bursty
  * workload, with the autoscaler knobs as single-valued axes — nothing
  * is hand-rolled any more. Emits BENCH_routing.json for trend
@@ -40,14 +40,16 @@ gridSpec(bool skewed)
     sweep::SweepSpec sw;
     sw.name = "fig26_routing";
     sw.systems = {"chameleon"};
-    sw.loads = {kRpsPerReplica};
     sw.rpsPerReplica = true;
-    sw.replicas = {2, 4};
-    sw.axes.push_back(sweep::SweepAxis::parse(
-        "cluster.router", {"rr", "jsq", "p2c", "affinity", "affinity-dir"}));
+    sw.axes = {sweep::SweepAxis::parse("cluster.replicas", {"2", "4"}),
+               sweep::SweepAxis::parse("cluster.router",
+                                       {"rr", "jsq", "p2c", "affinity",
+                                        "affinity-dir"})};
+    sw.workload.rps = kRpsPerReplica;
     sw.workload.durationSeconds = kTraceSeconds;
-    sw.workload.adapters = 200;
-    sw.workload.adapterPopularity = skewed ? "powerlaw" : "uniform";
+    sw.workload.numAdapters = 200;
+    sw.workload.adapterPopularity = skewed ? workload::Popularity::PowerLaw
+                                           : workload::Popularity::Uniform;
     return sw;
 }
 
@@ -76,7 +78,7 @@ main()
             const auto &report = result.report;
             std::printf(
                 "%-8s %9d %-15s %9lld %12.3f %12.3f %10lld %6.1f%%\n",
-                skewName, cell.replicaCount,
+                skewName, cell.spec.cluster.replicas,
                 cell.axisValue("cluster.router").c_str(),
                 static_cast<long long>(report.stats.finished),
                 report.stats.ttft.p50(), report.stats.ttft.p99(),
@@ -85,10 +87,10 @@ main()
             json.row()
                 .field("section", std::string("policy_sweep"))
                 .field("skew", std::string(skewName))
-                .field("replicas",
-                       static_cast<std::int64_t>(cell.replicaCount))
+                .field("replicas", static_cast<std::int64_t>(
+                                       cell.spec.cluster.replicas))
                 .field("router", cell.axisValue("cluster.router"))
-                .field("rps", cell.rps)
+                .field("rps", cell.trace.rps)
                 .field("finished", report.stats.finished)
                 .field("p50_ttft_s", report.stats.ttft.p50())
                 .field("p99_ttft_s", report.stats.ttft.p99())
@@ -105,18 +107,18 @@ main()
     sweep::SweepSpec autoscaleGrid;
     autoscaleGrid.name = "fig26_autoscale";
     autoscaleGrid.systems = {"chameleon"};
-    autoscaleGrid.loads = {2.0 * kRpsPerReplica};
-    autoscaleGrid.replicas = {2};
     autoscaleGrid.axes = {
+        sweep::SweepAxis::parse("cluster.replicas", {"2"}),
         sweep::SweepAxis::parse("cluster.router", {"affinity"}),
         sweep::SweepAxis::parse("cluster.autoscale", {"false", "true"}),
         sweep::SweepAxis::parse("cluster.autoscaler.min_replicas", {"2"}),
         sweep::SweepAxis::parse("cluster.autoscaler.max_replicas", {"6"}),
         {"cluster.autoscaler.replica_service_rps",
          {sim::JsonValue::makeNumber(kRpsPerReplica)}}};
+    autoscaleGrid.workload.rps = 2.0 * kRpsPerReplica;
     autoscaleGrid.workload.durationSeconds = kTraceSeconds;
-    autoscaleGrid.workload.adapters = 200;
-    autoscaleGrid.workload.adapterPopularity = "powerlaw";
+    autoscaleGrid.workload.numAdapters = 200;
+    autoscaleGrid.workload.adapterPopularity = workload::Popularity::PowerLaw;
     autoscaleGrid.workload.burstMultiplier = 4.0; // §3.1 bursty arrivals
     autoscaleGrid.workload.burstPeriodSeconds = 60.0;
     autoscaleGrid.workload.burstDurationSeconds = 15.0;
@@ -130,14 +132,14 @@ main()
         const char *mode =
             cell.spec.cluster.autoscale ? "autoscale" : "fixed";
         std::printf("%-10s %9d %9zu %9lld %9lld %12.3f\n", mode,
-                    cell.replicaCount, report.peakReplicas,
+                    cell.spec.cluster.replicas, report.peakReplicas,
                     static_cast<long long>(report.scaleUps),
                     static_cast<long long>(report.scaleDowns),
                     report.stats.ttft.p99());
         json.row()
             .field("section", std::string("autoscale"))
             .field("mode", mode)
-            .field("rps", cell.rps)
+            .field("rps", cell.trace.rps)
             .field("finished", report.stats.finished)
             .field("p99_ttft_s", report.stats.ttft.p99())
             .field("peak_replicas",

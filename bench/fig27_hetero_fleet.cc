@@ -17,7 +17,7 @@
  *  2. upgrading half the fleet's GPUs therefore already buys a large
  *     part of the all-A100 tail-latency improvement.
  *
- * The grid is a sweep::SweepRunner run over the `fleets` axis;
+ * The grid is a sweep::SweepRunner run over the `cluster.fleet` axis;
  * `examples/sweeps/hetero_fleet.json` reproduces it from the command
  * line in one chameleon_sweep invocation. Emits BENCH_hetero_fleet.json
  * for trend tracking.
@@ -43,13 +43,14 @@ gridSpec()
     sweep::SweepSpec sw;
     sw.name = "hetero_fleet";
     sw.systems = {"chameleon"};
-    sw.loads = {kTotalRps};
-    sw.fleets = {"a40x4", "a100-48x2+a40x2", "a100-48x4"};
-    sw.axes.push_back(sweep::SweepAxis::parse(
-        "cluster.router", {"rr", "jsq", "p2c", "affinity-dir"}));
+    sw.axes = {sweep::SweepAxis::parse(
+                   "cluster.fleet", {"a40x4", "a100-48x2+a40x2", "a100-48x4"}),
+               sweep::SweepAxis::parse("cluster.router",
+                                       {"rr", "jsq", "p2c", "affinity-dir"})};
+    sw.workload.rps = kTotalRps;
     sw.workload.durationSeconds = kTraceSeconds;
-    sw.workload.adapters = 200;
-    sw.workload.adapterPopularity = "powerlaw";
+    sw.workload.numAdapters = 200;
+    sw.workload.adapterPopularity = workload::Popularity::PowerLaw;
     return sw;
 }
 
@@ -89,7 +90,7 @@ main()
         const auto &cell = result.cell;
         const auto &report = result.report;
         std::printf("%-16s %-15s %9lld %12.3f %12.3f %6.1f%%  %s\n",
-                    cell.fleet.c_str(),
+                    cell.axisValue("cluster.fleet").c_str(),
                     cell.axisValue("cluster.router").c_str(),
                     static_cast<long long>(report.stats.finished),
                     report.stats.ttft.p50(), report.stats.ttft.p99(),

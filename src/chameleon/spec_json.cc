@@ -240,6 +240,18 @@ class Reader
     {
     }
 
+    void
+    read(const char *key, TracePreset<workload::TraceGenConfig> preset)
+    {
+        const JsonValue *v = r_.child(key);
+        if (v != nullptr &&
+            !(v->isString() &&
+              workload::tracePresetByName(v->asString(), &preset.v))) {
+            r_.fail(key, "expects a trace preset name; known: " +
+                             std::string(workload::tracePresetNames()));
+        }
+    }
+
     void read(const char *key,
               Replicas<int, std::vector<serving::EngineConfig>> deployment);
 
@@ -420,6 +432,19 @@ specFromJson(const std::string &text, std::string *error)
         return std::nullopt;
     }
     return specFromJsonValue(*doc, error);
+}
+
+bool
+traceConfigFromJson(const JsonValue &v, workload::TraceGenConfig *out,
+                    std::string *error)
+{
+    if (!readObject(v, "workload", out, error, nullptr))
+        return false;
+    std::vector<std::string> problems;
+    checkBounds(*out, &problems);
+    if (!problems.empty() && error != nullptr)
+        *error = problems.front();
+    return problems.empty();
 }
 
 JsonValue

@@ -42,6 +42,7 @@
 
 #include "chameleon/system_spec.h"
 #include "simkit/json.h"
+#include "workload/trace_gen.h"
 
 namespace chameleon::core {
 
@@ -63,6 +64,16 @@ std::optional<SystemSpec> specFromJson(const std::string &text,
 /** As specFromJson, from an already parsed document. */
 std::optional<SystemSpec> specFromJsonValue(const sim::JsonValue &root,
                                             std::string *error = nullptr);
+
+/**
+ * Read a sweep's "workload" object onto *out: "preset" first, then
+ * each key given over it, missing keys keeping *out's values (keys
+ * and bounds in spec_schema.h). Strict like specFromJson; a key or a
+ * value out of bounds fails naming "workload.<key>".
+ */
+bool traceConfigFromJson(const sim::JsonValue &v,
+                         workload::TraceGenConfig *out,
+                         std::string *error = nullptr);
 
 /** One `path=value` override: a dotted spec path and its value. */
 using SpecOverride = std::pair<std::string, sim::JsonValue>;

@@ -48,7 +48,7 @@ struct HasFields<T, std::void_t<decltype(fields(
  */
 struct BoundsCheck
 {
-    const core::SystemSpec &root;
+    bool autoscale;
     std::string path;
     std::vector<std::string> *errors;
 
@@ -124,10 +124,10 @@ struct BoundsCheck
                 return;
         }
         if constexpr (std::is_same_v<T, routing::AutoscalerConfig>) {
-            if (!root.cluster.autoscale)
+            if (!autoscale)
                 return;
         }
-        fields(core::Of<T>{}, BoundsCheck{root, std::move(at), errors},
+        fields(core::Of<T>{}, BoundsCheck{autoscale, std::move(at), errors},
                object);
     }
 };
@@ -137,7 +137,15 @@ struct BoundsCheck
 void
 core::checkBounds(const SystemSpec &spec, std::vector<std::string> *errors)
 {
-    fields(Of<SystemSpec>{}, BoundsCheck{spec, "", errors}, spec);
+    fields(Of<SystemSpec>{}, BoundsCheck{spec.cluster.autoscale, "", errors},
+           spec);
+}
+
+void
+core::checkBounds(const workload::TraceGenConfig &workload,
+                  std::vector<std::string> *errors)
+{
+    BoundsCheck{false, "", errors}.walk("workload", workload);
 }
 
 bool
@@ -208,6 +216,12 @@ core::operator==(const TenancySpec &a, const TenancySpec &b)
 
 bool
 core::operator==(const FabricSpec &a, const FabricSpec &b)
+{
+    return sameFields(a, b);
+}
+
+bool
+workload::operator==(const TraceGenConfig &a, const TraceGenConfig &b)
 {
     return sameFields(a, b);
 }

@@ -21,10 +21,17 @@
  *  - Named: an enum, printed and parsed through the enum's name table
  *    (sim::NameTable, one per enum, beside the enum), listing the
  *    table's names on a miss;
- *  - Derived: compared, but neither printed nor read (the Runner sets
- *    it from other keys);
+ *  - Derived: compared, but neither printed nor read (the Runner, a
+ *    preset or the sweep sets it from other keys);
  *  - Replicas: "cluster.replicas", an integer count or an array of
- *    per-replica engines (with the parse-only "cluster.fleet").
+ *    per-replica engines (with the parse-only "cluster.fleet");
+ *  - TracePreset: the workload's parse-only "preset", a trace preset's
+ *    name that replaces the whole configuration before the other keys
+ *    apply.
+ *
+ * The sweep's "workload" block is a workload::TraceGenConfig read
+ * through its list here (core::traceConfigFromJson), and
+ * chameleon_sim's workload flags are held to the same bounds.
  *
  * A member's range is declared here too, as a Bound around it:
  * atLeast(v, lo) for v >= lo, above(v, lo) for v > lo and
@@ -45,6 +52,7 @@
 
 #include "chameleon/system_spec.h"
 #include "simkit/name_table.h"
+#include "workload/trace_gen.h"
 
 namespace chameleon::core {
 
@@ -140,6 +148,17 @@ struct Replicas
 template <class N, class E>
 Replicas(Bound<N>, E &) -> Replicas<N, E>;
 
+/** The parse-only trace preset; equal always, since the members it
+ * sets are compared on their own. */
+template <class T>
+struct TracePreset
+{
+    T &v;
+    friend bool operator==(TracePreset, TracePreset) { return true; }
+};
+template <class T>
+TracePreset(T &) -> TracePreset<T>;
+
 /**
  * Every Bound of `spec` that is out of range, as "<path> must be >= 1
  * (got 0)", where <path> is the dotted path --set takes
@@ -149,6 +168,11 @@ Replicas(Bound<N>, E &) -> Replicas<N, E>;
  * with cluster.autoscale on; neither is checked.
  */
 void checkBounds(const SystemSpec &spec, std::vector<std::string> *errors);
+
+/** As above for a workload, by its path in a sweep
+ * ("workload.burst_duration_s must be >= 0 (got -30)"). */
+void checkBounds(const workload::TraceGenConfig &workload,
+                 std::vector<std::string> *errors);
 
 /** Selects the field list of spec struct T: fields(Of<T>{}, f, s...). */
 template <class T>
@@ -312,6 +336,34 @@ fields(Of<FabricSpec>, F &&f, S &...s)
     f("migration", Named{s.migration, fabric::migrationPolicyTable()}...);
     f("topology", Named{s.topology, fabric::topologyTable()}...);
     f("top_k", atLeast(s.topK, 1)...);
+}
+
+template <class F, class... S>
+void
+fields(Of<workload::TraceGenConfig>, F &&f, S &...s)
+{
+    // Read first, so the keys below apply on top of the preset.
+    f("preset", TracePreset{s}...);
+    f("rps", above(s.rps, 0)...);
+    f("duration_s", above(s.durationSeconds, 0)...);
+    f("adapters", atLeast(s.numAdapters, 0)...);
+    f("adapter_popularity",
+      Named{s.adapterPopularity, workload::popularityTable()}...);
+    // The generator's base rate is rps * p / (p + d * (m - 1)): a
+    // negative burst length drives it through infinity to below zero.
+    // A multiplier of 1 turns bursts off; below 1 or at a period <= 0
+    // they would be off silently.
+    f("burst_multiplier", atLeast(s.burstMultiplier, 1)...);
+    f("burst_period_s", above(s.burstPeriodSeconds, 0)...);
+    f("burst_duration_s", atLeast(s.burstDurationSeconds, 0)...);
+    f("tenant_storm", atLeast(s.stormMultiplier, 1)...);
+    // Set by the preset, the sweep's seed and the cell's tenancy.tenants.
+    f(nullptr, Derived{s.input}...);
+    f(nullptr, Derived{s.output}...);
+    f(nullptr, Derived{s.rankPopularity}...);
+    f(nullptr, Derived{s.bursts}...);
+    f(nullptr, Derived{s.seed}...);
+    f(nullptr, Derived{s.numTenants}...);
 }
 
 template <class F, class... S>

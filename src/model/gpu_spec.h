@@ -57,8 +57,8 @@ const char *gpuPresetNames();
  * replicas and "a100x2+a40x2" is two A100-80G replicas followed by two
  * A40s. Returns false on unknown GPU names, malformed terms, or a
  * non-positive count. One source of truth for every fleet parser
- * (spec JSON "cluster.fleet", sweep "fleets" axis, chameleon_sim
- * --fleet).
+ * (spec JSON "cluster.fleet", which a sweep's "cluster.fleet" axis
+ * and chameleon_sim --fleet also go through).
  */
 bool tryFleetByName(const std::string &name, std::vector<GpuSpec> *out);
 

@@ -113,9 +113,9 @@ double nominalServiceRate(const EngineConfig &config);
 /**
  * Expand a GPU fleet into per-replica engine configs: one copy of
  * `base` per GPU, with that GPU swapped in. The single definition of
- * fleet-override semantics, shared by SystemSpec::withFleet, the spec
- * JSON "cluster.fleet"/"cluster.replicas" parsers, the sweep "fleets"
- * axis, and chameleon_sim --fleet.
+ * fleet-override semantics, shared by SystemSpec::withFleet and the spec
+ * JSON "cluster.fleet"/"cluster.replicas" parsers (which a sweep's
+ * "cluster.fleet" axis and chameleon_sim --fleet go through).
  */
 std::vector<EngineConfig> fleetEngines(
     const EngineConfig &base, const std::vector<model::GpuSpec> &gpus);

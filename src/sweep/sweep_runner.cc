@@ -34,27 +34,19 @@ SweepRunner::SweepRunner(SweepSpec spec) : spec_(std::move(spec))
     CHM_CHECK(cells.has_value(), error);
     cells_ = std::move(*cells);
 
-    // expandSweep guarantees every cell runs the same model.
-    if (spec_.workload.adapters > 0) {
+    // expandSweep guarantees every cell runs the same model and pool.
+    const auto &first = cells_.front();
+    if (first.trace.numAdapters > 0) {
         pool_ = std::make_unique<model::AdapterPool>(
-            cells_.front().spec.engine.model, spec_.workload.adapters);
+            first.spec.engine.model, first.trace.numAdapters);
     }
 
-    // One trace per distinct (rps, seed) pair, indexed by
+    // One trace per distinct configuration, indexed by
     // SweepCell::traceIndex (expandSweep allocated the indices).
-    std::size_t traceCount = 0;
-    for (const auto &cell : cells_)
-        traceCount = std::max(traceCount, cell.traceIndex + 1);
-    traces_.resize(traceCount);
-    std::vector<bool> built(traceCount, false);
     for (const auto &cell : cells_) {
-        if (built[cell.traceIndex])
-            continue;
-        workload::TraceGenerator gen(
-            cellTraceConfig(spec_, cell.rps, cell.traceSeed),
-            pool_.get());
-        traces_[cell.traceIndex] = gen.generate();
-        built[cell.traceIndex] = true;
+        if (cell.traceIndex == traces_.size())
+            traces_.push_back(
+                workload::TraceGenerator(cell.trace, pool_.get()).generate());
     }
 }
 
@@ -83,7 +75,7 @@ SweepRunner::run() const
             // cells measure under the same bounded window as
             // bench/fig29_fairness.
             const sim::SimTime drainWindow =
-                spec_.workload.tenantStorm > 1.0 ? 30 * sim::kSec
+                cell.trace.stormMultiplier > 1.0 ? 30 * sim::kSec
                                                  : 3600 * sim::kSec;
             results[i] = CellResult{
                 cell, runner.run(traces_[cell.traceIndex],
@@ -117,13 +109,13 @@ SweepRunner::appendRows(BenchJson &json,
         const auto &s = report.stats;
         json.row()
             .field("system", cell.system)
-            .field("rps", cell.rps)
-            .field("replicas", static_cast<std::int64_t>(cell.replicaCount))
-            .field("fleet", cell.fleet);
-        // One column per spec-path axis, named by its path.
+            .field("rps", cell.trace.rps)
+            .field("replicas",
+                   static_cast<std::int64_t>(cell.spec.cluster.replicas));
+        // One column per axis, named by its path.
         for (const auto &[path, value] : cell.overrides)
             json.field(path, value);
-        json.field("trace_seed", cell.traceSeed)
+        json.field("trace_seed", cell.trace.seed)
             .field("submitted", s.submitted)
             .field("finished", s.finished)
             .field("preemptions", s.preemptions)

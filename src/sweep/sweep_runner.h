@@ -3,8 +3,8 @@
  * SweepRunner: execute a SweepSpec grid into one consolidated report.
  *
  * Expands the sweep (sweep_spec.h), generates the shared traces (one
- * per load-axis entry, seeded `seed + loadIndex` so every system at a
- * load sees identical arrivals), runs each cell through the existing
+ * per distinct trace configuration, so every system at a load sees
+ * identical arrivals), runs each cell through the existing
  * core::Runner, and emits one BenchJson with a row per cell. Cells are
  * independent simulations, so the runner can execute them on a thread
  * pool (spec.threads); results are reported in cell order regardless

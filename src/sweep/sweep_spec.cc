@@ -1,12 +1,11 @@
 #include "sweep/sweep_spec.h"
 
-#include <limits>
-#include <sstream>
+#include <algorithm>
+#include <cstring>
 
 #include "chameleon/spec_json.h"
 #include "chameleon/system_registry.h"
 #include "model/llm.h"
-#include "simkit/check.h"
 #include "simkit/json.h"
 
 namespace chameleon::sweep {
@@ -39,132 +38,67 @@ SweepSpec::outputPath() const
 
 namespace {
 
-/**
- * An array under `key` whose items `convert` accepts (`what` names
- * them in errors). Empty arrays fail unless `allowEmpty`: an empty
- * axis silently replaced by its default would run a grid the author
- * never wrote.
- */
-template <typename T, typename Convert>
-bool
-listOf(sim::JsonObjectReader &r, const std::string &key, const char *what,
-       std::vector<T> *out, Convert convert, bool allowEmpty = false)
-{
-    const JsonValue *v = r.child(key);
-    if (v == nullptr)
-        return r.ok();
-    if (!v->isArray())
-        return r.fail(key, std::string("expects an array of ") + what);
-    if (!allowEmpty && v->items().empty())
-        return r.fail(key, "must not be an empty array (omit the key "
-                           "to use the default)");
-    out->clear();
-    for (const auto &item : v->items()) {
-        T value{};
-        if (!convert(item, &value))
-            return r.fail(key, std::string("expects an array of ") + what);
-        out->push_back(std::move(value));
-    }
-    return true;
-}
+/** The prefix of an axis path that names a workload key. */
+constexpr const char *kWorkloadPrefix = "workload.";
 
 bool
-toString(const JsonValue &item, std::string *out)
+isWorkloadPath(const std::string &path)
 {
-    *out = item.asString();
-    return item.isString();
-}
-
-bool
-toDouble(const JsonValue &item, double *out)
-{
-    *out = item.asNumber();
-    return item.isNumber();
-}
-
-bool
-toInt(const JsonValue &item, int *out)
-{
-    *out = static_cast<int>(item.asInt());
-    return item.isIntegral() && !item.isUnsignedIntegral() &&
-           item.asInt() >= std::numeric_limits<int>::min() &&
-           item.asInt() <= std::numeric_limits<int>::max();
-}
-
-bool
-workloadFromJson(const JsonValue &v, SweepWorkload *out,
-                 std::string *error)
-{
-    sim::JsonObjectReader r(v, "workload", error);
-    r.getString("preset", &out->preset);
-    r.getDouble("duration_s", &out->durationSeconds);
-    r.getInt("adapters", &out->adapters);
-    r.getString("adapter_popularity", &out->adapterPopularity);
-    auto getOptDouble = [&r](const char *key,
-                             std::optional<double> *slot) {
-        const JsonValue *v = r.child(key);
-        if (v == nullptr)
-            return r.ok();
-        if (!v->isNumber())
-            return r.fail(key, "expects a number");
-        *slot = v->asNumber();
-        return true;
-    };
-    getOptDouble("burst_multiplier", &out->burstMultiplier);
-    getOptDouble("burst_period_s", &out->burstPeriodSeconds);
-    getOptDouble("burst_duration_s", &out->burstDurationSeconds);
-    r.getInt("tenants", &out->tenants);
-    r.getDouble("tenant_storm", &out->tenantStorm);
-    if (!r.finish())
-        return false;
-    if (out->tenants < 1) {
-        return r.fail("tenants", "must be >= 1 (1 = the anonymous "
-                                 "single-tenant default)");
-    }
-    if (out->tenantStorm > 1.0 && out->tenants < 2) {
-        return r.fail("tenant_storm",
-                      "needs \"tenants\" >= 2; a storm is one tenant "
-                      "bursting against the others");
-    }
-    workload::TraceGenConfig preset;
-    if (!workload::tracePresetByName(out->preset, &preset)) {
-        return r.fail("preset", "unknown value \"" + out->preset +
-                                    "\"; known: " +
-                                    workload::tracePresetNames());
-    }
-    if (!out->adapterPopularity.empty() &&
-        out->adapterPopularity != "uniform" &&
-        out->adapterPopularity != "powerlaw") {
-        return r.fail("adapter_popularity",
-                      "unknown value \"" + out->adapterPopularity +
-                          "\"; known: uniform, powerlaw");
-    }
-    return true;
+    return path.rfind(kWorkloadPrefix, 0) == 0;
 }
 
 bool
 axesFromJson(const JsonValue &v, std::vector<SweepAxis> *out,
              std::string *error)
 {
-    auto fail = [error](const std::string &message) {
+    if (!v.isObject()) {
         if (error != nullptr)
-            *error = "\"axes\" " + message;
+            *error = "\"axes\" expects an object of path -> value array";
         return false;
-    };
-    if (!v.isObject())
-        return fail("expects an object of spec path -> value array");
+    }
     for (const auto &[path, values] : v.members()) {
-        if (path == "cluster.replicas" || path == "cluster.fleet") {
-            return fail("key \"" + path + "\" is the deployment axis; "
-                        "use the top-level \"replicas\" or \"fleets\" "
-                        "key");
+        if (!values.isArray()) {
+            if (error != nullptr)
+                *error = "\"axes\" key \"" + path +
+                         "\" expects an array of values";
+            return false;
         }
-        if (!values.isArray() || values.items().empty())
-            return fail("key \"" + path +
-                        "\" expects a non-empty array of values");
         out->push_back(SweepAxis{path, values.items()});
     }
     return true;
+}
+
+/** The rules an axis breaks whatever its cell: each holds a value, the
+ * preset is no axis, the cells share one adapter pool, and a cell
+ * deploys a replica count or a fleet. */
+bool
+checkAxes(const std::vector<SweepAxis> &axes, std::string *error)
+{
+    bool replicas = false;
+    bool fleet = false;
+    for (const auto &axis : axes) {
+        const auto fail = [&](const std::string &problem) {
+            if (error != nullptr)
+                *error = "sweep axis \"" + axis.path + "\" " + problem;
+            return false;
+        };
+        if (axis.values.empty())
+            return fail("must not be an empty array (omit the axis to "
+                        "use the default)");
+        if (axis.path == "workload.preset")
+            return fail("is not an axis: the preset replaces the whole "
+                        "workload; set it in the \"workload\" block");
+        if (axis.path == "workload.adapters" && axis.values.size() > 1)
+            return fail("takes one value: the cells share one adapter "
+                        "pool, as they share one model");
+        replicas = replicas || axis.path == "cluster.replicas";
+        fleet = fleet || axis.path == "cluster.fleet";
+    }
+    if (replicas && fleet && error != nullptr)
+        *error = "sweep axes \"cluster.replicas\" and \"cluster.fleet\" "
+                 "conflict: a fleet preset already fixes each cell's "
+                 "replica count";
+    return !(replicas && fleet);
 }
 
 /** A value as cell-label text: strings unquoted, the rest as JSON. */
@@ -211,18 +145,23 @@ sweepFromJson(const std::string &text, std::string *error)
 
     sim::JsonObjectReader r(*doc, "", error);
     r.getString("name", &spec.name);
-    listOf(r, "systems", "strings", &spec.systems, toString,
-           /*allowEmpty=*/true); // caught below as "nothing to run"
-    listOf(r, "loads", "numbers", &spec.loads, toDouble);
+    if (const JsonValue *systems = r.child("systems")) {
+        for (const auto &item : systems->items()) {
+            if (!item.isString())
+                break;
+            spec.systems.push_back(item.asString());
+        }
+        if (!systems->isArray() ||
+            spec.systems.size() != systems->items().size())
+            r.fail("systems", "expects an array of strings");
+    }
     r.getBool("rps_per_replica", &spec.rpsPerReplica);
-    listOf(r, "replicas", "32-bit integers", &spec.replicas, toInt);
-    listOf(r, "fleets", "strings", &spec.fleets, toString);
     if (const JsonValue *a = r.child("axes")) {
         if (!axesFromJson(*a, &spec.axes, error))
             return failure();
     }
     if (const JsonValue *w = r.child("workload")) {
-        if (!workloadFromJson(*w, &spec.workload, error))
+        if (!core::traceConfigFromJson(*w, &spec.workload, error))
             return failure();
     }
     r.getUint64("seed", &spec.seed);
@@ -236,66 +175,12 @@ sweepFromJson(const std::string &text, std::string *error)
             *error = "sweep json: nothing to run; give \"systems\"";
         return std::nullopt;
     }
-    if (!spec.fleets.empty() && !spec.replicas.empty()) {
-        if (error != nullptr)
-            *error = "sweep json: \"fleets\" conflicts with "
-                     "\"replicas\"; a fleet preset already fixes each "
-                     "cell's replica count";
-        return std::nullopt;
-    }
     if (spec.threads < 1) {
         if (error != nullptr)
             *error = "sweep json: \"threads\" must be >= 1";
         return std::nullopt;
     }
-    for (const double rps : spec.loads) {
-        if (rps <= 0.0) {
-            if (error != nullptr)
-                *error = "sweep json: \"loads\" entries must be > 0";
-            return std::nullopt;
-        }
-    }
-    if (spec.workload.durationSeconds <= 0.0) {
-        if (error != nullptr)
-            *error = "sweep json: \"workload.duration_s\" must be > 0";
-        return std::nullopt;
-    }
-    if (spec.workload.adapters < 0) {
-        // A negative count would silently run base-only and misread
-        // as a valid sweep with empty cache columns.
-        if (error != nullptr)
-            *error = "sweep json: \"workload.adapters\" must be >= 0 "
-                     "(0 = base-only workload)";
-        return std::nullopt;
-    }
     return spec;
-}
-
-workload::TraceGenConfig
-cellTraceConfig(const SweepSpec &spec, double rps, std::uint64_t traceSeed)
-{
-    workload::TraceGenConfig wl;
-    CHM_CHECK(workload::tracePresetByName(spec.workload.preset, &wl),
-              "unknown sweep workload preset \""
-                  << spec.workload.preset << "\"; known: "
-                  << workload::tracePresetNames());
-    wl.rps = rps;
-    wl.durationSeconds = spec.workload.durationSeconds;
-    wl.numAdapters = spec.workload.adapters;
-    if (spec.workload.adapterPopularity == "uniform")
-        wl.adapterPopularity = workload::Popularity::Uniform;
-    else if (spec.workload.adapterPopularity == "powerlaw")
-        wl.adapterPopularity = workload::Popularity::PowerLaw;
-    if (spec.workload.burstMultiplier.has_value())
-        wl.burstMultiplier = *spec.workload.burstMultiplier;
-    if (spec.workload.burstPeriodSeconds.has_value())
-        wl.burstPeriodSeconds = *spec.workload.burstPeriodSeconds;
-    if (spec.workload.burstDurationSeconds.has_value())
-        wl.burstDurationSeconds = *spec.workload.burstDurationSeconds;
-    wl.numTenants = spec.workload.tenants;
-    wl.stormMultiplier = spec.workload.tenantStorm;
-    wl.seed = traceSeed;
-    return wl;
 }
 
 std::string
@@ -317,49 +202,36 @@ SweepCell::axesLabel() const
 std::optional<std::vector<SweepCell>>
 expandSweep(const SweepSpec &spec, std::string *error)
 {
+    if (!checkAxes(spec.axes, error))
+        return std::nullopt;
     const auto &registry = core::SystemRegistry::global();
 
-    const std::vector<double> loads =
-        spec.loads.empty() ? std::vector<double>{8.0} : spec.loads;
-
-    // The deployment axis: homogeneous replica counts or heterogeneous
-    // fleet presets (mutually exclusive — a fleet already fixes each
-    // cell's replica count and GPU mix), as the overrides they stand for.
-    if (!spec.fleets.empty() && !spec.replicas.empty()) {
-        if (error != nullptr)
-            *error = "sweep fleets: conflicts with the \"replicas\" axis; "
-                     "a fleet preset already fixes each cell's replica "
-                     "count";
-        return std::nullopt;
-    }
-    core::SpecOverrides deployAxis;
-    for (const auto &name : spec.fleets)
-        deployAxis.emplace_back("cluster.fleet", JsonValue::makeString(name));
-    for (const int count : spec.fleets.empty() && spec.replicas.empty()
-                               ? std::vector<int>{1}
-                               : spec.replicas)
-        deployAxis.emplace_back("cluster.replicas", JsonValue::makeInt(count));
-
-    // The spec-path axes' cross product in row-major order (later axes
-    // vary fastest), one override list per combination.
-    std::vector<core::SpecOverrides> axisCombos{{}};
+    // The axes' cross product in row-major order (later axes vary
+    // fastest): one override list per combination, with the index of
+    // its workload.* values in their own cross product, the offset of
+    // its trace seed.
+    std::vector<std::pair<core::SpecOverrides, std::uint64_t>> combos{{}};
     for (const auto &axis : spec.axes) {
-        std::vector<core::SpecOverrides> next;
-        next.reserve(axisCombos.size() * axis.values.size());
-        for (const auto &prefix : axisCombos) {
-            for (const auto &value : axis.values) {
-                next.push_back(prefix);
-                next.back().emplace_back(axis.path, value);
+        const bool workloadAxis = isWorkloadPath(axis.path);
+        std::vector<std::pair<core::SpecOverrides, std::uint64_t>> next;
+        next.reserve(combos.size() * axis.values.size());
+        for (const auto &[prefix, index] : combos) {
+            for (std::size_t i = 0; i < axis.values.size(); ++i) {
+                next.emplace_back(prefix,
+                                  workloadAxis
+                                      ? index * axis.values.size() + i
+                                      : index);
+                next.back().first.emplace_back(axis.path, axis.values[i]);
             }
         }
-        axisCombos = std::move(next);
+        combos = std::move(next);
     }
 
     std::vector<SweepCell> cells;
-    // Cells at the same load (and replica count, when rps_per_replica
-    // scales the trace) share one trace so systems compare on identical
-    // arrivals; key -> index into the runner's trace table.
-    std::vector<std::pair<double, std::uint64_t>> traceKeys;
+    // Cells share a trace exactly when their trace configurations are
+    // equal, so systems compare on identical arrivals; the distinct
+    // configurations in order, indexed by SweepCell::traceIndex.
+    std::vector<workload::TraceGenConfig> traces;
     for (const auto &system : spec.systems) {
         std::string lookupError;
         auto base = registry.find(system, &lookupError);
@@ -370,68 +242,61 @@ expandSweep(const SweepSpec &spec, std::string *error)
             return std::nullopt;
         }
         base->engine = paperTestbedEngine();
-        base->tenancy.tenants = spec.workload.tenants;
         base->cluster.routerConfig.seed = spec.seed;
-        for (std::size_t li = 0; li < loads.size(); ++li) {
-            for (const auto &deployment : deployAxis) {
-                for (const auto &combo : axisCombos) {
-                    SweepCell cell;
-                    cell.system = system;
-                    if (deployment.first == "cluster.fleet")
-                        cell.fleet = deployment.second.asString();
-                    cell.overrides = combo;
-                    cell.traceSeed =
-                        spec.seed + static_cast<std::uint64_t>(li);
-
-                    core::SpecOverrides overrides{deployment};
-                    overrides.insert(overrides.end(), combo.begin(),
-                                     combo.end());
-                    const auto invalid = [&](const std::string &problem) {
-                        if (error != nullptr) {
-                            std::ostringstream os;
-                            os << "sweep cell \"" << system << "\" (load "
-                               << loads[li] << ", " << label(overrides)
-                               << ") " << problem;
-                            *error = os.str();
-                        }
-                        return std::nullopt;
-                    };
-                    std::string cellError;
-                    auto resolved = core::applySpecOverrides(
-                        *base, overrides, &cellError);
-                    if (!resolved.has_value())
-                        return invalid("is invalid: " + cellError);
-                    const auto &model = resolved->engine.model;
-                    if (!cells.empty() &&
-                        model != cells.front().spec.engine.model) {
-                        return invalid(
-                            "sets engine.model \"" + model.name +
-                            "\" but the first cell runs \"" +
-                            cells.front().spec.engine.model.name +
-                            "\"; the cells share one adapter pool, so a "
-                            "sweep runs one model");
-                    }
-                    cell.spec = std::move(*resolved);
-                    cell.replicaCount = cell.spec.cluster.replicas;
-                    cell.rps = spec.rpsPerReplica
-                                   ? loads[li] * cell.replicaCount
-                                   : loads[li];
-
-                    const std::pair<double, std::uint64_t> key{
-                        cell.rps, cell.traceSeed};
-                    std::size_t index = traceKeys.size();
-                    for (std::size_t i = 0; i < traceKeys.size(); ++i) {
-                        if (traceKeys[i] == key) {
-                            index = i;
-                            break;
-                        }
-                    }
-                    if (index == traceKeys.size())
-                        traceKeys.push_back(key);
-                    cell.traceIndex = index;
-                    cells.push_back(std::move(cell));
-                }
+        for (const auto &[overrides, workloadIndex] : combos) {
+            const auto invalid = [&](const std::string &problem) {
+                if (error != nullptr)
+                    *error = "sweep cell \"" + system + "\" (" +
+                             label(overrides) + ") " + problem;
+                return std::nullopt;
+            };
+            // Spec paths resolve onto the system, workload keys onto
+            // the sweep's workload.
+            core::SpecOverrides specPaths;
+            JsonValue workloadKeys = JsonValue::makeObject();
+            for (const auto &[path, value] : overrides) {
+                if (isWorkloadPath(path))
+                    workloadKeys.set(path.substr(std::strlen(kWorkloadPrefix)),
+                                     value);
+                else
+                    specPaths.emplace_back(path, value);
             }
+            SweepCell cell;
+            cell.system = system;
+            cell.overrides = overrides;
+            cell.trace = spec.workload;
+            std::string cellError;
+            auto resolved =
+                core::applySpecOverrides(*base, specPaths, &cellError);
+            if (!resolved.has_value() ||
+                !core::traceConfigFromJson(workloadKeys, &cell.trace,
+                                           &cellError))
+                return invalid("is invalid: " + cellError);
+            const auto &model = resolved->engine.model;
+            if (!cells.empty() && model != cells.front().spec.engine.model) {
+                return invalid("sets engine.model \"" + model.name +
+                               "\" but the first cell runs \"" +
+                               cells.front().spec.engine.model.name +
+                               "\"; the cells share one adapter pool, so a "
+                               "sweep runs one model");
+            }
+            cell.spec = std::move(*resolved);
+            cell.trace.seed = spec.seed + workloadIndex;
+            cell.trace.numTenants = cell.spec.tenancy.tenants;
+            if (spec.rpsPerReplica)
+                cell.trace.rps *= cell.spec.cluster.replicas;
+            if (cell.trace.stormMultiplier > 1.0 &&
+                cell.trace.numTenants < 2) {
+                return invalid("storms with tenancy.tenants = 1; a storm "
+                               "is one tenant bursting against the "
+                               "others");
+            }
+            cell.traceIndex = static_cast<std::size_t>(
+                std::find(traces.begin(), traces.end(), cell.trace) -
+                traces.begin());
+            if (cell.traceIndex == traces.size())
+                traces.push_back(cell.trace);
+            cells.push_back(std::move(cell));
         }
     }
     return cells;

@@ -17,6 +17,29 @@ namespace {
 constexpr double kPowerLawAlpha = 1.2;
 } // namespace
 
+const sim::NameTable<Popularity> &
+popularityTable()
+{
+    static const sim::NameTable<Popularity> table{
+        {Popularity::Uniform, "uniform"}, {Popularity::PowerLaw, "powerlaw"}};
+    return table;
+}
+
+bool
+operator==(const LengthDist &a, const LengthDist &b)
+{
+    return a.median == b.median && a.sigma == b.sigma &&
+           a.minTokens == b.minTokens && a.maxTokens == b.maxTokens;
+}
+
+bool
+operator==(const Burst &a, const Burst &b)
+{
+    return a.startSeconds == b.startSeconds &&
+           a.endSeconds == b.endSeconds &&
+           a.rateMultiplier == b.rateMultiplier;
+}
+
 double
 LengthDist::approxMean() const
 {

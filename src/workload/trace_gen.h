@@ -22,6 +22,7 @@
 
 #include "model/adapter.h"
 #include "simkit/distributions.h"
+#include "simkit/name_table.h"
 #include "simkit/rng.h"
 #include "workload/trace.h"
 
@@ -29,6 +30,9 @@ namespace chameleon::workload {
 
 /** Popularity shapes used in §5.4.2 (U-U / U-P / P-P). */
 enum class Popularity { Uniform, PowerLaw };
+
+/** The Popularity names: uniform, powerlaw. */
+const sim::NameTable<Popularity> &popularityTable();
 
 /** Lognormal length distribution with clamping. */
 struct LengthDist
@@ -44,6 +48,8 @@ struct LengthDist
     double approxMean() const;
 };
 
+bool operator==(const LengthDist &a, const LengthDist &b);
+
 /** A temporary load burst: the arrival rate is multiplied inside it. */
 struct Burst
 {
@@ -51,6 +57,8 @@ struct Burst
     double endSeconds = 0.0;
     double rateMultiplier = 1.0;
 };
+
+bool operator==(const Burst &a, const Burst &b);
 
 /** Full generator configuration. */
 struct TraceGenConfig
@@ -96,6 +104,10 @@ struct TraceGenConfig
      */
     double stormMultiplier = 1.0;
 };
+
+/** Field by field over the schema's list (chameleon/spec_schema.h),
+ * which also declares each key's bound. */
+bool operator==(const TraceGenConfig &a, const TraceGenConfig &b);
 
 /** Splitwise-like conversation workload (testbed-scaled lengths). */
 TraceGenConfig splitwiseLike();

@@ -568,8 +568,8 @@ TEST(FabricSpecRejection, UnknownMigrationInSweepAxis)
 {
     sweep::SweepSpec spec;
     spec.systems = {"chameleon"};
-    spec.replicas = {2};
-    spec.axes = {sweep::SweepAxis::parse("fabric.migration", {"sideways"})};
+    spec.axes = {sweep::SweepAxis::parse("cluster.replicas", {"2"}),
+                 sweep::SweepAxis::parse("fabric.migration", {"sideways"})};
     std::string error;
     EXPECT_FALSE(sweep::expandSweep(spec, &error).has_value());
     EXPECT_NE(error.find("\"fabric.migration\" unknown value \"sideways\""),
@@ -622,9 +622,8 @@ TEST(FabricSweep, MigrationCellsThreadCountInvariant)
         sweep::SweepSpec spec;
         spec.name = "fabric_stress";
         spec.systems = {"chameleon"};
-        spec.loads = {10.0};
-        spec.replicas = {2};
         spec.axes = {
+            sweep::SweepAxis::parse("cluster.replicas", {"2"}),
             sweep::SweepAxis::parse("cluster.router",
                                     {"affinity-dir", "affinity-cache"}),
             sweep::SweepAxis::parse("cluster.autoscale", {"true"}),
@@ -635,8 +634,9 @@ TEST(FabricSweep, MigrationCellsThreadCountInvariant)
             sweep::SweepAxis::parse("cluster.autoscaler.replica_service_rps",
                                     {"6.0"}),
             sweep::SweepAxis::parse("fabric.migration", {"all"})};
+        spec.workload.rps = 10.0;
         spec.workload.durationSeconds = 30.0;
-        spec.workload.adapters = 24;
+        spec.workload.numAdapters = 24;
         spec.seed = 99;
         spec.threads = threads;
         return spec;

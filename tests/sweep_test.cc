@@ -2,12 +2,14 @@
  * @file
  * Tests for the sweep subsystem (sweep_spec.h / sweep_runner.h):
  *  - JSON loading: defaults, strict unknown-key rejection (the
- *    retired bespoke axis keys, templates and grid included),
- *    spec-path "axes" grammar;
- *  - expansion: composed system names keep their modifiers, path-axis
- *    order and single-value axes, one model per sweep, trace sharing
- *    across systems at a load, per-load seed derivation,
- *    rps_per_replica;
+ *    retired bespoke axis keys, templates and grid included), the
+ *    workload block's bounds, "axes" grammar;
+ *  - expansion: composed system names keep their modifiers, axis
+ *    order and single-value axes, the axis rules (one deployment, one
+ *    adapter pool, no preset axis), one model per sweep, trace sharing
+ *    across systems at a load, seeds over the workload axes,
+ *    rps_per_replica, the trace's tenants from tenancy.tenants;
+ *  - the example sweeps' expansions, pinned;
  *  - rows: one column per path axis, and baseline_diff treating those
  *    columns as cell identity;
  *  - determinism: the same sweep JSON + seed produces a byte-identical
@@ -41,7 +43,7 @@ namespace {
 const char *kSmallSweep = R"({
   "name": "small",
   "systems": ["slora", "chameleon"],
-  "loads": [4.0, 5.0],
+  "axes": {"workload.rps": [4.0, 5.0]},
   "workload": {"preset": "splitwise", "duration_s": 20, "adapters": 16},
   "seed": 7
 })";
@@ -85,10 +87,11 @@ TEST(SweepJson, LoadsWithDefaults)
     const auto spec = parseSweep(kSmallSweep);
     EXPECT_EQ(spec.name, "small");
     EXPECT_EQ(spec.systems.size(), 2u);
-    EXPECT_EQ(spec.loads.size(), 2u);
+    EXPECT_EQ(spec.axes.size(), 1u);
     EXPECT_EQ(spec.seed, 7u);
     EXPECT_EQ(spec.threads, 1);
-    EXPECT_EQ(spec.workload.adapters, 16);
+    EXPECT_EQ(spec.workload.numAdapters, 16);
+    EXPECT_EQ(spec.workload.durationSeconds, 20.0);
     EXPECT_EQ(spec.outputPath(), "BENCH_small.json");
     // Every cell starts on the paper testbed.
     const auto cells = sweep::expandSweep(spec);
@@ -121,15 +124,10 @@ TEST(SweepJson, RejectsExplicitlyEmptyAxisArrays)
 {
     // An empty axis silently replaced by a default would run a grid
     // the author never wrote.
-    for (const char *axis : {"loads", "replicas", "fleets"}) {
-        const auto error = sweepError(
-            std::string(R"({"systems": ["slora"], ")") + axis +
-            R"(": []})");
-        EXPECT_NE(error.find(axis), std::string::npos) << error;
-        EXPECT_NE(error.find("empty array"), std::string::npos) << error;
-    }
-    for (const char *path : {"cluster.router", "cluster.autoscale"}) {
-        const auto error = sweepError(
+    for (const char *path : {"workload.rps", "cluster.replicas",
+                             "cluster.fleet", "cluster.router",
+                             "cluster.autoscale"}) {
+        const auto error = expandError(
             std::string(R"({"systems": ["slora"], "axes": {")") + path +
             R"(": []}})");
         EXPECT_NE(error.find(path), std::string::npos) << error;
@@ -148,12 +146,63 @@ TEST(SweepJson, RejectsBadWorkloadPreset)
     EXPECT_NE(error.find("splitwise"), std::string::npos) << error;
 }
 
+TEST(SweepJson, BurstBoundsRejectAGeneratorThatCannotRun)
+{
+    // Parse only: a negative burst length makes the generator's base
+    // rate infinite (-30 s: it never finishes) or negative (-40 s: it
+    // aborts), so neither may reach it.
+    for (const char *duration : {"-30", "-40"}) {
+        const auto error = sweepError(
+            std::string(R"({"systems": ["slora"], "workload": {
+              "burst_multiplier": 3, "burst_period_s": 60,
+              "burst_duration_s": )") +
+            duration + "}}");
+        EXPECT_NE(error.find("workload.burst_duration_s must be >= 0"),
+                  std::string::npos)
+            << error;
+    }
+    for (const char *bad :
+         {R"("burst_multiplier": 0.5)", R"("burst_period_s": 0)",
+          R"("tenant_storm": 0.5)", R"("rps": 0)", R"("duration_s": -1)",
+          R"("adapters": -3)"}) {
+        const auto error = sweepError(
+            std::string(R"({"systems": ["slora"], "workload": {)") + bad +
+            "}}");
+        const std::string key = std::string(bad).substr(
+            1, std::string(bad).find('"', 1) - 1);
+        EXPECT_NE(error.find("workload." + key + " must be"),
+                  std::string::npos)
+            << error;
+    }
+}
+
+TEST(SweepJson, RemovedKeysFailNamingThem)
+{
+    // loads, replicas and fleets are the workload.rps, cluster.replicas
+    // and cluster.fleet axes; the trace's tenants are tenancy.tenants.
+    for (const char *key :
+         {R"("loads": [4.0])", R"("replicas": [2])",
+          R"("fleets": ["a40x2"])"}) {
+        const auto error = sweepError(
+            std::string(R"({"systems": ["chameleon"], )") + key + "}");
+        const std::string name = std::string(key).substr(
+            1, std::string(key).find('"', 1) - 1);
+        EXPECT_NE(error.find("\"" + name + "\" is not a recognised key"),
+                  std::string::npos)
+            << error;
+    }
+    const auto error = sweepError(
+        R"({"systems": ["chameleon"], "workload": {"tenants": 4}})");
+    EXPECT_NE(error.find("\"workload.tenants\" is not a recognised key"),
+              std::string::npos)
+        << error;
+}
+
 TEST(SweepJson, AutoscaleAxisAndTemplateLoadAndExpand)
 {
     const auto spec = parseSweep(R"({
       "systems": ["chameleon"],
-      "loads": [6.0],
-      "replicas": [2],
+      "workload": {"rps": 6.0},
       "axes": {
         "cluster.autoscale": [false, true],
         "cluster.autoscaler.min_replicas": [2],
@@ -161,10 +210,11 @@ TEST(SweepJson, AutoscaleAxisAndTemplateLoadAndExpand)
         "cluster.autoscaler.replica_service_rps": [8.5],
         "cluster.autoscaler.boot_ms": [4000],
         "cluster.autoscaler.scale_up_policy": ["fastest"],
-        "cluster.autoscaler.measured_rate_alpha": [0.3]
+        "cluster.autoscaler.measured_rate_alpha": [0.3],
+        "cluster.replicas": [2]
       }
     })");
-    ASSERT_EQ(spec.axes.size(), 7u);
+    ASSERT_EQ(spec.axes.size(), 8u);
     EXPECT_EQ(spec.axes[0].path, "cluster.autoscale");
     EXPECT_EQ(spec.axes[0].values.size(), 2u);
 
@@ -222,18 +272,6 @@ TEST(SweepJson, RetiredAxisKeysFailAsUnknownKeys)
     }
 }
 
-TEST(SweepJson, RejectsDeploymentPathsAsAxes)
-{
-    for (const char *path : {"cluster.replicas", "cluster.fleet"}) {
-        const auto error = sweepError(
-            std::string(R"({"systems": ["chameleon"], "axes": {")") +
-            path + R"(": [2]}})");
-        EXPECT_NE(error.find(path), std::string::npos) << error;
-        EXPECT_NE(error.find("\"replicas\""), std::string::npos) << error;
-        EXPECT_NE(error.find("\"fleets\""), std::string::npos) << error;
-    }
-}
-
 TEST(SweepExpand, InvalidAutoscalerTemplateNamesTheCell)
 {
     const auto error = expandError(R"({
@@ -258,7 +296,7 @@ TEST(SweepExpand, ComposedNamesKeepTheirModifiers)
     const auto spec = parseSweep(R"({
       "systems": ["chameleon", "chameleon+history",
                   "chameleon+lru+nobypass"],
-      "loads": [4.0]
+      "workload": {"rps": 4.0}
     })");
     std::string error;
     const auto cells = sweep::expandSweep(spec, &error);
@@ -276,8 +314,7 @@ TEST(SweepExpand, HistoryPredictorCellRunsItsOwnPredictor)
 {
     const auto spec = parseSweep(R"({
       "systems": ["chameleon", "chameleon+history"],
-      "loads": [12.0],
-      "workload": {"preset": "splitwise", "duration_s": 60,
+      "workload": {"preset": "splitwise", "rps": 12.0, "duration_s": 60,
                    "adapters": 20},
       "seed": 7
     })");
@@ -309,25 +346,102 @@ TEST(SweepExpand, SharesTracesAcrossSystemsAtALoad)
     EXPECT_EQ((*cells)[0].traceIndex, (*cells)[2].traceIndex);
     EXPECT_EQ((*cells)[1].traceIndex, (*cells)[3].traceIndex);
     EXPECT_NE((*cells)[0].traceIndex, (*cells)[1].traceIndex);
-    // Per-load seed derivation: seed + load index.
-    EXPECT_EQ((*cells)[0].traceSeed, 7u);
-    EXPECT_EQ((*cells)[1].traceSeed, 8u);
+    // Seeds over the workload axes: seed + the rps axis index.
+    EXPECT_EQ((*cells)[0].trace.seed, 7u);
+    EXPECT_EQ((*cells)[1].trace.seed, 8u);
+}
+
+TEST(SweepExpand, WorkloadAxesSeedTracesByTheirOwnIndex)
+{
+    // Any workload key but the preset is an axis. The trace seed is
+    // seed + the cell's index over the workload.* axes alone, so a
+    // spec-path axis between them shares traces instead of reseeding.
+    const auto spec = parseSweep(R"({
+      "systems": ["chameleon"],
+      "axes": {"workload.rps": [4.0, 5.0],
+               "cluster.router": ["jsq", "p2c"],
+               "workload.burst_multiplier": [1.0, 3.0],
+               "cluster.replicas": [2]},
+      "seed": 100
+    })");
+    std::string error;
+    const auto cells = sweep::expandSweep(spec, &error);
+    ASSERT_TRUE(cells.has_value()) << error;
+    ASSERT_EQ(cells->size(), 8u);
+    for (std::size_t i = 0; i < cells->size(); ++i) {
+        const auto &cell = (*cells)[i];
+        const std::size_t rpsIndex = i / 4;
+        const std::size_t burstIndex = i % 2;
+        EXPECT_EQ(cell.trace.rps, rpsIndex ? 5.0 : 4.0) << i;
+        EXPECT_EQ(cell.trace.burstMultiplier, burstIndex ? 3.0 : 1.0) << i;
+        EXPECT_EQ(cell.trace.seed, 100u + 2 * rpsIndex + burstIndex) << i;
+        // Routers at one workload cell run the identical trace.
+        EXPECT_EQ(cell.traceIndex, 2 * rpsIndex + burstIndex) << i;
+    }
+    // Everything else is the sweep's workload: the splitwise preset.
+    EXPECT_EQ((*cells)[0].trace.input,
+              workload::splitwiseLike().input);
+}
+
+TEST(SweepExpand, AWorkloadAxisValueOutOfBoundsNamesTheCellAndKey)
+{
+    const auto error = expandError(R"({
+      "systems": ["chameleon"],
+      "axes": {"workload.burst_duration_s": [8, -30]}
+    })");
+    EXPECT_NE(error.find("sweep cell \"chameleon\" "
+                         "(workload.burst_duration_s=-30)"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("workload.burst_duration_s must be >= 0"),
+              std::string::npos)
+        << error;
+    const auto unknown = expandError(R"({
+      "systems": ["chameleon"], "axes": {"workload.tenants": [2]}
+    })");
+    EXPECT_NE(unknown.find("\"workload.tenants\" is not a recognised key"),
+              std::string::npos)
+        << unknown;
+}
+
+TEST(SweepExpand, TraceTenantsAreTheCellsTenancyTenants)
+{
+    const auto spec = parseSweep(R"({
+      "systems": ["chameleon+wfq"],
+      "axes": {"tenancy.tenants": [2, 4]},
+      "workload": {"tenant_storm": 8.0}
+    })");
+    std::string error;
+    const auto cells = sweep::expandSweep(spec, &error);
+    ASSERT_TRUE(cells.has_value()) << error;
+    ASSERT_EQ(cells->size(), 2u);
+    EXPECT_EQ((*cells)[0].trace.numTenants, 2);
+    EXPECT_EQ((*cells)[1].trace.numTenants, 4);
+    // Different tenant counts are different traces, at one seed.
+    EXPECT_NE((*cells)[0].traceIndex, (*cells)[1].traceIndex);
+    EXPECT_EQ((*cells)[0].trace.seed, (*cells)[1].trace.seed);
+
+    // A storm needs a second tenant to storm against.
+    const auto lonely = expandError(R"({
+      "systems": ["chameleon"], "workload": {"tenant_storm": 8.0}
+    })");
+    EXPECT_NE(lonely.find("tenancy.tenants = 1"), std::string::npos)
+        << lonely;
 }
 
 TEST(SweepExpand, RpsPerReplicaScalesTheLoadAxis)
 {
     const auto spec = parseSweep(R"({
       "systems": ["chameleon"],
-      "loads": [4.0],
+      "workload": {"rps": 4.0},
       "rps_per_replica": true,
-      "replicas": [1, 2],
-      "axes": {"cluster.router": ["affinity"]}
+      "axes": {"cluster.replicas": [1, 2], "cluster.router": ["affinity"]}
     })");
     const auto cells = sweep::expandSweep(spec);
     ASSERT_TRUE(cells.has_value());
     ASSERT_EQ(cells->size(), 2u);
-    EXPECT_EQ((*cells)[0].rps, 4.0);
-    EXPECT_EQ((*cells)[1].rps, 8.0);
+    EXPECT_EQ((*cells)[0].trace.rps, 4.0);
+    EXPECT_EQ((*cells)[1].trace.rps, 8.0);
     EXPECT_NE((*cells)[0].traceIndex, (*cells)[1].traceIndex);
     EXPECT_EQ((*cells)[1].spec.cluster.replicas, 2);
     EXPECT_EQ((*cells)[1].spec.cluster.router,
@@ -338,27 +452,27 @@ TEST(SweepExpand, FleetAxisDeploysHeterogeneousCells)
 {
     const auto spec = parseSweep(R"({
       "systems": ["chameleon"],
-      "fleets": ["a40x2", "a100x1+a40x1"],
-      "axes": {"cluster.router": ["jsq", "p2c"]}
+      "axes": {"cluster.fleet": ["a40x2", "a100x1+a40x1"],
+               "cluster.router": ["jsq", "p2c"]}
     })");
     std::string error;
     const auto cells = sweep::expandSweep(spec, &error);
     ASSERT_TRUE(cells.has_value()) << error;
     ASSERT_EQ(cells->size(), 4u);
-    // The fleet axis sits where replicas would (path axes innermost).
-    EXPECT_EQ((*cells)[0].fleet, "a40x2");
+    // An ordinary axis: crossed in document order, the last fastest.
+    EXPECT_EQ((*cells)[0].axisValue("cluster.fleet"), "a40x2");
     EXPECT_EQ((*cells)[0].axisValue("cluster.router"), "jsq");
     EXPECT_EQ((*cells)[1].axisValue("cluster.router"), "p2c");
     EXPECT_EQ((*cells)[1].spec.cluster.router,
               routing::RouterPolicy::PowerOfTwoChoices);
-    EXPECT_EQ((*cells)[2].fleet, "a100x1+a40x1");
+    EXPECT_EQ((*cells)[2].axisValue("cluster.fleet"), "a100x1+a40x1");
     // Each cell's replica count and per-replica engines come from its
     // fleet preset, applied onto the cell's engine.
-    EXPECT_EQ((*cells)[0].replicaCount, 2);
+    EXPECT_EQ((*cells)[0].spec.cluster.replicas, 2);
     ASSERT_EQ((*cells)[0].spec.cluster.replicaEngines.size(), 2u);
     EXPECT_EQ((*cells)[0].spec.cluster.replicaEngines[0].gpu.name,
               "a40-48g");
-    EXPECT_EQ((*cells)[2].replicaCount, 2);
+    EXPECT_EQ((*cells)[2].spec.cluster.replicas, 2);
     EXPECT_EQ((*cells)[2].spec.cluster.replicaEngines[0].gpu.name,
               "a100-80g");
     EXPECT_EQ((*cells)[2].spec.cluster.replicaEngines[1].gpu.name,
@@ -370,18 +484,51 @@ TEST(SweepExpand, FleetAxisDeploysHeterogeneousCells)
 
 TEST(SweepJson, RejectsFleetsBesideReplicas)
 {
-    const auto error = sweepError(R"({
+    // A fleet fixes the replica count; cluster.fleet and
+    // cluster.replicas would overwrite each other cell by cell.
+    const auto error = expandError(R"({
       "systems": ["chameleon"],
-      "fleets": ["a40x2"], "replicas": [2]
+      "axes": {"cluster.fleet": ["a40x2"], "cluster.replicas": [2]}
     })");
-    EXPECT_NE(error.find("fleets"), std::string::npos) << error;
-    EXPECT_NE(error.find("conflicts"), std::string::npos) << error;
+    EXPECT_NE(error.find("\"cluster.replicas\" and \"cluster.fleet\""),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("conflict"), std::string::npos) << error;
+}
+
+TEST(SweepJson, RejectsAMultiValuedAdaptersAxis)
+{
+    // The cells share one adapter pool, as they share one model.
+    const auto error = expandError(R"({
+      "systems": ["chameleon"], "axes": {"workload.adapters": [10, 20]}
+    })");
+    EXPECT_NE(error.find("\"workload.adapters\" takes one value"),
+              std::string::npos)
+        << error;
+    // One value is a template like any other.
+    const auto spec = parseSweep(R"({
+      "systems": ["chameleon"], "axes": {"workload.adapters": [10]}
+    })");
+    const auto cells = sweep::expandSweep(spec);
+    ASSERT_TRUE(cells.has_value());
+    EXPECT_EQ((*cells)[0].trace.numAdapters, 10);
+}
+
+TEST(SweepJson, RejectsAPresetAxis)
+{
+    const auto error = expandError(R"({
+      "systems": ["chameleon"],
+      "axes": {"workload.preset": ["splitwise", "lmsys"]}
+    })");
+    EXPECT_NE(error.find("\"workload.preset\" is not an axis"),
+              std::string::npos)
+        << error;
 }
 
 TEST(SweepExpand, UnknownFleetFailsTeachingTheGrammar)
 {
     const auto spec = parseSweep(R"({
-      "systems": ["chameleon"], "fleets": ["h100x8"]
+      "systems": ["chameleon"], "axes": {"cluster.fleet": ["h100x8"]}
     })");
     std::string error;
     const auto cells = sweep::expandSweep(spec, &error);
@@ -429,8 +576,8 @@ TEST(SweepExpand, PathAxesCrossAfterDeploymentInDocumentOrder)
 {
     const auto spec = parseSweep(R"({
       "systems": ["chameleon"],
-      "replicas": [2, 3],
-      "axes": {"fabric.migration": ["off", "all"],
+      "axes": {"cluster.replicas": [2, 3],
+               "fabric.migration": ["off", "all"],
                "cluster.router": ["jsq", "p2c", "rr"]}
     })");
     std::string error;
@@ -441,16 +588,16 @@ TEST(SweepExpand, PathAxesCrossAfterDeploymentInDocumentOrder)
     const char *routers[] = {"jsq", "p2c", "rr"};
     for (std::size_t i = 0; i < cells->size(); ++i) {
         const auto &cell = (*cells)[i];
-        EXPECT_EQ(cell.replicaCount, i < 6 ? 2 : 3) << i;
+        EXPECT_EQ(cell.spec.cluster.replicas, i < 6 ? 2 : 3) << i;
         EXPECT_EQ(cell.axisValue("fabric.migration"),
                   (i / 3) % 2 ? "all" : "off")
             << i;
         EXPECT_EQ(cell.axisValue("cluster.router"), routers[i % 3]) << i;
-        ASSERT_EQ(cell.overrides.size(), 2u);
-        EXPECT_EQ(cell.overrides[0].first, "fabric.migration");
+        ASSERT_EQ(cell.overrides.size(), 3u);
+        EXPECT_EQ(cell.overrides[1].first, "fabric.migration");
     }
     EXPECT_EQ((*cells)[5].axesLabel(),
-              "fabric.migration=all, cluster.router=rr");
+              "cluster.replicas=2, fabric.migration=all, cluster.router=rr");
     EXPECT_EQ((*cells)[5].spec.fabric.migration,
               fabric::MigrationPolicy::All);
     EXPECT_EQ((*cells)[5].spec.cluster.router,
@@ -462,8 +609,8 @@ TEST(SweepExpand, SingleValuedAxisIsATemplate)
 {
     const auto spec = parseSweep(R"({
       "systems": ["slora", "chameleon"],
-      "loads": [4.0, 6.0],
-      "axes": {"engine.max_running": [64],
+      "axes": {"workload.rps": [4.0, 6.0],
+               "engine.max_running": [64],
                "scheduler.slo_seconds": [3.5]}
     })");
     std::string error;
@@ -489,8 +636,8 @@ TEST(SweepExpand, FleetFollowsAnEngineAxis)
     // fleet's per-replica engines pick up the cell's engine axis.
     const auto spec = parseSweep(R"({
       "systems": ["chameleon"],
-      "fleets": ["a40x1+a100x1"],
-      "axes": {"engine.model": ["llama-13b"]}
+      "axes": {"cluster.fleet": ["a40x1+a100x1"],
+               "engine.model": ["llama-13b"]}
     })");
     std::string error;
     const auto cells = sweep::expandSweep(spec, &error);
@@ -574,9 +721,8 @@ expansionText(const std::string &text)
                       static_cast<unsigned long long>(
                           core::fnv1a64(core::specToJson(cell.spec))));
         os << cell.system << " | " << hash << " | "
-           << traceConfigText(
-                  sweep::cellTraceConfig(*spec, cell.rps, cell.traceSeed))
-           << " | " << cell.traceSeed << " | " << cell.traceIndex << "\n";
+           << traceConfigText(cell.trace) << " | " << cell.trace.seed
+           << " | " << cell.traceIndex << "\n";
     }
     return os.str();
 }
@@ -661,8 +807,7 @@ TEST(SweepRunner, ThreadStressAt100kRequestsKeepsHashesAndBytes)
     auto spec = parseSweep(R"({
       "name": "stress",
       "systems": ["slora", "chameleon"],
-      "loads": [30.0, 40.0],
-      "replicas": [2, 4],
+      "axes": {"workload.rps": [30.0, 40.0], "cluster.replicas": [2, 4]},
       "workload": {"preset": "splitwise", "duration_s": 400,
                    "adapters": 32},
       "seed": 21
@@ -731,11 +876,11 @@ TEST(SweepRunner, RowsCarryOneColumnPerAxisNamedByItsPath)
 {
     const auto spec = parseSweep(R"({
       "systems": ["chameleon"],
-      "loads": [4.0],
-      "replicas": [2],
-      "axes": {"cluster.router": ["rr", "p2c"],
+      "axes": {"cluster.replicas": [2],
+               "cluster.router": ["rr", "p2c"],
                "cluster.autoscale": [false]},
-      "workload": {"preset": "splitwise", "duration_s": 10, "adapters": 8}
+      "workload": {"preset": "splitwise", "rps": 4.0, "duration_s": 10,
+                   "adapters": 8}
     })");
     const auto doc =
         sim::parseJson(sweep::SweepRunner(spec).runToBenchJson().toString());
@@ -748,11 +893,12 @@ TEST(SweepRunner, RowsCarryOneColumnPerAxisNamedByItsPath)
     // The retired per-knob columns are gone.
     for (const char *retired :
          {"router", "autoscale", "demand_source", "boot_aware_horizon",
-          "slo_admission", "migration", "topology"})
+          "slo_admission", "migration", "topology", "fleet"})
         EXPECT_EQ(rows[0].find(retired), nullptr) << retired;
-    // Axis columns sit between the deployment and trace_seed.
+    // Axis columns sit between the replica count and trace_seed.
     const auto &members = rows[0].members();
-    EXPECT_EQ(members[3].first, "fleet");
+    EXPECT_EQ(members[2].first, "replicas");
+    EXPECT_EQ(members[3].first, "cluster.replicas");
     EXPECT_EQ(members[4].first, "cluster.router");
     EXPECT_EQ(members[5].first, "cluster.autoscale");
     EXPECT_EQ(members[6].first, "trace_seed");

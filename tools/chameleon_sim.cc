@@ -49,8 +49,10 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "chameleon/spec_json.h"
+#include "chameleon/spec_schema.h"
 #include "chameleon/system.h"
 #include "fabric/cache_fabric.h"
 #include "tool_io.h"
@@ -193,22 +195,42 @@ main(int argc, char **argv)
         "stderr log threshold: error|warn|info|debug|trace");
     if (!flags.parse(argc, argv))
         return 2;
-    // A zero rate or duration would abort trace generation, and a
-    // negative adapter count would silently run base-only.
-    const std::pair<const char *, bool> workload_flags[] = {
-        {"--rps must be > 0", *rps > 0.0},
-        {"--duration must be > 0 (seconds)", *duration > 0.0},
-        {"--adapters must be >= 0 (0 = base only)", *adapters >= 0},
-        {"--tenant-storm must be >= 1 (1 disables the storm)",
-         *tenant_storm >= 1.0},
-        {"--slo-multiplier must be >= 0 (0 disables SLO reporting)",
-         *slo_multiplier >= 0.0},
+    // The workload flags set keys of the workload schema and are held
+    // to its bounds (chameleon/spec_schema.h); each message names the
+    // flag.
+    workload::TraceGenConfig wl;
+    if (!workload::tracePresetByName(*workload_name, &wl)) {
+        std::fprintf(stderr,
+                     "chameleon_sim: unknown --workload \"%s\"; known: %s\n",
+                     workload_name->c_str(), workload::tracePresetNames());
+        return 2;
+    }
+    wl.rps = *rps;
+    wl.durationSeconds = *duration;
+    wl.numAdapters = static_cast<int>(*adapters);
+    wl.stormMultiplier = *tenant_storm;
+    wl.seed = static_cast<std::uint64_t>(*seed);
+    const std::pair<const char *, const char *> workload_flags[] = {
+        {"--rps", "workload.rps "},
+        {"--duration", "workload.duration_s "},
+        {"--adapters", "workload.adapters "},
+        {"--tenant-storm", "workload.tenant_storm "},
     };
-    for (const auto &[message, ok] : workload_flags) {
-        if (!ok) {
-            std::fprintf(stderr, "chameleon_sim: %s\n", message);
-            return 2;
+    std::vector<std::string> problems;
+    core::checkBounds(wl, &problems);
+    for (const auto &problem : problems) {
+        for (const auto &[flag, path] : workload_flags) {
+            if (problem.rfind(path, 0) == 0) {
+                std::fprintf(stderr, "chameleon_sim: %s: %s\n", flag,
+                             problem.c_str());
+                return 2;
+            }
         }
+    }
+    if (*slo_multiplier < 0.0) {
+        std::fprintf(stderr, "chameleon_sim: --slo-multiplier must be >= 0 "
+                             "(0 disables SLO reporting)\n");
+        return 2;
     }
 
     sim::LogLevel level;
@@ -365,21 +387,7 @@ main(int argc, char **argv)
             return 2;
         }
     } else {
-        workload::TraceGenConfig wl;
-        if (!workload::tracePresetByName(*workload_name, &wl)) {
-            std::fprintf(stderr,
-                         "chameleon_sim: unknown --workload \"%s\"; "
-                         "known: %s\n",
-                         workload_name->c_str(),
-                         workload::tracePresetNames());
-            return 2;
-        }
-        wl.rps = *rps;
-        wl.durationSeconds = *duration;
-        wl.numAdapters = static_cast<int>(*adapters);
-        wl.seed = static_cast<std::uint64_t>(*seed);
         wl.numTenants = spec.tenancy.tenants;
-        wl.stormMultiplier = *tenant_storm;
         workload::TraceGenerator gen(wl, pool.get());
         trace = gen.generate();
     }

@@ -3,8 +3,8 @@
  * chameleon_sweep — run a whole scenario grid from one JSON file.
  *
  * Loads a SweepSpec (src/sweep/README.md documents the grammar),
- * expands it into cells (systems and/or a base+modifier cross-product,
- * crossed with load / replica / spec-path axes), runs every cell through
+ * expands it into cells (systems crossed with spec-path and workload
+ * axes), runs every cell through
  * the core Runner, prints a summary table, and writes one consolidated
  * BenchJson. Per-cell seeds derive from the sweep seed, so the same
  * file + seed reproduces the identical document at any --threads.
@@ -98,13 +98,13 @@ main(int argc, char **argv)
     if (*dry_run) {
         std::printf("sweep %s: %zu cells\n", spec->name.c_str(),
                     cells->size());
-        std::printf("%-32s %8s %9s %-16s %12s  %s\n", "system", "rps",
-                    "replicas", "fleet", "trace_seed", "axes");
+        std::printf("%-32s %8s %9s %12s  %s\n", "system", "rps",
+                    "replicas", "trace_seed", "axes");
         for (const auto &cell : *cells) {
-            std::printf("%-32s %8.2f %9d %-16s %12llu  %s\n",
-                        cell.system.c_str(), cell.rps, cell.replicaCount,
-                        cell.fleet.empty() ? "-" : cell.fleet.c_str(),
-                        static_cast<unsigned long long>(cell.traceSeed),
+            std::printf("%-32s %8.2f %9d %12llu  %s\n",
+                        cell.system.c_str(), cell.trace.rps,
+                        cell.spec.cluster.replicas,
+                        static_cast<unsigned long long>(cell.trace.seed),
                         cell.overrides.empty() ? "-"
                                                : cell.axesLabel().c_str());
         }
@@ -112,13 +112,11 @@ main(int argc, char **argv)
     }
 
     sweep::SweepRunner runner(std::move(*spec));
-    std::printf("sweep %s: %zu cells, %d thread%s, %s workload, "
-                "%d adapters\n\n",
+    std::printf("sweep %s: %zu cells, %d thread%s, %d adapters\n\n",
                 runner.spec().name.c_str(), runner.cells().size(),
                 runner.spec().threads,
                 runner.spec().threads == 1 ? "" : "s",
-                runner.spec().workload.preset.c_str(),
-                runner.spec().workload.adapters);
+                runner.spec().workload.numAdapters);
 
     const auto results = runner.run();
 
@@ -129,7 +127,8 @@ main(int argc, char **argv)
         const auto &cell = result.cell;
         const auto &s = result.report.stats;
         std::printf("%-32s %8.2f %9d %9lld %12.3f %12.3f %6.1f%%  %s\n",
-                    cell.system.c_str(), cell.rps, cell.replicaCount,
+                    cell.system.c_str(), cell.trace.rps,
+                    cell.spec.cluster.replicas,
                     static_cast<long long>(s.finished), s.ttft.p50(),
                     s.ttft.p99(), 100.0 * result.report.cacheHitRate,
                     cell.axesLabel().c_str());
