@@ -30,6 +30,10 @@
 #    (`sim::sortDoubles`) resolves anywhere under src/. A trailing `*`
 #    (a prefix) or `()` is ignored, and `std::` names are skipped — a
 #    member deleted or renamed without a docs update fails the build.
+# 9. With a chameleon_sweep binary given, the annotated sweep in
+#    src/sweep/README.md (its first jsonc block) must expand:
+#    `chameleon_sweep --config - --dry-run` — a key deleted from the
+#    sweep grammar but left in the example fails.
 #
 # Usage: tools/check_docs.sh <chameleon_sim-binary> <repo-root> \
 #            [chameleon_sweep-binary]
@@ -125,6 +129,21 @@ if [ -n "$sweep_bin" ]; then
             fail=1
         fi
     done
+fi
+
+# --- 9. The sweep README's annotated sweep still expands -------------
+if [ -n "$sweep_bin" ]; then
+    annotated_sweep=$(awk '/^```jsonc$/{f=1; next} f && /^```$/{exit} f' \
+            "$root/src/sweep/README.md")
+    if [ -z "$annotated_sweep" ]; then
+        echo "FAIL: src/sweep/README.md has no annotated jsonc sweep"
+        fail=1
+    elif ! sweep_error=$("$sweep_bin" --config - --dry-run \
+            <<< "$annotated_sweep" 2>&1 > /dev/null); then
+        echo "FAIL: src/sweep/README.md annotated sweep does not expand:"
+        echo "  $sweep_error"
+        fail=1
+    fi
 fi
 
 # --- 6. Markdown paths named in source comments resolve --------------
