@@ -272,11 +272,13 @@ CacheManager::peerAdmit(AdapterId id, SimTime readyAt, SimTime now)
     // prefetch: it may displace unpinned idle cache entries but must
     // leave the interference watermark free (§4.2.1) so migration can
     // never starve KV growth.
+    const auto evictionsBefore = evictions_;
     if (mem_.freeBytes() < bytes + minFreeBytes_ &&
         !evictUntilFree(bytes + minFreeBytes_,
                         /*includePinned=*/false, now)) {
         return sim::kTimeNever;
     }
+    peerAdmitEvictions_ += evictions_ - evictionsBefore;
     const bool ok = mem_.tryAllocAdapterInUse(bytes);
     CHM_CHECK(ok, "allocation must succeed after eviction");
     ++peerLoads_;

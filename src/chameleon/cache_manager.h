@@ -112,6 +112,8 @@ class CacheManager : public serving::AdapterManager
     std::int64_t demandEvictions() const { return demandEvictions_; }
     /** Evictions triggered by queued prefetches. */
     std::int64_t prefetchEvictions() const { return prefetchEvictions_; }
+    /** Evictions made room for peer-migrated adapters (peerAdmit). */
+    std::int64_t peerAdmitEvictions() const { return peerAdmitEvictions_; }
     /** Transfers started, by kind. */
     std::int64_t demandLoads() const { return demandLoads_; }
     std::int64_t queuedLoads() const { return queuedLoads_; }
@@ -190,6 +192,7 @@ class CacheManager : public serving::AdapterManager
     std::int64_t kvShrinkEvictions_ = 0;
     std::int64_t demandEvictions_ = 0;
     std::int64_t prefetchEvictions_ = 0;
+    std::int64_t peerAdmitEvictions_ = 0;
     std::int64_t demandLoads_ = 0;
     std::int64_t queuedLoads_ = 0;
     std::int64_t predictiveLoads_ = 0;

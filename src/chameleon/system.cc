@@ -613,6 +613,8 @@ fillRunMetrics(obs::MetricsRegistry &registry,
                   cache->prefetchEvictions());
             count("cache.evictions_by_cause.kv_shrink",
                   cache->kvShrinkEvictions());
+            count("cache.evictions_by_cause.peer_admit",
+                  cache->peerAdmitEvictions());
             count("cache.demand_loads", cache->demandLoads());
             count("cache.queued_loads", cache->queuedLoads());
             count("cache.predictive_loads", cache->predictiveLoads());

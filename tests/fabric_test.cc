@@ -198,6 +198,55 @@ TEST(FabricDirectory, ChurnNeverDisagreesWithCaches)
 }
 
 /**
+ * Every eviction has a cause, peer admits' included: over the same
+ * churn on tight caches, peer admits evict, and each manager's
+ * evictions by cause (the counters the metrics snapshot exports as
+ * replica<i>.cache.evictions_by_cause.*) sum to its evictions.
+ */
+TEST(FabricDirectory, PeerAdmitEvictionsHaveACause)
+{
+    std::int64_t peerAdmitEvictions = 0;
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        ClusterFixture f;
+        std::mt19937_64 rng(seed);
+        for (int step = 0; step < 400; ++step) {
+            const int r = static_cast<int>(
+                rng() % ClusterFixture::kReplicas);
+            const int a = static_cast<int>(
+                rng() % ClusterFixture::kAdapters);
+            const auto now = f.simulator.now();
+            switch (rng() % 4) {
+              case 0:
+                f.acquire(r, a);
+                break;
+              case 1:
+                f.release(r, a);
+                break;
+              case 2:
+                f.mgrs[r]->tryFreeMemory(
+                    static_cast<std::int64_t>(rng() % (30ll << 20)));
+                break;
+              default:
+                f.mgrs[r]->peerAdmit(a, now + 500, now);
+                break;
+            }
+            f.simulator.run();
+        }
+        for (const auto &mgr : f.mgrs) {
+            const auto &cache = static_cast<const core::CacheManager &>(*mgr);
+            EXPECT_EQ(cache.demandEvictions() + cache.prefetchEvictions() +
+                          cache.kvShrinkEvictions() +
+                          cache.peerAdmitEvictions(),
+                      cache.evictions())
+                << "seed " << seed;
+            peerAdmitEvictions += cache.peerAdmitEvictions();
+        }
+    }
+    EXPECT_GT(peerAdmitEvictions, 0)
+        << "no peer admit evicted; the test is vacuous";
+}
+
+/**
  * The same churn against the S-LoRA baseline, with queued prefetch on
  * and off: discard-on-idle after the last release or dequeue, the
  * reclaim of prefetched adapters in tryFreeMemory, and declined
