@@ -635,11 +635,11 @@ TEST(GoldenReport, DrrStormAutoscale)
 TEST(GoldenReport, ExportsSingleReplica)
 {
     expectReportPins("exports single replica", exportHashes(1),
-                       {0xddf1bbeddc5d2fb1ull, 0x5989540fe7da1f3eull});
+                       {0xeefb9751777a0e51ull, 0x5989540fe7da1f3eull});
 }
 
 TEST(GoldenReport, ExportsJsqFourReplicas)
 {
     expectReportPins("exports jsq 4 replicas", exportHashes(4),
-                       {0x5dc31f4e5cb5e323ull, 0xdb6adf41b8778da5ull});
+                       {0xf6545d2843c4f297ull, 0xdb6adf41b8778da5ull});
 }
