@@ -9,12 +9,12 @@ namespace chameleon::sweep {
 namespace {
 
 /** Cell-identity columns: equal indices must describe the same cell.
- * Every dotted column is a spec-path axis, so it is identity too. */
+ * Every dotted column is an axis, so it is identity too. */
 bool
 isIdentityKey(const std::string &key)
 {
     static const char *const kIdentity[] = {"system", "rps", "replicas",
-                                            "fleet", "trace_seed"};
+                                            "trace_seed"};
     return key.find('.') != std::string::npos ||
            std::any_of(std::begin(kIdentity), std::end(kIdentity),
                        [&](const char *k) { return key == k; });

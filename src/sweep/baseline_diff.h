@@ -10,9 +10,9 @@
  * The comparison distinguishes three severities:
  *
  *   structural      row counts differ, a cell's identity fields
- *                   (system, rps, replicas, fleet, trace_seed, and
- *                   every dotted spec-path axis column such as
- *                   "cluster.router") moved, or the column sets
+ *                   (system, rps, replicas, trace_seed, and every
+ *                   dotted axis column such as "cluster.router")
+ *                   moved, or the column sets
  *                   diverge.
  *                   The documents are not the same sweep — fatal.
  *   hash mismatch   a cell's event_hash differs: the simulation
