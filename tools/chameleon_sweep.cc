@@ -4,10 +4,10 @@
  *
  * Loads a SweepSpec (src/sweep/README.md documents the grammar),
  * expands it into cells (systems crossed with spec-path and workload
- * axes), runs every cell through
- * the core Runner, prints a summary table, and writes one consolidated
- * BenchJson. Per-cell seeds derive from the sweep seed, so the same
- * file + seed reproduces the identical document at any --threads.
+ * axes), runs every cell through the core Runner, prints a summary
+ * table, and writes one consolidated BenchJson. Per-cell seeds derive
+ * from the sweep seed, so the same file + seed reproduces the identical
+ * document at any --threads.
  *
  * Examples:
  *   chameleon_sweep --config examples/sweeps/minimal.json
@@ -116,7 +116,7 @@ main(int argc, char **argv)
                 runner.spec().name.c_str(), runner.cells().size(),
                 runner.spec().threads,
                 runner.spec().threads == 1 ? "" : "s",
-                runner.spec().workload.numAdapters);
+                runner.cells().front().trace.numAdapters);
 
     const auto results = runner.run();
 
