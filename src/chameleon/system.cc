@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstring>
 #include <iterator>
-#include <map>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
@@ -179,6 +178,110 @@ drainSimulation(sim::Simulator &simulator, const workload::Trace &trace,
     }
 }
 
+/**
+ * Each tenant's TTFT, E2E and slowdown samples, in the order of its
+ * records. Tenants sit in ascending id order, and each tenant's
+ * trackers are reserved to its requests in the trace, so they are
+ * exact when every request finishes.
+ */
+struct TenantSamples
+{
+    struct Samples
+    {
+        sim::PercentileTracker ttft;
+        sim::PercentileTracker e2e;
+        sim::PercentileTracker slowdown;
+    };
+    std::vector<workload::TenantId> tenants;
+    std::vector<Samples> samples; // aligned with tenants
+
+    explicit TenantSamples(const workload::Trace &trace)
+    {
+        // Counted from a sorted copy of the trace's tenant ids: tenant
+        // ids are arbitrary integers (a CSV trace may carry any).
+        std::vector<workload::TenantId> ids;
+        ids.reserve(trace.size());
+        for (const auto &request : trace.requests())
+            ids.push_back(request.tenant);
+        std::sort(ids.begin(), ids.end());
+        for (auto it = ids.begin(); it != ids.end();) {
+            const auto end = std::upper_bound(it, ids.end(), *it);
+            const auto count = static_cast<std::size_t>(end - it);
+            tenants.push_back(*it);
+            Samples &s = samples.emplace_back();
+            s.ttft.reserve(count);
+            s.e2e.reserve(count);
+            s.slowdown.reserve(count);
+            it = end;
+        }
+    }
+
+    void
+    add(const serving::RequestRecord &rec, double slowdown)
+    {
+        const auto it =
+            std::lower_bound(tenants.begin(), tenants.end(), rec.tenant);
+        CHM_CHECK(it != tenants.end() && *it == rec.tenant,
+                  "record of tenant " << rec.tenant << " not in the trace");
+        Samples &s = samples[static_cast<std::size_t>(it - tenants.begin())];
+        s.ttft.add(sim::toSeconds(rec.ttft));
+        s.e2e.add(sim::toSeconds(rec.e2e));
+        s.slowdown.add(slowdown);
+    }
+};
+
+/**
+ * The per-tenant accounting (pure record reads): one TenantReport per
+ * tenant with finished requests, the fairness index and the overall
+ * SLO attainment. Needs report.stats and report.sloSeconds.
+ */
+void
+fillTenantReports(const TenantSamples &byTenant, const TenancySpec &tenancy,
+                  RunReport &report)
+{
+    std::vector<double> weightedService;
+    std::int64_t metOverall = 0;
+    for (std::size_t i = 0; i < byTenant.tenants.size(); ++i) {
+        const TenantSamples::Samples &samples = byTenant.samples[i];
+        if (samples.ttft.empty())
+            continue; // no request of this tenant finished
+        TenantReport tr;
+        tr.tenant = byTenant.tenants[i];
+        tr.finished = static_cast<std::int64_t>(samples.ttft.count());
+        tr.p50TtftSeconds = samples.ttft.p50();
+        tr.p99TtftSeconds = samples.ttft.p99();
+        tr.p50E2eSeconds = samples.e2e.p50();
+        tr.p99E2eSeconds = samples.e2e.p99();
+        tr.meanSlowdown = samples.slowdown.mean();
+        tr.p99Slowdown = samples.slowdown.p99();
+        if (report.sloSeconds > 0.0) {
+            tr.sloSeconds =
+                report.sloSeconds * tenancy.sloMultiplierFor(tr.tenant);
+            // Requests that met the SLO: the sorted TTFT samples at or
+            // under it.
+            const auto &ttft = samples.ttft.sorted();
+            const auto met = static_cast<std::int64_t>(
+                std::upper_bound(ttft.begin(), ttft.end(), tr.sloSeconds) -
+                ttft.begin());
+            metOverall += met;
+            tr.sloAttainment = static_cast<double>(met) /
+                               static_cast<double>(tr.finished);
+        }
+        // Service per unit weight, not slowdown: FIFO equalises delay
+        // (equal misery scores a perfect raw-slowdown index) while a
+        // fair scheduler concentrates delay on the over-demanding
+        // tenant; what WFQ/DRR equalise is weighted service.
+        weightedService.push_back(static_cast<double>(tr.finished) /
+                                  tenancy.weightFor(tr.tenant));
+        report.tenants.push_back(tr);
+    }
+    report.fairnessIndex = tenancy::jainIndex(weightedService);
+    if (report.sloSeconds > 0.0 && report.stats.finished > 0) {
+        report.sloAttainment = static_cast<double>(metOverall) /
+                               static_cast<double>(report.stats.finished);
+    }
+}
+
 } // namespace
 
 Runner::Runner(SystemSpec spec, const model::AdapterPool *pool)
@@ -274,30 +377,25 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
         model::CostModel(spec_.engine.model, spec_.engine.gpu,
                          spec_.engine.tpDegree, spec_.engine.cost),
         pool_);
-    // Each tenant's samples, filled in the walk over the records that
-    // builds the run's latency trackers, in the order of its records.
-    struct TenantSamples
-    {
-        sim::PercentileTracker ttft;
-        sim::PercentileTracker e2e;
-        sim::PercentileTracker slowdown;
-    };
-    std::map<workload::TenantId, TenantSamples> byTenant;
     RunReport report;
     if (sloMultiplier_ > 0.0 && !trace.empty()) {
         report.sloMultiplier = sloMultiplier_;
         report.sloSeconds = sim::toSeconds(
             serving::computeSlo(trace, isolated, sloMultiplier_));
     }
-    // The report takes the per-request data; the engines keep their
-    // counters.
-    report.stats = cluster_->mergedStats(
-        [&](const serving::RequestRecord &rec) {
-            TenantSamples &samples = byTenant[rec.tenant];
-            samples.ttft.add(sim::toSeconds(rec.ttft));
-            samples.e2e.add(sim::toSeconds(rec.e2e));
-            samples.slowdown.add(serving::slowdown(rec, isolated));
-        });
+    {
+        // Each tenant's samples, filled in the walk over the records
+        // that builds the run's latency trackers, in the order of its
+        // records, and freed once the tenant reports are built.
+        TenantSamples byTenant(trace);
+        // The report takes the per-request data; the engines keep
+        // their counters.
+        report.stats = cluster_->mergedStats(
+            [&](const serving::RequestRecord &rec) {
+                byTenant.add(rec, serving::slowdown(rec, isolated));
+            });
+        fillTenantReports(byTenant, spec_.tenancy, report);
+    }
     const auto &engines = cluster_->engines();
     if (engines.size() == 1) {
         const auto &link = engines.front()->pcieLink();
@@ -336,46 +434,6 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
         report.fabricMigrations = fabric_->migrations();
         report.fabricPeerBytes = fabric_->peerBytes();
         report.fabricPeerTransfers = fabric_->peerTransfers();
-    }
-
-    // --- per-tenant accounting (post-simulation: pure record reads) ---
-    std::vector<double> weightedService;
-    std::int64_t metOverall = 0;
-    for (const auto &[tenant, samples] : byTenant) {
-        TenantReport tr;
-        tr.tenant = tenant;
-        tr.finished = static_cast<std::int64_t>(samples.ttft.count());
-        tr.p50TtftSeconds = samples.ttft.p50();
-        tr.p99TtftSeconds = samples.ttft.p99();
-        tr.p50E2eSeconds = samples.e2e.p50();
-        tr.p99E2eSeconds = samples.e2e.p99();
-        tr.meanSlowdown = samples.slowdown.mean();
-        tr.p99Slowdown = samples.slowdown.p99();
-        if (report.sloSeconds > 0.0) {
-            tr.sloSeconds = report.sloSeconds *
-                            spec_.tenancy.sloMultiplierFor(tenant);
-            // Requests that met the SLO: the sorted TTFT samples at or
-            // under it.
-            const auto &ttft = samples.ttft.sorted();
-            const auto met = static_cast<std::int64_t>(
-                std::upper_bound(ttft.begin(), ttft.end(), tr.sloSeconds) -
-                ttft.begin());
-            metOverall += met;
-            tr.sloAttainment = static_cast<double>(met) /
-                               static_cast<double>(tr.finished);
-        }
-        // Service per unit weight, not slowdown: FIFO equalises delay
-        // (equal misery scores a perfect raw-slowdown index) while a
-        // fair scheduler concentrates delay on the over-demanding
-        // tenant; what WFQ/DRR equalise is weighted service.
-        weightedService.push_back(static_cast<double>(tr.finished) /
-                                  spec_.tenancy.weightFor(tenant));
-        report.tenants.push_back(tr);
-    }
-    report.fairnessIndex = tenancy::jainIndex(weightedService);
-    if (report.sloSeconds > 0.0 && report.stats.finished > 0) {
-        report.sloAttainment = static_cast<double>(metOverall) /
-                               static_cast<double>(report.stats.finished);
     }
 
     obs::MetricsRegistry registry;

@@ -276,6 +276,20 @@ DataParallelCluster::appendEngine(std::unique_ptr<ServingEngine> engine,
         fabric_->attachReplica(engines_.size() - 1,
                                engines_.back()->adapterManager());
     }
+    // Several replicas always share the store, so a fixed cluster that
+    // grows after a direct-path trace keeps replica 0's records too.
+    if (recordsShared_)
+        engines_.back()->setRecordStore(records_);
+    else if (engines_.size() > 1)
+        shareRecordStore();
+}
+
+void
+DataParallelCluster::shareRecordStore()
+{
+    recordsShared_ = true;
+    for (auto &engine : engines_)
+        engine->setRecordStore(records_);
 }
 
 void
@@ -610,6 +624,10 @@ DataParallelCluster::submitTrace(const workload::Trace &trace)
         engines_.front()->submitTrace(trace);
         return;
     }
+    shareRecordStore();
+    // Reserved beyond what earlier traces reserved (as in
+    // ServingEngine::submitTrace).
+    records_.reserve(records_.capacity() + trace.size());
     // Dispatch decisions must be made at arrival time (outstanding
     // counts and cache residency change as the simulation runs), so
     // route from a kernel arrival stream. The engine schedules
@@ -635,27 +653,64 @@ DataParallelCluster::mergedStats(const RecordVisitor &eachRecord)
         // One replica's stats are the cluster's, series included.
         static_cast<EngineStats &>(out) = engines_.front()->takeStats();
     } else {
-        std::size_t records = 0;
         std::size_t tbt = 0;
-        for (const auto &e : engines_) {
-            records += e->stats().records.size();
+        for (const auto &e : engines_)
             tbt += e->stats().tbt.count();
-        }
-        out.records.reserve(records);
         out.tbt.reserve(tbt);
         for (auto &e : engines_) {
-            // Taken one replica at a time: each replica's samples and
-            // records are freed as soon as they are merged.
+            // Taken one replica at a time: each replica's samples are
+            // freed as soon as they are merged.
             const EngineStats s = e->takeStats();
             out += s;
             for (const double v : s.tbt.sorted())
                 out.tbt.add(v);
-            out.records.insert(out.records.end(), s.records.begin(),
-                               s.records.end());
         }
+    }
+    if (recordsShared_) {
+        sortByReplica(records_, engines_.size());
+        out.records = std::move(records_);
+        records_ = {};
     }
     fillLatencyTrackers(out, eachRecord);
     return out;
+}
+
+void
+sortByReplica(std::vector<RequestRecord> &records, std::size_t replicas)
+{
+    CHM_CHECK(records.size() < std::numeric_limits<std::uint32_t>::max(),
+              "too many records to index in 32 bits");
+    // Counting sort of the destinations: replica r's records start at
+    // start[r], in their original order.
+    std::vector<std::uint32_t> start(replicas + 1, 0);
+    for (const RequestRecord &r : records) {
+        CHM_CHECK(r.replica >= 0 &&
+                      static_cast<std::size_t>(r.replica) < replicas,
+                  "record of unknown replica " << r.replica);
+        ++start[static_cast<std::size_t>(r.replica) + 1];
+    }
+    for (std::size_t i = 1; i <= replicas; ++i)
+        start[i] += start[i - 1];
+    // from[d]: the index of the record that belongs at d.
+    std::vector<std::uint32_t> from(records.size());
+    for (std::uint32_t i = 0; i < records.size(); ++i)
+        from[start[static_cast<std::size_t>(records[i].replica)]++] = i;
+    // Follow each cycle of the permutation from its lowest index,
+    // holding that index's record; a placed index points at itself.
+    for (std::uint32_t d = 0; d < records.size(); ++d) {
+        if (from[d] == d)
+            continue;
+        const RequestRecord held = records[d];
+        std::uint32_t k = d;
+        while (from[k] != d) {
+            const std::uint32_t next = from[k];
+            records[k] = records[next];
+            from[k] = k;
+            k = next;
+        }
+        records[k] = held;
+        from[k] = k;
+    }
 }
 
 std::vector<std::int64_t>

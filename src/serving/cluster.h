@@ -265,11 +265,20 @@ class DataParallelCluster : public routing::ClusterView
      * once, after the run: the engines keep their counters, and their
      * TBT samples, series and records move into the result (the
      * Runner's RunReport::stats). One replica hands over its stats
-     * whole; several have their counters summed, their TBT samples
-     * appended replica by replica (each in sorted order) and their
-     * records concatenated in replica order, and no memory series.
-     * The latency trackers are then built once from the records
-     * (fillLatencyTrackers), whose walk `eachRecord` also sees.
+     * whole; several have their counters summed and their TBT samples
+     * appended replica by replica (each in sorted order), and no
+     * memory series.
+     *
+     * Records are written once. A cluster that dispatches (more than
+     * one replica, or an autoscaler) owns one record store, reserved
+     * to the trace at submitTrace, and every engine it has built
+     * appends there as its requests finish. Here the store is
+     * reordered in place, stably by replica (sortByReplica), and moved
+     * into the result: replica by replica, each in finish order. The
+     * one-replica direct path keeps the records in its engine, and
+     * they move over with its stats. The latency trackers are then
+     * built once from the records (fillLatencyTrackers), whose walk
+     * `eachRecord` also sees.
      */
     RunStats mergedStats(const RecordVisitor &eachRecord = {});
 
@@ -285,6 +294,8 @@ class DataParallelCluster : public routing::ClusterView
 
   private:
     void dispatch(const workload::Request &request);
+    /** Point every engine's record write path at records_. */
+    void shareRecordStore();
     void appendEngine(std::unique_ptr<ServingEngine> engine,
                       double nominalRate);
     void wireEngineTrace(std::size_t index);
@@ -346,7 +357,20 @@ class DataParallelCluster : public routing::ClusterView
     std::size_t fastestCandidate_ = 0; // argmax of candidateRates_
     ConfigEngineFactory configFactory_;
     bool traceSubmitted_ = false;
+    /** The engines' shared record store, once recordsShared_. */
+    std::vector<RequestRecord> records_;
+    bool recordsShared_ = false;
 };
+
+/**
+ * Reorder `records` in place, stably by RequestRecord::replica, each
+ * of which must be below `replicas`: replica 0's records first, each
+ * replica's in their original order. Equal to std::stable_sort by
+ * replica; each record is moved once, through an index of 4 B per
+ * record.
+ */
+void sortByReplica(std::vector<RequestRecord> &records,
+                   std::size_t replicas);
 
 } // namespace chameleon::serving
 

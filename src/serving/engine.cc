@@ -126,6 +126,9 @@ ServingEngine::submit(const workload::Request &request)
 void
 ServingEngine::submitTrace(const workload::Trace &trace)
 {
+    // Reserved beyond what earlier traces reserved, so the records of
+    // every trace submitted before the run are written without a copy.
+    records_->reserve(records_->capacity() + trace.size());
     // One kernel stream for the whole trace: each request is built and
     // predicted when it arrives, so the predictor has seen every
     // completion before it and no state exists for future arrivals.
@@ -602,7 +605,7 @@ ServingEngine::finishRequest(LiveRequest *r)
     releaseResources(r);
     // The record is the request's only latency sample; its TTFT is
     // from the final (non-squashed) run.
-    stats_.records.push_back(makeRecord(*r, replica_));
+    records_->push_back(makeRecord(*r, replica_));
     ++stats_.finished;
     if (trace_ != nullptr)
         emitRequestTrace(r);
@@ -721,6 +724,16 @@ ServingEngine::finalize()
 {
     stats_.adapterHits = adapterMgr_->hits();
     stats_.adapterMisses = adapterMgr_->misses();
+}
+
+void
+ServingEngine::setRecordStore(std::vector<RequestRecord> &store)
+{
+    if (records_ == &store)
+        return;
+    store.insert(store.end(), records_->begin(), records_->end());
+    *records_ = {};
+    records_ = &store;
 }
 
 EngineStats

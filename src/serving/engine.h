@@ -173,7 +173,8 @@ class ServingEngine
      * Submit every request in the trace at its arrival time, as one
      * kernel arrival stream (sim::Simulator::scheduleStream): a request
      * is built and its output length predicted when it arrives. The
-     * trace is read during the run, so it must outlive it.
+     * trace is read during the run, so it must outlive it. The record
+     * store is reserved for the trace's requests.
      */
     void submitTrace(const workload::Trace &trace);
 
@@ -197,6 +198,14 @@ class ServingEngine
      * engine.
      */
     void setReplica(std::int32_t index) { replica_ = index; }
+
+    /**
+     * Append every RequestRecord this engine finishes to `store`
+     * instead of its own stats().records (the default), and move the
+     * records written so far there. A dispatching cluster points all
+     * its engines at one store (DataParallelCluster::mergedStats).
+     */
+    void setRecordStore(std::vector<RequestRecord> &store);
 
     /** Finalise derived stats (hit rates, memory series flush). */
     void finalize();
@@ -349,6 +358,9 @@ class ServingEngine
 
     std::int32_t replica_ = 0;
     EngineStats stats_;
+    /** The one record write path: stats_.records unless redirected by
+     * setRecordStore. */
+    std::vector<RequestRecord> *records_ = &stats_.records;
 };
 
 } // namespace chameleon::serving

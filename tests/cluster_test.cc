@@ -159,6 +159,60 @@ TEST(DataParallel, RoundRobinAlternates)
     EXPECT_EQ(cluster.engines()[1]->stats().finished, 5);
 }
 
+TEST(DataParallel, AGrownClusterKeepsItsDirectPathRecords)
+{
+    // One fixed replica serves its first trace directly, so the engine
+    // holds those records; growing the cluster moves them into the
+    // cluster's store ahead of the dispatched trace's.
+    sim::Simulator simulator;
+    model::AdapterPool pool(model::llama7B(), 20);
+    predict::LengthPredictor predictor(1.0);
+    serving::DataParallelCluster cluster(
+        simulator,
+        [&](std::size_t) {
+            return makeEngine(simulator, pool, predictor);
+        },
+        1, routing::RouterPolicy::RoundRobin);
+    const auto requests = [](int first, int count, double start) {
+        workload::Trace trace;
+        for (int i = first; i < first + count; ++i) {
+            trace.append(workload::Request{
+                i, sim::fromSeconds(start + 0.5 * (i - first)), 16, 4,
+                static_cast<model::AdapterId>(i % 20)});
+        }
+        return trace;
+    };
+    const auto direct = requests(0, 4, 0.0);
+    cluster.submitTrace(direct);
+    simulator.run();
+    EXPECT_EQ(cluster.engines()[0]->stats().records.size(), 4u);
+
+    cluster.resize(2);
+    EXPECT_TRUE(cluster.engines()[0]->stats().records.empty());
+    const auto dispatched = requests(4, 6, 10.0);
+    cluster.submitTrace(dispatched);
+    simulator.run();
+    cluster.finalize();
+
+    const auto finished = cluster.perReplicaFinished();
+    ASSERT_EQ(finished.size(), 2u);
+    EXPECT_GT(finished[0], 4);
+    EXPECT_GT(finished[1], 0);
+    const auto merged = cluster.mergedStats();
+    ASSERT_EQ(merged.records.size(), 10u);
+    // Replica by replica, each in finish order (here, id order).
+    for (std::size_t i = 0; i < merged.records.size(); ++i) {
+        const auto &rec = merged.records[i];
+        EXPECT_EQ(rec.replica,
+                  i < static_cast<std::size_t>(finished[0]) ? 0 : 1)
+            << "record " << i;
+        if (i > 0 && rec.replica == merged.records[i - 1].replica) {
+            EXPECT_LT(merged.records[i - 1].id, rec.id) << "record " << i;
+        }
+    }
+    EXPECT_EQ(merged.records.front().id, 0);
+}
+
 TEST(DataParallel, AffinityPartitionsAdaptersAcrossReplicas)
 {
     sim::Simulator simulator;
@@ -185,17 +239,15 @@ TEST(DataParallel, AffinityPartitionsAdaptersAcrossReplicas)
     cluster.finalize();
 
     // Without spillover every adapter is served by exactly one replica.
-    std::map<model::AdapterId, std::set<std::size_t>> replicasOf;
-    for (std::size_t i = 0; i < cluster.engines().size(); ++i) {
-        for (const auto &rec : cluster.engines()[i]->stats().records) {
-            if (rec.adapter != model::kNoAdapter)
-                replicasOf[rec.adapter].insert(i);
-        }
+    const auto merged = cluster.mergedStats();
+    std::map<model::AdapterId, std::set<std::int32_t>> replicasOf;
+    for (const auto &rec : merged.records) {
+        if (rec.adapter != model::kNoAdapter)
+            replicasOf[rec.adapter].insert(rec.replica);
     }
     EXPECT_GT(replicasOf.size(), 0u);
     for (const auto &[adapter, replicas] : replicasOf)
         EXPECT_EQ(replicas.size(), 1u) << "adapter " << adapter;
-    const auto merged = cluster.mergedStats();
     EXPECT_EQ(merged.records.size(), trace.size());
     EXPECT_EQ(merged.finished, static_cast<std::int64_t>(trace.size()));
 }
@@ -813,9 +865,9 @@ static_assert(HasTtft<serving::RunStats>::value);
 /**
  * After Runner::run the report holds the run's only copy of its
  * per-request data: every engine kept its counters but no record or
- * TBT sample, the report's records take no more room than one vector
- * of them grown by doubling, and its latency trackers are reserved to
- * their exact counts. Returns the replicas the run built.
+ * TBT sample, the report's records sit in storage reserved for the
+ * trace, and its latency trackers are reserved to their exact counts.
+ * Returns the replicas the run built.
  */
 std::size_t
 expectReportOwnsRecords(const core::SystemSpec &spec,
@@ -844,16 +896,19 @@ expectReportOwnsRecords(const core::SystemSpec &spec,
             << "replica " << i;
     }
     EXPECT_EQ(finished, report.stats.finished);
-    const std::size_t bytes =
-        records.capacity() * sizeof(serving::RequestRecord);
-    const std::size_t needed =
-        records.size() * sizeof(serving::RequestRecord);
-    // A merge reserves exactly; a single replica's vector keeps the
-    // slack of its doublings, less than its size.
-    if (engines.size() > 1) {
-        EXPECT_EQ(bytes, needed);
+    // Every request finished, and its record was written once into
+    // storage reserved for the trace: no doubling slack.
+    EXPECT_EQ(records.size(), trace.size());
+    EXPECT_EQ(records.capacity(), records.size());
+    // Replica by replica, each in finish order.
+    for (std::size_t i = 1; i < records.size(); ++i) {
+        const auto &a = records[i - 1];
+        const auto &b = records[i];
+        EXPECT_TRUE(a.replica < b.replica ||
+                    (a.replica == b.replica &&
+                     a.arrival + a.e2e <= b.arrival + b.e2e))
+            << "records " << i - 1 << " and " << i;
     }
-    EXPECT_LE(bytes, 2 * needed);
     for (const auto &field : serving::kLatencyFields) {
         const auto &samples = (report.stats.*field.tracker).sorted();
         EXPECT_EQ(samples.capacity(), samples.size()) << field.name;
@@ -870,6 +925,76 @@ ownershipSpec(int replicas)
 }
 
 } // namespace
+
+namespace {
+
+/**
+ * Records labelled by `replicaOf(i)` for record i, ids in order; then
+ * check sortByReplica against std::stable_sort by replica.
+ */
+template <typename ReplicaOf>
+void
+expectSortByReplicaIsStable(std::size_t count, std::size_t replicas,
+                            ReplicaOf replicaOf)
+{
+    std::vector<serving::RequestRecord> records(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        records[i].id = static_cast<std::int64_t>(i);
+        records[i].replica = replicaOf(i);
+    }
+    auto expected = records;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const serving::RequestRecord &a,
+                        const serving::RequestRecord &b) {
+                         return a.replica < b.replica;
+                     });
+    serving::sortByReplica(records, replicas);
+    ASSERT_EQ(records.size(), expected.size());
+    for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(records[i].id, expected[i].id) << "record " << i;
+        EXPECT_EQ(records[i].replica, expected[i].replica) << "record " << i;
+    }
+}
+
+} // namespace
+
+TEST(SortByReplica, MatchesStableSortOnRandomLabels)
+{
+    sim::Rng rng(7);
+    expectSortByReplicaIsStable(5000, 16, [&](std::size_t) {
+        return static_cast<std::int32_t>(rng.nextBelow(16));
+    });
+}
+
+TEST(SortByReplica, LeavesEmptyReplicasEmpty)
+{
+    // Only the odd replicas of 12 (and never the last) serve.
+    sim::Rng rng(11);
+    expectSortByReplicaIsStable(3000, 12, [&](std::size_t) {
+        return static_cast<std::int32_t>(1 + 2 * rng.nextBelow(5));
+    });
+    expectSortByReplicaIsStable(0, 4, [](std::size_t) { return 0; });
+}
+
+TEST(SortByReplica, KeepsASingleReplicasOrder)
+{
+    expectSortByReplicaIsStable(1000, 1, [](std::size_t) { return 0; });
+}
+
+TEST(SortByReplica, GathersEveryRecordOnOneReplica)
+{
+    expectSortByReplicaIsStable(1000, 8, [](std::size_t) { return 5; });
+}
+
+TEST(SortByReplica, OrdersReplicasAddedMidRun)
+{
+    // Replicas join as the run goes on: record i can land on any of the
+    // first 1 + i / 500 replicas, as in an autoscaled cluster.
+    sim::Rng rng(3);
+    expectSortByReplicaIsStable(4000, 8, [&](std::size_t i) {
+        return static_cast<std::int32_t>(rng.nextBelow(1 + i / 500));
+    });
+}
 
 TEST(ReportOwnership, OneReplicaHandsOverItsRecords)
 {
