@@ -194,6 +194,47 @@ SystemSpec::validate() const
         err("cluster.autoscaler.high_watermark (", scaler.highWatermark,
             ") must exceed cluster.autoscaler.low_watermark (",
             scaler.lowWatermark, ")");
+    // Every engine's GPUs hold the model's weights and the workspace
+    // with memory left for requests: at least one token's KV cache,
+    // since the MLQ scheduler sizes its token pool from what is left.
+    // Hardware left at its default is not checked (as in checkBounds),
+    // nor a tp_degree that checkBounds rejects.
+    const auto checkMemory = [&err](const serving::EngineConfig &e,
+                                    const std::string &path) {
+        if (e.model == model::ModelSpec{} || e.gpu == model::GpuSpec{} ||
+            e.tpDegree < 1)
+            return;
+        std::int64_t gpuBytes = 0;
+        if (__builtin_mul_overflow(static_cast<std::int64_t>(e.tpDegree),
+                                   e.gpu.memBytes, &gpuBytes))
+            return; // more memory than any model's weights
+        const std::int64_t weights = e.model.weightsBytes();
+        const std::int64_t token = e.model.kvBytesPerToken();
+        const std::int64_t left = gpuBytes - weights;
+        if (left < token) {
+            const std::int64_t need = weights + token;
+            err(path, ".gpu.mem_bytes must be at least ",
+                need / e.tpDegree + (need % e.tpDegree != 0 ? 1 : 0),
+                ": ", e.tpDegree, " x ", e.gpu.memBytes,
+                " B of GPU memory cannot hold the model's ", weights,
+                " B of weights and one token's KV cache (", token,
+                " B) (got ", e.gpu.memBytes, ")");
+            return;
+        }
+        const std::int64_t limit = (left - token) / e.tpDegree;
+        if (e.workspacePerGpu > limit)
+            err(path, ".workspace_per_gpu must be at most ", limit, ": ",
+                e.tpDegree, " x ", e.gpu.memBytes,
+                " B of GPU memory less ", weights,
+                " B of weights leaves ", left, " B, too little for ",
+                e.tpDegree, " x ", e.workspacePerGpu,
+                " B of workspace and one token's KV cache (", token,
+                " B) (got ", e.workspacePerGpu, ")");
+    };
+    checkMemory(engine, "engine");
+    for (std::size_t i = 0; i < cluster.replicaEngines.size(); ++i)
+        checkMemory(cluster.replicaEngines[i],
+                    "cluster.replicas[" + std::to_string(i) + "]");
     return errors;
 }
 

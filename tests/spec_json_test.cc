@@ -50,6 +50,21 @@ roundTrip(const core::SystemSpec &spec)
     return parsed.value_or(core::SystemSpec{});
 }
 
+/** Raise `engine`'s tensor-parallel degree until its GPUs hold the
+ * model's weights, the workspace and one token's KV cache. */
+void
+fitMemory(serving::EngineConfig &engine)
+{
+    const auto left = [&engine] {
+        return engine.tpDegree * engine.gpu.memBytes -
+               engine.model.weightsBytes() -
+               engine.tpDegree * engine.workspacePerGpu -
+               engine.model.kvBytesPerToken();
+    };
+    while (left() < 0)
+        ++engine.tpDegree;
+}
+
 /** A random *valid* spec: contradictory knob pairs are kept coherent. */
 core::SystemSpec
 randomSpec(sim::Rng &rng)
@@ -74,6 +89,7 @@ randomSpec(sim::Rng &rng)
                                          rng.nextBelow(1024));
     spec.engine.cost.loraIneff = 10.0 + rng.nextDouble() * 50.0;
     spec.engine.cost.tpSyncMs = rng.nextDouble() * 20.0;
+    fitMemory(spec.engine);
 
     const core::SchedulerPolicy schedulers[] = {
         core::SchedulerPolicy::Fifo, core::SchedulerPolicy::Sjf,
@@ -119,6 +135,7 @@ randomSpec(sim::Rng &rng)
                           : model::a100(rng.nextBelow(2) ? 48 : 80);
             cfg.maxRunning = 64 + static_cast<int>(rng.nextBelow(256));
             cfg.cost.tpSyncMs = rng.nextDouble() * 20.0;
+            fitMemory(cfg);
             spec.cluster.replicaEngines.push_back(std::move(cfg));
         }
     }

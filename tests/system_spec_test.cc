@@ -513,6 +513,46 @@ TEST(SpecValidation, RejectsBadAutoscalerBounds)
     EXPECT_TRUE(hasErrorContaining(spec, "cluster.autoscaler.max_replicas"));
 }
 
+TEST(SpecValidation, RejectsWorkspaceThatLeavesNoMemoryForRequests)
+{
+    // Llama-7B (13.48 GB of weights) on one 48 GiB A40: a 36 GiB
+    // workspace leaves nothing for KV pages. The error names the --set
+    // path and the bytes.
+    auto spec = core::presets::chameleon();
+    spec.engine.model = model::llama7B();
+    spec.engine.gpu = model::a40();
+    EXPECT_TRUE(spec.validate().empty());
+    spec.engine.workspacePerGpu = 36ll << 30;
+    EXPECT_TRUE(hasErrorContaining(
+        spec, "engine.workspace_per_gpu must be at most 38059083264"));
+    EXPECT_TRUE(hasErrorContaining(spec, "(got 38654705664)"));
+    // The largest accepted workspace leaves exactly one token's KV.
+    spec.engine.workspacePerGpu = 38059083264;
+    EXPECT_TRUE(spec.validate().empty());
+    spec.engine.workspacePerGpu += 1;
+    EXPECT_FALSE(spec.validate().empty());
+    // Two GPUs hold it.
+    spec.engine.tpDegree = 2;
+    EXPECT_TRUE(spec.validate().empty());
+
+    // A per-replica override is checked under its own path.
+    spec = core::presets::chameleon();
+    spec.engine.model = model::llama7B();
+    spec.withFleet({model::a40(), model::a40()});
+    ASSERT_EQ(spec.cluster.replicaEngines.size(), 2u);
+    EXPECT_TRUE(spec.validate().empty());
+    spec.cluster.replicaEngines[1].workspacePerGpu = 36ll << 30;
+    EXPECT_TRUE(hasErrorContaining(
+        spec, "cluster.replicas[1].workspace_per_gpu must be at most"));
+    EXPECT_FALSE(hasErrorContaining(spec, "cluster.replicas[0]"));
+
+    // A model the GPUs cannot hold at all names the GPU memory.
+    spec = core::presets::chameleon();
+    spec.engine.model = model::llama70B();
+    spec.engine.gpu = model::a40();
+    EXPECT_TRUE(hasErrorContaining(spec, "engine.gpu.mem_bytes must be"));
+}
+
 TEST(SpecValidation, CollectsEveryProblemAtOnce)
 {
     auto spec = core::presets::chameleon();
