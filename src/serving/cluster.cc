@@ -278,9 +278,7 @@ DataParallelCluster::appendEngine(std::unique_ptr<ServingEngine> engine,
     }
     // Several replicas always share the store, so a fixed cluster that
     // grows after a direct-path trace keeps replica 0's records too.
-    if (recordsShared_)
-        engines_.back()->setRecordStore(records_);
-    else if (engines_.size() > 1)
+    if (recordsShared_ || engines_.size() > 1)
         shareRecordStore();
 }
 
@@ -289,7 +287,7 @@ DataParallelCluster::shareRecordStore()
 {
     recordsShared_ = true;
     for (auto &engine : engines_)
-        engine->setRecordStore(records_);
+        engine->setRecordStore(records_); // no-op once pointed there
 }
 
 void
