@@ -8,9 +8,10 @@
  * core::Runner, and emits one BenchJson with a row per cell. Cells are
  * independent simulations, so the runner can execute them on a thread
  * pool (spec.threads); results are reported in cell order regardless
- * of scheduling, and every per-cell seed is derived from the sweep
- * seed, so the same sweep JSON + seed produces a byte-identical
- * BenchJson at any thread count (tests/sweep_test.cc asserts this).
+ * of scheduling, and every cell's trace and router are seeded with
+ * the sweep seed, so the same sweep JSON + seed produces a
+ * byte-identical BenchJson at any thread count (tests/sweep_test.cc
+ * asserts this).
  *
  * bench/fig17_cache_policies and bench/fig26_routing are thin wrappers
  * over this class; tools/chameleon_sweep.cc drives it from a JSON file.

@@ -207,21 +207,15 @@ expandSweep(const SweepSpec &spec, std::string *error)
     const auto &registry = core::SystemRegistry::global();
 
     // The axes' cross product in row-major order (later axes vary
-    // fastest): one override list per combination, with the index of
-    // its workload.* values in their own cross product, the offset of
-    // its trace seed.
-    std::vector<std::pair<core::SpecOverrides, std::uint64_t>> combos{{}};
+    // fastest): one override list per combination.
+    std::vector<core::SpecOverrides> combos{{}};
     for (const auto &axis : spec.axes) {
-        const bool workloadAxis = isWorkloadPath(axis.path);
-        std::vector<std::pair<core::SpecOverrides, std::uint64_t>> next;
+        std::vector<core::SpecOverrides> next;
         next.reserve(combos.size() * axis.values.size());
-        for (const auto &[prefix, index] : combos) {
-            for (std::size_t i = 0; i < axis.values.size(); ++i) {
-                next.emplace_back(prefix,
-                                  workloadAxis
-                                      ? index * axis.values.size() + i
-                                      : index);
-                next.back().first.emplace_back(axis.path, axis.values[i]);
+        for (const auto &prefix : combos) {
+            for (const auto &value : axis.values) {
+                next.push_back(prefix);
+                next.back().emplace_back(axis.path, value);
             }
         }
         combos = std::move(next);
@@ -243,7 +237,7 @@ expandSweep(const SweepSpec &spec, std::string *error)
         }
         base->engine = paperTestbedEngine();
         base->cluster.routerConfig.seed = spec.seed;
-        for (const auto &[overrides, workloadIndex] : combos) {
+        for (const auto &overrides : combos) {
             const auto invalid = [&](const std::string &problem) {
                 if (error != nullptr)
                     *error = "sweep cell \"" + system + "\" (" +
@@ -281,7 +275,7 @@ expandSweep(const SweepSpec &spec, std::string *error)
                                "sweep runs one model");
             }
             cell.spec = std::move(*resolved);
-            cell.trace.seed = spec.seed + workloadIndex;
+            cell.trace.seed = spec.seed;
             cell.trace.numTenants = cell.spec.tenancy.tenants;
             if (spec.rpsPerReplica)
                 cell.trace.rps *= cell.spec.cluster.replicas;

@@ -30,12 +30,15 @@
  *     "axes": {"engine.workspace_per_gpu": [25769803776]}
  *   }
  *
- * Determinism: a cell's trace is generated with seed `seed` plus the
- * cell's index over the workload.* axes, and cells share a trace
- * exactly when their trace configurations are equal (every system at a
- * load runs the identical trace); router sampling streams are seeded
- * with `seed`. Same sweep JSON + seed => identical cells, traces, and
- * BenchJson, asserted by tests/sweep_test.cc.
+ * Determinism: every cell's trace is generated with the sweep's
+ * `seed`, so a cell draws the trace a single run of its configuration
+ * at that seed draws; cells share a trace exactly when their trace
+ * configurations are equal (every system at a load runs the identical
+ * trace), and cells that differ in a workload key run distinct traces.
+ * Router sampling streams are seeded with `seed` too. A replicate is
+ * the same sweep at another `seed`. Same sweep JSON + seed =>
+ * identical cells, traces, and BenchJson, asserted by
+ * tests/sweep_test.cc.
  */
 
 #ifndef CHAMELEON_SWEEP_SWEEP_SPEC_H
@@ -94,7 +97,7 @@ struct SweepSpec
     /** The workload every cell's trace starts from ("workload"). */
     workload::TraceGenConfig workload = workload::splitwiseLike();
 
-    /** Master seed: traces derive per workload cell, routers use it. */
+    /** Master seed: every cell's trace and router use it. */
     std::uint64_t seed = 42;
     /** Worker threads for the runner (1 = serial). */
     int threads = 1;

@@ -346,16 +346,18 @@ TEST(SweepExpand, SharesTracesAcrossSystemsAtALoad)
     EXPECT_EQ((*cells)[0].traceIndex, (*cells)[2].traceIndex);
     EXPECT_EQ((*cells)[1].traceIndex, (*cells)[3].traceIndex);
     EXPECT_NE((*cells)[0].traceIndex, (*cells)[1].traceIndex);
-    // Seeds over the workload axes: seed + the rps axis index.
+    // Every trace is drawn with the sweep's seed.
     EXPECT_EQ((*cells)[0].trace.seed, 7u);
-    EXPECT_EQ((*cells)[1].trace.seed, 8u);
+    EXPECT_EQ((*cells)[1].trace.seed, 7u);
 }
 
-TEST(SweepExpand, WorkloadAxesSeedTracesByTheirOwnIndex)
+TEST(SweepExpand, EveryTraceUsesTheSweepSeed)
 {
-    // Any workload key but the preset is an axis. The trace seed is
-    // seed + the cell's index over the workload.* axes alone, so a
-    // spec-path axis between them shares traces instead of reseeding.
+    // Any workload key but the preset is an axis. Every cell's trace
+    // is drawn with the sweep's seed, as a single run of its
+    // configuration would draw it; cells that differ in a workload key
+    // run distinct traces, and a spec-path axis between them shares
+    // traces instead of reseeding.
     const auto spec = parseSweep(R"({
       "systems": ["chameleon"],
       "axes": {"workload.rps": [4.0, 5.0],
@@ -374,9 +376,21 @@ TEST(SweepExpand, WorkloadAxesSeedTracesByTheirOwnIndex)
         const std::size_t burstIndex = i % 2;
         EXPECT_EQ(cell.trace.rps, rpsIndex ? 5.0 : 4.0) << i;
         EXPECT_EQ(cell.trace.burstMultiplier, burstIndex ? 3.0 : 1.0) << i;
-        EXPECT_EQ(cell.trace.seed, 100u + 2 * rpsIndex + burstIndex) << i;
-        // Routers at one workload cell run the identical trace.
+        EXPECT_EQ(cell.trace.seed, 100u) << i;
+        // Routers at one workload cell run the identical trace; the
+        // four workload cells run four distinct ones.
         EXPECT_EQ(cell.traceIndex, 2 * rpsIndex + burstIndex) << i;
+    }
+    const sweep::SweepRunner runner(spec);
+    const auto arrivals = [&runner](std::size_t index) {
+        std::vector<sim::SimTime> out;
+        for (const auto &r : runner.trace(index).requests())
+            out.push_back(r.arrival);
+        return out;
+    };
+    for (std::size_t a = 0; a < 4; ++a) {
+        for (std::size_t b = a + 1; b < 4; ++b)
+            EXPECT_NE(arrivals(a), arrivals(b)) << a << " vs " << b;
     }
     // Everything else is the sweep's workload: the splitwise preset.
     EXPECT_EQ((*cells)[0].trace.input,
@@ -736,7 +750,7 @@ TEST(SweepExamples, ExpansionsArePinned)
     const std::map<std::string, std::pair<std::size_t, std::uint64_t>>
         pins = {
             {"autoscale_step.json", {2, 0xfb44353401e0e2e3ull}},
-            {"ci_smoke.json", {12, 0x4625832309ddae2bull}},
+            {"ci_smoke.json", {12, 0x23233f63d3118bb3ull}},
             {"fabric_smoke.json", {4, 0xf36c67db38048bddull}},
             {"fig17_policy_grid.json", {5, 0xa7f30981b9ca2894ull}},
             {"hetero_fleet.json", {12, 0x04b70aa468bd17d0ull}},

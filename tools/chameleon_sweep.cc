@@ -5,9 +5,9 @@
  * Loads a SweepSpec (src/sweep/README.md documents the grammar),
  * expands it into cells (systems crossed with spec-path and workload
  * axes), runs every cell through the core Runner, prints a summary
- * table, and writes one consolidated BenchJson. Per-cell seeds derive
- * from the sweep seed, so the same file + seed reproduces the identical
- * document at any --threads.
+ * table, and writes one consolidated BenchJson. Every cell's trace and
+ * router are seeded with the sweep seed, so the same file + seed
+ * reproduces the identical document at any --threads.
  *
  * Examples:
  *   chameleon_sweep --config examples/sweeps/minimal.json
