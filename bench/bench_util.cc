@@ -1,7 +1,6 @@
 #include "bench_util.h"
 
 #include <cstdio>
-#include <map>
 
 namespace chameleon::bench {
 
@@ -22,20 +21,6 @@ Testbed::spec(const std::string &system) const
     core::SystemSpec spec = core::SystemRegistry::global().lookup(system);
     spec.engine = engine;
     return spec;
-}
-
-model::CostModel
-Testbed::costModel() const
-{
-    return model::CostModel(engine.model, engine.gpu, engine.tpDegree,
-                            engine.cost);
-}
-
-double
-Testbed::sloSeconds(const workload::Trace &t) const
-{
-    const auto cost = costModel();
-    return sim::toSeconds(serving::computeSlo(t, cost, pool.get()));
 }
 
 Testbed
@@ -88,34 +73,6 @@ banner(const std::string &figure, const std::string &paperClaim)
     std::printf("%s\n", figure.c_str());
     std::printf("paper: %s\n", paperClaim.c_str());
     std::printf("================================================================\n");
-}
-
-std::vector<std::pair<double, double>>
-sweepLoads(const Testbed &tb, const std::string &system,
-           const std::vector<double> &rpsList,
-           double (*metric)(const core::RunReport &), double traceSeconds)
-{
-    std::vector<std::pair<double, double>> out;
-    const auto spec = tb.spec(system);
-    for (double rps : rpsList) {
-        const auto trace = tb.trace(rps, traceSeconds);
-        out.emplace_back(rps, metric(run(tb, spec, trace)));
-    }
-    return out;
-}
-
-std::vector<sim::TimePoint>
-p99TtftOverTime(const std::vector<serving::RequestRecord> &records,
-                sim::SimTime window)
-{
-    std::map<std::int64_t, sim::PercentileTracker> windows;
-    for (const auto &r : records)
-        windows[(r.arrival + r.ttft) / window].add(sim::toSeconds(r.ttft));
-    std::vector<sim::TimePoint> out;
-    out.reserve(windows.size());
-    for (const auto &[index, ttft] : windows)
-        out.push_back({index * window, ttft.p99()});
-    return out;
 }
 
 } // namespace chameleon::bench

@@ -1,14 +1,14 @@
 /**
  * @file
- * Shared scaffolding for the figure-reproduction benchmarks.
+ * Shared scaffolding for the extension and ablation benchmarks.
  *
- * Every bench binary regenerates one table/figure of the paper's
- * evaluation on the standard testbed configuration (§5.1): Llama-7B on
- * an A40-48GB GPU, Na=100 adapters with ranks {8,16,32,64,128}, uniform
+ * A bench binary runs its experiment on the standard testbed
+ * configuration (§5.1) unless it says otherwise: Llama-7B on an
+ * A40-48GB GPU, Na=100 adapters with ranks {8,16,32,64,128}, uniform
  * rank popularity and power-law adapter popularity, Poisson arrivals
  * with Splitwise-like length distributions. Output is a plain-text
- * table on stdout with "paper reports" annotations, so each
- * experiment's paper-vs-measured gap can be read off its output.
+ * table on stdout. Figs. 2-25 of the paper are rows of bench/fidelity.cc
+ * instead, which runs them as sweeps over ten seeds.
  */
 
 #ifndef CHAMELEON_BENCH_BENCH_UTIL_H
@@ -16,13 +16,10 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "chameleon/system.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
-#include "serving/slo.h"
-#include "simkit/timeseries.h"
 #include "sweep/bench_json.h"
 #include "workload/trace_gen.h"
 
@@ -36,10 +33,8 @@ namespace chameleon::bench {
  */
 using BenchJson = sweep::BenchJson;
 
-/** Paper load levels (§5.2): low / medium / high RPS on the A40. */
-constexpr double kLowRps = 6.0;
+/** The paper's medium load (§5.2) on the A40, in RPS. */
 constexpr double kMediumRps = 8.0;
-constexpr double kHighRps = 9.5;
 
 /** Standard single-GPU testbed: pool + hardware + workload template. */
 struct Testbed
@@ -58,12 +53,6 @@ struct Testbed
     /** Generate the trace for a given load. */
     workload::Trace trace(double rps, double seconds,
                           std::uint64_t seed = 42) const;
-
-    /** The paper's TTFT SLO: 5x mean isolated E2E for this workload. */
-    double sloSeconds(const workload::Trace &t) const;
-
-    /** Cost model matching the engine configuration. */
-    model::CostModel costModel() const;
 };
 
 /** Llama-7B / A40 / Na adapters / Splitwise-like workload (§5.1). */
@@ -83,19 +72,6 @@ core::RunReport run(const Testbed &tb, const std::string &system,
 
 /** Print a figure banner with the paper's headline expectation. */
 void banner(const std::string &figure, const std::string &paperClaim);
-
-/** Sweep loads and return (rps, metric(report)) rows for a system. */
-std::vector<std::pair<double, double>> sweepLoads(
-    const Testbed &tb, const std::string &system,
-    const std::vector<double> &rpsList,
-    double (*metric)(const core::RunReport &), double traceSeconds = 240.0);
-
-/** P99 TTFT in each tumbling window of `window` that a record's first
- * token (arrival + ttft) falls in: (window start, seconds), in time
- * order. For latency-over-time figures. */
-std::vector<sim::TimePoint>
-p99TtftOverTime(const std::vector<serving::RequestRecord> &records,
-                sim::SimTime window = 10 * sim::kSec);
 
 } // namespace chameleon::bench
 

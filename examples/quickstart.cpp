@@ -5,7 +5,7 @@
  *
  * Build & run:
  *   cmake -B build -G Ninja && cmake --build build
- *   ./build/examples/quickstart [rps]
+ *   ./build/example_quickstart [rps]
  */
 
 #include <cstdio>

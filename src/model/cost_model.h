@@ -10,8 +10,8 @@
  * computeUtil) is 64.5 ms; the MBGMM term (mbgmmFixedMs plus loraIneff
  * times the LoRA FLOPs) grows linearly with rank, from 7.5 ms at rank 8
  * to 55.3 ms at rank 128; the PCIe load adds 1.9 to 25.9 ms. Modelled
- * TTFT is 73.9/78.6/88.2/107.3/145.6 ms (bench/fig02_rank_breakdown
- * prints the table).
+ * TTFT is 73.9/78.6/88.2/107.3/145.6 ms (the fig02 rows of
+ * bench/fidelity.cc).
  *
  * Structure:
  *  - prefill: compute-bound, FLOPs / effective-FLOP-rate per token.

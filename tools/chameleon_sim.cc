@@ -41,6 +41,12 @@
  * mode the predictor and router seeds are the file's (that is what
  * makes the round-trip bit-identical); --seed, --rps, --duration,
  * --adapters, and --workload shape only the generated trace.
+ *
+ * Exit status: 0 when every submitted request finished; 2 for a bad
+ * flag, spec value or input file, named in the message; 3
+ * (kExitUnfinished) when the run ended with requests it never finished
+ * (a stalled engine), after printing the report and writing every
+ * output, with the unfinished count on stderr.
  */
 
 #include <cstdio>
@@ -66,6 +72,9 @@
 using namespace chameleon;
 
 namespace {
+
+/** Exit status of a run that left submitted requests unfinished. */
+constexpr int kExitUnfinished = 3;
 
 void
 listSystems()
@@ -601,6 +610,14 @@ main(int argc, char **argv)
         metrics_file << report.metrics.dump() << '\n';
         std::printf("metrics snapshot written to %s\n",
                     metrics_out->c_str());
+    }
+    if (s.finished < s.submitted) {
+        std::fprintf(stderr,
+                     "chameleon_sim: %lld of %lld submitted requests "
+                     "never finished\n",
+                     static_cast<long long>(s.submitted - s.finished),
+                     static_cast<long long>(s.submitted));
+        return kExitUnfinished;
     }
     return 0;
 }

@@ -34,6 +34,13 @@
 #    src/sweep/README.md (its first jsonc block) must expand:
 #    `chameleon_sweep --config - --dry-run` — a key deleted from the
 #    sweep grammar but left in the example fails.
+# 10. Every bench target the docs name must still exist as
+#    bench/<name>.cc: the `target` column of bench/README.md's table,
+#    and bench/<name> in README.md, docs/*.md, src/*/README.md,
+#    bench/README.md or a comment under src/, tools/, bench/, tests/
+#    or examples/. A `./build/<name>` there must name a target too: a
+#    bench, a tool, a test or an example (example_<name>) — a bench
+#    deleted or renamed without a docs update fails the build.
 #
 # Usage: tools/check_docs.sh <chameleon_sim-binary> <repo-root> \
 #            [chameleon_sweep-binary]
@@ -222,6 +229,47 @@ done < <(cd "$root" && grep -oE \
     '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+(\(\)|\*)?`' \
     README.md docs/*.md src/*/README.md bench/README.md)
 
+# --- 10. Bench and build targets named in the docs exist -------------
+target_refs=0
+check_target() { # <where> <name> <bench|any>
+    target_refs=$((target_refs + 1))
+    [ -f "$root/bench/$2.cc" ] && return
+    if [ "$3" = any ] && { [ -f "$root/tools/$2.cc" ] ||
+            [ -f "$root/tests/$2.cc" ] ||
+            { [ "${2#example_}" != "$2" ] &&
+              [ -f "$root/examples/${2#example_}.cpp" ]; }; }; then
+        return
+    fi
+    local nor=""
+    [ "$3" = any ] && nor=", nor a tool, test or example target"
+    echo "FAIL: $1 names $2, but bench/$2.cc does not exist$nor"
+    fail=1
+}
+while read -r name; do
+    check_target "the bench/README.md table" "$name" bench
+done < <(awk '/^\| target \|/{f=1; next} f && !/^\|/{f=0}
+              f && /^\| `/ {gsub(/[` ]/, "", $2); print $2}' \
+        "$root/bench/README.md")
+while IFS=: read -r file line text; do
+    for name in $(grep -oE \
+            '(^|[^A-Za-z0-9_./-])bench/[A-Za-z0-9_]+(\.[a-z]+|[*/])?' \
+            <<< "$text" | sed -E 's#^[^b]*bench/##' |
+            grep -E '^[A-Za-z0-9_]+(\.cc)?$' | sed 's/\.cc$//' || true); do
+        check_target "$file:$line" "$name" bench
+    done
+    for name in $(grep -oE '\./build/[A-Za-z0-9_]+' <<< "$text" |
+            sed 's#^\./build/##' || true); do
+        check_target "$file:$line" "$name" any
+    done
+done < <(cd "$root" && {
+    grep -nE 'bench/|\./build/' README.md docs/*.md src/*/README.md \
+        bench/README.md || true
+    grep -rnE --include='*.h' --include='*.cc' --include='*.cpp' \
+        --include='*.sh' --include='*.py' \
+        '(^[[:space:]]*(//|/\*|\*|#)|[[:space:]]//).*(bench/|\./build/)' \
+        src tools bench tests examples || true
+})
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
@@ -229,4 +277,5 @@ echo "docs freshness OK ($(echo "$registry_names" | wc -l) presets," \
      "$(echo "$dump_keys" | wc -l) spec keys documented," \
      "$enum_rows enum value lists match the parser," \
      "$md_refs doc paths in comments resolve," \
-     "$sym_refs Type::member names in docs resolve)"
+     "$sym_refs Type::member names in docs resolve," \
+     "$target_refs bench and build targets named in docs exist)"
