@@ -249,6 +249,15 @@ MlqScheduler::checkSquashes(AdmissionContext &ctx)
 void
 MlqScheduler::onRequestFinished(LiveRequest *r)
 {
+    // The engine recycles a finished request's slot, so no bypass pair
+    // may keep pointing at it; checkSquashes would drop the pair at its
+    // next pass anyway.
+    pendingBypasses_.erase(
+        std::remove_if(pendingBypasses_.begin(), pendingBypasses_.end(),
+                       [r](const PendingBypass &p) {
+                           return p.blocked == r || p.bypasser == r;
+                       }),
+        pendingBypasses_.end());
     if (admitted_.erase(r) == 0)
         return;
     const auto lane_idx = static_cast<std::size_t>(std::clamp<int>(
