@@ -56,6 +56,7 @@
 #include "simkit/check.h"
 #include "simkit/json.h"
 #include "simkit/stats.h"
+#include "simkit/timeseries.h"
 #include "sweep/bench_json.h"
 #include "sweep/sweep_runner.h"
 #include "workload/trace_gen.h"
@@ -240,6 +241,27 @@ double
 knee(const Run &run, const std::string &system, double sloRps)
 {
     return serving::throughputKnee(p99Curve(run, system), run.slo(sloRps));
+}
+
+/** The largest value of a series. */
+double
+peakOf(const sim::TimeSeries &series)
+{
+    double peak = 0.0;
+    for (const auto &pt : series.points())
+        peak = std::max(peak, pt.value);
+    return peak;
+}
+
+/** The share of a tracker's samples that are zero, in percent. */
+double
+zeroSharePct(const sim::PercentileTracker &samples)
+{
+    const auto &sorted = samples.sorted();
+    const auto zeros = std::count_if(sorted.begin(), sorted.end(),
+                                     [](double x) { return x <= 1e-9; });
+    return 100.0 * static_cast<double>(zeros) /
+           static_cast<double>(sorted.size());
 }
 
 /** P99 TTFT of a run's requests of one adapter rank, in seconds. */
@@ -462,11 +484,8 @@ fidelityTable()
         t.add(sweeps({grid({"chameleon"}, {kMediumRps}, 360.0)}));
     t.row("fig06", "peak_used_gb", kNoPaper, 0, memory,
           [](const Outcome &o) {
-              double peak = 0.0;
-              for (const auto &pt :
-                   o[0].report("chameleon").stats.memTotalUsed.points())
-                  peak = std::max(peak, pt.value / 1e9);
-              return peak;
+              return peakOf(o[0].report("chameleon").stats.memTotalUsed) /
+                     1e9;
           });
     t.row("fig06", "cache_hit_pct", kNoPaper, 0, memory,
           [](const Outcome &o) {
@@ -561,13 +580,7 @@ fidelityTable()
         t.add(sweeps({grid({"slora", "chameleon"}, {kMediumRps}, 300.0)}));
     t.row("fig14", "zero_stall_pct chameleon", 75.0, 0.10, stalls,
           [](const Outcome &o) {
-              const auto &sorted =
-                  o[0].report("chameleon").stats.loadStall.sorted();
-              const auto zeros = std::count_if(
-                  sorted.begin(), sorted.end(),
-                  [](double ms) { return ms <= 1e-9; });
-              return 100.0 * static_cast<double>(zeros) /
-                     static_cast<double>(sorted.size());
+              return zeroSharePct(o[0].report("chameleon").stats.loadStall);
           });
     for (const auto &[system, paper] :
          std::vector<std::pair<std::string, double>>{{"slora", 30.0},
