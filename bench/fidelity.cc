@@ -858,11 +858,10 @@ fidelityTable()
     return t;
 }
 
-/** A row's values over the seeds, in kSeeds order. */
+/** A row's seed median and quartiles. */
 struct Summary
 {
     const Row *row;
-    std::vector<double> values;
     double median = 0.0;
     double q1 = 0.0;
     double q3 = 0.0;
@@ -1027,8 +1026,8 @@ main(int argc, char **argv)
             tracker.add(v);
             series.push(sim::JsonValue::makeNumber(v));
         }
-        Summary s{&row, values[r], tracker.p50(), tracker.percentile(25),
-                  tracker.percentile(75)};
+        const Summary s{&row, tracker.p50(), tracker.percentile(25),
+                        tracker.percentile(75)};
         char quartiles[32];
         std::snprintf(quartiles, sizeof(quartiles), "[%.4g, %.4g]", s.q1,
                       s.q3);
@@ -1050,7 +1049,7 @@ main(int argc, char **argv)
             .field("within", row.paper ? sim::JsonValue::makeBool(s.within())
                                        : sim::JsonValue())
             .field("values", series);
-        summaries.push_back(std::move(s));
+        summaries.push_back(s);
     }
     json.write("BENCH_fidelity.json");
 
