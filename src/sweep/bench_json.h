@@ -4,9 +4,7 @@
  *
  * Accumulates flat rows of fields and prints
  * {"benchmark": ..., "rows": [...]} so the perf trajectory of a bench
- * or sweep can be tracked across commits. Lived in bench/bench_util
- * until the sweep subsystem needed to emit consolidated documents from
- * library code; bench::BenchJson remains as an alias.
+ * or sweep can be tracked across commits.
  */
 
 #ifndef CHAMELEON_SWEEP_BENCH_JSON_H

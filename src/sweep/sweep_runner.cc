@@ -72,8 +72,8 @@ SweepRunner::run() const
             // while its backlog is contended — a full drain finishes
             // every request under any policy and converges the
             // fairness index to the trace's demand mix — so storm
-            // cells measure under the same bounded window as
-            // bench/fig29_fairness.
+            // cells measure under a bounded window (fig29's rows in
+            // bench/fidelity.cc read them).
             const sim::SimTime drainWindow =
                 cell.trace.stormMultiplier > 1.0 ? 30 * sim::kSec
                                                  : 3600 * sim::kSec;

@@ -13,9 +13,8 @@
  * byte-identical BenchJson at any thread count (tests/sweep_test.cc
  * asserts this).
  *
- * bench/fidelity.cc runs its paper-figure scenarios on this class and
- * bench/fig26_routing wraps it; tools/chameleon_sweep.cc drives it from
- * a JSON file.
+ * bench/fidelity.cc runs its figure and ablation scenarios on this
+ * class; tools/chameleon_sweep.cc drives it from a JSON file.
  */
 
 #ifndef CHAMELEON_SWEEP_SWEEP_RUNNER_H

@@ -556,8 +556,9 @@ TEST(GoldenTrace, ChameleonPreemptsUnderKvPressure)
  * Bypass-squash pin: rank-128 adapters (268 MB each) on an A100-24G,
  * where in-use adapters and KV fill request memory, so queue heads
  * block on adapter memory, younger requests bypass them, and wrong
- * guesses are squashed. This is the ablation_bypass hardware at 20 RPS
- * instead of 13, so one simulated minute reaches the squash path.
+ * guesses are squashed. This is the bypass ablation's hardware
+ * (bench/fidelity.cc) at 20 RPS instead of 13, so one simulated minute
+ * reaches the squash path.
  */
 TEST(GoldenTrace, ChameleonBypassSquashesUnderAdapterPressure)
 {
