@@ -805,14 +805,16 @@ fidelityTable()
           [](const Outcome &o) {
               return zeroSharePct(o[0].report("chameleon").stats.loadStall);
           });
-    for (const auto &[system, paper] :
-         std::vector<std::pair<std::string, double>>{{"slora", 30.0},
-                                                     {"chameleon", 6.0}}) {
-        t.row("fig14", "max_stall_ms " + system, paper, 0.25, stalls,
-              [system = system](const Outcome &o) {
-                  return o[0].report(system).stats.loadStall.percentile(100);
-              });
-    }
+    const auto maxStallMs = [](const std::string &system) {
+        return [system](const Outcome &o) {
+            return o[0].report(system).stats.loadStall.percentile(100);
+        };
+    };
+    t.row("fig14", "max_stall_ms slora", 30.0, 0.25, stalls,
+          maxStallMs("slora"));
+    // "Misses pay only up to ~6 ms."
+    t.bound("fig14", "max_stall_ms chameleon", atMost(6.0), stalls,
+            maxStallMs("chameleon"));
 
     // Fig. 15: P99 TTFT over 100-s windows of a 2000-s run at 9 RPS.
     const std::vector<std::string> timeline{"slora", "slora-sjf",
@@ -825,8 +827,8 @@ fidelityTable()
               });
     }
 
-    // Fig. 16: queueing delay by size class at high load. "<8%" is a
-    // bound, read here as the paper value of the worst class.
+    // Fig. 16: queueing delay by size class at high load. ChNoCache's
+    // "<8%" bounds its worst class.
     const auto queues = t.add(sweeps({grid(
         {"slora", "slora-sjf", "chameleon-nocache"}, {kHighRps}, 300.0)}));
     t.row("fig16", "queue_share_pct slora small", 28.6, 0.25, queues,
@@ -841,11 +843,12 @@ fidelityTable()
           [](const Outcome &o) {
               return sizeClasses(o[0].report("slora-sjf")).meanQueueDelay[2];
           });
-    t.row("fig16", "max_queue_share_pct chameleon-nocache", 8.0, 0.25, queues,
-          [](const Outcome &o) {
-              const auto c = sizeClasses(o[0].report("chameleon-nocache"));
-              return *std::max_element(c.queueSharePct, c.queueSharePct + 3);
-          });
+    t.bound("fig16", "max_queue_share_pct chameleon-nocache", below(8.0),
+            queues, [](const Outcome &o) {
+                const auto c = sizeClasses(o[0].report("chameleon-nocache"));
+                return *std::max_element(c.queueSharePct,
+                                         c.queueSharePct + 3);
+            });
 
     // Figs. 17-18: eviction policies and prefetching with 200 adapters
     // and 24 GiB of extra workspace, which puts the cache under
@@ -1338,11 +1341,13 @@ fidelityTable()
                   return p99Ttft(o[0].report(system));
               });
     }
-    t.row("bypass", "squash_pct", kNoPaper, 0, bypass, [](const Outcome &o) {
-        const auto &s = o[0].report("chameleon").stats;
-        return 100.0 * static_cast<double>(s.squashes) /
-               static_cast<double>(std::max<std::int64_t>(s.finished, 1));
-    });
+    t.bound("bypass", "squash_pct", atMost(5.0), bypass,
+            [](const Outcome &o) {
+                const auto &s = o[0].report("chameleon").stats;
+                return 100.0 * static_cast<double>(s.squashes) /
+                       static_cast<double>(
+                           std::max<std::int64_t>(s.finished, 1));
+            });
 
     // Data-parallel replicas (§4.4): S-LoRA and Chameleon on one and
     // four replicas at 8.5 RPS each.
