@@ -1566,8 +1566,8 @@ main(int argc, char **argv)
                     const auto &s = result.report.stats;
                     // SweepRunner stops a storm cell 30 s after its last
                     // arrival, while the backlog is still contended.
-                    const bool bounded = result.cell.trace.stormMultiplier > 1.0;
-                    if (s.finished < s.submitted && !bounded) {
+                    const bool storm = result.cell.trace.stormMultiplier > 1.0;
+                    if (s.finished < s.submitted && !storm) {
                         stranded[task].push_back(
                             result.cell.system + " (" +
                             result.cell.axesLabel() + ", seed " +
@@ -1619,15 +1619,18 @@ main(int argc, char **argv)
         char quartiles[32];
         std::snprintf(quartiles, sizeof(quartiles), "[%.4g, %.4g]", s.q1,
                       s.q3);
-        const std::string target = row.paper      ? row.paper->text()
-                                   : row.required ? "req " +
-                                                        row.required->text()
-                                                  : "-";
+        std::string target = "-";
+        std::optional<bool> met;
+        if (row.paper) {
+            target = row.paper->text();
+            met = s.within();
+        } else if (row.required) {
+            target = "req " + row.required->text();
+            met = kept;
+        }
         std::printf("%-9s %-48s %10.4g %21s %10s  %s\n", row.figure.c_str(),
                     row.metric.c_str(), s.median, quartiles, target.c_str(),
-                    row.paper      ? (s.within() ? "yes" : "no")
-                    : row.required ? (kept ? "yes" : "no")
-                                   : "-");
+                    !met ? "-" : *met ? "yes" : "no");
         json.row()
             .field("figure", row.figure)
             .field("metric", row.metric)
@@ -1644,9 +1647,8 @@ main(int argc, char **argv)
             .field("median", s.median)
             .field("q1", s.q1)
             .field("q3", s.q3)
-            .field("within", row.paper      ? sim::JsonValue::makeBool(s.within())
-                             : row.required ? sim::JsonValue::makeBool(kept)
-                                            : sim::JsonValue())
+            .field("within",
+                   met ? sim::JsonValue::makeBool(*met) : sim::JsonValue())
             .field("values", series);
         summaries.push_back(s);
     }
