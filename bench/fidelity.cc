@@ -419,8 +419,9 @@ sizeClasses(const core::RunReport &report)
     const auto &records = report.stats.records;
     std::vector<double> sizes;
     for (const auto &rec : records)
-        sizes.push_back(static_cast<double>(rec.inputTokens +
-                                            rec.outputTokens + 4 * rec.rank));
+        sizes.push_back(static_cast<double>(
+            std::int64_t{rec.inputTokens} + rec.outputTokens +
+            4 * std::int64_t{rec.rank}));
     auto sorted = sizes;
     std::sort(sorted.begin(), sorted.end());
     const double c1 = sorted[sorted.size() / 3];

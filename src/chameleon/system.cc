@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
@@ -179,93 +180,100 @@ drainSimulation(sim::Simulator &simulator, const workload::Trace &trace,
 }
 
 /**
- * Each tenant's TTFT, E2E and slowdown samples, in the order of its
- * records. Tenants sit in ascending id order, and each tenant's
- * trackers are reserved to its requests in the trace, so they are
- * exact when every request finishes.
- */
-struct TenantSamples
-{
-    struct Samples
-    {
-        sim::PercentileTracker ttft;
-        sim::PercentileTracker e2e;
-        sim::PercentileTracker slowdown;
-    };
-    std::vector<workload::TenantId> tenants;
-    std::vector<Samples> samples; // aligned with tenants
-
-    explicit TenantSamples(const workload::Trace &trace)
-    {
-        // Counted from a sorted copy of the trace's tenant ids: tenant
-        // ids are arbitrary integers (a CSV trace may carry any).
-        std::vector<workload::TenantId> ids;
-        ids.reserve(trace.size());
-        for (const auto &request : trace.requests())
-            ids.push_back(request.tenant);
-        std::sort(ids.begin(), ids.end());
-        for (auto it = ids.begin(); it != ids.end();) {
-            const auto end = std::upper_bound(it, ids.end(), *it);
-            const auto count = static_cast<std::size_t>(end - it);
-            tenants.push_back(*it);
-            Samples &s = samples.emplace_back();
-            s.ttft.reserve(count);
-            s.e2e.reserve(count);
-            s.slowdown.reserve(count);
-            it = end;
-        }
-    }
-
-    void
-    add(const serving::RequestRecord &rec, double slowdown)
-    {
-        const auto it =
-            std::lower_bound(tenants.begin(), tenants.end(), rec.tenant);
-        CHM_CHECK(it != tenants.end() && *it == rec.tenant,
-                  "record of tenant " << rec.tenant << " not in the trace");
-        Samples &s = samples[static_cast<std::size_t>(it - tenants.begin())];
-        s.ttft.add(sim::toSeconds(rec.ttft));
-        s.e2e.add(sim::toSeconds(rec.e2e));
-        s.slowdown.add(slowdown);
-    }
-};
-
-/**
  * The per-tenant accounting (pure record reads): one TenantReport per
- * tenant with finished requests, the fairness index and the overall
- * SLO attainment. Needs report.stats and report.sloSeconds.
+ * tenant with finished requests, in ascending tenant id, the fairness
+ * index and the overall SLO attainment. Needs report.sloSeconds.
+ *
+ * It holds one tenant's samples of one kind at a time. The records'
+ * indices are grouped by tenant (a counting sort, 4 B per record);
+ * then each tenant's TTFT, E2E and slowdown samples fill one tracker
+ * after another, each in record order, and each is freed once read.
  */
 void
-fillTenantReports(const TenantSamples &byTenant, const TenancySpec &tenancy,
-                  RunReport &report)
+fillTenantReports(const serving::EngineStats &stats,
+                  serving::IsolatedLatency &isolated,
+                  const TenancySpec &tenancy, RunReport &report)
 {
+    const auto &records = stats.records;
+    CHM_CHECK(records.size() < std::numeric_limits<std::uint32_t>::max(),
+              "too many records to index in 32 bits");
+    // The distinct tenant ids, ascending: tenant ids are arbitrary
+    // integers (a CSV trace may carry any).
+    std::vector<workload::TenantId> tenants(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i)
+        tenants[i] = records[i].tenant;
+    std::sort(tenants.begin(), tenants.end());
+    tenants.erase(std::unique(tenants.begin(), tenants.end()),
+                  tenants.end());
+    tenants.shrink_to_fit();
+    const auto tenantOf = [&tenants](const serving::RequestRecord &r) {
+        return static_cast<std::size_t>(
+            std::lower_bound(tenants.begin(), tenants.end(), r.tenant) -
+            tenants.begin());
+    };
+    // Counting sort: tenant t's record indices are
+    // order[start[t], start[t + 1]), in record order.
+    std::vector<std::uint32_t> start(tenants.size() + 1, 0);
+    for (const auto &r : records)
+        ++start[tenantOf(r) + 1];
+    for (std::size_t t = 1; t <= tenants.size(); ++t)
+        start[t] += start[t - 1];
+    std::vector<std::uint32_t> order(records.size());
+    {
+        std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
+        for (std::uint32_t i = 0; i < records.size(); ++i)
+            order[next[tenantOf(records[i])]++] = i;
+    }
+
     std::vector<double> weightedService;
     std::int64_t metOverall = 0;
-    for (std::size_t i = 0; i < byTenant.tenants.size(); ++i) {
-        const TenantSamples::Samples &samples = byTenant.samples[i];
-        if (samples.ttft.empty())
-            continue; // no request of this tenant finished
+    for (std::size_t t = 0; t < tenants.size(); ++t) {
+        // One tracker of this tenant's samples of one kind.
+        const auto samples = [&](auto &&sampleOf) {
+            sim::PercentileTracker tracker;
+            tracker.reserve(start[t + 1] - start[t]);
+            for (auto i = start[t]; i < start[t + 1]; ++i)
+                tracker.add(sampleOf(records[order[i]]));
+            return tracker;
+        };
         TenantReport tr;
-        tr.tenant = byTenant.tenants[i];
-        tr.finished = static_cast<std::int64_t>(samples.ttft.count());
-        tr.p50TtftSeconds = samples.ttft.p50();
-        tr.p99TtftSeconds = samples.ttft.p99();
-        tr.p50E2eSeconds = samples.e2e.p50();
-        tr.p99E2eSeconds = samples.e2e.p99();
-        tr.meanSlowdown = samples.slowdown.mean();
-        tr.p99Slowdown = samples.slowdown.p99();
-        if (report.sloSeconds > 0.0) {
-            tr.sloSeconds =
-                report.sloSeconds * tenancy.sloMultiplierFor(tr.tenant);
-            // Requests that met the SLO: the sorted TTFT samples at or
-            // under it.
-            const auto &ttft = samples.ttft.sorted();
-            const auto met = static_cast<std::int64_t>(
-                std::upper_bound(ttft.begin(), ttft.end(), tr.sloSeconds) -
-                ttft.begin());
-            metOverall += met;
-            tr.sloAttainment = static_cast<double>(met) /
-                               static_cast<double>(tr.finished);
+        tr.tenant = tenants[t];
+        tr.finished = static_cast<std::int64_t>(start[t + 1] - start[t]);
+        {
+            const auto ttft = samples([](const serving::RequestRecord &r) {
+                return sim::toSeconds(r.ttft);
+            });
+            tr.p50TtftSeconds = ttft.p50();
+            tr.p99TtftSeconds = ttft.p99();
+            if (report.sloSeconds > 0.0) {
+                tr.sloSeconds =
+                    report.sloSeconds * tenancy.sloMultiplierFor(tr.tenant);
+                // Requests that met the SLO: the sorted TTFT samples at
+                // or under it.
+                const auto &sorted = ttft.sorted();
+                const auto met = static_cast<std::int64_t>(
+                    std::upper_bound(sorted.begin(), sorted.end(),
+                                     tr.sloSeconds) -
+                    sorted.begin());
+                metOverall += met;
+                tr.sloAttainment = static_cast<double>(met) /
+                                   static_cast<double>(tr.finished);
+            }
+        }
+        {
+            const auto e2e = samples([](const serving::RequestRecord &r) {
+                return sim::toSeconds(r.e2e);
+            });
+            tr.p50E2eSeconds = e2e.p50();
+            tr.p99E2eSeconds = e2e.p99();
+        }
+        {
+            const auto slowdown =
+                samples([&isolated](const serving::RequestRecord &r) {
+                    return serving::slowdown(r, isolated);
+                });
+            tr.meanSlowdown = slowdown.mean();
+            tr.p99Slowdown = slowdown.p99();
         }
         // Service per unit weight, not slowdown: FIFO equalises delay
         // (equal misery scores a perfect raw-slowdown index) while a
@@ -276,9 +284,9 @@ fillTenantReports(const TenantSamples &byTenant, const TenancySpec &tenancy,
         report.tenants.push_back(tr);
     }
     report.fairnessIndex = tenancy::jainIndex(weightedService);
-    if (report.sloSeconds > 0.0 && report.stats.finished > 0) {
+    if (report.sloSeconds > 0.0 && stats.finished > 0) {
         report.sloAttainment = static_cast<double>(metOverall) /
-                               static_cast<double>(report.stats.finished);
+                               static_cast<double>(stats.finished);
     }
 }
 
@@ -384,17 +392,13 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
             serving::computeSlo(trace, isolated, sloMultiplier_));
     }
     {
-        // Each tenant's samples, filled in the walk over the records
-        // that builds the run's latency trackers, in the order of its
-        // records, and freed once the tenant reports are built.
-        TenantSamples byTenant(trace);
         // The report takes the per-request data; the engines keep
-        // their counters.
-        report.stats = cluster_->mergedStats(
-            [&](const serving::RequestRecord &rec) {
-                byTenant.add(rec, serving::slowdown(rec, isolated));
-            });
-        fillTenantReports(byTenant, spec_.tenancy, report);
+        // their counters. The tenant pass reads the records before the
+        // run's latency trackers are built from them, so its samples
+        // and theirs are never live together.
+        serving::EngineStats stats = cluster_->takeStats();
+        fillTenantReports(stats, isolated, spec_.tenancy, report);
+        report.stats = std::move(stats);
     }
     const auto &engines = cluster_->engines();
     if (engines.size() == 1) {

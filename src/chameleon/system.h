@@ -69,11 +69,11 @@ struct RunReport
 {
     /**
      * The run's stats, taken from its engines
-     * (DataParallelCluster::mergedStats): the only copy of the
+     * (DataParallelCluster::takeStats): the only copy of the
      * per-request records once run() returns, and the latency trackers
-     * built from them. The records are grouped by replica in engine
-     * order, each group in finish order, and each carries its replica
-     * index.
+     * built from them after the tenant reports were. The records are
+     * grouped by replica in engine order, each group in finish order,
+     * and each carries its replica index.
      */
     serving::RunStats stats;
 

@@ -643,13 +643,13 @@ DataParallelCluster::submitTrace(const workload::Trace &trace)
     }
 }
 
-RunStats
-DataParallelCluster::mergedStats(const RecordVisitor &eachRecord)
+EngineStats
+DataParallelCluster::takeStats()
 {
-    RunStats out;
+    EngineStats out;
     if (engines_.size() == 1) {
         // One replica's stats are the cluster's, series included.
-        static_cast<EngineStats &>(out) = engines_.front()->takeStats();
+        out = engines_.front()->takeStats();
     } else {
         std::size_t tbt = 0;
         for (const auto &e : engines_)
@@ -669,7 +669,6 @@ DataParallelCluster::mergedStats(const RecordVisitor &eachRecord)
         out.records = std::move(records_);
         records_ = {};
     }
-    fillLatencyTrackers(out, eachRecord);
     return out;
 }
 

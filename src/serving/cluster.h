@@ -263,11 +263,10 @@ class DataParallelCluster : public routing::ClusterView
     /**
      * Take every engine's statistics as one (ServingEngine::takeStats),
      * once, after the run: the engines keep their counters, and their
-     * TBT samples, series and records move into the result (the
-     * Runner's RunReport::stats). One replica hands over its stats
-     * whole; several have their counters summed and their TBT samples
-     * appended replica by replica (each in sorted order), and no
-     * memory series.
+     * TBT samples, series and records move into the result. One
+     * replica hands over its stats whole; several have their counters
+     * summed and their TBT samples appended replica by replica (each
+     * in sorted order), and no memory series.
      *
      * Records are written once. A cluster that dispatches (more than
      * one replica, or an autoscaler) owns one record store, reserved
@@ -276,11 +275,17 @@ class DataParallelCluster : public routing::ClusterView
      * reordered in place, stably by replica (sortByReplica), and moved
      * into the result: replica by replica, each in finish order. The
      * one-replica direct path keeps the records in its engine, and
-     * they move over with its stats. The latency trackers are then
-     * built once from the records (fillLatencyTrackers), whose walk
-     * `eachRecord` also sees.
+     * they move over with its stats.
      */
-    RunStats mergedStats(const RecordVisitor &eachRecord = {});
+    EngineStats takeStats();
+
+    /**
+     * takeStats() as a RunStats: the latency trackers are built from
+     * the taken records (fillLatencyTrackers). Runner::run takes the
+     * stats itself, so its tenant pass reads the records before the
+     * trackers exist.
+     */
+    RunStats mergedStats() { return takeStats(); }
 
     /** Requests finished per replica, indexed like engines(). */
     std::vector<std::int64_t> perReplicaFinished() const;

@@ -26,9 +26,6 @@ laterEvent(const Event &a, const Event &b)
 }
 } // namespace
 
-RequestRecord makeRecord(const LiveRequest &r,
-                         std::int32_t replica); // metrics.cc
-
 double
 nominalServiceRate(const EngineConfig &config)
 {

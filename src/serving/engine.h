@@ -188,7 +188,7 @@ class ServingEngine
     /**
      * Hand the run's stats over and keep only their counters: the
      * samples, series and records leave the engine, so a report that
-     * takes them holds the only copy (DataParallelCluster::mergedStats).
+     * takes them holds the only copy (DataParallelCluster::takeStats).
      */
     EngineStats takeStats();
 
@@ -203,7 +203,7 @@ class ServingEngine
      * Append every RequestRecord this engine finishes to `store`
      * instead of its own stats().records (the default), and move the
      * records written so far there. A dispatching cluster points all
-     * its engines at one store (DataParallelCluster::mergedStats).
+     * its engines at one store (DataParallelCluster::takeStats).
      */
     void setRecordStore(std::vector<RequestRecord> &store);
 

@@ -1,15 +1,30 @@
 #include "serving/metrics.h"
 
 #include <algorithm>
+#include <limits>
 #include <ostream>
 #include <utility>
 
 #include "serving/live_request.h"
+#include "simkit/check.h"
 
 namespace chameleon::serving {
 
-/** Build the immutable outcome record for a request that `replica`
- * finished. */
+namespace {
+
+/** `value` as the narrow type of record field `field`, checked. */
+template <typename Narrow, typename Wide>
+Narrow
+narrowField(Wide value, const char *field)
+{
+    CHM_CHECK(value >= std::numeric_limits<Narrow>::min() &&
+                  value <= std::numeric_limits<Narrow>::max(),
+              "RequestRecord::" << field << " cannot hold " << value);
+    return static_cast<Narrow>(value);
+}
+
+} // namespace
+
 RequestRecord
 makeRecord(const LiveRequest &r, std::int32_t replica)
 {
@@ -17,8 +32,10 @@ makeRecord(const LiveRequest &r, std::int32_t replica)
     rec.replica = replica;
     rec.id = r.req.id;
     rec.arrival = r.arrival;
-    rec.inputTokens = r.req.inputTokens;
-    rec.outputTokens = r.req.outputTokens;
+    rec.inputTokens =
+        narrowField<std::int32_t>(r.req.inputTokens, "inputTokens");
+    rec.outputTokens =
+        narrowField<std::int32_t>(r.req.outputTokens, "outputTokens");
     rec.adapter = r.req.adapter;
     rec.tenant = r.req.tenant;
     rec.rank = r.rank;
@@ -27,9 +44,11 @@ makeRecord(const LiveRequest &r, std::int32_t replica)
     rec.queueDelay = r.queueDelay();
     rec.adapterStall = r.adapterStall;
     rec.wrs = r.wrs;
-    rec.queueIndex = r.queueIndex;
-    rec.squashCount = r.squashCount;
-    rec.preemptCount = r.preemptCount;
+    rec.queueIndex = narrowField<std::int16_t>(r.queueIndex, "queueIndex");
+    rec.squashCount =
+        narrowField<std::int16_t>(r.squashCount, "squashCount");
+    rec.preemptCount =
+        narrowField<std::int16_t>(r.preemptCount, "preemptCount");
     return rec;
 }
 
@@ -57,7 +76,7 @@ RunStats::RunStats(EngineStats stats) : EngineStats(std::move(stats))
 }
 
 void
-fillLatencyTrackers(RunStats &stats, const RecordVisitor &eachRecord)
+fillLatencyTrackers(RunStats &stats)
 {
     const auto &records = stats.records;
     const auto adapters = std::count_if(
@@ -74,8 +93,6 @@ fillLatencyTrackers(RunStats &stats, const RecordVisitor &eachRecord)
             if (!f.adaptersOnly || r.adapter != model::kNoAdapter)
                 (stats.*f.tracker).add(f.convert(r.*f.field));
         }
-        if (eachRecord)
-            eachRecord(r);
     }
 }
 

@@ -7,7 +7,6 @@
 #define CHAMELEON_SERVING_METRICS_H
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <vector>
 
@@ -19,13 +18,19 @@
 
 namespace chameleon::serving {
 
-/** Immutable per-request outcome, written when a request finishes. */
+/**
+ * Immutable per-request outcome, written when a request finishes. The
+ * token counts and the three small counters are stored narrow
+ * (makeRecord checks each value fits); a reader widens them to
+ * std::int64_t before any arithmetic.
+ */
 struct RequestRecord
 {
     std::int64_t id = 0;
     sim::SimTime arrival = 0;
-    std::int64_t inputTokens = 0;
-    std::int64_t outputTokens = 0;
+    /** A finished request's prompt fit in KV: far below 2^31. */
+    std::int32_t inputTokens = 0;
+    std::int32_t outputTokens = 0;
     model::AdapterId adapter = model::kNoAdapter;
     workload::TenantId tenant = workload::kAnonymousTenant;
     int rank = 0;
@@ -37,15 +42,24 @@ struct RequestRecord
     sim::SimTime queueDelay = 0;
     sim::SimTime adapterStall = 0;
     double wrs = 0.0;
-    int queueIndex = -1;
-    int squashCount = 0;
-    int preemptCount = 0;
+    // int16_t, not int8_t: an int8_t would print as a character.
+    std::int16_t queueIndex = -1;
+    std::int16_t squashCount = 0;
+    std::int16_t preemptCount = 0;
 };
 
 // `replica` fills the padding after `rank`: a record per finished
 // request is the largest per-request cost of a run.
-static_assert(sizeof(RequestRecord) == 104,
+static_assert(sizeof(RequestRecord) == 88,
               "RequestRecord grew; keep it packed");
+
+struct LiveRequest;
+
+/**
+ * The record of a request that `replica` finished. Aborts, naming the
+ * field, when a token count or counter does not fit its narrow field.
+ */
+RequestRecord makeRecord(const LiveRequest &r, std::int32_t replica);
 
 /** The counters of one engine's (or a cluster's) run. */
 struct EngineCounters
@@ -139,15 +153,11 @@ inline constexpr LatencyField kLatencyFields[] = {
      &RunStats::loadStall},
 };
 
-using RecordVisitor = std::function<void(const RequestRecord &)>;
-
 /**
  * Fill `stats`' latency trackers from its records, replacing what they
  * held: in record order, each reserved to its exact count.
- * `eachRecord`, when set, sees every record in the same walk.
  */
-void fillLatencyTrackers(RunStats &stats,
-                         const RecordVisitor &eachRecord = {});
+void fillLatencyTrackers(RunStats &stats);
 
 /**
  * Write records as CSV: a header row, then one row per record in

@@ -111,8 +111,10 @@ computeSlo(const workload::Trace &trace, const model::CostModel &cost,
 double
 slowdown(const RequestRecord &record, IsolatedLatency &isolated)
 {
+    // The record's narrow token counts widen before e2e's arithmetic.
     const SimTime iso =
-        isolated.e2e(record.inputTokens, record.outputTokens, record.adapter);
+        isolated.e2e(std::int64_t{record.inputTokens},
+                     std::int64_t{record.outputTokens}, record.adapter);
     CHM_CHECK(iso > 0, "isolated latency must be positive");
     return static_cast<double>(record.e2e) / static_cast<double>(iso);
 }

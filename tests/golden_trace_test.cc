@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "chameleon/system.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
+#include "serving/live_request.h"
 #include "workload/trace_gen.h"
 
 using namespace chameleon;
@@ -643,4 +645,110 @@ TEST(GoldenReport, ExportsJsqFourReplicas)
 {
     expectReportPins("exports jsq 4 replicas", exportHashes(4),
                        {0xf6545d2843c4f297ull, 0xdb6adf41b8778da5ull});
+}
+
+// ---------------------------------------------------------------------
+// RequestRecord narrowing: the token counts are stored as int32 and the
+// three counters as int16, and both exports print them as the wide
+// fields did.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A finished request with every narrowed field at `tokens` or
+ * `counter`. */
+serving::LiveRequest
+finishedRequest(std::int64_t tokens, int counter)
+{
+    serving::LiveRequest r;
+    r.req.id = 7;
+    r.req.inputTokens = tokens;
+    r.req.outputTokens = tokens;
+    r.req.adapter = 3;
+    r.rank = 16;
+    r.arrival = 1000;
+    r.admitTime = 1500;
+    r.firstTokenTime = 4000;
+    r.finishTime = 9000;
+    r.adapterStall = 250;
+    r.wrs = 0.75;
+    r.queueIndex = counter;
+    r.squashCount = counter;
+    r.preemptCount = counter;
+    return r;
+}
+
+} // namespace
+
+TEST(RecordNarrowing, ExtremesPrintAsTheWideFieldsDid)
+{
+    const std::int64_t tokens = std::numeric_limits<std::int32_t>::max();
+    const int counter = std::numeric_limits<std::int16_t>::max();
+    const serving::LiveRequest live = finishedRequest(tokens, counter);
+    core::RunReport report;
+    report.stats.records = {serving::makeRecord(live, 2)};
+    report.stats.finished = 1;
+
+    // The event-stream line and the CSV row, formatted from the live
+    // request's std::int64_t and int fields.
+    std::ostringstream events;
+    events << "finished=1 scale_ups=0 scale_downs=0 peak=0 final_active=0\n"
+           << 2 << ',' << live.req.id << ',' << live.arrival << ','
+           << live.req.inputTokens << ',' << live.req.outputTokens << ','
+           << live.req.adapter << ',' << live.rank << ',' << 3000 << ','
+           << 8000 << ',' << 500 << ',' << live.adapterStall << ','
+           << bitsOf(live.wrs) << ',' << live.queueIndex << ','
+           << live.squashCount << ',' << live.preemptCount << '\n';
+    model::AdapterPool pool(model::llama7B(), 4);
+    auto spec = core::SystemRegistry::global().lookup("chameleon");
+    spec.engine.model = model::llama7B();
+    spec.engine.gpu = model::a40();
+    core::Runner runner(spec, &pool);
+    EXPECT_EQ(core::canonicalEventStream(runner.cluster(), report),
+              events.str());
+    EXPECT_NE(events.str().find(",2147483647,2147483647,"),
+              std::string::npos);
+    EXPECT_NE(events.str().find(",32767,32767,32767\n"), std::string::npos);
+
+    std::ostringstream csv;
+    serving::writeRecordsCsv(csv, report.stats.records);
+    std::ostringstream expected;
+    expected << "id,arrival_s,input,output,adapter,rank,ttft_s,e2e_s,"
+                "queue_delay_s,adapter_stall_ms,wrs,queue,squashes,"
+                "preempts\n"
+             << live.req.id << ',' << sim::toSeconds(live.arrival) << ','
+             << live.req.inputTokens << ',' << live.req.outputTokens << ','
+             << live.req.adapter << ',' << live.rank << ','
+             << sim::toSeconds(3000) << ',' << sim::toSeconds(8000) << ','
+             << sim::toSeconds(500) << ','
+             << sim::toMillis(live.adapterStall) << ',' << live.wrs << ','
+             << live.queueIndex << ',' << live.squashCount << ','
+             << live.preemptCount << '\n';
+    EXPECT_EQ(csv.str(), expected.str());
+}
+
+TEST(RecordNarrowingDeathTest, OutOfRangeAbortsNamingTheField)
+{
+    const std::int64_t tokens = std::numeric_limits<std::int32_t>::max();
+    const int counter = std::numeric_limits<std::int16_t>::max();
+    auto input = finishedRequest(tokens, counter);
+    input.req.inputTokens = tokens + 1;
+    EXPECT_DEATH(serving::makeRecord(input, 0),
+                 "RequestRecord::inputTokens cannot hold 2147483648");
+    auto output = finishedRequest(tokens, counter);
+    output.req.outputTokens = -tokens - 2;
+    EXPECT_DEATH(serving::makeRecord(output, 0),
+                 "RequestRecord::outputTokens cannot hold -2147483649");
+    auto queue = finishedRequest(tokens, counter);
+    queue.queueIndex = counter + 1;
+    EXPECT_DEATH(serving::makeRecord(queue, 0),
+                 "RequestRecord::queueIndex cannot hold 32768");
+    auto squashes = finishedRequest(tokens, counter);
+    squashes.squashCount = 65536;
+    EXPECT_DEATH(serving::makeRecord(squashes, 0),
+                 "RequestRecord::squashCount cannot hold 65536");
+    auto preempts = finishedRequest(tokens, counter);
+    preempts.preemptCount = -counter - 2;
+    EXPECT_DEATH(serving::makeRecord(preempts, 0),
+                 "RequestRecord::preemptCount cannot hold -32769");
 }

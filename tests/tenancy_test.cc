@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <map>
 #include <string>
@@ -17,6 +18,7 @@
 #include "chameleon/spec_json.h"
 #include "chameleon/system.h"
 #include "chameleon/system_registry.h"
+#include "serving/slo.h"
 #include "simkit/rng.h"
 #include "tenancy/drr_scheduler.h"
 #include "tenancy/tenant_table.h"
@@ -564,4 +566,155 @@ TEST(TenancyRunner, SloMultiplierZeroDisablesAttainment)
     EXPECT_LT(report.sloAttainment, 0.0); // disabled sentinel
     for (const auto &t : report.tenants)
         EXPECT_LT(t.sloAttainment, 0.0);
+}
+
+namespace {
+
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+/** `trace` with tenant t renamed ids[t], read back from its CSV. */
+workload::Trace
+renamedThroughCsv(const workload::Trace &trace,
+                  const std::vector<workload::TenantId> &ids)
+{
+    std::vector<workload::Request> requests = trace.requests();
+    for (auto &r : requests)
+        r.tenant = ids.at(static_cast<std::size_t>(r.tenant));
+    std::stringstream csv;
+    workload::Trace(std::move(requests)).saveCsv(csv);
+    std::string error;
+    auto loaded = workload::Trace::loadCsv(csv, &error);
+    EXPECT_TRUE(loaded.has_value()) << error;
+    return loaded ? std::move(*loaded) : workload::Trace();
+}
+
+/**
+ * Every per-tenant figure of `report`, its fairness index and its SLO
+ * attainment, bit for bit against a plain reference: each tenant's
+ * records copied into a std::map in record order, and trackers filled
+ * from them.
+ */
+void
+expectTenantReportsMatchReference(const core::RunReport &report,
+                                  const core::SystemSpec &spec,
+                                  const model::AdapterPool &pool)
+{
+    std::map<workload::TenantId, std::vector<serving::RequestRecord>>
+        byTenant;
+    for (const auto &rec : report.stats.records)
+        byTenant[rec.tenant].push_back(rec);
+    const model::CostModel cost(spec.engine.model, spec.engine.gpu,
+                                spec.engine.tpDegree, spec.engine.cost);
+    ASSERT_GT(report.sloSeconds, 0.0);
+    ASSERT_EQ(report.tenants.size(), byTenant.size());
+    std::vector<double> weightedService;
+    std::int64_t metOverall = 0;
+    auto tr = report.tenants.begin();
+    for (const auto &[tenant, records] : byTenant) {
+        SCOPED_TRACE(testing::Message() << "tenant " << tenant);
+        sim::PercentileTracker ttft;
+        sim::PercentileTracker e2e;
+        for (const auto &rec : records) {
+            ttft.add(sim::toSeconds(rec.ttft));
+            e2e.add(sim::toSeconds(rec.e2e));
+        }
+        const auto slowdown = serving::slowdowns(records, cost, &pool);
+        const auto finished = static_cast<std::int64_t>(records.size());
+        const double slo =
+            report.sloSeconds * spec.tenancy.sloMultiplierFor(tenant);
+        const auto met = static_cast<std::int64_t>(
+            std::count_if(records.begin(), records.end(),
+                          [slo](const serving::RequestRecord &rec) {
+                              return sim::toSeconds(rec.ttft) <= slo;
+                          }));
+        EXPECT_EQ(tr->tenant, tenant);
+        EXPECT_EQ(tr->finished, finished);
+        EXPECT_EQ(bitsOf(tr->p50TtftSeconds), bitsOf(ttft.p50()));
+        EXPECT_EQ(bitsOf(tr->p99TtftSeconds), bitsOf(ttft.p99()));
+        EXPECT_EQ(bitsOf(tr->p50E2eSeconds), bitsOf(e2e.p50()));
+        EXPECT_EQ(bitsOf(tr->p99E2eSeconds), bitsOf(e2e.p99()));
+        EXPECT_EQ(bitsOf(tr->meanSlowdown), bitsOf(slowdown.mean()));
+        EXPECT_EQ(bitsOf(tr->p99Slowdown), bitsOf(slowdown.p99()));
+        EXPECT_EQ(bitsOf(tr->sloSeconds), bitsOf(slo));
+        EXPECT_EQ(bitsOf(tr->sloAttainment),
+                  bitsOf(static_cast<double>(met) /
+                         static_cast<double>(finished)));
+        metOverall += met;
+        weightedService.push_back(static_cast<double>(finished) /
+                                  spec.tenancy.weightFor(tenant));
+        ++tr;
+    }
+    EXPECT_EQ(bitsOf(report.fairnessIndex),
+              bitsOf(tenancy::jainIndex(weightedService)));
+    EXPECT_EQ(bitsOf(report.sloAttainment),
+              bitsOf(static_cast<double>(metOverall) /
+                     static_cast<double>(report.stats.finished)));
+}
+
+} // namespace
+
+TEST(TenantReports, MatchAPlainPerTenantReferenceBitForBit)
+{
+    model::AdapterPool pool(model::llama7B(), 20);
+    sim::Rng rng(33);
+    const char *systems[] = {"chameleon+wfq", "chameleon+drr", "chameleon",
+                             "slora"};
+    constexpr int kStormRun = 4;
+    constexpr int kBoundedRun = 5;
+    for (int run = 0; run < 6; ++run) {
+        SCOPED_TRACE(testing::Message() << "run " << run);
+        // 3-7 tenants with distinct ids: about half from 0-6, which
+        // the weight and SLO tables below cover, the rest sparse and
+        // often negative, which they do not.
+        const int tenants = 3 + static_cast<int>(rng.nextBelow(5));
+        std::vector<workload::TenantId> ids;
+        while (static_cast<int>(ids.size()) < tenants) {
+            const auto id = static_cast<workload::TenantId>(
+                rng.nextBelow(2) == 0
+                    ? static_cast<std::int64_t>(rng.nextBelow(7))
+                    : static_cast<std::int64_t>(rng.nextBelow(200000)) -
+                          100000);
+            if (std::find(ids.begin(), ids.end(), id) == ids.end())
+                ids.push_back(id);
+        }
+        workload::TraceGenConfig wl = workload::splitwiseLike();
+        wl.rps = run == kBoundedRun ? 30.0 : 10.0;
+        wl.durationSeconds = 20.0;
+        wl.numAdapters = 20;
+        wl.seed = 100 + static_cast<std::uint64_t>(run);
+        wl.numTenants = tenants;
+        if (run == kStormRun)
+            wl.stormMultiplier = 6.0;
+        const workload::Trace trace = renamedThroughCsv(
+            workload::TraceGenerator(wl, &pool).generate(), ids);
+
+        auto spec = core::SystemRegistry::global().lookup(
+            systems[run % std::size(systems)]);
+        spec.engine.model = model::llama7B();
+        spec.engine.gpu = model::a40();
+        spec.tenancy.tenants = 7;
+        spec.tenancy.weights = {2.0, 1.0, 0.5, 1.0, 3.0, 1.0, 0.25};
+        spec.tenancy.sloMultipliers = {1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0};
+        core::Runner runner(spec, &pool);
+        // The bounded run stops at the end of the trace, with requests
+        // still unfinished.
+        const auto report =
+            runner.run(trace, run == kBoundedRun ? 0 : 3600 * sim::kSec);
+        if (run == kBoundedRun) {
+            EXPECT_LT(report.stats.finished,
+                      static_cast<std::int64_t>(trace.size()));
+        } else {
+            EXPECT_EQ(report.stats.finished,
+                      static_cast<std::int64_t>(trace.size()));
+        }
+        EXPECT_EQ(report.tenants.size(),
+                  static_cast<std::size_t>(tenants));
+        expectTenantReportsMatchReference(report, spec, pool);
+    }
 }
