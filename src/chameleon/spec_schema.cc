@@ -215,7 +215,7 @@ core::operator==(const TenancySpec &a, const TenancySpec &b)
 }
 
 bool
-core::operator==(const FabricSpec &a, const FabricSpec &b)
+fabric::operator==(const FabricConfig &a, const FabricConfig &b)
 {
     return sameFields(a, b);
 }

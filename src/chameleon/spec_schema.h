@@ -162,7 +162,7 @@ TracePreset(T &) -> TracePreset<T>;
 /**
  * Every Bound of `spec` that is out of range, as "<path> must be >= 1
  * (got 0)", where <path> is the dotted path --set takes
- * ("cluster.replicas[1].kv_page_tokens", "tenancy.weights[0]"). An
+ * ("cluster.replicas[1].max_running", "tenancy.weights[0]"). An
  * unset (default) model or GPU is hardware the caller has yet to
  * choose, as in the presets, and the autoscaler's keys only count
  * with cluster.autoscale on; neither is checked.
@@ -230,11 +230,8 @@ fields(Of<serving::EngineConfig>, F &&f, S &...s)
     f("cost", s.cost...);
     f("workspace_per_gpu", atLeast(s.workspacePerGpu, 0)...);
     f("admission_token_budget", atLeast(s.admissionTokenBudget, 1)...);
-    f("max_new_tokens", s.maxNewTokens...);
     f("max_admissions_per_iter", atLeast(s.maxAdmissionsPerIter, 1)...);
     f("max_running", atLeast(s.maxRunning, 1)...);
-    f("kv_page_tokens", atLeast(s.kvPageTokens, 1)...);
-    f("mem_sample_period_s", Seconds{s.memSamplePeriod}...);
     // Set by the Runner from `reservation` and `chunked_prefill`/
     // `chunk_tokens`; the scale-up catalogue dedupes on them.
     f(nullptr, Derived{s.predictedReservation}...);
@@ -277,9 +274,6 @@ void
 fields(Of<routing::RouterConfig>, F &&f, S &...s)
 {
     f("seed", Seed{s.seed}...);
-    f("virtual_nodes", atLeast(s.virtualNodes, 1)...);
-    f("spill_load_factor", s.spillLoadFactor...);
-    f("spill_margin", s.spillMargin...);
     f("slo_admission", s.sloAdmission...);
 }
 
@@ -326,12 +320,11 @@ fields(Of<TenancySpec>, F &&f, S &...s)
     f("tenants", atLeast(s.tenants, 1)...);
     f("weights", above(s.weights, 0)...);
     f("slo_multipliers", above(s.sloMultipliers, 0)...);
-    f("drr_quantum_tokens", above(s.drrQuantumTokens, 0)...);
 }
 
 template <class F, class... S>
 void
-fields(Of<FabricSpec>, F &&f, S &...s)
+fields(Of<fabric::FabricConfig>, F &&f, S &...s)
 {
     f("migration", Named{s.migration, fabric::migrationPolicyTable()}...);
     f("topology", Named{s.topology, fabric::topologyTable()}...);

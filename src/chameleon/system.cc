@@ -41,19 +41,6 @@ placeholderPool()
     return pool;
 }
 
-/** Tenant weights/SLO scales from the spec's tenancy axis. */
-tenancy::TenantTable
-buildTenantTable(const TenancySpec &spec)
-{
-    tenancy::TenantTable table(spec.tenants);
-    for (std::size_t i = 0; i < spec.weights.size(); ++i)
-        table.setWeight(static_cast<tenancy::TenantId>(i), spec.weights[i]);
-    for (std::size_t i = 0; i < spec.sloMultipliers.size(); ++i)
-        table.setSloMultiplier(static_cast<tenancy::TenantId>(i),
-                               spec.sloMultipliers[i]);
-    return table;
-}
-
 std::unique_ptr<predict::OutputPredictor>
 buildPredictor(const PredictorSpec &spec)
 {
@@ -123,12 +110,12 @@ buildEngine(const SystemSpec &spec, std::size_t replica,
         break;
       }
       case SchedulerPolicy::Wfq:
-        scheduler = std::make_unique<tenancy::WfqScheduler>(
-            buildTenantTable(spec.tenancy));
+        scheduler =
+            std::make_unique<tenancy::WfqScheduler>(spec.tenancy.weights);
         break;
       case SchedulerPolicy::Drr:
-        scheduler = std::make_unique<tenancy::DrrScheduler>(
-            buildTenantTable(spec.tenancy), spec.tenancy.drrQuantumTokens);
+        scheduler =
+            std::make_unique<tenancy::DrrScheduler>(spec.tenancy.weights);
         break;
     }
 
@@ -361,12 +348,8 @@ Runner::Runner(SystemSpec spec, const model::AdapterPool *pool)
         // directory-backed router): non-fabric runs never construct a
         // fabric, so their event streams match the pre-fabric ones
         // byte-for-byte.
-        fabric::FabricConfig fcfg;
-        fcfg.migration = spec_.fabric.migration;
-        fcfg.topology = spec_.fabric.topology;
-        fcfg.topK = spec_.fabric.topK;
         fabric_ = std::make_unique<fabric::CacheFabric>(
-            sim_, pool_ ? *pool_ : placeholderPool(), fcfg);
+            sim_, pool_ ? *pool_ : placeholderPool(), spec_.fabric);
         cluster_->attachFabric(fabric_.get());
     }
 }

@@ -1,6 +1,7 @@
 #include "chameleon/system_spec.h"
 
 #include "chameleon/spec_schema.h"
+#include "tenancy/tenant_table.h"
 
 #include <sstream>
 #include <string>
@@ -52,17 +53,13 @@ reservationPolicyTable()
 double
 TenancySpec::weightFor(int tenant) const
 {
-    if (tenant < 0 || tenant >= static_cast<int>(weights.size()))
-        return 1.0;
-    return weights[static_cast<std::size_t>(tenant)];
+    return tenancy::entryOrOne(weights, tenant);
 }
 
 double
 TenancySpec::sloMultiplierFor(int tenant) const
 {
-    if (tenant < 0 || tenant >= static_cast<int>(sloMultipliers.size()))
-        return 1.0;
-    return sloMultipliers[static_cast<std::size_t>(tenant)];
+    return tenancy::entryOrOne(sloMultipliers, tenant);
 }
 
 SystemSpec &

@@ -56,7 +56,7 @@ enum class EvictionKind {
 /** KV reservation accounting at admission time. */
 enum class ReservationPolicy {
     Auto,      ///< Predicted iff the scheduler is Mlq (paper wiring).
-    MaxTokens, ///< Conservative input + maxNewTokens (S-LoRA style).
+    MaxTokens, ///< Conservative input + kMaxNewTokens (S-LoRA style).
     Predicted, ///< Input + predicted output (Chameleon admission).
 };
 
@@ -143,8 +143,6 @@ struct TenancySpec
     std::vector<double> weights;
     /** Per-tenant scale on the global TTFT SLO; empty = all 1.0. */
     std::vector<double> sloMultipliers;
-    /** DRR quantum in prefill tokens (scaled by the tenant weight). */
-    std::int64_t drrQuantumTokens = 512;
 
     /** Weight for `tenant`, defaulting to 1.0 beyond the table. */
     double weightFor(int tenant) const;
@@ -178,28 +176,6 @@ struct ClusterSpec
 };
 
 /**
- * Cache-fabric axis: cluster-wide residency directory + peer-to-peer
- * adapter migration (src/fabric/). Off by default — with migration
- * off and no directory-backed router the Runner never constructs a
- * fabric, so pre-fabric event streams are preserved byte-for-byte.
- */
-struct FabricSpec
-{
-    /** Which cluster reshapes trigger peer migration. */
-    fabric::MigrationPolicy migration = fabric::MigrationPolicy::Off;
-    /** Peer-link preset migrations travel over. */
-    fabric::TopologyKind topology = fabric::TopologyKind::PciePeer;
-    /** Hot adapters considered per migration trigger. */
-    std::size_t topK = 4;
-
-    /** Does this axis alone require a fabric? */
-    bool enabled() const
-    {
-        return migration != fabric::MigrationPolicy::Off;
-    }
-};
-
-/**
  * A complete, declarative description of one serving system. Every
  * axis is independent: any eviction policy under any scheduler, any
  * combination cluster-deployed. Build one from scratch, from a preset
@@ -221,7 +197,9 @@ struct SystemSpec
     PredictorSpec predictor{};
     ClusterSpec cluster{};
     TenancySpec tenancy{};
-    FabricSpec fabric{};
+    /** Cache-fabric axis: cluster-wide residency directory + peer-to-peer
+     * adapter migration (src/fabric/). */
+    fabric::FabricConfig fabric{};
 
     ReservationPolicy reservation = ReservationPolicy::Auto;
 
@@ -283,7 +261,6 @@ bool operator==(const SchedulerSpec &a, const SchedulerSpec &b);
 bool operator==(const AdapterSpec &a, const AdapterSpec &b);
 bool operator==(const ClusterSpec &a, const ClusterSpec &b);
 bool operator==(const TenancySpec &a, const TenancySpec &b);
-bool operator==(const FabricSpec &a, const FabricSpec &b);
 bool operator==(const SystemSpec &a, const SystemSpec &b);
 inline bool operator!=(const SystemSpec &a, const SystemSpec &b)
 {

@@ -76,14 +76,27 @@ migrationPolicyNames()
     return migrationPolicyTable().names();
 }
 
-/** Fabric knobs (mirrored by core::FabricSpec / spec JSON). */
+/**
+ * Fabric knobs: the spec's `fabric` axis (core::SystemSpec::fabric).
+ * Off by default: with migration off and no directory-backed router
+ * the Runner never constructs a fabric, so pre-fabric event streams
+ * are preserved byte-for-byte.
+ */
 struct FabricConfig
 {
+    /** Which cluster reshapes trigger peer migration. */
     MigrationPolicy migration = MigrationPolicy::Off;
+    /** Peer-link preset migrations travel over. */
     TopologyKind topology = TopologyKind::PciePeer;
     /** Hot adapters considered per migration trigger. */
     std::size_t topK = 4;
+
+    /** Does migration alone require a fabric? */
+    bool enabled() const { return migration != MigrationPolicy::Off; }
 };
+
+/** Field-wise equality over its list in chameleon/spec_schema.h. */
+bool operator==(const FabricConfig &a, const FabricConfig &b);
 
 /** Cluster-wide residency directory + migration planner. */
 class CacheFabric

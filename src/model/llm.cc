@@ -1,7 +1,5 @@
 #include "model/llm.h"
 
-#include "simkit/check.h"
-
 namespace chameleon::model {
 
 std::int64_t
@@ -70,17 +68,6 @@ const char *
 modelPresetNames()
 {
     return "llama-7b, llama-13b, llama-30b, llama-70b";
-}
-
-ModelSpec
-modelByName(const std::string &name)
-{
-    ModelSpec spec;
-    if (!tryModelByName(name, &spec)) {
-        CHM_FATAL("unknown model preset: " << name << " (known: "
-                                           << modelPresetNames() << ")");
-    }
-    return spec;
 }
 
 } // namespace chameleon::model

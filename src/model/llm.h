@@ -70,10 +70,7 @@ ModelSpec llama30B();
 /** Llama-70B (80 layers, hidden 8192, GQA with 1024-wide KV). */
 ModelSpec llama70B();
 
-/** Look up a preset by name; fatal on unknown names. */
-ModelSpec modelByName(const std::string &name);
-
-/** Non-fatal preset lookup; returns false on unknown names. */
+/** Preset lookup by name; returns false on unknown names. */
 bool tryModelByName(const std::string &name, ModelSpec *out);
 
 /** Comma-separated preset names, for error messages. */

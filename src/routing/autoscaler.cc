@@ -13,7 +13,6 @@ scaleUpPolicyTable()
 {
     static const sim::NameTable<ScaleUpPolicy> table{
         {ScaleUpPolicy::Default, "default"},
-        {ScaleUpPolicy::Cheapest, "cheapest"},
         {ScaleUpPolicy::Fastest, "fastest"}};
     return table;
 }

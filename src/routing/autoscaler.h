@@ -55,10 +55,6 @@ enum class ScaleUpPolicy {
     /** The engine factory's default for the next replica index (the
      * pre-catalogue behaviour; homogeneous fleets always use this). */
     Default,
-    /** Lowest-capacity candidate whose rate still covers the forecast
-     * shortfall (cheapest-that-meets-forecast; falls back to the
-     * fastest candidate when none suffices alone). */
-    Cheapest,
     /** Highest-capacity candidate, unconditionally. */
     Fastest,
 };
@@ -185,9 +181,7 @@ class Autoscaler
 
     /**
      * Forecast demand of the last evaluation, in reference-replica
-     * units (0 while the forecast signal is disabled). The cluster's
-     * scale-up policy sizes "cheapest that meets the forecast" from
-     * the shortfall demand - activeCapacityFactor.
+     * units (0 while the forecast signal is disabled).
      */
     double lastForecastDemand() const { return lastDemand_; }
 

@@ -181,14 +181,23 @@ class PowerOfTwoChoicesRouter final : public Router
     sim::Rng rng_;
 };
 
+/**
+ * Load-aware spillover: the affinity owner is rejected when its
+ * capacity-normalised queue exceeds the cluster-mean queue plus this
+ * margin, and the request walks the ring's preference list instead
+ * (bounded-load consistent hashing, cf. Mirrokni et al.). The bound
+ * trades cache locality against queue imbalance: a loose one
+ * approaches pure hashing (max locality, worst tail), a tight one JSQ
+ * (min locality).
+ */
+constexpr double kSpillMargin = 3.0;
+
 class AdapterAffinityRouter final : public Router
 {
   public:
     /** `cacheAware`: before the hash ring, prefer the least-loaded
      * replica holding the adapter (one residency-directory lookup). */
-    AdapterAffinityRouter(const RouterConfig &config, bool cacheAware)
-        : config_(config), cacheAware_(cacheAware),
-          ring_(config.virtualNodes)
+    explicit AdapterAffinityRouter(bool cacheAware) : cacheAware_(cacheAware)
     {
     }
 
@@ -300,19 +309,16 @@ class AdapterAffinityRouter final : public Router
 
     /**
      * Bounded-load spill threshold in capacity-normalised queue depth:
-     * spillLoadFactor x the weighted cluster-mean load (total
-     * outstanding over total service weight) plus spillMargin. With
-     * homogeneous weights this is exactly the unweighted mean-based
-     * bound.
+     * the weighted cluster-mean load (total outstanding over total
+     * service weight) plus kSpillMargin. With homogeneous weights this
+     * is exactly the unweighted mean-based bound.
      */
     double
     spillLimit() const
     {
-        return config_.spillLoadFactor * snapshot_.meanLoad() +
-               static_cast<double>(config_.spillMargin);
+        return snapshot_.meanLoad() + kSpillMargin;
     }
 
-    RouterConfig config_;
     bool cacheAware_;
     ConsistentHashRing ring_;
     bool ringDirty_ = false;
@@ -334,10 +340,10 @@ makeRouter(RouterPolicy policy, const RouterConfig &config)
         return std::make_unique<PowerOfTwoChoicesRouter>(config.seed);
       case RouterPolicy::AdapterAffinity:
         return std::make_unique<AdapterAffinityRouter>(
-            config, /*cacheAware=*/false);
+            /*cacheAware=*/false);
       case RouterPolicy::AdapterAffinityDirectory:
         return std::make_unique<AdapterAffinityRouter>(
-            config, /*cacheAware=*/true);
+            /*cacheAware=*/true);
     }
     CHM_PANIC("unknown router policy");
 }

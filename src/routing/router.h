@@ -162,19 +162,6 @@ struct RouterConfig
 {
     /** Seed for the PowerOfTwoChoices sampling stream. */
     std::uint64_t seed = 42;
-    /** Virtual nodes per replica on the affinity hash ring. */
-    int virtualNodes = 64;
-    /**
-     * Load-aware spillover: the affinity owner is rejected when its
-     * queue exceeds spillLoadFactor x the cluster-mean queue plus
-     * spillMargin, and the request walks the ring's preference list
-     * instead (bounded-load consistent hashing, cf. Mirrokni et al.).
-     * The bound trades cache locality against queue imbalance: loose
-     * bounds approach pure hashing (max locality, worst tail), tight
-     * bounds approach JSQ (min locality).
-     */
-    double spillLoadFactor = 1.0;
-    std::int64_t spillMargin = 3;
     /**
      * Wrap the policy in the SLO-aware admission decorator
      * (routing/slo_admission.h): requests of SLO-critical tenants

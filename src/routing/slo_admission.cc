@@ -5,6 +5,7 @@
 #include "obs/trace_recorder.h"
 #include "simkit/check.h"
 #include "simkit/simulator.h"
+#include "tenancy/tenant_table.h"
 
 namespace chameleon::routing {
 
@@ -21,10 +22,7 @@ SloAdmissionRouter::SloAdmissionRouter(std::unique_ptr<Router> inner,
 bool
 SloAdmissionRouter::sloCritical(workload::TenantId tenant) const
 {
-    if (tenant < 0 ||
-        tenant >= static_cast<workload::TenantId>(sloMultipliers_.size()))
-        return false; // beyond the table: the default multiplier, 1.0
-    return sloMultipliers_[static_cast<std::size_t>(tenant)] < 1.0;
+    return tenancy::entryOrOne(sloMultipliers_, tenant) < 1.0;
 }
 
 std::size_t

@@ -66,12 +66,14 @@ DataParallelCluster::setScaleUpCandidates(
               "scale-up catalogue needs a config factory");
     candidates_ = std::move(candidates);
     configFactory_ = std::move(factory);
-    candidateRates_.clear();
     fastestCandidate_ = 0;
-    for (std::size_t c = 0; c < candidates_.size(); ++c) {
-        candidateRates_.push_back(nominalServiceRate(candidates_[c]));
-        if (candidateRates_[c] > candidateRates_[fastestCandidate_])
+    fastestRate_ = nominalServiceRate(candidates_[0]);
+    for (std::size_t c = 1; c < candidates_.size(); ++c) {
+        const double rate = nominalServiceRate(candidates_[c]);
+        if (rate > fastestRate_) {
             fastestCandidate_ = c;
+            fastestRate_ = rate;
+        }
     }
 }
 
@@ -300,8 +302,8 @@ DataParallelCluster::buildReplica()
 
 /**
  * Build one scale-up replica. The engine comes from the index factory
- * (Default policy) or from the catalogue candidate the ScaleUpPolicy
- * picks; with the cold-start model enabled it enters Booting and only
+ * (Default policy) or is the catalogue's fastest candidate (Fastest);
+ * with the cold-start model enabled it enters Booting and only
  * becomes dispatchable at its boot deadline.
  */
 void
@@ -314,30 +316,8 @@ DataParallelCluster::buildScaleUpReplica()
         candidates_.empty()) {
         buildReplica();
     } else {
-        // Forecast shortfall still uncovered, in reference-replica
-        // units (<= 0 for watermark-driven scale-ups).
-        double shortfall = 0.0;
-        if (autoscaler_ != nullptr) {
-            shortfall = autoscaler_->lastForecastDemand() -
-                        capacitySignals().activeCapacityFactor;
-        }
-        std::size_t pick = fastestCandidate_;
-        if (policy == routing::ScaleUpPolicy::Cheapest) {
-            // Cheapest-that-meets-forecast; when no single candidate
-            // covers the shortfall, keep the fastest and let the next
-            // build cover the rest.
-            const double needed = shortfall * referenceRate_;
-            double bestRate = std::numeric_limits<double>::infinity();
-            for (std::size_t c = 0; c < candidates_.size(); ++c) {
-                if (candidateRates_[c] + 1e-12 >= needed &&
-                    candidateRates_[c] < bestRate) {
-                    bestRate = candidateRates_[c];
-                    pick = c;
-                }
-            }
-        }
-        appendEngine(configFactory_(candidates_[pick]),
-                     candidateRates_[pick]);
+        appendEngine(configFactory_(candidates_[fastestCandidate_]),
+                     fastestRate_);
     }
 
     const std::size_t index = engines_.size() - 1;
@@ -487,12 +467,10 @@ DataParallelCluster::capacitySignals() const
     } else if (autoscaler_ != nullptr && !candidates_.empty() &&
                autoscaler_->config().scaleUpPolicy !=
                    routing::ScaleUpPolicy::Default) {
-        // Both catalogue policies cover a shortfall at worst at the
-        // fastest candidate's pace (Cheapest falls back to it). A
+        // The catalogue policy builds the fastest candidate. A
         // candidate not yet built has no measurement; nominal is the
         // only estimate there is.
-        signals.nextReplicaFactor =
-            candidateRates_[fastestCandidate_] / referenceRate_;
+        signals.nextReplicaFactor = fastestRate_ / referenceRate_;
         signals.nextReplicaBootSeconds = sim::toSeconds(
             coldStart_.bootTime(candidates_[fastestCandidate_]));
     } else {

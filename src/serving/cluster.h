@@ -37,8 +37,8 @@
  *
  * New replicas are built on demand from the engine factory — or, on a
  * heterogeneous fleet with a scale-up catalogue installed
- * (setScaleUpCandidates), from the candidate engine configuration the
- * routing::ScaleUpPolicy picks. With the cold-start model disabled
+ * (setScaleUpCandidates) and routing::ScaleUpPolicy::Fastest, from
+ * the fastest candidate engine configuration. With the cold-start model disabled
  * (bootMs = 0) every scale-up activates synchronously, reproducing
  * the pre-cold-start event streams bit-for-bit.
  */
@@ -128,11 +128,11 @@ class DataParallelCluster : public routing::ClusterView
                           double referenceServiceRps = 0.0);
 
     /**
-     * Install the scale-up catalogue a non-default
-     * routing::ScaleUpPolicy chooses from: candidate engine
-     * configurations (typically the distinct fleet configs plus the
-     * base engine) and a factory that builds one. Without a catalogue
-     * every policy degrades to Default (the index factory).
+     * Install the scale-up catalogue routing::ScaleUpPolicy::Fastest
+     * chooses from: candidate engine configurations (typically the
+     * distinct fleet configs plus the base engine) and a factory that
+     * builds one. Without a catalogue every policy degrades to Default
+     * (the index factory).
      */
     void setScaleUpCandidates(std::vector<EngineConfig> candidates,
                               ConfigEngineFactory factory);
@@ -358,8 +358,8 @@ class DataParallelCluster : public routing::ClusterView
     BootStats bootStats_;
     // Scale-up catalogue (non-default ScaleUpPolicy).
     std::vector<EngineConfig> candidates_;
-    std::vector<double> candidateRates_;
-    std::size_t fastestCandidate_ = 0; // argmax of candidateRates_
+    std::size_t fastestCandidate_ = 0; // argmax of the nominal rates
+    double fastestRate_ = 0.0;
     ConfigEngineFactory configFactory_;
     bool traceSubmitted_ = false;
     /** The engines' shared record store, once recordsShared_. */

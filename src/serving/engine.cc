@@ -16,6 +16,8 @@ namespace {
 constexpr double kInitIterUs = 30.0 * 1000.0;
 /** EWMA weight of the newest iteration sample. */
 constexpr double kIterEwmaAlpha = 0.05;
+/** Period of the memory series' samples. */
+constexpr SimTime kMemSamplePeriod = sim::kSec;
 
 /** Heap order for a min-heap of decode events on (step, runSeq). */
 template <typename Event>
@@ -69,8 +71,8 @@ ServingEngine::ServingEngine(sim::Simulator &simulator, EngineConfig config,
         static_cast<std::int64_t>(config_.tpDegree) * config_.workspacePerGpu;
     mem_ = std::make_unique<gpu::GpuMemory>(
         capacity, config_.model.weightsBytes(), workspace);
-    kv_ = std::make_unique<gpu::KvCache>(
-        *mem_, config_.model.kvBytesPerToken(), config_.kvPageTokens);
+    kv_ = std::make_unique<gpu::KvCache>(*mem_,
+                                         config_.model.kvBytesPerToken());
     link_ = std::make_unique<gpu::PcieLink>(
         sim_, [this](std::int64_t bytes) {
             return cost_.adapterLoadTime(bytes);
@@ -214,7 +216,7 @@ ServingEngine::tryReserve(LiveRequest *r)
     const std::int64_t gen_budget =
         config_.predictedReservation
             ? std::max<std::int64_t>(r->predictedOutput, 8)
-            : config_.maxNewTokens;
+            : kMaxNewTokens;
     const std::int64_t kvTokens = r->req.inputTokens + gen_budget;
     if (!kv_->tryReserve(r->kv, kvTokens)) {
         const std::int64_t need = kv_->bytesForTokens(kvTokens);
@@ -285,7 +287,7 @@ ServingEngine::sampleMemory()
 {
     const SimTime now = sim_.now();
     if (lastMemSample_ != sim::kTimeNever &&
-        now - lastMemSample_ < config_.memSamplePeriod) {
+        now - lastMemSample_ < kMemSamplePeriod) {
         return;
     }
     lastMemSample_ = now;

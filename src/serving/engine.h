@@ -45,6 +45,15 @@
 
 namespace chameleon::serving {
 
+/**
+ * KV tokens reserved per request at admission on top of its prompt,
+ * unless EngineConfig::predictedReservation. Baselines do not know
+ * output lengths, so like S-LoRA's max_total_token_num accounting they
+ * conservatively reserve the maximum generation length; this is what
+ * makes GPU memory the binding admission resource under load.
+ */
+inline constexpr std::int64_t kMaxNewTokens = 512;
+
 /** Static engine configuration. */
 struct EngineConfig
 {
@@ -63,15 +72,7 @@ struct EngineConfig
      */
     std::int64_t admissionTokenBudget = 512;
     /**
-     * KV tokens reserved per request at admission on top of its prompt.
-     * Baselines do not know output lengths, so like S-LoRA's
-     * max_total_token_num accounting they conservatively reserve the
-     * maximum generation length; this is what makes GPU memory the
-     * binding admission resource under load.
-     */
-    std::int64_t maxNewTokens = 512;
-    /**
-     * Reserve input + predicted output instead of input + maxNewTokens
+     * Reserve input + predicted output instead of input + kMaxNewTokens
      * (the Chameleon scheduler's prediction-driven admission). Under-
      * predictions grow on demand and can trigger preemption.
      */
@@ -87,10 +88,6 @@ struct EngineConfig
     int maxAdmissionsPerIter = 8;
     /** Hard cap on concurrently running requests (max batch size). */
     int maxRunning = 256;
-    /** KV page granularity in tokens. */
-    int kvPageTokens = 16;
-    /** Sample memory series at this period. */
-    sim::SimTime memSamplePeriod = sim::kSec;
 };
 
 /** Field-wise equality over its list in chameleon/spec_schema.h. */

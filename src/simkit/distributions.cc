@@ -40,17 +40,6 @@ sampleLognormal(Rng &rng, double mu, double sigma)
     return std::exp(mu + sigma * sampleNormal(rng));
 }
 
-double
-sampleBoundedPareto(Rng &rng, double alpha, double lo, double hi)
-{
-    CHM_CHECK(alpha > 0 && lo > 0 && hi > lo,
-              "bounded Pareto requires alpha>0, 0<lo<hi");
-    const double u = rng.nextDouble();
-    const double la = std::pow(lo, alpha);
-    const double ha = std::pow(hi, alpha);
-    return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
 PowerLawSampler::PowerLawSampler(std::size_t n, double alpha)
 {
     CHM_CHECK(n > 0, "power-law sampler needs at least one element");

@@ -25,9 +25,6 @@ double sampleLognormal(Rng &rng, double mu, double sigma);
 /** Standard normal variate (Box–Muller, one value per call). */
 double sampleNormal(Rng &rng);
 
-/** Bounded Pareto variate on [lo, hi] with tail index alpha. */
-double sampleBoundedPareto(Rng &rng, double alpha, double lo, double hi);
-
 /**
  * Discrete power-law (Zipf-like) sampler over {0, .., n-1}.
  *

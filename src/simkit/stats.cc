@@ -169,42 +169,4 @@ PercentileTracker::mean() const
     return sum_ / static_cast<double>(samples_.size());
 }
 
-std::vector<std::pair<double, double>>
-PercentileTracker::cdf() const
-{
-    const auto &s = sorted();
-    std::vector<std::pair<double, double>> out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        out.emplace_back(
-            s[i], static_cast<double>(i + 1) / static_cast<double>(s.size()));
-    }
-    return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    CHM_CHECK(hi > lo, "histogram range must be non-empty");
-    CHM_CHECK(bins > 0, "histogram needs at least one bin");
-}
-
-void
-Histogram::add(double x)
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width);
-    idx = std::clamp<std::ptrdiff_t>(
-        idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + width * static_cast<double>(i);
-}
-
 } // namespace chameleon::sim

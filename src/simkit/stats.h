@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace chameleon::sim {
@@ -84,9 +83,6 @@ class PercentileTracker
     std::size_t count() const { return samples_.size(); }
     bool empty() const { return samples_.empty(); }
 
-    /** CDF as (value, cumulative fraction) pairs over sorted samples. */
-    std::vector<std::pair<double, double>> cdf() const;
-
     /** All samples, sorted ascending. */
     const std::vector<double> &sorted() const;
 
@@ -94,27 +90,6 @@ class PercentileTracker
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
     double sum_ = 0.0;
-};
-
-/** Fixed-width histogram over [lo, hi) with out-of-range clamping. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-
-    std::size_t bins() const { return counts_.size(); }
-    std::size_t binCount(std::size_t i) const { return counts_.at(i); }
-    double binLow(std::size_t i) const;
-    double binHigh(std::size_t i) const { return binLow(i + 1); }
-    std::size_t total() const { return total_; }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
 };
 
 } // namespace chameleon::sim

@@ -6,24 +6,6 @@
 
 namespace chameleon::sim {
 
-std::vector<TimePoint>
-TimeSeries::downsample(std::size_t n) const
-{
-    CHM_CHECK(n > 0, "downsample target must be positive");
-    if (points_.size() <= n)
-        return points_;
-    std::vector<TimePoint> out;
-    out.reserve(n);
-    const double stride =
-        static_cast<double>(points_.size()) / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto idx = static_cast<std::size_t>(
-            static_cast<double>(i) * stride);
-        out.push_back(points_[std::min(idx, points_.size() - 1)]);
-    }
-    return out;
-}
-
 WindowedSum::WindowedSum(SimTime window) : window_(window)
 {
     CHM_CHECK(window > 0, "window must be positive");

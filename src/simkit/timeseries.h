@@ -33,9 +33,6 @@ class TimeSeries
     const std::vector<TimePoint> &points() const { return points_; }
     bool empty() const { return points_.empty(); }
 
-    /** Downsample to at most n points by striding (for table output). */
-    std::vector<TimePoint> downsample(std::size_t n) const;
-
   private:
     std::vector<TimePoint> points_;
 };

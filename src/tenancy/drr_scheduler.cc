@@ -10,8 +10,9 @@ using serving::AdmissionContext;
 using serving::LiveRequest;
 using serving::ReserveResult;
 
-DrrScheduler::DrrScheduler(TenantTable table, std::int64_t quantumTokens)
-    : table_(std::move(table)), quantumTokens_(quantumTokens)
+DrrScheduler::DrrScheduler(std::vector<double> weights,
+                           std::int64_t quantumTokens)
+    : weights_(std::move(weights)), quantumTokens_(quantumTokens)
 {
     CHM_CHECK(quantumTokens_ > 0, "DRR quantum must be positive");
 }
@@ -59,7 +60,7 @@ DrrScheduler::selectAdmissions(AdmissionContext &ctx)
         ring_.pop_front();
         Queue &q = queues_[tenant];
         const auto quantum = static_cast<std::int64_t>(
-            std::llround(quantumTokens_ * table_.weight(tenant)));
+            std::llround(quantumTokens_ * entryOrOne(weights_, tenant)));
         q.deficit += quantum > 0 ? quantum : 1;
         while (!q.entries.empty() && ctx.admissionSlots > 0 &&
                ctx.prefillTokenBudget > 0) {

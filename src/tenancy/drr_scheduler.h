@@ -34,7 +34,11 @@ namespace chameleon::tenancy {
 class DrrScheduler : public serving::Scheduler
 {
   public:
-    explicit DrrScheduler(TenantTable table = {},
+    /**
+     * `weights[t]` scales tenant t's quantum (1.0 outside the list);
+     * `quantumTokens` is the per-visit credit in prefill tokens.
+     */
+    explicit DrrScheduler(std::vector<double> weights = {},
                           std::int64_t quantumTokens = 512);
 
     const char *name() const override { return "drr"; }
@@ -62,7 +66,7 @@ class DrrScheduler : public serving::Scheduler
 
     void activate(TenantId tenant, Queue &q);
 
-    TenantTable table_;
+    std::vector<double> weights_;
     std::int64_t quantumTokens_;
     std::map<TenantId, Queue> queues_;
     /** Round-robin ring of tenants with waiting requests. */

@@ -1,12 +1,13 @@
 /**
  * @file
- * Tenant descriptors and fairness metrics.
+ * Per-tenant lookups and fairness metrics.
  *
  * The tenancy layer gives requests an owner: a tenant with a scheduler
- * weight and an SLO multiplier. TenantTable is
- * the lookup the fair schedulers and the reporting layer share; ids
- * beyond the configured table resolve to neutral defaults so partially
- * configured (or wholly anonymous) workloads keep working.
+ * weight and an SLO multiplier, both held as per-tenant lists in
+ * core::TenancySpec. entryOrOne() is the one lookup the fair
+ * schedulers, the SLO-aware router and the reporting layer share; ids
+ * beyond a list resolve to the neutral 1.0 so partially configured (or
+ * wholly anonymous) workloads keep working.
  */
 
 #ifndef CHAMELEON_TENANCY_TENANT_TABLE_H
@@ -20,45 +21,11 @@ namespace chameleon::tenancy {
 
 using workload::TenantId;
 
-/** Static per-tenant configuration. */
-struct TenantInfo
-{
-    /** Scheduler weight (WFQ service share, DRR quantum scale). */
-    double weight = 1.0;
-    /** Per-tenant scale on the global TTFT SLO. */
-    double sloMultiplier = 1.0;
-};
-
 /**
- * Lookup table of tenant descriptors, indexed by TenantId.
- *
- * Out-of-range ids (including every id of an unconfigured run) resolve
- * to weight 1.0 / SLO multiplier 1.0, so schedulers never need to guard
- * against tenants the config did not declare.
+ * `values[tenant]`, or 1.0 for ids outside the list: negative ids, ids
+ * past its end and every id of an unconfigured (empty) list.
  */
-class TenantTable
-{
-  public:
-    /** Empty table: every tenant anonymous and equally weighted. */
-    TenantTable() = default;
-
-    /** `tenants` entries with default (neutral) descriptors. */
-    explicit TenantTable(int tenants);
-
-    void setWeight(TenantId tenant, double weight);
-    void setSloMultiplier(TenantId tenant, double multiplier);
-
-    /** Scheduler weight; 1.0 for ids outside the table. */
-    double weight(TenantId tenant) const;
-    /** SLO scale; 1.0 for ids outside the table. */
-    double sloMultiplier(TenantId tenant) const;
-
-    int size() const { return static_cast<int>(rows_.size()); }
-
-  private:
-    TenantInfo &rowFor(TenantId tenant);
-    std::vector<TenantInfo> rows_;
-};
+double entryOrOne(const std::vector<double> &values, TenantId tenant);
 
 /**
  * Jain's fairness index over per-tenant allocations:

@@ -10,7 +10,10 @@ using serving::AdmissionContext;
 using serving::LiveRequest;
 using serving::ReserveResult;
 
-WfqScheduler::WfqScheduler(TenantTable table) : table_(std::move(table)) {}
+WfqScheduler::WfqScheduler(std::vector<double> weights)
+    : weights_(std::move(weights))
+{
+}
 
 double
 WfqScheduler::serviceLength(const LiveRequest *r)
@@ -26,7 +29,7 @@ WfqScheduler::enqueue(LiveRequest *r)
     Queue &q = queues_[r->req.tenant];
     const double start = std::max(virtualTime_, q.lastFinishTag);
     q.lastFinishTag =
-        start + serviceLength(r) / table_.weight(r->req.tenant);
+        start + serviceLength(r) / entryOrOne(weights_, r->req.tenant);
     startTags_[r] = start;
     q.entries.push_back(Entry{r, start});
     ++waiting_;

@@ -34,7 +34,8 @@ namespace chameleon::tenancy {
 class WfqScheduler : public serving::Scheduler
 {
   public:
-    explicit WfqScheduler(TenantTable table = {});
+    /** `weights[t]` is tenant t's weight; 1.0 outside the list. */
+    explicit WfqScheduler(std::vector<double> weights = {});
 
     const char *name() const override { return "wfq"; }
 
@@ -66,7 +67,7 @@ class WfqScheduler : public serving::Scheduler
 
     static double serviceLength(const serving::LiveRequest *r);
 
-    TenantTable table_;
+    std::vector<double> weights_;
     /** Ordered map: deterministic tenant iteration (lowest id wins ties). */
     std::map<TenantId, Queue> queues_;
     /** Tags survive admission so a squashed request requeues unchanged. */

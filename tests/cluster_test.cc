@@ -218,19 +218,20 @@ TEST(DataParallel, AffinityPartitionsAdaptersAcrossReplicas)
     sim::Simulator simulator;
     model::AdapterPool pool(model::llama7B(), 40);
     predict::LengthPredictor predictor(1.0);
-    routing::RouterConfig rcfg;
-    rcfg.spillMargin = 1 << 20; // no spillover: pure hashing
     serving::DataParallelCluster cluster(
         simulator,
         [&](std::size_t) {
             return makeEngine(simulator, pool, predictor);
         },
-        4,
-        routing::RouterPolicy::AdapterAffinity, rcfg);
+        4, routing::RouterPolicy::AdapterAffinity);
 
+    // Two steady RPS over four replicas: no owner's queue reaches the
+    // spill bound (the cluster-mean queue plus 3), so the ring alone
+    // places every request.
     auto wl = workload::splitwiseLike();
-    wl.rps = 8.0;
-    wl.durationSeconds = 40.0;
+    wl.rps = 2.0;
+    wl.burstMultiplier = 1.0;
+    wl.durationSeconds = 80.0;
     wl.numAdapters = 40;
     workload::TraceGenerator gen(wl, &pool);
     const auto trace = gen.generate();

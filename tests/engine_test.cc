@@ -120,7 +120,7 @@ TEST(Engine, KvReservationIsConservativeForBaselines)
     // Drive exactly one iteration so the request is admitted.
     f.simulator.runUntil(sim::fromMillis(1.0));
     const auto reserved = f.engine->findRequest(1)->kv.tokens;
-    EXPECT_GE(reserved, 16 + f.engine->config().maxNewTokens);
+    EXPECT_GE(reserved, 16 + serving::kMaxNewTokens);
 }
 
 TEST(Engine, PredictedReservationUsesPredictor)
@@ -131,7 +131,7 @@ TEST(Engine, PredictedReservationUsesPredictor)
     f.engine->submit(mkReq(1, 0, 16, 40)); // perfect predictor
     f.simulator.runUntil(sim::fromMillis(1.0));
     const auto reserved = f.engine->findRequest(1)->kv.tokens;
-    EXPECT_LT(reserved, 16 + cfg.maxNewTokens);
+    EXPECT_LT(reserved, 16 + serving::kMaxNewTokens);
     EXPECT_GE(reserved, 16 + 40 - 16); // bucket midpoint may undershoot
     f.simulator.run();
     EXPECT_EQ(f.engine->stats().finished, 1);

@@ -49,8 +49,13 @@ TEST(ModelSpec, GqaShrinksKv)
 
 TEST(ModelSpec, PresetLookup)
 {
-    EXPECT_EQ(model::modelByName("llama-13b").layers, 40);
-    EXPECT_EQ(model::modelByName("llama-30b").hidden, 6656);
+    model::ModelSpec spec;
+    ASSERT_TRUE(model::tryModelByName("llama-13b", &spec));
+    EXPECT_EQ(spec.layers, 40);
+    ASSERT_TRUE(model::tryModelByName("llama-30b", &spec));
+    EXPECT_EQ(spec.hidden, 6656);
+    EXPECT_FALSE(model::tryModelByName("llama-1t", &spec));
+    EXPECT_EQ(spec.hidden, 6656); // untouched on a miss
 }
 
 // ------------------------------------------------------------- adapters

@@ -236,11 +236,8 @@ TEST(AffinityRouter, SameAdapterSameReplicaAndSpreadAcrossReplicas)
 
 TEST(AffinityRouter, SpillsOverWhenTheOwnerIsOverloaded)
 {
-    routing::RouterConfig config;
-    config.spillLoadFactor = 1.0;
-    config.spillMargin = 2;
-    auto router = routing::makeRouter(
-        routing::RouterPolicy::AdapterAffinity, config);
+    auto router =
+        routing::makeRouter(routing::RouterPolicy::AdapterAffinity);
     FakeView view;
     view.loads = {0, 0, 0, 0};
     const model::AdapterId adapter = 13;
@@ -371,22 +368,19 @@ TEST(AffinityRouter, WeightedRingSharesTrackServiceWeights)
 
 TEST(AffinityRouter, SpillThresholdIsCapacityNormalised)
 {
-    routing::RouterConfig config;
-    config.spillLoadFactor = 1.0;
-    config.spillMargin = 2;
-    auto router = routing::makeRouter(
-        routing::RouterPolicy::AdapterAffinity, config);
+    auto router =
+        routing::makeRouter(routing::RouterPolicy::AdapterAffinity);
     FakeView view;
     view.loads = {0, 0, 0, 0};
     view.weights = {1.0, 1.0, 1.0, 1.0};
     const model::AdapterId adapter = 13;
     const auto owner = router->route(requestFor(adapter), view);
-    // A queue the owner absorbs at full speed (depth 3 <= the bound
-    // of factor x mean + margin = 1 x 1.25 + 2)...
-    view.loads[owner] = 3;
+    // A queue the owner absorbs at full speed (depth 4 <= the bound
+    // of mean + margin = 1.5 + 3)...
+    view.loads[owner] = 4;
     view.loads[(owner + 1) % 4] = 2;
     EXPECT_EQ(router->route(requestFor(adapter), view), owner);
-    // ...rejects it at quarter speed (weighted depth 12 > bound).
+    // ...rejects it at quarter speed (weighted depth 16 > bound).
     view.weights[owner] = 0.25;
     EXPECT_NE(router->route(requestFor(adapter), view), owner);
 }
@@ -621,8 +615,7 @@ TEST(ScaleUpPolicy, NamesRoundTrip)
 {
     using routing::ScaleUpPolicy;
     for (const auto policy :
-         {ScaleUpPolicy::Default, ScaleUpPolicy::Cheapest,
-          ScaleUpPolicy::Fastest}) {
+         {ScaleUpPolicy::Default, ScaleUpPolicy::Fastest}) {
         ScaleUpPolicy parsed;
         ASSERT_TRUE(routing::scaleUpPolicyByName(
             routing::scaleUpPolicyName(policy), &parsed));
@@ -630,6 +623,7 @@ TEST(ScaleUpPolicy, NamesRoundTrip)
     }
     ScaleUpPolicy parsed;
     EXPECT_FALSE(routing::scaleUpPolicyByName("warp", &parsed));
+    EXPECT_FALSE(routing::scaleUpPolicyByName("cheapest", &parsed));
 }
 
 TEST(Autoscaler, BootAwareHorizonScalesUpBeforeTheStaticOne)

@@ -85,8 +85,6 @@ randomSpec(sim::Rng &rng)
     spec.engine.tpDegree = 1 + static_cast<int>(rng.nextBelow(4));
     spec.engine.workspacePerGpu =
         (1ll + static_cast<std::int64_t>(rng.nextBelow(8))) << 30;
-    spec.engine.maxNewTokens = 128 + static_cast<std::int64_t>(
-                                         rng.nextBelow(1024));
     spec.engine.cost.loraIneff = 10.0 + rng.nextDouble() * 50.0;
     spec.engine.cost.tpSyncMs = rng.nextDouble() * 20.0;
     fitMemory(spec.engine);
@@ -147,10 +145,6 @@ randomSpec(sim::Rng &rng)
         routing::RouterPolicy::AdapterAffinityDirectory};
     spec.cluster.router = routers[rng.nextBelow(5)];
     spec.cluster.routerConfig.seed = rng();
-    spec.cluster.routerConfig.virtualNodes =
-        16 + static_cast<int>(rng.nextBelow(128));
-    spec.cluster.routerConfig.spillLoadFactor =
-        0.5 + rng.nextDouble() * 2.0;
     if (rng.nextBelow(2)) {
         spec.cluster.autoscale = true;
         spec.cluster.autoscaler.minReplicas = 1 + rng.nextBelow(3);
@@ -159,12 +153,9 @@ randomSpec(sim::Rng &rng)
         spec.cluster.autoscaler.replicaServiceRps =
             rng.nextDouble() * 20.0;
         spec.cluster.autoscaler.bootMs = rng.nextDouble() * 30000.0;
-        const routing::ScaleUpPolicy policies[] = {
-            routing::ScaleUpPolicy::Default,
-            routing::ScaleUpPolicy::Cheapest,
-            routing::ScaleUpPolicy::Fastest};
         spec.cluster.autoscaler.scaleUpPolicy =
-            policies[rng.nextBelow(3)];
+            rng.nextBelow(2) ? routing::ScaleUpPolicy::Fastest
+                             : routing::ScaleUpPolicy::Default;
         spec.cluster.autoscaler.measuredRateAlpha = rng.nextDouble();
     }
 
@@ -256,7 +247,7 @@ TEST(SpecJson, AutoscalerRealismKnobsSurviveRoundTrip)
     spec.cluster.autoscaler.replicaServiceRps = 8.5;
     spec.cluster.autoscaler.bootMs = 12500.0;
     spec.cluster.autoscaler.scaleUpPolicy =
-        routing::ScaleUpPolicy::Cheapest;
+        routing::ScaleUpPolicy::Fastest;
     spec.cluster.autoscaler.measuredRateAlpha = 0.25;
     ASSERT_TRUE(spec.validate().empty());
     EXPECT_EQ(roundTrip(spec), spec);
@@ -285,7 +276,7 @@ TEST(SpecJson, RejectsMalformedAutoscalerRealismKnobs)
     EXPECT_NE(policy.find("cluster.autoscaler.scale_up_policy"),
               std::string::npos)
         << policy;
-    EXPECT_NE(policy.find("cheapest"), std::string::npos) << policy;
+    EXPECT_NE(policy.find("fastest"), std::string::npos) << policy;
     // Type mismatch on boot_ms.
     const auto boot = parseError(
         R"({"cluster": {"autoscaler": {"boot_ms": "soon"}}})");
@@ -436,7 +427,7 @@ fabricFleetSpec()
     spec.cluster.autoscaler.maxReplicas = 4;
     spec.cluster.autoscaler.bootMs = 8000.0;
     spec.cluster.autoscaler.scaleUpPolicy =
-        routing::ScaleUpPolicy::Cheapest;
+        routing::ScaleUpPolicy::Fastest;
     spec.fabric.migration = fabric::MigrationPolicy::All;
     spec.fabric.topology = fabric::TopologyKind::NvLink;
     return spec;
@@ -456,23 +447,23 @@ TEST(SpecJson, DumpsArePinned)
     // a changed key name, order or number format moves these hashes.
     const auto empty = core::specFromJson("{}");
     ASSERT_TRUE(empty.has_value());
-    EXPECT_EQ(dumpHash(*empty), 0x77cc214cc948e95dull);
-    EXPECT_EQ(dumpHash(fabricFleetSpec()), 0x31da8135f79cb833ull);
+    EXPECT_EQ(dumpHash(*empty), 0x4c4c4af1e0d7ccc9ull);
+    EXPECT_EQ(dumpHash(fabricFleetSpec()), 0x5d85ba2afa15532cull);
 
     const std::pair<const char *, std::uint64_t> pins[] = {
-        {"chameleon", 0xb5dc950ae1cffaeeull},
-        {"chameleon-degree1", 0xe3a3844913533af1ull},
-        {"chameleon-fairshare", 0x029bd3874d9b3e41ull},
-        {"chameleon-gdsf", 0x1a337d4ae8eee7adull},
-        {"chameleon-lru", 0xd7f5108339a15655ull},
-        {"chameleon-nocache", 0xabe27049f92c2eccull},
-        {"chameleon-nosched", 0xea53c668ef394abfull},
-        {"chameleon-output-only", 0x8fd3d300da086945ull},
-        {"chameleon-prefetch", 0x2ee4c4426a1b7ec9ull},
-        {"chameleon-static", 0x4bf8753524e69124ull},
-        {"slora", 0x3b91db2bdc914e5bull},
-        {"slora-chunked", 0x05b593070275a7cdull},
-        {"slora-sjf", 0x833685b36f08fca0ull},
+        {"chameleon", 0x5cc9ec5d94362baeull},
+        {"chameleon-degree1", 0x9ca3cc432872b5bfull},
+        {"chameleon-fairshare", 0x9493c29b1cba02bbull},
+        {"chameleon-gdsf", 0x0843d976e2b7e149ull},
+        {"chameleon-lru", 0xec0e37fb9a416c1bull},
+        {"chameleon-nocache", 0xc8ae93663d53f8f8ull},
+        {"chameleon-nosched", 0x6851548a814b1afbull},
+        {"chameleon-output-only", 0x0bb46cc55b156cb9ull},
+        {"chameleon-prefetch", 0xc3244e0fb09c3f93ull},
+        {"chameleon-static", 0x48f4c762e958f5eaull},
+        {"slora", 0x61b640c335a745d7ull},
+        {"slora-chunked", 0x9aeb807af104abe1ull},
+        {"slora-sjf", 0x261e03af740949c6ull},
     };
     const auto &registry = core::SystemRegistry::global();
     ASSERT_EQ(registry.names().size(), std::size(pins));
@@ -587,6 +578,31 @@ TEST(SpecJson, RejectsUnknownKeysNamingThePath)
 
     const auto top = parseError(R"({"schedulr": {}})");
     EXPECT_NE(top.find("schedulr"), std::string::npos) << top;
+
+    // Keys the schema no longer has (now constants) are unknown too: a
+    // saved config that still holds one is rejected, naming it.
+    const std::pair<const char *, const char *> deleted[] = {
+        {R"({"engine": {"kv_page_tokens": 16}})", "engine.kv_page_tokens"},
+        {R"({"engine": {"max_new_tokens": 512}})", "engine.max_new_tokens"},
+        {R"({"engine": {"mem_sample_period_s": 1.0}})",
+         "engine.mem_sample_period_s"},
+        {R"({"cluster": {"router_config": {"virtual_nodes": 64}}})",
+         "cluster.router_config.virtual_nodes"},
+        {R"({"cluster": {"router_config": {"spill_load_factor": 1.0}}})",
+         "cluster.router_config.spill_load_factor"},
+        {R"({"cluster": {"router_config": {"spill_margin": 3}}})",
+         "cluster.router_config.spill_margin"},
+        {R"({"tenancy": {"drr_quantum_tokens": 512}})",
+         "tenancy.drr_quantum_tokens"},
+        {R"({"cluster": {"replicas": ["a40", {"kv_page_tokens": 16}]}})",
+         "cluster.replicas[1].kv_page_tokens"},
+    };
+    for (const auto &[json, key] : deleted) {
+        const auto rejected = parseError(json);
+        EXPECT_NE(rejected.find(key), std::string::npos) << rejected;
+        EXPECT_NE(rejected.find("not a recognised key"), std::string::npos)
+            << rejected;
+    }
 }
 
 TEST(SpecJson, RejectsTypeMismatchesNamingThePath)
@@ -728,8 +744,8 @@ TEST(SpecJson, RejectsValidationContradictions)
     // Values that would abort, hang or admit nothing at run time are
     // rejected up front, naming the key, per replica too.
     const std::pair<const char *, const char *> cases[] = {
-        {R"({"engine": {"kv_page_tokens": 0}})", "engine.kv_page_tokens"},
-        {R"({"engine": {"kv_page_tokens": -1}})", "engine.kv_page_tokens"},
+        {R"({"engine": {"tp_degree": 0}})", "engine.tp_degree"},
+        {R"({"engine": {"tp_degree": -1}})", "engine.tp_degree"},
         {R"({"engine": {"gpu": {"mem_bytes": 0}}})", "engine.gpu.mem_bytes"},
         {R"({"engine": {"model": {"layers": 0}}})", "engine.model.layers"},
         {R"({"engine": {"cost": {"compute_util": 0}}})",
@@ -743,8 +759,9 @@ TEST(SpecJson, RejectsValidationContradictions)
          "engine.max_admissions_per_iter"},
         {R"({"engine": {"admission_token_budget": 0}})",
          "engine.admission_token_budget"},
-        {R"({"cluster": {"replicas": ["a40", {"kv_page_tokens": 0}]}})",
-         "cluster.replicas[1].kv_page_tokens"},
+        {R"({"cluster": {"replicas": ["a40",)"
+         R"( {"max_admissions_per_iter": 0}]}})",
+         "cluster.replicas[1].max_admissions_per_iter"},
         {R"({"cluster": {"replicas": 2, "autoscale": true,)"
          R"( "autoscaler": {"eval_period_s": 0}}})",
          "cluster.autoscaler.eval_period_s"},
@@ -911,6 +928,22 @@ TEST(SpecOverride, UnknownPathListsItsSiblings)
     EXPECT_NE(leaf.find("\"cluster.router\" is not an object"),
               std::string::npos)
         << leaf;
+
+    // So is a key the schema no longer has (now a constant).
+    for (const char *path :
+         {"engine.kv_page_tokens=16", "engine.max_new_tokens=512",
+          "engine.mem_sample_period_s=1", "tenancy.drr_quantum_tokens=512",
+          "cluster.router_config.virtual_nodes=64",
+          "cluster.router_config.spill_load_factor=1",
+          "cluster.router_config.spill_margin=3"}) {
+        const std::string set = path;
+        const std::string key = set.substr(0, set.find('='));
+        const auto gone = overrideError({set});
+        EXPECT_NE(gone.find("\"" + key + "\""), std::string::npos) << gone;
+        EXPECT_NE(gone.find("no key \"" + key.substr(key.rfind('.') + 1)),
+                  std::string::npos)
+            << gone;
+    }
 }
 
 TEST(SpecOverride, BadEnumValueListsTheKnownNames)
@@ -1295,7 +1328,8 @@ TEST(SpecMutation, ZeroOrNegativeLeavesAreRejectedOrRunToCompletion)
             EXPECT_EQ(report.stats.finished, 20) << path << "=" << v;
         }
     }
-    // Both outcomes occur: the walk reached the leaves.
+    // Both outcomes occur: the walk reached the leaves (113 rejected
+    // and 89 run at 69 keys).
     EXPECT_GT(rejected, 100);
-    EXPECT_GT(ran, 100);
+    EXPECT_GT(ran, 80);
 }

@@ -749,13 +749,13 @@ TEST(SweepExamples, ExpansionsArePinned)
     // every example's cells, specs and traces exactly as they were.
     const std::map<std::string, std::pair<std::size_t, std::uint64_t>>
         pins = {
-            {"autoscale_step.json", {2, 0xfb44353401e0e2e3ull}},
-            {"ci_smoke.json", {12, 0x23233f63d3118bb3ull}},
-            {"fabric_smoke.json", {4, 0xf36c67db38048bddull}},
-            {"fig17_policy_grid.json", {5, 0xa7f30981b9ca2894ull}},
-            {"hetero_fleet.json", {12, 0x04b70aa468bd17d0ull}},
-            {"minimal.json", {2, 0xed9f12db7bc06c3bull}},
-            {"noisy_neighbour.json", {3, 0x230cebfde0ecb6c1ull}},
+            {"autoscale_step.json", {2, 0xa4ef3537d92bbb0aull}},
+            {"ci_smoke.json", {12, 0xf3f39d1b305fd7b7ull}},
+            {"fabric_smoke.json", {4, 0x86ee9a42aab80a8dull}},
+            {"fig17_policy_grid.json", {5, 0x3ff8d539a7046061ull}},
+            {"hetero_fleet.json", {12, 0xa5fa9f3090000151ull}},
+            {"minimal.json", {2, 0x79d0ecf521679b0aull}},
+            {"noisy_neighbour.json", {3, 0x7dd7b271794264b4ull}},
         };
     const auto dir =
         std::filesystem::path(__FILE__).parent_path().parent_path() /

@@ -90,20 +90,27 @@ TEST(JainIndex, SingleDominantTenantApproachesOneOverN)
 }
 
 // ---------------------------------------------------------------------
-// TenantTable.
+// Per-tenant lookup.
 // ---------------------------------------------------------------------
 
-TEST(TenantTable, DefaultsAndOutOfRangeLookups)
+TEST(TenantLookup, DefaultsAndOutOfRangeLookups)
 {
-    tenancy::TenantTable table(2);
-    EXPECT_DOUBLE_EQ(table.weight(0), 1.0);
-    EXPECT_DOUBLE_EQ(table.weight(7), 1.0);   // unknown => neutral
-    EXPECT_DOUBLE_EQ(table.sloMultiplier(7), 1.0);
-    table.setWeight(1, 3.0);
-    EXPECT_DOUBLE_EQ(table.weight(1), 3.0);
-    table.setWeight(5, 0.5); // auto-grows
-    EXPECT_DOUBLE_EQ(table.weight(5), 0.5);
-    EXPECT_GE(table.size(), 6u);
+    const std::vector<double> weights = {0.5, 3.0};
+    EXPECT_DOUBLE_EQ(tenancy::entryOrOne(weights, 0), 0.5);
+    EXPECT_DOUBLE_EQ(tenancy::entryOrOne(weights, 1), 3.0);
+    EXPECT_DOUBLE_EQ(tenancy::entryOrOne(weights, 7), 1.0); // unknown
+    EXPECT_DOUBLE_EQ(tenancy::entryOrOne(weights, -1), 1.0);
+    EXPECT_DOUBLE_EQ(tenancy::entryOrOne({}, 0), 1.0); // unconfigured
+    // The spec's lookups are the same one.
+    core::TenancySpec spec;
+    spec.weights = weights;
+    spec.sloMultipliers = {2.0};
+    for (int tenant = -2; tenant < 4; ++tenant) {
+        EXPECT_EQ(spec.weightFor(tenant),
+                  tenancy::entryOrOne(weights, tenant));
+        EXPECT_EQ(spec.sloMultiplierFor(tenant),
+                  tenancy::entryOrOne({2.0}, tenant));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -153,9 +160,7 @@ TEST(WfqScheduler, HigherWeightFinishesEarlierTags)
 {
     // Tenant 1 has weight 4: its backlog drains 4 requests for every 1
     // of tenant 0 once the tags spread out.
-    tenancy::TenantTable table(2);
-    table.setWeight(1, 4.0);
-    tenancy::WfqScheduler sched(table);
+    tenancy::WfqScheduler sched({1.0, 4.0});
     std::vector<serving::LiveRequest> reqs;
     reqs.reserve(10);
     for (int i = 0; i < 5; ++i)
@@ -210,10 +215,7 @@ TEST(WfqScheduler, RequeueFrontKeepsOriginalTag)
 
 TEST(DrrScheduler, DeficitsNeverGoNegative)
 {
-    tenancy::TenantTable table(3);
-    table.setWeight(1, 2.5);
-    table.setWeight(2, 0.25);
-    tenancy::DrrScheduler sched(table, /*quantumTokens=*/64);
+    tenancy::DrrScheduler sched({1.0, 2.5, 0.25}, /*quantumTokens=*/64);
     sim::Rng rng(0xD00F);
     std::vector<serving::LiveRequest> reqs;
     reqs.reserve(60);
@@ -238,8 +240,7 @@ TEST(DrrScheduler, DeficitsNeverGoNegative)
 
 TEST(DrrScheduler, DrainedQueueForfeitsDeficit)
 {
-    tenancy::DrrScheduler sched(tenancy::TenantTable(1),
-                                /*quantumTokens=*/1024);
+    tenancy::DrrScheduler sched({}, /*quantumTokens=*/1024);
     auto a = tenantRequest(1, 0, 10, 10);
     sched.enqueue(&a);
     FakeAdmission fake;
@@ -253,9 +254,7 @@ TEST(DrrScheduler, WeightScalesPerRoundService)
 {
     // Equal backlogs of equal-sized requests; weight 3 vs 1 yields a
     // ~3:1 admission split once slots limit each round.
-    tenancy::TenantTable table(2);
-    table.setWeight(0, 3.0);
-    tenancy::DrrScheduler sched(table, /*quantumTokens=*/100);
+    tenancy::DrrScheduler sched({3.0, 1.0}, /*quantumTokens=*/100);
     std::vector<serving::LiveRequest> reqs;
     reqs.reserve(40);
     for (int i = 0; i < 20; ++i)
@@ -437,7 +436,6 @@ TEST(TenancySpec, RoundTripsThroughJson)
     spec.tenancy.tenants = 4;
     spec.tenancy.weights = {2.0, 1.0, 1.0, 0.5};
     spec.tenancy.sloMultipliers = {1.0, 1.0, 2.0, 2.0};
-    spec.tenancy.drrQuantumTokens = 256;
     ASSERT_TRUE(spec.validate().empty()) << joinErrors(spec.validate());
     std::string error;
     const auto back = core::specFromJson(core::specToJson(spec), &error);
@@ -469,12 +467,6 @@ TEST(TenancySpec, ValidateRejectsBadShapes)
     broken.tenancy.weights = {1.0, 0.0}; // non-positive weight
     EXPECT_NE(joinErrors(broken.validate()).find("tenancy.weights[1]"),
               std::string::npos);
-
-    broken = spec;
-    broken.tenancy.drrQuantumTokens = 0;
-    EXPECT_NE(
-        joinErrors(broken.validate()).find("tenancy.drr_quantum_tokens"),
-        std::string::npos);
 }
 
 TEST(TenancySpec, UnknownSchedulerNamesFailWithOptionsListed)

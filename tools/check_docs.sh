@@ -41,6 +41,15 @@
 #    or examples/. A `./build/<name>` there must name a target too: a
 #    bench, a tool, a test or an example (example_<name>) — a bench
 #    deleted or renamed without a docs update fails the build.
+# 11. Every backticked dotted spec path in README.md, docs/*.md,
+#    src/*/README.md and bench/README.md (first segment engine,
+#    scheduler, adapters, predictor, cluster, tenancy or fabric) must
+#    resolve to a key `--dump-config` prints, a parse-only row of the
+#    spec-keys table, or a metric a small fabric run exports
+#    (`fabric.migrations`). `[i]` indices are stripped,
+#    `cluster.replicas[i].k` resolves as `engine.k`, a `{a,b}` group
+#    expands and a trailing `*` is a prefix — a key deleted from the
+#    schema but left in prose fails the build.
 #
 # Usage: tools/check_docs.sh <chameleon_sim-binary> <repo-root> \
 #            [chameleon_sweep-binary]
@@ -72,8 +81,10 @@ fi
 
 # --- spec-keys table vs the keys --dump-config actually emits -------
 # The dump is pretty-printed one key per line at 2-space indentation,
-# so an indent-depth stack flattens it to dotted paths portably.
-dump_keys=$("$bin" --dump-config | awk '
+# so an indent-depth stack flattens it to dotted paths portably; the
+# metrics snapshot (check 11) is printed the same way.
+flatten_keys() {
+    awk '
     /^[[:space:]]*"[^"]+":/ {
         line = $0
         n = 0
@@ -86,7 +97,9 @@ dump_keys=$("$bin" --dump-config | awk '
         path = stack[1]
         for (i = 2; i <= depth; i++) path = path "." stack[i]
         print path
-    }' | sort)
+    }'
+}
+dump_keys=$("$bin" --dump-config | flatten_keys | sort)
 
 table_keys=$(awk '/<!-- spec-keys:begin -->/{f=1; next}
                   /<!-- spec-keys:end -->/{f=0}
@@ -270,6 +283,69 @@ done < <(cd "$root" && {
         src tools bench tests examples || true
 })
 
+# --- 11. Backticked spec paths in the docs resolve -------------------
+# Each inline code span as file:line:text, where line is the span's
+# first; a span may wrap onto the next lines of its paragraph, and
+# fenced blocks are skipped.
+inline_code_spans() {
+    awk '
+    FNR == 1 { open = 0; fence = 0 }
+    /^[[:space:]]*```/ { fence = !fence; open = 0; next }
+    fence { next }
+    /^[[:space:]]*$/ { open = 0; next }
+    {
+        rest = $0
+        if (open) text = text " "
+        while ((i = index(rest, "`")) > 0) {
+            if (open) {
+                print FILENAME ":" start ":" text substr(rest, 1, i - 1)
+            } else {
+                start = FNR
+                text = ""
+            }
+            open = !open
+            rest = substr(rest, i + 1)
+        }
+        if (open) text = text rest
+    }' "$@"
+}
+metrics_json=$(mktemp)
+trap 'rm -f "$metrics_json"' EXIT
+"$bin" --replicas 2 --set cluster.router=affinity-dir \
+    --set fabric.migration=all --rps 1 --duration 2 \
+    --metrics-out "$metrics_json" > /dev/null
+parse_only_keys=$(awk '/<!-- spec-keys:begin -->/{f=1; next}
+                       /<!-- spec-keys:end -->/{f=0}
+                       f && /^\| `/ && /parse-only/ \
+                           {gsub(/[|` ]/, "", $2); print $2}' \
+        "$root/src/chameleon/README.md")
+known_paths=$(printf '%s\n%s\n%s\n' "$dump_keys" "$parse_only_keys" \
+    "$(flatten_keys < "$metrics_json")" | sort -u)
+path_refs=0
+segment='([A-Za-z0-9_*]+|\{[A-Za-z0-9_,]+\})'
+while IFS=: read -r doc line span; do
+    for ref in $(grep -oE "(^|[^A-Za-z0-9_./-])(engine|scheduler|adapters|predictor|cluster|tenancy|fabric)(\[[^]]*\])?(\.$segment(\[[^]]*\])?)+" \
+            <<< "$span" | sed -E 's/^[^a-z]//'); do
+        # C++ member paths (camelCase) and file names are not spec keys.
+        grep -qE '[A-Z]|\.(h|cc|cpp|md|json|py|sh|csv|txt)$' <<< "$ref" &&
+            continue
+        for path in $(eval "echo ${ref//\*/\\*}"); do
+            path=$(sed -E 's/\[[^]]*\]//g; s/^cluster\.replicas\./engine./' \
+                <<< "$path")
+            path_refs=$((path_refs + 1))
+            if [ "${path%\*}" != "$path" ]; then
+                grep -qF -- "${path%\*}" <<< "$known_paths" && continue
+            elif grep -qxF -- "$path" <<< "$known_paths"; then
+                continue
+            fi
+            echo "FAIL: $doc:$line names \`$ref\`, but $path is neither" \
+                 "a --dump-config key, a parse-only row nor a metric"
+            fail=1
+        done
+    done
+done < <(cd "$root" && inline_code_spans README.md docs/*.md \
+    src/*/README.md bench/README.md)
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
@@ -278,4 +354,5 @@ echo "docs freshness OK ($(echo "$registry_names" | wc -l) presets," \
      "$enum_rows enum value lists match the parser," \
      "$md_refs doc paths in comments resolve," \
      "$sym_refs Type::member names in docs resolve," \
-     "$target_refs bench and build targets named in docs exist)"
+     "$target_refs bench and build targets named in docs exist," \
+     "$path_refs spec paths in docs resolve)"
