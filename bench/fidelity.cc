@@ -152,6 +152,15 @@ sweeps(std::vector<sweep::SweepSpec> specs, bool simulate = true)
     };
 }
 
+/** `system` as row labels spell it: a composed name reads as the
+ * preset name it replaced ("chameleon+lru" as "chameleon-lru"). */
+std::string
+labelOf(std::string system)
+{
+    std::replace(system.begin(), system.end(), '+', '-');
+    return system;
+}
+
 /** The paper testbed (Llama-7B on an A40) running `systems` on the
  * splitwise workload with `adapters` adapters, at each load for
  * `seconds` of arrivals. */
@@ -735,12 +744,12 @@ fidelityTable()
 
     // Fig. 8: slowdown tails per scheduler at high load.
     const std::vector<std::string> schedulers{
-        "slora", "slora-chunked", "slora-sjf", "chameleon-nocache"};
+        "slora", "slora+chunked", "slora-sjf", "chameleon-nocache"};
     const auto slowdown =
         t.add(sweeps({grid(schedulers, {kMediumRps, kHighRps}, 240.0)}));
     for (const auto &system : schedulers) {
-        t.row("fig08", "slowdown_p99 " + system + " rps=9.5", kNoPaper, 0,
-              slowdown, [system](const Outcome &o) {
+        t.row("fig08", "slowdown_p99 " + labelOf(system) + " rps=9.5",
+              kNoPaper, 0, slowdown, [system](const Outcome &o) {
                   const auto &run = o[0];
                   return serving::slowdowns(
                              run.report(system, kHighRps).stats.records,
@@ -854,21 +863,21 @@ fidelityTable()
     // Figs. 17-18: eviction policies and prefetching with 200 adapters
     // and 24 GiB of extra workspace, which puts the cache under
     // eviction pressure.
-    auto tight = grid({"slora", "chameleon", "chameleon-fairshare",
-                       "chameleon-gdsf", "chameleon-lru",
-                       "chameleon-prefetch"},
+    auto tight = grid({"slora", "chameleon", "chameleon+fairshare",
+                       "chameleon+gdsf", "chameleon+lru",
+                       "chameleon+prefetch"},
                       {kMediumRps}, 300.0, 200);
     tight.axes.push_back(
         {"engine.workspace_per_gpu", {sim::JsonValue::makeInt(24ll << 30)}});
     const auto policies = t.add(sweeps({tight}));
     for (const auto &[system, paper] :
          std::vector<std::pair<std::string, std::optional<double>>>{
-             {"chameleon-lru", 0.82},
-             {"chameleon-fairshare", 0.78},
+             {"chameleon+lru", 0.82},
+             {"chameleon+fairshare", 0.78},
              {"chameleon", 0.74},
-             {"chameleon-gdsf", kNoPaper}}) {
-        t.row("fig17", "p99_ttft_x " + system + "/slora", paper, 0.10,
-              policies, [system = system](const Outcome &o) {
+             {"chameleon+gdsf", kNoPaper}}) {
+        t.row("fig17", "p99_ttft_x " + labelOf(system) + "/slora", paper,
+              0.10, policies, [system = system](const Outcome &o) {
                   return p99Ttft(o[0].report(system)) /
                          p99Ttft(o[0].report("slora"));
               });
@@ -876,12 +885,12 @@ fidelityTable()
     t.row("fig17", "p99_ttft_x rank=128 chameleon/chameleon-fairshare", 0.88,
           0.10, policies, [](const Outcome &o) {
               return p99TtftOfRank(o[0].report("chameleon"), 128) /
-                     p99TtftOfRank(o[0].report("chameleon-fairshare"), 128);
+                     p99TtftOfRank(o[0].report("chameleon+fairshare"), 128);
           });
     t.row("fig18", "prefetch_gain_pct", 8.8, 0.25, policies,
           [](const Outcome &o) {
               return cutPct(p99Ttft(o[0].report("chameleon")),
-                            p99Ttft(o[0].report("chameleon-prefetch")));
+                            p99Ttft(o[0].report("chameleon+prefetch")));
           });
 
     // Fig. 19: predictor accuracy around one 2x burst at 290-315 s.
@@ -972,7 +981,7 @@ fidelityTable()
 
     // Fig. 22: dynamic vs static queues; "similar" reads as 1.0.
     const auto queueing = t.add(sweeps({grid(
-        {"chameleon-static", "chameleon"}, {kLowRps, kMediumRps, kHighRps},
+        {"chameleon+static", "chameleon"}, {kLowRps, kMediumRps, kHighRps},
         300.0)}));
     for (const auto &[label, rps, paper] :
          std::vector<std::tuple<std::string, double, double>>{
@@ -982,7 +991,7 @@ fidelityTable()
         t.row("fig22", "p99_ttft_x dynamic/static load=" + label, paper, 0.10,
               queueing, [rps = rps](const Outcome &o) {
                   return p99Ttft(o[0].report("chameleon", rps)) /
-                         p99Ttft(o[0].report("chameleon-static", rps));
+                         p99Ttft(o[0].report("chameleon+static", rps));
               });
     }
 
@@ -1366,12 +1375,12 @@ fidelityTable()
 
     // GDSF against Chameleon's eviction score (§5.3.3), on fig17's
     // cells.
-    for (const std::string system : {"chameleon-gdsf", "chameleon"}) {
-        t.row("gdsf", "p99_ttft_s " + system, kNoPaper, 0, policies,
+    for (const std::string system : {"chameleon+gdsf", "chameleon"}) {
+        t.row("gdsf", "p99_ttft_s " + labelOf(system), kNoPaper, 0, policies,
               [system](const Outcome &o) {
                   return p99Ttft(o[0].report(system));
               });
-        t.row("gdsf", "evictions " + system, kNoPaper, 0, policies,
+        t.row("gdsf", "evictions " + labelOf(system), kNoPaper, 0, policies,
               [system](const Outcome &o) {
                   return static_cast<double>(
                       o[0].report(system).cacheEvictions);

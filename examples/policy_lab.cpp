@@ -36,10 +36,8 @@ main()
     auto &registry = core::SystemRegistry::global();
 
     // A custom spec: SJF admission over the chameleon cache — not a
-    // paper system, but one line to describe.
-    core::SystemSpec sjfCache = registry.lookup("chameleon-nosched");
-    sjfCache.scheduler.policy = core::SchedulerPolicy::Sjf;
-    registry.add("sjf+cache", sjfCache,
+    // paper system, but one composed name, registered under its own.
+    registry.add("sjf+cache", registry.lookup("chameleon-nosched+sjf"),
                  "custom: SJF over the chameleon cache");
 
     // Fluent composition of another custom point in the policy space.

@@ -283,17 +283,11 @@ fields(Of<routing::AutoscalerConfig>, F &&f, S &...s)
 {
     f("min_replicas", atLeast(s.minReplicas, 1)...);
     f("max_replicas", s.maxReplicas...);
-    // Below 1 us a period rounds to zero simulated time: the evaluation
-    // re-arms at the same instant forever, and the forecaster's window
-    // is empty.
-    f("eval_period_s", atLeast(s.evalPeriodSeconds, 1e-6)...);
-    f("high_watermark", s.highWatermark...);
-    f("low_watermark", s.lowWatermark...);
-    f("forecast_horizon_s", s.forecastHorizonSeconds...);
-    f("forecast_window_s", atLeast(s.forecastWindowSeconds, 1e-6)...);
-    f("replica_service_rps", s.replicaServiceRps...);
-    f("up_cooldown_periods", s.upCooldownPeriods...);
-    f("down_cooldown_periods", s.downCooldownPeriods...);
+    // 0 turns the forecast off; so would a negative rate, silently.
+    f("replica_service_rps", atLeast(s.replicaServiceRps, 0)...);
+    // Every count below 1 would drain after one low evaluation, as 1
+    // does.
+    f("down_cooldown_periods", atLeast(s.downCooldownPeriods, 1)...);
     f("boot_ms", atLeast(s.bootMs, 0)...);
     f("scale_up_policy",
       Named{s.scaleUpPolicy, routing::scaleUpPolicyTable()}...);

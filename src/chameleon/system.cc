@@ -369,10 +369,10 @@ Runner::run(const workload::Trace &trace, sim::SimTime drainWindow)
                          spec_.engine.tpDegree, spec_.engine.cost),
         pool_);
     RunReport report;
-    if (sloMultiplier_ > 0.0 && !trace.empty()) {
-        report.sloMultiplier = sloMultiplier_;
-        report.sloSeconds = sim::toSeconds(
-            serving::computeSlo(trace, isolated, sloMultiplier_));
+    if (!trace.empty()) {
+        report.sloMultiplier = serving::kSloMultiplier;
+        report.sloSeconds =
+            sim::toSeconds(serving::computeSlo(trace, isolated));
     }
     {
         // The report takes the per-request data; the engines keep

@@ -39,8 +39,8 @@ namespace chameleon::core {
  * Per-tenant outcome slice of one run, computed from the finished
  * request records (post-simulation — the accounting can never perturb
  * event streams). SLO attainment is the fraction of finished requests
- * whose TTFT met the resolved per-tenant SLO; -1 when the SLO is
- * disabled (Runner::setSloMultiplier(0)).
+ * whose TTFT met the resolved per-tenant SLO; -1 for an empty trace,
+ * which has no SLO.
  */
 struct TenantReport
 {
@@ -53,9 +53,9 @@ struct TenantReport
     /** Observed E2E / isolated E2E over this tenant's requests. */
     double meanSlowdown = 0.0;
     double p99Slowdown = 0.0;
-    /** Resolved TTFT SLO for this tenant, seconds (0 = disabled). */
+    /** Resolved TTFT SLO for this tenant, seconds (0 = no SLO). */
     double sloSeconds = 0.0;
-    /** Fraction of requests with TTFT <= sloSeconds; -1 = disabled. */
+    /** Fraction of requests with TTFT <= sloSeconds; -1 = no SLO. */
     double sloAttainment = -1.0;
 };
 
@@ -98,11 +98,13 @@ struct RunReport
      * for every scheduler.
      */
     double fairnessIndex = 1.0;
-    /** Global TTFT SLO used for attainment, seconds (0 = disabled). */
+    /** Global TTFT SLO used for attainment, seconds: the paper's 5x
+     * the trace's mean isolated latency (0 for an empty trace). */
     double sloSeconds = 0.0;
-    /** The multiplier the SLO was derived with (0 = disabled). */
+    /** The multiplier the SLO was derived with,
+     * serving::kSloMultiplier (0 for an empty trace). */
     double sloMultiplier = 0.0;
-    /** Overall SLO attainment across all requests; -1 = disabled. */
+    /** Overall SLO attainment across all requests; -1 = no SLO. */
     double sloAttainment = -1.0;
 
     /** Host->GPU adapter traffic summed over replicas. */
@@ -222,13 +224,6 @@ class Runner
     }
 
     /**
-     * Scale the TTFT SLO used for attainment reporting (the paper's
-     * default is 5x the mean isolated latency, §5.1); 0 disables SLO
-     * accounting (attainments report -1). Call before run().
-     */
-    void setSloMultiplier(double multiplier) { sloMultiplier_ = multiplier; }
-
-    /**
      * Run a trace to completion (with a drain window after the last
      * arrival) and collect results. The report takes the engines'
      * per-request data: afterwards every engine's stats() keeps its
@@ -248,7 +243,6 @@ class Runner
      * engines) must go first, so fabric_ outlives it. */
     std::unique_ptr<fabric::CacheFabric> fabric_;
     std::unique_ptr<serving::DataParallelCluster> cluster_;
-    double sloMultiplier_ = 5.0;
 };
 
 /**

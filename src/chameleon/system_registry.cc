@@ -39,24 +39,12 @@ SystemRegistry::SystemRegistry()
         "S-LoRA baseline: FIFO + fetch-on-demand/prefetch/discard [49]");
     add("slora-sjf", presets::sloraSjf(),
         "S-LoRA with the uServe shortest-job-first scheduler [46]");
-    add("slora-chunked", presets::sloraChunked(),
-        "S-LoRA with chunked prefill (Sarathi [1])");
     add("chameleon-nocache", presets::chameleonNoCache(),
         "Chameleon scheduler over baseline adapter management");
     add("chameleon-nosched", presets::chameleonNoSched(),
         "Chameleon adapter cache under FIFO scheduling");
     add("chameleon", presets::chameleon(),
         "the full system: MLQ scheduler + adapter cache (§4)");
-    add("chameleon-lru", presets::chameleonLru(),
-        "full system with LRU eviction (Fig. 17)");
-    add("chameleon-fairshare", presets::chameleonFairShare(),
-        "full system with equal-weight eviction (Fig. 17)");
-    add("chameleon-gdsf", presets::chameleonGdsf(),
-        "full system with GDSF eviction (§5.3.3)");
-    add("chameleon-prefetch", presets::chameleonPrefetch(),
-        "full system + histogram-based predictive prefetch (Fig. 18)");
-    add("chameleon-static", presets::chameleonStatic(),
-        "static queues and quotas variant (Fig. 22)");
     add("chameleon-output-only", presets::chameleonOutputOnly(),
         "WRS = predicted output length only (Fig. 19)");
     add("chameleon-degree1", presets::chameleonDegree1(),

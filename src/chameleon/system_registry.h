@@ -4,8 +4,9 @@
  *
  * Maps names to SystemSpecs so tools, benches, and tests select systems
  * by string instead of by enum. The global registry is pre-populated
- * with the paper's 13 preset systems; user code can register custom
- * specs. Lookup also understands a composition grammar:
+ * with seven presets: the paper's five evaluated systems and two WRS
+ * ablations; user code can register custom specs. Lookup also
+ * understands a composition grammar:
  *
  *   base[+modifier...]
  *

@@ -114,7 +114,8 @@ std::vector<std::string>
 SystemSpec::validate() const
 {
     // Single-key ranges are declared in the field lists; the rules here
-    // relate two keys. Both name keys and values as --set takes them.
+    // relate two keys, but for the one range a Seconds member cannot
+    // declare. Both name keys and values as --set takes them.
     std::vector<std::string> errors;
     checkBounds(*this, &errors);
     const auto err = [&errors](const auto &...parts) {
@@ -122,6 +123,10 @@ SystemSpec::validate() const
         (os << ... << parts);
         errors.push_back(os.str());
     };
+    // Below 0 the MLQ scheduler re-clusters at every check, as at 0.
+    if (scheduler.refreshPeriod < 0)
+        err("scheduler.refresh_period_s must be >= 0 (got ",
+            sim::toSeconds(scheduler.refreshPeriod), ")");
     const char *cache = adapterPolicyName(AdapterPolicy::ChameleonCache);
     const char *adapterPolicy = adapterPolicyName(adapters.policy);
     const bool cached = adapters.policy == AdapterPolicy::ChameleonCache;
@@ -187,10 +192,6 @@ SystemSpec::validate() const
         err("cluster.autoscaler.max_replicas (", scaler.maxReplicas,
             ") must be >= cluster.autoscaler.min_replicas (",
             scaler.minReplicas, ")");
-    if (cluster.autoscale && !(scaler.lowWatermark < scaler.highWatermark))
-        err("cluster.autoscaler.high_watermark (", scaler.highWatermark,
-            ") must exceed cluster.autoscaler.low_watermark (",
-            scaler.lowWatermark, ")");
     // Every engine's GPUs hold the model's weights and the workspace
     // with memory left for requests: at least one token's KV cache,
     // since the MLQ scheduler sizes its token pool from what is left.
@@ -269,16 +270,6 @@ sloraSjf()
 }
 
 SystemSpec
-sloraChunked()
-{
-    SystemSpec spec = slora();
-    spec.name = "slora-chunked";
-    spec.chunkedPrefill = true;
-    spec.chunkTokens = 64;
-    return spec;
-}
-
-SystemSpec
 chameleonNoCache()
 {
     SystemSpec spec = base("chameleon-nocache");
@@ -302,52 +293,6 @@ chameleon()
     SystemSpec spec = base("chameleon");
     spec.scheduler.policy = SchedulerPolicy::Mlq;
     spec.adapters.policy = AdapterPolicy::ChameleonCache;
-    return spec;
-}
-
-SystemSpec
-chameleonLru()
-{
-    SystemSpec spec = chameleon();
-    spec.name = "chameleon-lru";
-    spec.adapters.eviction = EvictionKind::Lru;
-    return spec;
-}
-
-SystemSpec
-chameleonFairShare()
-{
-    SystemSpec spec = chameleon();
-    spec.name = "chameleon-fairshare";
-    spec.adapters.eviction = EvictionKind::FairShare;
-    return spec;
-}
-
-SystemSpec
-chameleonGdsf()
-{
-    SystemSpec spec = chameleon();
-    spec.name = "chameleon-gdsf";
-    spec.adapters.eviction = EvictionKind::Gdsf;
-    return spec;
-}
-
-SystemSpec
-chameleonPrefetch()
-{
-    SystemSpec spec = chameleon();
-    spec.name = "chameleon-prefetch";
-    spec.adapters.predictivePrefetch = true;
-    spec.adapters.prefetchTopK = 8;
-    return spec;
-}
-
-SystemSpec
-chameleonStatic()
-{
-    SystemSpec spec = chameleon();
-    spec.name = "chameleon-static";
-    spec.scheduler.dynamicQueues = false;
     return spec;
 }
 

@@ -7,9 +7,11 @@
  * bypass, reservation, chunking) x deployment (replicas, routing,
  * autoscaling). SystemSpec names each axis explicitly so any
  * combination can be described, validated, and run through the Runner,
- * instead of being one variant of a closed enum. The paper's 13
- * evaluated systems are preset specs (presets::chameleon() etc.),
- * registered by name in the SystemRegistry (system_registry.h).
+ * instead of being one variant of a closed enum. The paper's five
+ * evaluated systems and two WRS ablations are preset specs
+ * (presets::chameleon() etc.), registered by name in the
+ * SystemRegistry (system_registry.h); every other variant is a
+ * preset plus modifiers ("chameleon+lru").
  */
 
 #ifndef CHAMELEON_CHAMELEON_SYSTEM_SPEC_H
@@ -268,24 +270,19 @@ inline bool operator!=(const SystemSpec &a, const SystemSpec &b)
 }
 
 /**
- * The paper's evaluated systems as preset specs (§5.1). Each returns a
- * fresh SystemSpec with engine/predictor left at defaults — callers
- * set hardware (spec.engine.model/gpu) before running. These replace
- * the closed SystemKind enum; the registry exposes them by name.
+ * The paper's evaluated systems (§5.1) and the two WRS-form ablations
+ * no registry modifier spells, as preset specs. Each returns a fresh
+ * SystemSpec with engine/predictor left at defaults — callers set
+ * hardware (spec.engine.model/gpu) before running. The registry
+ * exposes them by name.
  */
 namespace presets {
 
 SystemSpec slora();              ///< FIFO + fetch/prefetch/discard [49].
 SystemSpec sloraSjf();           ///< S-LoRA with the uServe SJF [46].
-SystemSpec sloraChunked();       ///< S-LoRA with chunked prefill [1].
 SystemSpec chameleonNoCache();   ///< Chameleon scheduler, S-LoRA adapters.
 SystemSpec chameleonNoSched();   ///< Chameleon cache, FIFO scheduling.
 SystemSpec chameleon();          ///< Full system (§4).
-SystemSpec chameleonLru();       ///< Full system, LRU eviction.
-SystemSpec chameleonFairShare(); ///< Full system, equal-weight eviction.
-SystemSpec chameleonGdsf();      ///< Full system, GDSF eviction (§5.3.3).
-SystemSpec chameleonPrefetch();  ///< Full system + predictive prefetch.
-SystemSpec chameleonStatic();    ///< Static queues/quotas (Fig. 22).
 SystemSpec chameleonOutputOnly();///< WRS = predicted output (Fig. 19).
 SystemSpec chameleonDegree1();   ///< Degree-1 WRS (§4.3.1 ablation).
 

@@ -17,15 +17,11 @@ scaleUpPolicyTable()
     return table;
 }
 
-Autoscaler::Autoscaler(AutoscalerConfig config)
-    : config_(config),
-      forecast_(config.forecastWindowSeconds)
+Autoscaler::Autoscaler(AutoscalerConfig config) : config_(config)
 {
     CHM_CHECK(config_.minReplicas >= 1, "need at least one replica");
     CHM_CHECK(config_.maxReplicas >= config_.minReplicas,
               "maxReplicas < minReplicas");
-    CHM_CHECK(config_.lowWatermark < config_.highWatermark,
-              "watermarks must satisfy low < high");
     CHM_CHECK(config_.bootMs >= 0.0, "bootMs must be >= 0");
     CHM_CHECK(config_.measuredRateAlpha >= 0.0 &&
                   config_.measuredRateAlpha <= 1.0,
@@ -50,7 +46,6 @@ Autoscaler::evaluate(std::size_t activeReplicas,
     const std::size_t rawActive = activeReplicas;
     activeReplicas = std::clamp(activeReplicas, config_.minReplicas,
                                 config_.maxReplicas);
-    ++sinceUp_;
 
     const double perReplica =
         static_cast<double>(totalOutstanding) /
@@ -84,7 +79,7 @@ Autoscaler::evaluate(std::size_t activeReplicas,
     // shorter horizon always loses the race against a building burst.
     double demand = 0.0;
     if (config_.replicaServiceRps > 0.0) {
-        double horizon = config_.forecastHorizonSeconds;
+        double horizon = kForecastHorizonSeconds;
         if (config_.bootAwareHorizon) {
             horizon =
                 std::max(horizon, capacity.nextReplicaBootSeconds);
@@ -94,10 +89,9 @@ Autoscaler::evaluate(std::size_t activeReplicas,
     }
     lastDemand_ = demand;
 
-    const bool queueHigh = perReplica > config_.highWatermark;
+    const bool queueHigh = perReplica > kHighWatermark;
     const bool demandHigh = demand > capacity.activeCapacityFactor;
-    if ((queueHigh || demandHigh) && sinceUp_ >= config_.upCooldownPeriods &&
-        activeReplicas < config_.maxReplicas) {
+    if ((queueHigh || demandHigh) && activeReplicas < config_.maxReplicas) {
         std::size_t target = activeReplicas + 1;
         if (demandHigh) {
             // Cover the shortfall with replicas of the capacity the
@@ -117,7 +111,6 @@ Autoscaler::evaluate(std::size_t activeReplicas,
             }
         }
         target = std::min(target, config_.maxReplicas);
-        sinceUp_ = 0;
         lowStreak_ = 0;
         ++scaleUps_;
         return decided(target);
@@ -125,7 +118,7 @@ Autoscaler::evaluate(std::size_t activeReplicas,
 
     // Scale down only when both signals agree the cluster is oversized
     // and the condition persists.
-    const bool queueLow = perReplica < config_.lowWatermark;
+    const bool queueLow = perReplica < kLowWatermark;
     const bool demandLow = config_.replicaServiceRps <= 0.0 ||
                            demand < capacity.activeCapacityFactor;
     if (queueLow && demandLow && activeReplicas > config_.minReplicas) {

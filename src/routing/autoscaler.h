@@ -15,10 +15,11 @@
  *    burst *before* the queues form (the same idea as §4.2.3's
  *    predictive prefetch, applied to capacity instead of adapters).
  *
- * Scale-up follows max(demand, +1 step) immediately after the up
- * cooldown; scale-down requires the low signal to persist for
- * `downCooldownPeriods` consecutive evaluations, then drains one
- * replica at a time so a lull does not collapse the cluster.
+ * Scale-up follows max(demand, +1 step) at any evaluation, the one
+ * right after a scale-up included; scale-down requires the low signal
+ * to persist for `downCooldownPeriods` consecutive evaluations, then
+ * drains one replica at a time so a lull does not collapse the
+ * cluster.
  *
  * Heterogeneous fleets: `replicaServiceRps` rates the *reference*
  * replica (the spec's base engine); every replica contributes to
@@ -78,21 +79,22 @@ scaleUpPolicyNames()
     return scaleUpPolicyTable().names();
 }
 
-/** Watermarks, bounds and cadence of the autoscaler. */
+/** The cluster asks the autoscaler for a target every 5 s. */
+inline constexpr sim::SimTime kAutoscaleEvalPeriod = 5 * sim::kSec;
+/** Scale up when the mean outstanding requests per replica exceed
+ * this. */
+inline constexpr double kHighWatermark = 24.0;
+/** Eligible to scale down while it stays below this. */
+inline constexpr double kLowWatermark = 4.0;
+/** How far ahead the arrival-rate forecast looks, seconds. The
+ * forecaster's own window is predict::LoadForecaster's default, 60 s. */
+inline constexpr double kForecastHorizonSeconds = 15.0;
+
+/** Bounds, demand and scale-down cadence of the autoscaler. */
 struct AutoscalerConfig
 {
     std::size_t minReplicas = 1;
     std::size_t maxReplicas = 8;
-    /** Evaluation cadence, seconds of simulation time. */
-    double evalPeriodSeconds = 5.0;
-    /** Scale up when mean outstanding per replica exceeds this. */
-    double highWatermark = 24.0;
-    /** Eligible to scale down when it drops below this. */
-    double lowWatermark = 4.0;
-    /** Forecast horizon handed to the LoadForecaster. */
-    double forecastHorizonSeconds = 15.0;
-    /** Sliding window of the arrival-rate forecaster, seconds. */
-    double forecastWindowSeconds = 60.0;
     /**
      * Sustainable request rate of one *reference* replica (the base
      * engine), requests/s; converts the forecasted arrival rate into a
@@ -100,8 +102,6 @@ struct AutoscalerConfig
      * signal and leaves only the watermarks.
      */
     double replicaServiceRps = 0.0;
-    /** Evaluations that must pass between consecutive scale-ups. */
-    int upCooldownPeriods = 1;
     /** Consecutive low evaluations required before draining one. */
     int downCooldownPeriods = 3;
     /**
@@ -130,7 +130,7 @@ struct AutoscalerConfig
      * (CapacitySignals::nextReplicaBootSeconds), so a scale-up is
      * triggered early enough for the new replica to finish booting
      * before the forecasted load lands — closing the fig28 race. Off
-     * (the default) keeps the static forecast_horizon_s.
+     * (the default) keeps the static kForecastHorizonSeconds.
      */
     bool bootAwareHorizon = false;
 };
@@ -201,7 +201,6 @@ class Autoscaler
     obs::TraceRecorder *trace_ = nullptr;
     AutoscalerConfig config_;
     predict::LoadForecaster forecast_;
-    int sinceUp_ = 1 << 20;   // evaluations since the last scale-up
     int lowStreak_ = 0;       // consecutive below-low evaluations
     double lastDemand_ = 0.0; // forecast demand, reference units
     std::int64_t scaleUps_ = 0;

@@ -575,10 +575,8 @@ DataParallelCluster::autoscaleTick(sim::SimTime until)
         total += engine->outstanding();
     applyTarget(autoscaler_->evaluate(provisioned_, total, sim_.now(),
                                       capacitySignals()));
-    const sim::SimTime period =
-        sim::fromSeconds(autoscaler_->config().evalPeriodSeconds);
-    if (sim_.now() + period <= until) {
-        sim_.scheduleAfter(period, [this, until] {
+    if (sim_.now() + routing::kAutoscaleEvalPeriod <= until) {
+        sim_.scheduleAfter(routing::kAutoscaleEvalPeriod, [this, until] {
             autoscaleTick(until);
         });
     }
@@ -613,10 +611,9 @@ DataParallelCluster::submitTrace(const workload::Trace &trace)
         [&trace](std::size_t i) { return trace[i].arrival; },
         [this, &trace](std::size_t i) { dispatch(trace[i]); });
     if (autoscaler_ != nullptr && !trace.empty()) {
-        const sim::SimTime period = sim::fromSeconds(
-            autoscaler_->config().evalPeriodSeconds);
         const sim::SimTime until = trace.duration();
-        sim_.scheduleAt(trace.requests().front().arrival + period,
+        sim_.scheduleAt(trace.requests().front().arrival +
+                            routing::kAutoscaleEvalPeriod,
                         [this, until] { autoscaleTick(until); });
     }
 }

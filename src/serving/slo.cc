@@ -92,11 +92,10 @@ meanIsolatedE2e(const workload::Trace &trace, const model::CostModel &cost,
 }
 
 SimTime
-computeSlo(const workload::Trace &trace, IsolatedLatency &isolated,
-           double multiplier)
+computeSlo(const workload::Trace &trace, IsolatedLatency &isolated)
 {
     return static_cast<SimTime>(
-        multiplier *
+        kSloMultiplier *
         static_cast<double>(meanOverTrace(trace, isolated)));
 }
 
@@ -105,7 +104,8 @@ computeSlo(const workload::Trace &trace, const model::CostModel &cost,
            const model::AdapterPool *pool, double multiplier)
 {
     IsolatedLatency isolated(cost, pool);
-    return computeSlo(trace, isolated, multiplier);
+    return static_cast<SimTime>(
+        multiplier * static_cast<double>(meanOverTrace(trace, isolated)));
 }
 
 double

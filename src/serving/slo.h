@@ -62,15 +62,18 @@ sim::SimTime meanIsolatedE2e(const workload::Trace &trace,
                              const model::CostModel &cost,
                              const model::AdapterPool *pool);
 
-/** Paper SLO: multiplier (default 5) times the mean isolated latency. */
+/** The paper's TTFT SLO is 5x the mean isolated latency (§5.1). */
+inline constexpr double kSloMultiplier = 5.0;
+
+/** Paper SLO: `multiplier` times the mean isolated latency. */
 sim::SimTime computeSlo(const workload::Trace &trace,
                         const model::CostModel &cost,
                         const model::AdapterPool *pool,
-                        double multiplier = 5.0);
+                        double multiplier = kSloMultiplier);
 
-/** computeSlo over a caller-owned table (shared across passes). */
+/** The paper SLO over a caller-owned table (shared across passes). */
 sim::SimTime computeSlo(const workload::Trace &trace,
-                        IsolatedLatency &isolated, double multiplier);
+                        IsolatedLatency &isolated);
 
 /** One finished request's slowdown: observed E2E / isolated E2E (§3.3). */
 double slowdown(const RequestRecord &record, IsolatedLatency &isolated);

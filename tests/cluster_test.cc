@@ -419,18 +419,19 @@ TEST(DataParallel, ScaleUpBootsBeforeServingAndResumesAfterMidBootDrain)
         1,
         routing::RouterPolicy::JoinShortestQueue);
 
-    // Inert watermarks: the test drives scaling through resize() so
-    // every transition happens at a chosen instant.
+    // An inert autoscaler: no forecast, a queue that stays under the
+    // high watermark at 3 RPS (at most 14 per replica, against 24) and
+    // a scale-down streak it never completes. The test drives scaling through resize() so every
+    // transition happens at a chosen instant.
     routing::AutoscalerConfig acfg;
     acfg.minReplicas = 1;
     acfg.maxReplicas = 4;
-    acfg.lowWatermark = 0.0;
-    acfg.highWatermark = 1e18;
+    acfg.downCooldownPeriods = 1 << 20;
     acfg.bootMs = 60000.0; // + weight-load: deadline in (60 s, 75 s)
     cluster.enableAutoscaler(acfg);
 
     auto wl = workload::splitwiseLike();
-    wl.rps = 6.0;
+    wl.rps = 3.0;
     wl.durationSeconds = 30.0;
     wl.numAdapters = 20;
     workload::TraceGenerator gen(wl, &pool);
@@ -617,7 +618,6 @@ TEST(DataParallel, AutoscalerGrowsAndDrainsTheCluster)
     routing::AutoscalerConfig acfg;
     acfg.minReplicas = 1;
     acfg.maxReplicas = 4;
-    acfg.evalPeriodSeconds = 5.0;
     acfg.replicaServiceRps = 8.0;
     acfg.downCooldownPeriods = 2;
     cluster.enableAutoscaler(acfg);
@@ -668,10 +668,12 @@ TEST(ClosedLoop, MeasuredDemandScalesUpADegradedFleet)
 {
     // Two replicas with identical spec sheets, but one is throttled so
     // its real throughput is a fraction of nominalServiceRate. The
-    // watermark is parked out of reach: any scale-up must come from the
-    // demand signal. Without measurement (alpha 0) the nominal capacity
-    // signals count two healthy replicas and never scale; measured
-    // rates (alpha > 0) see the degradation and grow the fleet.
+    // queues stay under the high watermark (24 per replica) over this
+    // 60 s trace, so any scale-up comes from the demand signal (the
+    // nominal run's zero scale-ups show it for that run). Without
+    // measurement (alpha 0) the nominal capacity signals count two
+    // healthy replicas and never scale; measured rates (alpha > 0) see
+    // the degradation and grow the fleet.
     model::AdapterPool pool(model::llama7B(), 30);
     const auto runWith = [&](double measuredRateAlpha) {
         auto spec = specFor("chameleon", model::llama7B(), model::a40());
@@ -686,7 +688,6 @@ TEST(ClosedLoop, MeasuredDemandScalesUpADegradedFleet)
         spec.cluster.autoscaler.minReplicas = 2;
         spec.cluster.autoscaler.maxReplicas = 4;
         spec.cluster.autoscaler.replicaServiceRps = 8.0;
-        spec.cluster.autoscaler.highWatermark = 1e6; // demand only
         spec.cluster.autoscaler.measuredRateAlpha = measuredRateAlpha;
 
         // A metronome trace — 10 rps at exactly 100 ms spacing — so the
@@ -720,7 +721,8 @@ TEST(ClosedLoop, BootAwareHorizonCutsThePostStepTail)
     // A fig28-shaped load step against a slow-booting fleet: the
     // static-horizon scaler orders replicas that land a full boot too
     // late, the boot-aware one looks `bootSeconds` ahead and has them
-    // warm when the step arrives in force.
+    // warm when the step arrives in force. The queue watermark may add
+    // a replica in either run alike; only the horizon differs.
     model::AdapterPool pool(model::llama7B(), 30);
     auto wl = workload::splitwiseLike();
     wl.rps = 6.0;
@@ -737,8 +739,6 @@ TEST(ClosedLoop, BootAwareHorizonCutsThePostStepTail)
         spec.cluster.autoscaler.minReplicas = 1;
         spec.cluster.autoscaler.maxReplicas = 6;
         spec.cluster.autoscaler.replicaServiceRps = 8.0;
-        spec.cluster.autoscaler.highWatermark = 1e6; // demand only
-        spec.cluster.autoscaler.forecastWindowSeconds = 20.0;
         spec.cluster.autoscaler.downCooldownPeriods = 4;
         spec.cluster.autoscaler.bootMs = 30000.0;
         spec.cluster.autoscaler.bootAwareHorizon = bootAware;
@@ -1093,7 +1093,6 @@ TEST(ReportOwnership, AutoscaledReplicasHandOverTheirRecords)
     spec.cluster.autoscale = true;
     spec.cluster.autoscaler.minReplicas = 1;
     spec.cluster.autoscaler.maxReplicas = 4;
-    spec.cluster.autoscaler.evalPeriodSeconds = 5.0;
     spec.cluster.autoscaler.replicaServiceRps = 6.0;
     spec.cluster.autoscaler.downCooldownPeriods = 2;
     auto wl = workload::splitwiseLike();

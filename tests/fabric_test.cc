@@ -678,8 +678,6 @@ TEST(FabricSweep, MigrationCellsThreadCountInvariant)
             sweep::SweepAxis::parse("cluster.autoscale", {"true"}),
             sweep::SweepAxis::parse("cluster.autoscaler.min_replicas", {"1"}),
             sweep::SweepAxis::parse("cluster.autoscaler.max_replicas", {"4"}),
-            sweep::SweepAxis::parse("cluster.autoscaler.eval_period_s",
-                                    {"5.0"}),
             sweep::SweepAxis::parse("cluster.autoscaler.replica_service_rps",
                                     {"6.0"}),
             sweep::SweepAxis::parse("fabric.migration", {"all"})};

@@ -158,7 +158,6 @@ runScenario(const std::string &system, routing::RouterPolicy router,
         spec.cluster.autoscale = true;
         spec.cluster.autoscaler.minReplicas = 1;
         spec.cluster.autoscaler.maxReplicas = 4;
-        spec.cluster.autoscaler.evalPeriodSeconds = 5.0;
         spec.cluster.autoscaler.replicaServiceRps = 6.0;
         spec.cluster.autoscaler.downCooldownPeriods = 2;
     }
@@ -227,7 +226,6 @@ runTenantScenario(const char *scheduler, int tenants, bool storm,
         spec.cluster.autoscale = true;
         spec.cluster.autoscaler.minReplicas = 1;
         spec.cluster.autoscaler.maxReplicas = 4;
-        spec.cluster.autoscaler.evalPeriodSeconds = 5.0;
         spec.cluster.autoscaler.replicaServiceRps = 6.0;
         spec.cluster.autoscaler.downCooldownPeriods = 2;
     }
@@ -443,7 +441,6 @@ TEST(GoldenTrace, ClosedLoopHeteroAutoscale)
     spec.cluster.autoscale = true;
     spec.cluster.autoscaler.minReplicas = 1;
     spec.cluster.autoscaler.maxReplicas = 4;
-    spec.cluster.autoscaler.evalPeriodSeconds = 5.0;
     spec.cluster.autoscaler.replicaServiceRps = 6.0;
     spec.cluster.autoscaler.downCooldownPeriods = 2;
     spec.cluster.autoscaler.bootMs = 8000.0;

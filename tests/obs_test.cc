@@ -55,7 +55,6 @@ smallClusterSpec()
     spec.cluster.autoscale = true;
     spec.cluster.autoscaler.minReplicas = 1;
     spec.cluster.autoscaler.maxReplicas = 4;
-    spec.cluster.autoscaler.evalPeriodSeconds = 5.0;
     spec.cluster.autoscaler.replicaServiceRps = 6.0;
     spec.cluster.autoscaler.downCooldownPeriods = 2;
     return spec;

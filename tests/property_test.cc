@@ -13,6 +13,7 @@
 #include "model/gpu_spec.h"
 #include "model/llm.h"
 #include "serving/slo.h"
+#include "test_util.h"
 #include "workload/trace_gen.h"
 
 using namespace chameleon;
@@ -72,7 +73,7 @@ class SystemInvariants
 TEST_P(SystemInvariants, ConservationAndSanity)
 {
     const auto [system, seed] = GetParam();
-    const auto out = runSeeded(system, seed);
+    const auto out = runSeeded(testutil::systemOf(system), seed);
     const auto &s = out.result.stats;
 
     // Every submitted request finishes once the trace drains.
@@ -107,9 +108,10 @@ TEST_P(SystemInvariants, ConservationAndSanity)
 INSTANTIATE_TEST_SUITE_P(
     SystemsBySeeds, SystemInvariants,
     ::testing::Combine(
-        ::testing::Values("slora", "slora-sjf", "slora-chunked",
-                          "chameleon-nocache", "chameleon-nosched",
-                          "chameleon", "chameleon-gdsf",
+        ::testing::Values("slora", "slora-sjf", "chameleon-nocache",
+                          "chameleon-nosched", "chameleon",
+                          // labels of composed variants (systemOf)
+                          "slora-chunked", "chameleon-gdsf",
                           "chameleon-static",
                           // composed-grammar points of the policy space
                           "chameleon+lru+prefetch", "slora+cache"),
@@ -122,6 +124,55 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name + "_seed" +
                std::to_string(std::get<1>(info.param));
+    });
+
+/** Metamorphic: an autoscaler pinned at min = max = N never changes the
+ *  replica set, so its run is the fixed N-replica cluster's, event for
+ *  event, under every router. (router, N) grid. */
+class PinnedAutoscaler
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
+{
+};
+
+TEST_P(PinnedAutoscaler, MatchesTheFixedCluster)
+{
+    const auto [router, replicas] = GetParam();
+    static model::AdapterPool pool(model::llama7B(), 100);
+    auto wl = workload::splitwiseLike();
+    wl.rps = 16.0;
+    wl.durationSeconds = 120.0;
+    wl.numAdapters = 100;
+    const auto trace = workload::TraceGenerator(wl, &pool).generate();
+
+    auto spec = testbedSpec("chameleon");
+    spec.cluster.replicas = replicas;
+    ASSERT_TRUE(routing::routerPolicyByName(router, &spec.cluster.router));
+    const auto fixed = core::runSpec(spec, &pool, trace);
+
+    spec.cluster.autoscale = true;
+    spec.cluster.autoscaler.minReplicas = replicas;
+    spec.cluster.autoscaler.maxReplicas = replicas;
+    spec.cluster.autoscaler.replicaServiceRps = 8.0;
+    const auto pinned = core::runSpec(spec, &pool, trace);
+
+    EXPECT_EQ(pinned.stats.finished,
+              static_cast<std::int64_t>(trace.size()));
+    EXPECT_EQ(pinned.scaleUps + pinned.scaleDowns, 0);
+    EXPECT_EQ(pinned.eventHash, fixed.eventHash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RoutersByReplicas, PinnedAutoscaler,
+    ::testing::Combine(::testing::Values("rr", "jsq", "p2c", "affinity",
+                                         "affinity-dir"),
+                       ::testing::Values(2, 4)),
+    [](const auto &info) {
+        std::string name = std::get<0>(info.param);
+        for (auto &c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return name + "_x" + std::to_string(std::get<1>(info.param));
     });
 
 /** Load monotonicity: higher offered load never lowers tail latency
@@ -181,7 +232,7 @@ TEST(CacheProperty, NeverMoreTrafficThanBaseline)
 TEST(DeterminismProperty, IdenticalRunsIdenticalResults)
 {
     for (const char *system :
-         {"slora", "chameleon", "chameleon-prefetch",
+         {"slora", "chameleon", "chameleon+prefetch",
           "chameleon+gdsf+prefetch"}) {
         const auto a = runSeeded(system, 9);
         const auto b = runSeeded(system, 9);

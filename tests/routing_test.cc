@@ -447,23 +447,24 @@ TEST(Autoscaler, ScalesUpOnHighQueueAndDownAfterSustainedLow)
     routing::AutoscalerConfig config;
     config.minReplicas = 1;
     config.maxReplicas = 4;
-    config.highWatermark = 10.0;
-    config.lowWatermark = 2.0;
     config.downCooldownPeriods = 2;
-    config.upCooldownPeriods = 0;
     routing::Autoscaler scaler(config);
 
     sim::SimTime now = sim::kSec;
-    // 30 outstanding over 2 replicas = 15/replica > high watermark.
-    EXPECT_EQ(evaluateHomogeneous(scaler, 2, 30, now), 3u);
+    // 50 outstanding over 2 replicas = 25/replica > high watermark (24).
+    EXPECT_EQ(evaluateHomogeneous(scaler, 2, 50, now), 3u);
     EXPECT_EQ(scaler.scaleUps(), 1);
+    // The very next evaluation may scale up again.
+    EXPECT_EQ(evaluateHomogeneous(scaler, 3, 75, now += sim::kSec), 4u);
+    EXPECT_EQ(scaler.scaleUps(), 2);
     // At the ceiling the target saturates.
     EXPECT_EQ(evaluateHomogeneous(scaler, 4, 400, now += sim::kSec), 4u);
     // Low queue must persist downCooldownPeriods evaluations.
     EXPECT_EQ(evaluateHomogeneous(scaler, 3, 0, now += sim::kSec), 3u);
     EXPECT_EQ(evaluateHomogeneous(scaler, 3, 0, now += sim::kSec), 2u);
     EXPECT_EQ(scaler.scaleDowns(), 1);
-    // A busy evaluation resets the streak.
+    // A busy evaluation (5/replica, not below the low watermark of 4)
+    // resets the streak.
     EXPECT_EQ(evaluateHomogeneous(scaler, 2, 0, now += sim::kSec), 2u);
     EXPECT_EQ(evaluateHomogeneous(scaler, 2, 10, now += sim::kSec), 2u);
     EXPECT_EQ(evaluateHomogeneous(scaler, 2, 0, now += sim::kSec), 2u);
@@ -479,12 +480,9 @@ TEST(Autoscaler, ForecastDemandJumpsDirectlyToTheNeededReplicas)
     config.minReplicas = 1;
     config.maxReplicas = 8;
     config.replicaServiceRps = 5.0;
-    config.forecastWindowSeconds = 10.0;
-    config.forecastHorizonSeconds = 0.0;
-    config.upCooldownPeriods = 0;
     routing::Autoscaler scaler(config);
 
-    // 40 rps of arrivals: demand = ceil(40 / 5) = 8 replicas, reached
+    // 40 rps of arrivals: demand >= ceil(40 / 5) = 8 replicas, reached
     // in one evaluation even though queues are still empty.
     sim::SimTime t = 0;
     for (int i = 0; i < 400; ++i)
@@ -513,8 +511,6 @@ TEST(Autoscaler, NonPositiveServiceRpsFallsBackToWatermarksOnly)
     config.minReplicas = 1;
     config.maxReplicas = 8;
     config.replicaServiceRps = 0.0; // forecast signal disabled
-    config.upCooldownPeriods = 0;
-    config.highWatermark = 10.0;
     config.downCooldownPeriods = 1;
     routing::Autoscaler scaler(config);
 
@@ -525,7 +521,7 @@ TEST(Autoscaler, NonPositiveServiceRpsFallsBackToWatermarksOnly)
     EXPECT_EQ(evaluateHomogeneous(scaler, 1, 0, t), 1u);
     EXPECT_DOUBLE_EQ(scaler.lastForecastDemand(), 0.0);
     // ...while the queue watermark still scales one step at a time.
-    EXPECT_EQ(evaluateHomogeneous(scaler, 1, 20, t += sim::kSec), 2u);
+    EXPECT_EQ(evaluateHomogeneous(scaler, 1, 30, t += sim::kSec), 2u);
     // And a quiet queue scales down without a demand veto.
     EXPECT_EQ(evaluateHomogeneous(scaler, 2, 0, t += sim::kSec), 1u);
 }
@@ -542,9 +538,6 @@ TEST(Autoscaler, AggregateCapacityDrivesDemandOnAMixedFleet)
             config.minReplicas = 1;
             config.maxReplicas = 16;
             config.replicaServiceRps = 5.0;
-            config.forecastWindowSeconds = 10.0;
-            config.forecastHorizonSeconds = 0.0;
-            config.upCooldownPeriods = 0;
             routing::Autoscaler scaler(config);
             sim::SimTime t = 0;
             for (int i = 0; i < 300; ++i)
@@ -587,12 +580,11 @@ TEST(Autoscaler, MixedFleetSurplusVetoesTheQueueScaleDown)
     config.minReplicas = 1;
     config.maxReplicas = 8;
     config.replicaServiceRps = 5.0;
-    config.forecastWindowSeconds = 10.0;
-    config.forecastHorizonSeconds = 0.0;
     config.downCooldownPeriods = 1;
     routing::Autoscaler scaler(config);
 
-    // 12 rps: demand = ceil(12 / 5) = 3 reference units.
+    // 12 rps, a little trend over the 15 s horizon: demand =
+    // ceil(13.6 / 5) = 3 reference units.
     sim::SimTime t = 0;
     for (int i = 0; i < 120; ++i)
         scaler.onArrival(t += sim::kSec / 12);
@@ -603,12 +595,14 @@ TEST(Autoscaler, MixedFleetSurplusVetoesTheQueueScaleDown)
     surplus.activeCapacityFactor = 4.0;
     surplus.nextReplicaFactor = 2.0;
     EXPECT_EQ(scaler.evaluate(2, 0, t, surplus), 1u);
-    // Two slow replicas (aggregate 2.0 < demand 3): the demand signal
-    // vetoes the scale-down the idle queue asked for.
-    routing::CapacitySignals deficit;
-    deficit.activeCapacityFactor = 2.0;
-    deficit.nextReplicaFactor = 1.0;
-    EXPECT_EQ(scaler.evaluate(2, 0, t += sim::kSec, deficit), 2u);
+    ASSERT_DOUBLE_EQ(scaler.lastForecastDemand(), 3.0);
+    // Two slower replicas (aggregate 3.0, no surplus over demand 3):
+    // the demand signal vetoes the scale-down the idle queue asked for.
+    routing::CapacitySignals matched;
+    matched.activeCapacityFactor = 3.0;
+    matched.nextReplicaFactor = 1.0;
+    EXPECT_EQ(scaler.evaluate(2, 0, t, matched), 2u);
+    EXPECT_EQ(scaler.scaleDowns(), 1);
 }
 
 TEST(ScaleUpPolicy, NamesRoundTrip)
@@ -637,9 +631,6 @@ TEST(Autoscaler, BootAwareHorizonScalesUpBeforeTheStaticOne)
         config.minReplicas = 1;
         config.maxReplicas = 16;
         config.replicaServiceRps = 5.0;
-        config.forecastWindowSeconds = 10.0;
-        config.forecastHorizonSeconds = 1.0;
-        config.upCooldownPeriods = 0;
         config.bootAwareHorizon = bootAware;
         routing::Autoscaler scaler(config);
         sim::SimTime t = 0;
@@ -649,30 +640,29 @@ TEST(Autoscaler, BootAwareHorizonScalesUpBeforeTheStaticOne)
             scaler.onArrival(t += sim::kSec / 5);
         for (int i = 0; i < 50; ++i)
             scaler.onArrival(t += sim::kSec / 10);
+        // Over the 15 s horizon the forecast (29.1 rps, 6 units) fits
+        // eight replicas; over the 30 s boot (45.3 rps, 10 units) not.
         routing::CapacitySignals capacity;
-        capacity.activeCapacityFactor = 4.0;
+        capacity.activeCapacityFactor = 8.0;
         capacity.nextReplicaFactor = 1.0;
         capacity.nextReplicaBootSeconds = 30.0;
-        return scaler.evaluate(4, 0, t, capacity);
+        return scaler.evaluate(8, 0, t, capacity);
     };
     const std::size_t staticTarget = targetWith(false);
     const std::size_t bootAwareTarget = targetWith(true);
-    EXPECT_EQ(staticTarget, 4u);
+    EXPECT_EQ(staticTarget, 8u);
     EXPECT_GT(bootAwareTarget, staticTarget);
 }
 
 TEST(Autoscaler, BootAwareHorizonNeverShrinksTheConfiguredOne)
 {
-    // A boot shorter than the configured horizon must change nothing:
-    // the stretch is max(horizon, boot), not a replacement.
+    // A boot shorter than the 15 s horizon must change nothing: the
+    // stretch is max(horizon, boot), not a replacement.
     const auto demandWith = [](double bootSeconds, bool bootAware) {
         routing::AutoscalerConfig config;
         config.minReplicas = 1;
         config.maxReplicas = 16;
         config.replicaServiceRps = 5.0;
-        config.forecastWindowSeconds = 10.0;
-        config.forecastHorizonSeconds = 20.0;
-        config.upCooldownPeriods = 0;
         config.bootAwareHorizon = bootAware;
         routing::Autoscaler scaler(config);
         sim::SimTime t = 0;

@@ -3,7 +3,9 @@
  * Tests for the SystemSpec / SystemRegistry / Runner redesign:
  *  - preset equivalence: every legacy SystemKind wiring, rebuilt by
  *    hand exactly as the old monolithic switch did, produces
- *    bit-identical seeded stats to the new SystemSpec path;
+ *    bit-identical seeded stats to the new SystemSpec path (a preset,
+ *    or a preset plus one modifier: "chameleon-lru" is
+ *    "chameleon+lru");
  *  - registry round-trip (name -> spec -> name) and the composition
  *    grammar;
  *  - SystemSpec::validate() rejections with actionable messages;
@@ -26,6 +28,7 @@
 #include "serving/sjf_scheduler.h"
 #include "serving/slora_adapter_manager.h"
 #include "simkit/log.h"
+#include "test_util.h"
 #include "workload/trace_gen.h"
 
 using namespace chameleon;
@@ -205,8 +208,8 @@ TEST_P(PresetEquivalence, LegacyWiringBitIdentical)
 
     LegacySystem legacy(kind, testPool());
     const auto expect = legacy.run(trace);
-    const auto got =
-        core::runSpec(testbedSpec(kind), &testPool(), trace);
+    const auto got = core::runSpec(testbedSpec(testutil::systemOf(kind)),
+                                   &testPool(), trace);
 
     EXPECT_EQ(got.stats.finished, expect.stats.finished);
     EXPECT_EQ(got.stats.ttft.sorted(), expect.stats.ttft.sorted());
@@ -242,12 +245,18 @@ INSTANTIATE_TEST_SUITE_P(AllLegacyKinds, PresetEquivalence,
 
 TEST(SystemRegistry, AllLegacyKindsAreRegistered)
 {
+    // Seven legacy kinds are registered presets; the other six are a
+    // preset plus one modifier, and their old names are unknown.
     const auto &registry = core::SystemRegistry::global();
     for (const auto &kind : legacyKinds()) {
-        EXPECT_TRUE(registry.has(kind)) << kind;
-        EXPECT_FALSE(registry.description(kind).empty()) << kind;
+        const std::string system = testutil::systemOf(kind);
+        EXPECT_TRUE(registry.find(system).has_value()) << kind;
+        if (system == kind)
+            EXPECT_FALSE(registry.description(kind).empty()) << kind;
+        else
+            EXPECT_FALSE(registry.find(kind).has_value()) << kind;
     }
-    EXPECT_GE(registry.names().size(), legacyKinds().size());
+    EXPECT_EQ(registry.names().size(), 7u);
 }
 
 TEST(SystemRegistry, NameSpecNameRoundTrip)
@@ -268,15 +277,9 @@ TEST(SystemRegistry, PresetFunctionsMatchRegistryEntries)
     const std::vector<std::pair<std::string, core::SystemSpec>> presets{
         {"slora", core::presets::slora()},
         {"slora-sjf", core::presets::sloraSjf()},
-        {"slora-chunked", core::presets::sloraChunked()},
         {"chameleon-nocache", core::presets::chameleonNoCache()},
         {"chameleon-nosched", core::presets::chameleonNoSched()},
         {"chameleon", core::presets::chameleon()},
-        {"chameleon-lru", core::presets::chameleonLru()},
-        {"chameleon-fairshare", core::presets::chameleonFairShare()},
-        {"chameleon-gdsf", core::presets::chameleonGdsf()},
-        {"chameleon-prefetch", core::presets::chameleonPrefetch()},
-        {"chameleon-static", core::presets::chameleonStatic()},
         {"chameleon-output-only", core::presets::chameleonOutputOnly()},
         {"chameleon-degree1", core::presets::chameleonDegree1()},
     };
@@ -388,6 +391,19 @@ TEST(SystemRegistry, UnknownNamesFailWithActionableErrors)
     EXPECT_NE(error.find("unknown system modifier"), std::string::npos);
     EXPECT_NE(error.find("gdsf"), std::string::npos); // lists known mods
 
+    // The preset names that a base plus one modifier replaced are
+    // unknown, and the error names them.
+    for (const char *retired :
+         {"slora-chunked", "chameleon-lru", "chameleon-fairshare",
+          "chameleon-gdsf", "chameleon-prefetch", "chameleon-static"}) {
+        error.clear();
+        EXPECT_FALSE(registry.find(retired, &error).has_value()) << retired;
+        EXPECT_NE(error.find(std::string("unknown system '") + retired +
+                             "'"),
+                  std::string::npos)
+            << error;
+    }
+
     // Stray '+' (trailing or doubled) is a malformed name, not a
     // silent run of the base system.
     for (const char *malformed :
@@ -459,7 +475,7 @@ TEST(SpecValidation, RejectsNonPositiveReplicas)
 
 TEST(SpecValidation, RejectsNonPositiveChunkSize)
 {
-    auto spec = core::presets::sloraChunked();
+    auto spec = core::SystemRegistry::global().lookup("slora+chunked");
     spec.chunkTokens = 0;
     EXPECT_TRUE(hasErrorContaining(spec, "non-positive chunk size"));
     EXPECT_TRUE(hasErrorContaining(spec, "chunk_tokens must be > 0"));
@@ -474,7 +490,7 @@ TEST(SpecValidation, RejectsPrefetchTopKWithoutPrefetch)
     EXPECT_TRUE(hasErrorContaining(spec, "without prefetch enabled"));
     EXPECT_TRUE(hasErrorContaining(spec, "adapters.prefetch_top_k=8"));
 
-    auto zero = core::presets::chameleonPrefetch();
+    auto zero = core::presets::chameleon().withPrefetch();
     zero.adapters.prefetchTopK = 0;
     EXPECT_TRUE(hasErrorContaining(zero, "adapters.prefetch_top_k=0"));
 }

@@ -15,6 +15,7 @@
 #include "model/llm.h"
 #include "serving/slo.h"
 #include "simkit/rng.h"
+#include "test_util.h"
 #include "workload/trace_gen.h"
 
 using namespace chameleon;
@@ -71,7 +72,7 @@ class SystemNameTest : public ::testing::TestWithParam<const char *>
 TEST_P(SystemNameTest, RunsTraceToCompletion)
 {
     Env env(6.0, 40.0);
-    const auto result = env.run(GetParam());
+    const auto result = env.run(testutil::systemOf(GetParam()));
     EXPECT_EQ(result.stats.finished,
               static_cast<std::int64_t>(env.trace.size()));
     EXPECT_GT(result.stats.ttft.p50(), 0.0);
@@ -80,6 +81,8 @@ TEST_P(SystemNameTest, RunsTraceToCompletion)
     EXPECT_EQ(result.stats.records.size(), env.trace.size());
 }
 
+// The registered systems, and the six composed variants that were
+// registered presets once, under their old names as labels.
 INSTANTIATE_TEST_SUITE_P(
     AllRegistered, SystemNameTest,
     ::testing::Values("slora", "slora-sjf", "slora-chunked",

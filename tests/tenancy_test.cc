@@ -550,13 +550,20 @@ TEST(TenancyRunner, SloMultiplierZeroDisablesAttainment)
     auto spec = core::SystemRegistry::global().lookup("slora");
     spec.engine.model = model::llama7B();
     spec.engine.gpu = model::a40();
+    // The multiplier is the paper's, a constant.
     core::Runner runner(spec, &pool);
-    runner.setSloMultiplier(0.0);
     const auto report = runner.run(trace);
-    EXPECT_EQ(report.sloMultiplier, 0.0);
-    EXPECT_EQ(report.sloSeconds, 0.0);
-    EXPECT_LT(report.sloAttainment, 0.0); // disabled sentinel
-    for (const auto &t : report.tenants)
+    EXPECT_EQ(report.sloMultiplier, serving::kSloMultiplier);
+    EXPECT_GT(report.sloSeconds, 0.0);
+    EXPECT_GE(report.sloAttainment, 0.0);
+
+    // An empty trace has no SLO: attainment reads the -1 sentinel.
+    core::Runner idle(spec, &pool);
+    const auto empty = idle.run(workload::Trace{});
+    EXPECT_EQ(empty.sloMultiplier, 0.0);
+    EXPECT_EQ(empty.sloSeconds, 0.0);
+    EXPECT_LT(empty.sloAttainment, 0.0);
+    for (const auto &t : empty.tenants)
         EXPECT_LT(t.sloAttainment, 0.0);
 }
 

@@ -8,9 +8,11 @@
 #define CHAMELEON_TESTS_TEST_UTIL_H
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "chameleon/system.h"
+#include "chameleon/system_registry.h"
 #include "model/adapter.h"
 #include "model/gpu_spec.h"
 #include "model/llm.h"
@@ -144,6 +146,22 @@ struct ResidencyLog : serving::ResidencyEvents
         return n;
     }
 };
+
+/**
+ * The registry spelling of a system label. Six variants that once were
+ * registered presets are now composed ("chameleon-lru" is spelled
+ * "chameleon+lru"); the parameterised tests that run them keep the old
+ * names as labels, so their test names stay the same.
+ */
+inline std::string
+systemOf(std::string label)
+{
+    const auto dash = label.find('-');
+    if (!core::SystemRegistry::global().has(label) &&
+        dash != std::string::npos)
+        label[dash] = '+';
+    return label;
+}
 
 } // namespace chameleon::testutil
 

@@ -169,10 +169,6 @@ main(int argc, char **argv)
         "tenant-storm", 1.0,
         "noisy neighbour: tenant 0 bursts to this multiple of its share "
         "for the middle half of the trace (requires > 1 tenant)");
-    auto *slo_multiplier = flags.addDouble(
-        "slo-multiplier", 5.0,
-        "TTFT SLO as a multiple of the mean isolated latency "
-        "(0 disables SLO reporting)");
     auto *replicas = flags.addInt(
         "replicas", 1,
         "data-parallel engine replicas (= --set cluster.replicas=N)");
@@ -235,11 +231,6 @@ main(int argc, char **argv)
                 return 2;
             }
         }
-    }
-    if (*slo_multiplier < 0.0) {
-        std::fprintf(stderr, "chameleon_sim: --slo-multiplier must be >= 0 "
-                             "(0 disables SLO reporting)\n");
-        return 2;
     }
 
     sim::LogLevel level;
@@ -406,10 +397,7 @@ main(int argc, char **argv)
     model::CostModel cost(spec.engine.model, spec.engine.gpu,
                           spec.engine.tpDegree, spec.engine.cost);
     const double slo =
-        *slo_multiplier > 0.0
-            ? sim::toSeconds(serving::computeSlo(trace, cost, pool.get(),
-                                                 *slo_multiplier))
-            : 0.0;
+        sim::toSeconds(serving::computeSlo(trace, cost, pool.get()));
 
     std::printf("system      : %s (scheduler %s, adapters %s"
                 "%s%s)\n",
@@ -467,15 +455,10 @@ main(int argc, char **argv)
                         *tenant_storm);
         std::printf("\n");
     }
-    if (*slo_multiplier > 0.0) {
-        std::printf("TTFT SLO    : %.2f s (%gx mean isolated latency)\n\n",
-                    slo, *slo_multiplier);
-    } else {
-        std::printf("TTFT SLO    : disabled (--slo-multiplier 0)\n\n");
-    }
+    std::printf("TTFT SLO    : %.2f s (%gx mean isolated latency)\n\n", slo,
+                serving::kSloMultiplier);
 
     core::Runner runner(spec, pool.get());
-    runner.setSloMultiplier(*slo_multiplier);
     obs::TraceRecorder recorder;
     if (!trace_out->empty())
         runner.setTraceRecorder(&recorder);
@@ -492,9 +475,7 @@ main(int argc, char **argv)
                 100.0 * s.cacheHitRate());
     std::printf("TTFT        : p50 %.3f s, p90 %.3f s, p99 %.3f s%s\n",
                 s.ttft.p50(), s.ttft.p90(), s.ttft.p99(),
-                *slo_multiplier <= 0.0  ? ""
-                : s.ttft.p99() <= slo ? "  (meets SLO)"
-                                      : "  (VIOLATES SLO)");
+                s.ttft.p99() <= slo ? "  (meets SLO)" : "  (VIOLATES SLO)");
     std::printf("TBT         : p50 %.1f ms, p99 %.1f ms\n", s.tbt.p50(),
                 s.tbt.p99());
     std::printf("E2E         : p50 %.2f s, p99 %.2f s\n", s.e2e.p50(),

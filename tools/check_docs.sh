@@ -50,6 +50,12 @@
 #    `cluster.replicas[i].k` resolves as `engine.k`, a `{a,b}` group
 #    expands and a trailing `*` is a prefix — a key deleted from the
 #    schema but left in prose fails the build.
+# 12. Every `--system NAME` in README.md, docs/*.md, src/*/README.md,
+#    bench/README.md and .github/workflows/ci.yml, and every entry of
+#    an example sweep's "systems" list, must resolve:
+#    `chameleon_sim --system NAME --dump-config` exits 0 — a preset
+#    deleted or renamed but left in a command line fails the build.
+#    (The fidelity table's row labels are not system names.)
 #
 # Usage: tools/check_docs.sh <chameleon_sim-binary> <repo-root> \
 #            [chameleon_sweep-binary]
@@ -346,6 +352,30 @@ while IFS=: read -r doc line span; do
 done < <(cd "$root" && inline_code_spans README.md docs/*.md \
     src/*/README.md bench/README.md)
 
+# --- 12. System names in command lines and sweeps resolve ------------
+system_refs=0
+check_system() { # <where> <name>
+    system_refs=$((system_refs + 1))
+    "$bin" --system "$2" --dump-config > /dev/null 2>&1 && return
+    echo "FAIL: $1 names system $2, which chameleon_sim --system" \
+         "does not resolve"
+    fail=1
+}
+while IFS=: read -r file line text; do
+    for name in $(grep -oE -- '--system[ =][A-Za-z0-9_+.-]+' <<< "$text" |
+            sed -E 's/^--system[ =]//'); do
+        check_system "$file:$line" "$name"
+    done
+done < <(cd "$root" && grep -nE -- '--system[ =]' README.md docs/*.md \
+    src/*/README.md bench/README.md .github/workflows/ci.yml || true)
+for sweep_json in "$root"/examples/sweeps/*.json; do
+    for name in $(awk '/"systems"[[:space:]]*:/{f=1} f{print} f && /]/{exit}' \
+            "$sweep_json" | sed 's/"systems"//' | grep -oE '"[^"]+"' |
+            tr -d '"'); do
+        check_system "${sweep_json#"$root"/}" "$name"
+    done
+done
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
@@ -355,4 +385,5 @@ echo "docs freshness OK ($(echo "$registry_names" | wc -l) presets," \
      "$md_refs doc paths in comments resolve," \
      "$sym_refs Type::member names in docs resolve," \
      "$target_refs bench and build targets named in docs exist," \
-     "$path_refs spec paths in docs resolve)"
+     "$path_refs spec paths in docs resolve," \
+     "$system_refs system names in docs, CI and sweeps resolve)"
