@@ -749,13 +749,13 @@ TEST(SweepExamples, ExpansionsArePinned)
     // every example's cells, specs and traces exactly as they were.
     const std::map<std::string, std::pair<std::size_t, std::uint64_t>>
         pins = {
-            {"autoscale_step.json", {2, 0xa4ef3537d92bbb0aull}},
-            {"ci_smoke.json", {12, 0xf3f39d1b305fd7b7ull}},
-            {"fabric_smoke.json", {4, 0x86ee9a42aab80a8dull}},
-            {"fig17_policy_grid.json", {5, 0x3ff8d539a7046061ull}},
-            {"hetero_fleet.json", {12, 0xa5fa9f3090000151ull}},
-            {"minimal.json", {2, 0x79d0ecf521679b0aull}},
-            {"noisy_neighbour.json", {3, 0x7dd7b271794264b4ull}},
+            {"autoscale_step.json", {2, 0x9e98d3cd6bdd7d12ull}},
+            {"ci_smoke.json", {12, 0x6e5268c15387f193ull}},
+            {"fabric_smoke.json", {4, 0x1ec70daa1749f291ull}},
+            {"fig17_policy_grid.json", {5, 0xb6c036666e57dc8aull}},
+            {"hetero_fleet.json", {12, 0x9bf6c3f289adae5cull}},
+            {"minimal.json", {2, 0xa681f9d8048e8e56ull}},
+            {"noisy_neighbour.json", {3, 0xd8ba50a83ca1b853ull}},
         };
     const auto dir =
         std::filesystem::path(__FILE__).parent_path().parent_path() /
