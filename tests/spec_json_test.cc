@@ -447,23 +447,17 @@ TEST(SpecJson, DumpsArePinned)
     // a changed key name, order or number format moves these hashes.
     const auto empty = core::specFromJson("{}");
     ASSERT_TRUE(empty.has_value());
-    EXPECT_EQ(dumpHash(*empty), 0x4c4c4af1e0d7ccc9ull);
-    EXPECT_EQ(dumpHash(fabricFleetSpec()), 0x5d85ba2afa15532cull);
+    EXPECT_EQ(dumpHash(*empty), 0x91f97fb4cfc48f74ull);
+    EXPECT_EQ(dumpHash(fabricFleetSpec()), 0x1b7894db44adce15ull);
 
     const std::pair<const char *, std::uint64_t> pins[] = {
-        {"chameleon", 0x5cc9ec5d94362baeull},
-        {"chameleon-degree1", 0x9ca3cc432872b5bfull},
-        {"chameleon-fairshare", 0x9493c29b1cba02bbull},
-        {"chameleon-gdsf", 0x0843d976e2b7e149ull},
-        {"chameleon-lru", 0xec0e37fb9a416c1bull},
-        {"chameleon-nocache", 0xc8ae93663d53f8f8ull},
-        {"chameleon-nosched", 0x6851548a814b1afbull},
-        {"chameleon-output-only", 0x0bb46cc55b156cb9ull},
-        {"chameleon-prefetch", 0xc3244e0fb09c3f93ull},
-        {"chameleon-static", 0x48f4c762e958f5eaull},
-        {"slora", 0x61b640c335a745d7ull},
-        {"slora-chunked", 0x9aeb807af104abe1ull},
-        {"slora-sjf", 0x261e03af740949c6ull},
+        {"chameleon", 0x397fbedf7ec89605ull},
+        {"chameleon-degree1", 0x5910122d4b02c9daull},
+        {"chameleon-nocache", 0x241102fc6eb54e3full},
+        {"chameleon-nosched", 0x24eedfbd30e9442eull},
+        {"chameleon-output-only", 0xcb073848357b8444ull},
+        {"slora", 0x95a5b3503d92eee2ull},
+        {"slora-sjf", 0x6350aeb04fd14badull},
     };
     const auto &registry = core::SystemRegistry::global();
     ASSERT_EQ(registry.names().size(), std::size(pins));
